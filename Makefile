@@ -6,9 +6,9 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke clean
 
-check: fmt-check vet lint doclint build race bench-smoke smoke-expm smoke-spec smoke-serve smoke-proof smoke-load fuzz-smoke
+check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-serve smoke-proof smoke-load fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -172,6 +172,15 @@ bench:
 # One-iteration pass over every benchmark: catches bitrot, not perf.
 bench-smoke:
 	$(GO) test -bench . -run '^$$' -benchtime 1x ./...
+
+# The benchmark module (bench/, its own Go module, so `go test ./...`
+# from the root never reaches it) pins a golden run-document digest per
+# batch configuration: 24 paper-sweep and 4 manycore runs, expm
+# included. This target re-derives them against the current engine,
+# along with the catalogue and verdict-rule tests, so a change to
+# engine bits or to an API the benchmark uses fails here.
+bench-golden:
+	cd bench && $(GO) test -run 'TestGolden|TestBenchmarkJSONMatchesCatalogue|TestVerdict|TestCompareFailuresMayNotRise' ./...
 
 # Integrator stepping cost on the high-performance package.
 bench-thermal:

@@ -243,16 +243,14 @@ func BenchmarkManycore32(b *testing.B) { benchManycore32(b, false) }
 // (results are bit-for-bit identical either way).
 func BenchmarkManycore32TickStepped(b *testing.B) { benchManycore32(b, true) }
 
-// BenchmarkManycore256 is the interactivity headline: the 256-core
-// tiled die (1539 thermal nodes) under the balancing policy. At this
-// size the expm cost model keeps the thermal side on sparse Euler
-// substeps, so the figure tracks the engine's event-horizon and
-// span-accounting work.
-func BenchmarkManycore256(b *testing.B) {
+// benchManycore runs a tiled many-core scenario under the balancing
+// policy for the benchmark module's manycore window (1 s + 2 s).
+func benchManycore(b *testing.B, name string, th thermal.Config) {
+	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, _, err := experiment.Run(experiment.RunConfig{
-			Scenario: "manycore-256", PolicyName: "thermal-balance", Delta: 2,
-			WarmupS: 1, MeasureS: 2,
+			Scenario: name, PolicyName: "thermal-balance", Delta: 2,
+			WarmupS: 1, MeasureS: 2, Thermal: th,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -261,6 +259,23 @@ func BenchmarkManycore256(b *testing.B) {
 			b.Fatal("no measurement window")
 		}
 	}
+}
+
+// BenchmarkManycore256 is the interactivity headline: the 256-core
+// tiled die (1539 thermal nodes) under the balancing policy. At this
+// size the expm cost model keeps the thermal side on sparse Euler
+// substeps, and the engine's sim layer — plain ticks over 256 cores and
+// the event-horizon scans — dominates: most groups end in a plain tick
+// because some core has an event on the next one, which is what the
+// per-core event calendar and its quiet-core path target.
+func BenchmarkManycore256(b *testing.B) { benchManycore(b, "manycore-256", thermal.Config{}) }
+
+// BenchmarkManycore64Expm is the largest die on which expm propagates
+// densely (the benchmark module's other manycore configuration). Since
+// the event calendar the dense thermal side — propagation and
+// propagator builds — dominates it; the engine takes under a fifth.
+func BenchmarkManycore64Expm(b *testing.B) {
+	benchManycore(b, "manycore-64", thermal.Config{Scheme: thermal.Expm})
 }
 
 // BenchmarkAblations runs the design-choice ablation suite (daemon

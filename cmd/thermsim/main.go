@@ -16,6 +16,7 @@
 //	thermsim -policy tb -delta 3 -json      # the service's /run document
 //	thermsim -scenario-file custom.json -policy tb   # declarative spec file
 //	thermsim -scenario video-decoder -dump-spec      # export a builtin as a spec
+//	thermsim -scenario manycore-64 -profile          # engine work counters
 package main
 
 import (
@@ -55,6 +56,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the run as the versioned JSON schema document the service serves (single run only)")
 		traceOut   = flag.String("trace", "", "write the temperature/frequency timeline CSV to this file")
 		eventsOut  = flag.String("events", "", "write the event log CSV to this file")
+		profile    = flag.Bool("profile", false, "print the engine's work counters (ticks, macro-steps, horizon scans, core steps); with -json they go to stderr")
 	)
 	flag.Parse()
 
@@ -142,7 +144,7 @@ func main() {
 		// bit-for-bit identical either way, so it is not part of the
 		// request identity and A/B runs emit the same document.
 		rc.NoFastPath = *noFastPath
-		res, _, err := experiment.Run(rc)
+		res, eng, err := experiment.Run(rc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -151,6 +153,9 @@ func main() {
 			log.Fatal(err)
 		}
 		os.Stdout.Write(body)
+		if *profile {
+			fmt.Fprint(os.Stderr, eng.Profile())
+		}
 		return
 	}
 
@@ -224,6 +229,9 @@ func main() {
 	for c := 0; c < eng.Platform().NumCores(); c++ {
 		fmt.Printf("core%d            %.2f °C @ %.0f MHz\n",
 			c+1, eng.Platform().CoreTemp(c), eng.Platform().Frequency(c)/1e6)
+	}
+	if *profile {
+		fmt.Printf("\n%s", eng.Profile())
 	}
 
 	if *traceOut != "" {

@@ -14,6 +14,7 @@ import (
 	"thermbal/internal/policy"
 	"thermbal/internal/provenance"
 	"thermbal/internal/scenario"
+	"thermbal/internal/sim"
 	"thermbal/internal/store"
 )
 
@@ -87,9 +88,11 @@ func (s *Server) finishRequest(ep int, rec *obs.TimingRecord) {
 	}
 }
 
-// errorDoc is the JSON error envelope.
+// errorDoc is the JSON error envelope. Hint, when present, says how
+// to get a request the server will run.
 type errorDoc struct {
 	Error string `json:"error"`
+	Hint  string `json:"hint,omitempty"`
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -193,7 +196,9 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 
 // writeOverloadError maps an execute-ladder failure: a shed decision
 // becomes 503 + Retry-After (the shed counter was incremented at the
-// shed site), anything else 500.
+// shed site), a thermal runaway 422 — the request is well-formed but
+// describes a die that leaves physics, so a retry cannot help — and
+// anything else 500.
 func writeOverloadError(w http.ResponseWriter, err error) {
 	var shed *shedError
 	if errors.As(err, &shed) {
@@ -201,8 +206,16 @@ func writeOverloadError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
+	if errors.Is(err, sim.ErrThermalRunaway) {
+		writeJSON(w, http.StatusUnprocessableEntity, errorDoc{Error: err.Error(), Hint: runawayHint})
+		return
+	}
 	writeError(w, http.StatusInternalServerError, err)
 }
+
+// runawayHint accompanies every 422 thermal-runaway refusal.
+const runawayHint = "the package cannot remove the power this workload dissipates at these settings; " +
+	"choose a lower-power package or policy, or a smaller die"
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rec := obs.TimingRecord{Start: time.Now(), Endpoint: "run", Outcome: "error"}

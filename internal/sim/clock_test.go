@@ -158,6 +158,9 @@ func TestFastPathBitForBit(t *testing.T) {
 		{"video-decoder", sim.Config{PolicyStartS: 5, MeasureStartS: 5, RecordTrace: true}, 12},
 		{"bursty-sdr", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 9},
 		{"manycore-8", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 4},
+		// The calendar's quiet-core path carries most plain ticks here.
+		{"manycore-64", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
+		{"manycore-256", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
 	}
 	for _, tc := range cases {
 		tc := tc

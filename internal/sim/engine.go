@@ -120,14 +120,23 @@ type Engine struct {
 	// scan (see evCache in horizon.go).
 	evSrc, evSink, evMigr evCache
 
-	// Fast-path scratch (reused across macro-steps). The horizon scan
-	// records each core's allocation ring — its allocatable tasks in
-	// pick order — as ringFlat[ringOff[c]:ringOff[c+1]], and macroStep
-	// replays it without rescanning the run queues.
+	// The per-core event calendar (see horizon.go): each core's record
+	// from its last rescan, a min-heap of the clean cores by bound, and
+	// the dirty cores awaiting a rescan. queueTasks[q] lists the
+	// producers and consumers of queue q, whose cores a change to q
+	// dirties.
+	cal        []coreCal
+	heap       []int
+	dirtyList  []int
+	fresh      []int // scan scratch
+	queueTasks [][]int
+	srcQueue   int
+	sinkQueue  int
+
 	runnableFn func(int) bool // the tick path's PickNext predicate
 	orderBuf   []int
-	ringFlat   []int
-	ringOff    []int
+
+	prof Profile
 
 	temps    *metrics.TempCollector
 	rec      *trace.Recorder
@@ -171,9 +180,27 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 		temps:     metrics.NewTempCollector(n),
 		pendTicks: make([]int64, n),
 		pendBusy:  make([]float64, n),
-		ringOff:   make([]int, n+1),
+		cal:       make([]coreCal, n),
+		dirtyList: make([]int, 0, n),
 		spanExact: cfg.Thermal.Scheme == thermal.Expm,
 	}
+	// Every core starts dirty; under NoFastPath none is ever rescanned,
+	// so every tick runs every core through runCore.
+	for c := range e.cal {
+		e.cal[c] = coreCal{dirty: true, slot: -1}
+		e.dirtyList = append(e.dirtyList, c)
+	}
+	e.queueTasks = make([][]int, g.NumQueues())
+	for ti := range g.Tasks() {
+		for _, q := range g.Inputs(ti) {
+			e.queueTasks[q] = append(e.queueTasks[q], ti)
+		}
+		for _, q := range g.Outputs(ti) {
+			e.queueTasks[q] = append(e.queueTasks[q], ti)
+		}
+	}
+	e.srcQueue, _ = g.SourceConfig()
+	e.sinkQueue, _, _ = g.SinkConfig()
 	e.runnableFn = func(ti int) bool {
 		t := e.graph.Task(ti)
 		if !t.Runnable() {
@@ -221,6 +248,10 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 	return e, nil
 }
 
+// Profile returns the engine's work counters so far. They are not part
+// of Result, so no run document or content address depends on them.
+func (e *Engine) Profile() Profile { return e.prof }
+
 // SetOvershootDelta enables tracking of time the hottest core spends
 // above mean+delta (the paper's <400 ms overshoot observation).
 func (e *Engine) SetOvershootDelta(delta float64) { e.deltaForOver = delta }
@@ -266,6 +297,7 @@ func (e *Engine) flushAccount(c int) {
 // updateDVFS recomputes core c's level from its mapped, unfrozen tasks.
 func (e *Engine) updateDVFS(c int) {
 	e.flushAccount(c)
+	e.markDirty(c)
 	if !e.plat.Powered(c) {
 		return // stays at 0 until restart
 	}
@@ -306,6 +338,10 @@ func (e *Engine) fseMapped(c int) float64 {
 // onMigrationComplete rebinds the scheduler and DVFS after the
 // middleware finishes a transfer.
 func (e *Engine) onMigrationComplete(mg *migrate.Migration) {
+	// Both run queues change: settle their calendar records (and
+	// round-robin cursors) before the rebind.
+	e.markDirty(mg.Src)
+	e.markDirty(mg.Dst)
 	if err := e.sch.Assign(mg.TaskIdx, mg.Dst); err != nil {
 		panic(fmt.Sprintf("sim: migration completion rebind: %v", err))
 	}
@@ -326,6 +362,11 @@ func (e *Engine) Run(duration float64) error {
 		return errors.New("sim: non-positive duration")
 	}
 	end := e.ticks + int64(duration/e.cfg.TickS+0.5)
+	// Callers may adjust platform state between runs (see Platform), so
+	// no calendar record survives a Run boundary.
+	for c := range e.cal {
+		e.markDirty(c)
+	}
 	for e.ticks < end {
 		if e.cfg.NoFastPath {
 			e.stepTick(e.cfg.TickS)
@@ -351,6 +392,9 @@ func (e *Engine) advance(end int64) {
 		max = remain
 	}
 	span := e.horizonTicks(max)
+	if checkHorizon != nil {
+		checkHorizon(e, max, span)
+	}
 	if span <= 0 {
 		e.stepTick(e.cfg.TickS)
 		return
@@ -363,25 +407,53 @@ func (e *Engine) advance(end int64) {
 	}
 }
 
-// stepTick advances one execution tick.
+// stepTick advances one execution tick. A clean core whose calendar
+// record proves the tick event-free takes the quiet path — its next ring
+// task receives the whole budget and continues its frame, exactly what
+// runCore's PickNext would do; every other core runs runCore and is
+// dirtied, so the next scan rescans it.
 func (e *Engine) stepTick(tick float64) {
+	e.prof.PlainTicks++
 	e.ticks++
 	e.now = float64(e.ticks) * tick
-	e.graph.AdvanceSource(e.now)
+	if e.graph.AdvanceSource(e.now) {
+		e.queueChanged(e.srcQueue)
+	}
 
-	n := e.plat.NumCores()
-	for c := 0; c < n; c++ {
-		e.runCore(c, tick)
+	for c := range e.cal {
+		cs := &e.cal[c]
+		if cs.dirty || cs.quietTo < e.ticks {
+			e.markDirty(c)
+			e.runCore(c, tick)
+			continue
+		}
+		e.prof.QuietCores++
+		if m := len(cs.ring); m > 0 {
+			t := e.graph.Task(cs.ring[cs.next])
+			consumed, done := t.Execute(cs.budget)
+			if done {
+				panic(fmt.Sprintf("sim: quiet path mispredicted completion of %q", t.Name))
+			}
+			e.pendBusy[c] += consumed
+			if cs.next++; cs.next == m {
+				cs.next = 0
+			}
+			cs.moved = true
+		}
+		e.pendTicks[c]++
 	}
 
 	e.plat.Bus.Advance(tick)
 	e.migr.Advance(e.now)
 
-	e.graph.AdvanceSink(e.now)
+	if e.graph.AdvanceSink(e.now) {
+		e.queueChanged(e.sinkQueue)
+	}
 }
 
 // runCore executes up to one tick of work on core c.
 func (e *Engine) runCore(c int, tick float64) {
+	e.prof.FullCores++
 	f := e.plat.Frequency(c)
 	if f <= 0 {
 		e.pendTicks[c]++
@@ -399,12 +471,20 @@ func (e *Engine) runCore(c int, tick float64) {
 			if err := e.graph.BeginFrame(ti); err != nil {
 				panic(fmt.Sprintf("sim: BeginFrame(%s): %v", t.Name, err))
 			}
+			e.prof.FrameBegins++
+			for _, q := range e.graph.Inputs(ti) {
+				e.queueChanged(q)
+			}
 		}
 		consumed, done := t.Execute(budget)
 		budget -= consumed
 		busy += consumed
 		if done {
 			e.graph.FinishFrame(ti)
+			e.prof.FrameFinishes++
+			for _, q := range e.graph.Outputs(ti) {
+				e.queueChanged(q)
+			}
 			// Frame boundary: a task that was mid-frame when its load
 			// was modulated picks up the new per-frame work here, even
 			// if a saturated core keeps it in flight across every
@@ -445,6 +525,12 @@ func (e *Engine) sensorUpdate() error {
 	}
 	if _, err := e.plat.FlushWindow(e.cfg.SensorPeriodS); err != nil {
 		return err
+	}
+	for c := 0; c < e.plat.NumCores(); c++ {
+		// NaN fails the comparison too.
+		if temp := e.plat.CoreTemp(c); !(temp <= MaxDieTempC) {
+			return &RunawayError{Core: c, TimeS: e.now, TempC: temp}
+		}
 	}
 
 	// Load modulation: phase shifts and bursts change task FSE before
@@ -548,6 +634,7 @@ func (e *Engine) apply(act policy.Action) error {
 			return fmt.Errorf("sim: policy stopped unknown core %d", a.Core)
 		}
 		e.flushAccount(a.Core)
+		e.markDirty(a.Core)
 		e.plat.SetPowered(a.Core, false, 0)
 		if e.rec != nil {
 			e.rec.AddEvent(e.now, "stop", "core%d stopped", a.Core+1)
@@ -557,6 +644,7 @@ func (e *Engine) apply(act policy.Action) error {
 			return fmt.Errorf("sim: policy started unknown core %d", a.Core)
 		}
 		e.flushAccount(a.Core)
+		e.markDirty(a.Core)
 		e.plat.SetPowered(a.Core, true, e.fseMapped(a.Core))
 		if e.rec != nil {
 			e.rec.AddEvent(e.now, "start", "core%d restarted", a.Core+1)

@@ -276,8 +276,9 @@ func (g *Graph) Finalize() error {
 	return nil
 }
 
-// AdvanceSource emits frames due by time now into the head queue.
-func (g *Graph) AdvanceSource(now float64) {
+// AdvanceSource emits frames due by time now into the head queue and
+// reports whether the queue changed.
+func (g *Graph) AdvanceSource(now float64) (pushed bool) {
 	s := &g.source
 	if !s.started {
 		s.started = true
@@ -287,15 +288,18 @@ func (g *Graph) AdvanceSource(now float64) {
 		f := Frame{ID: s.next, Created: s.nextEmissionAt()}
 		if g.queues[s.queue].Push(f) {
 			s.Emitted++
+			pushed = true
 		} else {
 			s.Dropped++
 		}
 		s.next++
 	}
+	return pushed
 }
 
-// AdvanceSink consumes frames due by time now and records misses.
-func (g *Graph) AdvanceSink(now float64) {
+// AdvanceSink consumes frames due by time now, records misses, and
+// reports whether the queue changed.
+func (g *Graph) AdvanceSink(now float64) (popped bool) {
 	k := &g.sink
 	q := g.queues[k.queue]
 	if !k.playing {
@@ -303,17 +307,19 @@ func (g *Graph) AdvanceSink(now float64) {
 			k.playing = true
 			k.base = now
 		}
-		return
+		return false
 	}
 	for now >= k.nextDeadlineAt()-1e-12 {
 		if f, ok := q.Pop(); ok {
 			k.Consumed++
 			k.LatencySum += k.nextDeadlineAt() - f.Created
+			popped = true
 		} else {
 			k.Misses++
 		}
 		k.fired++
 	}
+	return popped
 }
 
 // NextSourceEmissionAt returns the absolute time of the next source
