@@ -6,7 +6,7 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke loc clean
 
 check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-serve smoke-proof smoke-load fuzz-smoke
 
@@ -251,6 +251,12 @@ else
 	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new .bench-new.json -match 'BenchmarkSweep' -max-regress 0.15
 	@rm -f .bench-new.json
 endif
+
+# The tracked code-size number: non-test Go lines outside the bench/
+# module (hidden directories, such as the benchmark's build cache, are
+# skipped).
+loc:
+	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Removes everything .gitignore names: bench intermediates, CI's
 # bench/coverage outputs, and stray compiled test binaries

@@ -29,7 +29,7 @@ func BenchmarkTable1PowerModel(b *testing.B) {
 // BenchmarkTable2Mapping regenerates the static energy-balanced mapping.
 func BenchmarkTable2Mapping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table2()
+		rows, err := experiment.Table2(context.Background(), experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkFig2MigrationCost(b *testing.B) {
 	var rows []experiment.Fig2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiment.Fig2(nil)
+		rows, err = experiment.Fig2(context.Background(), experiment.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func sweep(b *testing.B, pkg experiment.PackageSel) []experiment.SweepPoint {
 	var points []experiment.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = experiment.Sweep(pkg, nil)
+		points, err = experiment.Sweep(context.Background(), experiment.Options{}, pkg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,11 +134,11 @@ func BenchmarkFig11MigrationRate(b *testing.B) {
 	var mob, hp []experiment.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		mob, err = experiment.Sweep(experiment.Mobile, nil)
+		mob, err = experiment.Sweep(context.Background(), experiment.Options{}, experiment.Mobile, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hp, err = experiment.Sweep(experiment.HighPerf, nil)
+		hp, err = experiment.Sweep(context.Background(), experiment.Options{}, experiment.HighPerf, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func BenchmarkAblations(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = experiment.AllAblations()
+		out, err = experiment.AllAblations(context.Background(), experiment.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func BenchmarkScalability(b *testing.B) {
 	var rows []experiment.ScaleRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiment.Scale(nil, 11)
+		rows, err = experiment.Scale(context.Background(), experiment.Options{}, nil, 11)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -208,11 +208,17 @@ func main() {
 			fmt.Printf("  %-34s %12.0f ns/op  (new benchmark, no baseline)\n", b.Name, b.NsPerOp)
 			continue
 		}
+		delete(baseline, stripProcs(b.Name))
 		compared++
 		lines, bad := gate(prev, b, *maxRegress)
 		regressed += bad
 		for _, l := range lines {
 			fmt.Println(l)
+		}
+	}
+	for _, b := range base.Benchmarks {
+		if _, unmatched := baseline[stripProcs(b.Name)]; unmatched && re.MatchString(b.Name) {
+			fmt.Printf("  %-34s %12.0f ns/op  (dropped, no fresh counterpart)\n", b.Name, b.NsPerOp)
 		}
 	}
 	if compared == 0 {

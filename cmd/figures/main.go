@@ -11,7 +11,7 @@
 //	figures -only matrix # scenario x policy cross product
 //	figures -scenario pipeline-d8 -only fig7
 //	figures -scenario-file my.json -only fig7
-//	figures -workers 8 -integrator rk4
+//	figures -workers 8 -integrator expm
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 
 	"thermbal/internal/cliutil"
 	"thermbal/internal/experiment"
+	"thermbal/internal/thermal"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 	log.SetPrefix("figures: ")
 	only := flag.String("only", "", "table1|table2|fig2|fig7|fig8|fig9|fig10|fig11|narrative|ablations|scale|matrix (empty = all paper artifacts)")
 	workers := flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-	integrator := flag.String("integrator", "euler", "thermal integrator: euler | rk4 | rk4-adaptive | expm")
+	integrator := flag.String("integrator", "euler", "thermal integrator: "+thermal.SchemeNames())
 	scenarioFl := flag.String("scenario", "", "registered scenario for the sweep figures (default sdr-radio)")
 	scenFile := flag.String("scenario-file", "", "declarative scenario spec JSON file for the sweep figures (mutually exclusive with -scenario)")
 	flag.Parse()
@@ -62,7 +63,7 @@ func main() {
 		fmt.Println()
 	}
 	if want("table2") {
-		rows, err := experiment.Table2With(ctx, opt)
+		rows, err := experiment.Table2(ctx, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func main() {
 		fmt.Println()
 	}
 	if want("fig2") {
-		rows, err := experiment.Fig2With(ctx, opt, nil)
+		rows, err := experiment.Fig2(ctx, opt, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,13 +83,13 @@ func main() {
 	needHP := want("fig9") || want("fig10") || want("fig11")
 	var mob, hp []experiment.SweepPoint
 	if needMobile {
-		mob, err = experiment.SweepWith(ctx, opt, experiment.Mobile, nil)
+		mob, err = experiment.Sweep(ctx, opt, experiment.Mobile, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 	if needHP {
-		hp, err = experiment.SweepWith(ctx, opt, experiment.HighPerf, nil)
+		hp, err = experiment.Sweep(ctx, opt, experiment.HighPerf, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func main() {
 	}
 
 	if want("ablations") {
-		out, err := experiment.AllAblationsWith(ctx, opt)
+		out, err := experiment.AllAblations(ctx, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func main() {
 	}
 
 	if want("scale") {
-		rows, err := experiment.ScaleWith(ctx, opt, nil, 11)
+		rows, err := experiment.Scale(ctx, opt, nil, 11)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		cells, err := experiment.MatrixWith(ctx, opt, mcfg)
+		cells, err := experiment.Matrix(ctx, opt, mcfg)
 		if err != nil {
 			log.Fatal(err)
 		}

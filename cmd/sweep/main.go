@@ -11,7 +11,7 @@
 //	sweep -scenario pipeline-d8  # sweep a synthetic scenario
 //	sweep -scenario-file my.json # sweep a declarative scenario spec
 //	sweep -workers 8             # spread the runs over 8 workers
-//	sweep -integrator rk4        # higher-order thermal integration
+//	sweep -integrator expm       # exact thermal integration
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 
 	"thermbal/internal/cliutil"
 	"thermbal/internal/experiment"
+	"thermbal/internal/thermal"
 )
 
 func main() {
@@ -35,7 +36,7 @@ func main() {
 		scenarioFl = flag.String("scenario", "", "registered scenario to sweep (default sdr-radio)")
 		scenFile   = flag.String("scenario-file", "", "declarative scenario spec JSON file (mutually exclusive with -scenario)")
 		workers    = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-		integrator = flag.String("integrator", "euler", "thermal integrator: euler | rk4 | rk4-adaptive | expm")
+		integrator = flag.String("integrator", "euler", "thermal integrator: "+thermal.SchemeNames())
 	)
 	flag.Parse()
 
@@ -80,7 +81,7 @@ func main() {
 	}
 	var mob, hp []experiment.SweepPoint
 	if wantMobile {
-		mob, err = experiment.SweepWith(ctx, opt, experiment.Mobile, useDeltas)
+		mob, err = experiment.Sweep(ctx, opt, experiment.Mobile, useDeltas)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func main() {
 		fmt.Println()
 	}
 	if wantHP {
-		hp, err = experiment.SweepWith(ctx, opt, experiment.HighPerf, useDeltas)
+		hp, err = experiment.Sweep(ctx, opt, experiment.HighPerf, useDeltas)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -31,6 +31,7 @@ import (
 	"thermbal/internal/experiment"
 	"thermbal/internal/migrate"
 	"thermbal/internal/service"
+	"thermbal/internal/thermal"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 		measure    = flag.Float64("measure", 0, "measurement window (s; default: the scenario's)")
 		queueCap   = flag.Int("queue", 0, "inter-task queue capacity in frames (default 11)")
 		recreate   = flag.Bool("recreation", false, "use task-recreation instead of task-replication")
-		integrator = flag.String("integrator", "euler", "thermal integrator: euler | rk4 | rk4-adaptive | expm")
+		integrator = flag.String("integrator", "euler", "thermal integrator: "+thermal.SchemeNames())
 		workers    = flag.Int("workers", 0, "worker pool size for -policy all / -matrix (default GOMAXPROCS)")
 		noFastPath = flag.Bool("no-fastpath", false, "disable the engine's event-horizon fast path (results are bit-for-bit identical; for A/B validation)")
 		jsonOut    = flag.Bool("json", false, "emit the run as the versioned JSON schema document the service serves (single run only)")
@@ -315,7 +316,7 @@ func runMatrix(opt experiment.Options, scSpec, polSpec string, delta float64, pk
 			log.Fatal(err)
 		}
 	}
-	cells, err := experiment.MatrixWith(ctx, opt, mc)
+	cells, err := experiment.Matrix(ctx, opt, mc)
 	if err != nil {
 		log.Fatal(err)
 	}

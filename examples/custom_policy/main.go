@@ -14,11 +14,9 @@ import (
 	"log"
 
 	"thermbal/internal/core"
-	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"
+	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
-	"thermbal/internal/stream"
-	"thermbal/internal/thermal"
 )
 
 // greedy is a deliberately naive thermal balancer.
@@ -63,12 +61,15 @@ func (g *greedy) Decide(s *policy.Snapshot) []policy.Action {
 }
 
 func run(pol policy.Policy) sim.Result {
-	graph := stream.MustBuildSDR(stream.SDRConfig{})
-	plat, err := mpsoc.New(mpsoc.Config{Package: thermal.MobileEmbedded()})
+	sc, err := scenario.Lookup("sdr-radio")
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, plat, graph, pol)
+	inst, err := sc.Instantiate(scenario.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	engine, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		log.Fatal(err)
 	}

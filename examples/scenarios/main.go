@@ -28,7 +28,7 @@ func main() {
 
 	// Head-to-head on a deep pipeline: every stage sits on the critical
 	// path, so migration freezes are maximally visible.
-	cells, err := experiment.MatrixWith(context.Background(), experiment.Options{},
+	cells, err := experiment.Matrix(context.Background(), experiment.Options{},
 		experiment.MatrixConfig{
 			Scenarios: []string{"pipeline-d8", "bursty-sdr"},
 			Policies:  []string{"energy-balance", "thermal-balance"},

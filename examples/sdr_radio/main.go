@@ -1,6 +1,6 @@
 // sdr_radio drives the full Software-Defined FM Radio experiment at the
-// substrate level: it assembles the platform and streaming graph by
-// hand, runs warm-up plus a balanced phase, exports the temperature
+// substrate level: it instantiates the sdr-radio scenario and wires the
+// engine by hand, runs warm-up plus a balanced phase, exports the temperature
 // timeline as CSV, and dumps per-queue and per-task statistics — the
 // kind of inspection the paper's PowerPC statistics sniffers provided.
 //
@@ -15,10 +15,8 @@ import (
 	"os"
 
 	"thermbal/internal/core"
-	"thermbal/internal/mpsoc"
+	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
-	"thermbal/internal/stream"
-	"thermbal/internal/thermal"
 )
 
 func main() {
@@ -27,15 +25,18 @@ func main() {
 	delta := flag.Float64("delta", 3, "balancing threshold (°C)")
 	flag.Parse()
 
-	// The SDR pipeline of the paper's Figure 6 with Table 2 loads:
-	// LPF -> DEMOD -> {BPF1, BPF2, BPF3} -> SUM, 50 frames/s.
-	graph := stream.MustBuildSDR(stream.SDRConfig{})
-
-	// The 3-core MPSoC with the mobile-embedded thermal package.
-	plat, err := mpsoc.New(mpsoc.Config{Package: thermal.MobileEmbedded()})
+	// The SDR pipeline of the paper's Figure 6 with Table 2 loads
+	// (LPF -> DEMOD -> {BPF1, BPF2, BPF3} -> SUM, 50 frames/s) on the
+	// 3-core MPSoC with the mobile-embedded thermal package.
+	sc, err := scenario.Lookup("sdr-radio")
 	if err != nil {
 		log.Fatal(err)
 	}
+	inst, err := sc.Instantiate(scenario.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	graph, plat := inst.Graph, inst.Platform
 
 	balancer := core.New(core.Params{Delta: *delta})
 	engine, err := sim.New(sim.Config{
@@ -62,9 +63,7 @@ func main() {
 		res.Migrations, res.MigrationsPerSec, res.MigratedBytes/1024, res.MeanFreezeS*1e3)
 
 	fmt.Println("per-task statistics:")
-	for _, name := range stream.SDRTaskNames {
-		ti, _ := graph.TaskIndex(name)
-		t := graph.Task(ti)
+	for _, t := range graph.Tasks() {
 		fmt.Printf("  %-6s core%d  %6d frames  %2d migrations\n",
 			t.Name, t.Core+1, t.FramesCompleted, t.Migrations)
 	}
@@ -78,9 +77,9 @@ func main() {
 
 	migr := engine.Migrations().Stats()
 	fmt.Println("\nmigration breakdown:")
-	for _, name := range stream.SDRTaskNames {
-		if n := migr.PerTask[name]; n > 0 {
-			fmt.Printf("  %-6s moved %d times\n", name, n)
+	for _, t := range graph.Tasks() {
+		if n := migr.PerTask[t.Name]; n > 0 {
+			fmt.Printf("  %-6s moved %d times\n", t.Name, n)
 		}
 	}
 

@@ -11,23 +11,21 @@ import (
 	"log"
 
 	"thermbal/internal/core"
-	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"
+	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
-	"thermbal/internal/stream"
-	"thermbal/internal/thermal"
 )
 
 func run(pol policy.Policy) sim.Result {
-	g, err := stream.BuildVideo(stream.SDRConfig{})
+	sc, err := scenario.Lookup("video-decoder")
 	if err != nil {
 		log.Fatal(err)
 	}
-	plat, err := mpsoc.New(mpsoc.Config{Package: thermal.MobileEmbedded()})
+	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, plat, g, pol)
+	e, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		log.Fatal(err)
 	}

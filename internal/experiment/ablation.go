@@ -12,7 +12,8 @@ import (
 // (DESIGN.md): the master-daemon period that rate-limits migrations,
 // the TopK task-subset bound of the paper's Section 3.1 approximation,
 // the MiGra freeze-cost filter, the migration mechanism, and the
-// inter-task queue sizing. Each returns rows plus a formatter.
+// inter-task queue sizing. Each runs its configurations on opt's worker
+// pool and returns rows in input order, plus a formatter.
 
 // AblationRow is one configuration outcome.
 type AblationRow struct {
@@ -68,12 +69,7 @@ func FormatAblation(title string, rows []AblationRow) string {
 // AblateDaemonPeriod varies the master-daemon evaluation period (the
 // migration rate limiter) at the operating threshold. Shorter periods
 // chase the temperature faster but multiply migrations.
-func AblateDaemonPeriod(periods []float64) ([]AblationRow, error) {
-	return AblateDaemonPeriodWith(context.Background(), Options{}, periods)
-}
-
-// AblateDaemonPeriodWith is AblateDaemonPeriod on opt's worker pool.
-func AblateDaemonPeriodWith(ctx context.Context, opt Options, periods []float64) ([]AblationRow, error) {
+func AblateDaemonPeriod(ctx context.Context, opt Options, periods []float64) ([]AblationRow, error) {
 	if len(periods) == 0 {
 		periods = []float64{0.05, 0.1, 0.3, 1.0, 3.0}
 	}
@@ -90,12 +86,7 @@ func AblateDaemonPeriodWith(ctx context.Context, opt Options, periods []float64)
 // phase considers (the paper's Section 3.1 approximation: "limit the
 // number of tasks to be considered only to the few tasks having the
 // highest load").
-func AblateTopK(ks []int) ([]AblationRow, error) {
-	return AblateTopKWith(context.Background(), Options{}, ks)
-}
-
-// AblateTopKWith is AblateTopK on opt's worker pool.
-func AblateTopKWith(ctx context.Context, opt Options, ks []int) ([]AblationRow, error) {
+func AblateTopK(ctx context.Context, opt Options, ks []int) ([]AblationRow, error) {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 3, 6}
 	}
@@ -111,12 +102,7 @@ func AblateTopKWith(ctx context.Context, opt Options, ks []int) ([]AblationRow, 
 // AblateCostFilter varies the MiGra freeze-time budget. A very tight
 // budget filters every migration (the policy degenerates to DVFS), a
 // loose one admits everything.
-func AblateCostFilter(budgets []float64) ([]AblationRow, error) {
-	return AblateCostFilterWith(context.Background(), Options{}, budgets)
-}
-
-// AblateCostFilterWith is AblateCostFilter on opt's worker pool.
-func AblateCostFilterWith(ctx context.Context, opt Options, budgets []float64) ([]AblationRow, error) {
+func AblateCostFilter(ctx context.Context, opt Options, budgets []float64) ([]AblationRow, error) {
 	if len(budgets) == 0 {
 		budgets = []float64{0.05, 0.15, 0.25, 1.0}
 	}
@@ -132,12 +118,7 @@ func AblateCostFilterWith(ctx context.Context, opt Options, budgets []float64) (
 // AblateMechanism compares task-replication against task-recreation at
 // the operating point (paper Section 3.2: replication trades memory for
 // speed).
-func AblateMechanism() ([]AblationRow, error) {
-	return AblateMechanismWith(context.Background(), Options{})
-}
-
-// AblateMechanismWith is AblateMechanism on opt's worker pool.
-func AblateMechanismWith(ctx context.Context, opt Options) ([]AblationRow, error) {
+func AblateMechanism(ctx context.Context, opt Options) ([]AblationRow, error) {
 	var specs []ablSpec
 	for _, m := range []migrate.Mechanism{migrate.Replication, migrate.Recreation} {
 		specs = append(specs, ablSpec{m.String(), RunConfig{
@@ -150,12 +131,7 @@ func AblateMechanismWith(ctx context.Context, opt Options) ([]AblationRow, error
 // AblateQueueCap reproduces the queue-sizing observation (Section 5.2:
 // "the minimum queue size to sustain migration in our experiments was
 // 11 frames").
-func AblateQueueCap(caps []int) ([]AblationRow, error) {
-	return AblateQueueCapWith(context.Background(), Options{}, caps)
-}
-
-// AblateQueueCapWith is AblateQueueCap on opt's worker pool.
-func AblateQueueCapWith(ctx context.Context, opt Options, caps []int) ([]AblationRow, error) {
+func AblateQueueCap(ctx context.Context, opt Options, caps []int) ([]AblationRow, error) {
 	if len(caps) == 0 {
 		caps = []int{3, 5, 8, 11, 16}
 	}
@@ -168,14 +144,9 @@ func AblateQueueCapWith(ctx context.Context, opt Options, caps []int) ([]Ablatio
 	return ablRows(ctx, opt, specs)
 }
 
-// AllAblations runs every ablation and renders them.
-func AllAblations() (string, error) {
-	return AllAblationsWith(context.Background(), Options{})
-}
-
-// AllAblationsWith is AllAblations with each study's configurations run
-// across opt's worker pool (studies render in fixed order).
-func AllAblationsWith(ctx context.Context, opt Options) (string, error) {
+// AllAblations runs every ablation, each study's configurations across
+// opt's worker pool, and renders them in fixed order.
+func AllAblations(ctx context.Context, opt Options) (string, error) {
 	var b strings.Builder
 	type study struct {
 		title string
@@ -183,15 +154,15 @@ func AllAblationsWith(ctx context.Context, opt Options) (string, error) {
 	}
 	studies := []study{
 		{"Ablation A1: master-daemon period (thermal-balance, ±3 °C, mobile)",
-			func() ([]AblationRow, error) { return AblateDaemonPeriodWith(ctx, opt, nil) }},
+			func() ([]AblationRow, error) { return AblateDaemonPeriod(ctx, opt, nil) }},
 		{"Ablation A2: task-subset bound TopK",
-			func() ([]AblationRow, error) { return AblateTopKWith(ctx, opt, nil) }},
+			func() ([]AblationRow, error) { return AblateTopK(ctx, opt, nil) }},
 		{"Ablation A3: MiGra freeze-cost budget",
-			func() ([]AblationRow, error) { return AblateCostFilterWith(ctx, opt, nil) }},
+			func() ([]AblationRow, error) { return AblateCostFilter(ctx, opt, nil) }},
 		{"Ablation A4: migration mechanism",
-			func() ([]AblationRow, error) { return AblateMechanismWith(ctx, opt) }},
+			func() ([]AblationRow, error) { return AblateMechanism(ctx, opt) }},
 		{"Ablation A5: queue capacity (paper: 11-frame minimum)",
-			func() ([]AblationRow, error) { return AblateQueueCapWith(ctx, opt, nil) }},
+			func() ([]AblationRow, error) { return AblateQueueCap(ctx, opt, nil) }},
 	}
 	for i, st := range studies {
 		rows, err := st.run()

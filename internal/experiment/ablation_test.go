@@ -1,12 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestAblateQueueCapReproducesMinimum(t *testing.T) {
-	rows, err := AblateQueueCap([]int{5, 11})
+	rows, err := AblateQueueCap(context.Background(), Options{}, []int{5, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestAblateQueueCapReproducesMinimum(t *testing.T) {
 }
 
 func TestAblateMechanismShape(t *testing.T) {
-	rows, err := AblateMechanism()
+	rows, err := AblateMechanism(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestAblateMechanismShape(t *testing.T) {
 }
 
 func TestAblateDaemonPeriodMonotoneRate(t *testing.T) {
-	rows, err := AblateDaemonPeriod([]float64{0.1, 2.0})
+	rows, err := AblateDaemonPeriod(context.Background(), Options{}, []float64{0.1, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAblateDaemonPeriodMonotoneRate(t *testing.T) {
 }
 
 func TestAblateCostFilterTightBudgetBlocksMigrations(t *testing.T) {
-	rows, err := AblateCostFilter([]float64{0.01, 0.5})
+	rows, err := AblateCostFilter(context.Background(), Options{}, []float64{0.01, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestAblateCostFilterTightBudgetBlocksMigrations(t *testing.T) {
 }
 
 func TestAblateTopKRuns(t *testing.T) {
-	rows, err := AblateTopK([]int{1, 3})
+	rows, err := AblateTopK(context.Background(), Options{}, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFormatAblation(t *testing.T) {
 }
 
 func TestScaleStudy(t *testing.T) {
-	rows, err := Scale([]int{2, 4}, 11)
+	rows, err := Scale(context.Background(), Options{}, []int{2, 4}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

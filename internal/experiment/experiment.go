@@ -284,18 +284,19 @@ type Table2Row struct {
 }
 
 // Table2 derives the static energy-balanced mapping: task placement
-// from the benchmark definition, frequencies from the DVFS ladder.
-func Table2() ([]Table2Row, error) {
-	return Table2With(context.Background(), Options{})
-}
-
-// Table2With is Table2 with the per-core derivations spread across
-// opt's worker pool.
-func Table2With(ctx context.Context, opt Options) ([]Table2Row, error) {
-	g, err := stream.BuildSDR(stream.SDRConfig{})
+// from the compiled sdr-radio scenario, frequencies from the DVFS
+// ladder, with the per-core derivations spread across opt's worker
+// pool.
+func Table2(ctx context.Context, opt Options) ([]Table2Row, error) {
+	sc, err := scenario.Lookup(scenario.DefaultName)
 	if err != nil {
 		return nil, err
 	}
+	inst, err := sc.Instantiate(scenario.Options{})
+	if err != nil {
+		return nil, err
+	}
+	g := inst.Graph
 	ladder := dvfs.Default()
 	// Per-core FSE sums -> frequency.
 	const nCores = 3
@@ -332,7 +333,7 @@ func Table2With(ctx context.Context, opt Options) ([]Table2Row, error) {
 
 // FormatTable2 renders the mapping like the paper's Table 2.
 func FormatTable2() (string, error) {
-	rows, err := Table2()
+	rows, err := Table2(context.Background(), Options{})
 	if err != nil {
 		return "", err
 	}
@@ -370,12 +371,6 @@ type Fig2Row struct {
 // Fig2Sizes is the default task-size sweep.
 var Fig2Sizes = []int{16, 32, 64, 128, 256, 384, 512}
 
-// Fig2 measures, by direct simulation of the middleware and bus, the
-// migration cost in processor cycles as a function of task size.
-func Fig2(sizesKB []int) ([]Fig2Row, error) {
-	return Fig2With(context.Background(), Options{}, sizesKB)
-}
-
 // measureMigrationCost simulates one migration of a sizeKB task on a
 // private bus and returns its freeze duration in processor cycles.
 func measureMigrationCost(mech migrate.Mechanism, sizeKB int) (float64, error) {
@@ -406,10 +401,11 @@ func measureMigrationCost(mech migrate.Mechanism, sizeKB int) (float64, error) {
 	return mg.FreezeDuration() * fHz, nil
 }
 
-// Fig2With is Fig2 with every (size, mechanism) probe run across opt's
-// worker pool. Each probe builds its own bus and middleware, so results
-// match the serial order exactly.
-func Fig2With(ctx context.Context, opt Options, sizesKB []int) ([]Fig2Row, error) {
+// Fig2 measures, by direct simulation of the middleware and bus, the
+// migration cost in processor cycles as a function of task size. Every
+// (size, mechanism) probe runs on opt's worker pool with its own bus
+// and middleware, so results match the serial order exactly.
+func Fig2(ctx context.Context, opt Options, sizesKB []int) ([]Fig2Row, error) {
 	if len(sizesKB) == 0 {
 		sizesKB = Fig2Sizes
 	}
@@ -456,16 +452,11 @@ type SweepPoint struct {
 }
 
 // Sweep runs the three policies across the threshold values for one
-// package. EnergyBalance has no threshold, so it runs once and its
-// result is replicated across the delta axis (the paper plots it as a
-// flat reference line).
-func Sweep(pkg PackageSel, deltas []float64) ([]SweepPoint, error) {
-	return SweepWith(context.Background(), Options{}, pkg, deltas)
-}
-
-// SweepWith is Sweep with the runs spread across opt's worker pool.
-// Point order and values are identical for any worker count.
-func SweepWith(ctx context.Context, opt Options, pkg PackageSel, deltas []float64) ([]SweepPoint, error) {
+// package on opt's worker pool. EnergyBalance has no threshold, so it
+// runs once and its result is replicated across the delta axis (the
+// paper plots it as a flat reference line). Point order and values are
+// identical for any worker count.
+func Sweep(ctx context.Context, opt Options, pkg PackageSel, deltas []float64) ([]SweepPoint, error) {
 	if len(deltas) == 0 {
 		deltas = Deltas
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	rows, err := Table2()
+	rows, err := Table2(context.Background(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	rows, err := Fig2([]int{16, 64, 256})
+	rows, err := Fig2(context.Background(), Options{}, []int{16, 64, 256})
 	if err != nil {
 		t.Fatal(err)
 	}

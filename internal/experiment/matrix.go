@@ -43,15 +43,10 @@ type MatrixCell struct {
 	Result   sim.Result
 }
 
-// Matrix runs the cross product serially; see MatrixWith.
-func Matrix(mc MatrixConfig) ([]MatrixCell, error) {
-	return MatrixWith(context.Background(), Options{}, mc)
-}
-
-// MatrixWith runs every (scenario, policy) pair across opt's worker
-// pool and returns the cells scenario-major in input order. Unknown
-// names fail before any simulation starts.
-func MatrixWith(ctx context.Context, opt Options, mc MatrixConfig) ([]MatrixCell, error) {
+// Matrix runs every (scenario, policy) pair across opt's worker pool
+// and returns the cells scenario-major in input order. Unknown names
+// fail before any simulation starts.
+func Matrix(ctx context.Context, opt Options, mc MatrixConfig) ([]MatrixCell, error) {
 	scNames := mc.Scenarios
 	if len(scNames) == 0 {
 		scNames = scenario.Names()

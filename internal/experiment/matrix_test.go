@@ -7,7 +7,7 @@ import (
 )
 
 func TestMatrixSmall(t *testing.T) {
-	cells, err := MatrixWith(context.Background(), Options{}, MatrixConfig{
+	cells, err := Matrix(context.Background(), Options{}, MatrixConfig{
 		Scenarios: []string{"sdr-radio", "fanout-w4"},
 		Policies:  []string{"energy-balance", "tb"},
 		Delta:     3,
@@ -44,10 +44,10 @@ func TestMatrixSmall(t *testing.T) {
 }
 
 func TestMatrixUnknownAxes(t *testing.T) {
-	if _, err := Matrix(MatrixConfig{Scenarios: []string{"bogus"}}); err == nil {
+	if _, err := Matrix(context.Background(), Options{}, MatrixConfig{Scenarios: []string{"bogus"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := Matrix(MatrixConfig{
+	if _, err := Matrix(context.Background(), Options{}, MatrixConfig{
 		Scenarios: []string{"sdr-radio"}, Policies: []string{"bogus"},
 	}); err == nil {
 		t.Fatal("unknown policy accepted")

@@ -119,7 +119,7 @@ type Options struct {
 	// (zero value = explicit Euler).
 	Thermal thermal.Config
 	// Scenario names the registered scenario the sweep-style helpers
-	// (SweepWith and the comparison runs built on RunAll) simulate;
+	// (Sweep and the comparison runs built on RunAll) simulate;
 	// empty = "sdr-radio", the paper's benchmark. Paper-specific
 	// artifacts — Table2, Fig2, the ablations and the scale study —
 	// are defined on their own workloads and ignore this field.

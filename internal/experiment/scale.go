@@ -5,13 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"thermbal/internal/core"
-	"thermbal/internal/floorplan"
-	"thermbal/internal/mpsoc"
-	"thermbal/internal/policy"
-	"thermbal/internal/sim"
-	"thermbal/internal/stream"
-	"thermbal/internal/thermal"
+	"thermbal/internal/scenario"
 )
 
 // Scalability study: the paper's framework "can be scaled to any number
@@ -30,98 +24,41 @@ type ScaleRow struct {
 	Migrations     int
 }
 
-// Scale runs the study for the given core counts (default 2,4,8).
-func Scale(coreCounts []int, seed int64) ([]ScaleRow, error) {
-	return ScaleWith(context.Background(), Options{}, coreCounts, seed)
-}
-
-// ScaleWith is Scale with the (platform size × policy) runs spread
-// across opt's worker pool. Every run regenerates its workload from the
-// seed, so results are independent of scheduling.
-func ScaleWith(ctx context.Context, opt Options, coreCounts []int, seed int64) ([]ScaleRow, error) {
+// Scale runs the study for the given core counts (default 2, 4, 8):
+// per platform size, a seeded split/join workload compiled from its
+// spec and run under the energy-balance baseline and the balancing
+// policy on opt's worker pool.
+func Scale(ctx context.Context, opt Options, coreCounts []int, seed int64) ([]ScaleRow, error) {
 	if len(coreCounts) == 0 {
 		coreCounts = []int{2, 4, 8}
 	}
-	genFor := func(n int) stream.GenConfig {
+	specs := make([]scenario.Spec, len(coreCounts))
+	cfgs := make([]RunConfig, 0, 2*len(coreCounts))
+	for i, n := range coreCounts {
 		// Budget ~0.45 FSE per core so the greedy mapping is feasible
 		// at mid-ladder frequencies, leaving thermal contrast.
-		return stream.GenConfig{
-			Seed:     seed,
-			Stages:   n + 2,
-			MaxWidth: 3,
-			TotalFSE: 0.45 * float64(n),
-		}
+		specs[i] = scenario.SplitJoin(seed, n+2, 3, 0.45*float64(n), n)
+		cfgs = append(cfgs,
+			RunConfig{Policy: EnergyBalance, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal},
+			RunConfig{Policy: ThermalBalance, Delta: 2, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal})
 	}
-	runOne := func(n int, pol policy.Policy) (sim.Result, error) {
-		g, err := stream.Generate(genFor(n))
-		if err != nil {
-			return sim.Result{}, err
-		}
-		policy.BalanceMapping(g.Tasks(), n)
-		plat, err := mpsoc.New(mpsoc.Config{
-			Floorplan: floorplanFor(n),
-			Package:   thermal.MobileEmbedded(),
-		})
-		if err != nil {
-			return sim.Result{}, err
-		}
-		e, err := sim.New(sim.Config{
-			PolicyStartS:  DefaultWarmupS,
-			MeasureStartS: DefaultWarmupS,
-			Thermal:       opt.Thermal,
-		}, plat, g, pol)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if err := e.Run(DefaultWarmupS + 20); err != nil {
-			return sim.Result{}, err
-		}
-		return e.Summarize(), nil
+	results, err := RunAll(ctx, opt.Runner, cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: scale: %w", err)
 	}
-	// Two runs per platform size: even indices the energy-balance
-	// baseline, odd the balancing policy. Policies are constructed
-	// inside each run so no state crosses workers.
-	type outcome struct{ base, bal sim.Result }
-	outs := make([]outcome, len(coreCounts))
-	if err := opt.ForEach(ctx, 2*len(coreCounts), func(_ context.Context, i int) error {
-		n := coreCounts[i/2]
-		if i%2 == 0 {
-			r, err := runOne(n, policy.EnergyBalance{})
-			if err != nil {
-				return fmt.Errorf("experiment: scale n=%d baseline: %w", n, err)
-			}
-			outs[i/2].base = r
-			return nil
-		}
-		r, err := runOne(n, core.New(core.Params{Delta: 2}))
-		if err != nil {
-			return fmt.Errorf("experiment: scale n=%d balanced: %w", n, err)
-		}
-		outs[i/2].bal = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	rows := make([]ScaleRow, 0, len(coreCounts))
+	rows := make([]ScaleRow, len(coreCounts))
 	for i, n := range coreCounts {
-		g, err := stream.Generate(genFor(n))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ScaleRow{
+		base, bal := results[2*i], results[2*i+1]
+		rows[i] = ScaleRow{
 			Cores:          n,
-			Tasks:          g.NumTasks(),
-			PooledStdDev:   outs[i].bal.PooledStdDev,
-			BaselineStdDev: outs[i].base.PooledStdDev,
-			DeadlineMisses: outs[i].bal.DeadlineMisses,
-			Migrations:     outs[i].bal.Migrations,
-		})
+			Tasks:          len(specs[i].Graph.Tasks),
+			PooledStdDev:   bal.PooledStdDev,
+			BaselineStdDev: base.PooledStdDev,
+			DeadlineMisses: bal.DeadlineMisses,
+			Migrations:     bal.Migrations,
+		}
 	}
 	return rows, nil
-}
-
-func floorplanFor(n int) *floorplan.Floorplan {
-	return floorplan.StreamingMPSoC(n)
 }
 
 // FormatScale renders the study.

@@ -17,8 +17,7 @@ import (
 // inline service specs, spec files and generated workloads alike. It
 // normalizes (and thereby validates) the spec, replays the graph in
 // declaration order, assembles the platform and attaches the modulator.
-// Equal specs compile to identical instances; a builtin's spec compiles
-// bit-for-bit to what its pre-spec Go builder constructed.
+// Equal specs compile to identical instances.
 func Compile(sp Spec, o Options) (*Instance, error) {
 	n, err := sp.Normalize()
 	if err != nil {
@@ -84,8 +83,7 @@ func Compile(sp Spec, o Options) (*Instance, error) {
 	prefill := n.Graph.Sink.Prefill
 	if prefill == 0 {
 		// Half the sink queue's effective capacity, so the playback
-		// threshold follows queue-capacity overrides like the Go
-		// builders' did.
+		// threshold follows queue-capacity overrides.
 		si := qidx(n.Graph.Sink.Queue)
 		prefill = (g.Queue(si).Cap() + 1) / 2
 	}

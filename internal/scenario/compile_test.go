@@ -1,189 +1,9 @@
 package scenario
 
 import (
-	"math"
 	"reflect"
 	"testing"
-
-	"thermbal/internal/floorplan"
-	"thermbal/internal/mpsoc"
-	"thermbal/internal/policy"
-	"thermbal/internal/sim"
-	"thermbal/internal/stream"
 )
-
-// legacyInstance replays what registerBuiltin did before the spec
-// refactor: build the graph with the legacy Go builder, balance when
-// the paper gives no hand mapping, tile the floorplan for non-3-core
-// platforms, attach the modulator. It is the reference the compiled
-// spec must match bit for bit.
-func legacyInstance(t *testing.T, d builtinDef, o Options) *Instance {
-	t.Helper()
-	g, err := d.gb(o)
-	if err != nil {
-		t.Fatalf("%s: legacy build: %v", d.sc.Name, err)
-	}
-	if d.meta.balanced {
-		policy.BalanceMapping(g.Tasks(), d.meta.cores)
-	}
-	var fp *floorplan.Floorplan
-	if d.meta.cores != 3 {
-		fp = floorplan.StreamingMPSoC(d.meta.cores)
-	}
-	plat, err := mpsoc.New(mpsoc.Config{Floorplan: fp, Package: o.pkg()})
-	if err != nil {
-		t.Fatalf("%s: legacy platform: %v", d.sc.Name, err)
-	}
-	var mod sim.Modulator
-	if d.meta.modulation != nil {
-		mod = phaseShiftModulator(g, burstPeriodS, burstHi, burstLo)
-	}
-	return &Instance{Graph: g, Platform: plat, Modulate: mod}
-}
-
-// requireGraphsIdentical compares two stream graphs exactly: queue
-// names and capacities, task fields down to the float bits of
-// CyclesPerFrame, wiring indices, and source/sink configuration.
-func requireGraphsIdentical(t *testing.T, name string, want, got *stream.Graph) {
-	t.Helper()
-	if want.NumQueues() != got.NumQueues() {
-		t.Fatalf("%s: queue count %d != %d", name, got.NumQueues(), want.NumQueues())
-	}
-	for qi := 0; qi < want.NumQueues(); qi++ {
-		wq, gq := want.Queue(qi), got.Queue(qi)
-		if wq.Name() != gq.Name() || wq.Cap() != gq.Cap() {
-			t.Fatalf("%s: queue %d: got %s/cap%d, want %s/cap%d",
-				name, qi, gq.Name(), gq.Cap(), wq.Name(), wq.Cap())
-		}
-	}
-	if want.NumTasks() != got.NumTasks() {
-		t.Fatalf("%s: task count %d != %d", name, got.NumTasks(), want.NumTasks())
-	}
-	for ti := 0; ti < want.NumTasks(); ti++ {
-		wt, gt := want.Task(ti), got.Task(ti)
-		if wt.Name != gt.Name {
-			t.Fatalf("%s: task %d name %q != %q", name, ti, gt.Name, wt.Name)
-		}
-		if math.Float64bits(wt.FSE) != math.Float64bits(gt.FSE) {
-			t.Fatalf("%s: task %s FSE bits differ: %x != %x", name, wt.Name,
-				math.Float64bits(gt.FSE), math.Float64bits(wt.FSE))
-		}
-		if math.Float64bits(wt.CyclesPerFrame) != math.Float64bits(gt.CyclesPerFrame) {
-			t.Fatalf("%s: task %s CyclesPerFrame bits differ: %x != %x", name, wt.Name,
-				math.Float64bits(gt.CyclesPerFrame), math.Float64bits(wt.CyclesPerFrame))
-		}
-		if wt.StateBytes != gt.StateBytes || wt.CodeBytes != gt.CodeBytes {
-			t.Fatalf("%s: task %s bytes differ: state %g/%g code %g/%g",
-				name, wt.Name, gt.StateBytes, wt.StateBytes, gt.CodeBytes, wt.CodeBytes)
-		}
-		if wt.Core != gt.Core {
-			t.Fatalf("%s: task %s core %d != %d", name, wt.Name, gt.Core, wt.Core)
-		}
-		if !reflect.DeepEqual(want.Inputs(ti), got.Inputs(ti)) {
-			t.Fatalf("%s: task %s inputs %v != %v", name, wt.Name, got.Inputs(ti), want.Inputs(ti))
-		}
-		if !reflect.DeepEqual(want.Outputs(ti), got.Outputs(ti)) {
-			t.Fatalf("%s: task %s outputs %v != %v", name, wt.Name, got.Outputs(ti), want.Outputs(ti))
-		}
-	}
-	wsq, wsp := want.SourceConfig()
-	gsq, gsp := got.SourceConfig()
-	if wsq != gsq || math.Float64bits(wsp) != math.Float64bits(gsp) {
-		t.Fatalf("%s: source %d/%g != %d/%g", name, gsq, gsp, wsq, wsp)
-	}
-	wkq, wkp, wkf := want.SinkConfig()
-	gkq, gkp, gkf := got.SinkConfig()
-	if wkq != gkq || math.Float64bits(wkp) != math.Float64bits(gkp) || wkf != gkf {
-		t.Fatalf("%s: sink %d/%g/%d != %d/%g/%d", name, gkq, gkp, gkf, wkq, wkp, wkf)
-	}
-}
-
-// TestBuiltinSpecsCompileBitForBit proves the tentpole invariant: every
-// builtin compiled through its derived spec reconstructs exactly the
-// graph the pre-refactor Go builder produced — under default options
-// and under a queue-capacity override.
-func TestBuiltinSpecsCompileBitForBit(t *testing.T) {
-	for _, d := range builtinDefs() {
-		d := d
-		t.Run(d.sc.Name, func(t *testing.T) {
-			sc, err := Lookup(d.sc.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc.Spec == nil {
-				t.Fatal("builtin has no spec")
-			}
-			for _, o := range []Options{{}, {QueueCap: 5}} {
-				legacy := legacyInstance(t, d, o)
-				compiled, err := sc.Instantiate(o)
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				requireGraphsIdentical(t, d.sc.Name, legacy.Graph, compiled.Graph)
-				if legacy.Platform.NumCores() != compiled.Platform.NumCores() {
-					t.Fatalf("platform cores %d != %d",
-						compiled.Platform.NumCores(), legacy.Platform.NumCores())
-				}
-				if (legacy.Modulate == nil) != (compiled.Modulate == nil) {
-					t.Fatalf("modulator presence differs: legacy %v, compiled %v",
-						legacy.Modulate != nil, compiled.Modulate != nil)
-				}
-			}
-		})
-	}
-}
-
-// TestBuiltinSpecsRunBitForBit runs a subset of builtins end to end
-// through both construction paths and requires identical summaries —
-// every metric, bit for bit. Identical graphs plus identical platforms
-// must produce identical trajectories; this catches any divergence the
-// structural comparison cannot see (platform assembly, modulators).
-func TestBuiltinSpecsRunBitForBit(t *testing.T) {
-	subset := map[string]bool{
-		"sdr-radio": true, "video-decoder": true, "bursty-sdr": true,
-		"pipeline-d8": true, "fanout-w8": true, "manycore-8": true,
-	}
-	for _, d := range builtinDefs() {
-		if !subset[d.sc.Name] {
-			continue
-		}
-		d := d
-		t.Run(d.sc.Name, func(t *testing.T) {
-			sc, err := Lookup(d.sc.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(inst *Instance) sim.Result {
-				t.Helper()
-				pol, err := policy.New(d.sc.DefaultPolicy, policy.Args{Delta: d.sc.DefaultDelta})
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := sim.New(sim.Config{
-					PolicyStartS:  1,
-					MeasureStartS: 1,
-					Modulate:      inst.Modulate,
-				}, inst.Platform, inst.Graph, pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Run(3); err != nil {
-					t.Fatal(err)
-				}
-				return e.Summarize()
-			}
-			legacy := run(legacyInstance(t, d, Options{}))
-			compiled, err := sc.Instantiate(Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := run(compiled)
-			if !reflect.DeepEqual(legacy, got) {
-				t.Fatalf("summaries differ:\nlegacy:   %+v\ncompiled: %+v", legacy, got)
-			}
-		})
-	}
-}
 
 // TestBuiltinNameForSpec checks the spec-hash index both ways: every
 // builtin's exported spec resolves to its own name, and a perturbed

@@ -8,9 +8,12 @@
 // fan-out/fan-in graphs, bursty phase-shifting load, and many-core
 // platforms built by tiling the MPSoC floorplan.
 //
-// Scenario construction is deterministic: instantiating the same name
-// twice yields identical graphs (seeded generation, fixed topology), so
-// experiment results are reproducible and comparable across runs.
+// Every builtin is a declarative Spec emitted in Go (builtin.go) and
+// compiled by Compile, the one path spec files, inline service specs
+// and generated workloads take too. Construction is deterministic:
+// instantiating the same name twice yields identical graphs (seeded
+// loads, fixed topology), so experiment results are reproducible and
+// comparable across runs.
 package scenario
 
 import (
@@ -62,8 +65,6 @@ type Scenario struct {
 	DefaultPolicy string
 	// DefaultDelta is the threshold a bare run uses (°C).
 	DefaultDelta float64
-	// Seed drives generated load profiles (0 for fixed topologies).
-	Seed int64
 
 	// Spec is the declarative form of the scenario, when it has one.
 	// Every builtin does (their Build compiles it); it is what

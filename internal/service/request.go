@@ -52,8 +52,7 @@ type Request struct {
 	// Mechanism is "task-replication" or "task-recreation" (short
 	// forms "replication"/"recreation"; empty: task-replication).
 	Mechanism string `json:"mechanism"`
-	// Integrator is "euler", "rk4", "rk4-adaptive" or "expm" (empty:
-	// euler).
+	// Integrator is "euler" or "expm" (empty: euler).
 	Integrator string `json:"integrator"`
 }
 

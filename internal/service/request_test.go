@@ -91,7 +91,6 @@ func TestKeySeparatesDistinctRuns(t *testing.T) {
 		{MeasureS: 31},
 		{QueueCap: 12},
 		{Mechanism: "recreation"},
-		{Integrator: "rk4"},
 		{Integrator: "expm"},
 	}
 	seen := map[string]string{base: "default"}

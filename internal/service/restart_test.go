@@ -138,7 +138,7 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 	// The hit comparison above reads the job's own assembled bytes
 	// back; the invariant is stronger — splicing persisted cell bodies
 	// must equal what a cold monolithic sweep encodes. A fresh
-	// memory-only server runs the sweep through experiment.MatrixWith
+	// memory-only server runs the sweep through experiment.Matrix
 	// with nothing cached.
 	_, tsFresh := newTestServer(t, Config{})
 	resp, freshBody := do(t, http.MethodPost, tsFresh.URL+"/matrix",
@@ -234,6 +234,33 @@ func TestKilledMatrixJobAutoResumesAfterRestart(t *testing.T) {
 	close(block) // release the abandoned first process's blocked cell
 	if execs2 != 1 {
 		t.Errorf("restarted process executed %d cells, want only the missing 1", execs2)
+	}
+}
+
+// TestJournalNamingRemovedIntegratorDropped: a journaled sweep
+// written by an older build that still offered rk4 cannot be
+// re-canonicalized, so the restarting process drops the record and
+// counts it as a store error instead of resuming (or panicking on) it.
+func TestJournalNamingRemovedIntegratorDropped(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	rec := `{"kind":"matrix","matrix":{"scenarios":["sdr-radio"],"policies":["eb"],"integrator":"rk4"}}`
+	if err := st.Put(JournalPrefix+"matrix/legacy", []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st = openTestStore(t, dir)
+	s := New(Config{Store: st})
+	defer s.Close()
+	if n := len(s.jobs.list()); n != 0 {
+		t.Errorf("recovered %d jobs from an rk4 journal record, want 0", n)
+	}
+	if got := s.Stats().Store.Errors; got != 1 {
+		t.Errorf("store errors = %d, want 1", got)
+	}
+	if keys := st.Keys(JournalPrefix); len(keys) != 0 {
+		t.Errorf("rk4 journal record kept: %v", keys)
 	}
 }
 

@@ -251,6 +251,19 @@ func TestCatalogueAndStatsEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "polcy") {
 		t.Errorf("unknown field: %d %s", resp.StatusCode, b)
 	}
+	// Removed integrators are refused, naming the supported ones.
+	for _, scheme := range []string{"rk4", "rk4-adaptive", "adaptive"} {
+		for _, c := range []struct{ path, body string }{
+			{"/run", `{"integrator":"` + scheme + `"}`},
+			{"/matrix", `{"scenarios":["sdr-radio"],"policies":["eb"],"integrator":"` + scheme + `"}`},
+		} {
+			resp, b = do(t, http.MethodPost, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest ||
+				!strings.Contains(string(b), "euler") || !strings.Contains(string(b), "expm") {
+				t.Errorf("%s integrator %s: %d %s", c.path, scheme, resp.StatusCode, b)
+			}
+		}
+	}
 	// So must trailing data — two concatenated objects would otherwise
 	// silently run only the first.
 	resp, _ = do(t, http.MethodPost, ts.URL+"/run", `{"policy":"tb"}{"policy":"eb"}`)

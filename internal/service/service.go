@@ -214,7 +214,7 @@ func New(cfg Config) *Server {
 	}
 	if s.runMatrix == nil {
 		s.runMatrix = func(ctx context.Context, mc experiment.MatrixConfig, opt experiment.Options) ([]experiment.MatrixCell, error) {
-			return experiment.MatrixWith(ctx, opt, mc)
+			return experiment.Matrix(ctx, opt, mc)
 		}
 	}
 	s.base, s.stop = context.WithCancel(context.Background())

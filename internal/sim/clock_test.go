@@ -214,8 +214,7 @@ func TestFastPathBitForBitRecreation(t *testing.T) {
 // its step counter every Run call, desynchronising the cadence).
 func TestRunReentrySensorAlignment(t *testing.T) {
 	build := func() *sim.Engine {
-		g := stream.MustBuildSDR(stream.SDRConfig{})
-		return newEngine(t, g, sim.Config{RecordTrace: true})
+		return newEngine(t, sdrInstance(t, scenario.Options{}).Graph, sim.Config{RecordTrace: true})
 	}
 	one := build()
 	if err := one.Run(0.010); err != nil {
@@ -243,8 +242,7 @@ func TestRunReentrySensorAlignment(t *testing.T) {
 // Drift regression: after >= 10^7 ticks the clock must still be exactly
 // steps*tick — the seed's accumulating float clock had drifted by then.
 func TestClockDriftFreeTenMillionTicks(t *testing.T) {
-	g := stream.MustBuildSDR(stream.SDRConfig{})
-	e := newEngine(t, g, sim.Config{SensorPeriodS: 0.1})
+	e := newEngine(t, sdrInstance(t, scenario.Options{}).Graph, sim.Config{SensorPeriodS: 0.1})
 	const steps = 10_000_000
 	const tick = 100e-6
 	if err := e.Run(steps * tick); err != nil {

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"math"
@@ -6,30 +6,42 @@ import (
 	"testing"
 
 	"thermbal/internal/core"
-	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"
+	"thermbal/internal/scenario"
+	"thermbal/internal/sim"
 	"thermbal/internal/stream"
 	"thermbal/internal/task"
 	"thermbal/internal/thermal"
 )
 
-// newSDREngine builds the standard experiment stack.
-func newSDREngine(t *testing.T, cfg Config, pkg thermal.Package, pol policy.Policy) *Engine {
+// newSDREngine builds the standard experiment stack: the sdr-radio
+// scenario on the given package under pol.
+func newSDREngine(t *testing.T, cfg sim.Config, pkg thermal.Package, pol policy.Policy) *sim.Engine {
 	t.Helper()
-	g := stream.MustBuildSDR(stream.SDRConfig{})
-	plat, err := mpsoc.New(mpsoc.Config{Package: pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(cfg, plat, g, pol)
+	inst := sdrInstance(t, scenario.Options{Package: pkg})
+	e, err := sim.New(cfg, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
+// sdrInstance compiles the sdr-radio scenario.
+func sdrInstance(t *testing.T, o scenario.Options) *scenario.Instance {
+	t.Helper()
+	sc, err := scenario.Lookup(scenario.DefaultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sc.Instantiate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
 func TestRunRejectsNonPositiveDuration(t *testing.T) {
-	e := newSDREngine(t, Config{}, thermal.MobileEmbedded(), nil)
+	e := newSDREngine(t, sim.Config{}, thermal.MobileEmbedded(), nil)
 	if err := e.Run(0); err == nil {
 		t.Error("Run(0) accepted")
 	}
@@ -39,11 +51,10 @@ func TestRunRejectsNonPositiveDuration(t *testing.T) {
 }
 
 func TestNewRejectsUnplacedTask(t *testing.T) {
-	g := stream.MustBuildSDR(stream.SDRConfig{})
-	lpf, _ := g.TaskIndex("LPF")
-	g.Task(lpf).Core = 7 // off-platform
-	plat, _ := mpsoc.New(mpsoc.Config{})
-	if _, err := New(Config{}, plat, g, nil); err == nil {
+	inst := sdrInstance(t, scenario.Options{})
+	lpf, _ := inst.Graph.TaskIndex("LPF")
+	inst.Graph.Task(lpf).Core = 7 // off-platform
+	if _, err := sim.New(sim.Config{}, inst.Platform, inst.Graph, nil); err == nil {
 		t.Error("engine accepted task on core 7 of a 3-core platform")
 	}
 }
@@ -51,7 +62,7 @@ func TestNewRejectsUnplacedTask(t *testing.T) {
 // Table 2 check: after construction the DVFS governor must assign
 // 533/266/266 MHz from the static mapping.
 func TestInitialDVFSMatchesTable2(t *testing.T) {
-	e := newSDREngine(t, Config{}, thermal.MobileEmbedded(), nil)
+	e := newSDREngine(t, sim.Config{}, thermal.MobileEmbedded(), nil)
 	want := []float64{533e6, 266e6, 266e6}
 	for c, w := range want {
 		if got := e.Platform().Frequency(c); got != w {
@@ -64,7 +75,7 @@ func TestInitialDVFSMatchesTable2(t *testing.T) {
 // gradient must develop toward ~9 °C within the 12.5 s warm-up
 // (paper Section 5.2 narrative).
 func TestWarmupGradientAndQoS(t *testing.T) {
-	e := newSDREngine(t, Config{}, thermal.MobileEmbedded(), policy.EnergyBalance{})
+	e := newSDREngine(t, sim.Config{}, thermal.MobileEmbedded(), policy.EnergyBalance{})
 	if err := e.Run(12.5); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestWarmupGradientAndQoS(t *testing.T) {
 // the operating threshold of 3 °C.
 func TestThermalBalancingBalancesWithoutQoSLoss(t *testing.T) {
 	bal := core.New(core.Params{Delta: 3})
-	e := newSDREngine(t, Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, thermal.MobileEmbedded(), bal)
+	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, thermal.MobileEmbedded(), bal)
 	if err := e.Run(42.5); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestThermalBalancingBalancesWithoutQoSLoss(t *testing.T) {
 // Balancing must beat the energy-balanced baseline on the combined
 // temperature deviation metric (Figure 7's ordering).
 func TestBalancerBeatsEnergyBalanceOnStdDev(t *testing.T) {
-	cfg := Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
+	cfg := sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
 	eb := newSDREngine(t, cfg, thermal.MobileEmbedded(), policy.EnergyBalance{})
 	if err := eb.Run(32.5); err != nil {
 		t.Fatal(err)
@@ -139,7 +150,7 @@ func TestBalancerBeatsEnergyBalanceOnStdDev(t *testing.T) {
 // Stop&Go must control the hot core but at a massive QoS cost
 // (Figures 8/10's ordering).
 func TestStopGoTradesQoSForTemperature(t *testing.T) {
-	cfg := Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
+	cfg := sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
 	sg := newSDREngine(t, cfg, thermal.MobileEmbedded(), policy.NewStopGo(3))
 	if err := sg.Run(32.5); err != nil {
 		t.Fatal(err)
@@ -168,7 +179,7 @@ func max64(a, b int64) int64 {
 // The high-performance package must trigger migrations at a higher rate
 // than the mobile package at equal threshold (Figure 11).
 func TestHighPerfMigratesMoreOften(t *testing.T) {
-	cfg := Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
+	cfg := sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
 	mob := newSDREngine(t, cfg, thermal.MobileEmbedded(), core.New(core.Params{Delta: 3}))
 	if err := mob.Run(42.5); err != nil {
 		t.Fatal(err)
@@ -188,7 +199,7 @@ func TestHighPerfMigratesMoreOften(t *testing.T) {
 // package-level drift completes over the next couple of seconds).
 func TestBalanceReachedQuickly(t *testing.T) {
 	bal := core.New(core.Params{Delta: 3})
-	e := newSDREngine(t, Config{PolicyStartS: 12.5, RecordTrace: true}, thermal.MobileEmbedded(), bal)
+	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, RecordTrace: true}, thermal.MobileEmbedded(), bal)
 	if err := e.Run(17.0); err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +252,9 @@ func minf(xs []float64) float64 {
 
 // Determinism: identical configurations produce identical results.
 func TestRunsAreDeterministic(t *testing.T) {
-	res := make([]Result, 2)
+	res := make([]sim.Result, 2)
 	for i := range res {
-		e := newSDREngine(t, Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
+		e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
 			thermal.MobileEmbedded(), core.New(core.Params{Delta: 2}))
 		if err := e.Run(22.5); err != nil {
 			t.Fatal(err)
@@ -262,7 +273,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 // over the whole run the total must stay bounded).
 func TestOvershootBounded(t *testing.T) {
 	bal := core.New(core.Params{Delta: 3})
-	e := newSDREngine(t, Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, thermal.MobileEmbedded(), bal)
+	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, thermal.MobileEmbedded(), bal)
 	e.SetOvershootDelta(3)
 	if err := e.Run(20.0); err != nil {
 		t.Fatal(err)
@@ -276,7 +287,7 @@ func TestOvershootBounded(t *testing.T) {
 }
 
 func TestTraceRecorderCapturesRun(t *testing.T) {
-	e := newSDREngine(t, Config{PolicyStartS: 0.1, RecordTrace: true},
+	e := newSDREngine(t, sim.Config{PolicyStartS: 0.1, RecordTrace: true},
 		thermal.MobileEmbedded(), core.New(core.Params{Delta: 2}))
 	if err := e.Run(5.0); err != nil {
 		t.Fatal(err)
@@ -308,7 +319,7 @@ func TestTraceRecorderCapturesRun(t *testing.T) {
 // Frozen tasks must never execute: total frames processed by a task
 // equals frames forwarded downstream even across migrations.
 func TestFrameConservationAcrossMigrations(t *testing.T) {
-	e := newSDREngine(t, Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
+	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
 		thermal.MobileEmbedded(), core.New(core.Params{Delta: 2}))
 	if err := e.Run(30.0); err != nil {
 		t.Fatal(err)
@@ -341,7 +352,7 @@ func TestFrameConservationAcrossMigrations(t *testing.T) {
 // Energy accounting sanity: a hotter, faster core consumes more energy;
 // total energy is positive and bounded by max power x time.
 func TestEnergyAccounting(t *testing.T) {
-	e := newSDREngine(t, Config{}, thermal.MobileEmbedded(), policy.EnergyBalance{})
+	e := newSDREngine(t, sim.Config{}, thermal.MobileEmbedded(), policy.EnergyBalance{})
 	if err := e.Run(5.0); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +398,7 @@ func TestEngineRejectsMalformedActions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newSDREngine(t, Config{}, thermal.MobileEmbedded(), &rogue{act: tc.act})
+			e := newSDREngine(t, sim.Config{}, thermal.MobileEmbedded(), &rogue{act: tc.act})
 			if err := e.Run(0.05); err == nil {
 				t.Errorf("engine accepted %v", tc.act)
 			}
@@ -398,7 +409,7 @@ func TestEngineRejectsMalformedActions(t *testing.T) {
 // Frozen tasks must not execute: during an in-flight migration the
 // migrating task's FramesCompleted stays constant.
 func TestFrozenTaskDoesNotRun(t *testing.T) {
-	e := newSDREngine(t, Config{PolicyStartS: 12.5}, thermal.MobileEmbedded(),
+	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5}, thermal.MobileEmbedded(),
 		core.New(core.Params{Delta: 3}))
 	// Run to just past the first migration trigger.
 	if err := e.Run(12.6); err != nil {

@@ -1,16 +1,25 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
 	"testing"
 
 	"thermbal/internal/core"
-	"thermbal/internal/floorplan"
-	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"
-	"thermbal/internal/stream"
-	"thermbal/internal/thermal"
+	"thermbal/internal/scenario"
+	"thermbal/internal/sim"
 )
+
+// splitJoin compiles a seeded split/join workload (scenario.SplitJoin)
+// on the mobile package, tasks placed by the balanced mapping.
+func splitJoin(t *testing.T, seed int64, stages, maxWidth int, totalFSE float64, cores int) *scenario.Instance {
+	t.Helper()
+	inst, err := scenario.Compile(scenario.SplitJoin(seed, stages, maxWidth, totalFSE, cores), scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
 
 // The SDR benchmark is one member of the streaming class; the engine and
 // the balancing policy must work on generated workloads too.
@@ -18,17 +27,9 @@ func TestGeneratedWorkloadsUnderBalancing(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			g, err := stream.Generate(stream.GenConfig{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			policy.BalanceMapping(g.Tasks(), 3)
-			plat, err := mpsoc.New(mpsoc.Config{Package: thermal.MobileEmbedded()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := New(Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
-				plat, g, core.New(core.Params{Delta: 3}))
+			inst := splitJoin(t, seed, 4, 3, 1.4, 3)
+			e, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
+				inst.Platform, inst.Graph, core.New(core.Params{Delta: 3}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,21 +58,17 @@ func TestGeneratedWorkloadsUnderBalancing(t *testing.T) {
 // A generated workload heavy enough to need every core must still meet
 // its deadlines with the balanced mapping and no policy.
 func TestGeneratedWorkloadFeasibility(t *testing.T) {
-	g, err := stream.Generate(stream.GenConfig{Seed: 9, TotalFSE: 1.8})
-	if err != nil {
-		t.Fatal(err)
+	inst := splitJoin(t, 9, 4, 3, 1.8, 3)
+	load := make([]float64, 3)
+	for _, tk := range inst.Graph.Tasks() {
+		load[tk.Core] += tk.FSE
 	}
-	load := policy.BalanceMapping(g.Tasks(), 3)
 	for c, l := range load {
 		if l > 1 {
 			t.Skipf("core %d overcommitted (%.2f); seed picks a different split", c, l)
 		}
 	}
-	plat, err := mpsoc.New(mpsoc.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{}, plat, g, policy.EnergyBalance{})
+	e, err := sim.New(sim.Config{}, inst.Platform, inst.Graph, policy.EnergyBalance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +84,9 @@ func TestGeneratedWorkloadFeasibility(t *testing.T) {
 // workload (the paper's framework "can be scaled to any number of cores
 // sub-systems", Section 4).
 func TestEightCorePlatform(t *testing.T) {
-	g, err := stream.Generate(stream.GenConfig{Seed: 3, Stages: 6, MaxWidth: 4, TotalFSE: 2.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy.BalanceMapping(g.Tasks(), 8)
-	plat, err := mpsoc.New(mpsoc.Config{
-		Floorplan: floorplan8(),
-		Package:   thermal.MobileEmbedded(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(Config{PolicyStartS: 5, MeasureStartS: 5},
-		plat, g, core.New(core.Params{Delta: 2}))
+	inst := splitJoin(t, 3, 6, 4, 2.5, 8)
+	e, err := sim.New(sim.Config{PolicyStartS: 5, MeasureStartS: 5},
+		inst.Platform, inst.Graph, core.New(core.Params{Delta: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +101,3 @@ func TestEightCorePlatform(t *testing.T) {
 		t.Errorf("max temp %.1f", r.MaxTemp)
 	}
 }
-
-func floorplan8() *floorplan.Floorplan { return floorplan.StreamingMPSoC(8) }

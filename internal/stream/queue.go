@@ -4,14 +4,22 @@
 // when every input queue holds a frame and every output queue has room,
 // and a real-time sink drains frames on a deadline schedule — an empty
 // sink queue at a deadline is a frame miss, the paper's QoS metric.
-//
-// The package also ships the paper's benchmark: the Software Defined FM
-// Radio pipeline (LPF → DEMOD → BPF1..3 → Σ) with the Table 2 loads.
+// Concrete graphs are declared as scenario specs and compiled onto this
+// model by package scenario.
 package stream
 
 import (
 	"fmt"
 )
+
+// DefaultFramePeriod is the SDR frame period: 20 ms (50 audio frames
+// per second), the default of every spec that sets none.
+const DefaultFramePeriod = 0.020
+
+// DefaultQueueCap is the default inter-task queue capacity in frames.
+// The paper reports 11 frames as the minimum size that sustains
+// migration without QoS impact (Section 5.2).
+const DefaultQueueCap = 11
 
 // Frame is one unit of streaming data (e.g. one audio frame).
 type Frame struct {

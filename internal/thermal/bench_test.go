@@ -51,14 +51,6 @@ func benchSteadyStepping(b *testing.B, scheme Scheme) {
 // high-performance package (the seed scheme).
 func BenchmarkStepEulerHighPerf(b *testing.B) { benchSteadyStepping(b, Euler) }
 
-// BenchmarkStepRK4HighPerf measures RK4, which covers each sensor
-// period in ~1.39x fewer substeps.
-func BenchmarkStepRK4HighPerf(b *testing.B) { benchSteadyStepping(b, RK4) }
-
-// BenchmarkStepRK4AdaptiveHighPerf measures the step-doubling adaptive
-// controller, which rides the stability bound at steady state.
-func BenchmarkStepRK4AdaptiveHighPerf(b *testing.B) { benchSteadyStepping(b, RK4Adaptive) }
-
 // BenchmarkStepExpmHighPerf measures exact dense propagation: after the
 // first step builds the memoized propagator, every period is one matvec
 // pair with zero allocations.

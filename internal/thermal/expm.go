@@ -17,7 +17,7 @@ import (
 //	T(dt) = A·T(0) + B·P + b,
 //	A = e^{H·dt},  B = (∫₀^dt e^{Hs} ds)·C⁻¹,  b = B·(Gamb·Tamb),
 //
-// so one dense matvec pair replaces the whole Euler/RK4 substep loop
+// so one dense matvec pair replaces the whole Euler substep loop
 // with zero truncation error. The topology is immutable after Build, so
 // H is assembled once per network; the propagator triple (A, B, b) is
 // built per distinct span length by scaling-and-squaring and memoized

@@ -236,32 +236,6 @@ func TestExpmStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// The adaptive RK4 controller shares the zero-allocation requirement:
-// its scratch (including the shared first stage) is reused across
-// substeps and Advance calls.
-func TestAdaptiveRK4StepZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	m, err := NewModel(floorplan.Default3Core(), HighPerformance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Net.SetIntegrator(NewIntegrator(Config{Scheme: RK4Adaptive}))
-	power := testPower(m.Net.NumNodes())
-	if err := m.Net.Step(0.01, power); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := m.Net.Step(0.01, power); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("adaptive RK4 Step allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 // The shared build cache must hand two integrators of identical
 // systems one propagator without a second build, and distinct systems
 // must never share (the high-performance package scales the mobile

@@ -1,6 +1,9 @@
 package thermal
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Scheme names a time-integration scheme for the RC network.
 type Scheme int
@@ -10,16 +13,6 @@ const (
 	// min C_i/ΣG_i (the network caches half that as a margin). The
 	// default, and the seed behavior bit-for-bit.
 	Euler Scheme = iota
-	// RK4 is the classical fourth-order Runge-Kutta scheme. Its
-	// stability interval on the negative real axis extends to |hλ| ≤
-	// 2.785 versus Euler's 2, so it covers a sensor period in ~1.39x
-	// fewer substeps at far higher accuracy per step.
-	RK4
-	// RK4Adaptive is RK4 under a step-doubling error controller: each
-	// step is compared against two half steps and the size adjusted to
-	// hold the per-step error under Config.Tol, never exceeding the RK4
-	// stability bound.
-	RK4Adaptive
 	// Expm is exact dense propagation: T' = A·T + B·P + b with
 	// A = e^{H·dt} precomputed per distinct span length by
 	// scaling-and-squaring and memoized, so one matvec pair replaces
@@ -28,18 +21,25 @@ const (
 	Expm
 )
 
+// schemes lists every scheme in declaration order.
+var schemes = [...]Scheme{Euler, Expm}
+
 // String names the scheme as accepted by ParseScheme.
 func (s Scheme) String() string {
-	switch s {
-	case RK4:
-		return "rk4"
-	case RK4Adaptive:
-		return "rk4-adaptive"
-	case Expm:
+	if s == Expm {
 		return "expm"
-	default:
-		return "euler"
 	}
+	return "euler"
+}
+
+// SchemeNames renders every scheme name as "euler | expm": the one
+// list flag usage strings and ParseScheme's error quote.
+func SchemeNames() string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.String()
+	}
+	return strings.Join(names, " | ")
 }
 
 // ParseScheme parses a scheme name (as printed by String, plus common
@@ -48,14 +48,10 @@ func ParseScheme(name string) (Scheme, error) {
 	switch name {
 	case "euler", "":
 		return Euler, nil
-	case "rk4":
-		return RK4, nil
-	case "rk4-adaptive", "rk4a", "adaptive":
-		return RK4Adaptive, nil
 	case "expm", "exp", "exact":
 		return Expm, nil
 	}
-	return Euler, fmt.Errorf("thermal: unknown integrator %q (want euler, rk4, rk4-adaptive or expm)", name)
+	return Euler, fmt.Errorf("thermal: unknown integrator %q (want %s)", name, SchemeNames())
 }
 
 // Config selects and tunes the integration scheme. The zero value is the
@@ -63,9 +59,6 @@ func ParseScheme(name string) (Scheme, error) {
 type Config struct {
 	// Scheme selects the integrator.
 	Scheme Scheme
-	// Tol is the per-substep absolute error tolerance in °C for adaptive
-	// schemes (default 1e-6). Ignored by fixed-step schemes.
-	Tol float64
 	// ExpmMinSubsteps tunes the Expm scheme's crossover: spans that
 	// explicit Euler would cover in fewer substeps than this fall back
 	// to Euler substepping (dense propagation costs 2n² multiply-adds
@@ -95,16 +88,10 @@ type Integrator interface {
 
 // NewIntegrator builds the integrator described by cfg.
 func NewIntegrator(cfg Config) Integrator {
-	switch cfg.Scheme {
-	case RK4:
-		return newRK4()
-	case RK4Adaptive:
-		return newAdaptiveRK4(cfg.Tol)
-	case Expm:
+	if cfg.Scheme == Expm {
 		return newExpm(cfg.ExpmMinSubsteps)
-	default:
-		return newEuler()
 	}
+	return newEuler()
 }
 
 // View is a read-only sparse description of a Network: node count,

@@ -2,9 +2,8 @@ package thermal
 
 import (
 	"math"
+	"strings"
 	"testing"
-
-	"thermbal/internal/floorplan"
 )
 
 // singleNode builds the analytic benchmark network: one RC node to
@@ -28,14 +27,13 @@ func TestParseScheme(t *testing.T) {
 	}{
 		{"euler", Euler, true},
 		{"", Euler, true},
-		{"rk4", RK4, true},
-		{"rk4-adaptive", RK4Adaptive, true},
-		{"rk4a", RK4Adaptive, true},
-		{"adaptive", RK4Adaptive, true},
 		{"expm", Expm, true},
 		{"exp", Expm, true},
 		{"exact", Expm, true},
 		{"simpson", Euler, false},
+		{"rk4", Euler, false},
+		{"rk4-adaptive", Euler, false},
+		{"adaptive", Euler, false},
 	} {
 		got, err := ParseScheme(tc.in)
 		if (err == nil) != tc.ok {
@@ -46,8 +44,12 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("ParseScheme(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
+	// Removed schemes are refused with the supported list.
+	if _, err := ParseScheme("rk4"); err == nil || !strings.Contains(err.Error(), "euler | expm") {
+		t.Errorf("ParseScheme(rk4) err = %v, want the euler | expm list", err)
+	}
 	// Round trip through String.
-	for _, s := range []Scheme{Euler, RK4, RK4Adaptive, Expm} {
+	for _, s := range []Scheme{Euler, Expm} {
 		got, err := ParseScheme(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseScheme(%q) = %v, %v", s.String(), got, err)
@@ -56,7 +58,7 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestNewIntegratorNames(t *testing.T) {
-	for _, s := range []Scheme{Euler, RK4, RK4Adaptive, Expm} {
+	for _, s := range []Scheme{Euler, Expm} {
 		ig := NewIntegrator(Config{Scheme: s})
 		if ig.Name() != s.String() {
 			t.Errorf("NewIntegrator(%v).Name() = %q", s, ig.Name())
@@ -83,149 +85,6 @@ func TestDefaultIntegratorIsEulerBitForBit(t *testing.T) {
 		}
 		if n1.Temperature(0) != n2.Temperature(0) {
 			t.Fatalf("step %d: default %v != explicit euler %v", i, n1.Temperature(0), n2.Temperature(0))
-		}
-	}
-}
-
-// RK4 must track the analytic single-node solution within 1e-6 °C when
-// stepped at the 10 ms sensor period — both heating and cooling.
-func TestRK4MatchesAnalyticWithin1e6(t *testing.T) {
-	const (
-		r, c, p, amb = 25.0, 0.04, 0.5, 25.0
-		tau          = r * c // 1 s
-		h            = 0.01  // sensor period
-		tEnd         = 3.0
-	)
-	n := singleNode(t)
-	n.SetIntegrator(NewIntegrator(Config{Scheme: RK4}))
-	pw := []float64{p}
-	for tm := h; tm <= tEnd+1e-9; tm += h {
-		if err := n.Step(h, pw); err != nil {
-			t.Fatal(err)
-		}
-		want := amb + p*r*(1-math.Exp(-tm/tau))
-		if diff := math.Abs(n.Temperature(0) - want); diff > 1e-6 {
-			t.Fatalf("heating t=%.2f: rk4 %.9f vs analytic %.9f (diff %.2e)", tm, n.Temperature(0), want, diff)
-		}
-	}
-	start := n.Temperature(0)
-	zero := []float64{0}
-	for tm := h; tm <= tEnd+1e-9; tm += h {
-		if err := n.Step(h, zero); err != nil {
-			t.Fatal(err)
-		}
-		want := amb + (start-amb)*math.Exp(-tm/tau)
-		if diff := math.Abs(n.Temperature(0) - want); diff > 1e-6 {
-			t.Fatalf("cooling t=%.2f: rk4 %.9f vs analytic %.9f (diff %.2e)", tm, n.Temperature(0), want, diff)
-		}
-	}
-}
-
-// The adaptive controller must stay accurate even when handed one huge
-// interval: it subdivides by error estimate, not by the caller.
-func TestAdaptiveRK4AccurateOnLargeInterval(t *testing.T) {
-	const (
-		r, c, p, amb = 25.0, 0.04, 0.5, 25.0
-		tau          = r * c
-		tEnd         = 3.0
-	)
-	n := singleNode(t)
-	n.SetIntegrator(NewIntegrator(Config{Scheme: RK4Adaptive, Tol: 1e-7}))
-	if err := n.Step(tEnd, []float64{p}); err != nil {
-		t.Fatal(err)
-	}
-	want := amb + p*r*(1-math.Exp(-tEnd/tau))
-	if diff := math.Abs(n.Temperature(0) - want); diff > 1e-3 {
-		t.Fatalf("adaptive after one %gs call: %.6f vs analytic %.6f (diff %.2e)", tEnd, n.Temperature(0), want, diff)
-	}
-}
-
-// RK4 at its stability-bounded maximum step must converge to the same
-// steady state as the linear solve, without oscillating.
-func TestRK4StableAtMaxStep(t *testing.T) {
-	for _, scheme := range []Scheme{RK4, RK4Adaptive} {
-		b := NewBuilder()
-		a := b.AddNode("die", 0.01, 0)
-		s := b.AddNode("sink", 0.1, 0.05)
-		b.Connect(a, s, 0.1)
-		n, err := b.Build(25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.SetIntegrator(NewIntegrator(Config{Scheme: scheme}))
-		p := []float64{1, 0}
-		want, err := n.SteadyState(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Step(60, p); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if d := math.Abs(n.Temperature(i) - want[i]); d > 0.01 {
-				t.Errorf("%v node %d = %g, steady state %g (diff %g)", scheme, i, n.Temperature(i), want[i], d)
-			}
-			if math.IsNaN(n.Temperature(i)) || n.Temperature(i) > 200 {
-				t.Errorf("%v node %d unstable: %g", scheme, i, n.Temperature(i))
-			}
-		}
-	}
-}
-
-// On the high-performance package (the paper's fast-dynamics target),
-// RK4's wider stability region must cover the 10 ms sensor period in
-// strictly fewer substeps than Euler.
-func TestRK4FewerStepsPerSensorPeriodHighPerf(t *testing.T) {
-	m, err := NewModel(floorplan.Default3Core(), HighPerformance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sensorPeriod = 10e-3
-	net := m.Net
-	eulerSteps := net.StepsPerInterval(sensorPeriod) // default integrator
-	net.SetIntegrator(NewIntegrator(Config{Scheme: RK4}))
-	rk4Steps := net.StepsPerInterval(sensorPeriod)
-	if eulerSteps < 2 {
-		t.Fatalf("euler takes %d steps per sensor period; stability bound unexpectedly loose", eulerSteps)
-	}
-	if rk4Steps >= eulerSteps {
-		t.Fatalf("rk4 takes %d steps per sensor period, euler %d — no reduction", rk4Steps, eulerSteps)
-	}
-	t.Logf("high-performance package: euler %d substeps / 10 ms, rk4 %d (%.2fx fewer)",
-		eulerSteps, rk4Steps, float64(eulerSteps)/float64(rk4Steps))
-}
-
-// Both fixed-step schemes must agree with each other on a multi-node
-// network within integration tolerance (cross-validation on the real
-// model, where no analytic solution exists).
-func TestEulerAndRK4AgreeOnModel(t *testing.T) {
-	build := func(scheme Scheme) *Model {
-		m, err := NewModel(floorplan.Default3Core(), MobileEmbedded())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Net.SetIntegrator(NewIntegrator(Config{Scheme: scheme}))
-		return m
-	}
-	me := build(Euler)
-	mr := build(RK4)
-	power := make([]float64, len(me.FP.Blocks))
-	power[0] = 0.5
-	power[1] = 0.25
-	for i := 0; i < 500; i++ {
-		if err := me.Step(10e-3, power); err != nil {
-			t.Fatal(err)
-		}
-		if err := mr.Step(10e-3, power); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The gap is dominated by Euler's first-order truncation error at
-	// its stability-limit step; a few millikelvin over a 5 s transient.
-	for i := range me.FP.Blocks {
-		d := math.Abs(me.BlockTemp(i) - mr.BlockTemp(i))
-		if d > 0.01 {
-			t.Errorf("block %d: euler %.6f vs rk4 %.6f (diff %.2e)", i, me.BlockTemp(i), mr.BlockTemp(i), d)
 		}
 	}
 }
@@ -279,14 +138,9 @@ func TestStepsPerInterval(t *testing.T) {
 	if got := n.StepsPerInterval(0); got != 0 {
 		t.Errorf("StepsPerInterval(0) = %d", got)
 	}
-	n.SetIntegrator(NewIntegrator(Config{Scheme: RK4}))
-	if got := n.StepsPerInterval(1.0); got != 2 {
-		// 1.0 / (1.3925 * 0.5) = 1.44 -> 2 steps
-		t.Errorf("rk4 StepsPerInterval(1.0) = %d, want 2", got)
-	}
-	if got := n.StepsPerInterval(2.0); got != 3 {
-		// euler would need 4; rk4 needs ceil(2/0.696) = 3
-		t.Errorf("rk4 StepsPerInterval(2.0) = %d, want 3", got)
+	n.SetIntegrator(NewIntegrator(Config{Scheme: Expm}))
+	if got := n.StepsPerInterval(2.0); got != 1 {
+		t.Errorf("expm StepsPerInterval(2.0) = %d, want 1", got)
 	}
 }
 

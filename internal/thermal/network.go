@@ -228,9 +228,7 @@ func (n *Network) SetIntegrator(ig Integrator) {
 func (n *Network) Integrator() Integrator { return n.integ }
 
 // StepsPerInterval returns how many internal substeps the active
-// integrator takes to cover dt seconds (fixed-step schemes; for adaptive
-// schemes this is the count at their stability-bounded maximum step,
-// i.e. a lower bound).
+// integrator takes to cover dt seconds at its maximum step.
 func (n *Network) StepsPerInterval(dt float64) int {
 	if dt <= 0 {
 		return 0

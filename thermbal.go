@@ -22,6 +22,7 @@
 package thermbal
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -92,12 +93,6 @@ const (
 	// EulerIntegrator is explicit forward Euler (default; the stability
 	// bound forces the smallest substeps).
 	EulerIntegrator IntegratorKind = iota
-	// RK4Integrator is classical 4th-order Runge-Kutta: wider stability
-	// region, fewer substeps per sensor period, far higher accuracy.
-	RK4Integrator
-	// AdaptiveRK4Integrator is RK4 under a step-doubling error
-	// controller.
-	AdaptiveRK4Integrator
 	// ExpmIntegrator is the exact matrix-exponential scheme: the RC
 	// network is linear time-invariant, so one memoized dense
 	// propagator pair replaces the whole substep loop with zero
@@ -110,16 +105,10 @@ const (
 func (k IntegratorKind) String() string { return k.cfg().Scheme.String() }
 
 func (k IntegratorKind) cfg() thermal.Config {
-	switch k {
-	case RK4Integrator:
-		return thermal.Config{Scheme: thermal.RK4}
-	case AdaptiveRK4Integrator:
-		return thermal.Config{Scheme: thermal.RK4Adaptive}
-	case ExpmIntegrator:
+	if k == ExpmIntegrator {
 		return thermal.Config{Scheme: thermal.Expm}
-	default:
-		return thermal.Config{Scheme: thermal.Euler}
 	}
+	return thermal.Config{Scheme: thermal.Euler}
 }
 
 // Config describes one experiment. The default scenario is the SDR
@@ -392,7 +381,7 @@ func Table2() (string, error) { return experiment.FormatTable2() }
 
 // Figure2 renders the migration cost curves (paper Figure 2).
 func Figure2() (string, error) {
-	rows, err := experiment.Fig2(nil)
+	rows, err := experiment.Fig2(context.Background(), experiment.Options{}, nil)
 	if err != nil {
 		return "", err
 	}
@@ -418,11 +407,12 @@ func WriteAllFigures(w io.Writer) error {
 	fmt.Fprint(w, f2)
 	fmt.Fprintln(w)
 
-	mob, err := experiment.Sweep(experiment.Mobile, nil)
+	ctx := context.Background()
+	mob, err := experiment.Sweep(ctx, experiment.Options{}, experiment.Mobile, nil)
 	if err != nil {
 		return err
 	}
-	hp, err := experiment.Sweep(experiment.HighPerf, nil)
+	hp, err := experiment.Sweep(ctx, experiment.Options{}, experiment.HighPerf, nil)
 	if err != nil {
 		return err
 	}
