@@ -182,9 +182,10 @@ bench-smoke:
 bench-golden:
 	cd bench && $(GO) test -run 'TestGolden|TestBenchmarkJSONMatchesCatalogue|TestVerdict|TestCompareFailuresMayNotRise' ./...
 
-# Integrator stepping cost on the high-performance package.
+# Integrator stepping cost on the high-performance package, and the
+# cost of one cold expm propagator build (64-core and 3-core dies).
 bench-thermal:
-	$(GO) test -bench BenchmarkStep -run '^$$' ./internal/thermal
+	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' ./internal/thermal
 
 # End-to-end exercise of the exact matrix-exponential scheme: a paper
 # scenario plus a tiled manycore die through the full CLI with
@@ -214,7 +215,7 @@ smoke-spec:
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 20s
 
-# Machine-readable ns/op for the Sweep and Step benchmarks, so the perf
+# Machine-readable ns/op for the Sweep, Step and ExpmBuild benchmarks, so the perf
 # trajectory is tracked commit over commit. Each bench run is a separate
 # recipe line so a failure aborts the target instead of being masked by
 # the pipeline's exit status.
@@ -225,13 +226,14 @@ bench-json:
 		exit 1; \
 	fi
 	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 1x -benchmem . > .bench.tmp
-	$(GO) test -bench BenchmarkStep -run '^$$' -benchtime 1x -benchmem ./internal/thermal >> .bench.tmp
+	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -benchmem ./internal/thermal >> .bench.tmp
 	$(GO) run ./cmd/bench2json < .bench.tmp > $(BENCH_OUT)
 	@rm -f .bench.tmp
 	@echo "wrote $(BENCH_OUT)"
 
-# Compare Sweep-benchmark numbers against the latest committed
-# trajectory point; fails when any Sweep benchmark is >15% slower.
+# Compare Sweep and ExpmBuild benchmark numbers against the latest
+# committed trajectory point; fails when any of them is >15% slower
+# (a benchmark the baseline lacks is reported, not gated).
 # Set BENCH_NEW to an existing bench2json document (CI reuses the
 # bench-json artifact it just produced) to skip the fresh run.
 # Every *committed* trajectory point is offered as a baseline
@@ -243,12 +245,13 @@ BENCH_BASE = $$(git ls-files 'BENCH_*.json' | paste -sd, -)
 
 bench-diff:
 ifdef BENCH_NEW
-	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new $(BENCH_NEW) -match 'BenchmarkSweep' -max-regress 0.15
+	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new $(BENCH_NEW) -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
 else
 	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 3x -benchmem . > .bench.tmp
+	$(GO) test -bench BenchmarkExpmBuild -run '^$$' -benchtime 3x -benchmem ./internal/thermal >> .bench.tmp
 	$(GO) run ./cmd/bench2json < .bench.tmp > .bench-new.json
 	@rm -f .bench.tmp
-	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new .bench-new.json -match 'BenchmarkSweep' -max-regress 0.15
+	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new .bench-new.json -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
 	@rm -f .bench-new.json
 endif
 

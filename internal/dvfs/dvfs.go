@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"thermbal/internal/power"
 )
 
 // Ladder is an ordered set of frequency levels in Hz (ascending).
@@ -22,8 +24,9 @@ type Ladder struct {
 }
 
 // DefaultLevels is the experiment ladder: 533/266/133 MHz, matching the
-// frequencies of the paper's Table 2 plus a deep-idle level.
-var DefaultLevels = []float64{133e6, 266e6, 533e6}
+// frequencies of the paper's Table 2 plus a deep-idle level. The top is
+// the power model's maximum frequency.
+var DefaultLevels = []float64{133e6, 266e6, power.DefaultFMaxHz}
 
 // NewLadder builds a ladder from the given levels (any order, must be
 // positive and distinct).

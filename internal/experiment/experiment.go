@@ -374,7 +374,7 @@ var Fig2Sizes = []int{16, 32, 64, 128, 256, 384, 512}
 // measureMigrationCost simulates one migration of a sizeKB task on a
 // private bus and returns its freeze duration in processor cycles.
 func measureMigrationCost(mech migrate.Mechanism, sizeKB int) (float64, error) {
-	const fHz = 533e6
+	const fHz = power.DefaultFMaxHz
 	b := bus.New(bus.Params{})
 	m := migrate.NewManager(b, mech)
 	t := task.MustNew("probe", 0.3)

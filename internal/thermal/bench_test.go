@@ -55,3 +55,28 @@ func BenchmarkStepEulerHighPerf(b *testing.B) { benchSteadyStepping(b, Euler) }
 // first step builds the memoized propagator, every period is one matvec
 // pair with zero allocations.
 func BenchmarkStepExpmHighPerf(b *testing.B) { benchSteadyStepping(b, Expm) }
+
+// benchExpmBuild measures one cold propagator build for the 10 ms
+// sensor period on the mobile package: every iteration clears the
+// shared cache and binds a fresh integrator, so each one builds.
+func benchExpmBuild(b *testing.B, cores int) {
+	m, err := NewModel(floorplan.StreamingMPSoC(cores), MobileEmbedded())
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := m.Net.View()
+	for b.Loop() {
+		resetSharedProps()
+		e := newExpm(1)
+		e.bind(v)
+		e.propagator(10e-3)
+	}
+}
+
+// BenchmarkExpmBuildManycore64 measures the build that dominates a
+// cold manycore-64 expm run's set-up (n = 387 nodes).
+func BenchmarkExpmBuildManycore64(b *testing.B) { benchExpmBuild(b, 64) }
+
+// BenchmarkExpmBuildSDR measures the build on the paper's 3-core die,
+// where the kernels' fixed costs matter more than their inner loops.
+func BenchmarkExpmBuildSDR(b *testing.B) { benchExpmBuild(b, 3) }

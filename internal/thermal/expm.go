@@ -23,7 +23,10 @@ import (
 // built per distinct span length by scaling-and-squaring and memoized
 // in a small cache keyed by the span's float64 bits — the engine steps
 // the thermal model at a fixed sensor period, so the hit rate is
-// near-total after the first window.
+// near-total after the first window. A build's Taylor products exploit
+// H's sparsity (O(n²·nnz/row) each); only its few doubling products
+// are dense O(n³), and both kernels reproduce the plain triple loop's
+// bits exactly.
 //
 // Dense propagation costs 2n² multiply-adds per span regardless of the
 // span length, while substepping costs (substeps × sparse RHS). The
@@ -79,6 +82,7 @@ type expmIntegrator struct {
 
 	// Assembled once per network.
 	h           []float64 // H = C⁻¹·(-G), n×n row-major
+	hs          csr       // H's nonzeros, for the Taylor products
 	invC        []float64
 	gamb        []float64 // AmbientG_i · Tamb
 	normH       float64   // ‖H‖∞
@@ -94,8 +98,10 @@ type expmIntegrator struct {
 
 	// Hot-loop scratch (length n).
 	y []float64
-	// Build scratch (n×n, allocated on first locally-built miss only).
+	// Build scratch (n×n, allocated on first locally-built miss only),
+	// plus the packed n×4 right-hand panel of the dense kernel.
 	term, next, prod, phi []float64
+	panel                 [][4]float64
 }
 
 func newExpm(minSubsteps int) *expmIntegrator {
@@ -140,6 +146,7 @@ func (e *expmIntegrator) bind(v View) {
 		row[i] = -v.SumG(i) / ci
 		sparseElems += 2 * len(v.Neighbors(i))
 	}
+	e.hs = newCSR(e.h, n)
 	e.normH = 0
 	for i := 0; i < n; i++ {
 		var s float64
@@ -237,25 +244,32 @@ func (e *expmIntegrator) propagator(dt float64) *propagator {
 // The process-wide build cache. Experiment sweeps construct a fresh
 // Network (and integrator) per run, but the runs of one sweep share a
 // handful of package presets, so the same (H, C, dt) propagator would
-// otherwise be rebuilt per run — and a build (n³ matmuls) costs as much
-// as hundreds of propagated spans. Entries are keyed by a content hash
-// of the full dense system and verified element-for-element on lookup,
-// so a hit returns a bit-identical propagator to the one a local build
-// would produce. Propagators are immutable after build, making the
-// shared instances safe for concurrent runs (the parallel Runner).
+// otherwise be rebuilt per run — and a build (O(n³) doubling products)
+// costs as much as hundreds of propagated spans. Entries are keyed by a
+// content hash of the full dense system and verified element-for-element
+// on lookup, so a hit returns a bit-identical propagator to the one a
+// local build would produce. Propagators are immutable after build,
+// making the shared instances safe for concurrent runs (the parallel
+// Runner, the service's exec slots).
 const sharedPropCap = 64
 
+// sharedPropEntry is one cached system and span. The entry is published
+// before its build runs, so concurrent runs that miss the same system
+// wait on done for the one build instead of each starting their own.
 type sharedPropEntry struct {
 	n             int
 	dt            float64
 	h, invC, gamb []float64
-	p             *propagator
+	p             *propagator   // set before done is closed
+	done          chan struct{} // closed once p is built
 }
 
 var (
 	sharedPropMu sync.Mutex
 	sharedProps  = map[uint64][]*sharedPropEntry{}
 	sharedPropN  int
+	// sharedPropBuilds counts the builds the shared cache has started.
+	sharedPropBuilds int
 )
 
 // sharedKey hashes (n, dt, H, C⁻¹, Gamb·Tamb) with FNV-1a.
@@ -311,37 +325,40 @@ func (s *sharedPropEntry) matches(e *expmIntegrator, dt float64) bool {
 }
 
 // sharedOrBuild returns the propagator for the bound system and span,
-// reusing a process-wide cached build when one exists.
+// reusing a process-wide cached build when one exists and waiting for
+// it when another run is building it.
 func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
 	key := e.sharedKey(dt)
 	sharedPropMu.Lock()
 	for _, s := range sharedProps[key] {
 		if s.matches(e, dt) {
 			sharedPropMu.Unlock()
+			<-s.done
 			return s.p
 		}
 	}
-	sharedPropMu.Unlock()
-	p := e.build(dt)
+	if sharedPropN >= sharedPropCap {
+		// Dense matrices are the dominant memory; rather than track
+		// recency, drop everything and let the few live systems
+		// re-prime (one build each). A run waiting on a dropped
+		// in-flight entry still receives its build.
+		sharedProps = map[uint64][]*sharedPropEntry{}
+		sharedPropN = 0
+	}
 	ent := &sharedPropEntry{
 		n: e.n, dt: dt,
 		h:    append([]float64(nil), e.h...),
 		invC: append([]float64(nil), e.invC...),
 		gamb: append([]float64(nil), e.gamb...),
-		p:    p,
-	}
-	sharedPropMu.Lock()
-	if sharedPropN >= sharedPropCap {
-		// Dense matrices are the dominant memory; rather than track
-		// recency, drop everything and let the few live systems
-		// re-prime (one build each).
-		sharedProps = map[uint64][]*sharedPropEntry{}
-		sharedPropN = 0
+		done: make(chan struct{}),
 	}
 	sharedProps[key] = append(sharedProps[key], ent)
 	sharedPropN++
+	sharedPropBuilds++
 	sharedPropMu.Unlock()
-	return p
+	ent.p = e.build(dt)
+	close(ent.done)
+	return ent.p
 }
 
 // build computes the propagator by scaling-and-squaring: the Taylor
@@ -351,7 +368,11 @@ func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
 //	A(2h) = A(h)·A(h),   Φ(2h) = Φ(h) + A(h)·Φ(h)
 //
 // back to the full span. Φ·C⁻¹ and the ambient forcing are folded in
-// at the end.
+// at the end. The Taylor products right-multiply by the sparse H
+// (O(n²·nnz/row) each); only the doubling products are dense O(n³),
+// through the register-tiled kernel. Both kernels keep the summation
+// rule below, so every propagator is bit-identical to one built with a
+// plain triple loop.
 func (e *expmIntegrator) build(dt float64) *propagator {
 	n := e.n
 	nn := n * n
@@ -360,6 +381,7 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 		e.next = make([]float64, nn)
 		e.prod = make([]float64, nn)
 		e.phi = make([]float64, nn)
+		e.panel = make([][4]float64, n)
 	}
 	// Scaling: h = dt/2^s with ‖H‖·h ≤ expmTheta.
 	s := 0
@@ -382,7 +404,7 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	}
 	for k := 1; k <= expmMaxTerms; k++ {
 		// term ← term·X/k = term·(H·h)/k.
-		matmulScaled(e.next, term, e.h, n, h/float64(k))
+		e.hs.mulScaled(e.next, term, h/float64(k))
 		term, e.next = e.next, term
 		f := h / float64(k+1)
 		var maxAbs float64
@@ -400,11 +422,11 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	e.term = term
 	// Doubling back to the full span.
 	for ; s > 0; s-- {
-		matmulScaled(e.prod, a, phi, n, 1)
+		matmul(e.prod, a, phi, e.panel, n)
 		for i := range phi {
 			phi[i] += e.prod[i]
 		}
-		matmulScaled(e.prod, a, a, n, 1)
+		matmul(e.prod, a, a, e.panel, n)
 		a, e.prod = e.prod, a
 	}
 	// B = Φ·C⁻¹ (scale columns); b = Φ·(C⁻¹·Gamb·Tamb) = B·(Gamb·Tamb).
@@ -433,28 +455,113 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	return &propagator{a: a, bt: bt, c: c}
 }
 
-// matmulScaled computes dst = (x·y)·f for n×n row-major matrices.
-// dst must not alias x or y. The i-k-j loop order keeps the inner loop
-// a contiguous saxpy over y's rows.
-func matmulScaled(dst, x, y []float64, n int, f float64) {
+// The two build kernels keep one summation rule, which makes their
+// output independent of how they block the loops: every output element
+// is the sum over k, in increasing k order, starting from +0, of
+// products each rounded on its own (the float64 conversions forbid the
+// compiler from fusing a multiply-add, as it may on some
+// architectures). Under round-to-nearest a sum that starts at +0 never
+// becomes −0, and adding ±0 to it changes nothing, so skipping an
+// exact-zero product or adding one leaves every bit unchanged.
+
+// csr holds a square matrix's nonzeros in compressed sparse row form.
+type csr struct {
+	rowPtr []int // row k's entries are col/val[rowPtr[k]:rowPtr[k+1]]
+	col    []int
+	val    []float64
+}
+
+// newCSR compresses the n×n row-major matrix m, columns ascending.
+func newCSR(m []float64, n int) csr {
+	s := csr{rowPtr: make([]int, n+1)}
+	for k := 0; k < n; k++ {
+		for j, v := range m[k*n : k*n+n] {
+			if v != 0 {
+				s.col = append(s.col, j)
+				s.val = append(s.val, v)
+			}
+		}
+		s.rowPtr[k+1] = len(s.col)
+	}
+	return s
+}
+
+// mulScaled computes dst = (x·H)·f for the n×n row-major x, where H is
+// the receiver. dst must not alias x. Row i of the product walks the
+// nonzero entries x[i][k], k ascending, and scatters each into the
+// columns where row k of H is nonzero: n²·(nonzeros per row) terms
+// rather than n³.
+func (h csr) mulScaled(dst, x []float64, f float64) {
+	n := len(h.rowPtr) - 1
 	for i := 0; i < n; i++ {
 		di := dst[i*n : i*n+n]
-		for j := range di {
-			di[j] = 0
-		}
-		xi := x[i*n : i*n+n]
-		for k := 0; k < n; k++ {
-			v := xi[k]
+		clear(di)
+		for k, v := range x[i*n : i*n+n] {
 			if v == 0 {
 				continue
 			}
-			yk := y[k*n : k*n+n]
-			for j, w := range yk {
-				di[j] += v * w
+			lo, hi := h.rowPtr[k], h.rowPtr[k+1]
+			vals := h.val[lo:hi]
+			for p, j := range h.col[lo:hi] {
+				di[j] += float64(v * vals[p])
 			}
 		}
 		for j := range di {
 			di[j] *= f
+		}
+	}
+}
+
+// matmul computes dst = x·y for n×n row-major matrices; panel is
+// scratch of length n. dst must not alias x or y. After Goto and van
+// de Geijn's "Anatomy of High-Performance Matrix Multiplication": four
+// columns of y at a time are packed k-major into panel, and each pass
+// over it keeps a 2×4 tile of dst in registers while k runs innermost,
+// so every loaded x and panel element feeds several products. Columns
+// past n in the last panel are zero-padded and never stored; an odd
+// last row takes a 1×4 tile.
+func matmul(dst, x, y []float64, panel [][4]float64, n int) {
+	panel = panel[:n]
+	for j0 := 0; j0 < n; j0 += 4 {
+		w := min(4, n-j0)
+		for k := range panel {
+			pk := panel[k][:]
+			clear(pk[copy(pk, y[k*n+j0:k*n+j0+w]):])
+		}
+		i := 0
+		for ; i+2 <= n; i += 2 {
+			x0 := x[i*n : i*n+n]
+			x1 := x[i*n+n : i*n+2*n]
+			x1, pan := x1[:len(x0)], panel[:len(x0)]
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			for k, a0 := range x0 {
+				a1 := x1[k]
+				p := &pan[k]
+				c00 += float64(a0 * p[0])
+				c01 += float64(a0 * p[1])
+				c02 += float64(a0 * p[2])
+				c03 += float64(a0 * p[3])
+				c10 += float64(a1 * p[0])
+				c11 += float64(a1 * p[1])
+				c12 += float64(a1 * p[2])
+				c13 += float64(a1 * p[3])
+			}
+			r0 := [4]float64{c00, c01, c02, c03}
+			r1 := [4]float64{c10, c11, c12, c13}
+			copy(dst[i*n+j0:i*n+j0+w], r0[:])
+			copy(dst[i*n+n+j0:i*n+n+j0+w], r1[:])
+		}
+		if i < n {
+			var c0, c1, c2, c3 float64
+			for k, a := range x[i*n : i*n+n] {
+				p := &panel[k]
+				c0 += float64(a * p[0])
+				c1 += float64(a * p[1])
+				c2 += float64(a * p[2])
+				c3 += float64(a * p[3])
+			}
+			r := [4]float64{c0, c1, c2, c3}
+			copy(dst[i*n+j0:i*n+j0+w], r[:])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"thermbal/internal/floorplan"
@@ -259,5 +260,57 @@ func TestExpmSharedBuildCache(t *testing.T) {
 	}
 	if pA == pC {
 		t.Error("distinct packages shared a propagator")
+	}
+}
+
+// resetSharedProps empties the process-wide propagator cache, so the
+// next miss on any system builds.
+func resetSharedProps() {
+	sharedPropMu.Lock()
+	sharedProps = map[uint64][]*sharedPropEntry{}
+	sharedPropN = 0
+	sharedPropMu.Unlock()
+}
+
+// Concurrent runs that miss the same system and span must share one
+// build: the first publishes an in-flight entry and the others wait on
+// it instead of each building (and caching) their own copy.
+func TestExpmConcurrentMissBuildsOnce(t *testing.T) {
+	m, err := NewModel(floorplan.StreamingMPSoC(16), MobileEmbedded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resetSharedProps()
+	sharedPropMu.Lock()
+	before := sharedPropBuilds
+	sharedPropMu.Unlock()
+
+	const runs = 4
+	got := make([]*propagator, runs)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < runs; r++ {
+		e := newExpm(1)
+		e.bind(m.Net.View())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[r] = e.propagator(10e-3)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	sharedPropMu.Lock()
+	builds, entries := sharedPropBuilds-before, sharedPropN
+	sharedPropMu.Unlock()
+	if builds != 1 || entries != 1 {
+		t.Errorf("%d concurrent misses made %d builds and %d cache entries, want 1 and 1", runs, builds, entries)
+	}
+	for r, p := range got {
+		if p == nil || p != got[0] {
+			t.Errorf("run %d received propagator %p, run 0 %p", r, p, got[0])
+		}
 	}
 }
