@@ -158,10 +158,10 @@ LOAD_BASE = $$(git ls-files 'LOAD_*.json' | paste -sd, -)
 
 load-diff:
 ifdef LOAD_NEW
-	$(GO) run ./cmd/loaddiff -base "$(LOAD_BASE)" -new $(LOAD_NEW)
+	$(GO) run ./cmd/trajectory load -base "$(LOAD_BASE)" -new $(LOAD_NEW)
 else
 	$(GO) run ./cmd/thermload -self -out .load-new.json
-	$(GO) run ./cmd/loaddiff -base "$(LOAD_BASE)" -new .load-new.json
+	$(GO) run ./cmd/trajectory load -base "$(LOAD_BASE)" -new .load-new.json
 	@rm -f .load-new.json
 endif
 
@@ -227,17 +227,17 @@ bench-json:
 	fi
 	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 1x -benchmem . > .bench.tmp
 	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -benchmem ./internal/thermal >> .bench.tmp
-	$(GO) run ./cmd/bench2json < .bench.tmp > $(BENCH_OUT)
+	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > $(BENCH_OUT)
 	@rm -f .bench.tmp
 	@echo "wrote $(BENCH_OUT)"
 
 # Compare Sweep and ExpmBuild benchmark numbers against the latest
 # committed trajectory point; fails when any of them is >15% slower
 # (a benchmark the baseline lacks is reported, not gated).
-# Set BENCH_NEW to an existing bench2json document (CI reuses the
+# Set BENCH_NEW to an existing bench-json document (CI reuses the
 # bench-json artifact it just produced) to skip the fresh run.
 # Every *committed* trajectory point is offered as a baseline
-# candidate and benchdiff picks the newest by the JSON `date` field —
+# candidate and cmd/trajectory picks the newest by the JSON `date` field —
 # not by filename — so a same-day `_2`-suffixed point is never
 # shadowed, and a BENCH_<date>.json freshly written by `make
 # bench-json` cannot become its own baseline.
@@ -245,13 +245,13 @@ BENCH_BASE = $$(git ls-files 'BENCH_*.json' | paste -sd, -)
 
 bench-diff:
 ifdef BENCH_NEW
-	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new $(BENCH_NEW) -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
+	$(GO) run ./cmd/trajectory bench -base "$(BENCH_BASE)" -new $(BENCH_NEW) -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
 else
 	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 3x -benchmem . > .bench.tmp
 	$(GO) test -bench BenchmarkExpmBuild -run '^$$' -benchtime 3x -benchmem ./internal/thermal >> .bench.tmp
-	$(GO) run ./cmd/bench2json < .bench.tmp > .bench-new.json
+	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > .bench-new.json
 	@rm -f .bench.tmp
-	$(GO) run ./cmd/benchdiff -base "$(BENCH_BASE)" -new .bench-new.json -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
+	$(GO) run ./cmd/trajectory bench -base "$(BENCH_BASE)" -new .bench-new.json -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
 	@rm -f .bench-new.json
 endif
 

@@ -3,7 +3,7 @@
 // Zipf-skewed key repetition, measures p50/p95/p99 per endpoint and per
 // X-Timing stage plus shed/quota/error rates, and emits both a human
 // table and the schema-versioned LOAD_<date>.json trajectory document
-// that cmd/loaddiff compares across commits.
+// that `trajectory load` (make load-diff) compares across commits.
 //
 // Usage:
 //

@@ -10,8 +10,8 @@ import (
 )
 
 // SchemaVersion versions the LOAD_<date>.json document. Bump it when a
-// field changes meaning; cmd/loaddiff refuses to compare documents
-// across versions.
+// field changes meaning; DecodeReport — and with it `trajectory load` —
+// refuses documents of any other version.
 const SchemaVersion = 1
 
 // Quantiles is an exact latency summary (order statistics over the

@@ -29,10 +29,10 @@ import (
 //     nothing and are never shed.
 //
 //  3. Priority classes on the execution slots. Interactive work (sync
-//     /run) acquires a freed MaxSims slot ahead of bulk work (async
-//     job runs and decomposed sweep cells), FIFO within each class, so
-//     a queued catalogue sweep cannot starve the request a human is
-//     waiting on.
+//     /run and the cells of a sync /matrix) acquires a freed MaxSims
+//     slot ahead of bulk work (async job runs and matrix-job cells),
+//     FIFO within each class, so a queued catalogue sweep cannot
+//     starve the request a human is waiting on.
 //
 // Every overload refusal carries a Retry-After header: quota denials
 // compute it exactly (time until the bucket refills one token), shed
@@ -44,10 +44,6 @@ const (
 	prioInteractive = iota
 	prioBulk
 	numPriorities
-
-	// prioSweep selects the dedicated serialized sweep slot instead of
-	// the MaxSims pool (sync /matrix bodies; see executeMatrix).
-	prioSweep = -1
 )
 
 var prioNames = [numPriorities]string{"interactive", "bulk"}

@@ -269,24 +269,31 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	canon, mc, err := CanonicalizeMatrix(req)
+	canon, err := CanonicalizeMatrix(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	cells, err := matrixCells(canon)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The sync endpoint is bounded like /run, but over the whole cross
 	// product: a bare full-catalogue sweep must go through /jobs.
-	if sim := canon.simSeconds(); sim > s.cfg.MaxSyncSimS {
+	cost := sweepCost(cells)
+	if cost > s.cfg.MaxSyncSimS {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%.0f simulated seconds across %d cells exceeds the synchronous limit of %.0f; submit it to /jobs instead",
-				sim, len(canon.Scenarios)*len(canon.Policies), s.cfg.MaxSyncSimS))
+				cost, len(cells), s.cfg.MaxSyncSimS))
 		return
 	}
-	opt := canon.thermal()
-	opt.Runner = s.cfg.Runner
 	key := canon.Key()
 	w.Header().Set("X-Content-Key", key)
-	body, cacheState, err := s.executeMatrix(r.Context(), key, canon, mc, opt, &rec)
+	// Interactive cells: a human is waiting on this sweep, so its cells
+	// overtake queued job work for MaxSims slots.
+	cls := execClass{prio: prioInteractive, cost: cost}
+	body, cacheState, err := s.executeSweep(r.Context(), key, canon, cells, cls, &rec, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return

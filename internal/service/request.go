@@ -246,8 +246,8 @@ type MatrixRequest struct {
 }
 
 // CanonicalizeMatrix resolves a matrix request into its canonical form
-// plus the experiment configuration that executes it.
-func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, experiment.MatrixConfig, error) {
+// (matrixCells decomposes that into the runs that execute it).
+func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 	var c MatrixRequest
 	if len(req.Scenarios) == 0 {
 		c.Scenarios = scenario.Names()
@@ -256,7 +256,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, experiment.MatrixConf
 		for _, name := range req.Scenarios {
 			sc, err := cliutil.ResolveScenario(strings.TrimSpace(name))
 			if err != nil {
-				return MatrixRequest{}, experiment.MatrixConfig{}, err
+				return MatrixRequest{}, err
 			}
 			if !seen[sc.Name] {
 				seen[sc.Name] = true
@@ -271,7 +271,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, experiment.MatrixConf
 		for _, name := range req.Policies {
 			canon, err := cliutil.ResolvePolicy(strings.TrimSpace(name))
 			if err != nil {
-				return MatrixRequest{}, experiment.MatrixConfig{}, err
+				return MatrixRequest{}, err
 			}
 			if !seen[canon] {
 				seen[canon] = true
@@ -280,22 +280,22 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, experiment.MatrixConf
 		}
 	}
 	if req.Delta < 0 {
-		return MatrixRequest{}, experiment.MatrixConfig{}, fmt.Errorf("negative threshold delta %g", req.Delta)
+		return MatrixRequest{}, fmt.Errorf("negative threshold delta %g", req.Delta)
 	}
 	c.Delta = req.Delta
 	pkg, err := parsePackage(req.Package)
 	if err != nil {
-		return MatrixRequest{}, experiment.MatrixConfig{}, err
+		return MatrixRequest{}, err
 	}
 	c.Package = pkg.String()
 	mech, err := ParseMechanism(req.Mechanism)
 	if err != nil {
-		return MatrixRequest{}, experiment.MatrixConfig{}, err
+		return MatrixRequest{}, err
 	}
 	c.Mechanism = mech.String()
 	thermalCfg, err := cliutil.ParseIntegrator(req.Integrator)
 	if err != nil {
-		return MatrixRequest{}, experiment.MatrixConfig{}, err
+		return MatrixRequest{}, err
 	}
 	c.Integrator = thermalCfg.Scheme.String()
 	c.WarmupS = max(req.WarmupS, 0)
@@ -304,48 +304,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, experiment.MatrixConf
 	if c.QueueCap <= 0 {
 		c.QueueCap = stream.DefaultQueueCap
 	}
-
-	mc := experiment.MatrixConfig{
-		Scenarios: c.Scenarios,
-		Policies:  c.Policies,
-		Delta:     c.Delta,
-		Package:   pkg,
-		WarmupS:   c.WarmupS,
-		MeasureS:  c.MeasureS,
-		QueueCap:  c.QueueCap,
-		Mechanism: mech,
-	}
-	return c, mc, nil
-}
-
-// simSeconds returns the total simulated time of the sweep — each
-// cell's warmup + measure phases (the request's overrides where
-// positive, otherwise the scenario's or the paper's defaults), summed
-// over the scenarios × policies cross product. The sync /matrix
-// endpoint bounds this like /run bounds a single request. Call on
-// canonical requests, whose scenario names always resolve.
-func (c MatrixRequest) simSeconds() float64 {
-	var total float64
-	for _, name := range c.Scenarios {
-		sc, err := scenario.Lookup(name)
-		if err != nil {
-			continue
-		}
-		w, m := experiment.Phases(sc, c.WarmupS, c.MeasureS)
-		total += (w + m) * float64(len(c.Policies))
-	}
-	return total
-}
-
-// thermal reconstructs the integrator configuration of a canonical
-// matrix request (for the experiment Options).
-func (c MatrixRequest) thermal() experiment.Options {
-	cfg, err := cliutil.ParseIntegrator(c.Integrator)
-	if err != nil {
-		// Canonical requests always carry a valid scheme name.
-		panic(fmt.Sprintf("service: canonical integrator %q: %v", c.Integrator, err))
-	}
-	return experiment.Options{Thermal: cfg}
+	return c, nil
 }
 
 // keyString is the matrix hash pre-image; layout frozen like
@@ -401,10 +360,9 @@ func NewRunDoc(canon Request, res sim.Result) RunDoc {
 }
 
 // MatrixCellDoc is one (scenario, policy) outcome of a matrix sweep.
-// Result holds the encoded experiment.Summary as raw JSON: matrix
-// bodies are assembled both from fresh sweeps and from individually
-// persisted per-cell run documents, and splicing the stored bytes
-// verbatim is what keeps the two assembly paths byte-identical.
+// Result holds the encoded experiment.Summary as raw JSON: the cell's
+// run document's result block spliced verbatim, so a sweep cell and a
+// direct /run of the same configuration carry identical bytes.
 type MatrixCellDoc struct {
 	Scenario string          `json:"scenario"`
 	Policy   string          `json:"policy"`
@@ -419,25 +377,6 @@ type MatrixDoc struct {
 	Request       MatrixRequest `json:"request"`
 	// Cells are scenario-major, in the canonical axis order.
 	Cells []MatrixCellDoc `json:"cells"`
-}
-
-// NewMatrixDoc builds the schema document for one executed sweep.
-func NewMatrixDoc(canon MatrixRequest, cells []experiment.MatrixCell) (MatrixDoc, error) {
-	doc := MatrixDoc{
-		SchemaVersion: experiment.SchemaVersion,
-		Kind:          "matrix",
-		Key:           canon.Key(),
-		Request:       canon,
-		Cells:         make([]MatrixCellDoc, len(cells)),
-	}
-	for i, c := range cells {
-		raw, err := json.Marshal(experiment.Summarize(c.Result))
-		if err != nil {
-			return MatrixDoc{}, err
-		}
-		doc.Cells[i] = MatrixCellDoc{Scenario: c.Scenario, Policy: c.Policy, Result: raw}
-	}
-	return doc, nil
 }
 
 // matrixCells decomposes a canonical matrix request into its cells:
@@ -470,11 +409,21 @@ func matrixCells(canon MatrixRequest) ([]cellTask, error) {
 	return cells, nil
 }
 
+// sweepCost is a sweep's estimated simulated seconds: every cell's
+// warmup + measure phases, summed. The sync /matrix endpoint bounds it
+// like /run bounds a single request, and admission reserves it.
+func sweepCost(cells []cellTask) float64 {
+	var total float64
+	for _, c := range cells {
+		total += c.req.WarmupS + c.req.MeasureS
+	}
+	return total
+}
+
 // assembleMatrixDoc splices individually persisted per-cell run bodies
 // into the whole-sweep document. Each cell body is the encoded RunDoc
 // the cell's execution produced (or a store/cache hit of it); its raw
-// result block is lifted verbatim, so the assembled bytes equal what a
-// monolithic sweep of the same canonical request would encode.
+// result block is lifted verbatim.
 func assembleMatrixDoc(canon MatrixRequest, cells []cellTask, bodies [][]byte) (MatrixDoc, error) {
 	doc := MatrixDoc{
 		SchemaVersion: experiment.SchemaVersion,

@@ -138,7 +138,7 @@ func TestCanonicalizeRejectsUnknownWithSuggestion(t *testing.T) {
 }
 
 func TestCanonicalizeMatrix(t *testing.T) {
-	canon, mc, err := CanonicalizeMatrix(MatrixRequest{
+	canon, err := CanonicalizeMatrix(MatrixRequest{
 		Scenarios: []string{"sdr-radio", "sdr-radio", "video-decoder"},
 		Policies:  []string{"tb", "thermal-balance", "eb"},
 	})
@@ -151,13 +151,33 @@ func TestCanonicalizeMatrix(t *testing.T) {
 	if want := []string{"thermal-balance", "energy-balance"}; !equalStrings(canon.Policies, want) {
 		t.Errorf("policies = %v, want %v", canon.Policies, want)
 	}
-	if len(mc.Scenarios) != 2 || len(mc.Policies) != 2 {
-		t.Errorf("matrix config axes = %v x %v", mc.Scenarios, mc.Policies)
+	// The cells are the scenario-major cross product of the canonical
+	// axes, each keyed exactly like a direct /run of its configuration.
+	cells, err := matrixCells(canon)
+	if err != nil {
+		t.Fatalf("matrixCells: %v", err)
+	}
+	if len(cells) != 4 {
+		t.Fatalf("%d cells, want 2 x 2", len(cells))
+	}
+	for i, c := range cells {
+		sn, pn := canon.Scenarios[i/2], canon.Policies[i%2]
+		if c.req.Scenario != sn || c.req.Policy != pn || c.rc.Scenario != sn || c.rc.PolicyName != pn {
+			t.Errorf("cell %d = %s/%s (run config %s/%s), want %s/%s",
+				i, c.req.Scenario, c.req.Policy, c.rc.Scenario, c.rc.PolicyName, sn, pn)
+		}
+		direct, _, err := Canonicalize(Request{Scenario: sn, Policy: pn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.req.Key() != direct.Key() {
+			t.Errorf("cell %s/%s key differs from a direct /run's", sn, pn)
+		}
 	}
 
 	// Alias spellings and axis defaults canonicalize to the same key.
 	k1 := canon.Key()
-	canon2, _, err := CanonicalizeMatrix(MatrixRequest{
+	canon2, err := CanonicalizeMatrix(MatrixRequest{
 		Scenarios:  []string{"sdr-radio", "video-decoder"},
 		Policies:   []string{"migra", "energy-balance"},
 		Package:    "mobile",
@@ -171,7 +191,7 @@ func TestCanonicalizeMatrix(t *testing.T) {
 		t.Errorf("alias matrix key %s != %s", k2, k1)
 	}
 	// Empty axes select everything.
-	all, _, err := CanonicalizeMatrix(MatrixRequest{})
+	all, err := CanonicalizeMatrix(MatrixRequest{})
 	if err != nil {
 		t.Fatalf("CanonicalizeMatrix(all): %v", err)
 	}

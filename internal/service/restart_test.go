@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -136,10 +135,9 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 	}
 
 	// The hit comparison above reads the job's own assembled bytes
-	// back; the invariant is stronger — splicing persisted cell bodies
-	// must equal what a cold monolithic sweep encodes. A fresh
-	// memory-only server runs the sweep through experiment.Matrix
-	// with nothing cached.
+	// back; the invariant is stronger — splicing resumed, partly
+	// persisted cell bodies must equal a cold sweep with nothing
+	// cached, run by a fresh memory-only server.
 	_, tsFresh := newTestServer(t, Config{})
 	resp, freshBody := do(t, http.MethodPost, tsFresh.URL+"/matrix",
 		`{"scenarios":["sdr-radio"],"policies":["eb","tb"],"warmup_s":0.3,"measure_s":0.5}`)
@@ -147,7 +145,7 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 		t.Fatalf("fresh sweep X-Cache = %q, want miss", got)
 	}
 	if !bytes.Equal(bytes.TrimRight(freshBody, "\n"), bytes.TrimRight(done.Result, "\n")) {
-		t.Error("assembled sweep document differs from a cold monolithic /matrix sweep")
+		t.Error("assembled sweep document differs from a cold /matrix sweep")
 	}
 }
 
@@ -316,38 +314,27 @@ func TestDuplicateJobCancelKeepsSharedJournal(t *testing.T) {
 }
 
 // TestMatrixJobCoalescesWithSyncSweep: a matrix job submitted while an
-// identical sync /matrix is in flight joins that execution instead of
+// identical sync /matrix is in flight joins that sweep instead of
 // re-running every cell.
 func TestMatrixJobCoalescesWithSyncSweep(t *testing.T) {
 	release := make(chan struct{})
 	var cellExecs atomic.Int64
 	s, ts := newTestServer(t, Config{
-		runMatrix: func(ctx context.Context, mc experiment.MatrixConfig, opt experiment.Options) ([]experiment.MatrixCell, error) {
-			<-release
-			var cells []experiment.MatrixCell
-			for _, sn := range mc.Scenarios {
-				for _, pn := range mc.Policies {
-					cells = append(cells, experiment.MatrixCell{Scenario: sn, Policy: pn})
-				}
-			}
-			return cells, nil
-		},
+		MaxSims: 2,
 		runSim: func(rc experiment.RunConfig) (sim.Result, error) {
 			cellExecs.Add(1)
+			<-release
 			return sim.Result{PolicyName: rc.PolicyName}, nil
 		},
 	})
 	const sweep = `{"scenarios":["sdr-radio"],"policies":["eb","tb"],"warmup_s":0.3,"measure_s":0.5}`
 	// Plain client call: t.Fatal is not legal off the test goroutine,
-	// and the flight-count poll below is the actual synchronization.
+	// and the execution-count poll below is the actual synchronization.
 	go http.Post(ts.URL+"/matrix", "application/json", strings.NewReader(sweep))
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if inflight, _ := s.flight.counts(); inflight == 1 {
-			break
-		}
+	for cellExecs.Load() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("sync sweep never took flight")
+			t.Fatal("sync sweep never started both cells")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -370,8 +357,8 @@ func TestMatrixJobCoalescesWithSyncSweep(t *testing.T) {
 	}
 	close(release)
 	done := waitState(t, ts, submitted.ID, JobDone)
-	if got := cellExecs.Load(); got != 0 {
-		t.Errorf("coalesced matrix job executed %d cells, want 0", got)
+	if got := cellExecs.Load(); got != 2 {
+		t.Errorf("engine ran %d cells, want only the sync sweep's 2 (the job executes none)", got)
 	}
 	if p := done.Progress; p == nil || p.CompletedCells != 2 || p.CachedCells != 2 || p.ExecutedCells != 0 {
 		t.Errorf("coalesced sweep progress = %+v, want 2 completed / 2 cached / 0 executed", done.Progress)

@@ -53,20 +53,14 @@ type Config struct {
 	// jobs stay pollable; older ones are pruned with their result
 	// bodies so the job table cannot grow without bound (default 256).
 	JobRetention int
-	// MaxSims bounds single-run simulations executing concurrently
-	// across the sync endpoints and the job workers (default
-	// 2×GOMAXPROCS). Detached sync executions are otherwise unbounded
-	// in number — every distinct canonical config starts one — so
-	// without a cap a burst of distinct requests could exhaust the
-	// machine; beyond the cap, executions queue for a slot. Matrix
-	// jobs decompose into per-cell runs that hold MaxSims slots like
-	// any other; synchronous /matrix sweeps are bounded separately —
-	// they execute one at a time (each saturates its own Runner pool),
-	// so total engine concurrency is at most MaxSims + Runner workers.
+	// MaxSims bounds engine executions running concurrently across
+	// every endpoint and the job workers (default 2×GOMAXPROCS).
+	// Detached sync executions are otherwise unbounded in number —
+	// every distinct canonical config starts one — so without a cap a
+	// burst of distinct requests could exhaust the machine; beyond the
+	// cap, executions queue for a slot. Sweeps, sync or async, run as
+	// per-cell executions that hold MaxSims slots like any other run.
 	MaxSims int
-	// Runner is the worker pool /matrix sweeps and matrix jobs run on
-	// (zero value: GOMAXPROCS workers).
-	Runner experiment.Runner
 	// MaxSyncSimS bounds the simulated seconds (warmup + measure) a
 	// synchronous /run accepts; longer runs must go through the async
 	// /jobs queue (default 600).
@@ -107,12 +101,11 @@ type Config struct {
 	// eviction cannot drop the job journal.
 	Store *store.Store
 
-	// runSim / runMatrix substitute the execution seams. In-package
-	// tests inject blocking or counting stubs here — before New spawns
-	// any goroutine, so no synchronization is needed — to observe
-	// coalescing deterministically. nil selects the real engine.
-	runSim    func(rc experiment.RunConfig) (sim.Result, error)
-	runMatrix func(ctx context.Context, mc experiment.MatrixConfig, opt experiment.Options) ([]experiment.MatrixCell, error)
+	// runSim substitutes the engine. In-package tests inject blocking
+	// or counting stubs here — before New spawns any goroutine, so no
+	// synchronization is needed — to observe coalescing
+	// deterministically. nil selects the real engine.
+	runSim func(rc experiment.RunConfig) (sim.Result, error)
 }
 
 func (c Config) fill() Config {
@@ -151,25 +144,25 @@ func (c Config) fill() Config {
 // async job queue. Create with New, expose with Handler, stop with
 // Close.
 type Server struct {
-	cfg       Config
-	cache     *lruCache
-	flight    flightGroup
-	jobs      jobManager
-	slots     *prioSlots    // single-run execution slots (MaxSims), priority-classed
-	sweepSlot chan struct{} // matrix executions, serialized (cap 1)
-	budget    costBudget    // admitted-but-unfinished simulated seconds
-	quota     *tenantQuotas // per-tenant token buckets; nil when disabled
-	base      context.Context
-	stop      context.CancelFunc
-	start     time.Time
-	metrics   *serverMetrics
+	cfg     Config
+	cache   *lruCache
+	flight  flightGroup
+	jobs    jobManager
+	slots   *prioSlots    // engine execution slots (MaxSims), priority-classed
+	budget  costBudget    // admitted-but-unfinished simulated seconds
+	quota   *tenantQuotas // per-tenant token buckets; nil when disabled
+	base    context.Context
+	stop    context.CancelFunc
+	start   time.Time
+	metrics *serverMetrics
 
 	// shed counts overload refusals by reason (see shedReasonNames);
 	// every one of them was answered with 503 + Retry-After.
 	shed [numShedReasons]atomic.Int64
 
-	// executions counts actual engine runs (one per coalesced group;
-	// cache and store hits execute nothing).
+	// executions counts actual engine runs (one per coalesced group,
+	// one per executed sweep cell; cache and store hits execute
+	// nothing).
 	executions atomic.Int64
 	// storeServes counts responses served straight from the durable
 	// store (a warm restart's first requests); storeErrors counts
@@ -184,23 +177,20 @@ type Server struct {
 	proofsServed atomic.Int64
 	proofErrors  atomic.Int64
 
-	// runSim / runMatrix are the execution seams; tests substitute
-	// them to observe or control execution counts deterministically.
-	runSim    func(rc experiment.RunConfig) (sim.Result, error)
-	runMatrix func(ctx context.Context, mc experiment.MatrixConfig, opt experiment.Options) ([]experiment.MatrixCell, error)
+	// runSim is the engine seam; tests substitute it to observe or
+	// control execution counts deterministically.
+	runSim func(rc experiment.RunConfig) (sim.Result, error)
 }
 
 // New builds a Server and starts its job workers.
 func New(cfg Config) *Server {
 	cfg = cfg.fill()
 	s := &Server{
-		cfg:       cfg,
-		cache:     newLRUCache(cfg.CacheEntries),
-		slots:     newPrioSlots(cfg.MaxSims),
-		sweepSlot: make(chan struct{}, 1),
-		start:     time.Now(),
-		runSim:    cfg.runSim,
-		runMatrix: cfg.runMatrix,
+		cfg:    cfg,
+		cache:  newLRUCache(cfg.CacheEntries),
+		slots:  newPrioSlots(cfg.MaxSims),
+		start:  time.Now(),
+		runSim: cfg.runSim,
 	}
 	s.budget.max = cfg.MaxPendingSimS
 	if cfg.QuotaRPS > 0 {
@@ -210,11 +200,6 @@ func New(cfg Config) *Server {
 		s.runSim = func(rc experiment.RunConfig) (sim.Result, error) {
 			res, _, err := experiment.Run(rc)
 			return res, err
-		}
-	}
-	if s.runMatrix == nil {
-		s.runMatrix = func(ctx context.Context, mc experiment.MatrixConfig, opt experiment.Options) ([]experiment.MatrixCell, error) {
-			return experiment.Matrix(ctx, opt, mc)
 		}
 	}
 	s.base, s.stop = context.WithCancel(context.Background())
@@ -254,33 +239,26 @@ func (s *Server) Close() { s.stop() }
 
 // execute serves one canonical request's encoded body: in-memory
 // cache first, then the durable store, then the coalescing layer,
-// then build — an actual engine execution plus encoding — whose
-// result is cached under key and appended to the store. cls carries
-// the execution's admission parameters: its cost in estimated
-// simulated seconds (reserved against the pending budget before the
-// engine is touched; a reservation the budget refuses sheds the
-// request with 503 instead of queueing it) and its slot priority —
-// sweeps hold the dedicated serialized sweep slot, everything else
-// queues for a MaxSims slot at its class, interactive ahead of bulk.
-// Only work that would actually execute pays any of this: cache hits,
-// store hits and coalesced waiters reserve nothing and are never
-// shed. Distinct keys only — identical requests are coalesced and
-// never queue twice. The returned cache state is "hit" (memory),
-// "store" (durable store, after a restart), "miss" (this caller
-// executed) or "coalesced" (another caller's execution was shared).
-// ctx bounds only this caller's wait: the execution itself is
-// detached, so one disconnecting client neither starves the coalesced
-// others nor wastes the result — it still lands in the cache and the
-// store.
+// then build — which produces the body (an engine run or a whole
+// sweep) and keeps it (see keep). cost is the work's estimated
+// simulated seconds, reserved against the pending budget before build
+// runs; a reservation the budget refuses sheds the request with 503
+// instead of queueing it. Only work that would actually execute pays
+// it: cache hits, store hits and coalesced waiters reserve nothing and
+// are never shed. The returned cache state is "hit" (memory), "store"
+// (durable store, after a restart), "miss" (this caller executed) or
+// "coalesced" (another caller's execution was shared). ctx bounds only
+// this caller's wait: the execution itself is detached, so one
+// disconnecting client neither starves the coalesced others nor wastes
+// the result — it still lands in the cache and the store.
 //
-// rec is the caller's timing record. The execution stamps its own
-// stage boundaries (queue wait, execute, encode, store append) into a
-// record owned by the detached goroutine — never the caller's, which
-// may have abandoned its wait — and observes them into the stage
-// histograms itself; the caller's rec inherits the stamps only when it
-// was the leader that saw the execution through (flight.Do copies
-// them). A coalesced waiter's rec instead carries its coalesce wait.
-func (s *Server) execute(ctx context.Context, key string, cls execClass, rec *obs.TimingRecord, build func(er *obs.TimingRecord) ([]byte, error)) ([]byte, string, error) {
+// rec is the caller's timing record. build stamps its stage
+// boundaries into a record owned by the detached execution — never the
+// caller's, which may have abandoned its wait; the caller's rec
+// inherits the stamps only when it was the leader that saw the
+// execution through (flight.Do copies them). A coalesced waiter's rec
+// instead carries its coalesce wait.
+func (s *Server) execute(ctx context.Context, key string, cost float64, rec *obs.TimingRecord, build func(er *obs.TimingRecord) ([]byte, error)) ([]byte, string, error) {
 	if body, state, ok := s.lookup(key, false); ok {
 		return body, state, nil
 	}
@@ -299,47 +277,15 @@ func (s *Server) execute(ctx context.Context, key string, cls execClass, rec *ob
 			leaderState = state
 			return body, nil
 		}
-		// Cost admission precedes the slot queue: a backlogged server
+		// Cost admission precedes any slot queue: a backlogged server
 		// refuses new work up front (bounded Retry-After) rather than
 		// parking it behind an unbounded line of predecessors.
-		if !s.budget.admit(cls.cost) {
+		if !s.budget.admit(cost) {
 			s.shed[shedCost].Add(1)
 			return nil, &shedError{retryAfter: shedRetryAfter(s.budget.pendingSimS(), s.cfg.MaxSims)}
 		}
-		defer s.budget.release(cls.cost)
-		qStart := time.Now()
-		if cls.prio < 0 {
-			// The serialized sweep slot: sync /matrix bodies, one at a
-			// time (each saturates its own Runner pool).
-			s.sweepSlot <- struct{}{}
-			defer func() { <-s.sweepSlot }()
-		} else {
-			if err := s.slots.acquire(s.base, cls.prio); err != nil {
-				return nil, err // server closing
-			}
-			defer s.slots.release()
-		}
-		er.D[obs.StageQueue] = time.Since(qStart)
-		s.executions.Add(1)
-		body, err := build(er)
-		stored := false
-		if err == nil {
-			s.cache.Add(key, body)
-			if s.cfg.Store != nil {
-				pStart := time.Now()
-				s.storePut(key, body)
-				er.D[obs.StageStore] = time.Since(pStart)
-				stored = true
-			}
-		}
-		// Observed here, by the detached execution itself, so the stage
-		// histogram counts equal the executions counter even when every
-		// waiter has disconnected.
-		s.metrics.observeExecution(er, stored)
-		if err != nil {
-			return nil, err
-		}
-		return body, nil
+		defer s.budget.release(cost)
+		return build(er)
 	})
 	if err != nil {
 		return nil, "", err
@@ -350,6 +296,20 @@ func (s *Server) execute(ctx context.Context, key string, cls execClass, rec *ob
 		s.metrics.stages[obs.StageCoalesce].Observe(rec.D[obs.StageCoalesce])
 	}
 	return body, state, nil
+}
+
+// keep caches an executed body under key and appends it to the
+// durable store, stamping the append into er; it reports whether the
+// body was stored.
+func (s *Server) keep(key string, body []byte, er *obs.TimingRecord) bool {
+	s.cache.Add(key, body)
+	if s.cfg.Store == nil {
+		return false
+	}
+	t := time.Now()
+	s.storePut(key, body)
+	er.D[obs.StageStore] = time.Since(t)
+	return true
 }
 
 // lookup is the shared read ladder every serving path goes through:
@@ -404,49 +364,87 @@ func (s *Server) storePut(key string, body []byte) {
 	}
 }
 
-// executeRun serves one canonical run request on the MaxSims slots at
-// the given admission class (sync /run is interactive; job runs and
-// decomposed sweep cells are bulk). key is canon.Key(), computed once
-// by the caller so the handler can stamp it into the X-Content-Key
-// header without hashing twice.
+// executeRun serves one canonical run request. Its execution queues
+// for a MaxSims slot at cls.prio — interactive ahead of bulk — and is
+// counted and observed as one engine run. key is canon.Key(), computed
+// once by the caller so the handler can stamp it into the
+// X-Content-Key header without hashing twice.
 func (s *Server) executeRun(ctx context.Context, key string, cls execClass, canon Request, rc experiment.RunConfig, rec *obs.TimingRecord) ([]byte, string, error) {
-	return s.execute(ctx, key, cls, rec, func(er *obs.TimingRecord) ([]byte, error) {
+	return s.execute(ctx, key, cls.cost, rec, func(er *obs.TimingRecord) ([]byte, error) {
 		t := time.Now()
+		if err := s.slots.acquire(s.base, cls.prio); err != nil {
+			return nil, err // server closing
+		}
+		defer s.slots.release()
+		er.D[obs.StageQueue] = time.Since(t)
+		s.executions.Add(1)
+		t = time.Now()
 		res, err := s.runSim(rc)
 		er.D[obs.StageExecute] = time.Since(t)
-		if err != nil {
-			return nil, err
+		var body []byte
+		if err == nil {
+			t = time.Now()
+			body, err = EncodeDoc(NewRunDoc(canon, res))
+			er.D[obs.StageEncode] = time.Since(t)
 		}
-		t = time.Now()
-		body, err := EncodeDoc(NewRunDoc(canon, res))
-		er.D[obs.StageEncode] = time.Since(t)
+		stored := err == nil && s.keep(key, body, er)
+		// Observed here, by the detached execution itself, so the stage
+		// histogram counts equal the executions counter even when every
+		// waiter has disconnected.
+		s.metrics.observeExecution(er, stored)
 		return body, err
 	})
 }
 
-// executeMatrix serves one canonical scenarios × policies sweep. The
-// sweep runs under the server's base context (detached from any one
-// caller, cancelled on Close) across the configured Runner pool; it
-// holds the dedicated sweep slot, not a MaxSims one — a sweep fans out
-// over its whole pool, so running them one at a time keeps total
-// engine concurrency bounded by MaxSims + Runner workers. Its whole
-// cross-product cost is reserved against the pending budget.
-func (s *Server) executeMatrix(ctx context.Context, key string, canon MatrixRequest, mc experiment.MatrixConfig, opt experiment.Options, rec *obs.TimingRecord) ([]byte, string, error) {
-	return s.execute(ctx, key, execClass{prio: prioSweep, cost: canon.simSeconds()}, rec, func(er *obs.TimingRecord) ([]byte, error) {
+// executeSweep serves one canonical scenarios × policies sweep — the
+// one sweep path, for sync /matrix and matrix jobs alike. The whole
+// sweep is looked up, coalesced, cached and stored under its matrix
+// key like a run; its leader reserves cls.cost once and fans the cells
+// out through executeRun at cls.prio with cost 0, at most MaxSims at a
+// time. Every cell is therefore cached, stored and coalesced under its
+// own run key — a sweep interrupted by a kill resumes from its
+// completed cells, and only missing cells execute — and every cell
+// execution holds a MaxSims slot, so engine concurrency stays bounded
+// by MaxSims. cellDone, when non-nil, receives each settled cell's
+// cache state (a job's progress). The sweep's execute stage spans the
+// whole fan-out, cell queueing included; its encode stage is the
+// splice of the cell bodies.
+func (s *Server) executeSweep(ctx context.Context, key string, canon MatrixRequest, cells []cellTask, cls execClass, rec *obs.TimingRecord, cellDone func(state string)) ([]byte, string, error) {
+	return s.execute(ctx, key, cls.cost, rec, func(er *obs.TimingRecord) ([]byte, error) {
 		t := time.Now()
-		cells, err := s.runMatrix(s.base, mc, opt)
+		bodies := make([][]byte, len(cells))
+		// Cells run under the server's base context — detached from any
+		// one caller, cancelled on Close — and the first failing cell
+		// cancels the rest.
+		err := experiment.Runner{Workers: s.cfg.MaxSims}.ForEach(s.base, len(cells), func(ctx context.Context, i int) error {
+			cell := cells[i]
+			var cellRec obs.TimingRecord
+			body, state, err := s.executeRun(ctx, cell.req.Key(), execClass{prio: cls.prio}, cell.req, cell.rc, &cellRec)
+			if err != nil {
+				return fmt.Errorf("cell %s/%s: %w", cell.req.Scenario, cell.req.Policy, err)
+			}
+			bodies[i] = body
+			if cellDone != nil {
+				cellDone(state)
+			}
+			return nil
+		})
 		er.D[obs.StageExecute] = time.Since(t)
 		if err != nil {
 			return nil, err
 		}
 		t = time.Now()
-		doc, err := NewMatrixDoc(canon, cells)
+		doc, err := assembleMatrixDoc(canon, cells, bodies)
 		if err != nil {
 			return nil, err
 		}
 		body, err := EncodeDoc(doc)
 		er.D[obs.StageEncode] = time.Since(t)
-		return body, err
+		if err != nil {
+			return nil, err
+		}
+		s.keep(key, body, er)
+		return body, nil
 	})
 }
 
