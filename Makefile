@@ -6,9 +6,9 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-serve smoke-proof smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke loc clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke loc clean
 
-check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-serve smoke-proof smoke-load fuzz-smoke
+check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-load fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,11 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# The service's end-to-end checks run here as package tests against a
+# loopback server: cache byte-identity and X-Timing, /metrics against
+# /stats, kill-and-restart store hits, inclusion proofs
+# (internal/service), and thermproof's offline verdicts and exit
+# statuses (cmd/thermproof).
 race:
 	$(GO) test -race ./...
 
@@ -98,36 +103,6 @@ SERVE_ADDR ?= :8080
 
 serve:
 	$(GO) run ./cmd/thermservd -addr $(SERVE_ADDR)
-
-# End-to-end server self-check: thermservd starts on an ephemeral
-# port, exercises /scenarios and a cached-vs-fresh /run pair over real
-# TCP (bodies byte-identical, X-Timing headers parse and match the
-# executed-vs-cached shape), verifies /metrics reconciles with the
-# /stats counters, and runs the durable-store restart pass.
-smoke-serve:
-	$(GO) run ./cmd/thermservd -smoke
-
-# Provenance end to end. thermservd populates a store over HTTP (a
-# /run plus a two-cell sweep), seals it, verifies inclusion proofs
-# across a kill + restart, and leaves a verification kit (data dir,
-# proof.json + the body it commits to, the pinned chain head, and a
-# copy with one body byte flipped and the CRC fixed up). thermproof
-# then re-verifies everything offline — and MUST reject the tampered
-# copy with a nonzero exit naming the tampered record's key.
-SMOKE_PROOF_DIR ?= .smoke-proof.tmp
-
-smoke-proof:
-	$(GO) run ./cmd/thermservd -smoke-proof $(SMOKE_PROOF_DIR)
-	$(GO) run ./cmd/thermproof -data-dir $(SMOKE_PROOF_DIR)/data \
-		-chain-head "$$(tr -d '\n' < $(SMOKE_PROOF_DIR)/chain-head.txt)"
-	$(GO) run ./cmd/thermproof -proof $(SMOKE_PROOF_DIR)/proof.json -body $(SMOKE_PROOF_DIR)/body.json
-	@if $(GO) run ./cmd/thermproof -data-dir $(SMOKE_PROOF_DIR)/tampered >$(SMOKE_PROOF_DIR)/tamper.log 2>&1; then \
-		echo "smoke-proof: tampered store verified clean"; exit 1; \
-	fi
-	@grep -q "$$(tr -d '\n' < $(SMOKE_PROOF_DIR)/tampered-key.txt)" $(SMOKE_PROOF_DIR)/tamper.log || \
-		{ echo "smoke-proof: thermproof did not localize the tampered key:"; cat $(SMOKE_PROOF_DIR)/tamper.log; exit 1; }
-	@echo "smoke-proof: tamper rejected and localized: $$(head -1 $(SMOKE_PROOF_DIR)/tamper.log)"
-	@rm -rf $(SMOKE_PROOF_DIR)
 
 # Load-harness self-check: thermload starts an in-process server on an
 # ephemeral port, runs a short fixed-RPS open-loop load against it, and
@@ -266,6 +241,5 @@ loc:
 # (`go test -c` artifacts like thermbal.test).
 clean:
 	@rm -f .bench.tmp .bench-new.json bench-ci.json coverage*.out .spec.tmp.json .spec-run-a.json .spec-run-b.json .load-new.json load-ci.json
-	@rm -rf .smoke-proof.tmp
 	@find . -name '*.test' -type f -delete
 	$(GO) clean ./...

@@ -62,13 +62,6 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	useDeltas := deltas
-	if useDeltas == nil {
-		useDeltas = experiment.Deltas
-	}
-	// Fig11 formatting relies on the shared default axis; extend it when
-	// the user supplies a custom one.
-	experiment.Deltas = useDeltas
 
 	wantMobile := *pkgName == "both" || *pkgName == "mobile"
 	wantHP := *pkgName == "both" || *pkgName == "highperf" || *pkgName == "hp"
@@ -81,26 +74,26 @@ func main() {
 	}
 	var mob, hp []experiment.SweepPoint
 	if wantMobile {
-		mob, err = experiment.Sweep(ctx, opt, experiment.Mobile, useDeltas)
+		mob, err = experiment.Sweep(ctx, opt, experiment.Mobile, deltas)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(experiment.FormatStdDevFigure("Figure 7", experiment.Mobile, mob, useDeltas))
+		fmt.Print(experiment.FormatStdDevFigure("Figure 7", experiment.Mobile, mob, deltas))
 		fmt.Println()
-		fmt.Print(experiment.FormatMissFigure("Figure 8", experiment.Mobile, mob, useDeltas))
+		fmt.Print(experiment.FormatMissFigure("Figure 8", experiment.Mobile, mob, deltas))
 		fmt.Println()
 	}
 	if wantHP {
-		hp, err = experiment.Sweep(ctx, opt, experiment.HighPerf, useDeltas)
+		hp, err = experiment.Sweep(ctx, opt, experiment.HighPerf, deltas)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(experiment.FormatStdDevFigure("Figure 9", experiment.HighPerf, hp, useDeltas))
+		fmt.Print(experiment.FormatStdDevFigure("Figure 9", experiment.HighPerf, hp, deltas))
 		fmt.Println()
-		fmt.Print(experiment.FormatMissFigure("Figure 10", experiment.HighPerf, hp, useDeltas))
+		fmt.Print(experiment.FormatMissFigure("Figure 10", experiment.HighPerf, hp, deltas))
 		fmt.Println()
 	}
 	if wantMobile && wantHP {
-		fmt.Print(experiment.FormatFig11(experiment.Fig11(mob, hp, useDeltas)))
+		fmt.Print(experiment.FormatFig11(experiment.Fig11(mob, hp, deltas)))
 	}
 }

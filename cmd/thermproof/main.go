@@ -30,8 +30,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -40,26 +42,41 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run verifies what args name, reporting on stderr, and returns the
+// exit status: 0 when everything verifies, 1 on any mismatch, 2 on
+// usage errors.
+func run(args []string, stderr io.Writer) int {
 	log.SetFlags(0)
 	log.SetPrefix("thermproof: ")
+	log.SetOutput(stderr)
 
+	fs := flag.NewFlagSet("thermproof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataDir   = flag.String("data-dir", "", "store directory to verify end to end (read-only)")
-		proofFile = flag.String("proof", "", "inclusion-proof JSON document to verify (a saved GET /proof body)")
-		bodyFile  = flag.String("body", "", "result body the -proof must commit to (optional)")
-		chainHead = flag.String("chain-head", "", "pinned chain value (hex) the store's chain head — or the proof's chain link — must equal")
-		quiet     = flag.Bool("q", false, "suppress the ok-summary on success (failures always print)")
+		dataDir   = fs.String("data-dir", "", "store directory to verify end to end (read-only)")
+		proofFile = fs.String("proof", "", "inclusion-proof JSON document to verify (a saved GET /proof body)")
+		bodyFile  = fs.String("body", "", "result body the -proof must commit to (optional)")
+		chainHead = fs.String("chain-head", "", "pinned chain value (hex) the store's chain head — or the proof's chain link — must equal")
+		quiet     = fs.Bool("q", false, "suppress the ok-summary on success (failures always print)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *dataDir == "" && *proofFile == "" {
-		fmt.Fprintln(os.Stderr, "thermproof: nothing to verify; pass -data-dir and/or -proof")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "thermproof: nothing to verify; pass -data-dir and/or -proof")
+		fs.Usage()
+		return 2
 	}
 	if *bodyFile != "" && *proofFile == "" {
-		fmt.Fprintln(os.Stderr, "thermproof: -body is only meaningful with -proof")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "thermproof: -body is only meaningful with -proof")
+		return 2
 	}
 
 	ok := true
@@ -70,8 +87,9 @@ func main() {
 		ok = verifyStore(*dataDir, *chainHead, *quiet) && ok
 	}
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // verifyProof checks one saved proof document, optionally against the

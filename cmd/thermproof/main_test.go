@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"thermbal/internal/store"
@@ -11,7 +13,7 @@ import (
 
 // buildSealedStore populates a tiny store, seals it, and returns the
 // directory, a saved proof document, the body it commits to, and the
-// chain head — the same kit runSmokeProof leaves for the Makefile.
+// chain head.
 func buildSealedStore(t *testing.T) (dir, proofPath, bodyPath, chainHead string) {
 	t.Helper()
 	dir = t.TempDir()
@@ -133,5 +135,42 @@ func TestVerifyStoreModes(t *testing.T) {
 	}
 	if verifyStore(dir, "", false) {
 		t.Error("tampered store must fail verification")
+	}
+}
+
+// TestRunExitStatuses drives the command's entry point: its exit
+// status is the verdict scripts act on, and a failed store scan must
+// name the tampered record's key.
+func TestRunExitStatuses(t *testing.T) {
+	dir, proofPath, bodyPath, chainHead := buildSealedStore(t)
+	tampered, _, _, _ := buildSealedStore(t)
+	tamperedKey, err := store.TamperForTest(tampered, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		want    int
+		wantOut []string
+	}{
+		{"clean store with pinned head", []string{"-data-dir", dir, "-chain-head", chainHead}, 0, []string{"ok: "}},
+		{"proof with body", []string{"-proof", proofPath, "-body", bodyPath}, 0, []string{"ok: proof for key aaaa1111"}},
+		{"tampered store", []string{"-data-dir", tampered}, 1, []string{"FAIL:", tamperedKey}},
+		{"no arguments", nil, 2, []string{"nothing to verify"}},
+		{"body without proof", []string{"-data-dir", dir, "-body", bodyPath}, 2, []string{"-body is only meaningful with -proof"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if got := run(tc.args, &out); got != tc.want {
+				t.Errorf("run(%q) = %d, want %d; output:\n%s", tc.args, got, tc.want, &out)
+			}
+			for _, want := range tc.wantOut {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("run(%q) output lacks %q:\n%s", tc.args, want, &out)
+				}
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"thermbal/internal/core"
+	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
@@ -69,11 +70,11 @@ func run(pol policy.Policy) sim.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, inst.Platform, inst.Graph, pol)
+	engine, err := sim.New(sim.Config{PolicyStartS: experiment.DefaultWarmupS, MeasureStartS: experiment.DefaultWarmupS}, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := engine.Run(42.5); err != nil {
+	if err := engine.Run(experiment.DefaultWarmupS + experiment.DefaultMeasureS); err != nil {
 		log.Fatal(err)
 	}
 	return engine.Summarize()

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"thermbal/internal/core"
+	"thermbal/internal/experiment"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 )
@@ -40,8 +41,8 @@ func main() {
 
 	balancer := core.New(core.Params{Delta: *delta})
 	engine, err := sim.New(sim.Config{
-		PolicyStartS:  12.5, // the paper's first execution phase
-		MeasureStartS: 12.5,
+		PolicyStartS:  experiment.DefaultWarmupS, // the paper's first execution phase
+		MeasureStartS: experiment.DefaultWarmupS,
 		RecordTrace:   true,
 	}, plat, graph, balancer)
 	if err != nil {
@@ -49,7 +50,7 @@ func main() {
 	}
 	engine.SetOvershootDelta(*delta)
 
-	if err := engine.Run(42.5); err != nil {
+	if err := engine.Run(experiment.DefaultWarmupS + experiment.DefaultMeasureS); err != nil {
 		log.Fatal(err)
 	}
 	res := engine.Summarize()

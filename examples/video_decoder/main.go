@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"thermbal/internal/core"
+	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
@@ -25,11 +26,11 @@ func run(pol policy.Policy) sim.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, inst.Platform, inst.Graph, pol)
+	e, err := sim.New(sim.Config{PolicyStartS: experiment.DefaultWarmupS, MeasureStartS: experiment.DefaultWarmupS}, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := e.Run(42.5); err != nil {
+	if err := e.Run(experiment.DefaultWarmupS + experiment.DefaultMeasureS); err != nil {
 		log.Fatal(err)
 	}
 	return e.Summarize()

@@ -7,6 +7,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"thermbal/internal/bus"
@@ -528,15 +529,19 @@ func FormatStdDevFigure(fig string, pkg PackageSel, points []SweepPoint, deltas 
 }
 
 // FormatMissFigure renders Figures 8 (mobile) / 10 (high-perf):
-// deadline misses vs threshold.
+// deadline misses vs threshold, over the points' measurement window.
 func FormatMissFigure(fig string, pkg PackageSel, points []SweepPoint, deltas []float64) string {
 	if len(deltas) == 0 {
 		deltas = Deltas
 	}
+	window := DefaultMeasureS
+	if len(points) > 0 {
+		window = points[0].Result.MeasuredS
+	}
 	misses := series(points, deltas, func(r sim.Result) float64 { return float64(r.DeadlineMisses) })
 	rate := series(points, deltas, func(r sim.Result) float64 { return r.MissRatePct })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: Deadline misses vs threshold (%s, %gs window)\n", fig, pkg, DefaultMeasureS)
+	fmt.Fprintf(&b, "%s: Deadline misses vs threshold (%s, %gs window)\n", fig, pkg, window)
 	b.WriteString("  delta   energy-balance     stop&go            thermal-balance\n")
 	b.WriteString("          misses  rate%      misses  rate%      misses  rate%\n")
 	for i, d := range deltas {
@@ -581,21 +586,20 @@ func Fig11(mobile, highperf []SweepPoint, deltas []float64) []Fig11Point {
 	return out
 }
 
-// FormatFig11 renders the migrations-per-second figure.
+// FormatFig11 renders the migrations-per-second figure, one row per
+// delta present in points, ascending.
 func FormatFig11(points []Fig11Point) string {
 	var b strings.Builder
 	b.WriteString("Figure 11: Migrations per second (thermal-balance) for both systems\n")
 	b.WriteString("  delta   mobile (mig/s, KB/s)   high-perf (mig/s, KB/s)\n")
 	byKey := map[string]Fig11Point{}
-	deltaSet := map[float64]bool{}
+	var deltas []float64
 	for _, p := range points {
 		byKey[fmt.Sprintf("%v-%g", p.Package, p.Delta)] = p
-		deltaSet[p.Delta] = true
+		deltas = append(deltas, p.Delta)
 	}
-	for _, d := range Deltas {
-		if !deltaSet[d] {
-			continue
-		}
+	slices.Sort(deltas)
+	for _, d := range slices.Compact(deltas) {
 		m := byKey[fmt.Sprintf("%v-%g", Mobile, d)]
 		h := byKey[fmt.Sprintf("%v-%g", HighPerf, d)]
 		fmt.Fprintf(&b, "  %5.0f   %6.2f  %8.1f       %6.2f  %8.1f\n", d, m.PerSec, m.KBps, h.PerSec, h.KBps)

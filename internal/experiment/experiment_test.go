@@ -191,6 +191,42 @@ func TestFig11HighPerfAboveMobile(t *testing.T) {
 	}
 }
 
+// TestFormatFig11RendersPointDeltas: the figure's rows come from the
+// points' own deltas, ascending, not from the default 2..5 axis.
+func TestFormatFig11RendersPointDeltas(t *testing.T) {
+	deltas := []float64{6, 1}
+	tb := func(perSec, bytesPerSec float64) []SweepPoint {
+		var pts []SweepPoint
+		for _, d := range deltas {
+			pts = append(pts, SweepPoint{Policy: ThermalBalance, Delta: d,
+				Result: sim.Result{MigrationsPerSec: perSec * d, BytesPerSec: bytesPerSec * d}})
+		}
+		return pts
+	}
+	got := FormatFig11(Fig11(tb(0.25, 1024), tb(0.5, 2048), deltas))
+	want := "Figure 11: Migrations per second (thermal-balance) for both systems\n" +
+		"  delta   mobile (mig/s, KB/s)   high-perf (mig/s, KB/s)\n" +
+		"      1     0.25       1.0         0.50       2.0\n" +
+		"      6     1.50       6.0         3.00      12.0\n"
+	if got != want {
+		t.Errorf("FormatFig11 =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestFormatMissFigureWindow: the header names the window the points
+// were measured over (10 s for the manycore and generated scenarios),
+// not the paper's default.
+func TestFormatMissFigureWindow(t *testing.T) {
+	var pts []SweepPoint
+	for _, pol := range []PolicySel{EnergyBalance, StopGo, ThermalBalance} {
+		pts = append(pts, SweepPoint{Policy: pol, Delta: 3, Result: sim.Result{MeasuredS: 10}})
+	}
+	out := FormatMissFigure("Figure 8", Mobile, pts, []float64{3})
+	if want := "Figure 8: Deadline misses vs threshold (" + Mobile.String() + ", 10s window)\n"; !strings.HasPrefix(out, want) {
+		t.Errorf("FormatMissFigure header:\n%s\nwant prefix %q", out, want)
+	}
+}
+
 func TestRunConfigDefaults(t *testing.T) {
 	rc := RunConfig{}
 	rc.fill()

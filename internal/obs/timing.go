@@ -82,8 +82,8 @@ func (r *TimingRecord) AppendHeaderValue(buf []byte) []byte {
 }
 
 // ParseHeaderValue parses an X-Timing header value back into stage
-// microseconds keyed by stage name (plus "total"). The smoke harness
-// and tests use it to assert the header round-trips.
+// microseconds keyed by stage name (plus "total"). Tests use it to
+// assert the header round-trips.
 func ParseHeaderValue(v string) (map[string]int64, error) {
 	out := map[string]int64{}
 	for _, pair := range strings.Split(v, ",") {

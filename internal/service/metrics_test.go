@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -37,7 +38,7 @@ func promValue(t *testing.T, text, series string) float64 {
 // with /stats, and the /stats latency block reports the same
 // observations as quantiles.
 func TestMetricsAndXTiming(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 
 	resp, _ := do(t, http.MethodPost, ts.URL+"/run", shortRun)
 	if st := resp.Header.Get("X-Cache"); st != "miss" {
@@ -66,6 +67,11 @@ func TestMetricsAndXTiming(t *testing.T) {
 	hitPairs, err := obs.ParseHeaderValue(resp.Header.Get("X-Timing"))
 	if err != nil {
 		t.Fatalf("cached X-Timing: %v", err)
+	}
+	for _, name := range obs.StageNames {
+		if _, ok := hitPairs[name]; !ok {
+			t.Errorf("cached X-Timing missing stage %q", name)
+		}
 	}
 	// A cache hit never entered the engine, and its header must not
 	// claim otherwise.
@@ -98,12 +104,26 @@ func TestMetricsAndXTiming(t *testing.T) {
 			t.Errorf("%s = %g, want %g", series, got, want)
 		}
 	}
+	// Every stage histogram is rendered, observed or not.
+	for _, stage := range obs.StageNames {
+		promValue(t, text, `thermbal_stage_duration_seconds_count{stage="`+stage+`"}`)
+	}
 	// A memory-only server must not render store families.
 	if strings.Contains(text, "thermbal_store_") {
 		t.Error("/metrics renders store series on a store-less server")
 	}
 
-	lat := s.Stats().Latency
+	// /stats, fetched over HTTP, reports the same counts as /metrics.
+	var stats StatsDoc
+	_, sb := do(t, http.MethodGet, ts.URL+"/stats", "")
+	if err := json.Unmarshal(sb, &stats); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+	if stats.Executions != 1 || stats.Cache.Hits != 1 || stats.Cache.Misses != 1 {
+		t.Errorf("/stats executions %d, hits %d, misses %d; want 1, 1, 1",
+			stats.Executions, stats.Cache.Hits, stats.Cache.Misses)
+	}
+	lat := stats.Latency
 	if lat.Run.Count != 2 {
 		t.Errorf("latency.run.count = %d, want 2", lat.Run.Count)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
+	"thermbal/internal/provenance"
 	"thermbal/internal/store"
 )
 
@@ -155,11 +156,23 @@ func TestProofEndpointEndToEnd(t *testing.T) {
 		t.Errorf("restarted proof differs: root %s chain %s index %d, want %s/%s/%d",
 			doc2.Root, doc2.Chain, doc2.Index, doc.Root, doc.Chain, doc.Index)
 	}
-	if err := doc2.Proof.VerifyBody(warmBody); err != nil {
+	// A saved /proof body is what cmd/thermproof -proof reads: a bare
+	// provenance.Proof that commits to the served bytes.
+	var saved provenance.Proof
+	if err := json.Unmarshal(raw2, &saved); err != nil {
+		t.Fatalf("decode saved proof: %v", err)
+	}
+	if err := saved.VerifyBody(warmBody); err != nil {
 		t.Errorf("restarted proof does not verify: %v", err)
 	}
-	if st := s2.Stats().Store; st.TaintedSegments != 0 {
-		t.Errorf("restart tainted %d segments on clean data", st.TaintedSegments)
+	if st := s2.Stats().Store; st.SealedSegments < 1 || st.TaintedSegments != 0 {
+		t.Errorf("restarted store: %d sealed, %d tainted segments; want >= 1 sealed, none tainted",
+			st.SealedSegments, st.TaintedSegments)
+	}
+	// The directory the service wrote passes the offline scan
+	// cmd/thermproof runs.
+	if rep, err := store.VerifyDir(dir); err != nil || len(rep.Bad) != 0 {
+		t.Errorf("offline verification of the served store: %v (%d bad records)", err, len(rep.Bad))
 	}
 }
 
@@ -178,6 +191,12 @@ func TestMatrixContentKeyAndProof(t *testing.T) {
 	key := resp.Header.Get("X-Content-Key")
 	if !keyRE.MatchString(key) {
 		t.Fatalf("matrix X-Content-Key = %q, want 64 hex chars", key)
+	}
+	// The sweep's address is its own, not one of its cells'.
+	cellResp, _ := do(t, http.MethodPost, ts.URL+"/run",
+		`{"scenario":"sdr-radio","policy":"tb","delta":3,"warmup_s":0.2,"measure_s":0.4}`)
+	if cellKey := cellResp.Header.Get("X-Content-Key"); !keyRE.MatchString(cellKey) || cellKey == key {
+		t.Errorf("cell X-Content-Key = %q, sweep key %q; want distinct content addresses", cellKey, key)
 	}
 	if resp, b := do(t, http.MethodPost, ts.URL+"/seal", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/seal: %d: %s", resp.StatusCode, b)

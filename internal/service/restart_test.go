@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"thermbal/internal/experiment"
+	"thermbal/internal/obs"
 	"thermbal/internal/sim"
 	"thermbal/internal/store"
 )
@@ -29,7 +30,7 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 // test for /run: populate the store, kill the server (no Close on the
 // store — the file state a SIGKILL leaves), restart on the same data
 // dir and expect the re-request to be a store hit with a
-// byte-identical body and no execution.
+// byte-identical body, no execution and an X-Timing that claims none.
 func TestRestartServesStoreHitByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openTestStore(t, dir)
@@ -51,6 +52,19 @@ func TestRestartServesStoreHitByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(cold, warm) {
 		t.Errorf("restarted body differs from the pre-kill body:\n%s\nvs\n%s", warm, cold)
+	}
+	// A store hit skips the engine, and its X-Timing must say so.
+	pairs, err := obs.ParseHeaderValue(resp.Header.Get("X-Timing"))
+	if err != nil {
+		t.Fatalf("store-hit X-Timing %q: %v", resp.Header.Get("X-Timing"), err)
+	}
+	for _, name := range obs.StageNames {
+		if _, ok := pairs[name]; !ok {
+			t.Errorf("store-hit X-Timing missing stage %q", name)
+		}
+	}
+	if pairs["execute"] != 0 || pairs["total"] <= 0 {
+		t.Errorf("store-hit X-Timing execute=%d total=%d µs, want 0 and > 0", pairs["execute"], pairs["total"])
 	}
 	stats := s2.Stats()
 	if stats.Executions != 0 {
@@ -74,6 +88,8 @@ func TestRestartServesStoreHitByteIdentical(t *testing.T) {
 // populated via /run before a kill; after restart the matrix job
 // executes only the missing cell (asserted via the /stats execution
 // counter) and still assembles the full, cacheable sweep document.
+// One more restart then finds the whole sweep stored, and a
+// resubmitted job executes nothing.
 func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openTestStore(t, dir)
@@ -146,6 +162,28 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 	}
 	if !bytes.Equal(bytes.TrimRight(freshBody, "\n"), bytes.TrimRight(done.Result, "\n")) {
 		t.Error("assembled sweep document differs from a cold /matrix sweep")
+	}
+
+	// Kill and restart once more: the whole sweep is now stored, so a
+	// resubmitted job completes both cells without touching the engine.
+	ts2.Close()
+	st3 := openTestStore(t, dir)
+	defer st3.Close()
+	s3, ts3 := newTestServer(t, Config{Store: st3})
+	resp, b = do(t, http.MethodPost, ts3.URL+"/jobs",
+		`{"matrix":{"scenarios":["sdr-radio"],"policies":["eb","tb"],"warmup_s":0.3,"measure_s":0.5}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit stored sweep: %d %s", resp.StatusCode, b)
+	}
+	if err := json.Unmarshal(b, &submitted); err != nil {
+		t.Fatal(err)
+	}
+	done = waitState(t, ts3, submitted.ID, JobDone)
+	if p := done.Progress; p == nil || p.CompletedCells != 2 || p.ExecutedCells != 0 {
+		t.Errorf("stored sweep progress = %+v, want 2 completed / 0 executed", done.Progress)
+	}
+	if n := s3.Stats().Executions; n != 0 {
+		t.Errorf("stored sweep executed %d cells after restart, want 0", n)
 	}
 }
 

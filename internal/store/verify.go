@@ -234,7 +234,7 @@ func (s *Store) Verify() (VerifyReport, error) {
 // tamper that per-record checksums cannot catch, which is exactly the
 // class of damage the Merkle layer exists to detect. It returns the
 // tampered record's key. The store must not be open. Verification
-// tests and the smoke harness are the only intended callers.
+// tests are the only intended callers.
 func TamperForTest(dir string, segID uint64, index int) (string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("%08d.seg", segID))
 	data, err := os.ReadFile(path)
