@@ -157,20 +157,23 @@ bench-smoke:
 bench-golden:
 	cd bench && $(GO) test -run 'TestGolden|TestBenchmarkJSONMatchesCatalogue|TestVerdict|TestCompareFailuresMayNotRise' ./...
 
-# Integrator stepping cost on the high-performance package, and the
-# cost of one cold expm propagator build (64-core and 3-core dies).
+# Integrator stepping cost on the high-performance package, a fresh
+# expm integrator's first step on manycore-256, and the cost of one
+# cold expm propagator build (64-core and 3-core dies).
 bench-thermal:
 	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' ./internal/thermal
 
 # End-to-end exercise of the exact matrix-exponential scheme: a paper
-# scenario plus a tiled manycore die through the full CLI with
-# -integrator expm, and the zero-allocation hot-loop assertions run
-# without -race (race instrumentation allocates, so `make race` skips
-# them).
+# scenario, a tiled manycore die on the dense path and manycore-256 on
+# the sparse-only Euler fallback through the full CLI with -integrator
+# expm; then the zero-allocation hot-loop assertions run without -race
+# (race instrumentation allocates, so `make race` skips them) and the
+# no-dense-state check on a network that never propagates densely.
 smoke-expm:
 	$(GO) run ./cmd/thermsim -scenario sdr-radio -integrator expm -warmup 1 -measure 2
 	$(GO) run ./cmd/thermsim -scenario manycore-64 -integrator expm -warmup 1 -measure 1
-	$(GO) test -run 'ZeroAllocs' ./internal/thermal
+	$(GO) run ./cmd/thermsim -scenario manycore-256 -integrator expm -warmup 0.2 -measure 0.3
+	$(GO) test -run 'ZeroAllocs|NoDenseState' ./internal/thermal
 
 # Declarative-spec round trip through the real CLI: export a builtin
 # as a spec, run it back through -scenario-file, and require the run

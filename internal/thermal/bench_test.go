@@ -80,3 +80,25 @@ func BenchmarkExpmBuildManycore64(b *testing.B) { benchExpmBuild(b, 64) }
 // BenchmarkExpmBuildSDR measures the build on the paper's 3-core die,
 // where the kernels' fixed costs matter more than their inner loops.
 func BenchmarkExpmBuildSDR(b *testing.B) { benchExpmBuild(b, 3) }
+
+// BenchmarkStepExpmFirstManycore256 measures a fresh expm integrator's
+// first 10 ms step on manycore-256 (n = 1539) on the mobile package,
+// where the span falls below the crossover and takes the Euler
+// fallback. With -benchmem, B/op shows that binding allocates only
+// O(n + nnz) state: no n×n matrix.
+func BenchmarkStepExpmFirstManycore256(b *testing.B) {
+	m, err := NewModel(floorplan.StreamingMPSoC(256), MobileEmbedded())
+	if err != nil {
+		b.Fatal(err)
+	}
+	power := make([]float64, len(m.FP.Blocks))
+	for i := range power {
+		power[i] = 0.05 * float64(i%7)
+	}
+	for b.Loop() {
+		m.Net.SetIntegrator(NewIntegrator(Config{Scheme: Expm}))
+		if err := m.Step(10e-3, power); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

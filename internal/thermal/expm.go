@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -18,15 +19,17 @@ import (
 //	A = e^{H·dt},  B = (∫₀^dt e^{Hs} ds)·C⁻¹,  b = B·(Gamb·Tamb),
 //
 // so one dense matvec pair replaces the whole Euler substep loop
-// with zero truncation error. The topology is immutable after Build, so
-// H is assembled once per network; the propagator triple (A, B, b) is
-// built per distinct span length by scaling-and-squaring and memoized
-// in a small cache keyed by the span's float64 bits — the engine steps
-// the thermal model at a fixed sensor period, so the hit rate is
-// near-total after the first window. A build's Taylor products exploit
-// H's sparsity (O(n²·nnz/row) each); only its few doubling products
-// are dense O(n³), and both kernels reproduce the plain triple loop's
-// bits exactly.
+// with zero truncation error. The propagator triple (A, B, b) is built
+// per distinct span length by scaling-and-squaring and memoized in a
+// small cache keyed by the span's float64 bits — the engine steps the
+// thermal model at a fixed sensor period, so the hit rate is near-total
+// after the first window. The integrator itself holds only O(n + nnz)
+// state: H and every other n×n matrix exist only inside a build and in
+// the propagators in use, so a network that never propagates densely
+// never allocates one. A build's Taylor products exploit H's sparsity
+// (O(n²·nnz/row) each); only its few doubling products are dense
+// O(n³), and both kernels reproduce the plain triple loop's bits
+// exactly.
 //
 // Dense propagation costs 2n² multiply-adds per span regardless of the
 // span length, while substepping costs (substeps × sparse RHS). The
@@ -34,7 +37,11 @@ import (
 // default scheme) for spans below a crossover where substepping is
 // cheaper — short spans on any network, and any span on very large
 // networks (manycore tiles) whose mild stiffness needs only a handful
-// of sparse substeps.
+// of sparse substeps. The crossover is part of the output contract,
+// not a tuning knob: dense propagation and Euler substepping differ in
+// the last bits, so it decides which bits every expm document carries,
+// and moving it changes documents under unchanged keys
+// (TestExpmCrossoverPinned).
 
 // expmCacheCap bounds the propagator cache per integrator. Two dense
 // n×n matrices per entry make unbounded growth a real memory hazard if
@@ -42,11 +49,12 @@ import (
 // cadence re-primes a evicted span in one build).
 const expmCacheCap = 32
 
-// expmSparsePenalty is how much slower one sparse RHS element
-// (adjacency chase + capacitance divide) is than one dense propagator
-// multiply-add, used by the automatic crossover. Measured ~8-30x on
-// amd64; 8 is the conservative end, biasing the crossover toward the
-// substepping fallback.
+// expmSparsePenalty weighs one sparse RHS element (adjacency chase +
+// capacitance divide) against one dense propagator multiply-add in the
+// automatic crossover. It was chosen from a cost estimate, but it is
+// now fixed by the output contract: it selects dense or Euler bits for
+// every expm document, so it cannot be retuned for speed without
+// changing those documents.
 const expmSparsePenalty = 8
 
 // expmTheta is the scaled-step norm bound ‖H·h‖∞ ≤ expmTheta at which
@@ -74,20 +82,15 @@ type propagator struct {
 
 // expmIntegrator advances the network by exact dense propagation with
 // memoized per-span propagators, falling back to explicit Euler below
-// the crossover. All scratch is flat and owned by the integrator: the
-// steady-state path (cache hit) performs no allocations.
+// the crossover. Its own state is O(n): the steady-state path (cache
+// hit) performs no allocations, and n×n matrices live only in the
+// cached propagators and, transiently, in build.
 type expmIntegrator struct {
 	net *Network // bound network; a different network resets everything
 	n   int
 
-	// Assembled once per network.
-	h           []float64 // H = C⁻¹·(-G), n×n row-major
-	hs          csr       // H's nonzeros, for the Taylor products
-	invC        []float64
-	gamb        []float64 // AmbientG_i · Tamb
-	normH       float64   // ‖H‖∞
-	autoMin     int       // auto crossover: use expm at ≥ this many Euler substeps
-	minSubsteps int       // Config override (0 = auto)
+	autoMin     int // auto crossover: use expm at ≥ this many Euler substeps
+	minSubsteps int // Config override (0 = auto)
 
 	cache map[uint64]*propagator
 	order []uint64 // insertion order for FIFO eviction
@@ -98,10 +101,6 @@ type expmIntegrator struct {
 
 	// Hot-loop scratch (length n).
 	y []float64
-	// Build scratch (n×n, allocated on first locally-built miss only),
-	// plus the packed n×4 right-hand panel of the dense kernel.
-	term, next, prod, phi []float64
-	panel                 [][4]float64
 }
 
 func newExpm(minSubsteps int) *expmIntegrator {
@@ -111,13 +110,15 @@ func newExpm(minSubsteps int) *expmIntegrator {
 func (e *expmIntegrator) Name() string { return Expm.String() }
 
 // MaxStep is unbounded: the propagator is exact for any span length.
-// (Spans below the crossover substep via the Euler fallback, but that
-// is a cost choice, not a stability bound.)
+// (Spans below the crossover substep via the Euler fallback. That is
+// not a stability bound; it fixes which bits a run produces, so it is
+// part of the output contract.)
 func (e *expmIntegrator) MaxStep(v View) float64 { return math.Inf(1) }
 
-// bind assembles the dense system matrix and the crossover model for
-// the network behind v. Subsequent Advance calls on the same network
-// are allocation-free on the cache-hit path.
+// bind resets the integrator for the network behind v and computes the
+// crossover from its sparse structure, in O(n + nnz). Subsequent
+// Advance calls on the same network are allocation-free on the
+// cache-hit path.
 func (e *expmIntegrator) bind(v View) {
 	if e.net == v.n {
 		return
@@ -125,37 +126,14 @@ func (e *expmIntegrator) bind(v View) {
 	n := v.NumNodes()
 	e.net = v.n
 	e.n = n
-	e.h = make([]float64, n*n)
-	e.invC = make([]float64, n)
-	e.gamb = make([]float64, n)
 	e.y = make([]float64, n)
-	e.term, e.next, e.prod = nil, nil, nil
 	e.cache = make(map[uint64]*propagator)
 	e.order = e.order[:0]
 	e.hits, e.misses, e.evictions = 0, 0, 0
 
 	sparseElems := n
 	for i := 0; i < n; i++ {
-		ci := v.Capacitance(i)
-		e.invC[i] = 1 / ci
-		e.gamb[i] = v.AmbientG(i) * v.Ambient()
-		row := e.h[i*n : (i+1)*n]
-		for _, a := range v.Neighbors(i) {
-			row[a.Node] = a.G / ci
-		}
-		row[i] = -v.SumG(i) / ci
 		sparseElems += 2 * len(v.Neighbors(i))
-	}
-	e.hs = newCSR(e.h, n)
-	e.normH = 0
-	for i := 0; i < n; i++ {
-		var s float64
-		for _, x := range e.h[i*n : (i+1)*n] {
-			s += math.Abs(x)
-		}
-		if s > e.normH {
-			e.normH = s
-		}
 	}
 	// Automatic crossover: dense propagation (2 matvecs, 2·2·n² flops)
 	// wins once substeps·(2·sparseElems)·penalty exceeds it, i.e. at
@@ -246,34 +224,45 @@ func (e *expmIntegrator) propagator(dt float64) *propagator {
 // handful of package presets, so the same (H, C, dt) propagator would
 // otherwise be rebuilt per run — and a build (O(n³) doubling products)
 // costs as much as hundreds of propagated spans. Entries are keyed by a
-// content hash of the full dense system and verified element-for-element
-// on lookup, so a hit returns a bit-identical propagator to the one a
-// local build would produce. Propagators are immutable after build,
-// making the shared instances safe for concurrent runs (the parallel
-// Runner, the service's exec slots).
+// content hash of the sparse system that determines (H, C⁻¹, Gamb·Tamb)
+// and verified element-for-element on lookup, so a hit returns a
+// bit-identical propagator to the one a local build would produce, and
+// does O(n + nnz) work: nothing dense is assembled, hashed or compared.
+// Propagators are immutable after build, making the shared instances
+// safe for concurrent runs (the parallel Runner, the service's exec
+// slots).
 const sharedPropCap = 64
 
-// sharedPropEntry is one cached system and span. The entry is published
-// before its build runs, so concurrent runs that miss the same system
-// wait on done for the one build instead of each starting their own.
-type sharedPropEntry struct {
-	n             int
-	dt            float64
-	h, invC, gamb []float64
-	p             *propagator   // set before done is closed
-	done          chan struct{} // closed once p is built
+// expmSystem is a copy of the sparse data a build reads: per node its
+// capacitance, total conductance and ambient forcing AmbientG·Tamb, and
+// its (neighbor, G) list in order. Equal systems assemble equal
+// (H, C⁻¹, Gamb·Tamb), hence equal propagators.
+type expmSystem struct {
+	c, sumG, gamb []float64
+	adj           []Adj // every adjacency list, concatenated in node order
+	end           []int // node i's list ends at adj[end[i]]
 }
 
-var (
-	sharedPropMu sync.Mutex
-	sharedProps  = map[uint64][]*sharedPropEntry{}
-	sharedPropN  int
-	// sharedPropBuilds counts the builds the shared cache has started.
-	sharedPropBuilds int
-)
+func newExpmSystem(v View) expmSystem {
+	n := v.NumNodes()
+	s := expmSystem{
+		c:    make([]float64, n),
+		sumG: make([]float64, n),
+		gamb: make([]float64, n),
+		end:  make([]int, n),
+	}
+	for i := 0; i < n; i++ {
+		s.c[i] = v.Capacitance(i)
+		s.sumG[i] = v.SumG(i)
+		s.gamb[i] = v.AmbientG(i) * v.Ambient()
+		s.adj = append(s.adj, v.Neighbors(i)...)
+		s.end[i] = len(s.adj)
+	}
+	return s
+}
 
-// sharedKey hashes (n, dt, H, C⁻¹, Gamb·Tamb) with FNV-1a.
-func (e *expmIntegrator) sharedKey(dt float64) uint64 {
+// key hashes (n, dt, the system) with FNV-1a.
+func (s *expmSystem) key(dt float64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -286,72 +275,70 @@ func (e *expmIntegrator) sharedKey(dt float64) uint64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(e.n))
+	mix(uint64(len(s.c)))
 	mix(math.Float64bits(dt))
-	for _, v := range e.h {
-		mix(math.Float64bits(v))
+	for i := range s.c {
+		mix(math.Float64bits(s.c[i]))
+		mix(math.Float64bits(s.sumG[i]))
+		mix(math.Float64bits(s.gamb[i]))
+		mix(uint64(s.end[i]))
 	}
-	for _, v := range e.invC {
-		mix(math.Float64bits(v))
-	}
-	for _, v := range e.gamb {
-		mix(math.Float64bits(v))
+	for _, a := range s.adj {
+		mix(uint64(a.Node))
+		mix(math.Float64bits(a.G))
 	}
 	return h
 }
 
-// matches reports whether the entry describes exactly this integrator's
-// system and span (guarding against hash collisions).
-func (s *sharedPropEntry) matches(e *expmIntegrator, dt float64) bool {
-	if s.n != e.n || s.dt != dt {
-		return false
-	}
-	for i, v := range s.h {
-		if v != e.h[i] {
-			return false
-		}
-	}
-	for i, v := range s.invC {
-		if v != e.invC[i] {
-			return false
-		}
-	}
-	for i, v := range s.gamb {
-		if v != e.gamb[i] {
-			return false
-		}
-	}
-	return true
+// equal reports whether s and o describe exactly the same system
+// (guarding against hash collisions).
+func (s *expmSystem) equal(o *expmSystem) bool {
+	return slices.Equal(s.c, o.c) && slices.Equal(s.sumG, o.sumG) &&
+		slices.Equal(s.gamb, o.gamb) && slices.Equal(s.end, o.end) &&
+		slices.Equal(s.adj, o.adj)
 }
+
+// sharedPropEntry is one cached system and span. The entry is published
+// before its build runs, so concurrent runs that miss the same system
+// wait on done for the one build instead of each starting their own.
+type sharedPropEntry struct {
+	dt   float64
+	sys  expmSystem
+	p    *propagator   // set before done is closed
+	done chan struct{} // closed once p is built
+}
+
+var (
+	sharedPropMu sync.Mutex
+	sharedProps  = map[uint64][]*sharedPropEntry{}
+	sharedPropN  int
+	// sharedPropBuilds counts the builds the shared cache has started.
+	sharedPropBuilds int
+)
 
 // sharedOrBuild returns the propagator for the bound system and span,
 // reusing a process-wide cached build when one exists and waiting for
 // it when another run is building it.
 func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
-	key := e.sharedKey(dt)
+	sys := newExpmSystem(View{n: e.net})
+	key := sys.key(dt)
 	sharedPropMu.Lock()
 	for _, s := range sharedProps[key] {
-		if s.matches(e, dt) {
+		if s.dt == dt && s.sys.equal(&sys) {
 			sharedPropMu.Unlock()
 			<-s.done
 			return s.p
 		}
 	}
 	if sharedPropN >= sharedPropCap {
-		// Dense matrices are the dominant memory; rather than track
-		// recency, drop everything and let the few live systems
-		// re-prime (one build each). A run waiting on a dropped
-		// in-flight entry still receives its build.
+		// The entries' propagators are the dominant memory; rather
+		// than track recency, drop everything and let the few live
+		// systems re-prime (one build each). A run waiting on a
+		// dropped in-flight entry still receives its build.
 		sharedProps = map[uint64][]*sharedPropEntry{}
 		sharedPropN = 0
 	}
-	ent := &sharedPropEntry{
-		n: e.n, dt: dt,
-		h:    append([]float64(nil), e.h...),
-		invC: append([]float64(nil), e.invC...),
-		gamb: append([]float64(nil), e.gamb...),
-		done: make(chan struct{}),
-	}
+	ent := &sharedPropEntry{dt: dt, sys: sys, done: make(chan struct{})}
 	sharedProps[key] = append(sharedProps[key], ent)
 	sharedPropN++
 	sharedPropBuilds++
@@ -372,31 +359,49 @@ func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
 // (O(n²·nnz/row) each); only the doubling products are dense O(n³),
 // through the register-tiled kernel. Both kernels keep the summation
 // rule below, so every propagator is bit-identical to one built with a
-// plain triple loop.
+// plain triple loop. H and all scratch are local: only the returned
+// propagator outlives the call.
 func (e *expmIntegrator) build(dt float64) *propagator {
+	v := View{n: e.net}
 	n := e.n
 	nn := n * n
-	if e.term == nil {
-		e.term = make([]float64, nn)
-		e.next = make([]float64, nn)
-		e.prod = make([]float64, nn)
-		e.phi = make([]float64, nn)
-		e.panel = make([][4]float64, n)
+	// Assemble H = C⁻¹·(-G) densely, then keep its nonzeros and norm.
+	hd := make([]float64, nn)
+	invC := make([]float64, n)
+	gamb := make([]float64, n) // AmbientG_i · Tamb
+	for i := 0; i < n; i++ {
+		ci := v.Capacitance(i)
+		invC[i] = 1 / ci
+		gamb[i] = v.AmbientG(i) * v.Ambient()
+		row := hd[i*n : (i+1)*n]
+		for _, a := range v.Neighbors(i) {
+			row[a.Node] = a.G / ci
+		}
+		row[i] = -v.SumG(i) / ci
+	}
+	hs := newCSR(hd, n)
+	var normH float64 // ‖H‖∞
+	for i := 0; i < n; i++ {
+		var s float64
+		for _, x := range hd[i*n : (i+1)*n] {
+			s += math.Abs(x)
+		}
+		if s > normH {
+			normH = s
+		}
 	}
 	// Scaling: h = dt/2^s with ‖H‖·h ≤ expmTheta.
 	s := 0
-	for e.normH*math.Ldexp(dt, -s) > expmTheta && s < 200 {
+	for normH*math.Ldexp(dt, -s) > expmTheta && s < 200 {
 		s++
 	}
 	h := math.Ldexp(dt, -s)
 
-	a := make([]float64, nn) // accumulates e^{H·h}; escapes into the propagator
-	phi := e.phi             // accumulates ∫₀^h e^{Hs} ds; folded into bt below
-	term := e.term           // X^k/k! with X = H·h
-	for i := range term {
-		term[i] = 0
-		phi[i] = 0
-	}
+	a := make([]float64, nn)   // accumulates e^{H·h}; escapes into the propagator
+	phi := make([]float64, nn) // accumulates ∫₀^h e^{Hs} ds; folded into bt below
+	term := hd                 // X^k/k! with X = H·h; reuses H's storage
+	next := make([]float64, nn)
+	clear(term)
 	for i := 0; i < n; i++ {
 		a[i*n+i] = 1
 		phi[i*n+i] = h
@@ -404,8 +409,8 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	}
 	for k := 1; k <= expmMaxTerms; k++ {
 		// term ← term·X/k = term·(H·h)/k.
-		e.hs.mulScaled(e.next, term, h/float64(k))
-		term, e.next = e.next, term
+		hs.mulScaled(next, term, h/float64(k))
+		term, next = next, term
 		f := h / float64(k+1)
 		var maxAbs float64
 		for i, t := range term {
@@ -419,22 +424,22 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 			break
 		}
 	}
-	e.term = term
-	// Doubling back to the full span.
+	// Doubling back to the full span; the Taylor buffers are free now.
+	prod, panel := next, make([][4]float64, n)
 	for ; s > 0; s-- {
-		matmul(e.prod, a, phi, e.panel, n)
+		matmul(prod, a, phi, panel, n)
 		for i := range phi {
-			phi[i] += e.prod[i]
+			phi[i] += prod[i]
 		}
-		matmul(e.prod, a, a, e.panel, n)
-		a, e.prod = e.prod, a
+		matmul(prod, a, a, panel, n)
+		a, prod = prod, a
 	}
 	// B = Φ·C⁻¹ (scale columns); b = Φ·(C⁻¹·Gamb·Tamb) = B·(Gamb·Tamb).
 	// B is stored transposed for the column-walk in Advance.
 	for i := 0; i < n; i++ {
 		row := phi[i*n : i*n+n]
 		for j := 0; j < n; j++ {
-			row[j] *= e.invC[j]
+			row[j] *= invC[j]
 		}
 	}
 	bt := make([]float64, nn)
@@ -448,7 +453,7 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 		row := phi[i*n : i*n+n]
 		var sum float64
 		for j := 0; j < n; j++ {
-			sum += row[j] * e.gamb[j]
+			sum += row[j] * gamb[j]
 		}
 		c[i] = sum
 	}

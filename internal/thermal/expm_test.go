@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -261,6 +262,49 @@ func TestExpmSharedBuildCache(t *testing.T) {
 	if pA == pC {
 		t.Error("distinct packages shared a propagator")
 	}
+
+	// The sparse key: two separately built identical networks share one
+	// build, and a difference in a single edge conductance, the ambient
+	// temperature or one capacitance by one ULP never shares.
+	resetSharedProps()
+	builds := func() int {
+		sharedPropMu.Lock()
+		defer sharedPropMu.Unlock()
+		return sharedPropBuilds
+	}
+	prop := func(g, cDie, ambient float64) *propagator {
+		b := NewBuilder()
+		die := b.AddNode("die", cDie, 0)
+		spr := b.AddNode("spreader", 0.05, 0)
+		sink := b.AddNode("sink", 0.5, 0.05)
+		b.Connect(die, spr, g)
+		b.Connect(spr, sink, 0.5)
+		net, err := b.Build(ambient)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newExpm(1)
+		e.bind(net.View())
+		return e.propagator(0.01)
+	}
+	before := builds()
+	base := prop(0.2, 0.01, 25)
+	if p := prop(0.2, 0.01, 25); p != base || builds()-before != 1 {
+		t.Errorf("identical networks: %d builds, shared=%v; want 1 build, shared", builds()-before, p == base)
+	}
+	for _, tc := range []struct {
+		name             string
+		g, cDie, ambient float64
+	}{
+		{"edge conductance", 0.21, 0.01, 25},
+		{"ambient", 0.2, 0.01, 26},
+		{"capacitance by one ULP", 0.2, math.Nextafter(0.01, 1), 25},
+	} {
+		before := builds()
+		if p := prop(tc.g, tc.cDie, tc.ambient); p == base || builds()-before != 1 {
+			t.Errorf("%s differs: %d builds, shared=%v; want 1 build, not shared", tc.name, builds()-before, p == base)
+		}
+	}
 }
 
 // resetSharedProps empties the process-wide propagator cache, so the
@@ -311,6 +355,87 @@ func TestExpmConcurrentMissBuildsOnce(t *testing.T) {
 	for r, p := range got {
 		if p == nil || p != got[0] {
 			t.Errorf("run %d received propagator %p, run 0 %p", r, p, got[0])
+		}
+	}
+}
+
+// A network whose spans all fall below the crossover never propagates
+// densely, so it must never hold n×n state: the first 10 ms step of
+// manycore-256 on the mobile package (6 Euler substeps, crossover 14)
+// builds nothing, allocates far less than one dense matrix, and is
+// bit-identical to the Euler integrator's step.
+func TestExpmNoDenseStateBelowCrossover(t *testing.T) {
+	fp := floorplan.StreamingMPSoC(256)
+	mx, err := NewModel(fp, MobileEmbedded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := NewModel(fp, MobileEmbedded())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mx.Net.SetIntegrator(NewIntegrator(Config{Scheme: Expm}))
+	power := make([]float64, len(fp.Blocks))
+	for i := range power {
+		power[i] = 0.05 * float64(i%7)
+	}
+	n := mx.Net.NumNodes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := mx.Step(10e-3, power); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*n*8/64); alloc >= limit {
+		t.Errorf("first step allocated %d B, want < n²·8/64 = %d B (n = %d)", alloc, limit, n)
+	}
+	if _, misses, _, _, _ := ExpmStats(mx.Net.Integrator()); misses != 0 {
+		t.Errorf("ExpmStats misses = %d, want 0", misses)
+	}
+	if err := me.Step(10e-3, power); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if math.Float64bits(mx.Net.Temperature(i)) != math.Float64bits(me.Net.Temperature(i)) {
+			t.Fatalf("node %d: expm fallback %v, euler %v", i, mx.Net.Temperature(i), me.Net.Temperature(i))
+		}
+	}
+}
+
+// The automatic crossover picks dense bits or Euler bits for every expm
+// document, so it is part of the output contract: this table pins it
+// at the 10 ms sensor period on the paper's die and the tiled dies, on
+// both packages.
+func TestExpmCrossoverPinned(t *testing.T) {
+	cases := []struct {
+		cores    int
+		pkg      Package
+		autoMin  int
+		substeps int
+		dense    bool
+	}{
+		{3, MobileEmbedded(), 1, 4, true},
+		{3, HighPerformance(), 1, 20, true},
+		{16, MobileEmbedded(), 1, 4, true},
+		{16, HighPerformance(), 1, 21, true},
+		{64, MobileEmbedded(), 4, 4, true},
+		{64, HighPerformance(), 4, 21, true},
+		{256, MobileEmbedded(), 14, 6, false},
+		{256, HighPerformance(), 14, 36, true},
+	}
+	for _, tc := range cases {
+		m, err := NewModel(floorplan.StreamingMPSoC(tc.cores), tc.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newExpm(0)
+		e.bind(m.Net.View())
+		autoMin, substeps, dense := e.autoMin, m.Net.StepsPerInterval(10e-3), e.useExpm(10e-3)
+		if autoMin != tc.autoMin || substeps != tc.substeps || dense != tc.dense {
+			t.Errorf("%d cores/%s: autoMin %d, substeps %d, dense %v; want %d, %d, %v: "+
+				"moving the crossover changes the bytes of expm documents under unchanged keys",
+				tc.cores, tc.pkg.Name, autoMin, substeps, dense, tc.autoMin, tc.substeps, tc.dense)
 		}
 	}
 }

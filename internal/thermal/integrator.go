@@ -17,7 +17,7 @@ const (
 	// A = e^{H·dt} precomputed per distinct span length by
 	// scaling-and-squaring and memoized, so one matvec pair replaces
 	// the whole substep loop with zero truncation error. Spans below a
-	// cost crossover substep via the Euler fallback (see expm.go).
+	// fixed crossover substep via the Euler fallback (see expm.go).
 	Expm
 )
 
