@@ -1,6 +1,7 @@
 package thermbal
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -44,5 +45,20 @@ func TestExpmDocumentGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.digest {
 			t.Errorf("%s/%s: document digest %s, golden %s", canon.Scenario, canon.Integrator, got, c.digest)
 		}
+	}
+}
+
+// TestWriteAllFiguresGolden pins the SHA-256 of every paper artifact
+// the facade renders: Tables 1-2, Figure 2 and the Figure 7-11 sweeps
+// on both packages.
+func TestWriteAllFiguresGolden(t *testing.T) {
+	const digest = "c100f79f93460d067612e1b1dd8e63e6012ddb1b04eefac30f76a9b2c10e929d"
+	var b bytes.Buffer
+	if err := WriteAllFigures(&b); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != digest {
+		t.Errorf("WriteAllFigures digest %s, golden %s:\n%s", got, digest, b.String())
 	}
 }

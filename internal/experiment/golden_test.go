@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"testing"
+
+	"thermbal/internal/thermal"
 )
 
 // The paper-artifact renderings at their default sizes, pinned
@@ -25,6 +27,67 @@ const (
       4     11     1.722         1.722       0           0
       8     21     6.176         6.176       0           0
 `
+	ablationsGolden = `Ablation A1: master-daemon period (thermal-balance, ±3 °C, mobile)
+  config                 std[°C]  misses  migr   mig/s  freeze[ms]
+  period=0.05s             2.007       3    32    1.07      118.3
+  period=0.10s             2.007       3    32    1.07      118.3
+  period=0.30s             2.006       0    31    1.03      118.3
+  period=1.00s             2.030       0    24    0.80      118.3
+  period=3.00s             2.181       0    10    0.33      118.3
+
+Ablation A2: task-subset bound TopK
+  config                 std[°C]  misses  migr   mig/s  freeze[ms]
+  topK=1                   2.031       0    65    2.17      118.3
+  topK=2                   1.812       0     2    0.07      118.3
+  topK=3                   2.006       0    31    1.03      118.3
+  topK=6                   2.006       0    31    1.03      118.3
+
+Ablation A3: MiGra freeze-cost budget
+  config                 std[°C]  misses  migr   mig/s  freeze[ms]
+  maxFreeze=50ms           3.503       0     0    0.00        0.0
+  maxFreeze=150ms          2.006       0    31    1.03      118.3
+  maxFreeze=250ms          2.006       0    31    1.03      118.3
+  maxFreeze=1000ms         2.006       0    31    1.03      118.3
+
+Ablation A4: migration mechanism
+  config                 std[°C]  misses  migr   mig/s  freeze[ms]
+  task-replication         2.006       0    31    1.03      118.3
+  task-recreation          2.093     300    68    2.27      222.6
+
+Ablation A5: queue capacity (paper: 11-frame minimum)
+  config                 std[°C]  misses  migr   mig/s  freeze[ms]
+  queue=3 frames           2.032       7     4    0.13      118.3
+  queue=5 frames           2.013       4    29    0.97      118.3
+  queue=8 frames           2.006       2    31    1.03      118.3
+  queue=11 frames          2.006       0    31    1.03      118.3
+  queue=16 frames          2.006       0    31    1.03      118.3
+`
+	// matrixGolden pins the scenario x policy table per integrator: a
+	// paper die, a deep pipeline and a many-core die under each policy.
+	matrixGoldenEuler = `Scenario x policy matrix
+  scenario         policy           std[°C]  spatial  misses  rate%    migr  energy[J]
+  sdr-radio        energy-balance     3.830    3.213       0   0.00       0      2.360
+                   stop-go            1.319    0.557      79  79.00       0      1.182
+                   thermal-balance    2.869    1.626       0   0.00       3      2.350
+  pipeline-d8      energy-balance     2.336    1.140       0   0.00       0      2.294
+                   stop-go            2.336    1.140       0   0.00       0      2.294
+                   thermal-balance    2.336    1.140       0   0.00       0      2.294
+  manycore-16      energy-balance     4.301    2.904       0   0.00       0     12.325
+                   stop-go            0.680    0.496      90  90.00       0      4.813
+                   thermal-balance    4.070    2.589       5   5.00       7     12.091
+`
+	matrixGoldenExpm = `Scenario x policy matrix
+  scenario         policy           std[°C]  spatial  misses  rate%    migr  energy[J]
+  sdr-radio        energy-balance     3.824    3.212       0   0.00       0      2.360
+                   stop-go            1.293    0.548      80  80.00       0      1.180
+                   thermal-balance    2.848    1.719       0   0.00       2      2.343
+  pipeline-d8      energy-balance     2.323    1.138       0   0.00       0      2.294
+                   stop-go            2.323    1.138       0   0.00       0      2.294
+                   thermal-balance    2.323    1.138       0   0.00       0      2.294
+  manycore-16      energy-balance     4.293    2.893       0   0.00       0     12.325
+                   stop-go            0.682    0.496      90  90.00       0      4.814
+                   thermal-balance    4.111    2.629       9   9.00       7     12.026
+`
 )
 
 func TestFormatTable2Golden(t *testing.T) {
@@ -44,5 +107,32 @@ func TestFormatScaleGolden(t *testing.T) {
 	}
 	if got := FormatScale(rows); got != scaleGolden {
 		t.Errorf("FormatScale:\n%s\ngolden:\n%s", got, scaleGolden)
+	}
+}
+
+func TestAllAblationsGolden(t *testing.T) {
+	got, err := AllAblations(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ablationsGolden {
+		t.Errorf("AllAblations:\n%s\ngolden:\n%s", got, ablationsGolden)
+	}
+}
+
+func TestFormatMatrixGolden(t *testing.T) {
+	for scheme, golden := range map[thermal.Scheme]string{thermal.Euler: matrixGoldenEuler, thermal.Expm: matrixGoldenExpm} {
+		cells, err := Matrix(context.Background(), Options{Thermal: thermal.Config{Scheme: scheme}}, MatrixConfig{
+			Scenarios: []string{"sdr-radio", "pipeline-d8", "manycore-16"},
+			Policies:  []string{"eb", "sg", "tb"},
+			WarmupS:   1,
+			MeasureS:  2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FormatMatrix(cells); got != golden {
+			t.Errorf("FormatMatrix (%s):\n%s\ngolden:\n%s", scheme, got, golden)
+		}
 	}
 }
