@@ -73,7 +73,7 @@ func sweep(b *testing.B, pkg experiment.PackageSel) []experiment.SweepPoint {
 	return points
 }
 
-func metricAt(points []experiment.SweepPoint, pol experiment.PolicySel, delta float64,
+func metricAt(points []experiment.SweepPoint, pol string, delta float64,
 	f func(experiment.SweepPoint) float64) float64 {
 	for _, p := range points {
 		if p.Policy == pol && p.Delta == delta {
@@ -89,9 +89,9 @@ func metricAt(points []experiment.SweepPoint, pol experiment.PolicySel, delta fl
 func BenchmarkFig7StdDevMobile(b *testing.B) {
 	points := sweep(b, experiment.Mobile)
 	std := func(p experiment.SweepPoint) float64 { return p.Result.PooledStdDev }
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 3, std), "std-TB-d3")
-	b.ReportMetric(metricAt(points, experiment.StopGo, 3, std), "std-SG-d3")
-	b.ReportMetric(metricAt(points, experiment.EnergyBalance, 3, std), "std-EB-d3")
+	b.ReportMetric(metricAt(points, "thermal-balance", 3, std), "std-TB-d3")
+	b.ReportMetric(metricAt(points, "stop-go", 3, std), "std-SG-d3")
+	b.ReportMetric(metricAt(points, "energy-balance", 3, std), "std-EB-d3")
 }
 
 // BenchmarkFig8MissesMobile regenerates Figure 8: deadline misses vs
@@ -99,9 +99,9 @@ func BenchmarkFig7StdDevMobile(b *testing.B) {
 func BenchmarkFig8MissesMobile(b *testing.B) {
 	points := sweep(b, experiment.Mobile)
 	miss := func(p experiment.SweepPoint) float64 { return float64(p.Result.DeadlineMisses) }
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 2, miss), "miss-TB-d2")
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 3, miss), "miss-TB-d3")
-	b.ReportMetric(metricAt(points, experiment.StopGo, 3, miss), "miss-SG-d3")
+	b.ReportMetric(metricAt(points, "thermal-balance", 2, miss), "miss-TB-d2")
+	b.ReportMetric(metricAt(points, "thermal-balance", 3, miss), "miss-TB-d3")
+	b.ReportMetric(metricAt(points, "stop-go", 3, miss), "miss-SG-d3")
 }
 
 // BenchmarkFig9StdDevHighPerf regenerates Figure 9: temperature standard
@@ -110,11 +110,11 @@ func BenchmarkFig9StdDevHighPerf(b *testing.B) {
 	points := sweep(b, experiment.HighPerf)
 	std := func(p experiment.SweepPoint) float64 { return p.Result.PooledStdDev }
 	spatial := func(p experiment.SweepPoint) float64 { return p.Result.SpatialStdDev }
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 3, std), "std-TB-d3")
-	b.ReportMetric(metricAt(points, experiment.StopGo, 3, std), "std-SG-d3")
-	b.ReportMetric(metricAt(points, experiment.EnergyBalance, 3, std), "std-EB-d3")
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 3, spatial), "spatial-TB-d3")
-	b.ReportMetric(metricAt(points, experiment.StopGo, 3, spatial), "spatial-SG-d3")
+	b.ReportMetric(metricAt(points, "thermal-balance", 3, std), "std-TB-d3")
+	b.ReportMetric(metricAt(points, "stop-go", 3, std), "std-SG-d3")
+	b.ReportMetric(metricAt(points, "energy-balance", 3, std), "std-EB-d3")
+	b.ReportMetric(metricAt(points, "thermal-balance", 3, spatial), "spatial-TB-d3")
+	b.ReportMetric(metricAt(points, "stop-go", 3, spatial), "spatial-SG-d3")
 }
 
 // BenchmarkFig10MissesHighPerf regenerates Figure 10: deadline misses vs
@@ -122,9 +122,9 @@ func BenchmarkFig9StdDevHighPerf(b *testing.B) {
 func BenchmarkFig10MissesHighPerf(b *testing.B) {
 	points := sweep(b, experiment.HighPerf)
 	miss := func(p experiment.SweepPoint) float64 { return float64(p.Result.DeadlineMisses) }
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 2, miss), "miss-TB-d2")
-	b.ReportMetric(metricAt(points, experiment.ThermalBalance, 5, miss), "miss-TB-d5")
-	b.ReportMetric(metricAt(points, experiment.StopGo, 3, miss), "miss-SG-d3")
+	b.ReportMetric(metricAt(points, "thermal-balance", 2, miss), "miss-TB-d2")
+	b.ReportMetric(metricAt(points, "thermal-balance", 5, miss), "miss-TB-d5")
+	b.ReportMetric(metricAt(points, "stop-go", 3, miss), "miss-SG-d3")
 }
 
 // BenchmarkFig11MigrationRate regenerates Figure 11: migrations per
@@ -166,7 +166,7 @@ func benchSweepWorkers(b *testing.B, workers int, th thermal.Config) {
 	for _, pkg := range []experiment.PackageSel{experiment.Mobile, experiment.HighPerf} {
 		for _, d := range experiment.Deltas {
 			cfgs = append(cfgs, experiment.RunConfig{
-				Policy: experiment.ThermalBalance, Delta: d, Package: pkg,
+				PolicyName: "thermal-balance", Delta: d, Package: pkg,
 				WarmupS: 2, MeasureS: 3, Thermal: th,
 			})
 		}

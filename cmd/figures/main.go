@@ -24,6 +24,7 @@ import (
 
 	"thermbal/internal/cliutil"
 	"thermbal/internal/experiment"
+	"thermbal/internal/service"
 	"thermbal/internal/thermal"
 )
 
@@ -37,6 +38,27 @@ func main() {
 	scenFile := flag.String("scenario-file", "", "declarative scenario spec JSON file for the sweep figures (mutually exclusive with -scenario)")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	runner := experiment.Runner{Workers: *workers}
+
+	// The cross product over every registered scenario and policy is
+	// opt-in: it is far larger than the paper's evaluation. -scenario
+	// restricts it (comma list or 'all'), matching thermsim -matrix.
+	if *only == "matrix" {
+		if *scenFile != "" {
+			log.Fatal("-scenario-file does not apply to -only matrix (matrix axes are registered names)")
+		}
+		cells, err := service.RunMatrix(ctx, runner, service.MatrixRequest{
+			Scenarios: cliutil.MatrixAxis(*scenarioFl), Integrator: *integrator,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Print(experiment.FormatMatrix(cells))
+		return
+	}
+
 	thermalCfg, err := cliutil.ParseIntegrator(*integrator)
 	if err != nil {
 		log.Fatal(err)
@@ -45,16 +67,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := experiment.Options{
-		Runner:  experiment.Runner{Workers: *workers},
-		Thermal: thermalCfg,
-		Spec:    sp,
-	}
+	opt := experiment.Options{Runner: runner, Thermal: thermalCfg, Spec: sp}
 	if sp == nil {
 		opt.Scenario = sc.Name
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	want := func(key string) bool { return *only == "" || *only == key }
 
@@ -138,27 +154,6 @@ func main() {
 		}
 		fmt.Print(experiment.FormatScale(rows))
 	}
-
-	// The cross product over every registered scenario and policy is
-	// opt-in: it is far larger than the paper's evaluation. -scenario
-	// restricts it (comma list or 'all'), matching thermsim -matrix.
-	if *only == "matrix" {
-		if *scenFile != "" {
-			log.Fatal("-scenario-file does not apply to -only matrix (matrix axes are registered names)")
-		}
-		var mcfg experiment.MatrixConfig
-		if *scenarioFl != "" {
-			mcfg.Scenarios, err = cliutil.ResolveScenarios(*scenarioFl)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		cells, err := experiment.Matrix(ctx, opt, mcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(experiment.FormatMatrix(cells))
-	}
 }
 
 // narrative reproduces the Section 5 prose claims: the 12.5 s warm-up
@@ -169,7 +164,7 @@ func narrative() error {
 
 	// Warm-up gradient.
 	res, eng, err := experiment.Run(experiment.RunConfig{
-		Policy: experiment.EnergyBalance, Package: experiment.Mobile, MeasureS: 0.1,
+		PolicyName: "energy-balance", Package: experiment.Mobile, MeasureS: 0.1,
 	})
 	if err != nil {
 		return err
@@ -182,7 +177,7 @@ func narrative() error {
 
 	// Balancing transient with the operating threshold.
 	resTB, engTB, err := experiment.Run(experiment.RunConfig{
-		Policy: experiment.ThermalBalance, Delta: 3, Package: experiment.Mobile, MeasureS: 10, Trace: true,
+		PolicyName: "thermal-balance", Delta: 3, Package: experiment.Mobile, MeasureS: 10, Trace: true,
 	})
 	if err != nil {
 		return err
@@ -196,7 +191,7 @@ func narrative() error {
 	// Queue sizing: the paper's 11-frame minimum.
 	for _, cap := range []int{5, 8, 11} {
 		r, _, err := experiment.Run(experiment.RunConfig{
-			Policy: experiment.ThermalBalance, Delta: 3, Package: experiment.Mobile,
+			PolicyName: "thermal-balance", Delta: 3, Package: experiment.Mobile,
 			MeasureS: 15, QueueCap: cap,
 		})
 		if err != nil {

@@ -30,6 +30,8 @@ import (
 	"thermbal/internal/cliutil"
 	"thermbal/internal/experiment"
 	"thermbal/internal/migrate"
+	"thermbal/internal/policy"
+	"thermbal/internal/scenario"
 	"thermbal/internal/service"
 	"thermbal/internal/thermal"
 )
@@ -79,17 +81,10 @@ func main() {
 		return
 	}
 
-	thermalCfg, err := cliutil.ParseIntegrator(*integrator)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pkg, err := cliutil.ParsePackage(*pkgName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opt := experiment.Options{
-		Runner:  experiment.Runner{Workers: *workers},
-		Thermal: thermalCfg,
+	runner := experiment.Runner{Workers: *workers}
+	mech := ""
+	if *recreate {
+		mech = migrate.Recreation.String()
 	}
 
 	if *matrix {
@@ -102,49 +97,65 @@ func main() {
 		if *jsonOut {
 			log.Fatal("-json requires a single run, not -matrix")
 		}
-		mech := migrate.Replication
-		if *recreate {
-			mech = migrate.Recreation
-		}
-		runMatrix(opt, *scenarioFl, *policyName, *delta, pkg, *warmup, *measure, *queueCap, mech)
-		return
-	}
-
-	if *jsonOut {
-		// One encoder, two consumers: the run goes through the same
-		// canonicalization and schema document as the service's /run
-		// endpoint, so for equal configurations the emitted bytes equal
-		// the server's response body.
-		if *policyName == "all" {
-			log.Fatal("-json requires a single policy")
-		}
-		if *traceOut != "" || *eventsOut != "" {
-			log.Fatal("-json cannot be combined with -trace/-events")
-		}
-		mech := ""
-		if *recreate {
-			mech = "task-recreation"
-		}
-		req := service.Request{
-			Scenario: *scenarioFl, Policy: *policyName, Delta: *delta,
-			Package: *pkgName, WarmupS: *warmup, MeasureS: *measure,
-			QueueCap: *queueCap, Mechanism: mech, Integrator: *integrator,
-		}
-		if *scenFile != "" {
-			sp, err := cliutil.LoadSpec(*scenFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			req.Spec = &sp
-		}
-		canon, rc, err := service.Canonicalize(req)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		cells, err := service.RunMatrix(ctx, runner, service.MatrixRequest{
+			Scenarios: cliutil.MatrixAxis(*scenarioFl), Policies: cliutil.MatrixAxis(*policyName),
+			Delta: *delta, Package: *pkgName, Mechanism: mech, Integrator: *integrator,
+			WarmupS: *warmup, MeasureS: *measure, QueueCap: *queueCap,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The fast-path switch is execution-only: results are
-		// bit-for-bit identical either way, so it is not part of the
-		// request identity and A/B runs emit the same document.
-		rc.NoFastPath = *noFastPath
+		fmt.Print(experiment.FormatMatrix(cells))
+		return
+	}
+
+	// Every single-scenario mode resolves this one request through the
+	// service's canonicalization, the same as /run: equal flags mean
+	// equal runs whichever mode reports them.
+	req := service.Request{
+		Scenario: *scenarioFl, Policy: *policyName, Delta: *delta,
+		Package: *pkgName, WarmupS: *warmup, MeasureS: *measure,
+		QueueCap: *queueCap, Mechanism: mech, Integrator: *integrator,
+	}
+	if *scenFile != "" {
+		if *scenarioFl != "" {
+			log.Fatal("-scenario and -scenario-file are mutually exclusive")
+		}
+		sp, err := cliutil.LoadSpec(*scenFile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		req.Spec = &sp
+	}
+	trace := *traceOut != "" || *eventsOut != ""
+	if *policyName == "all" {
+		if *jsonOut {
+			log.Fatal("-json requires a single policy")
+		}
+		if trace {
+			log.Fatal("-trace/-events require a single policy")
+		}
+		comparePolicies(runner, req)
+		return
+	}
+	canon, rc, err := service.Canonicalize(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Tracing and the fast-path switch are execution-only: results are
+	// bit-for-bit identical either way, so they are not part of the
+	// request identity and A/B runs emit the same document.
+	rc.Trace = trace
+	rc.NoFastPath = *noFastPath
+
+	if *jsonOut {
+		// One encoder, two consumers: for equal configurations the
+		// emitted bytes equal the service's /run response body.
+		if trace {
+			log.Fatal("-json cannot be combined with -trace/-events")
+		}
 		res, eng, err := experiment.Run(rc)
 		if err != nil {
 			log.Fatal(err)
@@ -160,47 +171,10 @@ func main() {
 		return
 	}
 
-	sc, sp, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
+	sc, err := scenarioOf(canon)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *delta == 0 {
-		*delta = sc.DefaultDelta
-	}
-	rc := experiment.RunConfig{
-		Spec:       sp,
-		Delta:      *delta,
-		Package:    pkg,
-		WarmupS:    *warmup,
-		MeasureS:   *measure,
-		QueueCap:   *queueCap,
-		Trace:      *traceOut != "" || *eventsOut != "",
-		Thermal:    thermalCfg,
-		NoFastPath: *noFastPath,
-	}
-	if sp == nil {
-		rc.Scenario = sc.Name
-	}
-	if *recreate {
-		rc.Mechanism = migrate.Recreation
-	}
-
-	polSpec := *policyName
-	if polSpec == "" {
-		polSpec = sc.DefaultPolicy
-	}
-	if polSpec == "all" {
-		if rc.Trace {
-			log.Fatal("-trace/-events require a single policy")
-		}
-		comparePolicies(sc.Name, rc, opt)
-		return
-	}
-	rc.PolicyName, err = cliutil.ResolvePolicy(polSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	res, eng, err := experiment.Run(rc)
 	if err != nil {
 		log.Fatal(err)
@@ -208,8 +182,8 @@ func main() {
 
 	fmt.Printf("scenario         %s (%s)\n", sc.Name, sc.Topology)
 	fmt.Printf("policy           %s\n", res.PolicyName)
-	fmt.Printf("package          %s\n", rc.Package)
-	fmt.Printf("threshold        ±%.1f °C around the mean\n", rc.Delta)
+	fmt.Printf("package          %s\n", canon.Package)
+	fmt.Printf("threshold        ±%.1f °C around the mean\n", canon.Delta)
 	fmt.Printf("window           %.1f s\n", res.MeasuredS)
 	fmt.Println()
 	fmt.Printf("temperature std  %.3f °C pooled (spatial %.3f, temporal %.3f)\n",
@@ -263,27 +237,41 @@ func main() {
 	}
 }
 
-// comparePolicies runs every registered policy under the same scenario
-// and configuration across the worker pool and prints a side-by-side
+// scenarioOf returns the scenario a canonical request runs, for the
+// report headers.
+func scenarioOf(canon service.Request) (scenario.Scenario, error) {
+	if canon.Spec != nil {
+		return scenario.FromSpec(*canon.Spec)
+	}
+	return scenario.Lookup(canon.Scenario)
+}
+
+// comparePolicies runs every registered policy on req's scenario and
+// configuration across the worker pool and prints a side-by-side
 // summary.
-func comparePolicies(scName string, rc experiment.RunConfig, opt experiment.Options) {
+func comparePolicies(runner experiment.Runner, req service.Request) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	policies, err := cliutil.ResolvePolicies("all")
+	policies := policy.Names()
+	var canon service.Request
+	cfgs := make([]experiment.RunConfig, len(policies))
+	for i, pol := range policies {
+		req.Policy = pol
+		var err error
+		if canon, cfgs[i], err = service.Canonicalize(req); err != nil {
+			log.Fatal(err)
+		}
+	}
+	sc, err := scenarioOf(canon)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfgs := make([]experiment.RunConfig, len(policies))
-	for i, pol := range policies {
-		cfgs[i] = rc
-		cfgs[i].PolicyName = pol
-	}
-	results, err := experiment.RunAll(ctx, opt.Runner, cfgs)
+	results, err := experiment.RunAll(ctx, runner, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scenario %s, package %s, threshold ±%.1f °C, integrator %s\n\n",
-		scName, rc.Package, rc.Delta, opt.Thermal.Scheme)
+		sc.Name, canon.Package, canon.Delta, canon.Integrator)
 	fmt.Println("policy           std[°C]  spatial  misses  rate%   migr  mig/s  energy[J]")
 	for i, pol := range policies {
 		r := results[i]
@@ -291,34 +279,4 @@ func comparePolicies(scName string, rc experiment.RunConfig, opt experiment.Opti
 			pol, r.PooledStdDev, r.SpatialStdDev, r.DeadlineMisses, r.MissRatePct,
 			r.Migrations, r.MigrationsPerSec, r.TotalEnergyJ)
 	}
-}
-
-// runMatrix executes the scenario x policy cross product.
-func runMatrix(opt experiment.Options, scSpec, polSpec string, delta float64, pkg experiment.PackageSel, warmup, measure float64, queueCap int, mech migrate.Mechanism) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	mc := experiment.MatrixConfig{
-		Delta:     delta,
-		Package:   pkg,
-		WarmupS:   warmup,
-		MeasureS:  measure,
-		QueueCap:  queueCap,
-		Mechanism: mech,
-	}
-	var err error
-	if scSpec != "" {
-		if mc.Scenarios, err = cliutil.ResolveScenarios(scSpec); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if polSpec != "" {
-		if mc.Policies, err = cliutil.ResolvePolicies(polSpec); err != nil {
-			log.Fatal(err)
-		}
-	}
-	cells, err := experiment.Matrix(ctx, opt, mc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(experiment.FormatMatrix(cells))
 }

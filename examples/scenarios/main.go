@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	_ "thermbal/internal/core" // register the thermal-balance policy
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
+	"thermbal/internal/service"
 )
 
 func main() {
@@ -28,8 +28,8 @@ func main() {
 
 	// Head-to-head on a deep pipeline: every stage sits on the critical
 	// path, so migration freezes are maximally visible.
-	cells, err := experiment.Matrix(context.Background(), experiment.Options{},
-		experiment.MatrixConfig{
+	cells, err := service.RunMatrix(context.Background(), experiment.Runner{},
+		service.MatrixRequest{
 			Scenarios: []string{"pipeline-d8", "bursty-sdr"},
 			Policies:  []string{"energy-balance", "thermal-balance"},
 			WarmupS:   5,

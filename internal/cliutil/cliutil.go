@@ -181,47 +181,15 @@ func ResolvePolicy(name string) (string, error) {
 	return canon, nil
 }
 
-// ResolvePolicies expands a -policy flag value into canonical names:
-// "all" selects every registered policy, otherwise a comma-separated
-// list of names or aliases is resolved (duplicates collapse).
-func ResolvePolicies(spec string) ([]string, error) {
-	if spec == "all" {
-		return policy.Names(), nil
+// MatrixAxis splits a -scenario or -policy flag value into one axis
+// of a service.MatrixRequest: "" or "all" is the empty axis (every
+// registered name), anything else a comma-separated list of names or
+// aliases that canonicalization resolves.
+func MatrixAxis(spec string) []string {
+	if spec == "" || spec == "all" {
+		return nil
 	}
-	var out []string
-	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		canon, err := ResolvePolicy(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if !seen[canon] {
-			seen[canon] = true
-			out = append(out, canon)
-		}
-	}
-	return out, nil
-}
-
-// ResolveScenarios expands a -scenario flag value: "all" selects every
-// registered scenario, otherwise a comma-separated list of names.
-func ResolveScenarios(spec string) ([]string, error) {
-	if spec == "all" {
-		return scenario.Names(), nil
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		sc, err := ResolveScenario(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if !seen[sc.Name] {
-			seen[sc.Name] = true
-			out = append(out, sc.Name)
-		}
-	}
-	return out, nil
+	return strings.Split(spec, ",")
 }
 
 // ParsePackage resolves a -package flag value.

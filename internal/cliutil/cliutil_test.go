@@ -36,23 +36,6 @@ func TestResolvePolicyAllCLISpellings(t *testing.T) {
 	}
 }
 
-func TestResolvePolicies(t *testing.T) {
-	all, err := ResolvePolicies("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) < 3 {
-		t.Fatalf("'all' expanded to %v, want >= 3 policies", all)
-	}
-	list, err := ResolvePolicies("tb, eb, thermal-balance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 || list[0] != "thermal-balance" || list[1] != "energy-balance" {
-		t.Errorf("ResolvePolicies dedup/order wrong: %v", list)
-	}
-}
-
 func TestResolveScenario(t *testing.T) {
 	sc, err := ResolveScenario("")
 	if err != nil || sc.Name != "sdr-radio" {
@@ -63,10 +46,6 @@ func TestResolveScenario(t *testing.T) {
 	}
 	if _, err := ResolveScenario("bogus"); err == nil {
 		t.Fatal("bogus scenario accepted")
-	}
-	names, err := ResolveScenarios("all")
-	if err != nil || len(names) < 6 {
-		t.Fatalf("ResolveScenarios(all) = %v, %v; want >= 6 names", names, err)
 	}
 }
 
@@ -165,11 +144,5 @@ func TestUnknownNameErrors(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "known policies:") {
 		t.Errorf("policy error missing list: %v", err)
-	}
-
-	// The comma-list resolvers inherit the suggestion.
-	_, err = ResolveScenarios("sdr-radio,video-decodr")
-	if err == nil || !strings.Contains(err.Error(), `did you mean "video-decoder"?`) {
-		t.Errorf("ResolveScenarios typo error = %v", err)
 	}
 }

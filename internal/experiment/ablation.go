@@ -76,7 +76,7 @@ func AblateDaemonPeriod(ctx context.Context, opt Options, periods []float64) ([]
 	specs := make([]ablSpec, 0, len(periods))
 	for _, p := range periods {
 		specs = append(specs, ablSpec{fmt.Sprintf("period=%.2fs", p), RunConfig{
-			Policy: ThermalBalance, Delta: 3, Package: Mobile, MinInterval: p,
+			PolicyName: thermalBalance, Delta: 3, Package: Mobile, MinInterval: p,
 		}})
 	}
 	return ablRows(ctx, opt, specs)
@@ -93,7 +93,7 @@ func AblateTopK(ctx context.Context, opt Options, ks []int) ([]AblationRow, erro
 	specs := make([]ablSpec, 0, len(ks))
 	for _, k := range ks {
 		specs = append(specs, ablSpec{fmt.Sprintf("topK=%d", k), RunConfig{
-			Policy: ThermalBalance, Delta: 3, Package: Mobile, TopK: k,
+			PolicyName: thermalBalance, Delta: 3, Package: Mobile, TopK: k,
 		}})
 	}
 	return ablRows(ctx, opt, specs)
@@ -109,7 +109,7 @@ func AblateCostFilter(ctx context.Context, opt Options, budgets []float64) ([]Ab
 	specs := make([]ablSpec, 0, len(budgets))
 	for _, bud := range budgets {
 		specs = append(specs, ablSpec{fmt.Sprintf("maxFreeze=%.0fms", bud*1e3), RunConfig{
-			Policy: ThermalBalance, Delta: 3, Package: Mobile, MaxFreezeS: bud,
+			PolicyName: thermalBalance, Delta: 3, Package: Mobile, MaxFreezeS: bud,
 		}})
 	}
 	return ablRows(ctx, opt, specs)
@@ -122,7 +122,7 @@ func AblateMechanism(ctx context.Context, opt Options) ([]AblationRow, error) {
 	var specs []ablSpec
 	for _, m := range []migrate.Mechanism{migrate.Replication, migrate.Recreation} {
 		specs = append(specs, ablSpec{m.String(), RunConfig{
-			Policy: ThermalBalance, Delta: 3, Package: Mobile, Mechanism: m,
+			PolicyName: thermalBalance, Delta: 3, Package: Mobile, Mechanism: m,
 		}})
 	}
 	return ablRows(ctx, opt, specs)
@@ -138,7 +138,7 @@ func AblateQueueCap(ctx context.Context, opt Options, caps []int) ([]AblationRow
 	specs := make([]ablSpec, 0, len(caps))
 	for _, c := range caps {
 		specs = append(specs, ablSpec{fmt.Sprintf("queue=%d frames", c), RunConfig{
-			Policy: ThermalBalance, Delta: 3, Package: Mobile, QueueCap: c,
+			PolicyName: thermalBalance, Delta: 3, Package: Mobile, QueueCap: c,
 		}})
 	}
 	return ablRows(ctx, opt, specs)

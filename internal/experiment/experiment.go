@@ -11,7 +11,7 @@ import (
 	"strings"
 
 	"thermbal/internal/bus"
-	"thermbal/internal/core"
+	_ "thermbal/internal/core" // register the thermal-balance policy
 	"thermbal/internal/dvfs"
 	"thermbal/internal/migrate"
 	"thermbal/internal/policy"
@@ -49,29 +49,13 @@ func (p PackageSel) Package() thermal.Package {
 	return thermal.MobileEmbedded()
 }
 
-// PolicySel selects one of the three compared policies (Section 5.2).
-type PolicySel int
-
+// The three policies the paper compares (Section 5.2), by canonical
+// registry name.
 const (
-	// EnergyBalance is the static energy-balancing baseline.
-	EnergyBalance PolicySel = iota
-	// StopGo is the modified Stop&Go baseline.
-	StopGo
-	// ThermalBalance is the paper's migration-based policy.
-	ThermalBalance
+	energyBalance  = "energy-balance"
+	stopGo         = "stop-go"
+	thermalBalance = "thermal-balance"
 )
-
-// String names the policy.
-func (p PolicySel) String() string {
-	switch p {
-	case StopGo:
-		return "stop&go"
-	case ThermalBalance:
-		return "thermal-balance"
-	default:
-		return "energy-balance"
-	}
-}
 
 // Defaults shared by the sweep experiments.
 const (
@@ -111,8 +95,7 @@ func Phases(sc scenario.Scenario, warmupS, measureS float64) (float64, float64) 
 
 // RunConfig fully describes one simulation run.
 type RunConfig struct {
-	Policy    PolicySel
-	Delta     float64 // threshold for StopGo/ThermalBalance
+	Delta     float64 // threshold for stop-go/thermal-balance
 	Package   PackageSel
 	WarmupS   float64 // default DefaultWarmupS (or the scenario's)
 	MeasureS  float64 // default DefaultMeasureS (or the scenario's)
@@ -129,12 +112,11 @@ type RunConfig struct {
 	// Spec, when non-nil, is a declarative scenario compiled in place of
 	// a registry lookup. Mutually exclusive with Scenario.
 	Spec *scenario.Spec
-	// PolicyName, when non-empty, constructs the policy by name through
-	// the policy registry and takes precedence over Policy. It accepts
-	// any registered name or alias ("stop-go", "tb", ...).
+	// PolicyName constructs the policy through the policy registry. It
+	// accepts any registered name or alias ("stop-go", "tb", ...).
 	PolicyName string
 
-	// Balancer knobs (ThermalBalance only; zero = policy defaults).
+	// Balancer knobs (thermal-balance only; zero = policy defaults).
 	// Used by the ablation studies.
 	MinInterval float64
 	TopK        int
@@ -154,32 +136,6 @@ func (rc *RunConfig) fill() {
 	}
 	if rc.QueueCap <= 0 {
 		rc.QueueCap = stream.DefaultQueueCap
-	}
-}
-
-func (rc RunConfig) buildPolicy() (policy.Policy, error) {
-	if rc.PolicyName != "" {
-		return policy.New(rc.PolicyName, policy.Args{
-			Delta:       rc.Delta,
-			MinInterval: rc.MinInterval,
-			TopK:        rc.TopK,
-			MaxFreezeS:  rc.MaxFreezeS,
-		})
-	}
-	// The PolicySel path predates the registry and constructs directly;
-	// its semantics (StopGo accepts any delta) are kept bit-for-bit.
-	switch rc.Policy {
-	case StopGo:
-		return policy.NewStopGo(rc.Delta), nil
-	case ThermalBalance:
-		return core.New(core.Params{
-			Delta:       rc.Delta,
-			MinInterval: rc.MinInterval,
-			TopK:        rc.TopK,
-			MaxFreezeS:  rc.MaxFreezeS,
-		}), nil
-	default:
-		return policy.EnergyBalance{}, nil
 	}
 }
 
@@ -217,7 +173,12 @@ func Run(rc RunConfig) (sim.Result, *sim.Engine, error) {
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
-	pol, err := rc.buildPolicy()
+	pol, err := policy.New(rc.PolicyName, policy.Args{
+		Delta:       rc.Delta,
+		MinInterval: rc.MinInterval,
+		TopK:        rc.TopK,
+		MaxFreezeS:  rc.MaxFreezeS,
+	})
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
@@ -447,13 +408,13 @@ func FormatFig2(rows []Fig2Row) string {
 
 // SweepPoint is one (policy, delta) outcome.
 type SweepPoint struct {
-	Policy PolicySel
+	Policy string // canonical policy name
 	Delta  float64
 	Result sim.Result
 }
 
 // Sweep runs the three policies across the threshold values for one
-// package on opt's worker pool. EnergyBalance has no threshold, so it
+// package on opt's worker pool. energy-balance has no threshold, so it
 // runs once and its result is replicated across the delta axis (the
 // paper plots it as a flat reference line). Point order and values are
 // identical for any worker count.
@@ -461,12 +422,12 @@ func Sweep(ctx context.Context, opt Options, pkg PackageSel, deltas []float64) (
 	if len(deltas) == 0 {
 		deltas = Deltas
 	}
-	policies := []PolicySel{StopGo, ThermalBalance}
+	policies := []string{stopGo, thermalBalance}
 	cfgs := make([]RunConfig, 0, 1+len(policies)*len(deltas))
-	cfgs = append(cfgs, RunConfig{Policy: EnergyBalance, Package: pkg, Thermal: opt.Thermal, Scenario: opt.Scenario, Spec: opt.Spec})
+	cfgs = append(cfgs, RunConfig{PolicyName: energyBalance, Package: pkg, Thermal: opt.Thermal, Scenario: opt.Scenario, Spec: opt.Spec})
 	for _, pol := range policies {
 		for _, d := range deltas {
-			cfgs = append(cfgs, RunConfig{Policy: pol, Delta: d, Package: pkg, Thermal: opt.Thermal, Scenario: opt.Scenario, Spec: opt.Spec})
+			cfgs = append(cfgs, RunConfig{PolicyName: pol, Delta: d, Package: pkg, Thermal: opt.Thermal, Scenario: opt.Scenario, Spec: opt.Spec})
 		}
 	}
 	results, err := RunAll(ctx, opt.Runner, cfgs)
@@ -475,7 +436,7 @@ func Sweep(ctx context.Context, opt Options, pkg PackageSel, deltas []float64) (
 	}
 	out := make([]SweepPoint, 0, (1+len(policies))*len(deltas))
 	for _, d := range deltas {
-		out = append(out, SweepPoint{Policy: EnergyBalance, Delta: d, Result: results[0]})
+		out = append(out, SweepPoint{Policy: energyBalance, Delta: d, Result: results[0]})
 	}
 	i := 1
 	for _, pol := range policies {
@@ -488,9 +449,9 @@ func Sweep(ctx context.Context, opt Options, pkg PackageSel, deltas []float64) (
 }
 
 // series extracts, for each policy, the metric across deltas.
-func series(points []SweepPoint, deltas []float64, metric func(sim.Result) float64) map[PolicySel][]float64 {
-	out := map[PolicySel][]float64{}
-	for _, pol := range []PolicySel{EnergyBalance, StopGo, ThermalBalance} {
+func series(points []SweepPoint, deltas []float64, metric func(sim.Result) float64) map[string][]float64 {
+	out := map[string][]float64{}
+	for _, pol := range []string{energyBalance, stopGo, thermalBalance} {
 		vals := make([]float64, len(deltas))
 		for i, d := range deltas {
 			for _, p := range points {
@@ -521,9 +482,9 @@ func FormatStdDevFigure(fig string, pkg PackageSel, points []SweepPoint, deltas 
 	b.WriteString("          pooled  spatial     pooled  spatial     pooled  spatial\n")
 	for i, d := range deltas {
 		fmt.Fprintf(&b, "  %5.0f   %6.3f  %7.3f     %6.3f  %7.3f     %6.3f  %7.3f\n", d,
-			pooled[EnergyBalance][i], spatial[EnergyBalance][i],
-			pooled[StopGo][i], spatial[StopGo][i],
-			pooled[ThermalBalance][i], spatial[ThermalBalance][i])
+			pooled[energyBalance][i], spatial[energyBalance][i],
+			pooled[stopGo][i], spatial[stopGo][i],
+			pooled[thermalBalance][i], spatial[thermalBalance][i])
 	}
 	return b.String()
 }
@@ -546,9 +507,9 @@ func FormatMissFigure(fig string, pkg PackageSel, points []SweepPoint, deltas []
 	b.WriteString("          misses  rate%      misses  rate%      misses  rate%\n")
 	for i, d := range deltas {
 		fmt.Fprintf(&b, "  %5.0f   %6.0f  %5.2f      %6.0f  %5.2f      %6.0f  %5.2f\n", d,
-			misses[EnergyBalance][i], rate[EnergyBalance][i],
-			misses[StopGo][i], rate[StopGo][i],
-			misses[ThermalBalance][i], rate[ThermalBalance][i])
+			misses[energyBalance][i], rate[energyBalance][i],
+			misses[stopGo][i], rate[stopGo][i],
+			misses[thermalBalance][i], rate[thermalBalance][i])
 	}
 	return b.String()
 }
@@ -578,8 +539,8 @@ func Fig11(mobile, highperf []SweepPoint, deltas []float64) []Fig11Point {
 			out = append(out, Fig11Point{
 				Package: set.pkg,
 				Delta:   d,
-				PerSec:  rates[ThermalBalance][i],
-				KBps:    kbps[ThermalBalance][i],
+				PerSec:  rates[thermalBalance][i],
+				KBps:    kbps[thermalBalance][i],
 			})
 		}
 	}

@@ -104,16 +104,16 @@ func shortSweep(t *testing.T, pkg PackageSel) []SweepPoint {
 	t.Helper()
 	var out []SweepPoint
 	deltas := []float64{2, 4}
-	ebRes, _, err := Run(RunConfig{Policy: EnergyBalance, Package: pkg, MeasureS: 10})
+	ebRes, _, err := Run(RunConfig{PolicyName: energyBalance, Package: pkg, MeasureS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range deltas {
-		out = append(out, SweepPoint{Policy: EnergyBalance, Delta: d, Result: ebRes})
+		out = append(out, SweepPoint{Policy: energyBalance, Delta: d, Result: ebRes})
 	}
-	for _, pol := range []PolicySel{StopGo, ThermalBalance} {
+	for _, pol := range []string{stopGo, thermalBalance} {
 		for _, d := range deltas {
-			r, _, err := Run(RunConfig{Policy: pol, Delta: d, Package: pkg, MeasureS: 10})
+			r, _, err := Run(RunConfig{PolicyName: pol, Delta: d, Package: pkg, MeasureS: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,23 +133,23 @@ func TestSweepShapesMobile(t *testing.T) {
 	misses := series(points, deltas, func(r sim.Result) float64 { return float64(r.DeadlineMisses) })
 	// Figure 7 ordering: thermal balance lowest deviation.
 	for i := range deltas {
-		if !(pooled[ThermalBalance][i] < pooled[EnergyBalance][i]) {
-			t.Errorf("delta %g: TB pooled %.3f !< EB %.3f", deltas[i], pooled[ThermalBalance][i], pooled[EnergyBalance][i])
+		if !(pooled[thermalBalance][i] < pooled[energyBalance][i]) {
+			t.Errorf("delta %g: TB pooled %.3f !< EB %.3f", deltas[i], pooled[thermalBalance][i], pooled[energyBalance][i])
 		}
-		if !(pooled[ThermalBalance][i] < pooled[StopGo][i]) {
-			t.Errorf("delta %g: TB pooled %.3f !< S&G %.3f", deltas[i], pooled[ThermalBalance][i], pooled[StopGo][i])
+		if !(pooled[thermalBalance][i] < pooled[stopGo][i]) {
+			t.Errorf("delta %g: TB pooled %.3f !< S&G %.3f", deltas[i], pooled[thermalBalance][i], pooled[stopGo][i])
 		}
 	}
 	// Figure 8: S&G misses far above TB.
 	for i := range deltas {
-		if misses[StopGo][i] < 50*math.Max(misses[ThermalBalance][i], 1) {
-			t.Errorf("delta %g: S&G misses %.0f not >> TB %.0f", deltas[i], misses[StopGo][i], misses[ThermalBalance][i])
+		if misses[stopGo][i] < 50*math.Max(misses[thermalBalance][i], 1) {
+			t.Errorf("delta %g: S&G misses %.0f not >> TB %.0f", deltas[i], misses[stopGo][i], misses[thermalBalance][i])
 		}
 	}
 	// Figure 11: rate declines with threshold.
 	rates := series(points, deltas, func(r sim.Result) float64 { return r.MigrationsPerSec })
-	if !(rates[ThermalBalance][0] > rates[ThermalBalance][1]) {
-		t.Errorf("migration rate not declining: %v", rates[ThermalBalance])
+	if !(rates[thermalBalance][0] > rates[thermalBalance][1]) {
+		t.Errorf("migration rate not declining: %v", rates[thermalBalance])
 	}
 	// Formatters render.
 	if !strings.Contains(FormatStdDevFigure("Figure 7", Mobile, points, deltas), "thermal-balance") {
@@ -166,11 +166,11 @@ func TestFig11HighPerfAboveMobile(t *testing.T) {
 	}
 	deltas := []float64{3}
 	run := func(pkg PackageSel) []SweepPoint {
-		r, _, err := Run(RunConfig{Policy: ThermalBalance, Delta: 3, Package: pkg, MeasureS: 15})
+		r, _, err := Run(RunConfig{PolicyName: thermalBalance, Delta: 3, Package: pkg, MeasureS: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []SweepPoint{{Policy: ThermalBalance, Delta: 3, Result: r}}
+		return []SweepPoint{{Policy: thermalBalance, Delta: 3, Result: r}}
 	}
 	mob := run(Mobile)
 	hp := run(HighPerf)
@@ -198,7 +198,7 @@ func TestFormatFig11RendersPointDeltas(t *testing.T) {
 	tb := func(perSec, bytesPerSec float64) []SweepPoint {
 		var pts []SweepPoint
 		for _, d := range deltas {
-			pts = append(pts, SweepPoint{Policy: ThermalBalance, Delta: d,
+			pts = append(pts, SweepPoint{Policy: thermalBalance, Delta: d,
 				Result: sim.Result{MigrationsPerSec: perSec * d, BytesPerSec: bytesPerSec * d}})
 		}
 		return pts
@@ -218,7 +218,7 @@ func TestFormatFig11RendersPointDeltas(t *testing.T) {
 // not the paper's default.
 func TestFormatMissFigureWindow(t *testing.T) {
 	var pts []SweepPoint
-	for _, pol := range []PolicySel{EnergyBalance, StopGo, ThermalBalance} {
+	for _, pol := range []string{energyBalance, stopGo, thermalBalance} {
 		pts = append(pts, SweepPoint{Policy: pol, Delta: 3, Result: sim.Result{MeasuredS: 10}})
 	}
 	out := FormatMissFigure("Figure 8", Mobile, pts, []float64{3})
@@ -239,7 +239,27 @@ func TestSelectorsString(t *testing.T) {
 	if Mobile.String() != "mobile-embedded" || HighPerf.String() != "high-performance" {
 		t.Error("package names")
 	}
-	if EnergyBalance.String() != "energy-balance" || StopGo.String() != "stop&go" || ThermalBalance.String() != "thermal-balance" {
-		t.Error("policy names")
+}
+
+func TestRunUnknownScenario(t *testing.T) {
+	if _, _, err := Run(RunConfig{Scenario: "bogus"}); err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestRunUnknownPolicyName: every policy comes from the registry, so a
+// missing or unknown name and a threshold policy without a positive
+// delta are errors, never a panic.
+func TestRunUnknownPolicyName(t *testing.T) {
+	for _, rc := range []RunConfig{
+		{PolicyName: "bogus"},
+		{PolicyName: ""},
+		{PolicyName: thermalBalance},
+		{PolicyName: stopGo},
+	} {
+		rc.WarmupS, rc.MeasureS = 1, 1
+		if _, _, err := Run(rc); err == nil {
+			t.Errorf("Run(%q, delta 0) accepted", rc.PolicyName)
+		}
 	}
 }

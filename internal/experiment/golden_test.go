@@ -3,8 +3,6 @@ package experiment
 import (
 	"context"
 	"testing"
-
-	"thermbal/internal/thermal"
 )
 
 // The paper-artifact renderings at their default sizes, pinned
@@ -62,32 +60,6 @@ Ablation A5: queue capacity (paper: 11-frame minimum)
   queue=11 frames          2.006       0    31    1.03      118.3
   queue=16 frames          2.006       0    31    1.03      118.3
 `
-	// matrixGolden pins the scenario x policy table per integrator: a
-	// paper die, a deep pipeline and a many-core die under each policy.
-	matrixGoldenEuler = `Scenario x policy matrix
-  scenario         policy           std[°C]  spatial  misses  rate%    migr  energy[J]
-  sdr-radio        energy-balance     3.830    3.213       0   0.00       0      2.360
-                   stop-go            1.319    0.557      79  79.00       0      1.182
-                   thermal-balance    2.869    1.626       0   0.00       3      2.350
-  pipeline-d8      energy-balance     2.336    1.140       0   0.00       0      2.294
-                   stop-go            2.336    1.140       0   0.00       0      2.294
-                   thermal-balance    2.336    1.140       0   0.00       0      2.294
-  manycore-16      energy-balance     4.301    2.904       0   0.00       0     12.325
-                   stop-go            0.680    0.496      90  90.00       0      4.813
-                   thermal-balance    4.070    2.589       5   5.00       7     12.091
-`
-	matrixGoldenExpm = `Scenario x policy matrix
-  scenario         policy           std[°C]  spatial  misses  rate%    migr  energy[J]
-  sdr-radio        energy-balance     3.824    3.212       0   0.00       0      2.360
-                   stop-go            1.293    0.548      80  80.00       0      1.180
-                   thermal-balance    2.848    1.719       0   0.00       2      2.343
-  pipeline-d8      energy-balance     2.323    1.138       0   0.00       0      2.294
-                   stop-go            2.323    1.138       0   0.00       0      2.294
-                   thermal-balance    2.323    1.138       0   0.00       0      2.294
-  manycore-16      energy-balance     4.293    2.893       0   0.00       0     12.325
-                   stop-go            0.682    0.496      90  90.00       0      4.814
-                   thermal-balance    4.111    2.629       9   9.00       7     12.026
-`
 )
 
 func TestFormatTable2Golden(t *testing.T) {
@@ -117,22 +89,5 @@ func TestAllAblationsGolden(t *testing.T) {
 	}
 	if got != ablationsGolden {
 		t.Errorf("AllAblations:\n%s\ngolden:\n%s", got, ablationsGolden)
-	}
-}
-
-func TestFormatMatrixGolden(t *testing.T) {
-	for scheme, golden := range map[thermal.Scheme]string{thermal.Euler: matrixGoldenEuler, thermal.Expm: matrixGoldenExpm} {
-		cells, err := Matrix(context.Background(), Options{Thermal: thermal.Config{Scheme: scheme}}, MatrixConfig{
-			Scenarios: []string{"sdr-radio", "pipeline-d8", "manycore-16"},
-			Policies:  []string{"eb", "sg", "tb"},
-			WarmupS:   1,
-			MeasureS:  2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := FormatMatrix(cells); got != golden {
-			t.Errorf("FormatMatrix (%s):\n%s\ngolden:\n%s", scheme, got, golden)
-		}
 	}
 }

@@ -1,13 +1,49 @@
-package experiment
+package experiment_test
 
 import (
 	"context"
 	"strings"
 	"testing"
+
+	"thermbal/internal/experiment"
+	"thermbal/internal/service"
+)
+
+// The matrix display rows come from the service's canonical
+// decomposition, which imports this package; these tests therefore
+// live in the external test package.
+
+const (
+	// matrixGolden pins the scenario x policy table per integrator: a
+	// paper die, a deep pipeline and a many-core die under each policy.
+	matrixGoldenEuler = `Scenario x policy matrix
+  scenario         policy           std[°C]  spatial  misses  rate%    migr  energy[J]
+  sdr-radio        energy-balance     3.830    3.213       0   0.00       0      2.360
+                   stop-go            1.319    0.557      79  79.00       0      1.182
+                   thermal-balance    2.869    1.626       0   0.00       3      2.350
+  pipeline-d8      energy-balance     2.336    1.140       0   0.00       0      2.294
+                   stop-go            2.336    1.140       0   0.00       0      2.294
+                   thermal-balance    2.336    1.140       0   0.00       0      2.294
+  manycore-16      energy-balance     4.301    2.904       0   0.00       0     12.325
+                   stop-go            0.680    0.496      90  90.00       0      4.813
+                   thermal-balance    4.070    2.589       5   5.00       7     12.091
+`
+	matrixGoldenExpm = `Scenario x policy matrix
+  scenario         policy           std[°C]  spatial  misses  rate%    migr  energy[J]
+  sdr-radio        energy-balance     3.824    3.212       0   0.00       0      2.360
+                   stop-go            1.293    0.548      80  80.00       0      1.180
+                   thermal-balance    2.848    1.719       0   0.00       2      2.343
+  pipeline-d8      energy-balance     2.323    1.138       0   0.00       0      2.294
+                   stop-go            2.323    1.138       0   0.00       0      2.294
+                   thermal-balance    2.323    1.138       0   0.00       0      2.294
+  manycore-16      energy-balance     4.293    2.893       0   0.00       0     12.325
+                   stop-go            0.682    0.496      90  90.00       0      4.814
+                   thermal-balance    4.111    2.629       9   9.00       7     12.026
+`
 )
 
 func TestMatrixSmall(t *testing.T) {
-	cells, err := Matrix(context.Background(), Options{}, MatrixConfig{
+	cells, err := service.RunMatrix(context.Background(), experiment.Runner{}, service.MatrixRequest{
 		Scenarios: []string{"sdr-radio", "fanout-w4"},
 		Policies:  []string{"energy-balance", "tb"},
 		Delta:     3,
@@ -35,7 +71,7 @@ func TestMatrixSmall(t *testing.T) {
 			t.Errorf("cell %d consumed no frames", i)
 		}
 	}
-	out := FormatMatrix(cells)
+	out := experiment.FormatMatrix(cells)
 	for _, s := range []string{"sdr-radio", "fanout-w4", "thermal-balance"} {
 		if !strings.Contains(out, s) {
 			t.Errorf("formatted matrix missing %q:\n%s", s, out)
@@ -43,44 +79,20 @@ func TestMatrixSmall(t *testing.T) {
 	}
 }
 
-func TestMatrixUnknownAxes(t *testing.T) {
-	if _, err := Matrix(context.Background(), Options{}, MatrixConfig{Scenarios: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-	if _, err := Matrix(context.Background(), Options{}, MatrixConfig{
-		Scenarios: []string{"sdr-radio"}, Policies: []string{"bogus"},
-	}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
-// TestRunByNameMatchesSel verifies the registry path produces the same
-// result as the legacy PolicySel path for the paper workload: the
-// scenario+name rewiring must keep paper outputs bit-for-bit identical.
-func TestRunByNameMatchesSel(t *testing.T) {
-	legacy, _, err := Run(RunConfig{Policy: ThermalBalance, Delta: 3, WarmupS: 2, MeasureS: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName, _, err := Run(RunConfig{
-		Scenario: "sdr-radio", PolicyName: "thermal-balance", Delta: 3, WarmupS: 2, MeasureS: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != byName {
-		t.Fatalf("registry path diverged from PolicySel path:\nlegacy: %+v\nbyName: %+v", legacy, byName)
-	}
-}
-
-func TestRunUnknownScenario(t *testing.T) {
-	if _, _, err := Run(RunConfig{Scenario: "bogus"}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}
-
-func TestRunUnknownPolicyName(t *testing.T) {
-	if _, _, err := Run(RunConfig{PolicyName: "bogus", WarmupS: 1, MeasureS: 1}); err == nil {
-		t.Fatal("unknown policy name accepted")
+func TestFormatMatrixGolden(t *testing.T) {
+	for integrator, golden := range map[string]string{"euler": matrixGoldenEuler, "expm": matrixGoldenExpm} {
+		cells, err := service.RunMatrix(context.Background(), experiment.Runner{}, service.MatrixRequest{
+			Scenarios:  []string{"sdr-radio", "pipeline-d8", "manycore-16"},
+			Policies:   []string{"eb", "sg", "tb"},
+			WarmupS:    1,
+			MeasureS:   2,
+			Integrator: integrator,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := experiment.FormatMatrix(cells); got != golden {
+			t.Errorf("FormatMatrix (%s):\n%s\ngolden:\n%s", integrator, got, golden)
+		}
 	}
 }

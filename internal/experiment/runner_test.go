@@ -92,7 +92,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 
 func TestRunAllPropagatesRunError(t *testing.T) {
 	cfgs := []RunConfig{
-		{Policy: EnergyBalance, Package: Mobile, Delta: -1}, // invalid: fails fast
+		{PolicyName: energyBalance, Package: Mobile, Delta: -1}, // invalid: fails fast
 	}
 	_, err := RunAll(context.Background(), Runner{Workers: 2}, cfgs)
 	if err == nil {
@@ -108,10 +108,10 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("simulation runs")
 	}
 	cfgs := []RunConfig{
-		{Policy: EnergyBalance, Package: Mobile, WarmupS: 1, MeasureS: 2},
-		{Policy: StopGo, Delta: 2, Package: Mobile, WarmupS: 1, MeasureS: 2},
-		{Policy: ThermalBalance, Delta: 3, Package: Mobile, WarmupS: 1, MeasureS: 2},
-		{Policy: ThermalBalance, Delta: 3, Package: HighPerf, WarmupS: 1, MeasureS: 2},
+		{PolicyName: energyBalance, Package: Mobile, WarmupS: 1, MeasureS: 2},
+		{PolicyName: stopGo, Delta: 2, Package: Mobile, WarmupS: 1, MeasureS: 2},
+		{PolicyName: thermalBalance, Delta: 3, Package: Mobile, WarmupS: 1, MeasureS: 2},
+		{PolicyName: thermalBalance, Delta: 3, Package: HighPerf, WarmupS: 1, MeasureS: 2},
 	}
 	serial, err := RunAll(context.Background(), Runner{Workers: 1}, cfgs)
 	if err != nil {
@@ -165,7 +165,7 @@ func TestOptionsThermalReachesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs")
 	}
-	base := RunConfig{Policy: EnergyBalance, Package: Mobile, WarmupS: 1, MeasureS: 1}
+	base := RunConfig{PolicyName: energyBalance, Package: Mobile, WarmupS: 1, MeasureS: 1}
 	euler, _, err := Run(base)
 	if err != nil {
 		t.Fatal(err)

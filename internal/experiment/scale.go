@@ -39,8 +39,8 @@ func Scale(ctx context.Context, opt Options, coreCounts []int, seed int64) ([]Sc
 		// at mid-ladder frequencies, leaving thermal contrast.
 		specs[i] = scenario.SplitJoin(seed, n+2, 3, 0.45*float64(n), n)
 		cfgs = append(cfgs,
-			RunConfig{Policy: EnergyBalance, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal},
-			RunConfig{Policy: ThermalBalance, Delta: 2, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal})
+			RunConfig{PolicyName: energyBalance, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal},
+			RunConfig{PolicyName: thermalBalance, Delta: 2, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal})
 	}
 	results, err := RunAll(ctx, opt.Runner, cfgs)
 	if err != nil {

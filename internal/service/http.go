@@ -274,7 +274,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cells, err := matrixCells(canon)
+	cells, err := MatrixCells(canon)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -92,15 +92,6 @@ type JobStats struct {
 	Recovered int `json:"recovered,omitempty"`
 }
 
-// cellTask is one (scenario, policy) cell of a decomposed matrix
-// sweep: a fully canonical run request plus its execution
-// configuration. Its content address (req.Key()) is identical to a
-// direct /run of the same configuration.
-type cellTask struct {
-	req Request
-	rc  experiment.RunConfig
-}
-
 // job is the manager-internal record; its mutable fields are guarded
 // by the owning jobManager's mutex.
 type job struct {
@@ -116,7 +107,7 @@ type job struct {
 	run    *Request
 	matrix *MatrixRequest
 	rc     experiment.RunConfig
-	cells  []cellTask // matrix jobs: the decomposed sweep
+	cells  []Cell // matrix jobs: the decomposed sweep
 
 	state     JobState
 	errText   string
@@ -255,7 +246,7 @@ func (m *jobManager) submit(jr JobRequest, recovered bool) (*job, error) {
 		if err != nil {
 			return nil, err
 		}
-		cells, err := matrixCells(canon)
+		cells, err := MatrixCells(canon)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -246,7 +247,7 @@ type MatrixRequest struct {
 }
 
 // CanonicalizeMatrix resolves a matrix request into its canonical form
-// (matrixCells decomposes that into the runs that execute it).
+// (MatrixCells decomposes that into the runs that execute it).
 func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 	var c MatrixRequest
 	if len(req.Scenarios) == 0 {
@@ -379,14 +380,23 @@ type MatrixDoc struct {
 	Cells []MatrixCellDoc `json:"cells"`
 }
 
-// matrixCells decomposes a canonical matrix request into its cells:
+// Cell is one (scenario, policy) cell of a decomposed matrix sweep: a
+// fully canonical run request plus its execution configuration. Its
+// content address (Request.Key()) is identical to a direct /run of the
+// same configuration.
+type Cell struct {
+	Request Request
+	Config  experiment.RunConfig
+}
+
+// MatrixCells decomposes a canonical matrix request into its cells:
 // one fully canonical run request (plus its execution configuration)
 // per (scenario, policy) pair, scenario-major in the canonical axis
 // order. Each cell's key is the same content address a direct /run of
 // that configuration uses, which is what lets sweep results persist —
 // and restart-resume — cell by cell.
-func matrixCells(canon MatrixRequest) ([]cellTask, error) {
-	cells := make([]cellTask, 0, len(canon.Scenarios)*len(canon.Policies))
+func MatrixCells(canon MatrixRequest) ([]Cell, error) {
+	cells := make([]Cell, 0, len(canon.Scenarios)*len(canon.Policies))
 	for _, sn := range canon.Scenarios {
 		for _, pn := range canon.Policies {
 			req, rc, err := Canonicalize(Request{
@@ -403,19 +413,46 @@ func matrixCells(canon MatrixRequest) ([]cellTask, error) {
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, cellTask{req: req, rc: rc})
+			cells = append(cells, Cell{Request: req, Config: rc})
 		}
 	}
 	return cells, nil
 }
 
+// RunMatrix canonicalizes req and runs its cells on r's worker pool,
+// returning one display row per cell in cell order: the in-process
+// form of a /matrix sweep, for the CLIs.
+func RunMatrix(ctx context.Context, r experiment.Runner, req MatrixRequest) ([]experiment.MatrixCell, error) {
+	canon, err := CanonicalizeMatrix(req)
+	if err != nil {
+		return nil, err
+	}
+	cells, err := MatrixCells(canon)
+	if err != nil {
+		return nil, err
+	}
+	cfgs := make([]experiment.RunConfig, len(cells))
+	for i, c := range cells {
+		cfgs[i] = c.Config
+	}
+	results, err := experiment.RunAll(ctx, r, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]experiment.MatrixCell, len(cells))
+	for i, c := range cells {
+		out[i] = experiment.MatrixCell{Scenario: c.Request.Scenario, Policy: c.Request.Policy, Result: results[i]}
+	}
+	return out, nil
+}
+
 // sweepCost is a sweep's estimated simulated seconds: every cell's
 // warmup + measure phases, summed. The sync /matrix endpoint bounds it
 // like /run bounds a single request, and admission reserves it.
-func sweepCost(cells []cellTask) float64 {
+func sweepCost(cells []Cell) float64 {
 	var total float64
 	for _, c := range cells {
-		total += c.req.WarmupS + c.req.MeasureS
+		total += c.Request.WarmupS + c.Request.MeasureS
 	}
 	return total
 }
@@ -424,7 +461,7 @@ func sweepCost(cells []cellTask) float64 {
 // into the whole-sweep document. Each cell body is the encoded RunDoc
 // the cell's execution produced (or a store/cache hit of it); its raw
 // result block is lifted verbatim.
-func assembleMatrixDoc(canon MatrixRequest, cells []cellTask, bodies [][]byte) (MatrixDoc, error) {
+func assembleMatrixDoc(canon MatrixRequest, cells []Cell, bodies [][]byte) (MatrixDoc, error) {
 	doc := MatrixDoc{
 		SchemaVersion: experiment.SchemaVersion,
 		Kind:          "matrix",
@@ -437,11 +474,11 @@ func assembleMatrixDoc(canon MatrixRequest, cells []cellTask, bodies [][]byte) (
 			Result json.RawMessage `json:"result"`
 		}
 		if err := json.Unmarshal(bodies[i], &run); err != nil {
-			return MatrixDoc{}, fmt.Errorf("cell %s/%s: %w", cell.req.Scenario, cell.req.Policy, err)
+			return MatrixDoc{}, fmt.Errorf("cell %s/%s: %w", cell.Request.Scenario, cell.Request.Policy, err)
 		}
 		doc.Cells[i] = MatrixCellDoc{
-			Scenario: cell.req.Scenario,
-			Policy:   cell.req.Policy,
+			Scenario: cell.Request.Scenario,
+			Policy:   cell.Request.Policy,
 			Result:   run.Result,
 		}
 	}

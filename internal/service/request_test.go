@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"thermbal/internal/cliutil"
+	"thermbal/internal/policy"
+	"thermbal/internal/scenario"
 )
 
 // goldenKey is the content address of the paper's default operating
@@ -153,24 +157,24 @@ func TestCanonicalizeMatrix(t *testing.T) {
 	}
 	// The cells are the scenario-major cross product of the canonical
 	// axes, each keyed exactly like a direct /run of its configuration.
-	cells, err := matrixCells(canon)
+	cells, err := MatrixCells(canon)
 	if err != nil {
-		t.Fatalf("matrixCells: %v", err)
+		t.Fatalf("MatrixCells: %v", err)
 	}
 	if len(cells) != 4 {
 		t.Fatalf("%d cells, want 2 x 2", len(cells))
 	}
 	for i, c := range cells {
 		sn, pn := canon.Scenarios[i/2], canon.Policies[i%2]
-		if c.req.Scenario != sn || c.req.Policy != pn || c.rc.Scenario != sn || c.rc.PolicyName != pn {
+		if c.Request.Scenario != sn || c.Request.Policy != pn || c.Config.Scenario != sn || c.Config.PolicyName != pn {
 			t.Errorf("cell %d = %s/%s (run config %s/%s), want %s/%s",
-				i, c.req.Scenario, c.req.Policy, c.rc.Scenario, c.rc.PolicyName, sn, pn)
+				i, c.Request.Scenario, c.Request.Policy, c.Config.Scenario, c.Config.PolicyName, sn, pn)
 		}
 		direct, _, err := Canonicalize(Request{Scenario: sn, Policy: pn})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.req.Key() != direct.Key() {
+		if c.Request.Key() != direct.Key() {
 			t.Errorf("cell %s/%s key differs from a direct /run's", sn, pn)
 		}
 	}
@@ -200,6 +204,57 @@ func TestCanonicalizeMatrix(t *testing.T) {
 	}
 	if all.Key() == k1 {
 		t.Error("full matrix key collides with the 2x2 slice")
+	}
+}
+
+// TestCanonicalizeMatrixAxes resolves matrix axes spelled as the CLIs'
+// -scenario/-policy flag values: "" and "all" select every registered
+// name, lists resolve aliases, collapse duplicates and keep input
+// order, and unknown names fail with a did-you-mean suggestion.
+func TestCanonicalizeMatrixAxes(t *testing.T) {
+	if len(scenario.Names()) < 6 || len(policy.Names()) < 3 {
+		t.Fatalf("registries hold %v x %v, want >= 6 scenarios and >= 3 policies", scenario.Names(), policy.Names())
+	}
+	for _, c := range []struct {
+		scenarios, policies         string
+		wantScenarios, wantPolicies []string // nil: every registered name
+		wantErr                     string
+	}{
+		{scenarios: "", policies: "all"},
+		{scenarios: "all", policies: ""},
+		{scenarios: "video-decoder, sdr-radio,video-decoder", policies: "tb, eb, thermal-balance",
+			wantScenarios: []string{"video-decoder", "sdr-radio"}, wantPolicies: []string{"thermal-balance", "energy-balance"}},
+		{scenarios: "sdr-radio", policies: "stop&go,sg,none",
+			wantScenarios: []string{"sdr-radio"}, wantPolicies: []string{"stop-go", "none"}},
+		{scenarios: "bogus", wantErr: `unknown scenario "bogus"`},
+		{scenarios: "sdr-radio,video-decodr", wantErr: `did you mean "video-decoder"?`},
+		{scenarios: "sdr-radio", policies: "bogus", wantErr: `unknown policy "bogus"`},
+		{scenarios: "sdr-radio", policies: "eb,thermal-balanc", wantErr: `did you mean "thermal-balance"?`},
+	} {
+		canon, err := CanonicalizeMatrix(MatrixRequest{
+			Scenarios: cliutil.MatrixAxis(c.scenarios),
+			Policies:  cliutil.MatrixAxis(c.policies),
+		})
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("axes %q x %q: error %v, want %q", c.scenarios, c.policies, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("axes %q x %q: %v", c.scenarios, c.policies, err)
+			continue
+		}
+		if c.wantScenarios == nil {
+			c.wantScenarios = scenario.Names()
+		}
+		if c.wantPolicies == nil {
+			c.wantPolicies = policy.Names()
+		}
+		if !equalStrings(canon.Scenarios, c.wantScenarios) || !equalStrings(canon.Policies, c.wantPolicies) {
+			t.Errorf("axes %q x %q resolved to %v x %v, want %v x %v", c.scenarios, c.policies,
+				canon.Scenarios, canon.Policies, c.wantScenarios, c.wantPolicies)
+		}
 	}
 }
 

@@ -409,7 +409,7 @@ func (s *Server) executeRun(ctx context.Context, key string, cls execClass, cano
 // cache state (a job's progress). The sweep's execute stage spans the
 // whole fan-out, cell queueing included; its encode stage is the
 // splice of the cell bodies.
-func (s *Server) executeSweep(ctx context.Context, key string, canon MatrixRequest, cells []cellTask, cls execClass, rec *obs.TimingRecord, cellDone func(state string)) ([]byte, string, error) {
+func (s *Server) executeSweep(ctx context.Context, key string, canon MatrixRequest, cells []Cell, cls execClass, rec *obs.TimingRecord, cellDone func(state string)) ([]byte, string, error) {
 	return s.execute(ctx, key, cls.cost, rec, func(er *obs.TimingRecord) ([]byte, error) {
 		t := time.Now()
 		bodies := make([][]byte, len(cells))
@@ -419,9 +419,9 @@ func (s *Server) executeSweep(ctx context.Context, key string, canon MatrixReque
 		err := experiment.Runner{Workers: s.cfg.MaxSims}.ForEach(s.base, len(cells), func(ctx context.Context, i int) error {
 			cell := cells[i]
 			var cellRec obs.TimingRecord
-			body, state, err := s.executeRun(ctx, cell.req.Key(), execClass{prio: cls.prio}, cell.req, cell.rc, &cellRec)
+			body, state, err := s.executeRun(ctx, cell.Request.Key(), execClass{prio: cls.prio}, cell.Request, cell.Config, &cellRec)
 			if err != nil {
-				return fmt.Errorf("cell %s/%s: %w", cell.req.Scenario, cell.req.Policy, err)
+				return fmt.Errorf("cell %s/%s: %w", cell.Request.Scenario, cell.Request.Policy, err)
 			}
 			bodies[i] = body
 			if cellDone != nil {

@@ -34,7 +34,6 @@ import (
 	"thermbal/internal/service"
 	"thermbal/internal/sim"
 	"thermbal/internal/store"
-	"thermbal/internal/thermal"
 )
 
 // PolicyKind selects the run-time management policy.
@@ -52,19 +51,10 @@ const (
 	ThermalBalance
 )
 
-// String names the policy.
-func (p PolicyKind) String() string { return p.sel().String() }
+var policyNames = []string{EnergyBalance: "energy-balance", StopGo: "stop&go", ThermalBalance: "thermal-balance"}
 
-func (p PolicyKind) sel() experiment.PolicySel {
-	switch p {
-	case StopGo:
-		return experiment.StopGo
-	case ThermalBalance:
-		return experiment.ThermalBalance
-	default:
-		return experiment.EnergyBalance
-	}
-}
+// String names the policy.
+func (p PolicyKind) String() string { return kindName(policyNames, "PolicyKind", int(p)) }
 
 // PackageKind selects the thermal package.
 type PackageKind int
@@ -76,15 +66,10 @@ const (
 	HighPerformance
 )
 
-// String names the package.
-func (p PackageKind) String() string { return p.sel().String() }
+var packageNames = []string{MobileEmbedded: "mobile-embedded", HighPerformance: "high-performance"}
 
-func (p PackageKind) sel() experiment.PackageSel {
-	if p == HighPerformance {
-		return experiment.HighPerf
-	}
-	return experiment.Mobile
-}
+// String names the package.
+func (p PackageKind) String() string { return kindName(packageNames, "PackageKind", int(p)) }
 
 // IntegratorKind selects the thermal integration scheme.
 type IntegratorKind int
@@ -101,14 +86,19 @@ const (
 	ExpmIntegrator
 )
 
-// String names the integrator.
-func (k IntegratorKind) String() string { return k.cfg().Scheme.String() }
+var integratorNames = []string{EulerIntegrator: "euler", ExpmIntegrator: "expm"}
 
-func (k IntegratorKind) cfg() thermal.Config {
-	if k == ExpmIntegrator {
-		return thermal.Config{Scheme: thermal.Expm}
+// String names the integrator.
+func (k IntegratorKind) String() string { return kindName(integratorNames, "IntegratorKind", int(k)) }
+
+// kindName spells kind k as the wire name service.Canonicalize
+// resolves. A value outside the table gets its Go-syntax spelling,
+// which canonicalization then rejects as unknown.
+func kindName(names []string, kind string, k int) string {
+	if k >= 0 && k < len(names) {
+		return names[k]
 	}
-	return thermal.Config{Scheme: thermal.Euler}
+	return fmt.Sprintf("%s(%d)", kind, k)
 }
 
 // Config describes one experiment. The default scenario is the SDR
@@ -122,10 +112,13 @@ type Config struct {
 	// PolicyName, when non-empty, selects any registered policy by name
 	// or alias and takes precedence over Policy.
 	PolicyName string
-	// Policy is the management policy (default EnergyBalance).
+	// Policy is the management policy (default EnergyBalance). StopGo
+	// and ThermalBalance act on Delta, so with a zero Delta they run at
+	// the scenario's default threshold.
 	Policy PolicyKind
 	// Delta is the threshold distance from the mean temperature in °C
-	// (used by StopGo and ThermalBalance; the paper sweeps 2..5).
+	// (used by StopGo and ThermalBalance; the paper sweeps 2..5). Zero
+	// takes the scenario's default.
 	Delta float64
 	// Package selects the thermal package (default MobileEmbedded).
 	Package PackageKind
@@ -191,47 +184,20 @@ func GenerateScenario(seed int64) ScenarioSpec { return scenario.Generate(seed) 
 // RunSpec executes one experiment on a declarative scenario spec
 // instead of a registered name. cfg.Scenario must be empty; every
 // other Config field applies as in Run.
-func RunSpec(sp ScenarioSpec, cfg Config) (Result, error) {
-	if cfg.Scenario != "" {
-		return Result{}, fmt.Errorf("thermbal: RunSpec with Scenario %q: the spec and a scenario name are mutually exclusive", cfg.Scenario)
-	}
-	mech := migrate.Replication
-	if cfg.Recreation {
-		mech = migrate.Recreation
-	}
-	res, _, err := experiment.Run(experiment.RunConfig{
-		Spec:       &sp,
-		PolicyName: cfg.PolicyName,
-		Policy:     cfg.Policy.sel(),
-		Delta:      cfg.Delta,
-		Package:    cfg.Package.sel(),
-		WarmupS:    cfg.WarmupS,
-		MeasureS:   cfg.MeasureS,
-		QueueCap:   cfg.QueueCap,
-		Mechanism:  mech,
-		Thermal:    cfg.Integrator.cfg(),
-	})
-	return res, err
-}
+func RunSpec(sp ScenarioSpec, cfg Config) (Result, error) { return run(cfg.request(&sp)) }
 
 // Run executes one experiment.
-func Run(cfg Config) (Result, error) {
-	mech := migrate.Replication
-	if cfg.Recreation {
-		mech = migrate.Recreation
+func Run(cfg Config) (Result, error) { return run(cfg.request(nil)) }
+
+// run executes a request exactly as the service, RunSummary and
+// Store.RunSummary do: canonicalization resolves every spelling and
+// default, so all facade paths agree by construction.
+func run(req service.Request) (Result, error) {
+	_, rc, err := service.Canonicalize(req)
+	if err != nil {
+		return Result{}, err
 	}
-	res, _, err := experiment.Run(experiment.RunConfig{
-		Scenario:   cfg.Scenario,
-		PolicyName: cfg.PolicyName,
-		Policy:     cfg.Policy.sel(),
-		Delta:      cfg.Delta,
-		Package:    cfg.Package.sel(),
-		WarmupS:    cfg.WarmupS,
-		MeasureS:   cfg.MeasureS,
-		QueueCap:   cfg.QueueCap,
-		Mechanism:  mech,
-		Thermal:    cfg.Integrator.cfg(),
-	})
+	res, _, err := experiment.Run(rc)
 	return res, err
 }
 
@@ -304,12 +270,13 @@ func (s *Store) Verify() error {
 	return err
 }
 
-// request maps a facade Config onto the service's wire request, whose
-// canonicalization defines the persistent cache identity.
-func (c Config) request() service.Request {
+// request maps a facade Config (on the spec sp, when non-nil) onto the
+// service's wire request, whose canonicalization defines both what
+// executes and the persistent cache identity.
+func (c Config) request(sp *ScenarioSpec) service.Request {
 	polName := c.PolicyName
 	if polName == "" {
-		polName = c.Policy.sel().String()
+		polName = c.Policy.String()
 	}
 	mech := ""
 	if c.Recreation {
@@ -317,14 +284,15 @@ func (c Config) request() service.Request {
 	}
 	return service.Request{
 		Scenario:   c.Scenario,
+		Spec:       sp,
 		Policy:     polName,
 		Delta:      c.Delta,
-		Package:    c.Package.sel().String(),
+		Package:    c.Package.String(),
 		WarmupS:    c.WarmupS,
 		MeasureS:   c.MeasureS,
 		QueueCap:   c.QueueCap,
 		Mechanism:  mech,
-		Integrator: c.Integrator.cfg().Scheme.String(),
+		Integrator: c.Integrator.String(),
 	}
 }
 
@@ -334,7 +302,7 @@ func (c Config) request() service.Request {
 // document is persisted before returning. The summary bytes a hit
 // decodes are exactly the bytes the original run encoded.
 func (s *Store) RunSummary(cfg Config) (Summary, bool, error) {
-	canon, rc, err := service.Canonicalize(cfg.request())
+	canon, rc, err := service.Canonicalize(cfg.request(nil))
 	if err != nil {
 		return Summary{}, false, err
 	}

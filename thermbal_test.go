@@ -2,8 +2,13 @@ package thermbal
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"thermbal/internal/experiment"
+	"thermbal/internal/service"
 )
 
 func TestRunFacade(t *testing.T) {
@@ -54,6 +59,16 @@ func TestKindStrings(t *testing.T) {
 	if MobileEmbedded.String() != "mobile-embedded" ||
 		HighPerformance.String() != "high-performance" {
 		t.Error("package kind names wrong")
+	}
+	if EulerIntegrator.String() != "euler" || ExpmIntegrator.String() != "expm" {
+		t.Error("integrator kind names wrong")
+	}
+	// A kind outside its table has no wire name, so runs reject it.
+	if got := PolicyKind(9).String(); got != "PolicyKind(9)" {
+		t.Errorf("PolicyKind(9).String() = %q", got)
+	}
+	if _, err := Run(Config{Policy: PolicyKind(9), WarmupS: 0.1, MeasureS: 0.1}); err == nil {
+		t.Error("Run accepted an out-of-range PolicyKind")
 	}
 }
 
@@ -169,5 +184,68 @@ func TestStoreFacade(t *testing.T) {
 	}
 	if again != cold {
 		t.Errorf("reopened summary differs: %+v vs %+v", again, cold)
+	}
+}
+
+// TestFacadePathsAgree: Run, RunSummary and Store.RunSummary resolve a
+// Config through the service's one canonicalization, so they agree on
+// every config. A zero Delta takes the scenario's default threshold on
+// every path; it must neither run unthresholded nor panic.
+func TestFacadePathsAgree(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	run := func(f func() (Result, error)) (res Result, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return f()
+	}
+	for _, cfg := range []Config{
+		{},
+		{Policy: StopGo},
+		{Policy: ThermalBalance},
+		{Scenario: "video-decoder"},
+	} {
+		cfg.WarmupS, cfg.MeasureS = 1, 2
+		res, err := run(func() (Result, error) { return Run(cfg) })
+		if err != nil {
+			t.Errorf("Run(%+v): %v", cfg, err)
+			continue
+		}
+		direct, err := RunSummary(cfg)
+		if err != nil {
+			t.Fatalf("RunSummary(%+v): %v", cfg, err)
+		}
+		stored, _, err := st.RunSummary(cfg)
+		if err != nil {
+			t.Fatalf("Store.RunSummary(%+v): %v", cfg, err)
+		}
+		if got := Summarize(res); !reflect.DeepEqual(got, direct) || !reflect.DeepEqual(got, stored) {
+			t.Errorf("%+v: paths disagree:\n Run:          %+v\n RunSummary:   %+v\n Store:        %+v", cfg, got, direct, stored)
+		}
+	}
+
+	// A spec run agrees with the service's /run of the same spec.
+	sp := GenerateScenario(7)
+	cfg := Config{WarmupS: 1, MeasureS: 2}
+	res, err := run(func() (Result, error) { return RunSpec(sp, cfg) })
+	if err != nil {
+		t.Fatalf("RunSpec: %v", err)
+	}
+	_, rc, err := service.Canonicalize(service.Request{Spec: &sp, Policy: "energy-balance", WarmupS: 1, MeasureS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := experiment.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(Summarize(res), experiment.Summarize(want)) {
+		t.Errorf("RunSpec disagrees with the service path:\n RunSpec: %+v\n service: %+v", Summarize(res), experiment.Summarize(want))
 	}
 }
