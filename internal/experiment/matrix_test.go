@@ -79,6 +79,17 @@ func TestMatrixSmall(t *testing.T) {
 	}
 }
 
+func TestMatrixUnknownAxes(t *testing.T) {
+	if _, err := service.CanonicalizeMatrix(service.MatrixRequest{Scenarios: []string{"bogus"}}); err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+	if _, err := service.CanonicalizeMatrix(service.MatrixRequest{
+		Scenarios: []string{"sdr-radio"}, Policies: []string{"bogus"},
+	}); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+}
+
 func TestFormatMatrixGolden(t *testing.T) {
 	for integrator, golden := range map[string]string{"euler": matrixGoldenEuler, "expm": matrixGoldenExpm} {
 		cells, err := service.RunMatrix(context.Background(), experiment.Runner{}, service.MatrixRequest{
