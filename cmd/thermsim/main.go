@@ -119,16 +119,13 @@ func main() {
 		Package: *pkgName, WarmupS: *warmup, MeasureS: *measure,
 		QueueCap: *queueCap, Mechanism: mech, Integrator: *integrator,
 	}
-	if *scenFile != "" {
-		if *scenarioFl != "" {
-			log.Fatal("-scenario and -scenario-file are mutually exclusive")
-		}
-		sp, err := cliutil.LoadSpec(*scenFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		req.Spec = &sp
+	// The flags resolve here first, not only in the service, so that a
+	// file path passed to -scenario gets the CLI's -scenario-file hint.
+	_, sp, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
+	if err != nil {
+		log.Fatal(err)
 	}
+	req.Spec = sp
 	trace := *traceOut != "" || *eventsOut != ""
 	if *policyName == "all" {
 		if *jsonOut {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -92,4 +93,16 @@ func TestMatrixUnknownScenarioExits(t *testing.T) {
 	wantExit(t, err, stderr, `unknown scenario "bogus"`, "known scenarios:")
 	_, stderr, err = thermsim("-matrix", "-scenario", "sdr-radio,sdr-raido", "-policy", "tb")
 	wantExit(t, err, stderr, `did you mean "sdr-radio"?`)
+}
+
+// TestScenarioFilePathHint: a spec file passed to -scenario points at
+// -scenario-file. The hint is the CLI's own: the service it resolves
+// runs through answers registry names only.
+func TestScenarioFilePathHint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, err := thermsim("-scenario", path, "-warmup", "0.1", "-measure", "0.1")
+	wantExit(t, err, stderr, "-scenario-file")
 }

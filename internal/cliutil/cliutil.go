@@ -1,9 +1,11 @@
-// Package cliutil is the shared flag-parsing layer of the three CLIs
-// (thermsim, sweep, figures): scenario and policy resolution against
+// Package cliutil is the shared flag-parsing layer of the two CLIs
+// (thermsim, figures), whose name resolution the service's request
+// canonicalization also uses: scenario and policy resolution against
 // the registries, package and delta parsing, and the -list discovery
 // output. Keeping it in one place means every binary accepts the same
 // spellings and prints the same catalogue — and the parsing is testable
-// without driving main().
+// without driving main(). Only the CLI-side resolvers (ResolveScenario,
+// ResolveScenarioArg, LoadSpec) touch the filesystem.
 package cliutil
 
 import (
@@ -79,24 +81,33 @@ func unknownNameError(kind, name, suggestion string, known []string) error {
 		kind, name, plural, strings.Join(sorted, ", "))
 }
 
-// ResolveScenario resolves a -scenario flag value to a registered
-// scenario. An empty value selects the paper's SDR benchmark; unknown
-// names get a did-you-mean suggestion plus the full catalogue — unless
-// the name is an existing file path, in which case the user almost
-// certainly meant -scenario-file and a Levenshtein suggestion would
-// only mislead.
-func ResolveScenario(name string) (scenario.Scenario, error) {
+// LookupScenario resolves a scenario name against the registry alone.
+// An empty name selects the paper's SDR benchmark; unknown names get a
+// did-you-mean suggestion plus the full catalogue. It never touches the
+// filesystem, so a server can answer any client with it.
+func LookupScenario(name string) (scenario.Scenario, error) {
 	if name == "" {
 		name = scenario.DefaultName
 	}
 	sc, err := scenario.Lookup(name)
 	if err != nil {
-		if fi, statErr := os.Stat(name); statErr == nil && !fi.IsDir() {
-			return scenario.Scenario{}, fmt.Errorf("unknown scenario %q names an existing file — pass spec files with -scenario-file", name)
-		}
 		return scenario.Scenario{}, unknownNameError("scenario", name, Suggest(name, scenario.Names()), scenario.Names())
 	}
 	return sc, nil
+}
+
+// ResolveScenario resolves a -scenario flag value like LookupScenario,
+// except that an unknown name which is an existing file path gets a
+// pointer to -scenario-file: the user almost certainly meant that flag,
+// and a Levenshtein suggestion would only mislead.
+func ResolveScenario(name string) (scenario.Scenario, error) {
+	sc, err := LookupScenario(name)
+	if err != nil {
+		if fi, statErr := os.Stat(name); statErr == nil && !fi.IsDir() {
+			return scenario.Scenario{}, fmt.Errorf("unknown scenario %q names an existing file — pass spec files with -scenario-file", name)
+		}
+	}
+	return sc, err
 }
 
 // LoadSpec reads and strictly decodes a scenario spec file: unknown

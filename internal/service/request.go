@@ -125,7 +125,7 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		// inline form (defaults explicit, field order frozen).
 		c.Spec = sc.Spec
 	default:
-		sc, err = cliutil.ResolveScenario(req.Scenario)
+		sc, err = cliutil.LookupScenario(req.Scenario)
 		if err != nil {
 			return Request{}, experiment.RunConfig{}, err
 		}
@@ -255,7 +255,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 	} else {
 		seen := map[string]bool{}
 		for _, name := range req.Scenarios {
-			sc, err := cliutil.ResolveScenario(strings.TrimSpace(name))
+			sc, err := cliutil.LookupScenario(strings.TrimSpace(name))
 			if err != nil {
 				return MatrixRequest{}, err
 			}

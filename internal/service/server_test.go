@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -566,5 +569,39 @@ func TestSuggestHelper(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "sdr-radio") {
 		t.Errorf("catalogue missing from error: %v", err)
+	}
+}
+
+// TestUnknownScenarioRevealsNoFiles: the service resolves scenario
+// names against the registry alone, so a path to an existing file and a
+// path to nothing get the same refusal, and neither names a CLI flag.
+// A reply that differed would let any client probe the server's
+// filesystem.
+func TestUnknownScenarioRevealsNoFiles(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	existing := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(existing, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "none.json")
+	for _, c := range []struct{ path, body string }{
+		{"/run", `{"scenario":%q}`},
+		{"/matrix", `{"scenarios":[%q],"policies":["eb"]}`},
+	} {
+		var replies []string
+		for _, name := range []string{existing, missing} {
+			resp, b := do(t, http.MethodPost, ts.URL+c.path, fmt.Sprintf(c.body, name))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: %d, want 400", c.path, name, resp.StatusCode)
+			}
+			if strings.Contains(string(b), "-scenario-file") {
+				t.Errorf("%s %s: reply names a CLI flag: %s", c.path, name, b)
+			}
+			replies = append(replies, strings.ReplaceAll(string(b), name, "<path>"))
+		}
+		if replies[0] != replies[1] {
+			t.Errorf("%s: an existing file and a missing one get different replies:\n%s\n%s", c.path, replies[0], replies[1])
+		}
 	}
 }
