@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -43,5 +44,38 @@ func TestAllArtifactsGolden(t *testing.T) {
 	sum := sha256.Sum256([]byte(stdout))
 	if got := hex.EncodeToString(sum[:]); got != digest {
 		t.Errorf("figures stdout digest %s, golden %s:\n%s", got, digest, stdout)
+	}
+}
+
+// TestUnknownArtifactExits: an -only name outside the artifact table
+// exits non-zero and lists the known artifacts instead of printing
+// nothing.
+func TestUnknownArtifactExits(t *testing.T) {
+	for _, only := range []string{"bogus", "fig7,bogus", "matrix"} {
+		stdout, stderr, err := figures("-only", only)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("-only %s: err %v, want a non-zero exit\n%s", only, err, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("-only %s printed %q before failing", only, stdout)
+		}
+		const want = "known artifacts: table1, table2, fig2, fig7, fig8, fig9, fig10, fig11, narrative, ablations, scale"
+		if !strings.Contains(stderr, want) {
+			t.Errorf("-only %s: stderr lacks %q:\n%s", only, want, stderr)
+		}
+	}
+}
+
+// TestScenarioHeader: a -scenario run names the swept scenario and its
+// topology above the figures, as the sweep figures' workload is no
+// longer the paper's.
+func TestScenarioHeader(t *testing.T) {
+	stdout, stderr, err := figures("-only", "fig9", "-deltas", "3", "-scenario", "video-decoder")
+	if err != nil {
+		t.Fatalf("figures: %v\n%s", err, stderr)
+	}
+	if !strings.HasPrefix(stdout, "scenario: video-decoder (") || !strings.Contains(stdout, "\n\nFigure 9") {
+		t.Errorf("no scenario header above Figure 9:\n%s", stdout)
 	}
 }

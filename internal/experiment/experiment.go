@@ -1,7 +1,9 @@
 // Package experiment reproduces every table and figure of the paper's
 // evaluation (Section 5). Each experiment has a typed runner returning
 // the data series plus a formatter that prints rows shaped like the
-// paper's; cmd/figures and the root benchmarks call these.
+// paper's. Artifacts is the one list of what gets rendered and in what
+// order; WriteArtifacts renders any subset of it for cmd/figures and
+// the thermbal facade.
 package experiment
 
 import (

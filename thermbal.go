@@ -360,38 +360,5 @@ func Figure2() (string, error) {
 // evaluation and writes them to w. This runs the full sweeps (both
 // packages, three policies, four thresholds) and takes a few seconds.
 func WriteAllFigures(w io.Writer) error {
-	fmt.Fprint(w, Table1())
-	fmt.Fprintln(w)
-	t2, err := Table2()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t2)
-	fmt.Fprintln(w)
-	f2, err := Figure2()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, f2)
-	fmt.Fprintln(w)
-
-	ctx := context.Background()
-	mob, err := experiment.Sweep(ctx, experiment.Options{}, experiment.Mobile, nil)
-	if err != nil {
-		return err
-	}
-	hp, err := experiment.Sweep(ctx, experiment.Options{}, experiment.HighPerf, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, experiment.FormatStdDevFigure("Figure 7", experiment.Mobile, mob, nil))
-	fmt.Fprintln(w)
-	fmt.Fprint(w, experiment.FormatMissFigure("Figure 8", experiment.Mobile, mob, nil))
-	fmt.Fprintln(w)
-	fmt.Fprint(w, experiment.FormatStdDevFigure("Figure 9", experiment.HighPerf, hp, nil))
-	fmt.Fprintln(w)
-	fmt.Fprint(w, experiment.FormatMissFigure("Figure 10", experiment.HighPerf, hp, nil))
-	fmt.Fprintln(w)
-	fmt.Fprint(w, experiment.FormatFig11(experiment.Fig11(mob, hp, nil)))
-	return nil
+	return experiment.WriteArtifacts(context.Background(), w, experiment.Options{}, experiment.PaperArtifacts, nil)
 }
