@@ -251,36 +251,3 @@ func (p *Platform) FlushWindow(windowS float64) ([]float64, error) {
 	}
 	return util, nil
 }
-
-// SettleThermal jumps the thermal state to the steady state for a
-// constant per-core utilization/frequency operating point. Used to skip
-// the warm-up transient in repeated experiments (the paper's 12.5 s
-// initial phase) when the caller wants speed over fidelity.
-func (p *Platform) SettleThermal(util []float64) error {
-	bp := make([]float64, len(p.FP.Blocks))
-	for c := 0; c < p.NumCores(); c++ {
-		f := p.Frequency(c)
-		u := util[c]
-		// Use leakage at an estimate near the expected operating
-		// temperature; one fixed-point refinement below.
-		bp[p.coreBlk[c]] = p.Power.Core(f, u, 60, p.powered[c])
-		if p.icacheBlk[c] >= 0 {
-			bp[p.icacheBlk[c]] = p.Power.ICache(f, u)
-		}
-		if p.dcacheBlk[c] >= 0 {
-			bp[p.dcacheBlk[c]] = p.Power.DCache(f, 0.6*u)
-		}
-	}
-	if p.memBlk >= 0 {
-		bp[p.memBlk] = p.Power.SharedMem(0.05)
-	}
-	if err := p.Thermal.Settle(bp); err != nil {
-		return err
-	}
-	// Refine once with leakage at the settled temperatures.
-	for c := 0; c < p.NumCores(); c++ {
-		f := p.Frequency(c)
-		bp[p.coreBlk[c]] = p.Power.Core(f, util[c], p.CoreTemp(c), p.powered[c])
-	}
-	return p.Thermal.Settle(bp)
-}

@@ -132,40 +132,6 @@ func TestAccountSpanClampsUtilization(t *testing.T) {
 	}
 }
 
-func TestSettleThermalMatchesLongRun(t *testing.T) {
-	// SettleThermal must land near the temperatures a long constant-load
-	// simulation reaches.
-	pA := newPlat(t)
-	pB := newPlat(t)
-	for _, p := range []*Platform{pA, pB} {
-		p.Gov.Update(0, 0.65)
-		p.Gov.Update(1, 0.335)
-		p.Gov.Update(2, 0.398)
-	}
-	util := []float64{0.65, 0.67, 0.8}
-	if err := pA.SettleThermal(util); err != nil {
-		t.Fatal(err)
-	}
-	// Long run on pB with matching per-tick accounting.
-	const tick = 1e-3
-	for i := 0; i < 60000; i++ {
-		for c := 0; c < 3; c++ {
-			p := pB
-			p.AccountSpan(c, tick, util[c]*p.Frequency(c)*tick)
-		}
-		if i%10 == 9 {
-			if _, err := pB.FlushWindow(10 * tick); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for c := 0; c < 3; c++ {
-		if d := math.Abs(pA.CoreTemp(c) - pB.CoreTemp(c)); d > 1.0 {
-			t.Errorf("core%d: settle %g vs simulated %g", c+1, pA.CoreTemp(c), pB.CoreTemp(c))
-		}
-	}
-}
-
 func TestHighPerformancePlatform(t *testing.T) {
 	p, err := New(Config{Package: thermal.HighPerformance()})
 	if err != nil {

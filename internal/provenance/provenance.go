@@ -17,7 +17,6 @@
 package provenance
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -296,11 +295,4 @@ func decodeHash(s string, out *[HashSize]byte) error {
 	}
 	copy(out[:], b)
 	return nil
-}
-
-// ZeroHash reports whether h is all zeroes (the genesis chain
-// predecessor).
-func ZeroHash(h [HashSize]byte) bool {
-	var zero [HashSize]byte
-	return bytes.Equal(h[:], zero[:])
 }

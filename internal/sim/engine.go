@@ -277,10 +277,6 @@ func (e *Engine) Ticks() int64 { return e.ticks }
 // Recorder returns the trace recorder (nil unless RecordTrace).
 func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 
-// TempMetrics returns the temperature collector (samples only accrue
-// after MeasureStartS).
-func (e *Engine) TempMetrics() *metrics.TempCollector { return e.temps }
-
 // flushAccount settles core c's pending execution span into the power
 // accounting. It must run before anything that changes the core's
 // operating point (frequency, power state) or the die temperature, so

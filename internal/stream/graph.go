@@ -353,26 +353,6 @@ func (g *Graph) SourceStats() Source { return g.source }
 // SinkStats returns a copy of the sink counters.
 func (g *Graph) SinkStats() Sink { return g.sink }
 
-// ResetStreamState clears all queues, source/sink schedules and per-task
-// runtime accounting, keeping the wiring (for back-to-back experiments).
-func (g *Graph) ResetStreamState() {
-	for _, q := range g.queues {
-		q.Reset()
-	}
-	g.source.base, g.source.next, g.source.started = 0, 0, false
-	g.source.Emitted, g.source.Dropped = 0, 0
-	g.sink.playing, g.sink.base, g.sink.fired = false, 0, 0
-	g.sink.Consumed, g.sink.Misses, g.sink.LatencySum = 0, 0, 0
-	for i, t := range g.tasks {
-		t.InFlight = false
-		t.Progress = 0
-		t.FramesCompleted = 0
-		t.BusyCycles = 0
-		t.State = task.Ready
-		g.pendingFrame[i] = Frame{}
-	}
-}
-
 // SourceConfig returns the attached source's queue index and period,
 // for deriving a declarative spec from a built graph.
 func (g *Graph) SourceConfig() (queue int, periodS float64) {

@@ -138,30 +138,6 @@ func TestSinkMissesWhenPipelineFrozen(t *testing.T) {
 	}
 }
 
-func TestResetStreamState(t *testing.T) {
-	g := instance(t, "sdr-radio")
-	idealRun(t, g, 1.0)
-	g.ResetStreamState()
-	if g.SourceStats().Emitted != 0 || g.SinkStats().Consumed != 0 {
-		t.Error("reset kept source/sink counters")
-	}
-	for qi := 0; qi < g.NumQueues(); qi++ {
-		if g.Queue(qi).Len() != 0 {
-			t.Errorf("queue %s not cleared", g.Queue(qi).Name())
-		}
-	}
-	for _, tk := range g.Tasks() {
-		if tk.FramesCompleted != 0 || tk.InFlight {
-			t.Errorf("task %s kept state", tk.Name)
-		}
-	}
-	// Graph is reusable after reset.
-	idealRun(t, g, 1.0)
-	if g.SinkStats().Misses != 0 {
-		t.Error("misses after reset on ideal CPU")
-	}
-}
-
 func TestBeginFrameRequiresFirable(t *testing.T) {
 	g := instance(t, "sdr-radio")
 	lpf, _ := g.TaskIndex("LPF")

@@ -136,11 +136,3 @@ func (q *Queue) Stats() QueueStats {
 	}
 	return s
 }
-
-// Reset clears contents and statistics.
-func (q *Queue) Reset() {
-	q.buf = q.buf[:0]
-	q.pushes, q.pops, q.overruns = 0, 0, 0
-	q.occSum, q.occSamples = 0, 0
-	q.maxOcc = 0
-}

@@ -218,19 +218,6 @@ func (t *Task) MigrationBytes(recreation bool) float64 {
 	return t.StateBytes
 }
 
-// Clone returns a copy with runtime accounting reset, used when building
-// repeated experiments from a template task set.
-func (t *Task) Clone() *Task {
-	c := *t
-	c.Progress = 0
-	c.InFlight = false
-	c.FramesCompleted = 0
-	c.BusyCycles = 0
-	c.Migrations = 0
-	c.State = Ready
-	return &c
-}
-
 // TotalFSE sums the FSE loads of the given tasks (helper for DVFS and
 // policies).
 func TotalFSE(tasks []*Task) float64 {

@@ -128,21 +128,6 @@ func TestMigrationBytes(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	tk := MustNew("x", 0.5)
-	tk.BindWork(100, 1)
-	tk.StartFrame()
-	tk.Execute(1000)
-	tk.Core = 2
-	c := tk.Clone()
-	if c.FramesCompleted != 0 || c.BusyCycles != 0 || c.InFlight || c.Migrations != 0 {
-		t.Error("Clone kept runtime accounting")
-	}
-	if c.Name != "x" || c.FSE != 0.5 || c.Core != 2 || c.CyclesPerFrame != tk.CyclesPerFrame {
-		t.Error("Clone lost identity fields")
-	}
-}
-
 func TestTotalFSEAndOnCore(t *testing.T) {
 	a := MustNew("a", 0.3)
 	b := MustNew("b", 0.2)

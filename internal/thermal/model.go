@@ -152,9 +152,6 @@ func NewModel(fp *floorplan.Floorplan, pkg Package) (*Model, error) {
 // Package returns the package parameters the model was built with.
 func (m *Model) Package() Package { return m.pkg }
 
-// BlockNode returns the network node index of floorplan block i.
-func (m *Model) BlockNode(i int) int { return m.blockNode[i] }
-
 // BlockTemp returns the current temperature of floorplan block i in °C.
 func (m *Model) BlockTemp(i int) float64 {
 	return m.Net.Temperature(m.blockNode[i])

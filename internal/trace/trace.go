@@ -4,8 +4,6 @@
 package trace
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -185,63 +183,6 @@ func (r *Recorder) WriteEventsCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ParseCSV reads a timeline previously written by WriteCSV, returning
-// the samples. Power columns are restored when present.
-func ParseCSV(r io.Reader) ([]Sample, error) {
-	sc := bufio.NewScanner(r)
-	if !sc.Scan() {
-		return nil, errors.New("trace: empty CSV")
-	}
-	header := strings.Split(strings.TrimSpace(sc.Text()), ",")
-	if len(header) < 2 || header[0] != "time_s" {
-		return nil, fmt.Errorf("trace: unexpected header %q", sc.Text())
-	}
-	var nTemp, nFreq, nPower int
-	for _, h := range header[1:] {
-		switch {
-		case strings.HasPrefix(h, "temp"):
-			nTemp++
-		case strings.HasPrefix(h, "freq"):
-			nFreq++
-		case strings.HasPrefix(h, "power"):
-			nPower++
-		default:
-			return nil, fmt.Errorf("trace: unknown column %q", h)
-		}
-	}
-	var out []Sample
-	line := 1
-	for sc.Scan() {
-		line++
-		fields := strings.Split(strings.TrimSpace(sc.Text()), ",")
-		if len(fields) != 1+nTemp+nFreq+nPower {
-			return nil, fmt.Errorf("trace: line %d has %d fields, want %d", line, len(fields), 1+nTemp+nFreq+nPower)
-		}
-		vals := make([]float64, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			vals[i] = v
-		}
-		s := Sample{Time: vals[0]}
-		s.Temp = vals[1 : 1+nTemp]
-		s.Freq = make([]float64, nFreq)
-		for i := 0; i < nFreq; i++ {
-			s.Freq[i] = vals[1+nTemp+i] * 1e6 // stored as MHz
-		}
-		if nPower > 0 {
-			s.Power = vals[1+nTemp+nFreq:]
-		}
-		out = append(out, s)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func at(xs []float64, i int) float64 {

@@ -7,7 +7,7 @@ import (
 
 func TestRecorderSamplesAndCSV(t *testing.T) {
 	r := New(2, 0)
-	r.AddSample(Sample{Time: 0.01, Temp: []float64{50, 40}, Freq: []float64{533e6, 266e6}})
+	r.AddSample(Sample{Time: 0.01, Temp: []float64{50, 40.25}, Freq: []float64{533e6, 266e6}})
 	r.AddSample(Sample{Time: 0.02, Temp: []float64{51, 41}, Freq: []float64{533e6, 266e6}, Power: []float64{0.4, 0.1}})
 	if len(r.Samples()) != 2 {
 		t.Fatalf("samples = %d", len(r.Samples()))
@@ -26,6 +26,13 @@ func TestRecorderSamplesAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "50.000") || !strings.Contains(lines[1], "533") {
 		t.Errorf("row = %q", lines[1])
+	}
+	// Fixed precision per column: 4-decimal time, 3-decimal
+	// temperatures, whole MHz; power columns follow the first sample.
+	for i, want := range []string{"0.0100,50.000,40.250,533,266", "0.0200,51.000,41.000,533,266"} {
+		if lines[1+i] != want {
+			t.Errorf("row %d = %q, want %q", i+1, lines[1+i], want)
+		}
 	}
 }
 
@@ -78,47 +85,6 @@ func TestShortRowsPadded(t *testing.T) {
 	row := strings.Split(strings.TrimSpace(sb.String()), "\n")[1]
 	if got := strings.Count(row, ","); got != 6 {
 		t.Errorf("row has %d commas, want 6 (time + 3 temps + 3 freqs): %q", got, row)
-	}
-}
-
-func TestParseCSVRoundTrip(t *testing.T) {
-	r := New(2, 0)
-	r.AddSample(Sample{Time: 0.01, Temp: []float64{50.5, 40.25}, Freq: []float64{533e6, 266e6}})
-	r.AddSample(Sample{Time: 0.02, Temp: []float64{51, 41}, Freq: []float64{266e6, 266e6}})
-	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("samples = %d", len(got))
-	}
-	if got[0].Temp[0] != 50.5 || got[0].Temp[1] != 40.25 {
-		t.Errorf("temps = %v", got[0].Temp)
-	}
-	if got[0].Freq[0] != 533e6 {
-		t.Errorf("freq = %g", got[0].Freq[0])
-	}
-	if got[1].Time != 0.02 {
-		t.Errorf("time = %g", got[1].Time)
-	}
-}
-
-func TestParseCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bogus,header\n",
-		"time_s,temp1_c,weird\n",
-		"time_s,temp1_c,freq1_mhz\n1.0,55\n",
-		"time_s,temp1_c,freq1_mhz\n1.0,x,533\n",
-	}
-	for _, in := range cases {
-		if _, err := ParseCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
-		}
 	}
 }
 
