@@ -188,10 +188,13 @@ smoke-spec:
 	@rm -f .spec.tmp.json .spec-run-a.json .spec-run-b.json
 	@echo "smoke-spec: inline-spec run is byte-identical to the named run"
 
-# 20-second coverage-guided fuzz pass over the spec validator: no
-# panics, stable accept/reject verdicts, byte-stable round trips.
+# Coverage-guided fuzz passes: 20 s over the spec validator (no
+# panics, stable accept/reject verdicts, byte-stable round trips), then
+# 10 s over generated workloads whose warm-up is restored from a
+# checkpoint (the run must be bit-identical to one that simulated it).
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzSpecValidate$$' -fuzztime 20s
+	$(GO) test ./internal/experiment -run '^$$' -fuzz '^FuzzWarmupCheckpoint$$' -fuzztime 10s
 
 # Machine-readable ns/op for the Sweep, Step and ExpmBuild benchmarks, so the perf
 # trajectory is tracked commit over commit. Each bench run is a separate

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"thermbal/internal/ckpt"
 )
 
 // Transfer is an in-flight bulk transfer on the bus.
@@ -206,6 +208,56 @@ func (b *Bus) AdvanceTicks(tick float64, k int64) {
 		}
 		b.busyAcc += tick
 	}
+}
+
+// Checkpoint appends the bus's mutable state to w: the transfer
+// counter, the accumulators and every in-flight transfer.
+func (b *Bus) Checkpoint(w *ckpt.Writer) {
+	w.Int(b.next)
+	w.Int(b.started)
+	w.Float(b.busyAcc)
+	w.Float(b.moved)
+	w.Int(len(b.active))
+	for _, t := range b.active {
+		CheckpointTransfer(w, t)
+	}
+}
+
+// Restore replaces the bus's mutable state with the one Checkpoint
+// wrote. In-flight transfers become new handles; InFlight finds them by
+// ID.
+func (b *Bus) Restore(r *ckpt.Reader) {
+	b.next, b.started = r.Int(), r.Int()
+	b.busyAcc, b.moved = r.Float(), r.Float()
+	b.active = make([]*Transfer, r.Len(-1))
+	for i := range b.active {
+		b.active[i] = RestoreTransfer(r)
+	}
+}
+
+// CheckpointTransfer appends one transfer, in flight or not, to w.
+func CheckpointTransfer(w *ckpt.Writer, t *Transfer) {
+	w.Int(t.id)
+	w.String(t.label)
+	w.Float(t.remaining)
+	w.Float(t.total)
+	w.Bool(t.done)
+}
+
+// RestoreTransfer reads a transfer CheckpointTransfer wrote into a new
+// handle.
+func RestoreTransfer(r *ckpt.Reader) *Transfer {
+	return &Transfer{id: r.Int(), label: r.String(), remaining: r.Float(), total: r.Float(), done: r.Bool()}
+}
+
+// InFlight returns the in-flight transfer with the given ID, or nil.
+func (b *Bus) InFlight(id int) *Transfer {
+	for _, t := range b.active {
+		if t.id == id {
+			return t
+		}
+	}
+	return nil
 }
 
 // Bandwidth returns the aggregate bandwidth in bytes/second.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"thermbal/internal/ckpt"
 	"thermbal/internal/power"
 )
 
@@ -164,6 +165,19 @@ func (g *Governor) Set(c int, f float64) error {
 		}
 	}
 	return fmt.Errorf("dvfs: %g Hz is not a ladder level", f)
+}
+
+// Checkpoint appends every core's frequency and the switch count to w.
+func (g *Governor) Checkpoint(w *ckpt.Writer) {
+	w.Floats(g.freq)
+	w.Int(g.switches)
+}
+
+// Restore reads what Checkpoint wrote on a governor of as many cores.
+// A mismatch is recorded in r.
+func (g *Governor) Restore(r *ckpt.Reader) {
+	r.Floats(g.freq)
+	g.switches = r.Int()
 }
 
 // Switches returns the number of level transitions so far.

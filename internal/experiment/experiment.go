@@ -143,23 +143,44 @@ func (rc *RunConfig) fill() {
 
 // Run executes one configuration and returns its summary. The engine is
 // also returned for callers needing traces or raw state.
+//
+// The engine always runs in two calls: to its WarmupEnd, the last
+// sensor boundary before the policy starts, and on to the end of the
+// measurement window. The first leg does not depend on the policy,
+// its arguments or the measurement window, so it is simulated once per
+// process for each warm-up key and restored from a checkpoint into
+// every later run that shares it (see warmupKey). A restored run is
+// bit-for-bit the run that simulated its warm-up: same document, same
+// trace, same Profile.
 func Run(rc RunConfig) (sim.Result, *sim.Engine, error) {
+	return run(rc, warmups)
+}
+
+// run is Run with the warm-up taken from wc; a nil wc simulates it.
+func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 	if rc.Delta < 0 {
 		return sim.Result{}, nil, fmt.Errorf("experiment: negative threshold delta %g", rc.Delta)
 	}
 	var sc scenario.Scenario
+	var scKey string
 	var err error
 	if rc.Spec != nil {
 		if rc.Scenario != "" {
 			return sim.Result{}, nil, fmt.Errorf("experiment: Scenario %q and Spec are mutually exclusive", rc.Scenario)
 		}
 		sc, err = scenario.FromSpec(*rc.Spec)
+		if err == nil {
+			var canon []byte
+			canon, err = sc.Spec.CanonicalBytes()
+			scKey = "spec:" + string(canon)
+		}
 	} else {
 		scName := rc.Scenario
 		if scName == "" {
 			scName = scenario.DefaultName
 		}
 		sc, err = scenario.Lookup(scName)
+		scKey = sc.Name
 	}
 	if err != nil {
 		return sim.Result{}, nil, err
@@ -199,7 +220,21 @@ func Run(rc RunConfig) (sim.Result, *sim.Engine, error) {
 	if rc.Delta > 0 {
 		e.SetOvershootDelta(rc.Delta)
 	}
-	if err := e.Run(rc.WarmupS + rc.MeasureS); err != nil {
+	end := e.TickAt(rc.WarmupS + rc.MeasureS)
+	key := warmupKey{
+		scenario:   scKey,
+		pkg:        rc.Package,
+		queueCap:   rc.QueueCap,
+		mech:       rc.Mechanism,
+		thermal:    rc.Thermal,
+		noFastPath: rc.NoFastPath,
+		trace:      rc.Trace,
+		fork:       min(e.WarmupEnd(), end),
+	}
+	if err := wc.warm(key, e); err != nil {
+		return sim.Result{}, nil, err
+	}
+	if err := e.RunTo(end); err != nil {
 		return sim.Result{}, nil, err
 	}
 	return e.Summarize(), e, nil

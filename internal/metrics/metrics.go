@@ -6,6 +6,8 @@ package metrics
 
 import (
 	"math"
+
+	"thermbal/internal/ckpt"
 )
 
 // Welford is a numerically stable streaming mean/variance accumulator.
@@ -116,6 +118,44 @@ type TempCollector struct {
 // NewTempCollector creates a collector for n cores.
 func NewTempCollector(n int) *TempCollector {
 	return &TempCollector{PerCore: make([]Welford, n), MaxTemp: math.Inf(-1)}
+}
+
+// Checkpoint appends the collector's accumulators to w.
+func (tc *TempCollector) Checkpoint(w *ckpt.Writer) {
+	tc.Spatial.checkpoint(w)
+	tc.Gradient.checkpoint(w)
+	tc.Pooled.checkpoint(w)
+	w.Int(len(tc.PerCore))
+	for i := range tc.PerCore {
+		tc.PerCore[i].checkpoint(w)
+	}
+	w.Float(tc.MaxTemp)
+	w.Int64(tc.samples)
+}
+
+// Restore replaces the accumulators with the ones Checkpoint wrote on
+// a collector for as many cores. A mismatch is recorded in r.
+func (tc *TempCollector) Restore(r *ckpt.Reader) {
+	tc.Spatial.restore(r)
+	tc.Gradient.restore(r)
+	tc.Pooled.restore(r)
+	r.Len(len(tc.PerCore))
+	for i := range tc.PerCore {
+		tc.PerCore[i].restore(r)
+	}
+	tc.MaxTemp, tc.samples = r.Float(), r.Int64()
+}
+
+func (w *Welford) checkpoint(cw *ckpt.Writer) {
+	cw.Int64(w.n)
+	cw.Float(w.mean)
+	cw.Float(w.m2)
+	cw.Float(w.min)
+	cw.Float(w.max)
+}
+
+func (w *Welford) restore(r *ckpt.Reader) {
+	w.n, w.mean, w.m2, w.min, w.max = r.Int64(), r.Float(), r.Float(), r.Float(), r.Float()
 }
 
 // Sample folds one per-core temperature snapshot.

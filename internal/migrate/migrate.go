@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"thermbal/internal/bus"
+	"thermbal/internal/ckpt"
 	"thermbal/internal/task"
 )
 
@@ -348,4 +349,98 @@ func (m *Manager) CostCycles(t *task.Task, fHz float64) float64 {
 		comp = 2 // context copy and code reload contend
 	}
 	return m.EstimateFreezeS(t, comp) * fHz
+}
+
+// Checkpoint appends the manager's pending migrations, in task-index
+// order, and its statistics to w.
+func (m *Manager) Checkpoint(w *ckpt.Writer) {
+	keys := make([]int, 0, len(m.pending))
+	for ti := range m.pending {
+		keys = append(keys, ti)
+	}
+	sort.Ints(keys)
+	w.Int(len(keys))
+	for _, ti := range keys {
+		mg := m.pending[ti]
+		w.Int(mg.TaskIdx)
+		w.Int(mg.Src)
+		w.Int(mg.Dst)
+		w.Int(int(mg.Phase))
+		w.Float(mg.RequestedAt)
+		w.Float(mg.FrozenAt)
+		w.Float(mg.CompletedAt)
+		w.Float(mg.restoreEnd)
+		w.Float(mg.bytes)
+		for _, tr := range []*bus.Transfer{mg.transfer, mg.reload} {
+			w.Bool(tr != nil)
+			if tr != nil {
+				bus.CheckpointTransfer(w, tr)
+			}
+		}
+	}
+	st := &m.stats
+	w.Int(st.Requested)
+	w.Int(st.Completed)
+	w.Int(st.Rejected)
+	w.Float(st.BytesMoved)
+	w.Float(st.FreezeTime)
+	w.Float(st.MaxFreeze)
+	w.Float(st.WaitTime)
+	w.Float(st.LastTrigger)
+	names := make([]string, 0, len(st.PerTask))
+	for name := range st.PerTask {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	w.Int(len(names))
+	for _, name := range names {
+		w.String(name)
+		w.Int(st.PerTask[name])
+	}
+}
+
+// Restore replaces the manager's mutable state with the one Checkpoint
+// wrote. The manager's bus must already hold the matching bus state: a
+// transfer still in flight is rejoined to the bus's handle for it, a
+// finished one becomes a private copy. tasks is the graph's task slice.
+// A mismatch is recorded in r.
+func (m *Manager) Restore(r *ckpt.Reader, tasks []*task.Task) {
+	m.pending = map[int]*Migration{}
+	for range r.Len(-1) {
+		mg := &Migration{TaskIdx: r.Int(), Src: r.Int(), Dst: r.Int(), Phase: Phase(r.Int()),
+			RequestedAt: r.Float(), FrozenAt: r.Float(), CompletedAt: r.Float()}
+		mg.restoreEnd, mg.bytes = r.Float(), r.Float()
+		for _, tr := range []**bus.Transfer{&mg.transfer, &mg.reload} {
+			if r.Bool() {
+				*tr = m.rejoin(r, bus.RestoreTransfer(r))
+			}
+		}
+		if mg.TaskIdx < 0 || mg.TaskIdx >= len(tasks) {
+			r.Fail(fmt.Errorf("migrate: restoring a migration of task %d onto %d tasks", mg.TaskIdx, len(tasks)))
+			break
+		}
+		mg.Task = tasks[mg.TaskIdx]
+		m.pending[mg.TaskIdx] = mg
+	}
+	st := &m.stats
+	st.Requested, st.Completed, st.Rejected = r.Int(), r.Int(), r.Int()
+	st.BytesMoved, st.FreezeTime, st.MaxFreeze, st.WaitTime, st.LastTrigger = r.Float(), r.Float(), r.Float(), r.Float(), r.Float()
+	st.PerTask = map[string]int{}
+	for range r.Len(-1) {
+		name := r.String()
+		st.PerTask[name] = r.Int()
+	}
+}
+
+// rejoin returns the handle a restored migration holds for transfer t:
+// the bus's own while t is in flight, t itself once it is done.
+func (m *Manager) rejoin(r *ckpt.Reader, t *bus.Transfer) *bus.Transfer {
+	if t.Done() {
+		return t
+	}
+	if tr := m.bus.InFlight(t.ID()); tr != nil {
+		return tr
+	}
+	r.Fail(fmt.Errorf("migrate: transfer %d (%s) is not in flight on the bus", t.ID(), t.Label()))
+	return t
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"thermbal/internal/bus"
+	"thermbal/internal/ckpt"
 	"thermbal/internal/dvfs"
 	"thermbal/internal/floorplan"
 	"thermbal/internal/power"
@@ -250,4 +251,38 @@ func (p *Platform) FlushWindow(windowS float64) ([]float64, error) {
 		return nil, err
 	}
 	return util, nil
+}
+
+// Checkpoint appends the platform's mutable state to w: node
+// temperatures, power gating, the open sensor window's accumulators,
+// the energy total, the DVFS levels and the bus.
+func (p *Platform) Checkpoint(w *ckpt.Writer) {
+	w.Floats(p.Thermal.Net.Temperatures(nil))
+	w.Bools(p.powered)
+	w.Floats(p.energyWin)
+	w.Floats(p.busyWin)
+	w.Floats(p.capWin)
+	w.Float(p.TotalEnergyJ)
+	w.Float(p.lastBusBusy)
+	p.Gov.Checkpoint(w)
+	p.Bus.Checkpoint(w)
+}
+
+// Restore replaces the platform's mutable state with the one
+// Checkpoint wrote on a platform of the same floorplan. A mismatch is
+// recorded in r.
+func (p *Platform) Restore(r *ckpt.Reader) {
+	net := p.Thermal.Net
+	temps := make([]float64, net.NumNodes())
+	r.Floats(temps)
+	for i, t := range temps {
+		net.SetTemperature(i, t)
+	}
+	r.Bools(p.powered)
+	r.Floats(p.energyWin)
+	r.Floats(p.busyWin)
+	r.Floats(p.capWin)
+	p.TotalEnergyJ, p.lastBusBusy = r.Float(), r.Float()
+	p.Gov.Restore(r)
+	p.Bus.Restore(r)
 }

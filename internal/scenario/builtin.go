@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -22,19 +23,18 @@ const (
 
 // phaseShiftModulator alternates the loads of even- and odd-indexed
 // tasks around their construction-time baselines: every periodS the
-// groups swap, scaling by hi / lo.
+// groups swap, scaling by hi / lo. It sets the loads at the first
+// update and whenever now falls in another phase than prev.
 func phaseShiftModulator(g *stream.Graph, periodS, hi, lo float64) sim.Modulator {
 	base := make([]float64, g.NumTasks())
 	for i, t := range g.Tasks() {
 		base[i] = t.FSE
 	}
-	last := -1
-	return func(now float64, tasks []*task.Task) bool {
+	return func(prev, now float64, tasks []*task.Task) bool {
 		phase := int(now/periodS) % 2
-		if phase == last {
+		if !math.IsInf(prev, -1) && int(prev/periodS)%2 == phase {
 			return false
 		}
-		last = phase
 		for i, t := range tasks {
 			f := lo
 			if (i%2 == 0) == (phase == 0) {

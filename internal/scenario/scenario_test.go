@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -121,17 +122,17 @@ func TestBurstyModulatorShiftsLoad(t *testing.T) {
 	for i, tk := range inst.Graph.Tasks() {
 		base[i] = tk.FSE
 	}
-	if !inst.Modulate(0, inst.Graph.Tasks()) {
+	if !inst.Modulate(math.Inf(-1), 0, inst.Graph.Tasks()) {
 		t.Fatal("first modulator call reported no change")
 	}
 	phase0 := make([]float64, len(base))
 	for i, tk := range inst.Graph.Tasks() {
 		phase0[i] = tk.FSE
 	}
-	if inst.Modulate(1.0, inst.Graph.Tasks()) {
+	if inst.Modulate(0, 1.0, inst.Graph.Tasks()) {
 		t.Error("mid-phase call reported a change")
 	}
-	if !inst.Modulate(burstPeriodS+0.01, inst.Graph.Tasks()) {
+	if !inst.Modulate(1.0, burstPeriodS+0.01, inst.Graph.Tasks()) {
 		t.Fatal("phase flip not reported")
 	}
 	flipped := false

@@ -10,6 +10,8 @@ package sched
 import (
 	"fmt"
 	"sort"
+
+	"thermbal/internal/ckpt"
 )
 
 // Scheduler maintains per-core round-robin run queues.
@@ -156,4 +158,31 @@ func (s *Scheduler) Mapping() map[int]int {
 		m[k] = v
 	}
 	return m
+}
+
+// Checkpoint appends the scheduler's run queues and round-robin
+// cursors to w. The task→core map is derived from the queues.
+func (s *Scheduler) Checkpoint(w *ckpt.Writer) {
+	w.Int(len(s.queues))
+	for _, q := range s.queues {
+		w.Ints(q)
+	}
+	w.Ints(s.cursor)
+}
+
+// Restore replaces the scheduler's state with the one Checkpoint wrote
+// on a scheduler of the same core count. A mismatch is recorded in r.
+func (s *Scheduler) Restore(r *ckpt.Reader) {
+	r.Len(len(s.queues))
+	clear(s.coreOf)
+	for c := range s.queues {
+		q := s.queues[c][:0]
+		for range r.Len(-1) {
+			ti := r.Int()
+			q = append(q, ti)
+			s.coreOf[ti] = c
+		}
+		s.queues[c] = q
+	}
+	r.Ints(s.cursor)
 }

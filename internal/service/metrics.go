@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
 	"thermbal/internal/trace"
 )
@@ -177,6 +178,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Trace events discarded at recorder buffer caps, process-wide.",
 		func() float64 { return float64(trace.TotalDroppedEvents()) },
 		obs.L("kind", "events"))
+	// Warm-up checkpoints are process-wide too: every run this server
+	// executes restores or simulates its warm-up through one cache.
+	r.NewCounterFunc("thermbal_warmup_checkpoint_hits_total",
+		"Runs that restored their warm-up from a checkpoint, process-wide.",
+		func() float64 { return float64(experiment.WarmupCacheStats().Hits) })
+	r.NewCounterFunc("thermbal_warmup_checkpoint_misses_total",
+		"Runs that simulated their warm-up, process-wide.",
+		func() float64 { return float64(experiment.WarmupCacheStats().Misses) })
+	r.NewCounterFunc("thermbal_warmup_checkpoint_evictions_total",
+		"Warm-up checkpoints dropped to stay within the cache's byte budget.",
+		func() float64 { return float64(experiment.WarmupCacheStats().Evictions) })
+	r.NewGaugeFunc("thermbal_warmup_checkpoint_bytes",
+		"Bytes held by cached warm-up checkpoints.",
+		func() float64 { return float64(experiment.WarmupCacheStats().Bytes) })
 	if s.cfg.TimingLog != nil {
 		r.NewGaugeFunc("thermbal_timing_log_failed",
 			"1 when the timing log hit its sticky write error and stopped recording.",

@@ -241,3 +241,52 @@ func BenchmarkCachedRun(b *testing.B) {
 		}
 	}
 }
+
+// TestWarmupCheckpointMetrics checks the warm-up checkpoint cache's
+// families on /metrics, and that a /run whose warm-up was restored
+// serves the same bytes as the first run of its warm-up. The cache is
+// process-wide, so counts are compared as deltas; the warm-up window is
+// one no other test uses.
+func TestWarmupCheckpointMetrics(t *testing.T) {
+	const (
+		runA = `{"scenario":"video-decoder","policy":"stop-go","delta":3,"warmup_s":0.4137,"measure_s":0.2}`
+		runB = `{"scenario":"video-decoder","policy":"tb","delta":3,"warmup_s":0.4137,"measure_s":0.2}`
+	)
+	scrape := func(ts string) (hits, misses float64, text string) {
+		_, body := do(t, http.MethodGet, ts+"/metrics", "")
+		text = string(body)
+		return promValue(t, text, "thermbal_warmup_checkpoint_hits_total"),
+			promValue(t, text, "thermbal_warmup_checkpoint_misses_total"), text
+	}
+	_, first := newTestServer(t, Config{})
+	hits0, misses0, _ := scrape(first.URL)
+	resp, want := do(t, http.MethodPost, first.URL+"/run", runB)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/run: %d %s", resp.StatusCode, want)
+	}
+	hits, misses, text := scrape(first.URL)
+	if hits+misses < hits0+misses0+1 {
+		t.Errorf("warm-up hits+misses %g after a run, want ≥ %g", hits+misses, hits0+misses0+1)
+	}
+	if promValue(t, text, "thermbal_warmup_checkpoint_bytes") <= 0 {
+		t.Error("no checkpoint bytes held after a warm-up")
+	}
+	promValue(t, text, "thermbal_warmup_checkpoint_evictions_total")
+
+	// A second server has an empty result cache but shares the process's
+	// checkpoints: both runs restore the warm-up runB left above.
+	_, second := newTestServer(t, Config{})
+	hits0, _, _ = scrape(second.URL)
+	for _, body := range []string{runA, runB} {
+		resp, got := do(t, http.MethodPost, second.URL+"/run", body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("/run %s: %d, X-Cache %q", body, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		if body == runB && string(got) != string(want) {
+			t.Errorf("restored warm-up served other bytes:\n first:    %s\n restored: %s", want, got)
+		}
+	}
+	if hits, _, _ := scrape(second.URL); hits < hits0+2 {
+		t.Errorf("warm-up hits %g after two runs sharing a warm-up, want ≥ %g", hits, hits0+2)
+	}
+}

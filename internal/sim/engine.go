@@ -15,6 +15,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"thermbal/internal/metrics"
 	"thermbal/internal/migrate"
@@ -62,9 +63,12 @@ type Config struct {
 	NoFastPath bool
 }
 
-// Modulator mutates task loads as a function of simulation time. It
-// must be deterministic in now for reproducible runs.
-type Modulator func(now float64, tasks []*task.Task) bool
+// Modulator mutates task loads at a sensor update. It must be a pure
+// function of its arguments — the update's time now, the previous
+// update's time prev (negative infinity at the first update) and the
+// tasks — and keep no state of its own, so that an engine restored from
+// a Checkpoint continues exactly like the engine it was taken from.
+type Modulator func(prev, now float64, tasks []*task.Task) bool
 
 func (c *Config) fill() {
 	if c.TickS <= 0 {
@@ -349,20 +353,30 @@ func (e *Engine) onMigrationComplete(mg *migrate.Migration) {
 	}
 }
 
-// Run advances the simulation by duration seconds. The tick and sensor
-// bookkeeping live on the Engine, so split runs are bit-for-bit
-// identical to one long run: Run(0.005) twice fires the same sensor
-// updates at the same absolute ticks as Run(0.010).
+// Run advances the simulation by duration seconds, rounded to the
+// nearest whole tick. Each call rounds its own duration, so a run split
+// at durations that are not whole ticks can end at another tick than
+// one long run: Run(1.00003) then Run(2.00003) ends at tick 30,000 of
+// the default 100 µs tick, Run(3.00006) at tick 30,001. Split with
+// RunTo, which takes absolute ticks, when the split must be exact.
 func (e *Engine) Run(duration float64) error {
 	if duration <= 0 {
 		return errors.New("sim: non-positive duration")
 	}
-	end := e.ticks + int64(duration/e.cfg.TickS+0.5)
-	// Callers may adjust platform state between runs (see Platform), so
-	// no calendar record survives a Run boundary.
-	for c := range e.cal {
-		e.markDirty(c)
-	}
+	return e.RunTo(e.ticks + e.TickAt(duration))
+}
+
+// TickAt returns the tick count nearest to t seconds of simulated time.
+func (e *Engine) TickAt(t float64) int64 { return int64(t/e.cfg.TickS + 0.5) }
+
+// RunTo advances the simulation to absolute tick end (nothing when the
+// clock is already there). The tick and sensor bookkeeping live on the
+// Engine, so split runs are bit-for-bit identical to one long run:
+// RunTo(a) then RunTo(b) fires the same sensor updates at the same
+// ticks as RunTo(b) alone. Only the Profile shows the split, because
+// the event calendar is rebuilt at every call.
+func (e *Engine) RunTo(end int64) error {
+	e.settle()
 	for e.ticks < end {
 		if e.cfg.NoFastPath {
 			e.stepTick(e.cfg.TickS)
@@ -376,6 +390,49 @@ func (e *Engine) Run(duration float64) error {
 		}
 	}
 	return nil
+}
+
+// settle invalidates every calendar record. Callers may adjust platform
+// state between runs (see Platform), so no record survives a RunTo
+// boundary or a Checkpoint.
+func (e *Engine) settle() {
+	for c := range e.cal {
+		e.markDirty(c)
+	}
+}
+
+// prevSensorTime is the time of the sensor update before the current
+// one, negative infinity at the first. Updates fire every sensorEvery
+// ticks, so it is exactly the now the previous update saw.
+func (e *Engine) prevSensorTime() float64 {
+	if e.ticks <= e.sensorEvery {
+		return math.Inf(-1)
+	}
+	return float64(e.ticks-e.sensorEvery) * e.cfg.TickS
+}
+
+// WarmupEnd returns the last sensor boundary strictly before both
+// PolicyStartS and MeasureStartS (0 when there is none). Until then
+// the policy is never consulted and no metric is collected, so the
+// engine's state at that tick is the same under every policy and
+// overshoot threshold: runs that differ only in those can share it
+// through a Checkpoint.
+func (e *Engine) WarmupEnd() int64 {
+	start := min(e.cfg.PolicyStartS, e.cfg.MeasureStartS)
+	if !(start > 0) {
+		return 0
+	}
+	k := e.TickAt(start) / e.sensorEvery * e.sensorEvery
+	if k < 0 {
+		return 0 // beyond the int64 clock
+	}
+	for k > 0 && float64(k)*e.cfg.TickS >= start {
+		k -= e.sensorEvery
+	}
+	for float64(k+e.sensorEvery)*e.cfg.TickS < start {
+		k += e.sensorEvery
+	}
+	return k
 }
 
 // advance moves the clock forward by one fast-path group: a macro-step
@@ -532,7 +589,7 @@ func (e *Engine) sensorUpdate() error {
 	// Load modulation: phase shifts and bursts change task FSE before
 	// the snapshot is built, so both DVFS and the policy see the new
 	// loads immediately.
-	if e.cfg.Modulate != nil && e.cfg.Modulate(e.now, e.graph.Tasks()) {
+	if e.cfg.Modulate != nil && e.cfg.Modulate(e.prevSensorTime(), e.now, e.graph.Tasks()) {
 		e.rebindWork()
 		for c := 0; c < e.plat.NumCores(); c++ {
 			e.updateDVFS(c)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"thermbal/internal/ckpt"
 	"thermbal/internal/task"
 )
 
@@ -370,3 +371,90 @@ func (g *Graph) Inputs(i int) []int { return g.inputs[i] }
 
 // Outputs returns the output queue indices of task i (shared slice).
 func (g *Graph) Outputs(i int) []int { return g.outputs[i] }
+
+// Checkpoint appends the graph's mutable state to w: every task's load
+// and progress, every queue's frames and counters, the source and sink
+// schedules and the frames in flight.
+func (g *Graph) Checkpoint(w *ckpt.Writer) {
+	w.Int(len(g.tasks))
+	for _, t := range g.tasks {
+		w.Float(t.FSE)
+		w.Float(t.CyclesPerFrame)
+		w.Float(t.Progress)
+		w.Float(t.BusyCycles)
+		w.Int64(t.FramesCompleted)
+		w.Int(t.Core)
+		w.Int(t.Migrations)
+		w.Int(int(t.State))
+		w.Bool(t.InFlight)
+	}
+	w.Int(len(g.queues))
+	for _, q := range g.queues {
+		w.Int64(q.pushes)
+		w.Int64(q.pops)
+		w.Float(q.occSum)
+		w.Int64(q.occSamples)
+		w.Int(q.maxOcc)
+		w.Int64(q.overruns)
+		w.Int(len(q.buf))
+		for _, f := range q.buf {
+			checkpointFrame(w, f)
+		}
+	}
+	s := &g.source
+	w.Float(s.base)
+	w.Int64(s.next)
+	w.Bool(s.started)
+	w.Int64(s.Emitted)
+	w.Int64(s.Dropped)
+	k := &g.sink
+	w.Bool(k.playing)
+	w.Float(k.base)
+	w.Int64(k.fired)
+	w.Int64(k.Consumed)
+	w.Int64(k.Misses)
+	w.Float(k.LatencySum)
+	for _, f := range g.pendingFrame {
+		checkpointFrame(w, f)
+	}
+}
+
+func checkpointFrame(w *ckpt.Writer, f Frame) {
+	w.Int64(f.ID)
+	w.Float(f.Created)
+}
+
+func restoreFrame(r *ckpt.Reader) Frame { return Frame{ID: r.Int64(), Created: r.Float()} }
+
+// Restore replaces the graph's mutable state with the one Checkpoint
+// wrote on a graph of the same tasks and queues. Task and queue handles
+// stay valid; only their contents change. A mismatch is recorded in r.
+func (g *Graph) Restore(r *ckpt.Reader) {
+	r.Len(len(g.tasks))
+	for _, t := range g.tasks {
+		t.FSE, t.CyclesPerFrame, t.Progress, t.BusyCycles = r.Float(), r.Float(), r.Float(), r.Float()
+		t.FramesCompleted, t.Core, t.Migrations = r.Int64(), r.Int(), r.Int()
+		t.State, t.InFlight = task.State(r.Int()), r.Bool()
+	}
+	r.Len(len(g.queues))
+	for _, q := range g.queues {
+		q.pushes, q.pops, q.occSum, q.occSamples = r.Int64(), r.Int64(), r.Float(), r.Int64()
+		q.maxOcc, q.overruns = r.Int(), r.Int64()
+		n := r.Len(-1)
+		if n > q.cap {
+			r.Fail(fmt.Errorf("stream: restoring %d frames into queue %q of capacity %d", n, q.name, q.cap))
+		}
+		q.buf = q.buf[:0]
+		for range min(n, q.cap) {
+			q.buf = append(q.buf, restoreFrame(r))
+		}
+	}
+	s := &g.source
+	s.base, s.next, s.started, s.Emitted, s.Dropped = r.Float(), r.Int64(), r.Bool(), r.Int64(), r.Int64()
+	k := &g.sink
+	k.playing, k.base, k.fired = r.Bool(), r.Float(), r.Int64()
+	k.Consumed, k.Misses, k.LatencySum = r.Int64(), r.Int64(), r.Float()
+	for i := range g.pendingFrame {
+		g.pendingFrame[i] = restoreFrame(r)
+	}
+}
