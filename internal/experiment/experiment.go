@@ -147,12 +147,16 @@ func (rc *RunConfig) fill() {
 // The engine always runs in two calls: to its WarmupEnd, the last
 // sensor boundary before the policy starts, and on to the end of the
 // measurement window. The first leg does not depend on the policy,
-// its arguments or the measurement window, so it is simulated once per
-// process for each warm-up key and restored from a checkpoint into
+// its arguments, δ or the measurement window, so it is simulated once
+// per process for each warm-up key and restored from a checkpoint into
 // every later run that shares it (see warmupKey). A restored run is
 // bit-for-bit the run that simulated its warm-up: same document, same
-// trace, same Profile.
+// Profile. A traced run records its warm-up's timeline, which no
+// checkpoint holds, so it always simulates its warm-up.
 func Run(rc RunConfig) (sim.Result, *sim.Engine, error) {
+	if rc.Trace {
+		return run(rc, nil)
+	}
 	return run(rc, warmups)
 }
 
@@ -228,7 +232,6 @@ func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 		mech:       rc.Mechanism,
 		thermal:    rc.Thermal,
 		noFastPath: rc.NoFastPath,
-		trace:      rc.Trace,
 		fork:       min(e.WarmupEnd(), end),
 	}
 	if err := wc.warm(key, e); err != nil {

@@ -15,12 +15,17 @@ import (
 // the paper's 3-core die and about 34 KiB on manycore-256, so the
 // budget holds every warm-up of a paper sweep, a scenario matrix or a
 // service's working set many times over. Least recently used
-// checkpoints are evicted past it; one larger than the whole budget (a
-// long traced warm-up on a large die) is used by the runs waiting on it
-// and then dropped.
+// checkpoints are evicted past it; one larger than the whole budget is
+// used by the runs waiting on it and then dropped.
+//
+// The cache belongs to the process, not to one RunAll call, because
+// not every sweep is one call: the service executes a /matrix or job
+// sweep cell by cell, each under its own result key, and the cells of
+// one scenario share a warm-up. Runs that share no warm-up key only pay
+// a checkpoint per key (see warmupKey).
 const WarmupCacheBudget = 4 << 20
 
-// warmups is the cache every Run goes through.
+// warmups is the cache every untraced Run goes through.
 var warmups = newWarmupCache(WarmupCacheBudget)
 
 // warmupKey is every input the engine's state at WarmupEnd depends on.
@@ -36,7 +41,6 @@ type warmupKey struct {
 	mech       migrate.Mechanism
 	thermal    thermal.Config
 	noFastPath bool
-	trace      bool
 	// fork is the tick the warm-up ends at: the last sensor boundary
 	// before the policy starts.
 	fork int64
@@ -111,8 +115,9 @@ func (c *warmupCache) warm(k warmupKey, e *sim.Engine) error {
 		if err := e.RunTo(k.fork); err != nil {
 			return err
 		}
-		cp = e.Checkpoint()
-		return nil
+		var err error
+		cp, err = e.Checkpoint()
+		return err
 	}
 	if ent.elem != nil {
 		c.lru.MoveToFront(ent.elem)

@@ -1,11 +1,10 @@
 package experiment_test
 
 // Warm-up checkpoints: a run that restores its warm-up must be the run
-// that simulated it — same document bytes, same Profile, same trace —
-// in any order, concurrently, and for any scenario.
+// that simulated it — same document bytes, same Profile — in any order,
+// concurrently, and for any scenario.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -20,22 +19,21 @@ import (
 
 // outcome is what a run shows its callers.
 type outcome struct {
-	doc   string
-	prof  sim.Profile
-	trace string // timeline and event CSV; empty without Trace
+	doc  string
+	prof sim.Profile
 }
 
 type runFunc func(experiment.RunConfig) (sim.Result, *sim.Engine, error)
 
 // cell canonicalizes req as the service does, then applies the engine
-// knobs requests cannot spell.
-func cell(t testing.TB, req service.Request, trace, noFastPath bool) (service.Request, experiment.RunConfig) {
+// knob requests cannot spell.
+func cell(t testing.TB, req service.Request, noFastPath bool) (service.Request, experiment.RunConfig) {
 	t.Helper()
 	canon, rc, err := service.Canonicalize(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc.Trace, rc.NoFastPath = trace, noFastPath
+	rc.NoFastPath = noFastPath
 	return canon, rc
 }
 
@@ -49,18 +47,7 @@ func runCell(t testing.TB, run runFunc, canon service.Request, rc experiment.Run
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := outcome{doc: string(doc), prof: e.Profile()}
-	if rec := e.Recorder(); rec != nil {
-		var b bytes.Buffer
-		if err := rec.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.WriteEventsCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		o.trace = b.String()
-	}
-	return o
+	return outcome{doc: string(doc), prof: e.Profile()}
 }
 
 func requireSame(t testing.TB, what string, fresh, restored outcome) {
@@ -70,9 +57,6 @@ func requireSame(t testing.TB, what string, fresh, restored outcome) {
 	}
 	if fresh.prof != restored.prof {
 		t.Fatalf("%s: profiles differ:\n fresh:    %+v\n restored: %+v", what, fresh.prof, restored.prof)
-	}
-	if fresh.trace != restored.trace {
-		t.Fatalf("%s: traces differ", what)
 	}
 }
 
@@ -88,7 +72,7 @@ func TestWarmupRestoreEquivalence(t *testing.T) {
 					c := experiment.NewWarmupCache(experiment.WarmupCacheBudget)
 					mk := func(pol string) (service.Request, experiment.RunConfig) {
 						return cell(t, service.Request{Scenario: sc, Policy: pol, Delta: 3,
-							WarmupS: 0.12, MeasureS: 0.1, Integrator: ig}, true, noFast)
+							WarmupS: 0.12, MeasureS: 0.1, Integrator: ig}, noFast)
 					}
 					pc, prc := mk(policies[len(policies)-1])
 					runCell(t, c.Run, pc, prc)
@@ -118,7 +102,7 @@ func TestWarmupSiblingsShuffledAndConcurrent(t *testing.T) {
 	for _, pol := range policy.Names() {
 		for _, d := range experiment.Deltas {
 			canon, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: pol, Delta: d,
-				Package: "high-performance", WarmupS: 2, MeasureS: 1}, false, false)
+				Package: "high-performance", WarmupS: 2, MeasureS: 1}, false)
 			sibs = append(sibs, sib{canon, rc, runCell(t, experiment.RunUncached, canon, rc)})
 		}
 	}
@@ -161,7 +145,7 @@ func TestWarmupSiblingsShuffledAndConcurrent(t *testing.T) {
 // WarmupS+MeasureS, as one engine call would.
 func TestWarmupNonAlignedWindows(t *testing.T) {
 	canon, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3,
-		WarmupS: 1.00003, MeasureS: 2.00003}, true, false)
+		WarmupS: 1.00003, MeasureS: 2.00003}, false)
 	_, e, err := experiment.RunUncached(rc)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +169,7 @@ func TestWarmupRestoreBurstySDR(t *testing.T) {
 	c := experiment.NewWarmupCache(experiment.WarmupCacheBudget)
 	mk := func(pol string) (service.Request, experiment.RunConfig) {
 		return cell(t, service.Request{Scenario: "bursty-sdr", Policy: pol, Delta: 2,
-			WarmupS: 4.5, MeasureS: 4}, true, false)
+			WarmupS: 4.5, MeasureS: 4}, false)
 	}
 	pc, prc := mk("stop-go")
 	runCell(t, c.Run, pc, prc)
@@ -196,12 +180,36 @@ func TestWarmupRestoreBurstySDR(t *testing.T) {
 	}
 }
 
+// A traced run records its warm-up's timeline, which no checkpoint
+// holds: it simulates the warm-up even when its key is cached, leaves
+// the cache alone, and reports the run a restored untraced one does.
+func TestWarmupTracedRunSimulates(t *testing.T) {
+	canon, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3,
+		WarmupS: 0.5137, MeasureS: 0.2}, false)
+	runCell(t, experiment.Run, canon, rc)
+	restored := runCell(t, experiment.Run, canon, rc)
+	before := experiment.WarmupCacheStats()
+	rc.Trace = true
+	res, e, err := experiment.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := experiment.WarmupCacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("traced run used the cache: %+v, then %+v", before, after)
+	}
+	if s := e.Recorder().Samples(); len(s) == 0 || s[0].Time >= rc.WarmupS {
+		t.Fatal("traced run's timeline does not cover its warm-up")
+	}
+	traced := runCell(t, func(experiment.RunConfig) (sim.Result, *sim.Engine, error) { return res, e, nil }, canon, rc)
+	requireSame(t, "traced", restored, traced)
+}
+
 // The byte budget evicts the least recently used checkpoint, and a
 // checkpoint larger than the whole budget is never kept.
 func TestWarmupCacheBudget(t *testing.T) {
 	mk := func(pkg string) experiment.RunConfig {
 		_, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: "energy-balance",
-			Package: pkg, WarmupS: 0.5, MeasureS: 0.1}, false, false)
+			Package: pkg, WarmupS: 0.5, MeasureS: 0.1}, false)
 		return rc
 	}
 	mobile, hp := mk("mobile"), mk("high-performance")
@@ -253,7 +261,7 @@ func FuzzWarmupCheckpoint(f *testing.F) {
 		pol := policies[int(knobs/2)%len(policies)]
 		mk := func(pol string) (service.Request, experiment.RunConfig) {
 			return cell(t, service.Request{Spec: &sp, Policy: pol, Delta: 2,
-				WarmupS: 0.2, MeasureS: 0.1, Integrator: ig}, false, false)
+				WarmupS: 0.2, MeasureS: 0.1, Integrator: ig}, false)
 		}
 		c := experiment.NewWarmupCache(experiment.WarmupCacheBudget)
 		pc, prc := mk(policies[(int(knobs/2)+1)%len(policies)])

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"thermbal/internal/ckpt"
@@ -10,22 +11,31 @@ import (
 // temperatures, task, frame and queue progress, source and sink
 // counters, scheduler cursors, DVFS levels, bus and migration state,
 // energy accumulators and pending spans, the horizon calendar's
-// inputs, the Profile, the measurement window and the trace recorder's
-// contents. It is one flat, pointer-free byte slice (package ckpt)
+// inputs, the Profile and the measurement window. It is one flat, pointer-free byte slice (package ckpt)
 // that no engine shares and nothing modifies, so one checkpoint may be
 // restored into any number of engines, concurrently.
 //
 // The policy's own state is not part of it. Every policy starts fresh
 // and is first consulted at PolicyStartS, so a checkpoint taken at or
 // before WarmupEnd holds everything a run's continuation depends on.
+//
+// A tracing engine (Config.RecordTrace) has no checkpoint: its
+// recorder's timeline is not engine state a continuation needs, and
+// copying it would make a checkpoint grow with the run.
 type Checkpoint struct {
 	data []byte
 }
 
+var errTraced = errors.New("sim: a tracing engine has no checkpoint")
+
 // Checkpoint copies the engine's mutable state. Taking it invalidates
 // the event calendar exactly as the next RunTo would, so the engine
-// continues bit-for-bit as if no checkpoint had been taken.
-func (e *Engine) Checkpoint() *Checkpoint {
+// continues bit-for-bit as if no checkpoint had been taken. A tracing
+// engine returns an error.
+func (e *Engine) Checkpoint() (*Checkpoint, error) {
+	if e.rec != nil {
+		return nil, errTraced
+	}
 	e.settle()
 	var w ckpt.Writer
 	w.Float(e.cfg.TickS)
@@ -54,15 +64,11 @@ func (e *Engine) Checkpoint() *Checkpoint {
 	w.Bool(e.policyActive)
 	w.Float(e.overThresholdS)
 	e.temps.Checkpoint(&w)
-	w.Bool(e.rec != nil)
-	if e.rec != nil {
-		e.rec.Checkpoint(&w)
-	}
 	e.plat.Checkpoint(&w)
 	e.graph.Checkpoint(&w)
 	e.sch.Checkpoint(&w)
 	e.migr.Checkpoint(&w)
-	return &Checkpoint{data: w.Bytes()}
+	return &Checkpoint{data: w.Bytes()}, nil
 }
 
 // Bytes returns the memory the checkpoint holds.
@@ -71,11 +77,14 @@ func (cp *Checkpoint) Bytes() int { return len(cp.data) }
 // Restore replaces the engine's mutable state with the one cp holds.
 // The engine must have been built like the one cp was taken from (same
 // scenario, options and engine configuration); its policy and overshoot
-// threshold are its own. Shapes are checked — tick, sensor period,
-// core, node, task and queue counts, trace recording — not the
-// configuration. After an error the engine is in an undefined state and
-// must be discarded.
+// threshold are its own, and it must not be tracing. Shapes are
+// checked — tick, sensor period, core, node, task and queue counts —
+// not the configuration. After an error the engine is in an undefined
+// state and must be discarded.
 func (e *Engine) Restore(cp *Checkpoint) error {
+	if e.rec != nil {
+		return errTraced
+	}
 	r := ckpt.NewReader(cp.data)
 	if tick, every := r.Float(), r.Int64(); tick != e.cfg.TickS || every != e.sensorEvery {
 		return fmt.Errorf("sim: restoring a %g s tick, %d-tick sensor period checkpoint onto a %g s, %d-tick engine",
@@ -104,12 +113,6 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	e.measureStartBytes, e.measureStarted, e.measureStartTime = r.Float(), r.Bool(), r.Float()
 	e.policyActive, e.overThresholdS = r.Bool(), r.Float()
 	e.temps.Restore(r)
-	if traced := r.Bool(); traced != (e.rec != nil) {
-		return fmt.Errorf("sim: checkpoint and engine disagree on trace recording")
-	}
-	if e.rec != nil {
-		e.rec.Restore(r)
-	}
 	e.plat.Restore(r)
 	e.graph.Restore(r)
 	e.sch.Restore(r)

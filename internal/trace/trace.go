@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"thermbal/internal/ckpt"
 )
 
 // Process-wide drop totals across every recorder, alive or discarded.
@@ -85,58 +83,6 @@ func (r *Recorder) SetMaxEvents(max int) {
 		max = DefaultMaxEvents
 	}
 	r.maxEvents = max
-}
-
-// Checkpoint appends the recorder's caps, drop counts, samples and
-// events to w.
-func (r *Recorder) Checkpoint(w *ckpt.Writer) {
-	w.Int(r.cores)
-	w.Int(r.maxSamples)
-	w.Int(r.maxEvents)
-	w.Int(r.dropped)
-	w.Int(r.droppedEvents)
-	w.Int(len(r.samples))
-	for _, s := range r.samples {
-		w.Float(s.Time)
-		w.Floats(s.Temp)
-		w.Floats(s.Freq)
-		w.Bool(s.Power != nil)
-		if s.Power != nil {
-			w.Floats(s.Power)
-		}
-	}
-	w.Int(len(r.events))
-	for _, e := range r.events {
-		w.Float(e.Time)
-		w.String(e.Kind)
-		w.String(e.Text)
-	}
-}
-
-// Restore replaces the recorder's contents with the ones Checkpoint
-// wrote. A malformed checkpoint is recorded in cr.
-func (r *Recorder) Restore(cr *ckpt.Reader) {
-	r.cores, r.maxSamples, r.maxEvents = cr.Int(), cr.Int(), cr.Int()
-	r.dropped, r.droppedEvents = cr.Int(), cr.Int()
-	floats := func() []float64 {
-		xs := make([]float64, cr.Len(-1))
-		for i := range xs {
-			xs[i] = cr.Float()
-		}
-		return xs
-	}
-	r.samples = make([]Sample, cr.Len(-1))
-	for i := range r.samples {
-		s := &r.samples[i]
-		s.Time, s.Temp, s.Freq = cr.Float(), floats(), floats()
-		if cr.Bool() {
-			s.Power = floats()
-		}
-	}
-	r.events = make([]Event, cr.Len(-1))
-	for i := range r.events {
-		r.events[i] = Event{Time: cr.Float(), Kind: cr.String(), Text: cr.String()}
-	}
 }
 
 // AddSample appends a timeline row (copying the slices).
