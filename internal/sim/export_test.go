@@ -80,3 +80,6 @@ func CheckHorizons(t testing.TB) (checked func() int64) {
 	t.Cleanup(func() { checkHorizon = nil })
 	return func() int64 { return groups }
 }
+
+// Data returns the checkpoint's encoding.
+func (cp *Checkpoint) Data() []byte { return cp.data }
