@@ -13,7 +13,6 @@ package bus
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"thermbal/internal/ckpt"
 )
@@ -210,44 +209,34 @@ func (b *Bus) AdvanceTicks(tick float64, k int64) {
 	}
 }
 
-// Checkpoint appends the bus's mutable state to w: the transfer
-// counter, the accumulators and every in-flight transfer.
-func (b *Bus) Checkpoint(w *ckpt.Writer) {
-	w.Int(b.next)
-	w.Int(b.started)
-	w.Float(b.busyAcc)
-	w.Float(b.moved)
-	w.Int(len(b.active))
+// Ckpt writes or reads the bus's mutable state: the transfer counter,
+// the accumulators and every in-flight transfer. A restore makes new
+// transfer handles; InFlight finds them by ID.
+func (b *Bus) Ckpt(c *ckpt.Codec) {
+	c.Int(&b.next)
+	c.Int(&b.started)
+	c.Float(&b.busyAcc)
+	c.Float(&b.moved)
+	n := len(b.active)
+	c.Count(&n)
+	if c.Reading() {
+		b.active = make([]*Transfer, n)
+		for i := range b.active {
+			b.active[i] = new(Transfer)
+		}
+	}
 	for _, t := range b.active {
-		CheckpointTransfer(w, t)
+		t.Ckpt(c)
 	}
 }
 
-// Restore replaces the bus's mutable state with the one Checkpoint
-// wrote. In-flight transfers become new handles; InFlight finds them by
-// ID.
-func (b *Bus) Restore(r *ckpt.Reader) {
-	b.next, b.started = r.Int(), r.Int()
-	b.busyAcc, b.moved = r.Float(), r.Float()
-	b.active = make([]*Transfer, r.Len(-1))
-	for i := range b.active {
-		b.active[i] = RestoreTransfer(r)
-	}
-}
-
-// CheckpointTransfer appends one transfer, in flight or not, to w.
-func CheckpointTransfer(w *ckpt.Writer, t *Transfer) {
-	w.Int(t.id)
-	w.String(t.label)
-	w.Float(t.remaining)
-	w.Float(t.total)
-	w.Bool(t.done)
-}
-
-// RestoreTransfer reads a transfer CheckpointTransfer wrote into a new
-// handle.
-func RestoreTransfer(r *ckpt.Reader) *Transfer {
-	return &Transfer{id: r.Int(), label: r.String(), remaining: r.Float(), total: r.Float(), done: r.Bool()}
+// Ckpt writes or reads one transfer, in flight or not.
+func (t *Transfer) Ckpt(c *ckpt.Codec) {
+	c.Int(&t.id)
+	c.String(&t.label)
+	c.Float(&t.remaining)
+	c.Float(&t.total)
+	c.Bool(&t.done)
 }
 
 // InFlight returns the in-flight transfer with the given ID, or nil.
@@ -262,19 +251,6 @@ func (b *Bus) InFlight(id int) *Transfer {
 
 // Bandwidth returns the aggregate bandwidth in bytes/second.
 func (b *Bus) Bandwidth() float64 { return b.bandwidth }
-
-// Utilization returns the fraction of elapsed seconds the bus was busy,
-// given the total elapsed simulation time.
-func (b *Bus) Utilization(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	u := b.busyAcc / elapsed
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
 
 // BusySeconds returns cumulative seconds the bus spent moving data.
 func (b *Bus) BusySeconds() float64 { return b.busyAcc }
@@ -295,15 +271,4 @@ func (b *Bus) LatencyEstimate(size float64, competitors int) float64 {
 	}
 	share := b.bandwidth / float64(competitors)
 	return b.overheadS + size/share
-}
-
-// ActiveLabels returns the labels of in-flight transfers, sorted, for
-// diagnostics.
-func (b *Bus) ActiveLabels() []string {
-	out := make([]string, 0, len(b.active))
-	for _, t := range b.active {
-		out = append(out, t.label)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,9 +1,11 @@
 // Package ckpt is the flat encoding of simulation-engine checkpoints
-// (sim.Checkpoint). Every stateful component appends its mutable state
-// to a Writer and reads it back from a Reader in the same order. A
-// checkpoint is therefore one pointer-free byte slice of exactly its
-// size, whatever the size of the simulated die, so a process can hold
-// many without pinning partly used heap spans.
+// (sim.Checkpoint). Every stateful component names its mutable fields
+// once, in one method that hands a pointer to each to a Codec: a
+// writing Codec appends the field, a reading one overwrites it with
+// what was written, in the same order. A checkpoint is therefore one
+// pointer-free byte slice of exactly its size, whatever the size of
+// the simulated die, so a process can hold many without pinning partly
+// used heap spans.
 //
 // Integers are varints. A float is the varint of its IEEE-754 bits
 // with the bytes reversed, as encoding/gob does: zero takes one byte,
@@ -19,198 +21,171 @@ import (
 	"math/bits"
 )
 
-// Writer accumulates an encoding.
-type Writer struct {
-	buf []byte
+// Codec writes or reads one encoding. The zero Codec writes; NewReader
+// makes one that reads. A malformed encoding or a length mismatch
+// records an error on a reading Codec, after which every read stores
+// zero; Done reports the first.
+type Codec struct {
+	buf     []byte
+	reading bool
+	err     error
 }
 
-// Bytes returns the encoding in a new slice of exactly its length.
-func (w *Writer) Bytes() []byte { return append([]byte(nil), w.buf...) }
+// NewReader returns a Codec that reads b.
+func NewReader(b []byte) *Codec { return &Codec{buf: b, reading: true} }
 
-// Int appends v.
-func (w *Writer) Int(v int) { w.buf = binary.AppendVarint(w.buf, int64(v)) }
+// Reading reports whether c reads. Components branch on it only to
+// allocate or re-link what a restore rebuilds.
+func (c *Codec) Reading() bool { return c.reading }
 
-// Int64 appends v.
-func (w *Writer) Int64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
-
-// Float appends v bit for bit.
-func (w *Writer) Float(v float64) {
-	w.buf = binary.AppendUvarint(w.buf, bits.ReverseBytes64(math.Float64bits(v)))
-}
-
-// Bool appends v.
-func (w *Writer) Bool(v bool) {
-	var b byte
-	if v {
-		b = 1
-	}
-	w.buf = append(w.buf, b)
-}
-
-// String appends len(s) and the bytes of s.
-func (w *Writer) String(s string) {
-	w.Int(len(s))
-	w.buf = append(w.buf, s...)
-}
-
-// Floats appends len(xs) and every element.
-func (w *Writer) Floats(xs []float64) {
-	w.Int(len(xs))
-	for _, x := range xs {
-		w.Float(x)
-	}
-}
-
-// Int64s appends len(xs) and every element.
-func (w *Writer) Int64s(xs []int64) {
-	w.Int(len(xs))
-	for _, x := range xs {
-		w.Int64(x)
-	}
-}
-
-// Ints appends len(xs) and every element.
-func (w *Writer) Ints(xs []int) {
-	w.Int(len(xs))
-	for _, x := range xs {
-		w.Int(x)
-	}
-}
-
-// Bools appends len(xs) and every element.
-func (w *Writer) Bools(xs []bool) {
-	w.Int(len(xs))
-	for _, x := range xs {
-		w.Bool(x)
-	}
-}
-
-// Reader decodes what a Writer appended, in the same order. A
-// malformed encoding or a length mismatch records an error, after which
-// every read returns zero; Done reports the first.
-type Reader struct {
-	buf []byte
-	err error
-}
-
-// NewReader decodes b.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+// Bytes returns what a writing Codec wrote, in a new slice of exactly
+// its length.
+func (c *Codec) Bytes() []byte { return append([]byte(nil), c.buf...) }
 
 var errCorrupt = errors.New("ckpt: checkpoint is truncated or corrupt")
 
 // Done returns the first error, or an error if any byte is left
 // unread.
-func (r *Reader) Done() error {
-	if r.err == nil && len(r.buf) > 0 {
-		return fmt.Errorf("ckpt: %d bytes left unread", len(r.buf))
+func (c *Codec) Done() error {
+	if c.err == nil && c.reading && len(c.buf) > 0 {
+		return fmt.Errorf("ckpt: %d bytes left unread", len(c.buf))
 	}
-	return r.err
+	return c.err
 }
 
 // Fail records err unless an error is already recorded.
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-func (r *Reader) varint() int64 {
-	if r.err != nil {
+func (c *Codec) varint() int64 {
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.buf)
+	v, n := binary.Varint(c.buf)
 	if n <= 0 {
-		r.Fail(errCorrupt)
+		c.Fail(errCorrupt)
 		return 0
 	}
-	r.buf = r.buf[n:]
+	c.buf = c.buf[n:]
 	return v
 }
 
-// Int reads an Int.
-func (r *Reader) Int() int { return int(r.varint()) }
-
-// Int64 reads an Int64.
-func (r *Reader) Int64() int64 { return r.varint() }
-
-// Float reads a Float.
-func (r *Reader) Float() float64 {
-	if r.err != nil {
+func (c *Codec) uvarint() uint64 {
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.buf)
+	v, n := binary.Uvarint(c.buf)
 	if n <= 0 {
-		r.Fail(errCorrupt)
+		c.Fail(errCorrupt)
 		return 0
 	}
-	r.buf = r.buf[n:]
-	return math.Float64frombits(bits.ReverseBytes64(v))
+	c.buf = c.buf[n:]
+	return v
 }
 
-// Bool reads a Bool.
-func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
+// Int writes or reads *v.
+func (c *Codec) Int(v *int) {
+	if !c.reading {
+		c.buf = binary.AppendVarint(c.buf, int64(*v))
+		return
 	}
-	if len(r.buf) == 0 {
-		r.Fail(errCorrupt)
-		return false
+	*v = int(c.varint())
+}
+
+// Int64 writes or reads *v.
+func (c *Codec) Int64(v *int64) {
+	if !c.reading {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b != 0
+	*v = c.varint()
 }
 
-// String reads a String.
-func (r *Reader) String() string {
-	n := r.Len(-1)
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
+// Float writes or reads *v bit for bit.
+func (c *Codec) Float(v *float64) {
+	if !c.reading {
+		c.buf = binary.AppendUvarint(c.buf, bits.ReverseBytes64(math.Float64bits(*v)))
+		return
+	}
+	*v = math.Float64frombits(bits.ReverseBytes64(c.uvarint()))
 }
 
-// Len reads a length. When want >= 0 the length must equal it: the
-// checkpoint was taken from a component of the same shape. A length no
-// remaining encoding could hold is corrupt.
-func (r *Reader) Len(want int) int {
-	n := r.Int()
+// Bool writes or reads *v.
+func (c *Codec) Bool(v *bool) {
+	if !c.reading {
+		var b byte
+		if *v {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+		return
+	}
+	*v = false
 	switch {
-	case r.err != nil:
-		return 0
-	case n < 0 || n > len(r.buf):
-		r.Fail(errCorrupt)
-		return 0
-	case want >= 0 && n != want:
-		r.Fail(fmt.Errorf("ckpt: %d elements where the restored component has %d", n, want))
-		return 0
-	}
-	return n
-}
-
-// Floats reads a Floats into dst, which must have the recorded length.
-func (r *Reader) Floats(dst []float64) {
-	for i := range r.Len(len(dst)) {
-		dst[i] = r.Float()
+	case c.err != nil:
+	case len(c.buf) == 0:
+		c.Fail(errCorrupt)
+	default:
+		*v = c.buf[0] != 0
+		c.buf = c.buf[1:]
 	}
 }
 
-// Int64s reads an Int64s into dst, which must have the recorded length.
-func (r *Reader) Int64s(dst []int64) {
-	for i := range r.Len(len(dst)) {
-		dst[i] = r.Int64()
+// String writes or reads the length and bytes of *s.
+func (c *Codec) String(s *string) {
+	n := len(*s)
+	c.Count(&n)
+	if !c.reading {
+		c.buf = append(c.buf, *s...)
+		return
+	}
+	*s = string(c.buf[:n])
+	c.buf = c.buf[n:]
+}
+
+// Count writes or reads the length *n of a variable-length field. A
+// read length no remaining encoding could hold is corrupt.
+func (c *Codec) Count(n *int) {
+	c.Int(n)
+	if c.reading && c.err == nil && (*n < 0 || *n > len(c.buf)) {
+		c.Fail(errCorrupt)
+	}
+	if c.err != nil {
+		*n = 0
 	}
 }
 
-// Ints reads an Ints into dst, which must have the recorded length.
-func (r *Reader) Ints(dst []int) {
-	for i := range r.Len(len(dst)) {
-		dst[i] = r.Int()
+// Len writes the length n of a fixed-shape field, or reads a length
+// and checks that it is n: the checkpoint was taken from a component
+// of the same shape. It returns how many elements follow, 0 after an
+// error.
+func (c *Codec) Len(n int) int {
+	got := n
+	c.Count(&got)
+	if c.err == nil && got != n {
+		c.Fail(fmt.Errorf("ckpt: %d elements where the restored component has %d", got, n))
+		got = 0
 	}
+	return got
 }
 
-// Bools reads a Bools into dst, which must have the recorded length.
-func (r *Reader) Bools(dst []bool) {
-	for i := range r.Len(len(dst)) {
-		dst[i] = r.Bool()
+// Floats writes or reads len(xs) and every element of xs.
+func (c *Codec) Floats(xs []float64) { each(c, xs, (*Codec).Float) }
+
+// Int64s writes or reads len(xs) and every element of xs.
+func (c *Codec) Int64s(xs []int64) { each(c, xs, (*Codec).Int64) }
+
+// Ints writes or reads len(xs) and every element of xs.
+func (c *Codec) Ints(xs []int) { each(c, xs, (*Codec).Int) }
+
+// Bools writes or reads len(xs) and every element of xs.
+func (c *Codec) Bools(xs []bool) { each(c, xs, (*Codec).Bool) }
+
+func each[T any](c *Codec, xs []T, elem func(*Codec, *T)) {
+	for i := range c.Len(len(xs)) {
+		elem(c, &xs[i])
 	}
 }

@@ -68,9 +68,6 @@ func (l *Ladder) Max() float64 { return l.levels[len(l.levels)-1] }
 // Min returns the lowest frequency.
 func (l *Ladder) Min() float64 { return l.levels[0] }
 
-// NumLevels returns the ladder size.
-func (l *Ladder) NumLevels() int { return len(l.levels) }
-
 // LevelFor returns the lowest frequency f such that the total FSE load
 // (fractions of the *maximum* frequency, summed over the core's tasks)
 // fits: fseTotal*Max <= f. Loads above 1 saturate at Max.
@@ -167,31 +164,11 @@ func (g *Governor) Set(c int, f float64) error {
 	return fmt.Errorf("dvfs: %g Hz is not a ladder level", f)
 }
 
-// Checkpoint appends every core's frequency and the switch count to w.
-func (g *Governor) Checkpoint(w *ckpt.Writer) {
-	w.Floats(g.freq)
-	w.Int(g.switches)
-}
-
-// Restore reads what Checkpoint wrote on a governor of as many cores.
-// A mismatch is recorded in r.
-func (g *Governor) Restore(r *ckpt.Reader) {
-	r.Floats(g.freq)
-	g.switches = r.Int()
+// Ckpt writes or reads every core's frequency and the switch count.
+func (g *Governor) Ckpt(c *ckpt.Codec) {
+	c.Floats(g.freq)
+	c.Int(&g.switches)
 }
 
 // Switches returns the number of level transitions so far.
 func (g *Governor) Switches() int { return g.switches }
-
-// MeanFrequency returns the mean of the current per-core frequencies
-// (the f_mean of the paper's second candidate condition).
-func (g *Governor) MeanFrequency() float64 {
-	if len(g.freq) == 0 {
-		return 0
-	}
-	var s float64
-	for _, f := range g.freq {
-		s += f
-	}
-	return s / float64(len(g.freq))
-}

@@ -34,8 +34,8 @@ func TestDefaultLadder(t *testing.T) {
 	if l.Min() != 133e6 {
 		t.Errorf("Min = %g", l.Min())
 	}
-	if l.NumLevels() != 3 {
-		t.Errorf("NumLevels = %d", l.NumLevels())
+	if len(l.Levels()) != 3 {
+		t.Errorf("levels = %v", l.Levels())
 	}
 }
 
@@ -150,21 +150,6 @@ func TestGovernorSet(t *testing.T) {
 	}
 	if g.Switches() != before {
 		t.Error("redundant stop counted as switch")
-	}
-}
-
-func TestMeanFrequency(t *testing.T) {
-	g := NewGovernor(Default(), 3)
-	g.Set(0, 533e6)
-	g.Set(1, 266e6)
-	g.Set(2, 266e6)
-	want := (533e6 + 266e6 + 266e6) / 3
-	if got := g.MeanFrequency(); math.Abs(got-want) > 1 {
-		t.Errorf("MeanFrequency = %g, want %g", got, want)
-	}
-	empty := NewGovernor(Default(), 0)
-	if empty.MeanFrequency() != 0 {
-		t.Error("empty governor mean != 0")
 	}
 }
 

@@ -120,42 +120,25 @@ func NewTempCollector(n int) *TempCollector {
 	return &TempCollector{PerCore: make([]Welford, n), MaxTemp: math.Inf(-1)}
 }
 
-// Checkpoint appends the collector's accumulators to w.
-func (tc *TempCollector) Checkpoint(w *ckpt.Writer) {
-	tc.Spatial.checkpoint(w)
-	tc.Gradient.checkpoint(w)
-	tc.Pooled.checkpoint(w)
-	w.Int(len(tc.PerCore))
+// Ckpt writes or reads the collector's accumulators.
+func (tc *TempCollector) Ckpt(c *ckpt.Codec) {
+	tc.Spatial.ckpt(c)
+	tc.Gradient.ckpt(c)
+	tc.Pooled.ckpt(c)
+	c.Len(len(tc.PerCore))
 	for i := range tc.PerCore {
-		tc.PerCore[i].checkpoint(w)
+		tc.PerCore[i].ckpt(c)
 	}
-	w.Float(tc.MaxTemp)
-	w.Int64(tc.samples)
+	c.Float(&tc.MaxTemp)
+	c.Int64(&tc.samples)
 }
 
-// Restore replaces the accumulators with the ones Checkpoint wrote on
-// a collector for as many cores. A mismatch is recorded in r.
-func (tc *TempCollector) Restore(r *ckpt.Reader) {
-	tc.Spatial.restore(r)
-	tc.Gradient.restore(r)
-	tc.Pooled.restore(r)
-	r.Len(len(tc.PerCore))
-	for i := range tc.PerCore {
-		tc.PerCore[i].restore(r)
-	}
-	tc.MaxTemp, tc.samples = r.Float(), r.Int64()
-}
-
-func (w *Welford) checkpoint(cw *ckpt.Writer) {
-	cw.Int64(w.n)
-	cw.Float(w.mean)
-	cw.Float(w.m2)
-	cw.Float(w.min)
-	cw.Float(w.max)
-}
-
-func (w *Welford) restore(r *ckpt.Reader) {
-	w.n, w.mean, w.m2, w.min, w.max = r.Int64(), r.Float(), r.Float(), r.Float(), r.Float()
+func (w *Welford) ckpt(c *ckpt.Codec) {
+	c.Int64(&w.n)
+	c.Float(&w.mean)
+	c.Float(&w.m2)
+	c.Float(&w.min)
+	c.Float(&w.max)
 }
 
 // Sample folds one per-core temperature snapshot.

@@ -18,7 +18,9 @@ package migrate
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"thermbal/internal/bus"
@@ -196,20 +198,6 @@ func (m *Manager) Pending(ti int) (*Migration, bool) {
 // NumPending returns the count of in-flight migrations.
 func (m *Manager) NumPending() int { return len(m.pending) }
 
-// NumTransferring counts migrations whose context is currently crossing
-// the shared bus. Their phase advances only on bus completion, which
-// the engine's event horizon bounds through bus.Bus.SafeTicks; the
-// count itself is a diagnostic for tests and tooling.
-func (m *Manager) NumTransferring() int {
-	n := 0
-	for _, mg := range m.pending {
-		if mg.Phase == Transferring {
-			n++
-		}
-	}
-	return n
-}
-
 // NextPhaseTransitionAt returns the earliest absolute time at which a
 // pending migration changes phase independently of frame-boundary and
 // bus events: the end of the earliest restore window (task-recreation's
@@ -341,106 +329,90 @@ func (m *Manager) EstimateFreezeS(t *task.Task, competitors int) float64 {
 	return lat
 }
 
-// CostCycles converts a migration's cost into processor cycles at the
-// given frequency — the unit of the paper's Figure 2.
-func (m *Manager) CostCycles(t *task.Task, fHz float64) float64 {
-	comp := 1
-	if m.mech == Recreation {
-		comp = 2 // context copy and code reload contend
+// Ckpt writes or reads the manager's pending migrations, in task-index
+// order, and its statistics. A restore needs the bus restored first
+// (see ckptTransfer). tasks is the graph's task slice.
+func (m *Manager) Ckpt(c *ckpt.Codec, tasks []*task.Task) {
+	migs := make([]*Migration, 0, len(m.pending))
+	for _, ti := range slices.Sorted(maps.Keys(m.pending)) {
+		migs = append(migs, m.pending[ti])
 	}
-	return m.EstimateFreezeS(t, comp) * fHz
-}
-
-// Checkpoint appends the manager's pending migrations, in task-index
-// order, and its statistics to w.
-func (m *Manager) Checkpoint(w *ckpt.Writer) {
-	keys := make([]int, 0, len(m.pending))
-	for ti := range m.pending {
-		keys = append(keys, ti)
-	}
-	sort.Ints(keys)
-	w.Int(len(keys))
-	for _, ti := range keys {
-		mg := m.pending[ti]
-		w.Int(mg.TaskIdx)
-		w.Int(mg.Src)
-		w.Int(mg.Dst)
-		w.Int(int(mg.Phase))
-		w.Float(mg.RequestedAt)
-		w.Float(mg.FrozenAt)
-		w.Float(mg.CompletedAt)
-		w.Float(mg.restoreEnd)
-		w.Float(mg.bytes)
-		for _, tr := range []*bus.Transfer{mg.transfer, mg.reload} {
-			w.Bool(tr != nil)
-			if tr != nil {
-				bus.CheckpointTransfer(w, tr)
-			}
+	n := len(migs)
+	c.Count(&n)
+	if c.Reading() {
+		m.pending = make(map[int]*Migration, n)
+		migs = make([]*Migration, n)
+		for i := range migs {
+			migs[i] = new(Migration)
 		}
 	}
-	st := &m.stats
-	w.Int(st.Requested)
-	w.Int(st.Completed)
-	w.Int(st.Rejected)
-	w.Float(st.BytesMoved)
-	w.Float(st.FreezeTime)
-	w.Float(st.MaxFreeze)
-	w.Float(st.WaitTime)
-	w.Float(st.LastTrigger)
-	names := make([]string, 0, len(st.PerTask))
-	for name := range st.PerTask {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Int(len(names))
-	for _, name := range names {
-		w.String(name)
-		w.Int(st.PerTask[name])
-	}
-}
-
-// Restore replaces the manager's mutable state with the one Checkpoint
-// wrote. The manager's bus must already hold the matching bus state: a
-// transfer still in flight is rejoined to the bus's handle for it, a
-// finished one becomes a private copy. tasks is the graph's task slice.
-// A mismatch is recorded in r.
-func (m *Manager) Restore(r *ckpt.Reader, tasks []*task.Task) {
-	m.pending = map[int]*Migration{}
-	for range r.Len(-1) {
-		mg := &Migration{TaskIdx: r.Int(), Src: r.Int(), Dst: r.Int(), Phase: Phase(r.Int()),
-			RequestedAt: r.Float(), FrozenAt: r.Float(), CompletedAt: r.Float()}
-		mg.restoreEnd, mg.bytes = r.Float(), r.Float()
+	for _, mg := range migs {
+		c.Int(&mg.TaskIdx)
+		c.Int(&mg.Src)
+		c.Int(&mg.Dst)
+		c.Int((*int)(&mg.Phase))
+		c.Float(&mg.RequestedAt)
+		c.Float(&mg.FrozenAt)
+		c.Float(&mg.CompletedAt)
+		c.Float(&mg.restoreEnd)
+		c.Float(&mg.bytes)
 		for _, tr := range []**bus.Transfer{&mg.transfer, &mg.reload} {
-			if r.Bool() {
-				*tr = m.rejoin(r, bus.RestoreTransfer(r))
-			}
+			m.ckptTransfer(c, tr)
+		}
+		if !c.Reading() {
+			continue
 		}
 		if mg.TaskIdx < 0 || mg.TaskIdx >= len(tasks) {
-			r.Fail(fmt.Errorf("migrate: restoring a migration of task %d onto %d tasks", mg.TaskIdx, len(tasks)))
+			c.Fail(fmt.Errorf("migrate: restoring a migration of task %d onto %d tasks", mg.TaskIdx, len(tasks)))
 			break
 		}
 		mg.Task = tasks[mg.TaskIdx]
 		m.pending[mg.TaskIdx] = mg
 	}
 	st := &m.stats
-	st.Requested, st.Completed, st.Rejected = r.Int(), r.Int(), r.Int()
-	st.BytesMoved, st.FreezeTime, st.MaxFreeze, st.WaitTime, st.LastTrigger = r.Float(), r.Float(), r.Float(), r.Float(), r.Float()
-	st.PerTask = map[string]int{}
-	for range r.Len(-1) {
-		name := r.String()
-		st.PerTask[name] = r.Int()
+	c.Int(&st.Requested)
+	c.Int(&st.Completed)
+	c.Int(&st.Rejected)
+	c.Float(&st.BytesMoved)
+	c.Float(&st.FreezeTime)
+	c.Float(&st.MaxFreeze)
+	c.Float(&st.WaitTime)
+	c.Float(&st.LastTrigger)
+	names := slices.Sorted(maps.Keys(st.PerTask))
+	n = len(names)
+	c.Count(&n)
+	if c.Reading() {
+		st.PerTask = make(map[string]int, n)
+		names = make([]string, n)
+	}
+	for i := range names {
+		k := st.PerTask[names[i]]
+		c.String(&names[i])
+		c.Int(&k)
+		if c.Reading() {
+			st.PerTask[names[i]] = k
+		}
 	}
 }
 
-// rejoin returns the handle a restored migration holds for transfer t:
-// the bus's own while t is in flight, t itself once it is done.
-func (m *Manager) rejoin(r *ckpt.Reader, t *bus.Transfer) *bus.Transfer {
-	if t.Done() {
-		return t
+// ckptTransfer writes or reads a migration's transfer *tr, if any. A
+// restored transfer still in flight is the bus's own handle for it; a
+// finished one is a private copy.
+func (m *Manager) ckptTransfer(c *ckpt.Codec, tr **bus.Transfer) {
+	has := *tr != nil
+	if c.Bool(&has); !has {
+		return
 	}
-	if tr := m.bus.InFlight(t.ID()); tr != nil {
-		return tr
+	if c.Reading() {
+		*tr = new(bus.Transfer)
 	}
-	r.Fail(fmt.Errorf("migrate: transfer %d (%s) is not in flight on the bus", t.ID(), t.Label()))
-	return t
+	t := *tr
+	t.Ckpt(c)
+	if !c.Reading() || t.Done() {
+		return
+	}
+	if *tr = m.bus.InFlight(t.ID()); *tr == nil {
+		c.Fail(fmt.Errorf("migrate: transfer %d (%s) is not in flight on the bus", t.ID(), t.Label()))
+		*tr = t
+	}
 }

@@ -158,17 +158,6 @@ func (p *Platform) CoreTemp(c int) float64 {
 	return p.Thermal.BlockTemp(p.coreBlk[c])
 }
 
-// CoreTemps fills dst with all core temperatures (allocating if nil).
-func (p *Platform) CoreTemps(dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, p.NumCores())
-	}
-	for c := range p.powered {
-		dst[c] = p.CoreTemp(c)
-	}
-	return dst
-}
-
 // AccountSpan accrues a span of dt seconds of activity for core c:
 // busyCycles executed out of the capacity f*dt, converting activity
 // into energy on the core and cache blocks. The caller guarantees the
@@ -253,36 +242,24 @@ func (p *Platform) FlushWindow(windowS float64) ([]float64, error) {
 	return util, nil
 }
 
-// Checkpoint appends the platform's mutable state to w: node
+// Ckpt writes or reads the platform's mutable state: node
 // temperatures, power gating, the open sensor window's accumulators,
 // the energy total, the DVFS levels and the bus.
-func (p *Platform) Checkpoint(w *ckpt.Writer) {
-	w.Floats(p.Thermal.Net.Temperatures(nil))
-	w.Bools(p.powered)
-	w.Floats(p.energyWin)
-	w.Floats(p.busyWin)
-	w.Floats(p.capWin)
-	w.Float(p.TotalEnergyJ)
-	w.Float(p.lastBusBusy)
-	p.Gov.Checkpoint(w)
-	p.Bus.Checkpoint(w)
-}
-
-// Restore replaces the platform's mutable state with the one
-// Checkpoint wrote on a platform of the same floorplan. A mismatch is
-// recorded in r.
-func (p *Platform) Restore(r *ckpt.Reader) {
+func (p *Platform) Ckpt(c *ckpt.Codec) {
 	net := p.Thermal.Net
-	temps := make([]float64, net.NumNodes())
-	r.Floats(temps)
-	for i, t := range temps {
-		net.SetTemperature(i, t)
+	temps := net.Temperatures(nil)
+	c.Floats(temps)
+	if c.Reading() {
+		for i, t := range temps {
+			net.SetTemperature(i, t)
+		}
 	}
-	r.Bools(p.powered)
-	r.Floats(p.energyWin)
-	r.Floats(p.busyWin)
-	r.Floats(p.capWin)
-	p.TotalEnergyJ, p.lastBusBusy = r.Float(), r.Float()
-	p.Gov.Restore(r)
-	p.Bus.Restore(r)
+	c.Bools(p.powered)
+	c.Floats(p.energyWin)
+	c.Floats(p.busyWin)
+	c.Floats(p.capWin)
+	c.Float(&p.TotalEnergyJ)
+	c.Float(&p.lastBusBusy)
+	p.Gov.Ckpt(c)
+	p.Bus.Ckpt(c)
 }

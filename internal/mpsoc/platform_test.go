@@ -62,18 +62,6 @@ func TestSetPoweredGatesFrequency(t *testing.T) {
 	}
 }
 
-func TestCoreTempsBuffer(t *testing.T) {
-	p := newPlat(t)
-	ts := p.CoreTemps(nil)
-	if len(ts) != 3 {
-		t.Fatalf("CoreTemps len = %d", len(ts))
-	}
-	reuse := make([]float64, 3)
-	if got := p.CoreTemps(reuse); &got[0] != &reuse[0] {
-		t.Error("CoreTemps did not reuse buffer")
-	}
-}
-
 func TestAccountAndFlushWindow(t *testing.T) {
 	p := newPlat(t)
 	p.Gov.Update(0, 0.65) // 533 MHz

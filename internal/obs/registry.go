@@ -17,7 +17,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -320,17 +319,4 @@ func hasLabels(labels, match []Label) bool {
 		}
 	}
 	return true
-}
-
-// FamilyNames returns the registered family names, sorted — a test
-// and debugging convenience.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

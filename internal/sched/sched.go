@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"thermbal/internal/ckpt"
@@ -160,29 +161,26 @@ func (s *Scheduler) Mapping() map[int]int {
 	return m
 }
 
-// Checkpoint appends the scheduler's run queues and round-robin
-// cursors to w. The task→core map is derived from the queues.
-func (s *Scheduler) Checkpoint(w *ckpt.Writer) {
-	w.Int(len(s.queues))
-	for _, q := range s.queues {
-		w.Ints(q)
+// Ckpt writes or reads the scheduler's run queues and round-robin
+// cursors. A restore derives the task→core map from the queues.
+func (s *Scheduler) Ckpt(c *ckpt.Codec) {
+	c.Len(len(s.queues))
+	if c.Reading() {
+		clear(s.coreOf)
 	}
-	w.Ints(s.cursor)
-}
-
-// Restore replaces the scheduler's state with the one Checkpoint wrote
-// on a scheduler of the same core count. A mismatch is recorded in r.
-func (s *Scheduler) Restore(r *ckpt.Reader) {
-	r.Len(len(s.queues))
-	clear(s.coreOf)
-	for c := range s.queues {
-		q := s.queues[c][:0]
-		for range r.Len(-1) {
-			ti := r.Int()
-			q = append(q, ti)
-			s.coreOf[ti] = c
+	for core, q := range s.queues {
+		n := len(q)
+		c.Count(&n)
+		if c.Reading() {
+			q = slices.Grow(q[:0], n)[:n]
+			s.queues[core] = q
 		}
-		s.queues[c] = q
+		for i := range q {
+			c.Int(&q[i])
+			if c.Reading() {
+				s.coreOf[q[i]] = core
+			}
+		}
 	}
-	r.Ints(s.cursor)
+	c.Ints(s.cursor)
 }

@@ -37,38 +37,9 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		return nil, errTraced
 	}
 	e.settle()
-	var w ckpt.Writer
-	w.Float(e.cfg.TickS)
-	w.Int64(e.sensorEvery)
-	w.Int64(e.ticks)
-	w.Int64s(e.pendTicks)
-	w.Floats(e.pendBusy)
-	w.Int64(e.lastSharedFlush)
-	for _, c := range []*evCache{&e.evSrc, &e.evSink, &e.evMigr} {
-		w.Float(c.at)
-		w.Int64(c.abs)
-	}
-	// Every core is dirty; the list is the calendar's rescan order.
-	w.Ints(e.dirtyList)
-	p := &e.prof
-	for _, n := range []int64{p.PlainTicks, p.MacroSteps, p.MacroTicks, p.Scans, p.ZeroScans,
-		p.Rescans, p.QuietCores, p.FullCores, p.FrameBegins, p.FrameFinishes} {
-		w.Int64(n)
-	}
-	w.Int64(e.measureStartMisses)
-	w.Int64(e.measureStartConsumed)
-	w.Int(e.measureStartMigr)
-	w.Float(e.measureStartBytes)
-	w.Bool(e.measureStarted)
-	w.Float(e.measureStartTime)
-	w.Bool(e.policyActive)
-	w.Float(e.overThresholdS)
-	e.temps.Checkpoint(&w)
-	e.plat.Checkpoint(&w)
-	e.graph.Checkpoint(&w)
-	e.sch.Checkpoint(&w)
-	e.migr.Checkpoint(&w)
-	return &Checkpoint{data: w.Bytes()}, nil
+	var c ckpt.Codec
+	e.ckpt(&c)
+	return &Checkpoint{data: c.Bytes()}, nil
 }
 
 // Bytes returns the memory the checkpoint holds.
@@ -85,37 +56,55 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 	if e.rec != nil {
 		return errTraced
 	}
-	r := ckpt.NewReader(cp.data)
-	if tick, every := r.Float(), r.Int64(); tick != e.cfg.TickS || every != e.sensorEvery {
-		return fmt.Errorf("sim: restoring a %g s tick, %d-tick sensor period checkpoint onto a %g s, %d-tick engine",
-			tick, every, e.cfg.TickS, e.sensorEvery)
+	c := ckpt.NewReader(cp.data)
+	e.ckpt(c)
+	return c.Done()
+}
+
+// ckpt writes or reads the engine's state and then every component's.
+func (e *Engine) ckpt(c *ckpt.Codec) {
+	tick, every := e.cfg.TickS, e.sensorEvery
+	c.Float(&tick)
+	c.Int64(&every)
+	if tick != e.cfg.TickS || every != e.sensorEvery {
+		c.Fail(fmt.Errorf("sim: restoring a %g s tick, %d-tick sensor period checkpoint onto a %g s, %d-tick engine",
+			tick, every, e.cfg.TickS, e.sensorEvery))
+		return
 	}
-	e.ticks = r.Int64()
-	e.now = float64(e.ticks) * e.cfg.TickS
-	r.Int64s(e.pendTicks)
-	r.Floats(e.pendBusy)
-	e.lastSharedFlush = r.Int64()
-	for _, c := range []*evCache{&e.evSrc, &e.evSink, &e.evMigr} {
-		c.at, c.abs = r.Float(), r.Int64()
+	c.Int64(&e.ticks)
+	c.Int64s(e.pendTicks)
+	c.Floats(e.pendBusy)
+	c.Int64(&e.lastSharedFlush)
+	for _, ev := range []*evCache{&e.evSrc, &e.evSink, &e.evMigr} {
+		c.Float(&ev.at)
+		c.Int64(&ev.abs)
 	}
-	for c := range e.cal {
-		e.cal[c] = coreCal{ring: e.cal[c].ring[:0], dirty: true, slot: -1}
+	if c.Reading() {
+		e.now = float64(e.ticks) * e.cfg.TickS
+		for i := range e.cal {
+			e.cal[i] = coreCal{ring: e.cal[i].ring[:0], dirty: true, slot: -1}
+		}
+		e.heap = e.heap[:0]
+		e.dirtyList = e.dirtyList[:len(e.cal)]
 	}
-	e.heap = e.heap[:0]
-	e.dirtyList = e.dirtyList[:len(e.cal)]
-	r.Ints(e.dirtyList)
+	// Every core is dirty; the list is the calendar's rescan order.
+	c.Ints(e.dirtyList)
 	p := &e.prof
 	for _, n := range []*int64{&p.PlainTicks, &p.MacroSteps, &p.MacroTicks, &p.Scans, &p.ZeroScans,
 		&p.Rescans, &p.QuietCores, &p.FullCores, &p.FrameBegins, &p.FrameFinishes} {
-		*n = r.Int64()
+		c.Int64(n)
 	}
-	e.measureStartMisses, e.measureStartConsumed, e.measureStartMigr = r.Int64(), r.Int64(), r.Int()
-	e.measureStartBytes, e.measureStarted, e.measureStartTime = r.Float(), r.Bool(), r.Float()
-	e.policyActive, e.overThresholdS = r.Bool(), r.Float()
-	e.temps.Restore(r)
-	e.plat.Restore(r)
-	e.graph.Restore(r)
-	e.sch.Restore(r)
-	e.migr.Restore(r, e.graph.Tasks())
-	return r.Done()
+	c.Int64(&e.measureStartMisses)
+	c.Int64(&e.measureStartConsumed)
+	c.Int(&e.measureStartMigr)
+	c.Float(&e.measureStartBytes)
+	c.Bool(&e.measureStarted)
+	c.Float(&e.measureStartTime)
+	c.Bool(&e.policyActive)
+	c.Float(&e.overThresholdS)
+	e.temps.Ckpt(c)
+	e.plat.Ckpt(c)
+	e.graph.Ckpt(c)
+	e.sch.Ckpt(c)
+	e.migr.Ckpt(c, e.graph.Tasks())
 }

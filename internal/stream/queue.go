@@ -94,14 +94,6 @@ func (q *Queue) Pop() (f Frame, ok bool) {
 	return f, true
 }
 
-// Peek returns the oldest frame without removing it.
-func (q *Queue) Peek() (f Frame, ok bool) {
-	if len(q.buf) == 0 {
-		return Frame{}, false
-	}
-	return q.buf[0], true
-}
-
 func (q *Queue) sampleOcc() {
 	q.occSum += float64(len(q.buf))
 	q.occSamples++
