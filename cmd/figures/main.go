@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	thermalCfg, err := cliutil.ParseIntegrator(*integrator)
+	scheme, err := thermal.ParseScheme(*integrator)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := experiment.Options{Runner: experiment.Runner{Workers: *workers}, Thermal: thermalCfg, Spec: sp}
+	opt := experiment.Options{Runner: experiment.Runner{Workers: *workers}, Thermal: thermal.Config{Scheme: scheme}, Spec: sp}
 	if sp == nil {
 		opt.Scenario = sc.Name
 	}

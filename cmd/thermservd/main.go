@@ -44,6 +44,7 @@ import (
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
 	"thermbal/internal/policy"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
 	"thermbal/internal/service"
 	"thermbal/internal/store"
@@ -105,7 +106,7 @@ func main() {
 		st, err := store.Open(*dataDir, store.Options{
 			MaxBytes:     *storeMax,
 			SegmentBytes: *storeSeg,
-			Pinned:       service.JournalPinned,
+			Pinned:       request.JournalPinned,
 			Version:      experiment.EngineVersion,
 		})
 		if err != nil {

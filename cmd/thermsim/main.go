@@ -31,8 +31,8 @@ import (
 	"thermbal/internal/experiment"
 	"thermbal/internal/migrate"
 	"thermbal/internal/policy"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
-	"thermbal/internal/service"
 	"thermbal/internal/thermal"
 )
 
@@ -94,12 +94,12 @@ func main() {
 		if *scenFile != "" {
 			log.Fatal("-scenario-file requires a single run, not -matrix (matrix axes are registered names)")
 		}
-		if *jsonOut {
-			log.Fatal("-json requires a single run, not -matrix")
+		if *jsonOut || *noFastPath || *profile {
+			log.Fatal("-json/-no-fastpath/-profile require a single run, not -matrix")
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		cells, err := service.RunMatrix(ctx, runner, service.MatrixRequest{
+		cells, err := request.RunMatrix(ctx, runner, request.MatrixRequest{
 			Scenarios: cliutil.MatrixAxis(*scenarioFl), Policies: cliutil.MatrixAxis(*policyName),
 			Delta: *delta, Package: *pkgName, Mechanism: mech, Integrator: *integrator,
 			WarmupS: *warmup, MeasureS: *measure, QueueCap: *queueCap,
@@ -111,15 +111,15 @@ func main() {
 		return
 	}
 
-	// Every single-scenario mode resolves this one request through the
-	// service's canonicalization, the same as /run: equal flags mean
-	// equal runs whichever mode reports them.
-	req := service.Request{
+	// Every single-scenario mode resolves this one request through
+	// request.Canonicalize, the same as the service's /run: equal flags
+	// mean equal runs whichever mode reports them.
+	req := request.Request{
 		Scenario: *scenarioFl, Policy: *policyName, Delta: *delta,
 		Package: *pkgName, WarmupS: *warmup, MeasureS: *measure,
 		QueueCap: *queueCap, Mechanism: mech, Integrator: *integrator,
 	}
-	// The flags resolve here first, not only in the service, so that a
+	// The flags resolve here first, not only in Canonicalize, so that a
 	// file path passed to -scenario gets the CLI's -scenario-file hint.
 	_, sp, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
 	if err != nil {
@@ -128,8 +128,8 @@ func main() {
 	req.Spec = sp
 	trace := *traceOut != "" || *eventsOut != ""
 	if *policyName == "all" {
-		if *jsonOut {
-			log.Fatal("-json requires a single policy")
+		if *jsonOut || *noFastPath || *profile {
+			log.Fatal("-json/-no-fastpath/-profile require a single policy")
 		}
 		if trace {
 			log.Fatal("-trace/-events require a single policy")
@@ -137,7 +137,7 @@ func main() {
 		comparePolicies(runner, req)
 		return
 	}
-	canon, rc, err := service.Canonicalize(req)
+	canon, rc, err := request.Canonicalize(req)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		body, err := service.EncodeDoc(service.NewRunDoc(canon, res))
+		body, err := request.EncodeDoc(request.NewRunDoc(canon, res))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func main() {
 
 // scenarioOf returns the scenario a canonical request runs, for the
 // report headers.
-func scenarioOf(canon service.Request) (scenario.Scenario, error) {
+func scenarioOf(canon request.Request) (scenario.Scenario, error) {
 	if canon.Spec != nil {
 		return scenario.FromSpec(*canon.Spec)
 	}
@@ -246,16 +246,16 @@ func scenarioOf(canon service.Request) (scenario.Scenario, error) {
 // comparePolicies runs every registered policy on req's scenario and
 // configuration across the worker pool and prints a side-by-side
 // summary.
-func comparePolicies(runner experiment.Runner, req service.Request) {
+func comparePolicies(runner experiment.Runner, req request.Request) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	policies := policy.Names()
-	var canon service.Request
+	var canon request.Request
 	cfgs := make([]experiment.RunConfig, len(policies))
 	for i, pol := range policies {
 		req.Policy = pol
 		var err error
-		if canon, cfgs[i], err = service.Canonicalize(req); err != nil {
+		if canon, cfgs[i], err = request.Canonicalize(req); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"thermbal/internal/service"
+	"thermbal/internal/request"
 )
 
 // TestMain runs the command itself when THERMSIM_ARGS is set, so tests
@@ -71,7 +71,7 @@ func TestTextReportMatchesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("thermsim %v -json: %v\n%s", flags, err, stderr)
 	}
-	var doc service.RunDoc
+	var doc request.RunDoc
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestTextReportMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestMatrixUnknownScenarioExits: matrix axes resolve through the
-// service's canonicalization, so an unknown scenario exits non-zero
+// TestMatrixUnknownScenarioExits: matrix axes resolve through
+// request.CanonicalizeMatrix, so an unknown scenario exits non-zero
 // with the catalogue, and a typo also gets a did-you-mean.
 func TestMatrixUnknownScenarioExits(t *testing.T) {
 	_, stderr, err := thermsim("-matrix", "-scenario", "bogus")
@@ -95,9 +95,27 @@ func TestMatrixUnknownScenarioExits(t *testing.T) {
 	wantExit(t, err, stderr, `did you mean "sdr-radio"?`)
 }
 
+// TestMatrixRejectsSingleRunFlags: -no-fastpath and -profile act on
+// one engine run, so -matrix refuses them instead of ignoring them.
+func TestMatrixRejectsSingleRunFlags(t *testing.T) {
+	for _, flag := range []string{"-no-fastpath", "-profile"} {
+		_, stderr, err := thermsim("-matrix", flag, "-scenario", "sdr-radio", "-policy", "tb", "-warmup", "0.1", "-measure", "0.1")
+		wantExit(t, err, stderr, "-json/-no-fastpath/-profile require a single run, not -matrix")
+	}
+}
+
+// TestPolicyAllRejectsSingleRunFlags: -policy all runs every policy,
+// so it refuses -no-fastpath and -profile instead of ignoring them.
+func TestPolicyAllRejectsSingleRunFlags(t *testing.T) {
+	for _, flag := range []string{"-no-fastpath", "-profile"} {
+		_, stderr, err := thermsim("-policy", "all", flag, "-warmup", "0.1", "-measure", "0.1")
+		wantExit(t, err, stderr, "-json/-no-fastpath/-profile require a single policy")
+	}
+}
+
 // TestScenarioFilePathHint: a spec file passed to -scenario points at
-// -scenario-file. The hint is the CLI's own: the service it resolves
-// runs through answers registry names only.
+// -scenario-file. The hint is the CLI's own: the request package it
+// resolves runs through answers registry names only.
 func TestScenarioFilePathHint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {

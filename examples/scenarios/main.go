@@ -13,8 +13,8 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
-	"thermbal/internal/service"
 )
 
 func main() {
@@ -28,8 +28,8 @@ func main() {
 
 	// Head-to-head on a deep pipeline: every stage sits on the critical
 	// path, so migration freezes are maximally visible.
-	cells, err := service.RunMatrix(context.Background(), experiment.Runner{},
-		service.MatrixRequest{
+	cells, err := request.RunMatrix(context.Background(), experiment.Runner{},
+		request.MatrixRequest{
 			Scenarios: []string{"pipeline-d8", "bursty-sdr"},
 			Policies:  []string{"energy-balance", "thermal-balance"},
 			WarmupS:   5,

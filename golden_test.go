@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"thermbal/internal/experiment"
-	"thermbal/internal/service"
+	"thermbal/internal/request"
 )
 
 // TestExpmDocumentGolden pins the run document digest — SHA-256 of the
@@ -19,17 +19,17 @@ import (
 // module's golden manycore-64 expm case.
 func TestExpmDocumentGolden(t *testing.T) {
 	cases := []struct {
-		req    service.Request
+		req    request.Request
 		digest string
 	}{
-		{service.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3, Package: "mobile", Integrator: "expm"},
+		{request.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3, Package: "mobile", Integrator: "expm"},
 			"05976539d4e278edc56b1b9737d3c4db304629789f6f8e0b9f90a38b0ae55446"},
-		{service.Request{Scenario: "manycore-64", Policy: "thermal-balance", Delta: 2, Package: "mobile",
+		{request.Request{Scenario: "manycore-64", Policy: "thermal-balance", Delta: 2, Package: "mobile",
 			WarmupS: 1, MeasureS: 2, Integrator: "expm"},
 			"1af09adb0e99f9f8a34da67ede19da47fc973c4a413b0502d7bc9d29eb2162ec"},
 	}
 	for _, c := range cases {
-		canon, rc, err := service.Canonicalize(c.req)
+		canon, rc, err := request.Canonicalize(c.req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestExpmDocumentGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := service.EncodeDoc(service.NewRunDoc(canon, res))
+		body, err := request.EncodeDoc(request.NewRunDoc(canon, res))
 		if err != nil {
 			t.Fatal(err)
 		}

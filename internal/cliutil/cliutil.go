@@ -1,11 +1,10 @@
-// Package cliutil is the shared flag-parsing layer of the two CLIs
-// (thermsim, figures), whose name resolution the service's request
-// canonicalization also uses: scenario and policy resolution against
-// the registries, package and delta parsing, and the -list discovery
-// output. Keeping it in one place means every binary accepts the same
-// spellings and prints the same catalogue — and the parsing is testable
-// without driving main(). Only the CLI-side resolvers (ResolveScenario,
-// ResolveScenarioArg, LoadSpec) touch the filesystem.
+// Package cliutil holds the flag helpers only the two CLIs (thermsim,
+// figures) need: the -scenario / -scenario-file pair with its
+// file-path hint, -dump-spec, -list, the -matrix axes and -deltas.
+// Every spelling a request carries resolves in internal/request, which
+// the service shares; this package adds only what reads files or
+// formats for a terminal, so both binaries print the same catalogue and
+// the flag handling is testable without driving main().
 package cliutil
 
 import (
@@ -17,91 +16,18 @@ import (
 	"strconv"
 	"strings"
 
-	_ "thermbal/internal/core" // register the thermal-balance policy
-	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
-	"thermbal/internal/thermal"
 )
 
-// Suggest returns the candidate closest to name in edit distance, or
-// "" when nothing is close enough to be a plausible typo. The
-// threshold scales with the input length so short names only match
-// near-exact spellings. Ties go to the lexicographically first
-// candidate, keeping the suggestion deterministic.
-func Suggest(name string, candidates []string) string {
-	max := 1 + len(name)/4
-	best, bestDist := "", max+1
-	sorted := append([]string(nil), candidates...)
-	sort.Strings(sorted)
-	for _, c := range sorted {
-		if d := editDistance(name, c); d < bestDist {
-			best, bestDist = c, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between a and b.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-// unknownNameError builds the error for an unresolvable name: the
-// did-you-mean suggestion when one was found ("" for none), always
-// followed by the sorted known-name list.
-func unknownNameError(kind, name, suggestion string, known []string) error {
-	plural := kind + "s"
-	if strings.HasSuffix(kind, "y") {
-		plural = strings.TrimSuffix(kind, "y") + "ies"
-	}
-	sorted := append([]string(nil), known...)
-	sort.Strings(sorted)
-	if suggestion != "" {
-		return fmt.Errorf("unknown %s %q (did you mean %q?; known %s: %s)",
-			kind, name, suggestion, plural, strings.Join(sorted, ", "))
-	}
-	return fmt.Errorf("unknown %s %q (known %s: %s)",
-		kind, name, plural, strings.Join(sorted, ", "))
-}
-
-// LookupScenario resolves a scenario name against the registry alone.
-// An empty name selects the paper's SDR benchmark; unknown names get a
-// did-you-mean suggestion plus the full catalogue. It never touches the
-// filesystem, so a server can answer any client with it.
-func LookupScenario(name string) (scenario.Scenario, error) {
-	if name == "" {
-		name = scenario.DefaultName
-	}
-	sc, err := scenario.Lookup(name)
-	if err != nil {
-		return scenario.Scenario{}, unknownNameError("scenario", name, Suggest(name, scenario.Names()), scenario.Names())
-	}
-	return sc, nil
-}
-
-// ResolveScenario resolves a -scenario flag value like LookupScenario,
-// except that an unknown name which is an existing file path gets a
-// pointer to -scenario-file: the user almost certainly meant that flag,
-// and a Levenshtein suggestion would only mislead.
+// ResolveScenario resolves a -scenario flag value like
+// request.LookupScenario, except that an unknown name which is an
+// existing file path gets a pointer to -scenario-file: the user almost
+// certainly meant that flag, and a Levenshtein suggestion would only
+// mislead.
 func ResolveScenario(name string) (scenario.Scenario, error) {
-	sc, err := LookupScenario(name)
+	sc, err := request.LookupScenario(name)
 	if err != nil {
 		if fi, statErr := os.Stat(name); statErr == nil && !fi.IsDir() {
 			return scenario.Scenario{}, fmt.Errorf("unknown scenario %q names an existing file — pass spec files with -scenario-file", name)
@@ -172,28 +98,8 @@ func SpecJSON(sc scenario.Scenario) ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// ResolvePolicy resolves a -policy flag value (canonical name or alias)
-// to the canonical registered name. Unknown names get a did-you-mean
-// suggestion (matched against canonical names and aliases, reported as
-// the canonical name) plus the registered-name list.
-func ResolvePolicy(name string) (string, error) {
-	canon, ok := policy.Canonical(name)
-	if !ok {
-		spellings := policy.Names()
-		for _, e := range policy.Entries() {
-			spellings = append(spellings, e.Aliases...)
-		}
-		s := Suggest(name, spellings)
-		if c, ok := policy.Canonical(s); ok {
-			s = c
-		}
-		return "", unknownNameError("policy", name, s, policy.Names())
-	}
-	return canon, nil
-}
-
 // MatrixAxis splits a -scenario or -policy flag value into one axis
-// of a service.MatrixRequest: "" or "all" is the empty axis (every
+// of a request.MatrixRequest: "" or "all" is the empty axis (every
 // registered name), anything else a comma-separated list of names or
 // aliases that canonicalization resolves.
 func MatrixAxis(spec string) []string {
@@ -201,27 +107,6 @@ func MatrixAxis(spec string) []string {
 		return nil
 	}
 	return strings.Split(spec, ",")
-}
-
-// ParsePackage resolves a -package flag value.
-func ParsePackage(name string) (experiment.PackageSel, error) {
-	switch name {
-	case "mobile", "embedded", "mobile-embedded":
-		return experiment.Mobile, nil
-	case "highperf", "high-performance", "hp":
-		return experiment.HighPerf, nil
-	default:
-		return experiment.Mobile, fmt.Errorf("unknown package %q (mobile | highperf)", name)
-	}
-}
-
-// ParseIntegrator resolves a -integrator flag value.
-func ParseIntegrator(name string) (thermal.Config, error) {
-	scheme, err := thermal.ParseScheme(name)
-	if err != nil {
-		return thermal.Config{}, err
-	}
-	return thermal.Config{Scheme: scheme}, nil
 }
 
 // ParseDeltas parses a comma-separated -deltas flag value; empty input

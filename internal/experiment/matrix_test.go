@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"thermbal/internal/experiment"
-	"thermbal/internal/service"
+	"thermbal/internal/request"
 )
 
-// The matrix display rows come from the service's canonical
+// The matrix display rows come from request's canonical
 // decomposition, which imports this package; these tests therefore
 // live in the external test package.
 
@@ -43,7 +43,7 @@ const (
 )
 
 func TestMatrixSmall(t *testing.T) {
-	cells, err := service.RunMatrix(context.Background(), experiment.Runner{}, service.MatrixRequest{
+	cells, err := request.RunMatrix(context.Background(), experiment.Runner{}, request.MatrixRequest{
 		Scenarios: []string{"sdr-radio", "fanout-w4"},
 		Policies:  []string{"energy-balance", "tb"},
 		Delta:     3,
@@ -80,10 +80,10 @@ func TestMatrixSmall(t *testing.T) {
 }
 
 func TestMatrixUnknownAxes(t *testing.T) {
-	if _, err := service.CanonicalizeMatrix(service.MatrixRequest{Scenarios: []string{"bogus"}}); err == nil {
+	if _, err := request.CanonicalizeMatrix(request.MatrixRequest{Scenarios: []string{"bogus"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := service.CanonicalizeMatrix(service.MatrixRequest{
+	if _, err := request.CanonicalizeMatrix(request.MatrixRequest{
 		Scenarios: []string{"sdr-radio"}, Policies: []string{"bogus"},
 	}); err == nil {
 		t.Fatal("unknown policy accepted")
@@ -92,7 +92,7 @@ func TestMatrixUnknownAxes(t *testing.T) {
 
 func TestFormatMatrixGolden(t *testing.T) {
 	for integrator, golden := range map[string]string{"euler": matrixGoldenEuler, "expm": matrixGoldenExpm} {
-		cells, err := service.RunMatrix(context.Background(), experiment.Runner{}, service.MatrixRequest{
+		cells, err := request.RunMatrix(context.Background(), experiment.Runner{}, request.MatrixRequest{
 			Scenarios:  []string{"sdr-radio", "pipeline-d8", "manycore-16"},
 			Policies:   []string{"eb", "sg", "tb"},
 			WarmupS:    1,

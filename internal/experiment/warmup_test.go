@@ -12,8 +12,8 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
-	"thermbal/internal/service"
 	"thermbal/internal/sim"
 )
 
@@ -27,9 +27,9 @@ type runFunc func(experiment.RunConfig) (sim.Result, *sim.Engine, error)
 
 // cell canonicalizes req as the service does, then applies the engine
 // knob requests cannot spell.
-func cell(t testing.TB, req service.Request, noFastPath bool) (service.Request, experiment.RunConfig) {
+func cell(t testing.TB, req request.Request, noFastPath bool) (request.Request, experiment.RunConfig) {
 	t.Helper()
-	canon, rc, err := service.Canonicalize(req)
+	canon, rc, err := request.Canonicalize(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func cell(t testing.TB, req service.Request, noFastPath bool) (service.Request, 
 	return canon, rc
 }
 
-func runCell(t testing.TB, run runFunc, canon service.Request, rc experiment.RunConfig) outcome {
+func runCell(t testing.TB, run runFunc, canon request.Request, rc experiment.RunConfig) outcome {
 	t.Helper()
 	res, e, err := run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := service.EncodeDoc(service.NewRunDoc(canon, res))
+	doc, err := request.EncodeDoc(request.NewRunDoc(canon, res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestWarmupRestoreEquivalence(t *testing.T) {
 			for _, noFast := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/nofast=%v", sc, ig, noFast), func(t *testing.T) {
 					c := experiment.NewWarmupCache(experiment.WarmupCacheBudget)
-					mk := func(pol string) (service.Request, experiment.RunConfig) {
-						return cell(t, service.Request{Scenario: sc, Policy: pol, Delta: 3,
+					mk := func(pol string) (request.Request, experiment.RunConfig) {
+						return cell(t, request.Request{Scenario: sc, Policy: pol, Delta: 3,
 							WarmupS: 0.12, MeasureS: 0.1, Integrator: ig}, noFast)
 					}
 					pc, prc := mk(policies[len(policies)-1])
@@ -94,14 +94,14 @@ func TestWarmupRestoreEquivalence(t *testing.T) {
 // shuffled order.
 func TestWarmupSiblingsShuffledAndConcurrent(t *testing.T) {
 	type sib struct {
-		canon service.Request
+		canon request.Request
 		rc    experiment.RunConfig
 		fresh outcome
 	}
 	var sibs []sib
 	for _, pol := range policy.Names() {
 		for _, d := range experiment.Deltas {
-			canon, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: pol, Delta: d,
+			canon, rc := cell(t, request.Request{Scenario: "sdr-radio", Policy: pol, Delta: d,
 				Package: "high-performance", WarmupS: 2, MeasureS: 1}, false)
 			sibs = append(sibs, sib{canon, rc, runCell(t, experiment.RunUncached, canon, rc)})
 		}
@@ -144,7 +144,7 @@ func TestWarmupSiblingsShuffledAndConcurrent(t *testing.T) {
 // ticks, so hit, miss and uncached runs all end at the tick nearest
 // WarmupS+MeasureS, as one engine call would.
 func TestWarmupNonAlignedWindows(t *testing.T) {
-	canon, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3,
+	canon, rc := cell(t, request.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3,
 		WarmupS: 1.00003, MeasureS: 2.00003}, false)
 	_, e, err := experiment.RunUncached(rc)
 	if err != nil {
@@ -167,8 +167,8 @@ func TestWarmupNonAlignedWindows(t *testing.T) {
 // the fork past the first phase flip and the run across the next.
 func TestWarmupRestoreBurstySDR(t *testing.T) {
 	c := experiment.NewWarmupCache(experiment.WarmupCacheBudget)
-	mk := func(pol string) (service.Request, experiment.RunConfig) {
-		return cell(t, service.Request{Scenario: "bursty-sdr", Policy: pol, Delta: 2,
+	mk := func(pol string) (request.Request, experiment.RunConfig) {
+		return cell(t, request.Request{Scenario: "bursty-sdr", Policy: pol, Delta: 2,
 			WarmupS: 4.5, MeasureS: 4}, false)
 	}
 	pc, prc := mk("stop-go")
@@ -184,7 +184,7 @@ func TestWarmupRestoreBurstySDR(t *testing.T) {
 // holds: it simulates the warm-up even when its key is cached, leaves
 // the cache alone, and reports the run a restored untraced one does.
 func TestWarmupTracedRunSimulates(t *testing.T) {
-	canon, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3,
+	canon, rc := cell(t, request.Request{Scenario: "sdr-radio", Policy: "thermal-balance", Delta: 3,
 		WarmupS: 0.5137, MeasureS: 0.2}, false)
 	runCell(t, experiment.Run, canon, rc)
 	restored := runCell(t, experiment.Run, canon, rc)
@@ -208,7 +208,7 @@ func TestWarmupTracedRunSimulates(t *testing.T) {
 // checkpoint larger than the whole budget is never kept.
 func TestWarmupCacheBudget(t *testing.T) {
 	mk := func(pkg string) experiment.RunConfig {
-		_, rc := cell(t, service.Request{Scenario: "sdr-radio", Policy: "energy-balance",
+		_, rc := cell(t, request.Request{Scenario: "sdr-radio", Policy: "energy-balance",
 			Package: pkg, WarmupS: 0.5, MeasureS: 0.1}, false)
 		return rc
 	}
@@ -259,8 +259,8 @@ func FuzzWarmupCheckpoint(f *testing.F) {
 		sp := scenario.Generate(seed)
 		ig := []string{"euler", "expm"}[knobs%2]
 		pol := policies[int(knobs/2)%len(policies)]
-		mk := func(pol string) (service.Request, experiment.RunConfig) {
-			return cell(t, service.Request{Spec: &sp, Policy: pol, Delta: 2,
+		mk := func(pol string) (request.Request, experiment.RunConfig) {
+			return cell(t, request.Request{Spec: &sp, Policy: pol, Delta: 2,
 				WarmupS: 0.2, MeasureS: 0.1, Integrator: ig}, false)
 		}
 		c := experiment.NewWarmupCache(experiment.WarmupCacheBudget)

@@ -1,6 +1,15 @@
-package service
+// Package request turns user spellings into a run identity: the wire
+// forms of a run and of a scenarios × policies sweep, their
+// canonicalization against the scenario and policy registries (every
+// alias resolved, every default explicit), the content-address key
+// scheme, and the schema documents a run or sweep is served and stored
+// as. The CLIs, the library facade and the HTTP service all resolve
+// through it, so equal requests mean equal runs, keys and bytes
+// everywhere; it imports nothing above the experiment layer.
+package request
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,13 +18,12 @@ import (
 	"strconv"
 	"strings"
 
-	"thermbal/internal/cliutil"
 	"thermbal/internal/experiment"
-	"thermbal/internal/migrate"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 	"thermbal/internal/stream"
+	"thermbal/internal/thermal"
 )
 
 // Request is the wire form of one simulation request (POST /run, run
@@ -57,24 +65,28 @@ type Request struct {
 	Integrator string `json:"integrator"`
 }
 
-// parsePackage resolves a package spelling; empty selects the mobile
-// package, mirroring the CLIs' flag default.
-func parsePackage(name string) (experiment.PackageSel, error) {
-	if name == "" {
-		return experiment.Mobile, nil
+// canonShared resolves the fields Request and MatrixRequest spell
+// alike into the run configuration they select: it rejects a negative
+// delta, parses the package, mechanism and integrator spellings, and
+// defaults a non-positive queue capacity.
+func canonShared(delta float64, pkg, mech, integrator string, queueCap int) (rc experiment.RunConfig, err error) {
+	if delta < 0 {
+		return rc, fmt.Errorf("negative threshold delta %g", delta)
 	}
-	return cliutil.ParsePackage(name)
-}
-
-// ParseMechanism resolves a migration-mechanism spelling.
-func ParseMechanism(name string) (migrate.Mechanism, error) {
-	switch name {
-	case "", "replication", "task-replication":
-		return migrate.Replication, nil
-	case "recreation", "task-recreation":
-		return migrate.Recreation, nil
+	if rc.Package, err = ParsePackage(pkg); err != nil {
+		return rc, err
 	}
-	return migrate.Replication, fmt.Errorf("unknown mechanism %q (task-replication | task-recreation)", name)
+	if rc.Mechanism, err = ParseMechanism(mech); err != nil {
+		return rc, err
+	}
+	if rc.Thermal.Scheme, err = thermal.ParseScheme(integrator); err != nil {
+		return rc, err
+	}
+	rc.QueueCap = queueCap
+	if rc.QueueCap <= 0 {
+		rc.QueueCap = stream.DefaultQueueCap
+	}
+	return rc, nil
 }
 
 // Canonicalize resolves req against the registries into its canonical
@@ -103,12 +115,8 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 			named := req
 			named.Spec = nil
 			named.Scenario = name
-			if named.Policy == "" {
-				named.Policy = n.DefaultPolicy
-			}
-			if named.Delta == 0 {
-				named.Delta = n.DefaultDelta
-			}
+			named.Policy = cmp.Or(named.Policy, n.DefaultPolicy)
+			named.Delta = cmp.Or(named.Delta, n.DefaultDelta)
 			if named.WarmupS <= 0 {
 				named.WarmupS = n.WarmupS
 			}
@@ -125,62 +133,28 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		// inline form (defaults explicit, field order frozen).
 		c.Spec = sc.Spec
 	default:
-		sc, err = cliutil.LookupScenario(req.Scenario)
+		sc, err = LookupScenario(req.Scenario)
 		if err != nil {
 			return Request{}, experiment.RunConfig{}, err
 		}
 		c.Scenario = sc.Name
 	}
-	polSpec := req.Policy
-	if polSpec == "" {
-		polSpec = sc.DefaultPolicy
-	}
-	c.Policy, err = cliutil.ResolvePolicy(polSpec)
+	c.Policy, err = ResolvePolicy(cmp.Or(req.Policy, sc.DefaultPolicy))
 	if err != nil {
 		return Request{}, experiment.RunConfig{}, err
 	}
-	if req.Delta < 0 {
-		return Request{}, experiment.RunConfig{}, fmt.Errorf("negative threshold delta %g", req.Delta)
-	}
-	c.Delta = req.Delta
-	if c.Delta == 0 {
-		c.Delta = sc.DefaultDelta
-	}
-	pkg, err := parsePackage(req.Package)
+	rc, err := canonShared(req.Delta, req.Package, req.Mechanism, req.Integrator, req.QueueCap)
 	if err != nil {
 		return Request{}, experiment.RunConfig{}, err
 	}
-	c.Package = pkg.String()
+	c.Delta = cmp.Or(req.Delta, sc.DefaultDelta)
+	c.Package, c.QueueCap = rc.Package.String(), rc.QueueCap
+	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
 	// Phase defaulting is experiment.Run's own cascade, so the cache
 	// identity always matches what executes.
 	c.WarmupS, c.MeasureS = experiment.Phases(sc, req.WarmupS, req.MeasureS)
-	c.QueueCap = req.QueueCap
-	if c.QueueCap <= 0 {
-		c.QueueCap = stream.DefaultQueueCap
-	}
-	mech, err := ParseMechanism(req.Mechanism)
-	if err != nil {
-		return Request{}, experiment.RunConfig{}, err
-	}
-	c.Mechanism = mech.String()
-	thermalCfg, err := cliutil.ParseIntegrator(req.Integrator)
-	if err != nil {
-		return Request{}, experiment.RunConfig{}, err
-	}
-	c.Integrator = thermalCfg.Scheme.String()
-
-	rc := experiment.RunConfig{
-		Scenario:   c.Scenario,
-		Spec:       c.Spec,
-		PolicyName: c.Policy,
-		Delta:      c.Delta,
-		Package:    pkg,
-		WarmupS:    c.WarmupS,
-		MeasureS:   c.MeasureS,
-		QueueCap:   c.QueueCap,
-		Mechanism:  mech,
-		Thermal:    thermalCfg,
-	}
+	rc.Scenario, rc.Spec, rc.PolicyName, rc.Delta = c.Scenario, c.Spec, c.Policy, c.Delta
+	rc.WarmupS, rc.MeasureS = c.WarmupS, c.MeasureS
 	return c, rc, nil
 }
 
@@ -218,8 +192,11 @@ func (c Request) keyString() string {
 // processes, platforms and restarts, so keys are valid persistent
 // identities for results. Call only on Canonicalize output — raw wire
 // requests with distinct spellings would hash apart.
-func (c Request) Key() string {
-	sum := sha256.Sum256([]byte(c.keyString()))
+func (c Request) Key() string { return hashKey(c.keyString()) }
+
+// hashKey is the hex SHA-256 of a key pre-image.
+func hashKey(pre string) string {
+	sum := sha256.Sum256([]byte(pre))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -255,7 +232,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 	} else {
 		seen := map[string]bool{}
 		for _, name := range req.Scenarios {
-			sc, err := cliutil.LookupScenario(strings.TrimSpace(name))
+			sc, err := LookupScenario(strings.TrimSpace(name))
 			if err != nil {
 				return MatrixRequest{}, err
 			}
@@ -270,7 +247,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 	} else {
 		seen := map[string]bool{}
 		for _, name := range req.Policies {
-			canon, err := cliutil.ResolvePolicy(strings.TrimSpace(name))
+			canon, err := ResolvePolicy(strings.TrimSpace(name))
 			if err != nil {
 				return MatrixRequest{}, err
 			}
@@ -280,31 +257,15 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 			}
 		}
 	}
-	if req.Delta < 0 {
-		return MatrixRequest{}, fmt.Errorf("negative threshold delta %g", req.Delta)
+	rc, err := canonShared(req.Delta, req.Package, req.Mechanism, req.Integrator, req.QueueCap)
+	if err != nil {
+		return MatrixRequest{}, err
 	}
 	c.Delta = req.Delta
-	pkg, err := parsePackage(req.Package)
-	if err != nil {
-		return MatrixRequest{}, err
-	}
-	c.Package = pkg.String()
-	mech, err := ParseMechanism(req.Mechanism)
-	if err != nil {
-		return MatrixRequest{}, err
-	}
-	c.Mechanism = mech.String()
-	thermalCfg, err := cliutil.ParseIntegrator(req.Integrator)
-	if err != nil {
-		return MatrixRequest{}, err
-	}
-	c.Integrator = thermalCfg.Scheme.String()
+	c.Package, c.QueueCap = rc.Package.String(), rc.QueueCap
+	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
 	c.WarmupS = max(req.WarmupS, 0)
 	c.MeasureS = max(req.MeasureS, 0)
-	c.QueueCap = req.QueueCap
-	if c.QueueCap <= 0 {
-		c.QueueCap = stream.DefaultQueueCap
-	}
 	return c, nil
 }
 
@@ -326,10 +287,7 @@ func (c MatrixRequest) keyString() string {
 }
 
 // Key returns the content address of a canonical matrix request.
-func (c MatrixRequest) Key() string {
-	sum := sha256.Sum256([]byte(c.keyString()))
-	return hex.EncodeToString(sum[:])
-}
+func (c MatrixRequest) Key() string { return hashKey(c.keyString()) }
 
 // ---------------------------------------------------------------------
 // Response documents.
@@ -446,22 +404,11 @@ func RunMatrix(ctx context.Context, r experiment.Runner, req MatrixRequest) ([]e
 	return out, nil
 }
 
-// sweepCost is a sweep's estimated simulated seconds: every cell's
-// warmup + measure phases, summed. The sync /matrix endpoint bounds it
-// like /run bounds a single request, and admission reserves it.
-func sweepCost(cells []Cell) float64 {
-	var total float64
-	for _, c := range cells {
-		total += c.Request.WarmupS + c.Request.MeasureS
-	}
-	return total
-}
-
-// assembleMatrixDoc splices individually persisted per-cell run bodies
+// AssembleMatrixDoc splices individually persisted per-cell run bodies
 // into the whole-sweep document. Each cell body is the encoded RunDoc
 // the cell's execution produced (or a store/cache hit of it); its raw
 // result block is lifted verbatim.
-func assembleMatrixDoc(canon MatrixRequest, cells []Cell, bodies [][]byte) (MatrixDoc, error) {
+func AssembleMatrixDoc(canon MatrixRequest, cells []Cell, bodies [][]byte) (MatrixDoc, error) {
 	doc := MatrixDoc{
 		SchemaVersion: experiment.SchemaVersion,
 		Kind:          "matrix",
@@ -496,3 +443,13 @@ func EncodeDoc(v any) ([]byte, error) {
 	}
 	return append(b, '\n'), nil
 }
+
+// JournalPrefix is the reserved key namespace of the service's job
+// journal: no run or matrix key (a hex digest) can fall inside it.
+const JournalPrefix = "job/"
+
+// JournalPinned is the store pin predicate for the job journal: pass
+// it in store.Options so size-budget eviction can never drop journal
+// records (result records are all evictable — they can be recomputed;
+// a journal record is the only trace of an accepted job).
+func JournalPinned(key string) bool { return strings.HasPrefix(key, JournalPrefix) }

@@ -1,4 +1,4 @@
-package service
+package request_test
 
 import (
 	"encoding/json"
@@ -7,6 +7,7 @@ import (
 
 	"thermbal/internal/cliutil"
 	"thermbal/internal/policy"
+	. "thermbal/internal/request"
 	"thermbal/internal/scenario"
 )
 

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"thermbal/internal/request"
 )
 
 // Admission control: the server's deliberate overload behavior.
@@ -139,6 +141,17 @@ func (p *prioSlots) depths() (waiting [numPriorities]int, free int) {
 		waiting[prio] = len(p.waiters[prio])
 	}
 	return waiting, p.free
+}
+
+// sweepCost is a sweep's estimated simulated seconds: every cell's
+// warmup + measure phases, summed. The sync /matrix endpoint bounds it
+// like /run bounds a single request, and admission reserves it.
+func sweepCost(cells []request.Cell) float64 {
+	var total float64
+	for _, c := range cells {
+		total += c.Request.WarmupS + c.Request.MeasureS
+	}
+	return total
 }
 
 // costBudget bounds the total estimated simulated seconds of work

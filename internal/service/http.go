@@ -13,6 +13,7 @@ import (
 	"thermbal/internal/obs"
 	"thermbal/internal/policy"
 	"thermbal/internal/provenance"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 	"thermbal/internal/store"
@@ -22,7 +23,7 @@ import (
 const maxBodyBytes = 1 << 20
 
 // Handler returns the HTTP API. All responses are JSON; schema
-// documents go through EncodeDoc so cached, coalesced and fresh
+// documents go through request.EncodeDoc so cached, coalesced and fresh
 // responses for the same canonical request are byte-identical.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -44,7 +45,7 @@ func (s *Server) Handler() http.Handler {
 
 // writeJSON marshals v through the shared encoder.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := EncodeDoc(v)
+	body, err := request.EncodeDoc(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -223,12 +224,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.checkQuota(w, r) {
 		return
 	}
-	var req Request
+	var req request.Request
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeRequestError(w, err)
 		return
 	}
-	canon, rc, err := Canonicalize(req)
+	canon, rc, err := request.Canonicalize(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -264,17 +265,17 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if !s.checkQuota(w, r) {
 		return
 	}
-	var req MatrixRequest
+	var req request.MatrixRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeRequestError(w, err)
 		return
 	}
-	canon, err := CanonicalizeMatrix(req)
+	canon, err := request.CanonicalizeMatrix(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cells, err := MatrixCells(canon)
+	cells, err := request.MatrixCells(canon)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
+	"thermbal/internal/request"
 )
 
 // JobState enumerates a job's lifecycle. Pending jobs sit in the
@@ -30,9 +30,9 @@ const (
 // sweep. Kind defaults to "matrix" when only the matrix block is set,
 // "run" otherwise (an entirely empty body is a valid default run).
 type JobRequest struct {
-	Kind   string         `json:"kind"`
-	Run    *Request       `json:"run,omitempty"`
-	Matrix *MatrixRequest `json:"matrix,omitempty"`
+	Kind   string                 `json:"kind"`
+	Run    *request.Request       `json:"run,omitempty"`
+	Matrix *request.MatrixRequest `json:"matrix,omitempty"`
 }
 
 // JobProgress is the per-cell progress of a matrix job: the sweep is
@@ -62,9 +62,9 @@ type JobStatus struct {
 	// Key is the content address of the canonical request.
 	Key string `json:"key"`
 	// Run / Matrix is the canonical request (one of the two, by Kind).
-	Run    *Request       `json:"run,omitempty"`
-	Matrix *MatrixRequest `json:"matrix,omitempty"`
-	Error  string         `json:"error,omitempty"`
+	Run    *request.Request       `json:"run,omitempty"`
+	Matrix *request.MatrixRequest `json:"matrix,omitempty"`
+	Error  string                 `json:"error,omitempty"`
 	// Recovered marks a job re-submitted from the durable job journal
 	// after a restart.
 	Recovered bool `json:"recovered,omitempty"`
@@ -104,10 +104,10 @@ type job struct {
 	// pending budget from acceptance until any final state.
 	cost float64
 
-	run    *Request
-	matrix *MatrixRequest
+	run    *request.Request
+	matrix *request.MatrixRequest
 	rc     experiment.RunConfig
-	cells  []Cell // matrix jobs: the decomposed sweep
+	cells  []request.Cell // matrix jobs: the decomposed sweep
 
 	state     JobState
 	errText   string
@@ -227,26 +227,26 @@ func (m *jobManager) submit(jr JobRequest, recovered bool) (*job, error) {
 	j := &job{kind: kind, recovered: recovered, state: JobPending, submitted: time.Now(), done: make(chan struct{})}
 	switch kind {
 	case "run":
-		var req Request
+		var req request.Request
 		if jr.Run != nil {
 			req = *jr.Run
 		}
-		canon, rc, err := Canonicalize(req)
+		canon, rc, err := request.Canonicalize(req)
 		if err != nil {
 			return nil, err
 		}
 		j.run, j.rc, j.key = &canon, rc, canon.Key()
 		j.cost = canon.WarmupS + canon.MeasureS
 	case "matrix":
-		var req MatrixRequest
+		var req request.MatrixRequest
 		if jr.Matrix != nil {
 			req = *jr.Matrix
 		}
-		canon, err := CanonicalizeMatrix(req)
+		canon, err := request.CanonicalizeMatrix(req)
 		if err != nil {
 			return nil, err
 		}
-		cells, err := MatrixCells(canon)
+		cells, err := request.MatrixCells(canon)
 		if err != nil {
 			return nil, err
 		}
@@ -518,27 +518,18 @@ func (s *Server) jobWorker() {
 // ---------------------------------------------------------------------
 // The durable job journal.
 //
-// Unfinished jobs are journaled in the store under a reserved key
-// namespace: a record is put at submit and deleted (tombstoned) when
-// the job reaches any final state. On New, surviving journal records
+// Unfinished jobs are journaled in the store under the reserved key
+// namespace request.JournalPrefix: a record is put at submit and
+// deleted (tombstoned) when the job reaches any final state. On New, surviving journal records
 // are re-submitted, so a kill mid-sweep resumes after restart — the
 // recovered job's completed cells are store hits and only the missing
 // cells execute.
-
-// JournalPrefix is the reserved key namespace of the job journal.
-const JournalPrefix = "job/"
-
-// JournalPinned is the store pin predicate for the job journal: pass
-// it in store.Options so size-budget eviction can never drop journal
-// records (result records are all evictable — they can be recomputed;
-// a journal record is the only trace of an accepted job).
-func JournalPinned(key string) bool { return strings.HasPrefix(key, JournalPrefix) }
 
 // journalKey is the store key of one job's journal record. It is
 // derived from the canonical content address, not the job ID: two
 // submissions of the same sweep are the same work, and recovery
 // re-submits it once.
-func journalKey(j *job) string { return JournalPrefix + j.kind + "/" + j.key }
+func journalKey(j *job) string { return request.JournalPrefix + j.kind + "/" + j.key }
 
 // initJournal wires the job manager's journal hooks onto the durable
 // store. The hooks run under the manager's mutex (see jobManager), so
@@ -549,7 +540,7 @@ func (s *Server) initJournal() {
 		return
 	}
 	s.jobs.journalPut = func(j *job) {
-		entry, err := EncodeDoc(JobRequest{Kind: j.kind, Run: j.run, Matrix: j.matrix})
+		entry, err := request.EncodeDoc(JobRequest{Kind: j.kind, Run: j.run, Matrix: j.matrix})
 		if err == nil {
 			err = s.cfg.Store.Put(journalKey(j), entry)
 		}
@@ -573,7 +564,7 @@ func (s *Server) recoverJobs() {
 	if s.cfg.Store == nil {
 		return
 	}
-	for _, key := range s.cfg.Store.Keys(JournalPrefix) {
+	for _, key := range s.cfg.Store.Keys(request.JournalPrefix) {
 		entry, ok, err := s.cfg.Store.Get(key)
 		if err != nil || !ok {
 			if err != nil {

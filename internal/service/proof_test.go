@@ -12,6 +12,7 @@ import (
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
 	"thermbal/internal/provenance"
+	"thermbal/internal/request"
 	"thermbal/internal/store"
 )
 
@@ -21,7 +22,7 @@ import (
 func openProvStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{
-		Pinned:  JournalPinned,
+		Pinned:  request.JournalPinned,
 		NoSync:  true,
 		Version: experiment.EngineVersion,
 	})

@@ -11,6 +11,7 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
+	"thermbal/internal/request"
 	"thermbal/internal/sim"
 	"thermbal/internal/store"
 )
@@ -19,7 +20,7 @@ import (
 // cmd/thermservd does.
 func openTestStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{Pinned: JournalPinned, NoSync: true})
+	st, err := store.Open(dir, store.Options{Pinned: request.JournalPinned, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 	if !bytes.Equal(bytes.TrimRight(syncBody, "\n"), bytes.TrimRight(done.Result, "\n")) {
 		t.Error("assembled sweep document differs from the sync /matrix body")
 	}
-	var doc MatrixDoc
+	var doc request.MatrixDoc
 	if err := json.Unmarshal(done.Result, &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestKilledMatrixJobAutoResumesAfterRestart(t *testing.T) {
 	// Once done, the journal record is tombstoned: a third process
 	// recovers nothing.
 	s2.Close()
-	if keys := st2.Keys(JournalPrefix); len(keys) != 0 {
+	if keys := st2.Keys(request.JournalPrefix); len(keys) != 0 {
 		t.Errorf("journal not cleared after completion: %v", keys)
 	}
 	st2.Close()
@@ -281,7 +282,7 @@ func TestJournalNamingRemovedIntegratorDropped(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
 	rec := `{"kind":"matrix","matrix":{"scenarios":["sdr-radio"],"policies":["eb"],"integrator":"rk4"}}`
-	if err := st.Put(JournalPrefix+"matrix/legacy", []byte(rec)); err != nil {
+	if err := st.Put(request.JournalPrefix+"matrix/legacy", []byte(rec)); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -295,7 +296,7 @@ func TestJournalNamingRemovedIntegratorDropped(t *testing.T) {
 	if got := s.Stats().Store.Errors; got != 1 {
 		t.Errorf("store errors = %d, want 1", got)
 	}
-	if keys := st.Keys(JournalPrefix); len(keys) != 0 {
+	if keys := st.Keys(request.JournalPrefix); len(keys) != 0 {
 		t.Errorf("rk4 journal record kept: %v", keys)
 	}
 }
@@ -339,14 +340,14 @@ func TestDuplicateJobCancelKeepsSharedJournal(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel duplicate: %d", resp.StatusCode)
 	}
-	if keys := st.Keys(JournalPrefix); len(keys) != 1 {
+	if keys := st.Keys(request.JournalPrefix); len(keys) != 1 {
 		t.Fatalf("journal after duplicate cancel = %v, want the shared record kept", keys)
 	}
 
 	// Once the last live holder finishes, the record is cleared.
 	close(block)
 	waitState(t, ts, a.ID, JobDone)
-	if keys := st.Keys(JournalPrefix); len(keys) != 0 {
+	if keys := st.Keys(request.JournalPrefix); len(keys) != 0 {
 		t.Errorf("journal after last holder finished = %v, want empty", keys)
 	}
 }

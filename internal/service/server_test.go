@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"thermbal/internal/experiment"
+	"thermbal/internal/request"
 	"thermbal/internal/sim"
 )
 
@@ -169,7 +170,7 @@ func TestCachedResponseByteIdenticalToColdRun(t *testing.T) {
 		t.Error("cold runs on two server instances differ")
 	}
 
-	var doc RunDoc
+	var doc request.RunDoc
 	if err := json.Unmarshal(cold, &doc); err != nil {
 		t.Fatalf("decode run doc: %v", err)
 	}
@@ -389,7 +390,7 @@ func TestMatrixEndpointCachesSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("matrix: %d %s", resp.StatusCode, b1)
 	}
-	var doc MatrixDoc
+	var doc request.MatrixDoc
 	if err := json.Unmarshal(b1, &doc); err != nil {
 		t.Fatalf("decode matrix doc: %v", err)
 	}
@@ -558,12 +559,12 @@ func TestMatrixJob(t *testing.T) {
 func TestSuggestHelper(t *testing.T) {
 	// Sanity on the shared error path: close misspellings of every
 	// registered scenario name canonicalize to a suggestion.
-	_, _, err := Canonicalize(Request{Scenario: "pipelin-d8"})
+	_, _, err := request.Canonicalize(request.Request{Scenario: "pipelin-d8"})
 	if err == nil || !strings.Contains(err.Error(), `"pipeline-d8"`) {
 		t.Errorf("pipeline typo: %v", err)
 	}
 	// And far-off names fall back to the plain catalogue listing.
-	_, _, err = Canonicalize(Request{Scenario: "zzzzzzzzzz"})
+	_, _, err = request.Canonicalize(request.Request{Scenario: "zzzzzzzzzz"})
 	if err == nil || strings.Contains(err.Error(), "did you mean") {
 		t.Errorf("far-off name still suggested: %v", err)
 	}

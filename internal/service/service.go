@@ -35,6 +35,7 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
+	"thermbal/internal/request"
 	"thermbal/internal/sim"
 	"thermbal/internal/store"
 )
@@ -97,7 +98,7 @@ type Config struct {
 	// re-submitted on New — so a warm restart serves byte-identical
 	// bodies and resumes sweeps from their completed cells. The caller
 	// owns the store and closes it after Close. Pass store.Options
-	// with Pinned: service.JournalPinned when opening it, so size
+	// with Pinned: request.JournalPinned when opening it, so size
 	// eviction cannot drop the job journal.
 	Store *store.Store
 
@@ -369,7 +370,7 @@ func (s *Server) storePut(key string, body []byte) {
 // counted and observed as one engine run. key is canon.Key(), computed
 // once by the caller so the handler can stamp it into the
 // X-Content-Key header without hashing twice.
-func (s *Server) executeRun(ctx context.Context, key string, cls execClass, canon Request, rc experiment.RunConfig, rec *obs.TimingRecord) ([]byte, string, error) {
+func (s *Server) executeRun(ctx context.Context, key string, cls execClass, canon request.Request, rc experiment.RunConfig, rec *obs.TimingRecord) ([]byte, string, error) {
 	return s.execute(ctx, key, cls.cost, rec, func(er *obs.TimingRecord) ([]byte, error) {
 		t := time.Now()
 		if err := s.slots.acquire(s.base, cls.prio); err != nil {
@@ -384,7 +385,7 @@ func (s *Server) executeRun(ctx context.Context, key string, cls execClass, cano
 		var body []byte
 		if err == nil {
 			t = time.Now()
-			body, err = EncodeDoc(NewRunDoc(canon, res))
+			body, err = request.EncodeDoc(request.NewRunDoc(canon, res))
 			er.D[obs.StageEncode] = time.Since(t)
 		}
 		stored := err == nil && s.keep(key, body, er)
@@ -409,7 +410,7 @@ func (s *Server) executeRun(ctx context.Context, key string, cls execClass, cano
 // cache state (a job's progress). The sweep's execute stage spans the
 // whole fan-out, cell queueing included; its encode stage is the
 // splice of the cell bodies.
-func (s *Server) executeSweep(ctx context.Context, key string, canon MatrixRequest, cells []Cell, cls execClass, rec *obs.TimingRecord, cellDone func(state string)) ([]byte, string, error) {
+func (s *Server) executeSweep(ctx context.Context, key string, canon request.MatrixRequest, cells []request.Cell, cls execClass, rec *obs.TimingRecord, cellDone func(state string)) ([]byte, string, error) {
 	return s.execute(ctx, key, cls.cost, rec, func(er *obs.TimingRecord) ([]byte, error) {
 		t := time.Now()
 		bodies := make([][]byte, len(cells))
@@ -434,11 +435,11 @@ func (s *Server) executeSweep(ctx context.Context, key string, canon MatrixReque
 			return nil, err
 		}
 		t = time.Now()
-		doc, err := assembleMatrixDoc(canon, cells, bodies)
+		doc, err := request.AssembleMatrixDoc(canon, cells, bodies)
 		if err != nil {
 			return nil, err
 		}
-		body, err := EncodeDoc(doc)
+		body, err := request.EncodeDoc(doc)
 		er.D[obs.StageEncode] = time.Since(t)
 		if err != nil {
 			return nil, err

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"thermbal/internal/experiment"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 )
@@ -76,7 +77,7 @@ func TestInlineSpecSharesBuiltinAddress(t *testing.T) {
 
 	// The canonical document names the builtin — no spec echo — so the
 	// identity is visible in the response itself.
-	var doc RunDoc
+	var doc request.RunDoc
 	if err := json.Unmarshal(inline, &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestInlineSpecNonBuiltin(t *testing.T) {
 	if st := resp.Header.Get("X-Cache"); st != "miss" {
 		t.Errorf("first custom-spec X-Cache = %q, want miss", st)
 	}
-	var doc RunDoc
+	var doc request.RunDoc
 	if err := json.Unmarshal(b1, &doc); err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +255,11 @@ func TestScenariosSpecExport(t *testing.T) {
 		if !ok || name != e.Name {
 			t.Errorf("%s: exported spec resolves to %q, %v", e.Name, name, ok)
 		}
-		canonNamed, _, err := Canonicalize(Request{Scenario: e.Name})
+		canonNamed, _, err := request.Canonicalize(request.Request{Scenario: e.Name})
 		if err != nil {
 			t.Fatal(err)
 		}
-		canonSpec, _, err := Canonicalize(Request{Spec: e.Spec})
+		canonSpec, _, err := request.Canonicalize(request.Request{Spec: e.Spec})
 		if err != nil {
 			t.Fatal(err)
 		}

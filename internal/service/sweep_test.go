@@ -12,6 +12,7 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
+	"thermbal/internal/request"
 	"thermbal/internal/sim"
 )
 
@@ -51,7 +52,7 @@ func TestSyncSweepCachesCells(t *testing.T) {
 	if pairs["execute"] <= 0 {
 		t.Errorf("cold sweep X-Timing execute = %d µs, want > 0", pairs["execute"])
 	}
-	var doc MatrixDoc
+	var doc request.MatrixDoc
 	if err := json.Unmarshal(sweepBody, &doc); err != nil || len(doc.Cells) != 2 {
 		t.Fatalf("sweep doc: %v, %d cells", err, len(doc.Cells))
 	}

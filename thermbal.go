@@ -30,8 +30,8 @@ import (
 	"thermbal/internal/experiment"
 	"thermbal/internal/migrate"
 	"thermbal/internal/policy"
+	"thermbal/internal/request"
 	"thermbal/internal/scenario"
-	"thermbal/internal/service"
 	"thermbal/internal/sim"
 	"thermbal/internal/store"
 )
@@ -91,7 +91,7 @@ var integratorNames = []string{EulerIntegrator: "euler", ExpmIntegrator: "expm"}
 // String names the integrator.
 func (k IntegratorKind) String() string { return kindName(integratorNames, "IntegratorKind", int(k)) }
 
-// kindName spells kind k as the wire name service.Canonicalize
+// kindName spells kind k as the wire name request.Canonicalize
 // resolves. A value outside the table gets its Go-syntax spelling,
 // which canonicalization then rejects as unknown.
 func kindName(names []string, kind string, k int) string {
@@ -184,16 +184,16 @@ func GenerateScenario(seed int64) ScenarioSpec { return scenario.Generate(seed) 
 // RunSpec executes one experiment on a declarative scenario spec
 // instead of a registered name. cfg.Scenario must be empty; every
 // other Config field applies as in Run.
-func RunSpec(sp ScenarioSpec, cfg Config) (Result, error) { return run(cfg.request(&sp)) }
+func RunSpec(sp ScenarioSpec, cfg Config) (Result, error) { return run(cfg.toRequest(&sp)) }
 
 // Run executes one experiment.
-func Run(cfg Config) (Result, error) { return run(cfg.request(nil)) }
+func Run(cfg Config) (Result, error) { return run(cfg.toRequest(nil)) }
 
 // run executes a request exactly as the service, RunSummary and
 // Store.RunSummary do: canonicalization resolves every spelling and
 // default, so all facade paths agree by construction.
-func run(req service.Request) (Result, error) {
-	_, rc, err := service.Canonicalize(req)
+func run(req request.Request) (Result, error) {
+	_, rc, err := request.Canonicalize(req)
 	if err != nil {
 		return Result{}, err
 	}
@@ -220,7 +220,7 @@ type Store struct {
 // with cmd/thermproof.
 func OpenStore(dir string) (*Store, error) {
 	st, err := store.Open(dir, store.Options{
-		Pinned:  service.JournalPinned,
+		Pinned:  request.JournalPinned,
 		Version: experiment.EngineVersion,
 	})
 	if err != nil {
@@ -270,10 +270,10 @@ func (s *Store) Verify() error {
 	return err
 }
 
-// request maps a facade Config (on the spec sp, when non-nil) onto the
-// service's wire request, whose canonicalization defines both what
-// executes and the persistent cache identity.
-func (c Config) request(sp *ScenarioSpec) service.Request {
+// toRequest maps a facade Config (on the spec sp, when non-nil) onto
+// the wire request, whose canonicalization defines both what executes
+// and the persistent cache identity.
+func (c Config) toRequest(sp *ScenarioSpec) request.Request {
 	polName := c.PolicyName
 	if polName == "" {
 		polName = c.Policy.String()
@@ -282,7 +282,7 @@ func (c Config) request(sp *ScenarioSpec) service.Request {
 	if c.Recreation {
 		mech = migrate.Recreation.String()
 	}
-	return service.Request{
+	return request.Request{
 		Scenario:   c.Scenario,
 		Spec:       sp,
 		Policy:     polName,
@@ -302,13 +302,13 @@ func (c Config) request(sp *ScenarioSpec) service.Request {
 // document is persisted before returning. The summary bytes a hit
 // decodes are exactly the bytes the original run encoded.
 func (s *Store) RunSummary(cfg Config) (Summary, bool, error) {
-	canon, rc, err := service.Canonicalize(cfg.request(nil))
+	canon, rc, err := request.Canonicalize(cfg.toRequest(nil))
 	if err != nil {
 		return Summary{}, false, err
 	}
 	key := canon.Key()
 	if body, ok, err := s.st.Get(key); err == nil && ok {
-		var doc service.RunDoc
+		var doc request.RunDoc
 		if err := json.Unmarshal(body, &doc); err == nil {
 			return doc.Result, true, nil
 		}
@@ -319,8 +319,8 @@ func (s *Store) RunSummary(cfg Config) (Summary, bool, error) {
 	if err != nil {
 		return Summary{}, false, err
 	}
-	doc := service.NewRunDoc(canon, res)
-	body, err := service.EncodeDoc(doc)
+	doc := request.NewRunDoc(canon, res)
+	body, err := request.EncodeDoc(doc)
 	if err == nil {
 		err = s.st.Put(key, body)
 	}

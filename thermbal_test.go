@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"thermbal/internal/experiment"
-	"thermbal/internal/service"
+	"thermbal/internal/request"
 )
 
 func TestRunFacade(t *testing.T) {
@@ -188,9 +188,9 @@ func TestStoreFacade(t *testing.T) {
 }
 
 // TestFacadePathsAgree: Run, RunSummary and Store.RunSummary resolve a
-// Config through the service's one canonicalization, so they agree on
-// every config. A zero Delta takes the scenario's default threshold on
-// every path; it must neither run unthresholded nor panic.
+// Config through the one canonicalization the service uses, so they
+// agree on every config. A zero Delta takes the scenario's default
+// threshold on every path; it must neither run unthresholded nor panic.
 func TestFacadePathsAgree(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -237,7 +237,7 @@ func TestFacadePathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSpec: %v", err)
 	}
-	_, rc, err := service.Canonicalize(service.Request{Spec: &sp, Policy: "energy-balance", WarmupS: 1, MeasureS: 2})
+	_, rc, err := request.Canonicalize(request.Request{Spec: &sp, Policy: "energy-balance", WarmupS: 1, MeasureS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
