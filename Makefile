@@ -158,10 +158,12 @@ bench-golden:
 	cd bench && $(GO) test -run 'TestGolden|TestBenchmarkJSONMatchesCatalogue|TestVerdict|TestCompareFailuresMayNotRise' ./...
 
 # Integrator stepping cost on the high-performance package, a fresh
-# expm integrator's first step on manycore-256, and the cost of one
-# cold expm propagator build (64-core and 3-core dies).
+# expm integrator's first step on manycore-256, the cost of one cold
+# expm propagator build (64-core and 3-core dies), and the manycore-256
+# floorplan (validation, overlap check and adjacency).
 bench-thermal:
 	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' ./internal/thermal
+	$(GO) test -bench BenchmarkFloorplanManycore256 -run '^$$' ./internal/floorplan
 
 # End-to-end exercise of the exact matrix-exponential scheme: a paper
 # scenario, a tiled manycore die on the dense path and manycore-256 on
@@ -202,7 +204,10 @@ fuzz-smoke:
 # A 32-bit build: the whole module vets under GOARCH=386, the
 # checkpoint codec's own tests pass there, and so do the engine's
 # checkpoint, restore, warm-up and RunTo tests (386 binaries run
-# natively on an amd64 host). The checkpoint byte goldens are skipped,
+# natively on an amd64 host), and the oracle comparisons of the expm
+# build kernels and the floorplan sweep, which check their index math
+# (matmul's row split among it) with a 32-bit int. The checkpoint byte
+# goldens are skipped,
 # and the full suite is not run under 386 yet, because engine float
 # results still differ across arches (ROADMAP, "Make byte-identical on
 # any machine true").
@@ -210,9 +215,11 @@ check-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/ckpt
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
+	GOARCH=386 $(GO) test -run Oracle ./internal/thermal ./internal/floorplan
 
-# Machine-readable ns/op for the Sweep, Step and ExpmBuild benchmarks, so the perf
-# trajectory is tracked commit over commit. Each bench run is a separate
+# Machine-readable ns/op for the Sweep, Step, ExpmBuild and
+# FloorplanManycore256 benchmarks, so the perf trajectory is tracked
+# commit over commit. Each bench run is a separate
 # recipe line so a failure aborts the target instead of being masked by
 # the pipeline's exit status.
 bench-json:
@@ -223,6 +230,7 @@ bench-json:
 	fi
 	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 1x -benchmem . > .bench.tmp
 	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -benchmem ./internal/thermal >> .bench.tmp
+	$(GO) test -bench BenchmarkFloorplanManycore256 -run '^$$' -benchtime 1x -benchmem ./internal/floorplan >> .bench.tmp
 	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > $(BENCH_OUT)
 	@rm -f .bench.tmp
 	@echo "wrote $(BENCH_OUT)"

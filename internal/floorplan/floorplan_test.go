@@ -1,7 +1,9 @@
 package floorplan
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -335,5 +337,176 @@ func TestBlockKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("BlockKind(%d).String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+func TestNewRejectsNonFiniteGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		b    Block
+	}{
+		{"NaN x", Block{Name: "bad", X: math.NaN(), W: 1, H: 1}},
+		{"+Inf y", Block{Name: "bad", Y: math.Inf(1), W: 1, H: 1}},
+		{"NaN width", Block{Name: "bad", W: math.NaN(), H: 1}},
+		{"+Inf width", Block{Name: "bad", W: math.Inf(1), H: 1}},
+		{"-Inf height", Block{Name: "bad", W: 1, H: math.Inf(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New([]Block{{Name: "ok", X: 5, W: 1, H: 1}, tc.b})
+			if err == nil || !strings.Contains(err.Error(), `block "bad" has non-finite geometry`) {
+				t.Fatalf("New = %v, want a non-finite geometry error naming block \"bad\"", err)
+			}
+		})
+	}
+}
+
+// pairwiseOracle is the original O(b²) construction, kept as the
+// reference New's sort-and-sweep must match: the overlap check over
+// every (i, j), i < j, then the adjacency scan in the same order. It
+// assumes blocks already passed New's per-block validation.
+func pairwiseOracle(blocks []Block) ([]Adjacency, error) {
+	for i := 0; i < len(blocks); i++ {
+		for j := i + 1; j < len(blocks); j++ {
+			if overlapArea(blocks[i], blocks[j]) > geomEps {
+				return nil, fmt.Errorf("floorplan: blocks %q and %q overlap", blocks[i].Name, blocks[j].Name)
+			}
+		}
+	}
+	var adj []Adjacency
+	for i := 0; i < len(blocks); i++ {
+		for j := i + 1; j < len(blocks); j++ {
+			e := sharedEdge(blocks[i], blocks[j])
+			if e <= 0 {
+				continue
+			}
+			dx := blocks[i].CenterX() - blocks[j].CenterX()
+			dy := blocks[i].CenterY() - blocks[j].CenterY()
+			adj = append(adj, Adjacency{A: i, B: j, SharedEdge: e, Distance: math.Hypot(dx, dy)})
+		}
+	}
+	return adj, nil
+}
+
+// checkOracle fails t unless New(blocks) and pairwiseOracle(blocks)
+// agree: the same error text, or adjacencies with identical indices
+// and float bits.
+func checkOracle(t *testing.T, label string, blocks []Block) {
+	t.Helper()
+	want, wantErr := pairwiseOracle(blocks)
+	fp, err := New(blocks)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%s: New error = %v, oracle %v", label, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(fp.Adjacencies) != len(want) {
+		t.Fatalf("%s: %d adjacencies, oracle %d", label, len(fp.Adjacencies), len(want))
+	}
+	for k, g := range fp.Adjacencies {
+		w := want[k]
+		if g.A != w.A || g.B != w.B ||
+			math.Float64bits(g.SharedEdge) != math.Float64bits(w.SharedEdge) ||
+			math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
+			t.Fatalf("%s: adjacency %d = %+v, oracle %+v", label, k, g, w)
+		}
+	}
+}
+
+// randomGridBlocks places up to 40 rectangles on a 12×12 grid of 0.5 mm
+// cells in shuffled order: mostly a non-overlapping packing, so blocks
+// share whole edges, partial edges, left edges and corners, with some
+// edges moved by less than geomEps (still touching) or by more (a gap
+// or a sliver of overlap), and with probability 1/3 a few extra blocks
+// dropped on top of others.
+func randomGridBlocks(rng *rand.Rand) []Block {
+	const cells, unit = 12, 0.5e-3
+	var used [cells][cells]bool
+	jitter := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return (rng.Float64() - 0.5) * geomEps // within eps
+		case 1:
+			return (rng.Float64() - 0.5) * 8 * geomEps // beyond eps
+		}
+		return 0
+	}
+	var blocks []Block
+	add := func(gx, gy, gw, gh int) {
+		blocks = append(blocks, Block{
+			Name: fmt.Sprintf("b%d", len(blocks)),
+			X:    float64(gx)*unit + jitter(), Y: float64(gy)*unit + jitter(),
+			W: float64(gw)*unit + jitter(), H: float64(gh)*unit + jitter(),
+		})
+	}
+	for try := 0; try < 200 && len(blocks) < 40; try++ {
+		gx, gy := rng.Intn(cells), rng.Intn(cells)
+		gw, gh := 1+rng.Intn(min(4, cells-gx)), 1+rng.Intn(min(4, cells-gy))
+		free := true
+		for x := gx; x < gx+gw; x++ {
+			for y := gy; y < gy+gh; y++ {
+				free = free && !used[x][y]
+			}
+		}
+		if !free {
+			continue
+		}
+		for x := gx; x < gx+gw; x++ {
+			for y := gy; y < gy+gh; y++ {
+				used[x][y] = true
+			}
+		}
+		add(gx, gy, gw, gh)
+	}
+	if rng.Intn(3) == 0 {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			gx, gy := rng.Intn(cells-1), rng.Intn(cells-1)
+			add(gx, gy, 1+rng.Intn(2), 1+rng.Intn(2))
+		}
+	}
+	rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+	return blocks
+}
+
+// New's sort-and-sweep must reproduce the pairwise construction: the
+// same adjacencies bit for bit, and the same overlap error (the first
+// overlapping pair in (i, j) order), on random grid floorplans, on every
+// tiled die up to 256 cores, and on mixed-scale heterogeneous dies.
+func TestNewMatchesPairwiseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	overlaps := 0
+	for trial := 0; trial < 400; trial++ {
+		blocks := randomGridBlocks(rng)
+		if _, err := pairwiseOracle(blocks); err != nil {
+			overlaps++
+		}
+		checkOracle(t, fmt.Sprintf("grid trial %d", trial), blocks)
+	}
+	if overlaps == 0 || overlaps == 400 {
+		t.Fatalf("%d of 400 grid trials overlap: the generator no longer covers both outcomes", overlaps)
+	}
+	for n := 1; n <= 256; n++ {
+		checkOracle(t, fmt.Sprintf("StreamingMPSoC(%d)", n), StreamingMPSoC(n).Blocks)
+	}
+	scales := []float64{0.5, 0.75, 1, 1.25, 1.5, 2}
+	for trial := 0; trial < 50; trial++ {
+		runs := make([]TileRun, 1+rng.Intn(4))
+		for k := range runs {
+			runs[k] = TileRun{Count: 1 + rng.Intn(6), Scale: scales[rng.Intn(len(scales))]}
+		}
+		fp, err := HeteroMPSoC(runs)
+		if err != nil {
+			t.Fatalf("HeteroMPSoC(%v): %v", runs, err)
+		}
+		checkOracle(t, fmt.Sprintf("HeteroMPSoC(%v)", runs), fp.Blocks)
+	}
+}
+
+// BenchmarkFloorplanManycore256 measures the floorplan of the
+// manycore-256 die (769 blocks): validation, overlap check and
+// adjacency, which every run that instantiates the scenario pays.
+func BenchmarkFloorplanManycore256(b *testing.B) {
+	for b.Loop() {
+		StreamingMPSoC(256)
 	}
 }

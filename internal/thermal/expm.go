@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 )
@@ -28,8 +29,10 @@ import (
 // the propagators in use, so a network that never propagates densely
 // never allocates one. A build's Taylor products exploit H's sparsity
 // (O(n²·nnz/row) each); only its few doubling products are dense
-// O(n³), and both kernels reproduce the plain triple loop's bits
-// exactly.
+// O(n³), split by rows across up to GOMAXPROCS goroutines once n
+// reaches 128. Both kernels reproduce the plain triple loop's bits
+// exactly, so a propagator's bits depend neither on GOMAXPROCS nor on
+// how the rows are split.
 //
 // Dense propagation costs 2n² multiply-adds per span regardless of the
 // span length, while substepping costs (substeps × sparse RHS). The
@@ -357,10 +360,11 @@ func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
 // back to the full span. Φ·C⁻¹ and the ambient forcing are folded in
 // at the end. The Taylor products right-multiply by the sparse H
 // (O(n²·nnz/row) each); only the doubling products are dense O(n³),
-// through the register-tiled kernel. Both kernels keep the summation
-// rule below, so every propagator is bit-identical to one built with a
-// plain triple loop. H and all scratch are local: only the returned
-// propagator outlives the call.
+// through the register-tiled kernel, whose rows matmul splits across
+// goroutines on large networks. Both kernels keep the summation rule
+// below, so every propagator is bit-identical to one built with a
+// plain triple loop, whatever GOMAXPROCS is. H and all scratch are
+// local: only the returned propagator outlives the call.
 func (e *expmIntegrator) build(dt float64) *propagator {
 	v := View{n: e.net}
 	n := e.n
@@ -425,7 +429,7 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 		}
 	}
 	// Doubling back to the full span; the Taylor buffers are free now.
-	prod, panel := next, make([][4]float64, n)
+	prod, panel := next, make([][4]float64, matmulWorkers(n)*n)
 	for ; s > 0; s-- {
 		matmul(prod, a, phi, panel, n)
 		for i := range phi {
@@ -461,11 +465,11 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 }
 
 // The two build kernels keep one summation rule, which makes their
-// output independent of how they block the loops: every output element
-// is the sum over k, in increasing k order, starting from +0, of
-// products each rounded on its own (the float64 conversions forbid the
-// compiler from fusing a multiply-add, as it may on some
-// architectures). Under round-to-nearest a sum that starts at +0 never
+// output independent of how they block or split the loops: every
+// output element is the sum over k, in increasing k order, starting
+// from +0, of products each rounded on its own (the float64
+// conversions forbid the compiler from fusing a multiply-add, as it
+// may on some architectures). Under round-to-nearest a sum that starts at +0 never
 // becomes −0, and adding ±0 to it changes nothing, so skipping an
 // exact-zero product or adding one leaves every bit unchanged.
 
@@ -478,7 +482,13 @@ type csr struct {
 
 // newCSR compresses the n×n row-major matrix m, columns ascending.
 func newCSR(m []float64, n int) csr {
-	s := csr{rowPtr: make([]int, n+1)}
+	nnz := 0
+	for _, v := range m[:n*n] {
+		if v != 0 {
+			nnz++
+		}
+	}
+	s := csr{rowPtr: make([]int, n+1), col: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
 	for k := 0; k < n; k++ {
 		for j, v := range m[k*n : k*n+n] {
 			if v != 0 {
@@ -517,24 +527,61 @@ func (h csr) mulScaled(dst, x []float64, f float64) {
 	}
 }
 
+// matmulRowsPerWorker is the least number of dst rows worth a worker
+// of its own in matmul: a worker repacks every panel of y, O(n²), so
+// it needs a share of the O(n³) products well above that to pay off.
+const matmulRowsPerWorker = 64
+
+// matmulWorkers is how many goroutines matmul splits an n×n product
+// across: min(GOMAXPROCS, n/64), at least one. Products below 128 rows
+// (the paper's 3-core die has 21) stay on the calling goroutine.
+func matmulWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/matmulRowsPerWorker))
+}
+
 // matmul computes dst = x·y for n×n row-major matrices; panel is
-// scratch of length n. dst must not alias x or y. After Goto and van
-// de Geijn's "Anatomy of High-Performance Matrix Multiplication": four
-// columns of y at a time are packed k-major into panel, and each pass
-// over it keeps a 2×4 tile of dst in registers while k runs innermost,
-// so every loaded x and panel element feeds several products. Columns
-// past n in the last panel are zero-padded and never stored; an odd
-// last row takes a 1×4 tile.
+// scratch of length w·n for w workers, at least one (build sizes it
+// with matmulWorkers). dst must not alias x or y. The rows of dst are
+// split into w contiguous blocks, one per goroutine (the first on the
+// caller's), and each worker packs its own n-long slice of panel.
+// Every dst element is still summed by one goroutine in the order the
+// summation rule fixes, so the product's bits do not depend on w or on
+// where the blocks split.
 func matmul(dst, x, y []float64, panel [][4]float64, n int) {
-	panel = panel[:n]
+	w := len(panel) / n
+	if w == 1 {
+		// No WaitGroup: one would escape to the heap on every call.
+		matmulRows(dst, x, y, panel[:n], n, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < w; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			matmulRows(dst, x, y, panel[k*n:k*n+n], n, n*k/w, n*(k+1)/w)
+		}()
+	}
+	matmulRows(dst, x, y, panel[:n], n, 0, n/w)
+	wg.Wait()
+}
+
+// matmulRows computes rows [lo, hi) of dst = x·y; panel is scratch of
+// length n. After Goto and van de Geijn's "Anatomy of High-Performance
+// Matrix Multiplication": four columns of y at a time are packed
+// k-major into panel, and each pass over it keeps a 2×4 tile of dst in
+// registers while k runs innermost, so every loaded x and panel
+// element feeds several products. Columns past n in the last panel are
+// zero-padded and never stored; an odd last row takes a 1×4 tile.
+func matmulRows(dst, x, y []float64, panel [][4]float64, n, lo, hi int) {
 	for j0 := 0; j0 < n; j0 += 4 {
 		w := min(4, n-j0)
 		for k := range panel {
 			pk := panel[k][:]
 			clear(pk[copy(pk, y[k*n+j0:k*n+j0+w]):])
 		}
-		i := 0
-		for ; i+2 <= n; i += 2 {
+		i := lo
+		for ; i+2 <= hi; i += 2 {
 			x0 := x[i*n : i*n+n]
 			x1 := x[i*n+n : i*n+2*n]
 			x1, pan := x1[:len(x0)], panel[:len(x0)]
@@ -556,7 +603,7 @@ func matmul(dst, x, y []float64, panel [][4]float64, n int) {
 			copy(dst[i*n+j0:i*n+j0+w], r0[:])
 			copy(dst[i*n+n+j0:i*n+n+j0+w], r1[:])
 		}
-		if i < n {
+		if i < hi {
 			var c0, c1, c2, c3 float64
 			for k, a := range x[i*n : i*n+n] {
 				p := &panel[k]

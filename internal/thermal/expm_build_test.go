@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"thermbal/internal/floorplan"
@@ -152,6 +154,39 @@ func TestExpmKernelsMatchOracle(t *testing.T) {
 					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
+	}
+	// From n = 128 on, matmul splits the rows across workers. Each
+	// product runs under several GOMAXPROCS values: its bits must not
+	// depend on the worker count, nor on row blocks that start or end
+	// on an odd row.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{127, 128, 129, 131, 195, 387} {
+		x := kernelTestMatrix(rng, n)
+		y := kernelTestMatrix(rng, n)
+		want := make([]float64, n*n)
+		matmulOracle(want, x, y, n, 1)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := make([]float64, n*n)
+			matmul(got, x, y, make([][4]float64, matmulWorkers(n)*n), n)
+			if i, ok := sameBits(got, want); !ok {
+				t.Fatalf("n=%d, %d workers: matmul[%d] = %v (%#x), oracle %v (%#x)", n, matmulWorkers(n),
+					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// The propagator goldens again under one and three workers: the
+// manycore-64 builds (n = 387) split their doubling products across
+// matmulWorkers goroutines, and must keep every pinned bit either way.
+// (The smaller dies stay on one goroutine whatever GOMAXPROCS is.)
+func TestExpmPropagatorGoldenAnyGOMAXPROCS(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			TestExpmPropagatorGolden(t)
+		})
 	}
 }
 
