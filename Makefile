@@ -6,7 +6,7 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-diff load-json load-diff smoke-expm smoke-spec fuzz-smoke check-386 loc clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-ab load-json smoke-expm smoke-spec fuzz-smoke check-386 loc clean
 
 check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-load fuzz-smoke check-386
 
@@ -58,9 +58,11 @@ vulncheck:
 doclint:
 	$(GO) run ./cmd/godoclint -exported . -pkgdoc ./internal/... -pkgdoc ./cmd/...
 
-# Fails when any tracked Go file is not gofmt-clean.
+# Fails when any Go file is not gofmt-clean. Hidden directories (the
+# benchmark's build cache, bench-ab's base worktree) are skipped, as in
+# `make loc`.
 fmt-check:
-	@out=$$(gofmt -l .); \
+	@out=$$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
@@ -125,20 +127,6 @@ load-json:
 	fi
 	$(GO) run ./cmd/thermload -self -out $(LOAD_OUT)
 	@echo "wrote $(LOAD_OUT)"
-
-# Compare a fresh load run against the newest committed LOAD_*.json
-# (picked by the JSON `date` field, like bench-diff). Set LOAD_NEW to
-# an existing report to skip the fresh run.
-LOAD_BASE = $$(git ls-files 'LOAD_*.json' | paste -sd, -)
-
-load-diff:
-ifdef LOAD_NEW
-	$(GO) run ./cmd/trajectory load -base "$(LOAD_BASE)" -new $(LOAD_NEW)
-else
-	$(GO) run ./cmd/thermload -self -out .load-new.json
-	$(GO) run ./cmd/trajectory load -base "$(LOAD_BASE)" -new .load-new.json
-	@rm -f .load-new.json
-endif
 
 # Wall-clock comparison of the serial vs parallel experiment runner.
 bench:
@@ -218,46 +206,51 @@ check-386:
 	GOARCH=386 $(GO) test -run Oracle ./internal/thermal ./internal/floorplan
 
 # Machine-readable ns/op for the Sweep, Step, ExpmBuild and
-# FloorplanManycore256 benchmarks, so the perf trajectory is tracked
-# commit over commit. Each bench run is a separate
-# recipe line so a failure aborts the target instead of being masked by
-# the pipeline's exit status.
+# FloorplanManycore256 benchmarks: five 1x samples each, recorded as
+# their medians in a host-stamped BENCH_<date>.json. The points are a
+# record, not a baseline; `make bench-ab` judges a change. Each bench
+# run is a separate recipe line so a failure aborts the target instead
+# of being masked by the pipeline's exit status.
 bench-json:
 	@if git ls-files --error-unmatch $(BENCH_OUT) >/dev/null 2>&1; then \
 		echo "bench-json: $(BENCH_OUT) is already a committed trajectory point;"; \
 		echo "            pass BENCH_OUT=BENCH_$(BENCH_DATE)_2.json (or similar) to add a new one"; \
 		exit 1; \
 	fi
-	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 1x -benchmem . > .bench.tmp
-	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -benchmem ./internal/thermal >> .bench.tmp
-	$(GO) test -bench BenchmarkFloorplanManycore256 -run '^$$' -benchtime 1x -benchmem ./internal/floorplan >> .bench.tmp
+	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 1x -count 5 -benchmem . > .bench.tmp
+	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/thermal >> .bench.tmp
+	$(GO) test -bench BenchmarkFloorplanManycore256 -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/floorplan >> .bench.tmp
 	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > $(BENCH_OUT)
 	@rm -f .bench.tmp
 	@echo "wrote $(BENCH_OUT)"
 
-# Compare Sweep and ExpmBuild benchmark numbers against the latest
-# committed trajectory point; fails when any of them is >15% slower
-# (a benchmark the baseline lacks is reported, not gated).
-# Set BENCH_NEW to an existing bench-json document (CI reuses the
-# bench-json artifact it just produced) to skip the fresh run.
-# Every *committed* trajectory point is offered as a baseline
-# candidate and cmd/trajectory picks the newest by the JSON `date` field —
-# not by filename — so a same-day `_2`-suffixed point is never
-# shadowed, and a BENCH_<date>.json freshly written by `make
-# bench-json` cannot become its own baseline.
-BENCH_BASE = $$(git ls-files 'BENCH_*.json' | paste -sd, -)
+# Paired A/B run of the end-to-end benchmark, judged by its own
+# -compare. BASE (default HEAD) is checked out into a git worktree
+# under .bench_build/ab/base; for each seed in SEEDS both trees run
+# `bench/run.sh -seed <s> $(ARGS)`, base first on odd seeds and head
+# first on even ones, so host drift falls on both sides. Fails on any
+# `worse` row and on any failed run (exit 3: incorrect outputs). The
+# worktree is removed on exit, interrupts included.
+#   make bench-ab BASE=HEAD~1 SEEDS='1 2 3 4' ARGS='-workload manycore'
+BASE ?= HEAD
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+ARGS ?=
 
-bench-diff:
-ifdef BENCH_NEW
-	$(GO) run ./cmd/trajectory bench -base "$(BENCH_BASE)" -new $(BENCH_NEW) -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
-else
-	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 3x -benchmem . > .bench.tmp
-	$(GO) test -bench BenchmarkExpmBuild -run '^$$' -benchtime 3x -benchmem ./internal/thermal >> .bench.tmp
-	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > .bench-new.json
-	@rm -f .bench.tmp
-	$(GO) run ./cmd/trajectory bench -base "$(BENCH_BASE)" -new .bench-new.json -match 'BenchmarkSweep|BenchmarkExpmBuild' -max-regress 0.15
-	@rm -f .bench-new.json
-endif
+bench-ab:
+	@set -eu; ab=$(CURDIR)/.bench_build/ab; \
+	rm -rf "$$ab"; git worktree prune; \
+	trap 'git worktree remove --force "$$ab/base" 2>/dev/null || true' EXIT; \
+	trap 'exit 130' INT TERM; \
+	git worktree add --detach "$$ab/base" $(BASE); \
+	for s in $(SEEDS); do \
+		order="head base"; [ $$((s % 2)) -eq 1 ] && order="base head"; \
+		for side in $$order; do \
+			dir=$(CURDIR); [ $$side = base ] && dir=$$ab/base; \
+			echo "bench-ab: seed $$s, $$side"; \
+			(cd "$$dir" && bash bench/run.sh -seed $$s $(ARGS) -out "$$ab/out-$$side"); \
+		done; \
+	done; \
+	.bench_build/bin/thermbench -compare -spec BENCHMARK.json "$$ab/out-base" "$$ab/out-head"
 
 # The tracked code-size number: non-test Go lines outside the bench/
 # module (hidden directories, such as the benchmark's build cache, are
@@ -269,6 +262,6 @@ loc:
 # bench/coverage outputs, and stray compiled test binaries
 # (`go test -c` artifacts like thermbal.test).
 clean:
-	@rm -f .bench.tmp .bench-new.json bench-ci.json coverage*.out .spec.tmp.json .spec-run-a.json .spec-run-b.json .load-new.json load-ci.json
+	@rm -f .bench.tmp bench-ci.json coverage*.out .spec.tmp.json .spec-run-a.json .spec-run-b.json
 	@find . -name '*.test' -type f -delete
 	$(GO) clean ./...

@@ -79,3 +79,16 @@ func TestScenarioHeader(t *testing.T) {
 		t.Errorf("no scenario header above Figure 9:\n%s", stdout)
 	}
 }
+
+// TestNonFiniteDeltaExits: a -deltas entry that is not finite exits
+// non-zero instead of printing a row of zeros.
+func TestNonFiniteDeltaExits(t *testing.T) {
+	_, stderr, err := figures("-only", "fig7", "-deltas", "NaN")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("-deltas NaN: err %v, want a non-zero exit\n%s", err, stderr)
+	}
+	if !strings.Contains(stderr, "threshold delta NaN") {
+		t.Errorf("-deltas NaN: stderr does not name the delta:\n%s", stderr)
+	}
+}

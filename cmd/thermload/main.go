@@ -2,8 +2,9 @@
 // fires fixed-rate arrivals from a declarative request mix with
 // Zipf-skewed key repetition, measures p50/p95/p99 per endpoint and per
 // X-Timing stage plus shed/quota/error rates, and emits both a human
-// table and the schema-versioned LOAD_<date>.json trajectory document
-// that `trajectory load` (make load-diff) compares across commits.
+// table and the schema-versioned LOAD_<date>.json document, a
+// host-stamped record of one run (make load-json). Performance changes
+// are judged by the end-to-end benchmark's paired runs (make bench-ab).
 //
 // Usage:
 //

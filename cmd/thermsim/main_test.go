@@ -124,3 +124,26 @@ func TestScenarioFilePathHint(t *testing.T) {
 	_, stderr, err := thermsim("-scenario", path, "-warmup", "0.1", "-measure", "0.1")
 	wantExit(t, err, stderr, "-scenario-file")
 }
+
+// TestNonFiniteInputsExit: a non-finite -delta, -warmup or -measure,
+// or a window whose end tick overflows int64, exits non-zero in every
+// mode instead of reporting a run over garbage.
+func TestNonFiniteInputsExit(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-policy", "tb", "-delta", "NaN"}, "threshold delta NaN"},
+		{[]string{"-warmup", "NaN"}, "warm-up NaN s is not finite"},
+		{[]string{"-measure", "Inf"}, "measure window +Inf s is not finite"},
+		{[]string{"-measure", "1e300"}, "overflows"},
+		{[]string{"-policy", "all", "-warmup", "NaN"}, "warm-up NaN s is not finite"},
+		{[]string{"-matrix", "-scenario", "sdr-radio", "-policy", "tb", "-delta", "NaN"}, "threshold delta NaN"},
+	} {
+		stdout, stderr, err := thermsim(c.args...)
+		wantExit(t, err, stderr, c.want)
+		if stdout != "" {
+			t.Errorf("thermsim %v printed %q before failing", c.args, stdout)
+		}
+	}
+}

@@ -9,6 +9,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -77,7 +78,15 @@ var Deltas = []float64{2, 3, 4, 5}
 // cascade shared by Run, the service's request canonicalization (the
 // cache identity) and the sync-endpoint simulated-time bounds — so
 // what is keyed, what is bounded and what executes can never diverge.
-func Phases(sc scenario.Scenario, warmupS, measureS float64) (float64, float64) {
+// It rejects a non-finite phase and a window whose end tick does not
+// fit an int64.
+func Phases(sc scenario.Scenario, warmupS, measureS float64) (float64, float64, error) {
+	if !finite(warmupS) {
+		return 0, 0, fmt.Errorf("warm-up %g s is not finite", warmupS)
+	}
+	if !finite(measureS) {
+		return 0, 0, fmt.Errorf("measure window %g s is not finite", measureS)
+	}
 	if warmupS <= 0 {
 		if sc.WarmupS > 0 {
 			warmupS = sc.WarmupS
@@ -92,7 +101,23 @@ func Phases(sc scenario.Scenario, warmupS, measureS float64) (float64, float64) 
 			measureS = DefaultMeasureS
 		}
 	}
-	return warmupS, measureS
+	// sim.Engine.TickAt rounds t/TickS to the nearest tick; float64
+	// MaxInt64 is 2^63, the first value past the int64 range.
+	if (warmupS+measureS)/sim.DefaultTickS+0.5 >= math.MaxInt64 {
+		return 0, 0, fmt.Errorf("window of %g s + %g s overflows the %g s tick counter", warmupS, measureS, sim.DefaultTickS)
+	}
+	return warmupS, measureS, nil
+}
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// CheckDelta rejects a threshold delta that is negative or not finite.
+func CheckDelta(delta float64) error {
+	if delta < 0 || !finite(delta) {
+		return fmt.Errorf("threshold delta %g is negative or not finite", delta)
+	}
+	return nil
 }
 
 // RunConfig fully describes one simulation run.
@@ -162,8 +187,8 @@ func Run(rc RunConfig) (sim.Result, *sim.Engine, error) {
 
 // run is Run with the warm-up taken from wc; a nil wc simulates it.
 func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
-	if rc.Delta < 0 {
-		return sim.Result{}, nil, fmt.Errorf("experiment: negative threshold delta %g", rc.Delta)
+	if err := CheckDelta(rc.Delta); err != nil {
+		return sim.Result{}, nil, fmt.Errorf("experiment: %w", err)
 	}
 	var sc scenario.Scenario
 	var scKey string
@@ -191,7 +216,9 @@ func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 	}
 	// Scenario-specific default phases (many-core scenarios use shorter
 	// windows); the paper defaults apply where the scenario sets none.
-	rc.WarmupS, rc.MeasureS = Phases(sc, rc.WarmupS, rc.MeasureS)
+	if rc.WarmupS, rc.MeasureS, err = Phases(sc, rc.WarmupS, rc.MeasureS); err != nil {
+		return sim.Result{}, nil, fmt.Errorf("experiment: %w", err)
+	}
 	rc.fill()
 	inst, err := sc.Instantiate(scenario.Options{
 		QueueCap: rc.QueueCap,

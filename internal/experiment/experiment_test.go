@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 )
 
@@ -261,5 +262,46 @@ func TestRunUnknownPolicyName(t *testing.T) {
 		if _, _, err := Run(rc); err == nil {
 			t.Errorf("Run(%q, delta 0) accepted", rc.PolicyName)
 		}
+	}
+}
+
+// TestRunRejectsNonFiniteInputs: a non-finite delta, warm-up or
+// measure window, or a window whose end tick overflows int64, is an
+// error before anything is simulated, not a run over garbage.
+func TestRunRejectsNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		rc   RunConfig
+		want string
+	}{
+		{RunConfig{Delta: nan}, "threshold delta NaN"},
+		{RunConfig{Delta: inf}, "threshold delta +Inf"},
+		{RunConfig{Delta: 3, WarmupS: nan}, "warm-up NaN s is not finite"},
+		{RunConfig{Delta: 3, WarmupS: -inf}, "warm-up -Inf s is not finite"},
+		{RunConfig{Delta: 3, MeasureS: inf}, "measure window +Inf s is not finite"},
+		{RunConfig{Delta: 3, MeasureS: 1e300}, "overflows the 0.0001 s tick counter"},
+		{RunConfig{Delta: 3, WarmupS: 5e14, MeasureS: 5e14}, "overflows"},
+	} {
+		c.rc.PolicyName = thermalBalance
+		if _, _, err := Run(c.rc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run(delta %g, warm-up %g, measure %g) = %v, want an error containing %q",
+				c.rc.Delta, c.rc.WarmupS, c.rc.MeasureS, err, c.want)
+		}
+	}
+}
+
+// TestPhasesTickBound: the largest window Phases accepts still has an
+// end tick inside int64, and the next one up is refused.
+func TestPhasesTickBound(t *testing.T) {
+	var sc scenario.Scenario
+	w, m, err := Phases(sc, 1, 9e14)
+	if err != nil {
+		t.Fatalf("Phases(1, 9e14): %v", err)
+	}
+	if end := (w + m) / sim.DefaultTickS; end >= math.MaxInt64 || int64(end) <= 0 {
+		t.Errorf("accepted window ends at tick %g, outside int64", end)
+	}
+	if _, _, err := Phases(sc, 1, 1e15); err == nil {
+		t.Error("Phases(1, 1e15) accepted a window past the int64 tick range")
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // SchemaVersion versions the LOAD_<date>.json document. Bump it when a
-// field changes meaning; DecodeReport — and with it `trajectory load` —
-// refuses documents of any other version.
+// field changes meaning; DecodeReport — and with it thermload's -self
+// check — refuses documents of any other version.
 const SchemaVersion = 1
 
 // Quantiles is an exact latency summary (order statistics over the
@@ -168,8 +168,8 @@ func DecodeReport(b []byte) (*Report, error) {
 	return &r, nil
 }
 
-// Filename is the dated trajectory filename the report is committed
-// under, LOAD_<date>.json next to the BENCH_<date>.json series.
+// Filename is the dated filename the report is committed under as a
+// record, LOAD_<date>.json next to the BENCH_<date>.json series.
 func (r *Report) Filename() string {
 	return "LOAD_" + r.Date + ".json"
 }

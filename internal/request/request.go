@@ -67,11 +67,11 @@ type Request struct {
 
 // canonShared resolves the fields Request and MatrixRequest spell
 // alike into the run configuration they select: it rejects a negative
-// delta, parses the package, mechanism and integrator spellings, and
-// defaults a non-positive queue capacity.
+// or non-finite delta, parses the package, mechanism and integrator
+// spellings, and defaults a non-positive queue capacity.
 func canonShared(delta float64, pkg, mech, integrator string, queueCap int) (rc experiment.RunConfig, err error) {
-	if delta < 0 {
-		return rc, fmt.Errorf("negative threshold delta %g", delta)
+	if err := experiment.CheckDelta(delta); err != nil {
+		return rc, err
 	}
 	if rc.Package, err = ParsePackage(pkg); err != nil {
 		return rc, err
@@ -152,7 +152,9 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
 	// Phase defaulting is experiment.Run's own cascade, so the cache
 	// identity always matches what executes.
-	c.WarmupS, c.MeasureS = experiment.Phases(sc, req.WarmupS, req.MeasureS)
+	if c.WarmupS, c.MeasureS, err = experiment.Phases(sc, req.WarmupS, req.MeasureS); err != nil {
+		return Request{}, experiment.RunConfig{}, err
+	}
 	rc.Scenario, rc.Spec, rc.PolicyName, rc.Delta = c.Scenario, c.Spec, c.Policy, c.Delta
 	rc.WarmupS, rc.MeasureS = c.WarmupS, c.MeasureS
 	return c, rc, nil

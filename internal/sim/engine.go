@@ -28,9 +28,12 @@ import (
 	"thermbal/internal/trace"
 )
 
+// DefaultTickS is the execution tick a zero Config.TickS selects.
+const DefaultTickS = 100e-6
+
 // Config parameterises a run.
 type Config struct {
-	// TickS is the execution tick (default 100 µs).
+	// TickS is the execution tick (default DefaultTickS, 100 µs).
 	TickS float64
 	// SensorPeriodS is the thermal/sensor/policy period (default 10 ms,
 	// the paper's monitoring rate).
@@ -72,7 +75,7 @@ type Modulator func(prev, now float64, tasks []*task.Task) bool
 
 func (c *Config) fill() {
 	if c.TickS <= 0 {
-		c.TickS = 100e-6
+		c.TickS = DefaultTickS
 	}
 	if c.SensorPeriodS <= 0 {
 		c.SensorPeriodS = 10e-3

@@ -3,6 +3,7 @@ package thermbal
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -247,5 +248,25 @@ func TestFacadePathsAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(Summarize(res), experiment.Summarize(want)) {
 		t.Errorf("RunSpec disagrees with the service path:\n RunSpec: %+v\n service: %+v", Summarize(res), experiment.Summarize(want))
+	}
+}
+
+// TestRunFacadeRejectsNonFiniteInputs: the facade canonicalizes like
+// the service, so a non-finite delta or phase, or a window past the
+// int64 tick range, is an error rather than a run over garbage.
+func TestRunFacadeRejectsNonFiniteInputs(t *testing.T) {
+	for _, cfg := range []Config{
+		{Policy: ThermalBalance, Delta: math.NaN()},
+		{Policy: StopGo, Delta: math.Inf(1)},
+		{Policy: ThermalBalance, Delta: 3, WarmupS: math.NaN()},
+		{Policy: ThermalBalance, Delta: 3, MeasureS: math.Inf(1)},
+		{Policy: ThermalBalance, Delta: 3, MeasureS: 1e300},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run(delta %g, warm-up %g, measure %g) accepted", cfg.Delta, cfg.WarmupS, cfg.MeasureS)
+		}
+		if _, err := RunSummary(cfg); err == nil {
+			t.Errorf("RunSummary(delta %g, warm-up %g, measure %g) accepted", cfg.Delta, cfg.WarmupS, cfg.MeasureS)
+		}
 	}
 }
