@@ -52,11 +52,16 @@ vulncheck:
 		echo "vulncheck: govulncheck not found; skipping (install: go install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
 
-# Documentation gate: the thermbal facade must document every exported
-# symbol; every internal and cmd package must carry a package doc
-# comment (commands render it as their usage block).
+# Documentation and API gate: the thermbal facade must document every
+# exported symbol; every internal and cmd package must carry a package
+# doc comment (commands render it as their usage block); and every
+# exported function or method in internal/ must have a use in a
+# non-test file of the module or of bench/, resolved with go/types
+# (interface methods and a two-name allow-list in cmd/godoclint are
+# exempt). A helper only tests need belongs in a _test.go file, or in
+# export_test.go for an external test package.
 doclint:
-	$(GO) run ./cmd/godoclint -exported . -pkgdoc ./internal/... -pkgdoc ./cmd/...
+	$(GO) run ./cmd/godoclint -exported . -pkgdoc ./internal/... -pkgdoc ./cmd/... -unused-exports .
 
 # Fails when any Go file is not gofmt-clean. Hidden directories (the
 # benchmark's build cache, bench-ab's base worktree) are skipped, as in
@@ -230,7 +235,9 @@ bench-json:
 # `bench/run.sh -seed <s> $(ARGS)`, base first on odd seeds and head
 # first on even ones, so host drift falls on both sides. Fails on any
 # `worse` row and on any failed run (exit 3: incorrect outputs). The
-# worktree is removed on exit, interrupts included.
+# worktree is removed on exit, interrupts included. The base tree's Go
+# build cache is a link to the working tree's, so the standard library
+# is not rebuilt on every call.
 #   make bench-ab BASE=HEAD~1 SEEDS='1 2 3 4' ARGS='-workload manycore'
 BASE ?= HEAD
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
@@ -242,6 +249,8 @@ bench-ab:
 	trap 'git worktree remove --force "$$ab/base" 2>/dev/null || true' EXIT; \
 	trap 'exit 130' INT TERM; \
 	git worktree add --detach "$$ab/base" $(BASE); \
+	mkdir -p $(CURDIR)/.bench_build/gocache "$$ab/base/.bench_build"; \
+	ln -s $(CURDIR)/.bench_build/gocache "$$ab/base/.bench_build/gocache"; \
 	for s in $(SEEDS); do \
 		order="head base"; [ $$((s % 2)) -eq 1 ] && order="base head"; \
 		for side in $$order; do \

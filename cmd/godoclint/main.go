@@ -1,18 +1,16 @@
-// Command godoclint is the repository's documentation gate: it fails
-// when the thermbal facade package exports a symbol without a doc
-// comment, or when any checked package lacks a package-level doc
-// comment. `make doclint` (wired into `make check` and CI) runs it as
+// Command godoclint is the repository's documentation and API gate.
+// `make doclint` (wired into `make check` and CI) runs it as
 //
-//	godoclint -exported . -pkgdoc ./internal/... ./cmd/...
+//	godoclint -exported . -pkgdoc ./internal/... -pkgdoc ./cmd/... -unused-exports .
 //
-// The -exported rule is strict on purpose for the facade alone: that
-// package is the repo's public API surface, and an undocumented export
-// there is a missing contract, not a style nit. Internal packages only
-// need the package comment stating their role; their exported symbols
-// are library-internal and churn too much to gate one by one.
-//
-// Test files and generated files are skipped. Exit status 1 means at
-// least one violation.
+// -exported fails on an undocumented export of the thermbal facade, the
+// repo's public API. -pkgdoc fails on a package with no package doc
+// comment. -unused-exports type-checks the module and bench/ and fails
+// on each exported internal/ function or method that no non-test file
+// uses: a helper only tests need belongs in a _test.go file, in
+// export_test.go for an external test package. Interface methods and a
+// short allow-list are exempt. Test files are skipped. Exit status 1
+// means at least one violation.
 package main
 
 import (
@@ -34,12 +32,14 @@ func main() {
 	var (
 		exported multiFlag
 		pkgdoc   multiFlag
+		unused   string
 	)
 	flag.Var(&exported, "exported", "package directory whose exported symbols must all carry doc comments (repeatable)")
 	flag.Var(&pkgdoc, "pkgdoc", "package directory (or ./dir/... tree) that must carry a package doc comment (repeatable)")
+	flag.StringVar(&unused, "unused-exports", "", "module root whose internal/ exports must each have a non-test use")
 	flag.Parse()
-	if len(exported) == 0 && len(pkgdoc) == 0 {
-		log.Fatal("nothing to check: pass -exported and/or -pkgdoc")
+	if len(exported) == 0 && len(pkgdoc) == 0 && unused == "" {
+		log.Fatal("nothing to check: pass -exported, -pkgdoc and/or -unused-exports")
 	}
 
 	violations := 0
@@ -48,6 +48,13 @@ func main() {
 	}
 	for _, dir := range expand(pkgdoc) {
 		violations += checkDir(dir, false)
+	}
+	if unused != "" {
+		n, err := unusedExports(os.Stdout, unused, allowUnused)
+		if err != nil {
+			log.Fatal(err)
+		}
+		violations += n
 	}
 	if violations > 0 {
 		log.Fatalf("%d violations", violations)

@@ -55,6 +55,26 @@ func buildSealedStore(t *testing.T) (dir, proofPath, bodyPath, chainHead string)
 	return dir, proofPath, bodyPath, chainHead
 }
 
+// tamperBody flips one byte of the first record's body in dir's sealed
+// segment and returns that record's key.
+func tamperBody(t *testing.T, dir string) string {
+	t.Helper()
+	seg := filepath.Join(dir, "00000001.seg")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte("thermproof-test"))
+	if i < 0 {
+		t.Fatalf("%s does not hold the first record's body", seg)
+	}
+	data[i] ^= 0x01
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return "aaaa1111"
+}
+
 func TestVerifyProofModes(t *testing.T) {
 	dir, proofPath, bodyPath, chainHead := buildSealedStore(t)
 
@@ -128,11 +148,9 @@ func TestVerifyStoreModes(t *testing.T) {
 		t.Error("unreadable directory should fail")
 	}
 
-	// Flip one body byte (CRC fixed up) in the sealed segment: the
-	// scan must localize it and fail.
-	if _, err := store.TamperForTest(dir, 1, 0); err != nil {
-		t.Fatal(err)
-	}
+	// Flip one body byte in the sealed segment: the scan must
+	// localize it and fail.
+	tamperBody(t, dir)
 	if verifyStore(dir, "", false) {
 		t.Error("tampered store must fail verification")
 	}
@@ -144,10 +162,7 @@ func TestVerifyStoreModes(t *testing.T) {
 func TestRunExitStatuses(t *testing.T) {
 	dir, proofPath, bodyPath, chainHead := buildSealedStore(t)
 	tampered, _, _, _ := buildSealedStore(t)
-	tamperedKey, err := store.TamperForTest(tampered, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tamperedKey := tamperBody(t, tampered)
 
 	for _, tc := range []struct {
 		name    string

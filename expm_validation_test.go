@@ -101,7 +101,7 @@ func TestExpmValidAcrossScenarios(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				ref := tinyStepEuler(net.View(), start, window*windows, net.MaxStableStep()/200, power)
+				ref := tinyStepEuler(net.View(), start, window*windows, net.View().EulerMaxStep()/200, power)
 				var worst float64
 				for i := 0; i < n; i++ {
 					if d := math.Abs(net.Temperature(i) - ref[i]); d > worst {

@@ -35,17 +35,6 @@ func (t *Transfer) Label() string { return t.label }
 // Done reports whether the transfer has completed.
 func (t *Transfer) Done() bool { return t.done }
 
-// Remaining returns bytes still to move.
-func (t *Transfer) Remaining() float64 { return t.remaining }
-
-// Progress returns completion in [0,1].
-func (t *Transfer) Progress() float64 {
-	if t.total == 0 {
-		return 1
-	}
-	return 1 - t.remaining/t.total
-}
-
 // Bus is a fair-share shared interconnect. It is advanced by the
 // simulation clock via Advance and is not safe for concurrent use.
 type Bus struct {
@@ -249,17 +238,8 @@ func (b *Bus) InFlight(id int) *Transfer {
 	return nil
 }
 
-// Bandwidth returns the aggregate bandwidth in bytes/second.
-func (b *Bus) Bandwidth() float64 { return b.bandwidth }
-
 // BusySeconds returns cumulative seconds the bus spent moving data.
 func (b *Bus) BusySeconds() float64 { return b.busyAcc }
-
-// BytesMoved returns total payload+overhead bytes moved so far.
-func (b *Bus) BytesMoved() float64 { return b.moved }
-
-// TransfersStarted returns the number of transfers ever started.
-func (b *Bus) TransfersStarted() int { return b.started }
 
 // LatencyEstimate returns the time a transfer of size bytes would take
 // if it ran with the given number of concurrent competitors (including

@@ -34,7 +34,7 @@ func TestSingleTransferLatency(t *testing.T) {
 	}
 	b.Advance(0.02)
 	if !tr.Done() {
-		t.Fatalf("transfer not done after full latency; remaining %g", tr.Remaining())
+		t.Fatalf("transfer not done after full latency; remaining %g", tr.remaining)
 	}
 	if b.Active() != 0 {
 		t.Errorf("Active = %d after completion", b.Active())
@@ -118,8 +118,8 @@ func TestAdvanceAcrossCompletionBoundary(t *testing.T) {
 func TestProgressAndAccessors(t *testing.T) {
 	b := newTest()
 	tr, _ := b.Start("x", 990)
-	if tr.Progress() != 0 {
-		t.Errorf("initial progress = %g", tr.Progress())
+	if tr.remaining != tr.total {
+		t.Errorf("initial remaining = %g of %g", tr.remaining, tr.total)
 	}
 	if tr.Label() != "x" {
 		t.Errorf("label = %q", tr.Label())
@@ -128,25 +128,25 @@ func TestProgressAndAccessors(t *testing.T) {
 		t.Errorf("id = %d", tr.ID())
 	}
 	b.Advance(0.5)
-	if p := tr.Progress(); p <= 0 || p >= 1 {
-		t.Errorf("mid progress = %g", p)
+	if r := tr.remaining; r <= 0 || r >= tr.total {
+		t.Errorf("mid remaining = %g of %g", r, tr.total)
 	}
 	b.Advance(1)
-	if tr.Progress() != 1 {
-		t.Errorf("final progress = %g", tr.Progress())
+	if tr.remaining != 0 {
+		t.Errorf("final remaining = %g", tr.remaining)
 	}
-	if b.TransfersStarted() != 1 {
-		t.Errorf("TransfersStarted = %d", b.TransfersStarted())
+	if b.started != 1 {
+		t.Errorf("started = %d", b.started)
 	}
-	if b.BytesMoved() < 990 {
-		t.Errorf("BytesMoved = %g", b.BytesMoved())
+	if b.moved < 990 {
+		t.Errorf("moved = %g", b.moved)
 	}
 }
 
 func TestDefaults(t *testing.T) {
 	b := New(Params{})
-	if b.Bandwidth() != DefaultBandwidth {
-		t.Errorf("default bandwidth = %g", b.Bandwidth())
+	if b.bandwidth != DefaultBandwidth {
+		t.Errorf("default bandwidth = %g", b.bandwidth)
 	}
 	// Negative overhead clamps to zero.
 	b2 := New(Params{PerTransferOverheadS: -1})
@@ -160,7 +160,7 @@ func TestZeroAndNegativeAdvanceNoOp(t *testing.T) {
 	tr, _ := b.Start("x", 100)
 	b.Advance(0)
 	b.Advance(-1)
-	if tr.Progress() != 0 {
+	if tr.remaining != tr.total {
 		t.Error("Advance(<=0) moved data")
 	}
 }
@@ -180,7 +180,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			total += d
 		}
 		b2.Advance(total)
-		return math.Abs(tr1.Remaining()-tr2.Remaining()) < 1e-6
+		return math.Abs(tr1.remaining-tr2.remaining) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -231,13 +231,13 @@ func TestAdvanceTicksMatchesSequentialAdvance(t *testing.T) {
 	if s1.Done() || s2.Done() || f1.Done() || f2.Done() {
 		t.Fatal("a transfer completed within the safe window")
 	}
-	if s1.Remaining() != f1.Remaining() || s2.Remaining() != f2.Remaining() {
+	if s1.remaining != f1.remaining || s2.remaining != f2.remaining {
 		t.Errorf("remaining diverged: %x/%x vs %x/%x",
-			s1.Remaining(), s2.Remaining(), f1.Remaining(), f2.Remaining())
+			s1.remaining, s2.remaining, f1.remaining, f2.remaining)
 	}
-	if seq.BusySeconds() != fast.BusySeconds() || seq.BytesMoved() != fast.BytesMoved() {
+	if seq.BusySeconds() != fast.BusySeconds() || seq.moved != fast.moved {
 		t.Errorf("accounting diverged: busy %x vs %x, moved %x vs %x",
-			seq.BusySeconds(), fast.BusySeconds(), seq.BytesMoved(), fast.BytesMoved())
+			seq.BusySeconds(), fast.BusySeconds(), seq.moved, fast.moved)
 	}
 	// Driving both to completion tick-by-tick must finish on the same tick.
 	ticksSeq, ticksFast := 0, 0

@@ -90,15 +90,6 @@ func New(p Params) *Balancer {
 // Name implements policy.Policy.
 func (b *Balancer) Name() string { return "thermal-balance" }
 
-// Params returns the effective parameters.
-func (b *Balancer) Params() Params { return b.p }
-
-// Triggers returns how many hot- and cold-threshold crossings fired a
-// pairing attempt, and how many moves the cost filter rejected.
-func (b *Balancer) Triggers() (hot, cold, filtered int) {
-	return b.hotTriggers, b.coldTriggers, b.filtered
-}
-
 // Decide implements policy.Policy.
 func (b *Balancer) Decide(s *policy.Snapshot) []policy.Action {
 	// One exchange at a time, between exactly two processors

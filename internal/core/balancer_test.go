@@ -47,7 +47,7 @@ func table2Snapshot(now float64) *policy.Snapshot {
 
 func TestNewDefaultsAndValidation(t *testing.T) {
 	b := New(Params{Delta: 3})
-	p := b.Params()
+	p := b.p
 	if p.MinInterval != DefaultMinInterval || p.TopK != DefaultTopK || p.MaxFreezeS != DefaultMaxFreezeS {
 		t.Errorf("defaults not applied: %+v", p)
 	}
@@ -85,7 +85,7 @@ func TestHotTriggerMigratesFromHotToColdest(t *testing.T) {
 	if s.Tasks[taskByIndex(t, s, mg.Task)].Name != "DEMOD" {
 		t.Errorf("moved %s, want DEMOD", s.Tasks[mg.Task].Name)
 	}
-	hot, cold, _ := b.Triggers()
+	hot, cold := b.hotTriggers, b.coldTriggers
 	if hot != 1 || cold != 0 {
 		t.Errorf("triggers = (%d,%d)", hot, cold)
 	}
@@ -209,8 +209,7 @@ func TestColdTriggerPullsLoadFromHotCore(t *testing.T) {
 	if s.Temp[src] <= s.MeanTemp {
 		t.Errorf("cold trigger pulled from core %d below mean", src)
 	}
-	_, cold, _ := b.Triggers()
-	if cold != 1 {
+	if cold := b.coldTriggers; cold != 1 {
 		t.Errorf("cold triggers = %d", cold)
 	}
 }
@@ -222,8 +221,7 @@ func TestFreezeCostFilter(t *testing.T) {
 	if acts := b.Decide(s); acts != nil {
 		t.Errorf("cost filter did not reject: %v", acts)
 	}
-	_, _, filtered := b.Triggers()
-	if filtered == 0 {
+	if b.filtered == 0 {
 		t.Error("filter counter not incremented")
 	}
 	// Cheap migrations pass.

@@ -117,7 +117,7 @@ func TestBalancerActionsAlwaysValid(t *testing.T) {
 		// The trigger actually existed: some core was out of band.
 		out := false
 		for c := 0; c < s.NumCores(); c++ {
-			if s.Powered[c] && math.Abs(s.Temp[c]-mean) > b.Params().Delta {
+			if s.Powered[c] && math.Abs(s.Temp[c]-mean) > b.p.Delta {
 				out = true
 			}
 		}

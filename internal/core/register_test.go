@@ -16,8 +16,8 @@ func TestThermalBalanceRegistered(t *testing.T) {
 		if !ok {
 			t.Fatalf("policy.New(%q) returned %T, want *Balancer", name, p)
 		}
-		if b.Params().Delta != 3 || b.Params().TopK != 2 {
-			t.Errorf("params not threaded: %+v", b.Params())
+		if b.p.Delta != 3 || b.p.TopK != 2 {
+			t.Errorf("params not threaded: %+v", b.p)
 		}
 	}
 	if _, err := policy.New("thermal-balance", policy.Args{}); err == nil {

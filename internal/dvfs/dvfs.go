@@ -57,11 +57,6 @@ func Default() *Ladder {
 	return l
 }
 
-// Levels returns the ascending frequency levels (a copy).
-func (l *Ladder) Levels() []float64 {
-	return append([]float64(nil), l.levels...)
-}
-
 // Max returns the top frequency (the FSE reference).
 func (l *Ladder) Max() float64 { return l.levels[len(l.levels)-1] }
 
@@ -125,11 +120,6 @@ func (g *Governor) Ladder() *Ladder { return g.ladder }
 
 // Frequency returns the current frequency of core c.
 func (g *Governor) Frequency(c int) float64 { return g.freq[c] }
-
-// Frequencies returns a copy of all per-core frequencies.
-func (g *Governor) Frequencies() []float64 {
-	return append([]float64(nil), g.freq...)
-}
 
 // Update recomputes the level of core c for the given total FSE load and
 // returns the chosen frequency.

@@ -20,7 +20,7 @@ func TestNewLadderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := l.Levels()
+	lv := l.levels
 	if lv[0] != 133e6 || lv[2] != 533e6 {
 		t.Errorf("levels not sorted: %v", lv)
 	}
@@ -34,8 +34,8 @@ func TestDefaultLadder(t *testing.T) {
 	if l.Min() != 133e6 {
 		t.Errorf("Min = %g", l.Min())
 	}
-	if len(l.Levels()) != 3 {
-		t.Errorf("levels = %v", l.Levels())
+	if len(l.levels) != 3 {
+		t.Errorf("levels = %v", l.levels)
 	}
 }
 
@@ -109,9 +109,8 @@ func TestGovernorUpdateAndSwitches(t *testing.T) {
 	if g.Switches() != 1 {
 		t.Errorf("redundant update counted: %d", g.Switches())
 	}
-	fs := g.Frequencies()
-	if len(fs) != 3 || fs[0] != 533e6 || fs[1] != 133e6 {
-		t.Errorf("Frequencies = %v", fs)
+	if fs := g.freq; len(fs) != 3 || fs[0] != 533e6 || fs[1] != 133e6 {
+		t.Errorf("freq = %v", fs)
 	}
 }
 

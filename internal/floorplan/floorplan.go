@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // BlockKind classifies a functional block. The power model uses the kind
@@ -238,36 +237,6 @@ func sharedEdge(a, b Block) float64 {
 	return 0
 }
 
-// Index returns the index of the named block and whether it exists.
-func (fp *Floorplan) Index(name string) (int, bool) {
-	i, ok := fp.byName[name]
-	return i, ok
-}
-
-// Block returns the named block. It panics if the name is unknown;
-// use Index for a soft lookup.
-func (fp *Floorplan) Block(name string) Block {
-	i, ok := fp.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("floorplan: unknown block %q", name))
-	}
-	return fp.Blocks[i]
-}
-
-// CoreBlocks returns the indices of all KindCore blocks, ordered by CoreID.
-func (fp *Floorplan) CoreBlocks() []int {
-	var out []int
-	for i, b := range fp.Blocks {
-		if b.Kind == KindCore {
-			out = append(out, i)
-		}
-	}
-	sort.Slice(out, func(x, y int) bool {
-		return fp.Blocks[out[x]].CoreID < fp.Blocks[out[y]].CoreID
-	})
-	return out
-}
-
 // BlocksOfCore returns the indices of all blocks belonging to the given
 // core tile (core + caches), in floorplan order.
 func (fp *Floorplan) BlocksOfCore(coreID int) []int {
@@ -302,13 +271,4 @@ func (fp *Floorplan) DieExtent() (x, y, w, h float64) {
 		maxY = math.Max(maxY, b.Y+b.H)
 	}
 	return minX, minY, maxX - minX, maxY - minY
-}
-
-// TotalArea returns the summed block area in square metres.
-func (fp *Floorplan) TotalArea() float64 {
-	var a float64
-	for _, b := range fp.Blocks {
-		a += b.Area()
-	}
-	return a
 }

@@ -128,30 +128,6 @@ func TestSeparatedBlocksNotAdjacent(t *testing.T) {
 	}
 }
 
-func TestIndexAndBlockLookup(t *testing.T) {
-	fp := Default3Core()
-	i, ok := fp.Index("core2")
-	if !ok {
-		t.Fatal("core2 not found")
-	}
-	if fp.Blocks[i].Name != "core2" {
-		t.Errorf("Index returned wrong block %q", fp.Blocks[i].Name)
-	}
-	if _, ok := fp.Index("nosuch"); ok {
-		t.Error("Index found nonexistent block")
-	}
-	b := fp.Block("sharedmem")
-	if b.Kind != KindSharedMem {
-		t.Errorf("sharedmem kind = %v", b.Kind)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Block(unknown) did not panic")
-		}
-	}()
-	fp.Block("nosuch")
-}
-
 func TestDefault3CoreStructure(t *testing.T) {
 	fp := Default3Core()
 	if got := fp.NumCores(); got != 3 {
@@ -160,13 +136,15 @@ func TestDefault3CoreStructure(t *testing.T) {
 	if got := len(fp.Blocks); got != 10 {
 		t.Fatalf("blocks = %d, want 10 (3x(core+i$+d$) + sharedmem)", got)
 	}
-	cores := fp.CoreBlocks()
-	if len(cores) != 3 {
-		t.Fatalf("CoreBlocks = %d, want 3", len(cores))
+	var cores []int
+	for _, b := range fp.Blocks {
+		if b.Kind == KindCore {
+			cores = append(cores, b.CoreID)
+		}
 	}
-	for i, ci := range cores {
-		if fp.Blocks[ci].CoreID != i {
-			t.Errorf("core block %d has CoreID %d, want %d", ci, fp.Blocks[ci].CoreID, i)
+	for i, id := range cores {
+		if id != i {
+			t.Errorf("core block %d has CoreID %d, want %d", i, id, i)
 		}
 	}
 	// Every tile owns exactly three blocks.
@@ -177,7 +155,7 @@ func TestDefault3CoreStructure(t *testing.T) {
 	}
 	// The shared memory strip must touch all three tiles (it is the main
 	// lateral heat-spreading path in the thermal model).
-	smi, _ := fp.Index("sharedmem")
+	smi := blockIndex(fp, "sharedmem")
 	touches := map[int]bool{}
 	for _, adj := range fp.Adjacencies {
 		if adj.A == smi {
@@ -199,22 +177,22 @@ func TestDefault3CoreChainTopology(t *testing.T) {
 	// core1 must reach core2's tile via the caches between them, and the
 	// icache of each tile must touch its own core.
 	for i := 1; i <= 3; i++ {
-		ci, _ := fp.Index(blockName("core", i))
-		ii, _ := fp.Index(blockName("icache", i))
+		ci := blockIndex(fp, blockName("core", i))
+		ii := blockIndex(fp, blockName("icache", i))
 		if !adjacent(fp, ci, ii) {
 			t.Errorf("core%d not adjacent to icache%d", i, i)
 		}
 	}
 	// icache1/dcache1 are adjacent to core2 (tile boundary).
-	c2, _ := fp.Index("core2")
-	i1, _ := fp.Index("icache1")
-	d1, _ := fp.Index("dcache1")
+	c2 := blockIndex(fp, "core2")
+	i1 := blockIndex(fp, "icache1")
+	d1 := blockIndex(fp, "dcache1")
 	if !adjacent(fp, c2, i1) || !adjacent(fp, c2, d1) {
 		t.Error("tile 1 caches not adjacent to core2: lateral chain broken")
 	}
 	// core1 and core3 are not directly adjacent.
-	c1, _ := fp.Index("core1")
-	c3, _ := fp.Index("core3")
+	c1 := blockIndex(fp, "core1")
+	c3 := blockIndex(fp, "core3")
 	if adjacent(fp, c1, c3) {
 		t.Error("core1 adjacent to core3, want separation")
 	}
@@ -230,6 +208,16 @@ func adjacent(fp *Floorplan, a, b int) bool {
 		}
 	}
 	return false
+}
+
+// blockIndex returns the index of the named block, or -1.
+func blockIndex(fp *Floorplan, name string) int {
+	for i, b := range fp.Blocks {
+		if b.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 func blockName(prefix string, i int) string {
@@ -249,7 +237,11 @@ func TestDieExtentAndArea(t *testing.T) {
 		t.Errorf("die height = %g, want %g", h, 2*mm)
 	}
 	// Blocks tile the die exactly in this floorplan.
-	if got, want := fp.TotalArea(), w*h; math.Abs(got-want) > 1e-12 {
+	var area float64
+	for _, b := range fp.Blocks {
+		area += b.Area()
+	}
+	if got, want := area, w*h; math.Abs(got-want) > 1e-12 {
 		t.Errorf("total block area = %g, want %g (die fully tiled)", got, want)
 	}
 }

@@ -37,9 +37,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the sample count.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -53,12 +50,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 with no samples).
-func (w *Welford) Max() float64 { return w.max }
 
 // SpatialStdDev returns the standard deviation across the given
 // per-core values at one instant (population formula, as the cores are
@@ -78,18 +69,6 @@ func SpatialStdDev(values []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(values)))
-}
-
-// Mean returns the arithmetic mean of values (0 for empty input).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range values {
-		s += v
-	}
-	return s / float64(len(values))
 }
 
 // TempCollector accumulates the paper's temperature metrics from
@@ -162,9 +141,6 @@ func (tc *TempCollector) Sample(temps []float64) {
 	tc.samples++
 }
 
-// Samples returns the number of snapshots folded.
-func (tc *TempCollector) Samples() int64 { return tc.samples }
-
 // MeanSpatialStdDev is the time-averaged across-core deviation.
 func (tc *TempCollector) MeanSpatialStdDev() float64 { return tc.Spatial.Mean() }
 
@@ -175,9 +151,6 @@ func (tc *TempCollector) PooledStdDev() float64 { return tc.Pooled.StdDev() }
 
 // MeanGradient is the time-averaged hottest-coldest spread.
 func (tc *TempCollector) MeanGradient() float64 { return tc.Gradient.Mean() }
-
-// TemporalStdDev returns the temporal standard deviation of core c.
-func (tc *TempCollector) TemporalStdDev(c int) float64 { return tc.PerCore[c].StdDev() }
 
 // MeanTemporalStdDev averages the per-core temporal deviations.
 func (tc *TempCollector) MeanTemporalStdDev() float64 {

@@ -12,8 +12,8 @@ func TestWelfordAgainstDirectComputation(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
+	if w.n != 8 {
+		t.Fatalf("N = %d", w.n)
 	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %g, want 5", w.Mean())
@@ -24,8 +24,8 @@ func TestWelfordAgainstDirectComputation(t *testing.T) {
 	if math.Abs(w.StdDev()-2) > 1e-12 {
 		t.Errorf("stddev = %g, want 2", w.StdDev())
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %g/%g", w.Min(), w.Max())
+	if w.min != 2 || w.max != 9 {
+		t.Errorf("min/max = %g/%g", w.min, w.max)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestWelfordEmpty(t *testing.T) {
 func TestWelfordSingle(t *testing.T) {
 	var w Welford
 	w.Add(42)
-	if w.Mean() != 42 || w.Variance() != 0 || w.Min() != 42 || w.Max() != 42 {
+	if w.Mean() != 42 || w.Variance() != 0 || w.min != 42 || w.max != 42 {
 		t.Error("single-sample stats wrong")
 	}
 }
@@ -85,21 +85,12 @@ func TestSpatialStdDev(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Mean = %g", got)
-	}
-}
-
 func TestTempCollector(t *testing.T) {
 	tc := NewTempCollector(3)
 	tc.Sample([]float64{62, 54, 52})
 	tc.Sample([]float64{60, 55, 53})
-	if tc.Samples() != 2 {
-		t.Fatalf("samples = %d", tc.Samples())
+	if tc.samples != 2 {
+		t.Fatalf("samples = %d", tc.samples)
 	}
 	if tc.MeanSpatialStdDev() <= 0 {
 		t.Error("spatial stddev not positive")
@@ -110,7 +101,7 @@ func TestTempCollector(t *testing.T) {
 	if tc.MaxTemp != 62 {
 		t.Errorf("MaxTemp = %g", tc.MaxTemp)
 	}
-	if tc.TemporalStdDev(0) <= 0 {
+	if tc.PerCore[0].StdDev() <= 0 {
 		t.Error("temporal stddev core0 not positive")
 	}
 	if tc.MeanTemporalStdDev() <= 0 {

@@ -155,9 +155,6 @@ func NewManager(b *bus.Bus, mech Mechanism) *Manager {
 	}
 }
 
-// Mechanism returns the configured mechanism.
-func (m *Manager) Mechanism() Mechanism { return m.mech }
-
 // ErrBusy is returned when the task already has a migration in flight.
 var ErrBusy = errors.New("migrate: task already migrating")
 

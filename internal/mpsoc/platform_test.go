@@ -125,7 +125,14 @@ func TestHighPerformancePlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Thermal.Package().Name != "high-performance" {
-		t.Errorf("package = %q", p.Thermal.Package().Name)
+	mob, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The high-performance package scales every capacitance down by
+	// its speed-up over the default mobile package.
+	got := mob.Thermal.Net.View().Capacitance(0) / p.Thermal.Net.View().Capacitance(0)
+	if want := thermal.HighPerformance().SpeedupVs(thermal.MobileEmbedded()); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("capacitance ratio = %g, want %g", got, want)
 	}
 }

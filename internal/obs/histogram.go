@@ -88,19 +88,14 @@ func (h *Histogram) snapshot() []uint64 {
 	return counts
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) in seconds from the
-// bucket counts, Prometheus histogram_quantile style: find the bucket
-// the rank falls in, interpolate linearly inside it. Observations in
-// the +Inf bucket clamp to the last finite bound. Returns 0 when the
-// histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	return quantileFromCounts(h.bounds, h.snapshot(), q)
-}
-
-// MergedQuantile estimates the q-quantile across several histograms
-// with identical bucket bounds (e.g. the same stage split by outcome
-// label). Histograms with differing bounds cannot be merged; callers
-// register families with one shared bound slice.
+// MergedQuantile estimates the q-quantile (0 < q ≤ 1) in seconds
+// across several histograms with identical bucket bounds (e.g. the same
+// stage split by outcome label), Prometheus histogram_quantile style:
+// find the bucket the rank falls in, interpolate linearly inside it.
+// Observations in the +Inf bucket clamp to the last finite bound.
+// Returns 0 when the histograms are empty. Histograms with differing
+// bounds cannot be merged; callers register families with one shared
+// bound slice.
 func MergedQuantile(hs []*Histogram, q float64) float64 {
 	if len(hs) == 0 {
 		return 0

@@ -90,7 +90,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 				t.Errorf("WritePrometheus: %v", err)
 				return
 			}
-			h.Quantile(0.95)
+			MergedQuantile([]*Histogram{h}, 0.95)
 		}
 	}()
 	wg.Wait()
@@ -112,7 +112,7 @@ func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	bounds := []float64{0.1, 0.2, 0.4}
 	h := r.NewHistogram("test_seconds", "t", bounds)
-	if q := h.Quantile(0.5); q != 0 {
+	if q := MergedQuantile([]*Histogram{h}, 0.5); q != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", q)
 	}
 	// 10 observations in (0.1, 0.2]: the median rank is 5 of 10 in that
@@ -120,7 +120,7 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(150 * time.Millisecond)
 	}
-	if q := h.Quantile(0.5); math.Abs(q-0.15) > 1e-9 {
+	if q := MergedQuantile([]*Histogram{h}, 0.5); math.Abs(q-0.15) > 1e-9 {
 		t.Errorf("p50 = %v, want 0.15", q)
 	}
 	// Everything beyond the last bound clamps to it.
@@ -128,7 +128,7 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h2.Observe(time.Second)
 	}
-	if q := h2.Quantile(0.99); q != 0.4 {
+	if q := MergedQuantile([]*Histogram{h2}, 0.99); q != 0.4 {
 		t.Errorf("+Inf-bucket p99 = %v, want clamp to 0.4", q)
 	}
 }

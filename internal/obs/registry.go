@@ -40,10 +40,7 @@ type Counter struct {
 	v      atomic.Uint64
 }
 
-// Add increments the counter by n. Lock-free and allocation-free.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
+// Inc increments the counter by one. Lock-free and allocation-free.
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
@@ -284,39 +281,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Histograms returns the registered histogram members of the named
-// family, filtered to those carrying every given label. /stats uses it
-// to merge outcome-labelled members into one quantile.
-func (r *Registry) Histograms(name string, match ...Label) []*Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.byName[name]
-	if !ok {
-		return nil
-	}
-	var out []*Histogram
-	for _, h := range f.hists {
-		if hasLabels(h.labels, match) {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-func hasLabels(labels, match []Label) bool {
-	for _, m := range match {
-		found := false
-		for _, l := range labels {
-			if l == m {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

@@ -150,10 +150,6 @@ func NewModel(p Params) *Model {
 	return m
 }
 
-// Default returns the model used by the experiments: Conf1 streaming
-// cores on the 533/266/133 MHz ladder.
-func Default() *Model { return NewModel(Params{Config: Conf1Streaming}) }
-
 // Voltage returns the supply voltage at frequency f on the linear ladder.
 // Frequencies at or below zero return VMin (core stopped / clock gated).
 func (m *Model) Voltage(fHz float64) float64 {
@@ -230,12 +226,6 @@ func (m *Model) SharedMem(activity float64) float64 {
 	const standby = 0.2
 	return SharedMemMaxW * (standby + (1-standby)*clamp01(activity))
 }
-
-// FMaxHz returns the ladder maximum used by the model.
-func (m *Model) FMaxHz() float64 { return m.fmax }
-
-// Config returns the core configuration.
-func (m *Model) Config() CoreConfig { return m.cfg }
 
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -151,13 +151,17 @@ func TestSharedMemStandbyFloor(t *testing.T) {
 	}
 }
 
+// Default returns the model the experiments use: Conf1 streaming cores
+// on the 533/266/133 MHz ladder.
+func Default() *Model { return NewModel(Params{Config: Conf1Streaming}) }
+
 func TestDefaultsApplied(t *testing.T) {
 	m := NewModel(Params{})
-	if m.FMaxHz() != DefaultFMaxHz {
-		t.Errorf("default fmax = %g", m.FMaxHz())
+	if m.fmax != DefaultFMaxHz {
+		t.Errorf("default fmax = %g", m.fmax)
 	}
-	if m.Config() != Conf1Streaming {
-		t.Errorf("default config = %v", m.Config())
+	if m.cfg != Conf1Streaming {
+		t.Errorf("default config = %v", m.cfg)
 	}
 }
 

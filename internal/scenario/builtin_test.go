@@ -117,7 +117,7 @@ func TestSplitJoinBudgetRespected(t *testing.T) {
 // broadcasts to its own branches after its own output.
 func TestSplitJoinStageStructure(t *testing.T) {
 	sp := SplitJoin(7, 5, 3, 1.4, 3)
-	if err := sp.Validate(); err != nil {
+	if _, err := sp.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	tasks := sp.Graph.Tasks
@@ -152,7 +152,7 @@ func TestSplitJoinStageStructure(t *testing.T) {
 // TestSplitJoinRejectsTinyBudget: a budget that cannot cover the 2 %
 // per-task floor leaves non-positive loads, which validation refuses.
 func TestSplitJoinRejectsTinyBudget(t *testing.T) {
-	if err := SplitJoin(1, 4, 3, 0.01, 3).Validate(); err == nil {
+	if _, err := SplitJoin(1, 4, 3, 0.01, 3).Normalize(); err == nil {
 		t.Error("accepted infeasible budget")
 	}
 }

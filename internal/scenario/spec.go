@@ -593,12 +593,6 @@ func normalizeModulation(c *specCheck, m ModulationSpec) ModulationSpec {
 	return m
 }
 
-// Validate checks sp without returning the normalized form.
-func (sp Spec) Validate() error {
-	_, err := sp.Normalize()
-	return err
-}
-
 // canonicalSpec is the frozen canonical-serialization view: only the
 // semantic fields, in this exact declaration order. It feeds the
 // SHA-256 content address, so its layout must never change — additions

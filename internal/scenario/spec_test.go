@@ -198,7 +198,7 @@ func TestValidateCycle(t *testing.T) {
 	// Self-loop: a task consuming its own output directly.
 	sp2 := validMinimalSpec()
 	sp2.Graph.Tasks[0].Inputs = append(sp2.Graph.Tasks[0].Inputs, "mid")
-	if err := sp2.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := sp2.Normalize(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("self-loop not rejected as cycle: %v", err)
 	}
 }

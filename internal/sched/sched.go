@@ -37,9 +37,6 @@ func New(n int) *Scheduler {
 	}
 }
 
-// NumCores returns the core count.
-func (s *Scheduler) NumCores() int { return len(s.queues) }
-
 // Assign places task ti on core c, removing it from any previous core.
 func (s *Scheduler) Assign(ti, c int) error {
 	if c < 0 || c >= len(s.queues) {
@@ -54,15 +51,6 @@ func (s *Scheduler) Assign(ti, c int) error {
 	s.queues[c] = append(s.queues[c], ti)
 	s.coreOf[ti] = c
 	return nil
-}
-
-// Remove takes task ti off its core entirely (e.g. while frozen in a
-// migration, the task sits in neither run queue).
-func (s *Scheduler) Remove(ti int) {
-	if c, ok := s.coreOf[ti]; ok {
-		s.removeFrom(ti, c)
-		delete(s.coreOf, ti)
-	}
 }
 
 func (s *Scheduler) removeFrom(ti, c int) {
@@ -83,14 +71,6 @@ func (s *Scheduler) removeFrom(ti, c int) {
 	}
 }
 
-// CoreOf returns the core of task ti, or -1 when unmapped.
-func (s *Scheduler) CoreOf(ti int) int {
-	if c, ok := s.coreOf[ti]; ok {
-		return c
-	}
-	return -1
-}
-
 // TasksOn returns the task indices mapped to core c, in a stable sorted
 // order (for deterministic iteration by policies and reports).
 func (s *Scheduler) TasksOn(c int) []int {
@@ -98,9 +78,6 @@ func (s *Scheduler) TasksOn(c int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// NumTasksOn returns the run-queue length of core c.
-func (s *Scheduler) NumTasksOn(c int) int { return len(s.queues[c]) }
 
 // PickNext returns the next task on core c for which runnable returns
 // true, advancing the round-robin cursor past it, or -1 when no mapped
@@ -150,15 +127,6 @@ func (s *Scheduler) AdvancePast(c, ti int) {
 		}
 	}
 	panic(fmt.Sprintf("sched: AdvancePast(%d) — task not on core %d", ti, c))
-}
-
-// Mapping returns a copy of the full task→core map.
-func (s *Scheduler) Mapping() map[int]int {
-	m := make(map[int]int, len(s.coreOf))
-	for k, v := range s.coreOf {
-		m[k] = v
-	}
-	return m
 }
 
 // Ckpt writes or reads the scheduler's run queues and round-robin

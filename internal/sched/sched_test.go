@@ -16,8 +16,8 @@ func TestNewPanicsOnZeroCores(t *testing.T) {
 
 func TestAssignAndLookup(t *testing.T) {
 	s := New(2)
-	if s.NumCores() != 2 {
-		t.Fatalf("NumCores = %d", s.NumCores())
+	if len(s.queues) != 2 {
+		t.Fatalf("cores = %d", len(s.queues))
 	}
 	if err := s.Assign(10, 0); err != nil {
 		t.Fatal(err)
@@ -31,17 +31,17 @@ func TestAssignAndLookup(t *testing.T) {
 	if err := s.Assign(10, 5); err == nil {
 		t.Error("out-of-range core accepted")
 	}
-	if s.CoreOf(10) != 0 || s.CoreOf(12) != 1 {
-		t.Error("CoreOf wrong")
+	if s.coreOf[10] != 0 || s.coreOf[12] != 1 {
+		t.Error("coreOf wrong")
 	}
-	if s.CoreOf(99) != -1 {
-		t.Error("unmapped task CoreOf != -1")
+	if _, ok := s.coreOf[99]; ok {
+		t.Error("unmapped task in coreOf")
 	}
 	if got := s.TasksOn(0); len(got) != 2 || got[0] != 10 || got[1] != 11 {
 		t.Errorf("TasksOn(0) = %v", got)
 	}
-	if s.NumTasksOn(1) != 1 {
-		t.Errorf("NumTasksOn(1) = %d", s.NumTasksOn(1))
+	if len(s.queues[1]) != 1 {
+		t.Errorf("queue 1 length = %d", len(s.queues[1]))
 	}
 }
 
@@ -49,31 +49,33 @@ func TestReassignMoves(t *testing.T) {
 	s := New(2)
 	s.Assign(1, 0)
 	s.Assign(1, 1)
-	if s.CoreOf(1) != 1 {
+	if s.coreOf[1] != 1 {
 		t.Error("reassign did not move task")
 	}
-	if s.NumTasksOn(0) != 0 {
+	if len(s.queues[0]) != 0 {
 		t.Error("task left on old core")
 	}
 	// Redundant reassign is a no-op.
 	s.Assign(1, 1)
-	if s.NumTasksOn(1) != 1 {
+	if len(s.queues[1]) != 1 {
 		t.Error("redundant assign duplicated task")
 	}
 }
 
+// Reassigning a task removes it from its old run queue and leaves the
+// other tasks there in order.
 func TestRemove(t *testing.T) {
-	s := New(1)
+	s := New(2)
 	s.Assign(1, 0)
 	s.Assign(2, 0)
-	s.Remove(1)
-	if s.CoreOf(1) != -1 {
-		t.Error("removed task still mapped")
+	s.Assign(3, 0)
+	s.Assign(2, 1)
+	if got := s.queues[0]; len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("old queue = %v, want [1 3]", got)
 	}
-	if got := s.TasksOn(0); len(got) != 1 || got[0] != 2 {
-		t.Errorf("TasksOn = %v", got)
+	if got := s.TasksOn(1); len(got) != 1 || got[0] != 2 {
+		t.Errorf("TasksOn(1) = %v", got)
 	}
-	s.Remove(99) // no-op must not panic
 }
 
 func TestPickNextRoundRobin(t *testing.T) {
@@ -116,13 +118,13 @@ func TestPickNextEmptyCore(t *testing.T) {
 }
 
 func TestCursorStableAcrossRemoval(t *testing.T) {
-	s := New(1)
+	s := New(2)
 	s.Assign(1, 0)
 	s.Assign(2, 0)
 	s.Assign(3, 0)
 	all := func(int) bool { return true }
 	s.PickNext(0, all) // returns 1, cursor now at 2
-	s.Remove(1)
+	s.Assign(1, 1)     // moves 1 off core 0
 	// Next pick must be 2 (cursor adjusted), not skip to 3.
 	if got := s.PickNext(0, all); got != 2 {
 		t.Errorf("after removal PickNext = %d, want 2", got)
@@ -135,31 +137,25 @@ func TestCursorStableAcrossRemoval(t *testing.T) {
 func TestMappingCopy(t *testing.T) {
 	s := New(2)
 	s.Assign(1, 0)
-	m := s.Mapping()
-	m[1] = 1 // mutating the copy must not affect the scheduler
-	if s.CoreOf(1) != 0 {
-		t.Error("Mapping returned shared state")
+	got := s.TasksOn(0)
+	got[0] = 7 // mutating the copy must not affect the scheduler
+	if s.queues[0][0] != 1 {
+		t.Error("TasksOn returned shared state")
 	}
 }
 
-// Property: under arbitrary assign/remove sequences, every mapped task
-// appears in exactly one run queue and CoreOf agrees with queue
+// Property: under arbitrary assign sequences, every mapped task appears
+// in exactly one run queue and the task→core map agrees with queue
 // membership.
 func TestMappingConsistencyProperty(t *testing.T) {
 	type op struct {
-		Task   uint8
-		Core   uint8
-		Remove bool
+		Task uint8
+		Core uint8
 	}
 	f := func(ops []op) bool {
 		s := New(3)
 		for _, o := range ops {
-			ti := int(o.Task % 12)
-			if o.Remove {
-				s.Remove(ti)
-			} else {
-				s.Assign(ti, int(o.Core%3))
-			}
+			s.Assign(int(o.Task%12), int(o.Core%3))
 		}
 		seen := map[int]int{}
 		for c := 0; c < 3; c++ {
@@ -168,12 +164,12 @@ func TestMappingConsistencyProperty(t *testing.T) {
 					return false // task in two queues
 				}
 				seen[ti] = c
-				if s.CoreOf(ti) != c {
+				if s.coreOf[ti] != c {
 					return false
 				}
 			}
 		}
-		return true
+		return len(seen) == len(s.coreOf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

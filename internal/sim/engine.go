@@ -266,17 +266,8 @@ func (e *Engine) SetOvershootDelta(delta float64) { e.deltaForOver = delta }
 // Platform exposes the platform (read-mostly; tests adjust state).
 func (e *Engine) Platform() *mpsoc.Platform { return e.plat }
 
-// Graph exposes the streaming application.
-func (e *Engine) Graph() *stream.Graph { return e.graph }
-
 // Migrations exposes the middleware manager.
 func (e *Engine) Migrations() *migrate.Manager { return e.migr }
-
-// Scheduler exposes the per-core run queues.
-func (e *Engine) Scheduler() *sched.Scheduler { return e.sch }
-
-// Now returns the current simulation time: exactly Ticks()*TickS.
-func (e *Engine) Now() float64 { return e.now }
 
 // Ticks returns the integer tick count advanced since construction.
 func (e *Engine) Ticks() int64 { return e.ticks }

@@ -1,6 +1,16 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"thermbal/internal/stream"
+)
+
+// Graph exposes the streaming application.
+func (e *Engine) Graph() *stream.Graph { return e.graph }
+
+// Now returns the current simulation time: exactly Ticks()*TickS.
+func (e *Engine) Now() float64 { return e.now }
 
 // fullScanHorizon is the horizon the per-core calendar replaced: the
 // global bounds plus a fresh rescan of every core, computed read-only

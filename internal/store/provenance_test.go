@@ -152,7 +152,7 @@ func TestVerifyLocalizesCoordinatedTamper(t *testing.T) {
 
 	// Flip a body byte in the first sealed segment and fix the CRC —
 	// the frame stays checksum-valid, only the Merkle layer can tell.
-	tamperedKey, err := TamperForTest(dir, 1, 2)
+	tamperedKey, err := tamper(dir, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestCompactionResealsDeterministically(t *testing.T) {
 		if err := s.Delete("job/003"); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Compact(); err != nil {
+		if err := s.compact(); err != nil {
 			t.Fatal(err)
 		}
 		return s

@@ -827,13 +827,6 @@ func (s *Store) Keys(prefix string) []string {
 	return out
 }
 
-// Len returns the number of live records.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -860,17 +853,6 @@ func (s *Store) Stats() Stats {
 		st.ChainHead = provenance.EncodeHash(s.chainTail)
 	}
 	return st
-}
-
-// Compact forces a log rewrite (normally triggered automatically when
-// the log exceeds MaxBytes).
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
-	}
-	return s.compactLocked()
 }
 
 // Close syncs the active segment (unless NoSync) and closes every

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"math"
 	"testing"
 
 	"thermbal/internal/floorplan"
@@ -44,7 +45,7 @@ func benchSteadyStepping(b *testing.B, scheme Scheme) {
 			}
 		}
 	}
-	b.ReportMetric(float64(m.Net.StepsPerInterval(10e-3)), "substeps/period")
+	b.ReportMetric(max(1, math.Ceil(10e-3/m.Net.Integrator().MaxStep(m.Net.View()))), "substeps/period")
 }
 
 // BenchmarkStepEulerHighPerf measures explicit Euler on the

@@ -91,7 +91,7 @@ func TestExpmMatchesTinyStepEuler(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ref := richardsonEuler(m.Net.View(), start, window*windows, m.Net.MaxStableStep()/200, power)
+			ref := richardsonEuler(m.Net.View(), start, window*windows, m.Net.View().EulerMaxStep()/200, power)
 			var worst float64
 			for i := 0; i < n; i++ {
 				if d := math.Abs(m.Net.Temperature(i) - ref[i]); d > worst {
@@ -431,7 +431,7 @@ func TestExpmCrossoverPinned(t *testing.T) {
 		}
 		e := newExpm(0)
 		e.bind(m.Net.View())
-		autoMin, substeps, dense := e.autoMin, m.Net.StepsPerInterval(10e-3), e.useExpm(10e-3)
+		autoMin, substeps, dense := e.autoMin, int(math.Ceil(10e-3/m.Net.View().EulerMaxStep())), e.useExpm(10e-3)
 		if autoMin != tc.autoMin || substeps != tc.substeps || dense != tc.dense {
 			t.Errorf("%d cores/%s: autoMin %d, substeps %d, dense %v; want %d, %d, %v: "+
 				"moving the crossover changes the bytes of expm documents under unchanged keys",

@@ -118,29 +118,11 @@ func TestViewExposesTopology(t *testing.T) {
 	if len(nb) != 1 || nb[0].Node != 1 || nb[0].G != 0.1 {
 		t.Errorf("Neighbors(0) = %+v", nb)
 	}
-	if v.EulerMaxStep() != n.MaxStableStep() {
-		t.Error("EulerMaxStep != MaxStableStep")
-	}
 	// Deriv at uniform ambient with no power is identically zero.
 	dst := make([]float64, 2)
 	v.Deriv([]float64{25, 25}, []float64{0, 0}, dst)
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Errorf("Deriv at equilibrium = %v", dst)
-	}
-}
-
-func TestStepsPerInterval(t *testing.T) {
-	n := singleNode(t)
-	// maxStep = 0.5 * C/sumG = 0.5 s.
-	if got := n.StepsPerInterval(1.0); got != 2 {
-		t.Errorf("StepsPerInterval(1.0) = %d, want 2", got)
-	}
-	if got := n.StepsPerInterval(0); got != 0 {
-		t.Errorf("StepsPerInterval(0) = %d", got)
-	}
-	n.SetIntegrator(NewIntegrator(Config{Scheme: Expm}))
-	if got := n.StepsPerInterval(2.0); got != 1 {
-		t.Errorf("expm StepsPerInterval(2.0) = %d, want 1", got)
 	}
 }
 

@@ -149,9 +149,6 @@ func NewModel(fp *floorplan.Floorplan, pkg Package) (*Model, error) {
 	}, nil
 }
 
-// Package returns the package parameters the model was built with.
-func (m *Model) Package() Package { return m.pkg }
-
 // BlockTemp returns the current temperature of floorplan block i in °C.
 func (m *Model) BlockTemp(i int) float64 {
 	return m.Net.Temperature(m.blockNode[i])
@@ -191,24 +188,6 @@ func (m *Model) Step(dt float64, blockPower []float64) error {
 		return err
 	}
 	return m.Net.Step(dt, pv)
-}
-
-// SteadyState returns the equilibrium temperature of every floorplan
-// block under constant blockPower.
-func (m *Model) SteadyState(blockPower []float64) ([]float64, error) {
-	pv, err := m.powerVector(blockPower)
-	if err != nil {
-		return nil, err
-	}
-	full, err := m.Net.SteadyState(pv)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(m.FP.Blocks))
-	for i := range out {
-		out[i] = full[m.blockNode[i]]
-	}
-	return out, nil
 }
 
 // Settle jumps the model to the steady state for blockPower.

@@ -7,6 +7,36 @@ import (
 	"thermbal/internal/floorplan"
 )
 
+// blockIndex returns the index of the named floorplan block; it panics
+// if there is none.
+func blockIndex(fp *floorplan.Floorplan, name string) int {
+	for i, b := range fp.Blocks {
+		if b.Name == name {
+			return i
+		}
+	}
+	panic("missing block " + name)
+}
+
+// SteadyState returns the equilibrium temperature of every floorplan
+// block under constant blockPower: the reference the transient tests
+// converge to.
+func (m *Model) SteadyState(blockPower []float64) ([]float64, error) {
+	pv, err := m.powerVector(blockPower)
+	if err != nil {
+		return nil, err
+	}
+	full, err := m.Net.SteadyState(pv)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(m.FP.Blocks))
+	for i := range out {
+		out[i] = full[m.blockNode[i]]
+	}
+	return out, nil
+}
+
 // table2Power builds a per-block power vector approximating the paper's
 // initial energy-balanced mapping (Table 2): core 1 at 533 MHz / 65 %
 // load, cores 2 and 3 at 266 MHz / ~67 and ~80 % load. Values here are
@@ -14,11 +44,7 @@ import (
 func table2Power(fp *floorplan.Floorplan) []float64 {
 	p := make([]float64, len(fp.Blocks))
 	set := func(name string, w float64) {
-		i, ok := fp.Index(name)
-		if !ok {
-			panic("missing block " + name)
-		}
-		p[i] = w
+		p[blockIndex(fp, name)] = w
 	}
 	set("core1", 0.38)
 	set("icache1", 0.007)
@@ -99,7 +125,7 @@ func TestMobileWarmupTimescale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, _ := m.FP.Index("core1")
+	ci := blockIndex(m.FP, "core1")
 	target := ss[ci]
 
 	// After 1 s the core must still be far from steady state...
@@ -138,7 +164,7 @@ func TestHighPerformanceSixTimesFaster(t *testing.T) {
 		t.Fatalf("SpeedupVs = %g, want 6", got)
 	}
 	p := table2Power(fp)
-	ci, _ := fp.Index("core1")
+	ci := blockIndex(fp, "core1")
 	ss, err := mob.SteadyState(p)
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +250,7 @@ func TestGradientMirrorSymmetry(t *testing.T) {
 	q := make([]float64, len(p))
 	copy(q, p)
 	swap := func(a, b string) {
-		ia, _ := m.FP.Index(a)
-		ib, _ := m.FP.Index(b)
+		ia, ib := blockIndex(m.FP, a), blockIndex(m.FP, b)
 		q[ia], q[ib] = q[ib], q[ia]
 	}
 	swap("core1", "core3")
@@ -247,10 +272,14 @@ func TestGradientMirrorSymmetry(t *testing.T) {
 
 func TestUniformPowerNearlyUniformTemps(t *testing.T) {
 	m := newMobileModel(t)
+	var area float64
+	for _, blk := range m.FP.Blocks {
+		area += blk.Area()
+	}
 	p := make([]float64, len(m.FP.Blocks))
 	for i, blk := range m.FP.Blocks {
 		// Equal power density everywhere.
-		p[i] = 20 * blk.Area() / m.FP.TotalArea() * 0.5
+		p[i] = 20 * blk.Area() / area * 0.5
 	}
 	if err := m.Settle(p); err != nil {
 		t.Fatal(err)

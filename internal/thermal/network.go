@@ -176,9 +176,6 @@ func (b *Builder) Build(ambientC float64) (*Network, error) {
 // NumNodes returns the node count.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
-// NodeName returns the name of node i.
-func (n *Network) NodeName(i int) string { return n.nodes[i].Name }
-
 // Temperature returns the current temperature of node i in °C.
 func (n *Network) Temperature(i int) float64 { return n.temp[i] }
 
@@ -194,21 +191,6 @@ func (n *Network) Temperatures(dst []float64) []float64 {
 // SetTemperature overrides the temperature of node i (initialisation and
 // testing).
 func (n *Network) SetTemperature(i int, tC float64) { n.temp[i] = tC }
-
-// SetAllTemperatures sets every node to tC.
-func (n *Network) SetAllTemperatures(tC float64) {
-	for i := range n.temp {
-		n.temp[i] = tC
-	}
-}
-
-// Ambient returns the ambient temperature in °C.
-func (n *Network) Ambient() float64 { return n.ambient }
-
-// MaxStableStep returns the largest explicit-Euler step that is stable
-// on this network (half the min C_i/ΣG_i bound). The default integrator
-// substeps at exactly this size; wider-stability schemes may exceed it.
-func (n *Network) MaxStableStep() float64 { return n.maxStep }
 
 // View returns a read-only sparse description of the network (nodes,
 // adjacency, capacitances) for integrators. The view stays valid for the
@@ -226,19 +208,6 @@ func (n *Network) SetIntegrator(ig Integrator) {
 
 // Integrator returns the active integration scheme.
 func (n *Network) Integrator() Integrator { return n.integ }
-
-// StepsPerInterval returns how many internal substeps the active
-// integrator takes to cover dt seconds at its maximum step.
-func (n *Network) StepsPerInterval(dt float64) int {
-	if dt <= 0 {
-		return 0
-	}
-	steps := int(math.Ceil(dt / n.integ.MaxStep(n.View())))
-	if steps < 1 {
-		steps = 1 // unconditionally stable schemes (expm) cover dt in one step
-	}
-	return steps
-}
 
 // Step advances the network by dt seconds with the given per-node power
 // injection (watts; len(power) must equal NumNodes, missing entries are

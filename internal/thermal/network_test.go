@@ -77,8 +77,8 @@ func TestInitialTemperatureIsAmbient(t *testing.T) {
 			t.Errorf("node %d initial temp = %g, want ambient 25", i, n.Temperature(i))
 		}
 	}
-	if n.Ambient() != 25 {
-		t.Errorf("Ambient = %g", n.Ambient())
+	if n.ambient != 25 {
+		t.Errorf("ambient = %g", n.ambient)
 	}
 }
 
@@ -193,8 +193,8 @@ func TestStabilityUnderLargeSteps(t *testing.T) {
 
 func TestMaxStableStepPositive(t *testing.T) {
 	n := twoNode(t)
-	if n.MaxStableStep() <= 0 {
-		t.Errorf("MaxStableStep = %g", n.MaxStableStep())
+	if s := n.View().EulerMaxStep(); s <= 0 {
+		t.Errorf("EulerMaxStep = %g", s)
 	}
 }
 
@@ -275,16 +275,17 @@ func TestNodeAccessors(t *testing.T) {
 	if n.NumNodes() != 2 {
 		t.Fatalf("NumNodes = %d", n.NumNodes())
 	}
-	if n.NodeName(0) != "die" || n.NodeName(1) != "sink" {
-		t.Errorf("node names = %q, %q", n.NodeName(0), n.NodeName(1))
+	if n.nodes[0].Name != "die" || n.nodes[1].Name != "sink" {
+		t.Errorf("node names = %q, %q", n.nodes[0].Name, n.nodes[1].Name)
 	}
 	n.SetTemperature(0, 80)
 	if n.Temperature(0) != 80 {
 		t.Error("SetTemperature did not stick")
 	}
-	n.SetAllTemperatures(30)
+	n.SetTemperature(0, 30)
+	n.SetTemperature(1, 30)
 	if n.Temperature(0) != 30 || n.Temperature(1) != 30 {
-		t.Error("SetAllTemperatures did not stick")
+		t.Error("SetTemperature did not stick")
 	}
 	buf := n.Temperatures(nil)
 	if len(buf) != 2 || buf[0] != 30 {

@@ -67,22 +67,12 @@ const DefaultMaxSamples = 1 << 18
 const DefaultMaxEvents = 1 << 16
 
 // New creates a recorder for n cores. maxSamples <= 0 takes the
-// default; the event cap starts at DefaultMaxEvents (SetMaxEvents
-// overrides it).
+// default; the event cap is DefaultMaxEvents.
 func New(n, maxSamples int) *Recorder {
 	if maxSamples <= 0 {
 		maxSamples = DefaultMaxSamples
 	}
 	return &Recorder{cores: n, maxSamples: maxSamples, maxEvents: DefaultMaxEvents}
-}
-
-// SetMaxEvents overrides the event-buffer cap (non-positive restores
-// the default).
-func (r *Recorder) SetMaxEvents(max int) {
-	if max <= 0 {
-		max = DefaultMaxEvents
-	}
-	r.maxEvents = max
 }
 
 // AddSample appends a timeline row (copying the slices).
@@ -118,12 +108,6 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 
 // Events returns the recorded events (shared slice; treat as read-only).
 func (r *Recorder) Events() []Event { return r.events }
-
-// Dropped returns how many samples were discarded at the cap.
-func (r *Recorder) Dropped() int { return r.dropped }
-
-// DroppedEvents returns how many events were discarded at the cap.
-func (r *Recorder) DroppedEvents() int { return r.droppedEvents }
 
 // WriteCSV renders the timeline: time, temp per core, freq (MHz) per
 // core, and power per core when recorded.

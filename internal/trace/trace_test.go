@@ -54,8 +54,8 @@ func TestSampleCap(t *testing.T) {
 	if len(r.Samples()) != 3 {
 		t.Errorf("samples = %d, want cap 3", len(r.Samples()))
 	}
-	if r.Dropped() != 2 {
-		t.Errorf("dropped = %d", r.Dropped())
+	if r.dropped != 2 {
+		t.Errorf("dropped = %d", r.dropped)
 	}
 }
 
@@ -93,23 +93,23 @@ func TestShortRowsPadded(t *testing.T) {
 // thrashing policies).
 func TestEventCap(t *testing.T) {
 	r := New(1, 4)
-	r.SetMaxEvents(3)
+	r.maxEvents = 3
 	for i := 0; i < 10; i++ {
 		r.AddEvent(float64(i), "migrate-req", "event %d", i)
 	}
 	if len(r.Events()) != 3 {
 		t.Errorf("events buffered = %d, want 3", len(r.Events()))
 	}
-	if r.DroppedEvents() != 7 {
-		t.Errorf("dropped events = %d, want 7", r.DroppedEvents())
+	if r.droppedEvents != 7 {
+		t.Errorf("dropped events = %d, want 7", r.droppedEvents)
 	}
 	if r.Events()[2].Text != "event 2" {
 		t.Errorf("kept wrong events: last = %q", r.Events()[2].Text)
 	}
 	// Samples are unaffected by the event cap.
 	r.AddSample(Sample{Time: 1, Temp: []float64{40}, Freq: []float64{1}})
-	if len(r.Samples()) != 1 || r.Dropped() != 0 {
-		t.Errorf("samples %d dropped %d", len(r.Samples()), r.Dropped())
+	if len(r.Samples()) != 1 || r.dropped != 0 {
+		t.Errorf("samples %d dropped %d", len(r.Samples()), r.dropped)
 	}
 }
 
@@ -119,11 +119,13 @@ func TestEventCapDefaults(t *testing.T) {
 	if len(r.Events()) != 1 {
 		t.Fatal("default-capped recorder rejected first event")
 	}
-	r.SetMaxEvents(0) // restores the default
+	if r.maxEvents != DefaultMaxEvents {
+		t.Errorf("event cap = %d, want %d", r.maxEvents, DefaultMaxEvents)
+	}
 	for i := 0; i < 10; i++ {
 		r.AddEvent(float64(i), "k", "y")
 	}
-	if r.DroppedEvents() != 0 {
-		t.Errorf("dropped %d under default cap", r.DroppedEvents())
+	if r.droppedEvents != 0 {
+		t.Errorf("dropped %d under default cap", r.droppedEvents)
 	}
 }
