@@ -76,10 +76,10 @@ test:
 	$(GO) test ./...
 
 # The service's end-to-end checks run here as package tests against a
-# loopback server: cache byte-identity and X-Timing, /metrics against
-# /stats, kill-and-restart store hits, inclusion proofs
-# (internal/service), and thermproof's offline verdicts and exit
-# statuses (cmd/thermproof).
+# loopback server: cache byte-identity and X-Timing, every counter on
+# /metrics and its reference table in docs/OPERATIONS.md,
+# kill-and-restart store hits, inclusion proofs (internal/service),
+# and thermproof's offline verdicts and exit statuses (cmd/thermproof).
 race:
 	$(GO) test -race ./...
 

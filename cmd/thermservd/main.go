@@ -18,22 +18,27 @@
 //
 // Endpoints: GET /scenarios, GET /policies, POST /run, POST /matrix,
 // POST/GET /jobs, GET|DELETE /jobs/{id}, GET /proof, POST /seal,
-// GET /stats, GET /metrics, GET /healthz. /run and /matrix responses
+// GET /metrics, GET /healthz. /run and /matrix responses
 // carry an X-Timing header (compact stage=µs pairs) and an
 // X-Content-Key header (the content address to pass to /proof). The
 // server shuts down gracefully on SIGINT/SIGTERM.
 //
-// The daemon is flag parsing plus wiring; the behaviour it serves is
-// tested in internal/service against a loopback server (cache
-// byte-identity and X-Timing, /metrics against /stats, kill-and-restart
-// store hits, inclusion proofs) and in cmd/thermproof (offline
-// verification and its exit statuses).
+// Non-finite -max-sync, -max-pending-sim-s, -quota-rps and -quota-burst
+// values are refused with exit status 2. The daemon is flag parsing
+// plus wiring; the behaviour it serves is tested in internal/service
+// against a loopback server (cache byte-identity and X-Timing, every
+// counter on /metrics, kill-and-restart store hits, inclusion proofs)
+// and in cmd/thermproof (offline verification and its exit statuses).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -53,41 +58,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("thermservd: ")
-
-	var (
-		addr       = flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-		cacheSize  = flag.Int("cache", 0, "result-cache capacity in bodies (default 512)")
-		jobWorkers = flag.Int("job-workers", 0, "async job workers (default GOMAXPROCS)")
-		queueDepth = flag.Int("queue-depth", 0, "pending-job queue bound (default 64)")
-		jobRetain  = flag.Int("job-retention", 0, "finished jobs kept pollable before pruning (default 256)")
-		maxSims    = flag.Int("max-sims", 0, "concurrent simulation executions across all endpoints (default 2xGOMAXPROCS)")
-		maxSync    = flag.Float64("max-sync", 0, "max simulated seconds a synchronous /run accepts (default 600)")
-		maxPending = flag.Float64("max-pending-sim-s", 0, "pending simulated-seconds budget before load shedding with 503 + Retry-After (default 20x max-sync; negative: unbounded)")
-		quotaRPS   = flag.Float64("quota-rps", 0, "per-tenant request quota in requests/second on /run, /matrix and POST /jobs; 0 disables quotas")
-		quotaBurst = flag.Float64("quota-burst", 0, "per-tenant burst allowance in requests (default 2x quota-rps, min 1)")
-		tenantHdr  = flag.String("tenant-header", "", "header naming the tenant for quota accounting (default X-Tenant; absent header falls back to the remote IP)")
-		dataDir    = flag.String("data-dir", "", "durable result-store directory (empty: memory-only; results and job resumability are lost on restart)")
-		storeMax   = flag.Int64("store-max-bytes", 0, "on-disk store size budget in bytes; exceeding it compacts the log and evicts the oldest results (default 256 MiB)")
-		storeSeg   = flag.Int64("store-segment-bytes", 0, "segment rotation threshold in bytes; each rotation seals the filled segment under a Merkle root (default 8 MiB)")
-		timingLog  = flag.String("timing-log", "", "append one CSV timing record per /run and /matrix request to this file (header written when the file is new)")
-	)
-	flag.Parse()
-
-	cfg := service.Config{
-		CacheEntries:   *cacheSize,
-		JobWorkers:     *jobWorkers,
-		QueueDepth:     *queueDepth,
-		JobRetention:   *jobRetain,
-		MaxSims:        *maxSims,
-		MaxSyncSimS:    *maxSync,
-		MaxPendingSimS: *maxPending,
-		QuotaRPS:       *quotaRPS,
-		QuotaBurst:     *quotaBurst,
-		TenantHeader:   *tenantHdr,
+	opts, code := parseFlags(os.Args[1:], os.Stderr)
+	if opts == nil {
+		os.Exit(code)
 	}
+	cfg := opts.cfg
 
-	if *timingLog != "" {
-		f, err := os.OpenFile(*timingLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if opts.timingLog != "" {
+		f, err := os.OpenFile(opts.timingLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,13 +77,13 @@ func main() {
 		// Write the column header only on a fresh file; appending to an
 		// existing log must not interleave a second header mid-stream.
 		cfg.TimingLog = obs.NewCSVLogger(f, info.Size() == 0)
-		log.Printf("timing log: %s", *timingLog)
+		log.Printf("timing log: %s", opts.timingLog)
 	}
 
-	if *dataDir != "" {
-		st, err := store.Open(*dataDir, store.Options{
-			MaxBytes:     *storeMax,
-			SegmentBytes: *storeSeg,
+	if opts.dataDir != "" {
+		st, err := store.Open(opts.dataDir, store.Options{
+			MaxBytes:     opts.storeMax,
+			SegmentBytes: opts.storeSeg,
 			Pinned:       request.JournalPinned,
 			Version:      experiment.EngineVersion,
 		})
@@ -115,7 +93,7 @@ func main() {
 		defer st.Close()
 		cfg.Store = st
 		sst := st.Stats()
-		log.Printf("store: %s (%d records, %d segments, %d bytes)", *dataDir, sst.Records, sst.Segments, sst.Bytes)
+		log.Printf("store: %s (%d records, %d segments, %d bytes)", opts.dataDir, sst.Records, sst.Segments, sst.Bytes)
 		if sst.ChainLen > 0 {
 			// The chain head is the one value worth pinning out-of-band:
 			// a verifier holding it can detect manifest truncation.
@@ -129,7 +107,7 @@ func main() {
 
 	svc := service.New(cfg)
 	defer svc.Close()
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,6 +131,61 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
+}
+
+// options is thermservd's parsed command line: the service
+// configuration plus what main wires around it.
+type options struct {
+	cfg                      service.Config
+	addr, dataDir, timingLog string
+	storeMax, storeSeg       int64
+}
+
+// parseFlags parses args. When the program must stop instead of
+// serving — -help, a malformed flag, a non-finite float — it reports on
+// stderr and returns nil with the exit status (0 for -help, else 2).
+func parseFlags(args []string, stderr io.Writer) (*options, int) {
+	fs := flag.NewFlagSet("thermservd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
+	fs.IntVar(&o.cfg.CacheEntries, "cache", 0, "result-cache capacity in bodies (default 512)")
+	fs.IntVar(&o.cfg.JobWorkers, "job-workers", 0, "async job workers (default GOMAXPROCS)")
+	fs.IntVar(&o.cfg.QueueDepth, "queue-depth", 0, "pending-job queue bound (default 64)")
+	fs.IntVar(&o.cfg.JobRetention, "job-retention", 0, "finished jobs kept pollable before pruning (default 256)")
+	fs.IntVar(&o.cfg.MaxSims, "max-sims", 0, "concurrent simulation executions across all endpoints (default 2xGOMAXPROCS)")
+	fs.Float64Var(&o.cfg.MaxSyncSimS, "max-sync", 0, "max simulated seconds a synchronous /run accepts (default 600)")
+	fs.Float64Var(&o.cfg.MaxPendingSimS, "max-pending-sim-s", 0, "pending simulated-seconds budget before load shedding with 503 + Retry-After (default 20x max-sync; negative: unbounded)")
+	fs.Float64Var(&o.cfg.QuotaRPS, "quota-rps", 0, "per-tenant request quota in requests/second on /run, /matrix and POST /jobs; 0 disables quotas")
+	fs.Float64Var(&o.cfg.QuotaBurst, "quota-burst", 0, "per-tenant burst allowance in requests (default 2x quota-rps, min 1)")
+	fs.StringVar(&o.cfg.TenantHeader, "tenant-header", "", "header naming the tenant for quota accounting (default X-Tenant; absent header falls back to the remote IP)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable result-store directory (empty: memory-only; results and job resumability are lost on restart)")
+	fs.Int64Var(&o.storeMax, "store-max-bytes", 0, "on-disk store size budget in bytes; exceeding it compacts the log and evicts the oldest results (default 256 MiB)")
+	fs.Int64Var(&o.storeSeg, "store-segment-bytes", 0, "segment rotation threshold in bytes; each rotation seals the filled segment under a Merkle root (default 8 MiB)")
+	fs.StringVar(&o.timingLog, "timing-log", "", "append one CSV timing record per /run and /matrix request to this file (header written when the file is new)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2
+	}
+	// Every comparison against NaN is false, so a NaN bound would
+	// silently disable the limit it names instead of setting it.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"max-sync", o.cfg.MaxSyncSimS},
+		{"max-pending-sim-s", o.cfg.MaxPendingSimS},
+		{"quota-rps", o.cfg.QuotaRPS},
+		{"quota-burst", o.cfg.QuotaBurst},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(stderr, "thermservd: -%s must be a finite number, got %g\n", f.name, f.v)
+			return nil, 2
+		}
+	}
+	return &o, 0
 }
 
 // hostURL renders a listener address as something curl-able

@@ -94,8 +94,6 @@ type Adjacency struct {
 type Floorplan struct {
 	Blocks      []Block
 	Adjacencies []Adjacency
-
-	byName map[string]int
 }
 
 // ErrEmpty is returned when a floorplan has no blocks.
@@ -139,7 +137,7 @@ func New(blocks []Block) (*Floorplan, error) {
 		}
 		byName[b.Name] = i
 	}
-	fp := &Floorplan{Blocks: append([]Block(nil), blocks...), byName: byName}
+	fp := &Floorplan{Blocks: append([]Block(nil), blocks...)}
 	if i, j, ok := fp.sweep(); ok {
 		return nil, fmt.Errorf("floorplan: blocks %q and %q overlap", blocks[i].Name, blocks[j].Name)
 	}

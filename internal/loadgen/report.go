@@ -15,8 +15,8 @@ import (
 const SchemaVersion = 1
 
 // Quantiles is an exact latency summary (order statistics over the
-// measured samples — unlike the /stats quantiles, these are not
-// bucket-interpolated estimates).
+// measured samples — unlike quantiles estimated from the server's
+// /metrics histograms, these are not bucket-interpolated).
 type Quantiles struct {
 	Count int     `json:"count"`
 	P50Ms float64 `json:"p50_ms"`

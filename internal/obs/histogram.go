@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -22,8 +21,8 @@ var DefBuckets = []float64{
 // frozen at registration, which is what makes concurrent observation
 // lock-free: Observe is two atomic adds (a bucket count and the sum)
 // with no allocation and no mutex, so it can sit on the cached-request
-// hot path. Counts are per-bucket (not cumulative); rendering and
-// quantile computation cumulate on read.
+// hot path. Counts are per-bucket (not cumulative); rendering
+// cumulates on read.
 type Histogram struct {
 	labels []Label
 	// bounds are the inclusive upper bounds in seconds; observations
@@ -62,15 +61,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNanos.Add(int64(d))
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed durations in seconds.
 func (h *Histogram) Sum() float64 {
 	return time.Duration(h.sumNanos.Load()).Seconds()
@@ -79,80 +69,11 @@ func (h *Histogram) Sum() float64 {
 // snapshot copies the per-bucket counts (still non-cumulative). The
 // copy is not an atomic cut across buckets — concurrent observations
 // may straddle it — but every individual count is a real value, which
-// is all a scrape or quantile needs.
+// is all a scrape needs.
 func (h *Histogram) snapshot() []uint64 {
 	counts := make([]uint64, len(h.counts))
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
 	}
 	return counts
-}
-
-// MergedQuantile estimates the q-quantile (0 < q ≤ 1) in seconds
-// across several histograms with identical bucket bounds (e.g. the same
-// stage split by outcome label), Prometheus histogram_quantile style:
-// find the bucket the rank falls in, interpolate linearly inside it.
-// Observations in the +Inf bucket clamp to the last finite bound.
-// Returns 0 when the histograms are empty. Histograms with differing
-// bounds cannot be merged; callers register families with one shared
-// bound slice.
-func MergedQuantile(hs []*Histogram, q float64) float64 {
-	if len(hs) == 0 {
-		return 0
-	}
-	merged := make([]uint64, len(hs[0].counts))
-	for _, h := range hs {
-		for i, c := range h.snapshot() {
-			merged[i] += c
-		}
-	}
-	return quantileFromCounts(hs[0].bounds, merged, q)
-}
-
-// MergedCount sums the observation counts of several histograms.
-func MergedCount(hs []*Histogram) uint64 {
-	var n uint64
-	for _, h := range hs {
-		n += h.Count()
-	}
-	return n
-}
-
-func quantileFromCounts(bounds []float64, counts []uint64, q float64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		q = math.SmallestNonzeroFloat64
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: no finite upper bound to interpolate toward.
-			return bounds[len(bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = bounds[i-1]
-		}
-		upper := bounds[i]
-		if c == 0 {
-			return upper
-		}
-		inBucket := rank - float64(cum-c)
-		return lower + (upper-lower)*(inBucket/float64(c))
-	}
-	return bounds[len(bounds)-1]
 }

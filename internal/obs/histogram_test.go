@@ -61,8 +61,7 @@ func TestHistogramSum(t *testing.T) {
 }
 
 // Concurrent observers and scrapers must be race-free (run with
-// -race): Observe is atomic adds, rendering and quantiles read with
-// atomic loads.
+// -race): Observe is atomic adds, rendering reads with atomic loads.
 func TestHistogramConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("test_seconds", "t", DefBuckets)
@@ -80,7 +79,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 			}
 		}(g)
 	}
-	// Scrape and read quantiles while the observers run.
+	// Scrape while the observers run.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -90,7 +89,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 				t.Errorf("WritePrometheus: %v", err)
 				return
 			}
-			MergedQuantile([]*Histogram{h}, 0.95)
 		}
 	}()
 	wg.Wait()
@@ -103,58 +101,18 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// Quantiles interpolate within the bucket the rank falls in.
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	bounds := []float64{0.1, 0.2, 0.4}
-	h := r.NewHistogram("test_seconds", "t", bounds)
-	if q := MergedQuantile([]*Histogram{h}, 0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", q)
-	}
-	// 10 observations in (0.1, 0.2]: the median rank is 5 of 10 in that
-	// bucket → lower + (0.1 width)*(5/10) = 0.15.
-	for i := 0; i < 10; i++ {
-		h.Observe(150 * time.Millisecond)
-	}
-	if q := MergedQuantile([]*Histogram{h}, 0.5); math.Abs(q-0.15) > 1e-9 {
-		t.Errorf("p50 = %v, want 0.15", q)
-	}
-	// Everything beyond the last bound clamps to it.
-	h2 := r.NewHistogram("test2_seconds", "t", bounds)
-	for i := 0; i < 4; i++ {
-		h2.Observe(time.Second)
-	}
-	if q := MergedQuantile([]*Histogram{h2}, 0.99); q != 0.4 {
-		t.Errorf("+Inf-bucket p99 = %v, want clamp to 0.4", q)
-	}
-}
-
-func TestMergedQuantile(t *testing.T) {
-	r := NewRegistry()
-	bounds := []float64{0.1, 0.2, 0.4}
-	a := r.NewHistogram("m_seconds", "t", bounds, L("outcome", "hit"))
-	b := r.NewHistogram("m_seconds", "t", bounds, L("outcome", "miss"))
-	for i := 0; i < 5; i++ {
-		a.Observe(50 * time.Millisecond) // first bucket
-	}
-	for i := 0; i < 5; i++ {
-		b.Observe(300 * time.Millisecond) // third bucket
-	}
-	if got, want := MergedCount([]*Histogram{a, b}), uint64(10); got != want {
-		t.Fatalf("MergedCount = %d, want %d", got, want)
-	}
-	// p95 rank 9.5 falls in the third bucket: 0.2 + 0.2*(4.5/5) = 0.38.
-	if q := MergedQuantile([]*Histogram{a, b}, 0.95); math.Abs(q-0.38) > 1e-9 {
-		t.Errorf("merged p95 = %v, want 0.38", q)
-	}
-	if q := MergedQuantile(nil, 0.5); q != 0 {
-		t.Errorf("MergedQuantile(nil) = %v, want 0", q)
-	}
-}
 
 // Observe and Counter.Add sit on the cached-request hot path: they
 // must not allocate. Race instrumentation allocates, so the assertion

@@ -10,8 +10,7 @@
 // at registration so Observe is two atomic adds with no lock and no
 // allocation, counters are single atomic adds, and TimingRecord is a
 // flat value type that stamps with plain stores. Only registration
-// (startup) and rendering (a /metrics scrape or /stats poll) take the
-// registry lock.
+// (startup) and rendering (a /metrics scrape) take the registry lock.
 package obs
 
 import (
@@ -65,8 +64,8 @@ type family struct {
 	counters []*Counter
 	funcs    []funcMetric
 	// bounds are the shared bucket bounds of a histogram family; every
-	// member registers with the same slice so label splits stay
-	// mergeable for quantiles.
+	// member registers with the same slice so a scraper can sum label
+	// splits bucket by bucket before estimating a quantile.
 	bounds []float64
 }
 

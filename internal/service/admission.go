@@ -41,7 +41,7 @@ import (
 // decisions estimate it from the pending backlog.
 
 // Execution priority classes, highest first. The spellings in
-// prioNames are the /stats and /metrics label values.
+// prioNames are the /metrics label values.
 const (
 	prioInteractive = iota
 	prioBulk
@@ -133,7 +133,7 @@ func (p *prioSlots) release() {
 }
 
 // depths snapshots the per-class waiter counts and the free slots (the
-// /stats exec-queue block and the /metrics depth gauges).
+// /metrics exec-queue depth and free-slot gauges).
 func (p *prioSlots) depths() (waiting [numPriorities]int, free int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -344,7 +344,7 @@ func (s *Server) tenantOf(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// Shed reasons, indexed for the /stats and /metrics counters.
+// Shed reasons, indexed for the /metrics shed counters.
 const (
 	shedCost = iota
 	shedQueueFull

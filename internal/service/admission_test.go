@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,7 +19,7 @@ import (
 // refusal over real HTTP and assert the deliberate behavior — 429s and
 // 503s carry Retry-After, quotas isolate tenants, interactive work
 // overtakes queued bulk work, and every shed decision is counted
-// exactly once in /stats and /metrics.
+// exactly once in /metrics.
 
 // retryAfterSecs asserts the response carries an integer-seconds
 // Retry-After of at least 1 and returns it.
@@ -37,26 +36,6 @@ func retryAfterSecs(t *testing.T, resp *http.Response) int {
 	return secs
 }
 
-// scrapeMetric fetches /metrics and returns the named series' value.
-func scrapeMetric(t *testing.T, ts *httptest.Server, series string) float64 {
-	t.Helper()
-	resp, b := do(t, http.MethodGet, ts.URL+"/metrics", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", resp.StatusCode)
-	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, ok := strings.CutPrefix(line, series+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("parse %s value %q: %v", series, rest, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("/metrics has no series %s", series)
-	return 0
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -71,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestQuotaExhaustion429 exhausts one tenant's token bucket and
 // asserts the 429 carries Retry-After while a second tenant's traffic
-// is untouched, with the denial counted in /stats and /metrics.
+// is untouched, with the denial counted in /metrics.
 func TestQuotaExhaustion429(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		QuotaRPS:   1,
@@ -121,20 +100,18 @@ func TestQuotaExhaustion429(t *testing.T) {
 		t.Fatalf("tenant-b request: status %d, want 200: %s", resp.StatusCode, b)
 	}
 
-	st := s.Stats()
-	if st.Admission.Quota == nil {
-		t.Fatal("/stats admission.quota absent with quotas enabled")
+	for series, want := range map[string]float64{
+		"thermbal_quota_rps":   1,
+		"thermbal_quota_burst": 2,
+	} {
+		if got := metric(t, s, series); got != want {
+			t.Errorf("%s = %g, want %g", series, got, want)
+		}
 	}
-	if st.Admission.Quota.Denied != 1 {
-		t.Errorf("/stats quota.denied = %d, want 1", st.Admission.Quota.Denied)
-	}
-	if st.Admission.Quota.Tenants != 2 {
-		t.Errorf("/stats quota.tenants = %d, want 2", st.Admission.Quota.Tenants)
-	}
-	if got := scrapeMetric(t, ts, "thermbal_quota_denied_total"); got != 1 {
+	if got := metric(t, s, "thermbal_quota_denied_total"); got != 1 {
 		t.Errorf("thermbal_quota_denied_total = %g, want 1", got)
 	}
-	if got := scrapeMetric(t, ts, "thermbal_quota_tenants"); got != 2 {
+	if got := metric(t, s, "thermbal_quota_tenants"); got != 2 {
 		t.Errorf("thermbal_quota_tenants = %g, want 2", got)
 	}
 }
@@ -211,10 +188,12 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 		return waiting[prioInteractive] == 1
 	})
 
-	// Saturation is visible in /stats before anything is released.
-	st := s.Stats()
-	if st.Admission.ExecQueue.Free != 0 || st.Admission.ExecQueue.WaitingInteractive != 1 {
-		t.Errorf("/stats exec_queue = %+v, want 0 free and 1 interactive waiter", st.Admission.ExecQueue)
+	// Saturation is visible in /metrics before anything is released.
+	if free := metric(t, s, "thermbal_exec_slots_free"); free != 0 {
+		t.Errorf("thermbal_exec_slots_free = %g, want 0", free)
+	}
+	if waiting := metric(t, s, `thermbal_exec_queue_depth{priority="interactive"}`); waiting != 1 {
+		t.Errorf(`thermbal_exec_queue_depth{priority="interactive"} = %g, want 1`, waiting)
 	}
 
 	// 4. Free the slot: it must be handed to the interactive waiter even
@@ -251,8 +230,8 @@ func TestInteractiveOvertakesBulk(t *testing.T) {
 
 // TestShedByCost fills the pending simulated-seconds budget and
 // asserts new work is refused with 503 + Retry-After while cached keys
-// are still served, and that shed counts reconcile across /stats and
-// /metrics.
+// are still served, and that the shed count and the backlog against
+// its bound show in /metrics.
 func TestShedByCost(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{
@@ -316,21 +295,14 @@ func TestShedByCost(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
 
-	// Both refusals are counted, once each, in /stats and /metrics.
-	st := s.Stats()
-	if st.Admission.Shed.Cost != 2 {
-		t.Errorf("/stats shed.cost = %d, want 2", st.Admission.Shed.Cost)
+	// Both refusals are counted, once each.
+	if got := metric(t, s, "thermbal_max_pending_sim_seconds"); got != 2 {
+		t.Errorf("thermbal_max_pending_sim_seconds = %g, want 2", got)
 	}
-	if st.Admission.PendingSimS != 1.5 {
-		t.Errorf("/stats pending_sim_s = %g, want 1.5", st.Admission.PendingSimS)
-	}
-	if st.Admission.MaxPendingSimS != 2 {
-		t.Errorf("/stats max_pending_sim_s = %g, want 2", st.Admission.MaxPendingSimS)
-	}
-	if got := scrapeMetric(t, ts, `thermbal_shed_total{reason="cost"}`); got != 2 {
+	if got := metric(t, s, `thermbal_shed_total{reason="cost"}`); got != 2 {
 		t.Errorf(`thermbal_shed_total{reason="cost"} = %g, want 2`, got)
 	}
-	if got := scrapeMetric(t, ts, "thermbal_pending_sim_seconds"); got != 1.5 {
+	if got := metric(t, s, "thermbal_pending_sim_seconds"); got != 1.5 {
 		t.Errorf("thermbal_pending_sim_seconds = %g, want 1.5", got)
 	}
 
@@ -364,7 +336,7 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 		t.Fatalf("job 1: status %d: %s", resp.StatusCode, b)
 	}
 	waitFor(t, "job 1 to start running", func() bool {
-		return s.jobs.stats(1).Running == 1
+		return s.jobs.countState(JobRunning) == 1
 	})
 
 	// Job 2 fills the queue; job 3 is refused with Retry-After.
@@ -378,14 +350,10 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	}
 	retryAfterSecs(t, resp)
 
-	st := s.Stats()
-	if st.Admission.Shed.QueueFull != 1 {
-		t.Errorf("/stats shed.queue_full = %d, want 1", st.Admission.Shed.QueueFull)
+	if got := metric(t, s, "thermbal_job_queue_capacity"); got != 1 {
+		t.Errorf("thermbal_job_queue_capacity = %g, want 1", got)
 	}
-	if st.Jobs.QueueCap != 1 {
-		t.Errorf("/stats jobs.queue_cap = %d, want 1", st.Jobs.QueueCap)
-	}
-	if got := scrapeMetric(t, ts, `thermbal_shed_total{reason="queue_full"}`); got != 1 {
+	if got := metric(t, s, `thermbal_shed_total{reason="queue_full"}`); got != 1 {
 		t.Errorf(`thermbal_shed_total{reason="queue_full"} = %g, want 1`, got)
 	}
 
@@ -393,7 +361,6 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	release <- struct{}{}
 	release <- struct{}{}
 	waitFor(t, "accepted jobs to finish", func() bool {
-		js := s.jobs.stats(1)
-		return js.Done == 2
+		return s.jobs.countState(JobDone) == 2
 	})
 }

@@ -5,13 +5,10 @@ import (
 	"sync"
 )
 
-// CacheStats is a snapshot of the result cache's counters.
-type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
+// cacheStats is a snapshot of the result cache's counters.
+type cacheStats struct {
+	hits, misses, evictions uint64
+	entries                 int
 }
 
 // lruCache is a bounded, mutex-guarded LRU keyed by content address.
@@ -85,15 +82,9 @@ func (c *lruCache) Add(key string, body []byte) {
 	}
 }
 
-// Stats snapshots the counters.
-func (c *lruCache) Stats() CacheStats {
+// stats snapshots the counters.
+func (c *lruCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Capacity:  c.cap,
-	}
+	return cacheStats{hits: c.hits, misses: c.misses, evictions: c.evictions, entries: c.ll.Len()}
 }

@@ -22,12 +22,12 @@ func TestLRUCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if body, ok := c.Get("c"); !ok || !bytes.Equal(body, []byte("C")) {
 		t.Errorf("c = %q, %v", body, ok)
 	}
-	st := c.Stats()
-	if st.Evictions != 1 || st.Entries != 2 || st.Capacity != 2 {
+	st := c.stats()
+	if st.evictions != 1 || st.entries != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Hits != 3 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 3/1", st.Hits, st.Misses)
+	if st.hits != 3 || st.misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 3/1", st.hits, st.misses)
 	}
 }
 

@@ -34,7 +34,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /matrix", s.handleMatrix)
 	mux.HandleFunc("GET /proof", s.handleProof)
 	mux.HandleFunc("POST /seal", s.handleSeal)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /jobs", s.handleJobList)
@@ -334,9 +333,9 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 	}
 	t := time.Now()
 	p, err := s.cfg.Store.Proof(key)
-	s.metrics.observeProof(time.Since(t))
+	s.metrics.proofDuration.Observe(time.Since(t))
 	if err != nil {
-		s.proofErrors.Add(1)
+		s.metrics.proofErrors.Inc()
 		switch {
 		case errors.Is(err, store.ErrNotFound):
 			writeError(w, http.StatusNotFound, err)
@@ -347,13 +346,15 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.proofsServed.Add(1)
+	s.metrics.proofsServed.Inc()
 	writeJSON(w, http.StatusOK, proofDoc{SchemaVersion: experiment.SchemaVersion, Proof: p})
 }
 
 // handleSeal rotates the active segment early (POST /seal), sealing
 // everything written so far into the Merkle chain so /proof can serve
-// it immediately instead of waiting for the size-based rotation.
+// it immediately instead of waiting for the size-based rotation. It
+// answers with the store's stats document, whose chain_len and
+// chain_head are the values to pin out of band for thermproof.
 // Idempotent: an empty active segment seals nothing.
 func (s *Server) handleSeal(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Store == nil {
@@ -365,11 +366,7 @@ func (s *Server) handleSeal(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	writeJSON(w, http.StatusOK, s.cfg.Store.Stats())
 }
 
 // handleMetrics serves the Prometheus text exposition of every
@@ -395,7 +392,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		var shed *shedError
 		switch {
 		case errors.Is(err, errQueueFull):
-			s.shed[shedQueueFull].Add(1)
+			s.metrics.shed[shedQueueFull].Inc()
 			setRetryAfter(w, shedRetryAfter(s.budget.pendingSimS(), s.cfg.MaxSims))
 			writeError(w, http.StatusServiceUnavailable, err)
 		case errors.As(err, &shed):

@@ -78,20 +78,6 @@ type JobStatus struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// JobStats is the /stats job block.
-type JobStats struct {
-	Workers   int `json:"workers"`
-	QueueCap  int `json:"queue_cap"`
-	Pending   int `json:"pending"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-	// Recovered counts jobs re-submitted from the durable job journal
-	// at startup (also counted in their lifecycle state above).
-	Recovered int `json:"recovered,omitempty"`
-}
-
 // job is the manager-internal record; its mutable fields are guarded
 // by the owning jobManager's mutex.
 type job struct {
@@ -121,13 +107,12 @@ type job struct {
 
 // jobManager owns the job table and the bounded pending queue.
 type jobManager struct {
-	mu        sync.Mutex
-	byID      map[string]*job
-	order     []*job
-	queue     chan *job
-	seq       int
-	retain    int // finished jobs kept for polling; older ones are pruned
-	recovered int // jobs re-submitted from the journal at startup; survives pruning
+	mu     sync.Mutex
+	byID   map[string]*job
+	order  []*job
+	queue  chan *job
+	seq    int
+	retain int // finished jobs kept for polling; older ones are pruned
 
 	// journalPut / journalClear persist and tombstone a job's journal
 	// record (nil when the server runs memory-only). Both are invoked
@@ -277,9 +262,6 @@ func (m *jobManager) submit(jr JobRequest, recovered bool) (*job, error) {
 			m.releaseCost(j)
 		}
 		return nil, errQueueFull
-	}
-	if recovered {
-		m.recovered++
 	}
 	m.byID[j.id] = j
 	m.order = append(m.order, j)
@@ -437,28 +419,6 @@ func (m *jobManager) countState(state JobState) int {
 	return n
 }
 
-// stats counts jobs by state.
-func (m *jobManager) stats(workers int) JobStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	js := JobStats{Workers: workers, QueueCap: cap(m.queue), Recovered: m.recovered}
-	for _, j := range m.order {
-		switch j.state {
-		case JobPending:
-			js.Pending++
-		case JobRunning:
-			js.Running++
-		case JobDone:
-			js.Done++
-		case JobFailed:
-			js.Failed++
-		case JobCancelled:
-			js.Cancelled++
-		}
-	}
-	return js
-}
-
 // jobWorker drains the pending queue until the server closes.
 func (s *Server) jobWorker() {
 	for {
@@ -545,12 +505,12 @@ func (s *Server) initJournal() {
 			err = s.cfg.Store.Put(journalKey(j), entry)
 		}
 		if err != nil {
-			s.storeErrors.Add(1) // accepted, but will not survive a restart
+			s.metrics.storeErrors.Inc() // accepted, but will not survive a restart
 		}
 	}
 	s.jobs.journalClear = func(j *job) {
 		if err := s.cfg.Store.Delete(journalKey(j)); err != nil {
-			s.storeErrors.Add(1)
+			s.metrics.storeErrors.Inc()
 		}
 	}
 }
@@ -568,7 +528,7 @@ func (s *Server) recoverJobs() {
 		entry, ok, err := s.cfg.Store.Get(key)
 		if err != nil || !ok {
 			if err != nil {
-				s.storeErrors.Add(1)
+				s.metrics.storeErrors.Inc()
 			}
 			continue
 		}
@@ -577,24 +537,25 @@ func (s *Server) recoverJobs() {
 			// A journal record that no longer decodes (schema drift,
 			// manual edits) cannot be resumed; drop it rather than
 			// retrying it forever on every restart.
-			s.storeErrors.Add(1)
+			s.metrics.storeErrors.Inc()
 			s.cfg.Store.Delete(key)
 			continue
 		}
-		if _, err := s.jobs.submit(jr, true); err != nil {
-			if errors.Is(err, errQueueFull) {
-				// Queue pressure is transient: leave the record for
-				// the next restart.
-				continue
-			}
+		_, err = s.jobs.submit(jr, true)
+		switch {
+		case err == nil:
+			s.metrics.jobsRecovered.Inc()
+		case errors.Is(err, errQueueFull):
+			// Queue pressure is transient: leave the record for the
+			// next restart.
+		default:
 			// Anything else is permanent — the request names
 			// scenarios/policies this build no longer registers, so it
 			// can never resume; retrying it on every restart forever
 			// (pinned against eviction, invisible to the operator)
 			// helps nobody. Drop the record and count it.
-			s.storeErrors.Add(1)
+			s.metrics.storeErrors.Inc()
 			s.cfg.Store.Delete(key)
-			continue
 		}
 	}
 }

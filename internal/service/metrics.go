@@ -5,6 +5,7 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
+	"thermbal/internal/store"
 	"thermbal/internal/trace"
 )
 
@@ -45,15 +46,18 @@ const (
 
 var endpointNames = [numEndpoints]string{"run", "matrix"}
 
-// serverMetrics holds the server's pre-registered instruments. Every
-// histogram and counter the request path touches is resolved to a
+// serverMetrics holds the server's pre-registered instruments: the one
+// place a service counter is defined and read, rendered by /metrics.
+// Every histogram and counter the request path touches is resolved to a
 // pointer here at startup, so recording is array indexing plus atomic
 // adds — no name lookups, no label formatting, no allocation — cheap
-// enough for the cached-request path.
+// enough for the cached-request path. Values another structure already
+// owns (cache, flight group, job table, store, admission) are read from
+// it at scrape time instead of being counted twice.
 //
-// Counts are designed to reconcile with /stats exactly:
-// thermbal_stage_duration_seconds_count{stage="execute"} equals the
-// /stats executions counter (both increment once per engine run,
+// Counts reconcile exactly:
+// thermbal_stage_duration_seconds_count{stage="execute"} equals
+// thermbal_executions_total (both increment once per engine run,
 // matrix cells included), and thermbal_requests_total sums the serving
 // outcomes the X-Cache header reports.
 type serverMetrics struct {
@@ -72,9 +76,77 @@ type serverMetrics struct {
 	// jobDuration is claim-to-finish, labelled by job kind.
 	jobQueueWait *obs.Histogram
 	jobDuration  [numEndpoints]*obs.Histogram
-	// proofDuration times /proof store lookups (building the Merkle
-	// path). nil on a memory-only server, which has no proofs to time.
+	// executions counts engine runs: one per coalesced group, one per
+	// executed sweep cell; cache and store hits execute nothing.
+	executions *obs.Counter
+	// jobsRecovered counts jobs re-submitted from the durable job
+	// journal at startup.
+	jobsRecovered *obs.Counter
+	// shed counts overload refusals by reason (see shedReasonNames);
+	// every one of them was answered with 503 + Retry-After.
+	shed [numShedReasons]*obs.Counter
+
+	// The store-backed instruments are nil on a memory-only server,
+	// whose request paths never reach them. storeServes counts
+	// responses served straight from the durable store (a warm
+	// restart's first requests); storeErrors counts store read/write
+	// failures, which degrade to memory-only service instead of failing
+	// the request. proofsServed / proofErrors count /proof outcomes:
+	// served is a 200 with an inclusion proof, errors is everything the
+	// store refused (unknown key, unsealed tail, tainted segment).
+	// proofDuration times the store lookup that builds a proof.
+	storeServes   *obs.Counter
+	storeErrors   *obs.Counter
+	proofsServed  *obs.Counter
+	proofErrors   *obs.Counter
 	proofDuration *obs.Histogram
+}
+
+// storeFamilies are the durable store's own counters and gauges, each
+// read from a store.Stats snapshot at scrape time.
+var storeFamilies = []struct {
+	name, help string
+	counter    bool
+	value      func(store.Stats) float64
+}{
+	{"thermbal_store_bytes", "Durable-store size on disk, superseded records included.", false,
+		func(st store.Stats) float64 { return float64(st.Bytes) }},
+	{"thermbal_store_live_bytes", "On-disk size of the live (indexed) records alone.", false,
+		func(st store.Stats) float64 { return float64(st.LiveBytes) }},
+	{"thermbal_store_records", "Live (indexed) records in the durable store.", false,
+		func(st store.Stats) float64 { return float64(st.Records) }},
+	{"thermbal_store_segments", "Segment files in the durable store.", false,
+		func(st store.Stats) float64 { return float64(st.Segments) }},
+	{"thermbal_store_gets_total", "Durable-store lookups since open.", true,
+		func(st store.Stats) float64 { return float64(st.Gets) }},
+	{"thermbal_store_hits_total", "Durable-store lookups that found a record.", true,
+		func(st store.Stats) float64 { return float64(st.Hits) }},
+	{"thermbal_store_puts_total", "Records appended to the durable store since open.", true,
+		func(st store.Stats) float64 { return float64(st.Puts) }},
+	{"thermbal_store_compactions_total", "Durable-store log rewrites.", true,
+		func(st store.Stats) float64 { return float64(st.Compactions) }},
+	{"thermbal_store_evicted_total", "Live records dropped by size-budget eviction during compaction.", true,
+		func(st store.Stats) float64 { return float64(st.Evicted) }},
+	{"thermbal_store_compact_errors_total", "Failed automatic compactions (retried on a later append).", true,
+		func(st store.Stats) float64 { return float64(st.CompactErrors) }},
+	{"thermbal_store_tail_truncated_bytes", "Bytes of a partial record cut from the active segment's tail at open.", false,
+		func(st store.Stats) float64 { return float64(st.TailTruncated) }},
+	{"thermbal_store_corrupt_segments", "Sealed segments whose replay stopped at a corrupt record at open.", false,
+		func(st store.Stats) float64 { return float64(st.CorruptSegments) }},
+	{"thermbal_store_seals_total", "Segments sealed into the Merkle chain (rotation, compaction, retro-seal).", true,
+		func(st store.Stats) float64 { return float64(st.Seals) }},
+	{"thermbal_store_seal_errors_total", "Failed seal attempts (the segment stays unsealed; records remain servable).", true,
+		func(st store.Stats) float64 { return float64(st.SealErrors) }},
+	{"thermbal_store_sealed_segments", "Segments sealed under a Merkle root in the provenance manifest.", false,
+		func(st store.Stats) float64 { return float64(st.SealedSegments) }},
+	{"thermbal_store_sealed_records", "Records committed to by the sealed Merkle roots.", false,
+		func(st store.Stats) float64 { return float64(st.SealedRecords) }},
+	{"thermbal_store_unsealed_records", "Records in the active segment, not yet provable (sealed at the next rotation).", false,
+		func(st store.Stats) float64 { return float64(st.UnsealedRecords) }},
+	{"thermbal_store_tainted_segments", "Sealed segments whose recomputed root no longer matches the manifest.", false,
+		func(st store.Stats) float64 { return float64(st.TaintedSegments) }},
+	{"thermbal_store_chain_length", "Links in the sealed-root hash chain (POST /seal returns its head).", false,
+		func(st store.Stats) float64 { return float64(st.ChainLen) }},
 }
 
 // newServerMetrics registers every instrument. Registration order is
@@ -109,63 +181,70 @@ func newServerMetrics(s *Server) *serverMetrics {
 			obs.DefBuckets, obs.L("kind", endpointNames[ep]))
 	}
 
-	// Scrape-time mirrors of the /stats counters, so a Prometheus
-	// scraper can reconcile the latency series against the same
-	// counts /stats reports without a second bookkeeping path.
-	r.NewCounterFunc("thermbal_executions_total",
-		"Engine runs executed (cache, store and coalesced serves excluded).",
-		func() float64 { return float64(s.executions.Load()) })
+	m.executions = r.NewCounter("thermbal_executions_total",
+		"Engine runs executed (cache, store and coalesced serves excluded).")
 	r.NewCounterFunc("thermbal_coalesced_total",
 		"Requests served by waiting on another caller's identical in-flight execution.",
 		func() float64 { _, coalesced := s.flight.counts(); return float64(coalesced) })
 	r.NewCounterFunc("thermbal_cache_hits_total", "Result-cache hits.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
+		func() float64 { return float64(s.cache.stats().hits) })
 	r.NewCounterFunc("thermbal_cache_misses_total", "Result-cache misses.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
+		func() float64 { return float64(s.cache.stats().misses) })
 	r.NewCounterFunc("thermbal_cache_evictions_total", "Result-cache evictions.",
-		func() float64 { return float64(s.cache.Stats().Evictions) })
+		func() float64 { return float64(s.cache.stats().evictions) })
 	r.NewGaugeFunc("thermbal_cache_entries", "Result-cache bodies held.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
+		func() float64 { return float64(s.cache.stats().entries) })
 	r.NewGaugeFunc("thermbal_inflight", "Distinct executions in flight.",
 		func() float64 { inflight, _ := s.flight.counts(); return float64(inflight) })
 	r.NewGaugeFunc("thermbal_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	if s.cfg.Store != nil {
-		r.NewCounterFunc("thermbal_store_serves_total",
-			"Responses served straight from the durable store.",
-			func() float64 { return float64(s.storeServes.Load()) })
-		r.NewCounterFunc("thermbal_store_errors_total",
-			"Durable-store read/write failures (requests degrade to memory-only).",
-			func() float64 { return float64(s.storeErrors.Load()) })
-		r.NewGaugeFunc("thermbal_store_bytes", "Durable-store size on disk.",
-			func() float64 { return float64(s.cfg.Store.Stats().Bytes) })
-		// The provenance families: seal events, the sealed/unsealed
-		// record split (unsealed records are provable only after the
-		// next rotation), taint, and /proof serving. Scrape-time
-		// mirrors of the same counters /stats reports under "store".
+
+	// The configured limits, and the schema version every document
+	// carries: constants for the life of the server, exposed so a
+	// dashboard can draw each usage series against its bound.
+	type constGauge struct {
+		name, help string
+		v          float64
+	}
+	cfg := s.cfg
+	consts := []constGauge{
+		{"thermbal_schema_version", "Version of the result-document schema this server emits.", experiment.SchemaVersion},
+		{"thermbal_max_sims", "Concurrent engine executions allowed (-max-sims).", float64(cfg.MaxSims)},
+		{"thermbal_max_pending_sim_seconds", "Pending simulated-seconds budget before shedding (-max-pending-sim-s); 0 is unbounded.", cfg.MaxPendingSimS},
+		{"thermbal_job_queue_capacity", "Pending-job queue bound (-queue-depth).", float64(cfg.QueueDepth)},
+		{"thermbal_job_workers", "Async job workers (-job-workers).", float64(cfg.JobWorkers)},
+		{"thermbal_cache_capacity", "Result-cache capacity in bodies (-cache).", float64(cfg.CacheEntries)},
+	}
+	if s.quota != nil {
+		consts = append(consts,
+			constGauge{"thermbal_quota_rps", "Per-tenant quota in requests per second (-quota-rps).", s.quota.rps},
+			constGauge{"thermbal_quota_burst", "Per-tenant token-bucket depth (-quota-burst).", s.quota.burst})
+	}
+	for _, c := range consts {
+		v := c.v
+		r.NewGaugeFunc(c.name, c.help, func() float64 { return v })
+	}
+
+	if cfg.Store != nil {
+		m.storeServes = r.NewCounter("thermbal_store_serves_total",
+			"Responses served straight from the durable store.")
+		m.storeErrors = r.NewCounter("thermbal_store_errors_total",
+			"Durable-store read/write failures (requests degrade to memory-only).")
+		for _, f := range storeFamilies {
+			value := f.value
+			fn := func() float64 { return value(cfg.Store.Stats()) }
+			if f.counter {
+				r.NewCounterFunc(f.name, f.help, fn)
+			} else {
+				r.NewGaugeFunc(f.name, f.help, fn)
+			}
+		}
 		m.proofDuration = r.NewHistogram("thermbal_proof_duration_seconds",
 			"Time to build one Merkle inclusion proof for /proof.", obs.DefBuckets)
-		r.NewCounterFunc("thermbal_proofs_served_total",
-			"Inclusion proofs served by /proof.",
-			func() float64 { return float64(s.proofsServed.Load()) })
-		r.NewCounterFunc("thermbal_proof_errors_total",
-			"/proof requests the store refused (unknown key, unsealed tail, tainted segment).",
-			func() float64 { return float64(s.proofErrors.Load()) })
-		r.NewCounterFunc("thermbal_store_seals_total",
-			"Segments sealed into the Merkle chain (rotation, compaction, retro-seal).",
-			func() float64 { return float64(s.cfg.Store.Stats().Seals) })
-		r.NewCounterFunc("thermbal_store_seal_errors_total",
-			"Failed seal attempts (the segment stays unsealed; records remain servable).",
-			func() float64 { return float64(s.cfg.Store.Stats().SealErrors) })
-		r.NewGaugeFunc("thermbal_store_sealed_segments",
-			"Segments sealed under a Merkle root in the provenance manifest.",
-			func() float64 { return float64(s.cfg.Store.Stats().SealedSegments) })
-		r.NewGaugeFunc("thermbal_store_unsealed_records",
-			"Records in the active segment, not yet provable (sealed at the next rotation).",
-			func() float64 { return float64(s.cfg.Store.Stats().UnsealedRecords) })
-		r.NewGaugeFunc("thermbal_store_tainted_segments",
-			"Sealed segments whose recomputed root no longer matches the manifest.",
-			func() float64 { return float64(s.cfg.Store.Stats().TaintedSegments) })
+		m.proofsServed = r.NewCounter("thermbal_proofs_served_total",
+			"Inclusion proofs served by /proof.")
+		m.proofErrors = r.NewCounter("thermbal_proof_errors_total",
+			"/proof requests the store refused (unknown key, unsealed tail, tainted segment).")
 	}
 	// Recorder drops are engine-side truncation: a capped trace means a
 	// run's CSV timeline is incomplete, which an operator should see
@@ -192,39 +271,37 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("thermbal_warmup_checkpoint_bytes",
 		"Bytes held by cached warm-up checkpoints.",
 		func() float64 { return float64(experiment.WarmupCacheStats().Bytes) })
-	if s.cfg.TimingLog != nil {
+	if cfg.TimingLog != nil {
 		r.NewGaugeFunc("thermbal_timing_log_failed",
 			"1 when the timing log hit its sticky write error and stopped recording.",
 			func() float64 {
-				if s.cfg.TimingLog.Err() != nil {
+				if cfg.TimingLog.Err() != nil {
 					return 1
 				}
 				return 0
 			})
 		r.NewCounterFunc("thermbal_timing_log_dropped_total",
 			"Timing records discarded after the log's sticky write error.",
-			func() float64 { return float64(s.cfg.TimingLog.Dropped()) })
+			func() float64 { return float64(cfg.TimingLog.Dropped()) })
 	}
 	for _, state := range []JobState{JobPending, JobRunning, JobDone, JobFailed, JobCancelled} {
-		state := state
 		r.NewGaugeFunc("thermbal_jobs", "Async jobs by lifecycle state.",
 			func() float64 { return float64(s.jobs.countState(state)) },
 			obs.L("state", string(state)))
 	}
-	// Admission-control families: scrape-time mirrors of the /stats
-	// admission block, so shed counts reconcile exactly between the two.
+	m.jobsRecovered = r.NewCounter("thermbal_jobs_recovered_total",
+		"Jobs re-submitted from the durable job journal at startup.")
+	// Admission control: shed decisions by reason, the pending backlog,
+	// the execution-slot queue and the per-tenant quotas.
 	for reason := 0; reason < numShedReasons; reason++ {
-		reason := reason
-		r.NewCounterFunc("thermbal_shed_total",
+		m.shed[reason] = r.NewCounter("thermbal_shed_total",
 			"Requests refused with 503 + Retry-After, by shed reason.",
-			func() float64 { return float64(s.shed[reason].Load()) },
 			obs.L("reason", shedReasonNames[reason]))
 	}
 	r.NewGaugeFunc("thermbal_pending_sim_seconds",
 		"Estimated simulated seconds admitted but not yet finished.",
 		func() float64 { return s.budget.pendingSimS() })
 	for prio := 0; prio < numPriorities; prio++ {
-		prio := prio
 		r.NewGaugeFunc("thermbal_exec_queue_depth",
 			"Goroutines waiting for an execution slot, by priority class.",
 			func() float64 { w, _ := s.slots.depths(); return float64(w[prio]) },
@@ -259,16 +336,6 @@ func (m *serverMetrics) observeExecution(er *obs.TimingRecord, stored bool) {
 	}
 }
 
-// observeProof records one /proof store lookup. Guarded because the
-// histogram is registered only on stores-backed servers; handleProof
-// rejects before the lookup when there is no store, so a nil here is
-// unreachable in practice.
-func (m *serverMetrics) observeProof(d time.Duration) {
-	if m.proofDuration != nil {
-		m.proofDuration.Observe(d)
-	}
-}
-
 // observeRequest records one finished request: the total-latency
 // histogram and counter for its endpoint and outcome. This is the
 // entire recording cost of a cache hit — two atomic adds on
@@ -277,51 +344,4 @@ func (m *serverMetrics) observeRequest(ep int, rec *obs.TimingRecord) {
 	o := outcomeIndex(rec.Outcome)
 	m.requests[ep][o].Observe(rec.Total)
 	m.requestsTotal[ep][o].Inc()
-}
-
-// StageQuantiles is one latency summary in the /stats latency block:
-// observation count plus p50/p95/p99 estimated from the fixed-bucket
-// histograms (interpolated within buckets, so they are estimates with
-// bucket-width resolution, not exact order statistics).
-type StageQuantiles struct {
-	Count uint64  `json:"count"`
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-// LatencyStats is the /stats latency block: whole-request quantiles
-// per endpoint (merged across cache outcomes) and per-stage quantiles.
-type LatencyStats struct {
-	Run      StageQuantiles `json:"run"`
-	Matrix   StageQuantiles `json:"matrix"`
-	Queue    StageQuantiles `json:"queue"`
-	Coalesce StageQuantiles `json:"coalesce"`
-	Execute  StageQuantiles `json:"execute"`
-	Encode   StageQuantiles `json:"encode"`
-	Store    StageQuantiles `json:"store"`
-}
-
-func quantilesOf(hs []*obs.Histogram) StageQuantiles {
-	toMs := func(s float64) float64 { return s * 1e3 }
-	return StageQuantiles{
-		Count: obs.MergedCount(hs),
-		P50Ms: toMs(obs.MergedQuantile(hs, 0.50)),
-		P95Ms: toMs(obs.MergedQuantile(hs, 0.95)),
-		P99Ms: toMs(obs.MergedQuantile(hs, 0.99)),
-	}
-}
-
-// latency assembles the /stats latency block from the histograms.
-func (m *serverMetrics) latency() LatencyStats {
-	one := func(h *obs.Histogram) StageQuantiles { return quantilesOf([]*obs.Histogram{h}) }
-	return LatencyStats{
-		Run:      quantilesOf(m.requests[epRun][:]),
-		Matrix:   quantilesOf(m.requests[epMatrix][:]),
-		Queue:    one(m.stages[obs.StageQueue]),
-		Coalesce: one(m.stages[obs.StageCoalesce]),
-		Execute:  one(m.stages[obs.StageExecute]),
-		Encode:   one(m.stages[obs.StageEncode]),
-		Store:    one(m.stages[obs.StageStore]),
-	}
 }

@@ -1,9 +1,12 @@
 package service
 
 import (
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,12 +34,22 @@ func promValue(t *testing.T, text, series string) float64 {
 	return 0
 }
 
+// metric renders s's /metrics exposition in-process and returns one
+// series' value.
+func metric(t *testing.T, s *Server, series string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.metrics.reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return promValue(t, sb.String(), series)
+}
+
 // TestMetricsAndXTiming drives a fresh-vs-cached /run pair on the real
 // engine and checks the whole observability surface agrees with
 // itself: X-Timing parses and matches the executed-vs-cached shape,
-// /metrics carries the stage histograms with counts that reconcile
-// with /stats, and the /stats latency block reports the same
-// observations as quantiles.
+// and /metrics carries the stage and request histograms with counts
+// that reconcile with the executions and cache counters.
 func TestMetricsAndXTiming(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -113,28 +126,15 @@ func TestMetricsAndXTiming(t *testing.T) {
 		t.Error("/metrics renders store series on a store-less server")
 	}
 
-	// /stats, fetched over HTTP, reports the same counts as /metrics.
-	var stats StatsDoc
-	_, sb := do(t, http.MethodGet, ts.URL+"/stats", "")
-	if err := json.Unmarshal(sb, &stats); err != nil {
-		t.Fatalf("decode /stats: %v", err)
+	// The execute stage's time is recorded, and nothing is observed
+	// under an endpoint that served nothing.
+	if sum := promValue(t, text, `thermbal_stage_duration_seconds_sum{stage="execute"}`); sum <= 0 {
+		t.Errorf("execute stage sum = %g s, want > 0", sum)
 	}
-	if stats.Executions != 1 || stats.Cache.Hits != 1 || stats.Cache.Misses != 1 {
-		t.Errorf("/stats executions %d, hits %d, misses %d; want 1, 1, 1",
-			stats.Executions, stats.Cache.Hits, stats.Cache.Misses)
-	}
-	lat := stats.Latency
-	if lat.Run.Count != 2 {
-		t.Errorf("latency.run.count = %d, want 2", lat.Run.Count)
-	}
-	if lat.Execute.Count != 1 || lat.Execute.P50Ms <= 0 {
-		t.Errorf("latency.execute = %+v, want count 1, p50 > 0", lat.Execute)
-	}
-	if lat.Run.P99Ms < lat.Run.P50Ms {
-		t.Errorf("latency.run p99 %g < p50 %g", lat.Run.P99Ms, lat.Run.P50Ms)
-	}
-	if lat.Matrix.Count != 0 {
-		t.Errorf("latency.matrix.count = %d, want 0 (no matrix requests)", lat.Matrix.Count)
+	for _, o := range outcomeNames {
+		if n := promValue(t, text, `thermbal_request_duration_seconds_count{endpoint="matrix",outcome="`+o+`"}`); n != 0 {
+			t.Errorf("matrix %s requests = %g, want 0", o, n)
+		}
 	}
 }
 
@@ -288,5 +288,168 @@ func TestWarmupCheckpointMetrics(t *testing.T) {
 	}
 	if hits, _, _ := scrape(second.URL); hits < hits0+2 {
 		t.Errorf("warm-up hits %g after two runs sharing a warm-up, want ≥ %g", hits, hits0+2)
+	}
+}
+
+// TestMetricsServeEveryCounter reads, from /metrics alone, every
+// counter, gauge and configured limit the service keeps, on a server
+// with a durable store and quotas after one executed and one cached
+// /run.
+func TestMetricsServeEveryCounter(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	_, ts := newTestServer(t, Config{
+		Store:          st,
+		CacheEntries:   11,
+		JobWorkers:     2,
+		QueueDepth:     7,
+		MaxSims:        3,
+		MaxPendingSimS: 40,
+		QuotaRPS:       3,
+		QuotaBurst:     5,
+		runSim: func(rc experiment.RunConfig) (sim.Result, error) {
+			return sim.Result{PolicyName: rc.PolicyName, MeasuredS: rc.MeasureS}, nil
+		},
+	})
+	for range 2 {
+		if resp, b := do(t, http.MethodPost, ts.URL+"/run", shortRun); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/run: %d %s", resp.StatusCode, b)
+		}
+	}
+	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
+	text := string(body)
+
+	want := map[string]float64{
+		"thermbal_executions_total":      1,
+		"thermbal_coalesced_total":       0,
+		"thermbal_inflight":              0,
+		"thermbal_cache_hits_total":      1,
+		"thermbal_cache_misses_total":    1,
+		"thermbal_cache_evictions_total": 0,
+		"thermbal_cache_entries":         1,
+		`thermbal_request_duration_seconds_count{endpoint="run",outcome="miss"}`: 1,
+		`thermbal_request_duration_seconds_count{endpoint="run",outcome="hit"}`:  1,
+		`thermbal_stage_duration_seconds_count{stage="store"}`:                   1,
+
+		"thermbal_schema_version":          experiment.SchemaVersion,
+		"thermbal_max_sims":                3,
+		"thermbal_max_pending_sim_seconds": 40,
+		"thermbal_job_queue_capacity":      7,
+		"thermbal_job_workers":             2,
+		"thermbal_cache_capacity":          11,
+		"thermbal_quota_rps":               3,
+		"thermbal_quota_burst":             5,
+
+		"thermbal_store_serves_total":  0,
+		"thermbal_store_errors_total":  0,
+		"thermbal_proofs_served_total": 0,
+		"thermbal_proof_errors_total":  0,
+
+		"thermbal_jobs_recovered_total":                     0,
+		`thermbal_shed_total{reason="cost"}`:                0,
+		`thermbal_shed_total{reason="queue_full"}`:          0,
+		"thermbal_pending_sim_seconds":                      0,
+		`thermbal_exec_queue_depth{priority="interactive"}`: 0,
+		`thermbal_exec_queue_depth{priority="bulk"}`:        0,
+		"thermbal_exec_slots_free":                          3,
+		"thermbal_quota_denied_total":                       0,
+		"thermbal_quota_tenants":                            1,
+	}
+	for _, state := range []JobState{JobPending, JobRunning, JobDone, JobFailed, JobCancelled} {
+		want[`thermbal_jobs{state="`+string(state)+`"}`] = 0
+	}
+	sst := st.Stats()
+	if sst.Records != 1 || sst.Puts != 1 {
+		t.Fatalf("store stats = %+v, want the one executed run stored", sst)
+	}
+	for _, f := range storeFamilies {
+		want[f.name] = f.value(sst)
+	}
+	for series, v := range want {
+		if got := promValue(t, text, series); got != v {
+			t.Errorf("%s = %g, want %g", series, got, v)
+		}
+	}
+	if up := promValue(t, text, "thermbal_uptime_seconds"); up <= 0 {
+		t.Errorf("thermbal_uptime_seconds = %g, want > 0", up)
+	}
+}
+
+// TestMetricReferenceTable holds docs/OPERATIONS.md's metric reference
+// to what /metrics renders: every family a server with a store, quotas
+// and a timing log renders must be listed with its type and labels,
+// and every listed family must be rendered.
+func TestMetricReferenceTable(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	s := New(Config{Store: st, QuotaRPS: 1, TimingLog: obs.NewCSVLogger(io.Discard, false)})
+	defer s.Close()
+	var sb strings.Builder
+	if err := s.metrics.reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]string{}
+	labels := map[string][]string{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			kinds[name] = kind
+			continue
+		}
+		name, set, ok := strings.Cut(line, "{")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, cut := strings.CutSuffix(name, suffix); cut && kinds[base] == "histogram" {
+				name = base
+			}
+		}
+		for _, pair := range strings.Split(set[:strings.Index(set, "}")], ",") {
+			l, _, _ := strings.Cut(pair, "=")
+			if l != "le" && !slices.Contains(labels[name], l) {
+				labels[name] = append(labels[name], l)
+			}
+		}
+	}
+	// family name -> "type | labels", as the table spells them.
+	rendered := map[string]string{}
+	for name, kind := range kinds {
+		ls := "—"
+		if len(labels[name]) > 0 {
+			ls = "`" + strings.Join(labels[name], "`, `") + "`"
+		}
+		rendered[name] = kind + " | " + ls
+	}
+
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		rest, ok := strings.CutPrefix(line, "| `thermbal_")
+		if !ok {
+			continue
+		}
+		cells := strings.Split(rest, " | ")
+		name := "thermbal_" + strings.TrimSuffix(cells[0], "`")
+		if len(cells) < 4 {
+			t.Errorf("table row for %s has %d cells, want family | type | labels | meaning", name, len(cells)+1)
+			continue
+		}
+		listed[name] = true
+		got, ok := rendered[name]
+		switch {
+		case !ok:
+			t.Errorf("OPERATIONS.md lists %s, which /metrics never renders", name)
+		case got != cells[1]+" | "+cells[2]:
+			t.Errorf("OPERATIONS.md lists %s as %q, /metrics renders %q", name, cells[1]+" | "+cells[2], got)
+		}
+	}
+	for name := range rendered {
+		if !listed[name] {
+			t.Errorf("/metrics renders %s, missing from OPERATIONS.md's metric reference", name)
+		}
 	}
 }

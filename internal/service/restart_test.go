@@ -67,12 +67,11 @@ func TestRestartServesStoreHitByteIdentical(t *testing.T) {
 	if pairs["execute"] != 0 || pairs["total"] <= 0 {
 		t.Errorf("store-hit X-Timing execute=%d total=%d µs, want 0 and > 0", pairs["execute"], pairs["total"])
 	}
-	stats := s2.Stats()
-	if stats.Executions != 0 {
-		t.Errorf("restarted server executed %d simulations, want 0", stats.Executions)
+	if n := metric(t, s2, "thermbal_executions_total"); n != 0 {
+		t.Errorf("restarted server executed %g simulations, want 0", n)
 	}
-	if stats.Store == nil || stats.Store.Serves != 1 || stats.Store.Records == 0 {
-		t.Errorf("store stats after restart = %+v", stats.Store)
+	if serves, records := metric(t, s2, "thermbal_store_serves_total"), metric(t, s2, "thermbal_store_records"); serves != 1 || records == 0 {
+		t.Errorf("after restart: %g store serves, %g records; want 1 and > 0", serves, records)
 	}
 	// And a second request is now a pure memory hit.
 	resp, again := do(t, http.MethodPost, ts2.URL+"/run", shortRun)
@@ -87,7 +86,7 @@ func TestRestartServesStoreHitByteIdentical(t *testing.T) {
 // TestMatrixJobResumesFromCompletedCells is the acceptance restart
 // test for sweeps, on the real engine: one cell of a 2-cell sweep is
 // populated via /run before a kill; after restart the matrix job
-// executes only the missing cell (asserted via the /stats execution
+// executes only the missing cell (asserted via the executions
 // counter) and still assembles the full, cacheable sweep document.
 // One more restart then finds the whole sweep stored, and a
 // resubmitted job executes nothing.
@@ -124,9 +123,8 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 		p.CompletedCells != 2 || p.ExecutedCells != 1 || p.CachedCells != 1 {
 		t.Errorf("resumed sweep progress = %+v, want 2 completed / 1 executed / 1 cached", done.Progress)
 	}
-	stats := s2.Stats()
-	if stats.Executions != 1 {
-		t.Errorf("resumed sweep executed %d cells, want only the missing 1", stats.Executions)
+	if n := metric(t, s2, "thermbal_executions_total"); n != 1 {
+		t.Errorf("resumed sweep executed %g cells, want only the missing 1", n)
 	}
 
 	// The assembled document equals a synchronous /matrix of the same
@@ -183,8 +181,8 @@ func TestMatrixJobResumesFromCompletedCells(t *testing.T) {
 	if p := done.Progress; p == nil || p.CompletedCells != 2 || p.ExecutedCells != 0 {
 		t.Errorf("stored sweep progress = %+v, want 2 completed / 0 executed", done.Progress)
 	}
-	if n := s3.Stats().Executions; n != 0 {
-		t.Errorf("stored sweep executed %d cells after restart, want 0", n)
+	if n := metric(t, s3, "thermbal_executions_total"); n != 0 {
+		t.Errorf("stored sweep executed %g cells after restart, want 0", n)
 	}
 }
 
@@ -252,8 +250,8 @@ func TestKilledMatrixJobAutoResumesAfterRestart(t *testing.T) {
 	if p := st.Progress; p == nil || p.ExecutedCells != 1 || p.CachedCells != 1 {
 		t.Errorf("recovered sweep progress = %+v, want 1 executed / 1 cached", st.Progress)
 	}
-	if s2.Stats().Jobs.Recovered != 1 {
-		t.Errorf("jobs.recovered = %d, want 1", s2.Stats().Jobs.Recovered)
+	if n := metric(t, s2, "thermbal_jobs_recovered_total"); n != 1 {
+		t.Errorf("thermbal_jobs_recovered_total = %g, want 1", n)
 	}
 	// Once done, the journal record is tombstoned: a third process
 	// recovers nothing.
@@ -293,8 +291,8 @@ func TestJournalNamingRemovedIntegratorDropped(t *testing.T) {
 	if n := len(s.jobs.list()); n != 0 {
 		t.Errorf("recovered %d jobs from an rk4 journal record, want 0", n)
 	}
-	if got := s.Stats().Store.Errors; got != 1 {
-		t.Errorf("store errors = %d, want 1", got)
+	if got := metric(t, s, "thermbal_store_errors_total"); got != 1 {
+		t.Errorf("store errors = %g, want 1", got)
 	}
 	if keys := st.Keys(request.JournalPrefix); len(keys) != 0 {
 		t.Errorf("rk4 journal record kept: %v", keys)

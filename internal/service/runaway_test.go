@@ -26,7 +26,7 @@ func TestRunawayIs422WithHint(t *testing.T) {
 			t.Errorf("attempt %d: error document %s lacks the runaway message or hint", i, body)
 		}
 	}
-	if got := s.Stats().Executions; got != 2 {
-		t.Errorf("executions = %d, want 2 (a refusal must not be cached)", got)
+	if got := metric(t, s, "thermbal_executions_total"); got != 2 {
+		t.Errorf("executions = %g, want 2 (a refusal must not be cached)", got)
 	}
 }

@@ -133,10 +133,14 @@ func TestConcurrentIdenticalRunsCoalesce(t *testing.T) {
 	if !bytes.Equal(b, bodies[0]) {
 		t.Error("cached body differs from the coalesced bodies")
 	}
-	stats := s.Stats()
-	if stats.Executions != 1 || stats.Coalesced != m-1 || stats.Cache.Hits != 1 {
-		t.Errorf("stats = executions %d, coalesced %d, hits %d; want 1, %d, 1",
-			stats.Executions, stats.Coalesced, stats.Cache.Hits, m-1)
+	for series, want := range map[string]float64{
+		"thermbal_executions_total": 1,
+		"thermbal_coalesced_total":  m - 1,
+		"thermbal_cache_hits_total": 1,
+	} {
+		if got := metric(t, s, series); got != want {
+			t.Errorf("%s = %g, want %g", series, got, want)
+		}
 	}
 }
 
@@ -188,7 +192,7 @@ func TestCachedResponseByteIdenticalToColdRun(t *testing.T) {
 	}
 }
 
-func TestCatalogueAndStatsEndpoints(t *testing.T) {
+func TestCatalogueEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	resp, b := do(t, http.MethodGet, ts.URL+"/healthz", "")
@@ -226,13 +230,8 @@ func TestCatalogueAndStatsEndpoints(t *testing.T) {
 		t.Errorf("policies doc missing thermal-balance with aliases: %s", b)
 	}
 
-	var stats StatsDoc
-	_, b = do(t, http.MethodGet, ts.URL+"/stats", "")
-	if err := json.Unmarshal(b, &stats); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
-	if stats.Cache.Capacity != 512 || stats.Jobs.Workers < 1 {
-		t.Errorf("stats = %+v", stats)
+	if resp, _ := do(t, http.MethodGet, ts.URL+"/stats", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats = %d, want 404", resp.StatusCode)
 	}
 
 	// Errors: unknown names get did-you-mean; oversized sync runs are
@@ -501,8 +500,8 @@ func TestJobLifecycle(t *testing.T) {
 			t.Errorf("listing embeds result for %s", j.ID)
 		}
 	}
-	if st := s.Stats().Jobs; st.Done != 1 || st.Cancelled != 1 {
-		t.Errorf("job stats = %+v", st)
+	if done, cancelled := metric(t, s, `thermbal_jobs{state="done"}`), metric(t, s, `thermbal_jobs{state="cancelled"}`); done != 1 || cancelled != 1 {
+		t.Errorf("jobs done/cancelled = %g/%g, want 1/1", done, cancelled)
 	}
 
 	// Unknown kind is rejected at submit time.

@@ -16,9 +16,9 @@
 // (synchronous, small jobs), /matrix (batched scenarios × policies
 // sweep), /jobs + /jobs/{id} (bounded async queue: submit, poll,
 // cancel), /proof (a Merkle inclusion proof for one stored result,
-// see internal/provenance), /stats (cache/coalescing/job counters
-// plus per-stage latency quantiles), /metrics (Prometheus text
-// exposition of the same histograms) and /healthz. Every /run and
+// see internal/provenance), /seal (seal the store's active segment
+// now), /metrics (the Prometheus text exposition of every service
+// counter, gauge and latency histogram) and /healthz. Every /run and
 // /matrix response carries an X-Timing header with its per-stage
 // timings (see internal/obs) and an X-Content-Key header with the
 // canonical content address — the key to pass to /proof.
@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"thermbal/internal/experiment"
@@ -145,38 +144,18 @@ func (c Config) fill() Config {
 // async job queue. Create with New, expose with Handler, stop with
 // Close.
 type Server struct {
-	cfg     Config
-	cache   *lruCache
-	flight  flightGroup
-	jobs    jobManager
-	slots   *prioSlots    // engine execution slots (MaxSims), priority-classed
-	budget  costBudget    // admitted-but-unfinished simulated seconds
-	quota   *tenantQuotas // per-tenant token buckets; nil when disabled
-	base    context.Context
-	stop    context.CancelFunc
-	start   time.Time
+	cfg    Config
+	cache  *lruCache
+	flight flightGroup
+	jobs   jobManager
+	slots  *prioSlots    // engine execution slots (MaxSims), priority-classed
+	budget costBudget    // admitted-but-unfinished simulated seconds
+	quota  *tenantQuotas // per-tenant token buckets; nil when disabled
+	base   context.Context
+	stop   context.CancelFunc
+	start  time.Time
+	// metrics owns every service counter; /metrics renders them.
 	metrics *serverMetrics
-
-	// shed counts overload refusals by reason (see shedReasonNames);
-	// every one of them was answered with 503 + Retry-After.
-	shed [numShedReasons]atomic.Int64
-
-	// executions counts actual engine runs (one per coalesced group,
-	// one per executed sweep cell; cache and store hits execute
-	// nothing).
-	executions atomic.Int64
-	// storeServes counts responses served straight from the durable
-	// store (a warm restart's first requests); storeErrors counts
-	// store read/write failures, which degrade to memory-only service
-	// instead of failing the request.
-	storeServes atomic.Int64
-	storeErrors atomic.Int64
-	// proofsServed / proofErrors count /proof outcomes: served is a
-	// 200 with an inclusion proof, errors is everything the store
-	// refused (unknown key, unsealed tail, tainted segment). Together
-	// they reconcile with the /proof request count.
-	proofsServed atomic.Int64
-	proofErrors  atomic.Int64
 
 	// runSim is the engine seam; tests substitute it to observe or
 	// control execution counts deterministically.
@@ -216,7 +195,7 @@ func New(cfg Config) *Server {
 			return nil
 		}
 		if !s.budget.admit(j.cost) {
-			s.shed[shedCost].Add(1)
+			s.metrics.shed[shedCost].Inc()
 			return &shedError{retryAfter: shedRetryAfter(s.budget.pendingSimS(), s.cfg.MaxSims)}
 		}
 		return nil
@@ -282,7 +261,7 @@ func (s *Server) execute(ctx context.Context, key string, cost float64, rec *obs
 		// refuses new work up front (bounded Retry-After) rather than
 		// parking it behind an unbounded line of predecessors.
 		if !s.budget.admit(cost) {
-			s.shed[shedCost].Add(1)
+			s.metrics.shed[shedCost].Inc()
 			return nil, &shedError{retryAfter: shedRetryAfter(s.budget.pendingSimS(), s.cfg.MaxSims)}
 		}
 		defer s.budget.release(cost)
@@ -331,7 +310,7 @@ func (s *Server) lookup(key string, recheck bool) ([]byte, string, bool) {
 	}
 	if body, ok := s.storeGet(key); ok {
 		s.cache.Add(key, body)
-		s.storeServes.Add(1)
+		s.metrics.storeServes.Inc()
 		return body, "store", true
 	}
 	return nil, "", false
@@ -346,7 +325,7 @@ func (s *Server) storeGet(key string) ([]byte, bool) {
 	}
 	body, ok, err := s.cfg.Store.Get(key)
 	if err != nil {
-		s.storeErrors.Add(1)
+		s.metrics.storeErrors.Inc()
 		return nil, false
 	}
 	return body, ok
@@ -361,7 +340,7 @@ func (s *Server) storePut(key string, body []byte) {
 		return
 	}
 	if err := s.cfg.Store.Put(key, body); err != nil {
-		s.storeErrors.Add(1)
+		s.metrics.storeErrors.Inc()
 	}
 }
 
@@ -378,7 +357,7 @@ func (s *Server) executeRun(ctx context.Context, key string, cls execClass, cano
 		}
 		defer s.slots.release()
 		er.D[obs.StageQueue] = time.Since(t)
-		s.executions.Add(1)
+		s.metrics.executions.Inc()
 		t = time.Now()
 		res, err := s.runSim(rc)
 		er.D[obs.StageExecute] = time.Since(t)
@@ -447,164 +426,6 @@ func (s *Server) executeSweep(ctx context.Context, key string, canon request.Mat
 		s.keep(key, body, er)
 		return body, nil
 	})
-}
-
-// StatsDoc is the /stats response: the cache, coalescing and job
-// counters.
-type StatsDoc struct {
-	SchemaVersion int `json:"schema_version"`
-	// UptimeS is the seconds since the server was created.
-	UptimeS float64 `json:"uptime_s"`
-	// Executions counts actual engine runs (cache hits and coalesced
-	// waiters execute nothing).
-	Executions int64 `json:"executions"`
-	// Inflight is the number of distinct executions running (or
-	// waiting for an execution slot) right now.
-	Inflight int `json:"inflight"`
-	// MaxSims is the concurrent-execution cap Inflight queues behind.
-	MaxSims int `json:"max_sims"`
-	// Coalesced is the total number of requests served by waiting on
-	// another request's identical in-flight execution.
-	Coalesced uint64 `json:"coalesced"`
-	// Cache holds the result-cache counters. Misses count lookups that
-	// fell through to the store/execution/coalescing layers, so a
-	// store-served or coalesced request counts one miss and no
-	// execution.
-	Cache CacheStats `json:"cache"`
-	// Store holds the durable-store counters; absent when the server
-	// runs memory-only.
-	Store *StoreStats `json:"store,omitempty"`
-	// Jobs holds the async-queue counters.
-	Jobs JobStats `json:"jobs"`
-	// Latency holds per-endpoint and per-stage p50/p95/p99, estimated
-	// from the same fixed-bucket histograms /metrics exposes.
-	Latency LatencyStats `json:"latency"`
-	// Admission holds the overload-control counters: the pending
-	// simulated-seconds backlog against its budget, per-priority
-	// execution-queue depth, cumulative shed counts by reason, and the
-	// per-tenant quota table (when quotas are enabled).
-	Admission AdmissionStats `json:"admission"`
-}
-
-// AdmissionStats is the /stats admission block — what a dashboard
-// needs to see saturation directly instead of inferring it from 503
-// rates.
-type AdmissionStats struct {
-	// MaxPendingSimS is the simulated-seconds budget (0: unbounded);
-	// PendingSimS is the backlog currently reserved against it.
-	MaxPendingSimS float64 `json:"max_pending_sim_s"`
-	PendingSimS    float64 `json:"pending_sim_s"`
-	// ExecQueue is the MaxSims execution-slot queue: free slots and
-	// waiters per priority class.
-	ExecQueue ExecQueueStats `json:"exec_queue"`
-	// Shed counts overload refusals (503 + Retry-After) by reason.
-	Shed ShedStats `json:"shed"`
-	// Quota is the per-tenant token-bucket state; absent when quotas
-	// are disabled.
-	Quota *QuotaStats `json:"quota,omitempty"`
-}
-
-// ExecQueueStats is the execution-slot queue: capacity, free slots and
-// per-priority waiter depth.
-type ExecQueueStats struct {
-	MaxSims            int `json:"max_sims"`
-	Free               int `json:"free"`
-	WaitingInteractive int `json:"waiting_interactive"`
-	WaitingBulk        int `json:"waiting_bulk"`
-}
-
-// ShedStats counts load-shedding decisions by reason: "cost" is the
-// simulated-seconds budget refusing new work, "queue_full" is the
-// structural pending-job bound.
-type ShedStats struct {
-	Cost      int64 `json:"cost"`
-	QueueFull int64 `json:"queue_full"`
-}
-
-// QuotaStats is the per-tenant quota block of /stats.
-type QuotaStats struct {
-	// RPS and Burst are the configured token-bucket parameters.
-	RPS   float64 `json:"rps"`
-	Burst float64 `json:"burst"`
-	// Tenants is the number of live buckets (tenants seen recently
-	// enough that their bucket has not fully refilled and been pruned).
-	Tenants int `json:"tenants"`
-	// Denied is the cumulative 429 count.
-	Denied int64 `json:"denied"`
-}
-
-// StoreStats is the /stats durable-store block: the store's own
-// segment/record/recovery counters plus the service-level ones.
-type StoreStats struct {
-	store.Stats
-	// Serves counts responses served straight from the durable store —
-	// a warm restart's cache misses that executed nothing.
-	Serves int64 `json:"serves"`
-	// Errors counts store read/write failures (requests still succeed,
-	// degraded to memory-only).
-	Errors int64 `json:"errors"`
-	// ProofsServed counts /proof responses carrying an inclusion
-	// proof; ProofErrors counts /proof requests the store refused
-	// (unknown key, record still in the unsealed active segment, or a
-	// tainted segment).
-	ProofsServed int64 `json:"proofs_served"`
-	ProofErrors  int64 `json:"proof_errors"`
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() StatsDoc {
-	inflight, coalesced := s.flight.counts()
-	doc := StatsDoc{
-		SchemaVersion: experiment.SchemaVersion,
-		UptimeS:       time.Since(s.start).Seconds(),
-		Executions:    s.executions.Load(),
-		Inflight:      inflight,
-		MaxSims:       s.cfg.MaxSims,
-		Coalesced:     coalesced,
-		Cache:         s.cache.Stats(),
-		Jobs:          s.jobs.stats(s.cfg.JobWorkers),
-		Latency:       s.metrics.latency(),
-		Admission:     s.admissionStats(),
-	}
-	if s.cfg.Store != nil {
-		doc.Store = &StoreStats{
-			Stats:        s.cfg.Store.Stats(),
-			Serves:       s.storeServes.Load(),
-			Errors:       s.storeErrors.Load(),
-			ProofsServed: s.proofsServed.Load(),
-			ProofErrors:  s.proofErrors.Load(),
-		}
-	}
-	return doc
-}
-
-// admissionStats assembles the /stats admission block.
-func (s *Server) admissionStats() AdmissionStats {
-	waiting, free := s.slots.depths()
-	st := AdmissionStats{
-		MaxPendingSimS: s.cfg.MaxPendingSimS,
-		PendingSimS:    s.budget.pendingSimS(),
-		ExecQueue: ExecQueueStats{
-			MaxSims:            s.cfg.MaxSims,
-			Free:               free,
-			WaitingInteractive: waiting[prioInteractive],
-			WaitingBulk:        waiting[prioBulk],
-		},
-		Shed: ShedStats{
-			Cost:      s.shed[shedCost].Load(),
-			QueueFull: s.shed[shedQueueFull].Load(),
-		},
-	}
-	if s.quota != nil {
-		tenants, denied := s.quota.stats()
-		st.Quota = &QuotaStats{
-			RPS:     s.quota.rps,
-			Burst:   s.quota.burst,
-			Tenants: tenants,
-			Denied:  denied,
-		}
-	}
-	return st
 }
 
 var errQueueFull = fmt.Errorf("job queue full; retry later")

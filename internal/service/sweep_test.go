@@ -29,12 +29,12 @@ var cellRuns = []string{
 // so each cell is cached and stored under its own run key — a /run of
 // the cell afterwards is a hit carrying the cell's bytes — while the
 // sweep itself keeps its X-Cache ladder (miss, hit, and store after a
-// restart), and every engine execution shows up once in /stats, in
-// the execute-stage histogram and in thermbal_executions_total.
+// restart), and every engine execution shows up once in the
+// execute-stage histogram and in thermbal_executions_total.
 func TestSyncSweepCachesCells(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openTestStore(t, dir)
-	s, ts := newTestServer(t, Config{Store: st1})
+	_, ts := newTestServer(t, Config{Store: st1})
 
 	resp, sweepBody := do(t, http.MethodPost, ts.URL+"/matrix", twoCellSweep)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
@@ -74,13 +74,10 @@ func TestSyncSweepCachesCells(t *testing.T) {
 	if resp, _ := do(t, http.MethodPost, ts.URL+"/matrix", twoCellSweep); resp.Header.Get("X-Cache") != "hit" {
 		t.Errorf("repeat sweep X-Cache = %q, want hit", resp.Header.Get("X-Cache"))
 	}
-	if got := s.Stats().Executions; got != 2 {
-		t.Errorf("/stats executions = %d, want 2 (one per cell)", got)
-	}
 	_, metrics := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	for _, series := range []string{`thermbal_stage_duration_seconds_count{stage="execute"}`, `thermbal_executions_total`} {
 		if got := promValue(t, string(metrics), series); got != 2 {
-			t.Errorf("%s = %g, want 2", series, got)
+			t.Errorf("%s = %g, want 2 (one per cell)", series, got)
 		}
 	}
 
@@ -93,8 +90,8 @@ func TestSyncSweepCachesCells(t *testing.T) {
 	if !bytes.Equal(warm, sweepBody) {
 		t.Error("restarted sweep body differs")
 	}
-	if got := s2.Stats().Executions; got != 0 {
-		t.Errorf("restarted sweep executed %d cells, want 0", got)
+	if got := metric(t, s2, "thermbal_executions_total"); got != 0 {
+		t.Errorf("restarted sweep executed %g cells, want 0", got)
 	}
 }
 
@@ -261,7 +258,7 @@ func TestSyncSweepExecutesOnlyMissingCells(t *testing.T) {
 			break
 		}
 	}
-	if got := s.Stats().Executions; got != 3 {
-		t.Errorf("executions = %d, want 3 (two /runs, then only the missing cell)", got)
+	if got := metric(t, s, "thermbal_executions_total"); got != 3 {
+		t.Errorf("executions = %g, want 3 (two /runs, then only the missing cell)", got)
 	}
 }

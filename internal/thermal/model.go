@@ -93,7 +93,6 @@ type Model struct {
 	// FP is the source floorplan.
 	FP *floorplan.Floorplan
 
-	pkg       Package
 	blockNode []int // floorplan block index -> silicon node index
 	powerBuf  []float64
 }
@@ -143,7 +142,6 @@ func NewModel(fp *floorplan.Floorplan, pkg Package) (*Model, error) {
 	return &Model{
 		Net:       net,
 		FP:        fp,
-		pkg:       pkg,
 		blockNode: blockNode,
 		powerBuf:  make([]float64, net.NumNodes()),
 	}, nil
