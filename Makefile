@@ -210,7 +210,8 @@ check-386:
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
 	GOARCH=386 $(GO) test -run Oracle ./internal/thermal ./internal/floorplan
 
-# Machine-readable ns/op for the Sweep, Step, ExpmBuild and
+# Machine-readable ns/op for the Sweep, Manycore256, Manycore64Expm
+# (the engine-bound many-core runs), Step, ExpmBuild and
 # FloorplanManycore256 benchmarks: five 1x samples each, recorded as
 # their medians in a host-stamped BENCH_<date>.json. The points are a
 # record, not a baseline; `make bench-ab` judges a change. Each bench
@@ -223,6 +224,7 @@ bench-json:
 		exit 1; \
 	fi
 	$(GO) test -bench 'BenchmarkSweep(Serial|SerialExpm|Parallel)' -run '^$$' -benchtime 1x -count 5 -benchmem . > .bench.tmp
+	$(GO) test -bench 'BenchmarkManycore(256|64Expm)$$' -run '^$$' -benchtime 1x -count 5 -benchmem . >> .bench.tmp
 	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/thermal >> .bench.tmp
 	$(GO) test -bench BenchmarkFloorplanManycore256 -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/floorplan >> .bench.tmp
 	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > $(BENCH_OUT)

@@ -264,10 +264,11 @@ func benchManycore(b *testing.B, name string, th thermal.Config) {
 // BenchmarkManycore256 is the interactivity headline: the 256-core
 // tiled die (1539 thermal nodes) under the balancing policy. At this
 // size the expm cost model keeps the thermal side on sparse Euler
-// substeps, and the engine's sim layer — plain ticks over 256 cores and
-// the event-horizon scans — dominates: most groups end in a plain tick
-// because some core has an event on the next one, which is what the
-// per-core event calendar and its quiet-core path target.
+// substeps, and the engine's sim layer dominates: most groups end in a
+// plain tick because some core has an event on the next one. The
+// per-core event calendar keeps those ticks to the few due cores; the
+// quiet cores' allocations are owed and applied in per-task batches
+// when a core is next touched, at the latest at the sensor update.
 func BenchmarkManycore256(b *testing.B) { benchManycore(b, "manycore-256", thermal.Config{}) }
 
 // BenchmarkManycore64Expm is the largest die on which expm propagates

@@ -23,7 +23,9 @@
 // completion: when the server saturates, latency grows and is measured
 // rather than silently throttling the offered load. A -max-inflight
 // client-side cap (default 4x rps) bounds the damage of a wedged
-// server; skipped arrivals are reported, never hidden.
+// server; skipped arrivals are reported, never hidden. A rate, window
+// or mix no run can honour (a NaN, non-positive or above-1e9 -rps, for
+// one) exits with status 2 before any request is sent.
 package main
 
 import (
@@ -85,6 +87,12 @@ func main() {
 		MaxInflight: *maxInflight,
 		Tenant:      *tenant,
 		Logf:        log.Printf,
+	}
+
+	// A setting no run can honour is a usage error, whatever the mode.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "thermload: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *self {

@@ -174,6 +174,23 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// Validate reports the first setting Run cannot honour: an arrival
+// rate that is not a number, not positive, or so high (infinite
+// included) that the arrival interval rounds to zero; a non-positive
+// measurement window; an invalid mix.
+func (c *Config) Validate() error {
+	if !(c.RPS > 0) || float64(time.Second)/c.RPS < 1 {
+		return fmt.Errorf("rps = %g, want a rate in (0, 1e9]", c.RPS)
+	}
+	if c.Duration <= 0 {
+		return fmt.Errorf("duration = %s, want > 0", c.Duration)
+	}
+	if err := c.Mix.Validate(); err != nil {
+		return fmt.Errorf("mix: %w", err)
+	}
+	return nil
+}
+
 func (c *Config) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
@@ -196,14 +213,8 @@ type sample struct {
 // report. ctx cancellation stops the arrival schedule early; whatever
 // was measured up to that point is still reported.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.RPS <= 0 {
-		return nil, fmt.Errorf("rps = %g, want > 0", cfg.RPS)
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("duration = %s, want > 0", cfg.Duration)
-	}
-	if err := cfg.Mix.Validate(); err != nil {
-		return nil, fmt.Errorf("mix: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	client := cfg.Client
 	if client == nil {

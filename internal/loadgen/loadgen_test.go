@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -134,6 +135,17 @@ func TestRunProducesReport(t *testing.T) {
 func TestDecodeReportRejectsUnknownSchema(t *testing.T) {
 	if _, err := DecodeReport([]byte(`{"load_schema_version": 999}`)); err == nil {
 		t.Fatal("unknown schema version accepted")
+	}
+}
+
+// TestRunRefusesUnusableRate: a NaN, infinite or sub-nanosecond-interval
+// arrival rate is an error before any arrival, not a ticker panic.
+func TestRunRefusesUnusableRate(t *testing.T) {
+	for _, rps := range []float64{math.NaN(), math.Inf(1), 2e9, 0, -1} {
+		cfg := Config{BaseURL: "http://127.0.0.1:1", RPS: rps, Duration: time.Second, Mix: DefaultMix()}
+		if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "rps") {
+			t.Errorf("rps %g: err %v, want an rps error", rps, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -363,4 +364,30 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	waitFor(t, "accepted jobs to finish", func() bool {
 		return s.jobs.countState(JobDone) == 2
 	})
+}
+
+// TestNonFiniteBoundsTakeDefaults: a NaN or infinite MaxSyncSimS or
+// MaxPendingSimS takes its default, as zero does, so neither the sync
+// bound nor the cost budget is silently dropped; an oversized /run is
+// still redirected to /jobs under MaxSyncSimS: NaN.
+func TestNonFiniteBoundsTakeDefaults(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, cfg := range []Config{
+		{MaxSyncSimS: nan}, {MaxSyncSimS: inf}, {MaxSyncSimS: -inf},
+		{MaxPendingSimS: nan}, {MaxPendingSimS: inf}, {MaxPendingSimS: -inf},
+	} {
+		got := cfg.fill()
+		if got.MaxSyncSimS != 600 || got.MaxPendingSimS != 12000 {
+			t.Errorf("%+v filled to MaxSyncSimS %g, MaxPendingSimS %g; want 600 and 12000",
+				cfg, got.MaxSyncSimS, got.MaxPendingSimS)
+		}
+	}
+	if t.Failed() {
+		return // the run below would execute for 1e9 simulated seconds
+	}
+	_, ts := newTestServer(t, Config{MaxSyncSimS: nan})
+	resp, b := do(t, http.MethodPost, ts.URL+"/run", `{"measure_s":1e9}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(b), "/jobs") {
+		t.Errorf("1e9 s sync run under MaxSyncSimS NaN: %d %s, want 413", resp.StatusCode, b)
+	}
 }

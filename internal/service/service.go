@@ -29,6 +29,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -63,14 +64,16 @@ type Config struct {
 	MaxSims int
 	// MaxSyncSimS bounds the simulated seconds (warmup + measure) a
 	// synchronous /run accepts; longer runs must go through the async
-	// /jobs queue (default 600).
+	// /jobs queue (default 600, which zero, negative and non-finite
+	// values select).
 	MaxSyncSimS float64
 	// MaxPendingSimS bounds the total estimated simulated seconds of
 	// admitted-but-unfinished work — executing sync requests plus the
 	// whole remaining cost of accepted jobs. Work that would push the
 	// backlog past the bound is shed with 503 + Retry-After instead of
 	// queueing unboundedly; cache and store hits are never shed. The
-	// default is 20×MaxSyncSimS; negative disables the bound.
+	// default, which zero and non-finite values select, is
+	// 20×MaxSyncSimS; a finite negative value disables the bound.
 	MaxPendingSimS float64
 	// QuotaRPS enables per-tenant token-bucket quotas: each tenant
 	// (TenantHeader value, else remote IP) may sustain QuotaRPS
@@ -124,10 +127,12 @@ func (c Config) fill() Config {
 	if c.MaxSims <= 0 {
 		c.MaxSims = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.MaxSyncSimS <= 0 {
+	// A non-finite bound takes the default, as zero does: NaN compares
+	// false both ways, so kept it would silently disable the bound.
+	if !(c.MaxSyncSimS > 0) || math.IsInf(c.MaxSyncSimS, 1) {
 		c.MaxSyncSimS = 600
 	}
-	if c.MaxPendingSimS == 0 {
+	if c.MaxPendingSimS == 0 || math.IsNaN(c.MaxPendingSimS) || math.IsInf(c.MaxPendingSimS, 0) {
 		c.MaxPendingSimS = 20 * c.MaxSyncSimS
 	}
 	if c.MaxPendingSimS < 0 {

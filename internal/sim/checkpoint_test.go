@@ -6,6 +6,7 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
+	"thermbal/internal/thermal"
 )
 
 // scriptedPolicy decides from the snapshot alone, so a fresh instance
@@ -268,6 +270,109 @@ func TestWarmupEnd(t *testing.T) {
 		runTo(t, e, got+100)
 		if tc.policyS <= tc.measureS && calls != 1 {
 			t.Errorf("policy %g: %d decisions one period after WarmupEnd, want 1", tc.policyS, calls)
+		}
+	}
+}
+
+// A clean core owes the allocations of the ticks it was not visited on
+// and catches up when touched, so a run split between sensor updates
+// must end every RunTo with every core caught up, and a checkpoint taken
+// there must hold them. Runs split every 37 ticks (never on a sensor
+// boundary but every 37th period) under scriptedPolicy, which migrates
+// tasks and stops a core, and checkpointed mid-period continue
+// exactly like one RunTo and like a restored copy of themselves
+// (Profile and checkpoint bytes included), under Euler and expm; under
+// Euler, whose fast path is bit-identical to tick stepping, also like
+// tick stepping at every split.
+func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
+	type namedScenario struct {
+		name string
+		sc   scenario.Scenario
+	}
+	cases := []namedScenario{{"manycore-256", lookup(t, "manycore-256")}}
+	for seed := int64(1); seed <= 4; seed++ {
+		sc, err := scenario.FromSpec(scenario.Generate(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, namedScenario{fmt.Sprintf("generated-%d", seed), sc})
+	}
+	const split, end = 37, 6000
+	for _, c := range cases {
+		for _, scheme := range []thermal.Scheme{thermal.Euler, thermal.Expm} {
+			t.Run(fmt.Sprintf("%s/%s", c.name, scheme), func(t *testing.T) {
+				build := func(noFast bool) *sim.Engine {
+					inst, err := c.sc.Instantiate(scenario.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					e, err := sim.New(sim.Config{PolicyStartS: 0.1, MeasureStartS: 0.1,
+						Thermal: thermal.Config{Scheme: scheme}, Modulate: inst.Modulate, NoFastPath: noFast},
+						inst.Platform, inst.Graph, scriptedPolicy{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e
+				}
+				one := build(false)
+				runTo(t, one, end)
+				var ticked *sim.Engine // the tick-stepped reference, Euler only
+				if scheme == thermal.Euler {
+					ticked = build(true)
+				}
+				cut, rest := build(false), (*sim.Engine)(nil)
+				for at := int64(split); ; at += split {
+					at = min(at, end)
+					runTo(t, cut, at)
+					if rest != nil {
+						runTo(t, rest, at)
+					}
+					if ticked != nil {
+						runTo(t, ticked, at)
+						if fa, fb := snapshotRun(ticked), snapshotRun(cut); fa != fb {
+							t.Fatalf("tick %d: split run diverged from tick stepping:\n want: %+v\n got:  %+v", at, fa, fb)
+						}
+					}
+					if rest == nil && at >= end/2 {
+						cp := checkpoint(t, cut)
+						rest = build(false)
+						if err := rest.Restore(cp); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(checkpoint(t, rest).Data(), cp.Data()) {
+							t.Fatalf("tick %d: restored engine checkpoints other bytes", at)
+						}
+					}
+					if at == end {
+						break
+					}
+				}
+				if cut.Migrations().Stats().Completed == 0 {
+					t.Fatal("no migrations; the scripted policy exercised nothing")
+				}
+				requireSameRun(t, "restored mid-period", cut, rest)
+				if !bytes.Equal(checkpoint(t, cut).Data(), checkpoint(t, rest).Data()) {
+					t.Error("split and restored runs end in other checkpoint bytes")
+				}
+				refs := []*sim.Engine{one}
+				if ticked != nil {
+					refs = append(refs, ticked)
+				}
+				for _, e := range refs {
+					if fa, fb := snapshotRun(e), snapshotRun(cut); fa != fb {
+						t.Errorf("split run diverged:\n want: %+v\n got:  %+v", fa, fb)
+					}
+					if ra, rb := e.Summarize(), cut.Summarize(); ra != rb {
+						t.Errorf("summaries differ:\n want: %+v\n got:  %+v", ra, rb)
+					}
+				}
+				n := int64(cut.Platform().NumCores())
+				for _, p := range []sim.Profile{one.Profile(), cut.Profile()} {
+					if p.PlainTicks+p.MacroTicks != end || p.QuietCores+p.FullCores != p.PlainTicks*n {
+						t.Errorf("profile does not account for %d ticks on %d cores: %+v", end, n, p)
+					}
+				}
+			})
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"thermbal/internal/metrics"
 	"thermbal/internal/migrate"
@@ -139,6 +140,12 @@ type Engine struct {
 	queueTasks [][]int
 	srcQueue   int
 	sinkQueue  int
+	// due is the plain tick's bitset of cores to step through runCore.
+	// passed is the index of the core the tick is stepping: cores below
+	// it have been stepped this tick, cores at or after it have not.
+	// Outside a plain tick it is the core count.
+	due    []uint64
+	passed int
 
 	runnableFn func(int) bool // the tick path's PickNext predicate
 	orderBuf   []int
@@ -189,6 +196,8 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 		pendBusy:  make([]float64, n),
 		cal:       make([]coreCal, n),
 		dirtyList: make([]int, 0, n),
+		due:       make([]uint64, (n+63)/64),
+		passed:    n,
 		spanExact: cfg.Thermal.Scheme == thermal.Expm,
 	}
 	// Every core starts dirty; under NoFastPath none is ever rescanned,
@@ -275,11 +284,12 @@ func (e *Engine) Ticks() int64 { return e.ticks }
 // Recorder returns the trace recorder (nil unless RecordTrace).
 func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 
-// flushAccount settles core c's pending execution span into the power
-// accounting. It must run before anything that changes the core's
-// operating point (frequency, power state) or the die temperature, so
-// every accounted span has constant state.
+// flushAccount settles core c's pending execution span, owed ticks
+// included, into the power accounting. It must run before anything that
+// changes the core's operating point (frequency, power state) or the
+// die temperature, so every accounted span has constant state.
 func (e *Engine) flushAccount(c int) {
+	e.catchUp(c)
 	if e.pendTicks[c] == 0 {
 		return
 	}
@@ -368,7 +378,8 @@ func (e *Engine) TickAt(t float64) int64 { return int64(t/e.cfg.TickS + 0.5) }
 // Engine, so split runs are bit-for-bit identical to one long run:
 // RunTo(a) then RunTo(b) fires the same sensor updates at the same
 // ticks as RunTo(b) alone. Only the Profile shows the split, because
-// the event calendar is rebuilt at every call.
+// the event calendar is rebuilt at every call. On return every core has
+// applied its owed allocations, so the engine's state is current.
 func (e *Engine) RunTo(end int64) error {
 	e.settle()
 	for e.ticks < end {
@@ -378,10 +389,15 @@ func (e *Engine) RunTo(end int64) error {
 			e.advance(end)
 		}
 		if e.ticks%e.sensorEvery == 0 {
+			// The update flushes every core, catching each up, before
+			// anything in it can fail.
 			if err := e.sensorUpdate(); err != nil {
 				return err
 			}
 		}
+	}
+	for c := range e.cal {
+		e.catchUp(c)
 	}
 	return nil
 }
@@ -454,41 +470,41 @@ func (e *Engine) advance(end int64) {
 	}
 }
 
-// stepTick advances one execution tick. A clean core whose calendar
-// record proves the tick event-free takes the quiet path — its next ring
-// task receives the whole budget and continues its frame, exactly what
-// runCore's PickNext would do; every other core runs runCore and is
-// dirtied, so the next scan rescans it.
+// stepTick advances one execution tick. It steps only the due cores,
+// in index order, each through runCore: the dirty ones, the clean ones
+// whose proven bound has run out, and any core a lower one's runCore
+// dirties on the way. Every other core is clean and its calendar record
+// proves the tick event-free: its next ring task receives the whole
+// budget and continues its frame, exactly what runCore's PickNext would
+// do. That allocation is owed and applied by the core's next catch-up.
 func (e *Engine) stepTick(tick float64) {
 	e.prof.PlainTicks++
 	e.ticks++
 	e.now = float64(e.ticks) * tick
+	e.passed = 0
 	if e.graph.AdvanceSource(e.now) {
 		e.queueChanged(e.srcQueue)
 	}
 
-	for c := range e.cal {
-		cs := &e.cal[c]
-		if cs.dirty || cs.quietTo < e.ticks {
-			e.markDirty(c)
-			e.runCore(c, tick)
-			continue
-		}
-		e.prof.QuietCores++
-		if m := len(cs.ring); m > 0 {
-			t := e.graph.Task(cs.ring[cs.next])
-			consumed, done := t.Execute(cs.budget)
-			if done {
-				panic(fmt.Sprintf("sim: quiet path mispredicted completion of %q", t.Name))
-			}
-			e.pendBusy[c] += consumed
-			if cs.next++; cs.next == m {
-				cs.next = 0
-			}
-			cs.moved = true
-		}
-		e.pendTicks[c]++
+	for _, c := range e.dirtyList {
+		e.due[c>>6] |= 1 << (c & 63)
 	}
+	if len(e.heap) > 0 && e.cal[e.heap[0]].key < e.ticks {
+		e.markExpired(0)
+	}
+	stepped := 0
+	for w := range e.due {
+		for e.due[w] != 0 {
+			c := w<<6 | bits.TrailingZeros64(e.due[w])
+			e.passed = c
+			e.markDirty(c) // re-adds c to the due set when it was clean
+			e.due[w] &^= 1 << (c & 63)
+			e.runCore(c, tick)
+			stepped++
+		}
+	}
+	e.passed = len(e.cal)
+	e.prof.QuietCores += int64(len(e.cal) - stepped)
 
 	e.plat.Bus.Advance(tick)
 	e.migr.Advance(e.now)

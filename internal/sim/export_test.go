@@ -14,9 +14,10 @@ func (e *Engine) Now() float64 { return e.now }
 
 // fullScanHorizon is the horizon the per-core calendar replaced: the
 // global bounds plus a fresh rescan of every core, computed read-only
-// from the engine's state. Each core's run queue is read in the order
-// PickNext would visit it, which for a clean core the calendar has
-// allocated since its rescan lies past the scheduler's stored cursor.
+// from the engine's state, which must be caught up. Each core's run
+// queue is read in the order PickNext would visit it, which for a clean
+// core the calendar has allocated since its rescan lies past the
+// scheduler's stored cursor.
 func fullScanHorizon(e *Engine, maxSpan int64) int64 {
 	h := maxSpan
 	if e.plat.Bus.Active() > 0 {
@@ -76,11 +77,16 @@ func pickOrder(e *Engine, c int) []int {
 
 // CheckHorizons makes every engine compare each horizon the calendar
 // computes with fullScanHorizon until t ends, reporting mismatches on
-// t. The returned function counts the groups checked so far.
+// t. The returned function counts the groups checked so far. Each check
+// first applies every core's owed allocations, which deferral makes
+// invisible to the run's results.
 func CheckHorizons(t testing.TB) (checked func() int64) {
 	var groups, bad int64
 	checkHorizon = func(e *Engine, maxSpan, h int64) {
 		groups++
+		for c := range e.cal {
+			e.catchUp(c)
+		}
 		if want := fullScanHorizon(e, maxSpan); want != h {
 			if bad++; bad <= 5 {
 				t.Errorf("tick %d: calendar horizon %d, full scan %d (cap %d)", e.ticks, h, want, maxSpan)

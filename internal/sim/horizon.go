@@ -40,17 +40,30 @@ import (
 // to an adjacent queue, a frame boundary or freeze on it (both run it
 // through runCore), a migration completing to or from it, a DVFS or
 // power-state change (all a sensor update's modulation and policy
-// actions can do to a core), a Run boundary. A clean core's absolute bound does not move as its ring
-// executes (each allocation shortens the frame by exactly what the
-// elapsed tick shortens the horizon), so clean cores sit in a min-heap
-// keyed by a lower bound on any later rescan's result, and a scan only
-// rescans the dirty cores plus the clean ones whose key does not clear
-// the candidate horizon. The horizon is therefore exactly what a full
-// rescan of every core returns, and the partition of ticks into
-// macro-steps and plain ticks — which the span-exact expm accounting
-// depends on — is unchanged. On plain ticks a clean core whose proven
-// bound covers the tick takes the O(1) quiet path (one Execute on its
-// recorded ring task) instead of runCore.
+// actions can do to a core), a Run boundary. A clean core's absolute
+// bound does not move as its ring executes (each allocation shortens
+// the frame by exactly what the elapsed tick shortens the horizon), so
+// clean cores sit in a min-heap keyed by a lower bound on any later
+// rescan's result, and a scan only rescans the dirty cores plus the
+// clean ones whose key does not clear the candidate horizon. The
+// horizon is therefore exactly what a full rescan of every core
+// returns, and the partition of ticks into macro-steps and plain ticks
+// — which the span-exact expm accounting depends on — is unchanged.
+//
+// A clean core is not visited while its record holds. A plain tick
+// steps only the due cores (dirty, or clean with an expired bound), and
+// an Euler macro-step moves only the clock and the bus; every other
+// core owes the allocations of those ticks. Its record says what they
+// are — tick j after the last applied one gives the whole budget to
+// ring position (next+j-1) mod m — and catchUp applies them, through
+// the last tick the core has been stepped on, by the same sequential
+// Execute calls grouped by task. Within a task, and in the core's
+// pending busy cycles, the sequence of additions is the tick loop's, so
+// deferral is bit-for-bit invisible. Everything that reads or writes a
+// clean core's tasks, accounting or scheduler cursor catches it up
+// first: invalidate (so markDirty), rescan, flushAccount (so every
+// sensor update), the expm macro-step before its span products, and
+// the end of RunTo.
 
 // maxHorizon bounds ticksUntil results so later additions cannot
 // overflow; any real horizon is far smaller (the sensor period caps it).
@@ -84,6 +97,9 @@ type coreCal struct {
 	// scan; slot is the core's heap index (-1 when not in the heap).
 	dirty bool
 	slot  int
+	// done is the last tick whose allocations a clean core has applied;
+	// it owes every tick after it.
+	done int64
 }
 
 // checkHorizon, when non-nil, sees every horizon the calendar computes
@@ -185,8 +201,10 @@ func (e *Engine) coreHorizon(h int64) int64 {
 // makes c dirty), maxHorizon when c has no event source of its own.
 func (e *Engine) rescan(c int) int64 {
 	e.prof.Rescans++
+	e.catchUp(c)
 	e.syncCursor(c)
 	cs := &e.cal[c]
+	cs.done = e.ticks
 	cs.ring = cs.ring[:0]
 	cs.next = 0
 	cs.quietTo, cs.key = never, never
@@ -243,12 +261,54 @@ func (e *Engine) markDirty(c int) {
 }
 
 func (e *Engine) invalidate(c int) {
+	e.catchUp(c)
 	e.syncCursor(c)
 	cs := &e.cal[c]
 	cs.dirty = true
 	e.dirtyList = append(e.dirtyList, c)
 	if cs.slot >= 0 {
 		e.heapRemove(cs.slot)
+	}
+	if c >= e.passed {
+		// A plain tick that has not stepped c yet now must.
+		e.due[c>>6] |= 1 << (c & 63)
+	}
+}
+
+// catchUp applies the allocations clean core c owes, through the last
+// tick it has been stepped on: the current tick, except during a plain
+// tick that has not reached c yet, which will step c itself.
+func (e *Engine) catchUp(c int) {
+	cs := &e.cal[c]
+	if cs.dirty {
+		return // a dirty core is stepped on every tick
+	}
+	to := e.ticks
+	if c >= e.passed {
+		to--
+	}
+	if to > cs.done {
+		e.replay(c, to-cs.done, false)
+	}
+}
+
+// markExpired adds to the due set every clean core of the heap subtree
+// at index i whose proven bound ends before the current tick. Keys are
+// lower bounds on the bounds, so subtrees keyed at or after the current
+// tick hold none.
+func (e *Engine) markExpired(i int) {
+	c := e.heap[i]
+	if e.cal[c].key >= e.ticks {
+		return
+	}
+	if e.cal[c].quietTo < e.ticks {
+		e.due[c>>6] |= 1 << (c & 63)
+	}
+	if l := 2*i + 1; l < len(e.heap) {
+		e.markExpired(l)
+		if l+1 < len(e.heap) {
+			e.markExpired(l + 1)
+		}
 	}
 }
 
@@ -393,64 +453,74 @@ func (e *Engine) ticksUntil(at float64) int64 {
 	return j
 }
 
-// macroStep advances span event-free ticks in one jump, replaying the
-// exact budget allocations the plain loop would have made from each
-// core's calendar ring (all cores are clean after a positive horizon).
-//
-// The replay batches per task rather than walking tick-by-tick: within
-// the span every allocation deposits the same full budget, so each
-// accumulator (a task's Progress/BusyCycles, the core's pending busy
-// cycles) receives an identical sequence of identical additions no
-// matter how the per-tick interleaving is grouped — the batched result
-// is bit-for-bit the tick loop's. The ring index then moves just past
-// the span's final allocation, where PickNext would have left the
-// cursor.
+// macroStep advances span event-free ticks in one jump (all cores are
+// clean after a positive horizon). Under Euler the cores owe the span's
+// allocations like those of a plain tick. Span-exact accounting (the
+// expm scheme) depends on the partition of ticks into macro-steps and
+// plain ticks, so there each core catches up and then takes the span in
+// products.
 func (e *Engine) macroStep(span int64) {
 	e.prof.MacroSteps++
 	e.prof.MacroTicks += span
-	for c := range e.cal {
-		e.pendTicks[c] += span
-		cs := &e.cal[c]
-		m := int64(len(cs.ring))
-		if m == 0 {
-			continue
+	if e.spanExact {
+		for c := range e.cal {
+			e.catchUp(c)
+			e.replay(c, span, true)
 		}
-		i := cs.next
-		for p := int64(0); p < m; p++ {
-			// Ring position p, counted from the next allocation in pick
-			// order (the order pendBusy accumulates in), is allocated on
-			// ticks p+1, p+1+m, ...
-			a := int64(0)
-			if span > p {
-				a = (span-1-p)/m + 1
-			}
-			t := e.graph.Task(cs.ring[i])
-			if i++; i == len(cs.ring) {
-				i = 0
-			}
-			if e.spanExact {
-				// Span-exact accounting (expm scheme): one exact
-				// product replaces the a rounded additions of the
-				// replay loop. See Task.ExecuteSpan.
-				consumed, done := t.ExecuteSpan(cs.budget, a)
-				if done {
-					panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
-				}
-				e.pendBusy[c] += consumed
-				continue
-			}
-			for j := int64(0); j < a; j++ {
-				consumed, done := t.Execute(cs.budget)
-				if done {
-					panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
-				}
-				e.pendBusy[c] += consumed
-			}
-		}
-		cs.next = int((int64(cs.next) + span) % m)
-		cs.moved = true
 	}
 	e.plat.Bus.AdvanceTicks(e.cfg.TickS, span)
 	e.ticks += span
 	e.now = float64(e.ticks) * e.cfg.TickS
+}
+
+// replay applies k ticks of clean core c's allocations from its
+// calendar ring, each tick's whole budget to the next ring task, and
+// accounts the k ticks.
+//
+// The replay batches per task rather than walking tick-by-tick: every
+// allocation deposits the same full budget, so each accumulator (a
+// task's Progress/BusyCycles, the core's pending busy cycles) receives
+// an identical sequence of identical additions no matter how the
+// per-tick interleaving is grouped — the batched result is bit-for-bit
+// the tick loop's. With exact set, one exact product replaces each
+// task's rounded additions (Task.ExecuteSpan). The ring index then
+// moves just past the final allocation, where PickNext would have left
+// the cursor.
+func (e *Engine) replay(c int, k int64, exact bool) {
+	cs := &e.cal[c]
+	cs.done += k
+	e.pendTicks[c] += k
+	m := int64(len(cs.ring))
+	if m == 0 {
+		return
+	}
+	busy := e.pendBusy[c]
+	i := cs.next
+	for p := int64(0); p < min(m, k); p++ {
+		// Ring position p, counted from the next allocation in pick
+		// order, is allocated on ticks p+1, p+1+m, ...
+		a := (k-1-p)/m + 1
+		t := e.graph.Task(cs.ring[i])
+		if i++; i == len(cs.ring) {
+			i = 0
+		}
+		if exact {
+			consumed, done := t.ExecuteSpan(cs.budget, a)
+			if done {
+				panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
+			}
+			busy += consumed
+			continue
+		}
+		for j := int64(0); j < a; j++ {
+			consumed, done := t.Execute(cs.budget)
+			if done {
+				panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
+			}
+			busy += consumed
+		}
+	}
+	e.pendBusy[c] = busy
+	cs.next = int((int64(cs.next) + k) % m)
+	cs.moved = true
 }

@@ -25,8 +25,10 @@ type Profile struct {
 	// Rescans counts per-core run-queue rescans across all scans (a full
 	// scan would rescan every core every time).
 	Rescans int64
-	// QuietCores counts plain-tick core steps taken by the O(1) quiet
-	// path; FullCores those that went through the scheduler.
+	// QuietCores counts plain-tick core steps that needed no scheduler:
+	// the clean cores a plain tick does not visit, whose allocation for
+	// the tick is owed and applied at their next catch-up. FullCores
+	// counts those that went through the scheduler.
 	QuietCores int64
 	FullCores  int64
 	// FrameBegins and FrameFinishes count frame boundaries.
