@@ -150,8 +150,9 @@ bench-smoke:
 bench-golden:
 	cd bench && $(GO) test -run 'TestGolden|TestBenchmarkJSONMatchesCatalogue|TestVerdict|TestCompareFailuresMayNotRise' ./...
 
-# Integrator stepping cost on the high-performance package, a fresh
-# expm integrator's first step on manycore-256, the cost of one cold
+# Integrator stepping cost on the high-performance package, Euler
+# stepping on manycore-256 (mobile package), a fresh expm integrator's
+# first step on manycore-256, the cost of one cold
 # expm propagator build (64-core and 3-core dies), and the manycore-256
 # floorplan (validation, overlap check and adjacency).
 bench-thermal:

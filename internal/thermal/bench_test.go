@@ -7,12 +7,11 @@ import (
 	"thermbal/internal/floorplan"
 )
 
-// benchModel builds the 3-core model on the high-performance package —
-// the worst case for the stability bound (1/6 the thermal mass) and the
-// configuration the integrator refactor targets.
-func benchModel(b *testing.B, scheme Scheme) *Model {
+// benchModel builds the model of the die on the package with the
+// scheme installed.
+func benchModel(b *testing.B, fp *floorplan.Floorplan, pkg Package, scheme Scheme) *Model {
 	b.Helper()
-	m, err := NewModel(floorplan.Default3Core(), HighPerformance())
+	m, err := NewModel(fp, pkg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -23,10 +22,7 @@ func benchModel(b *testing.B, scheme Scheme) *Model {
 // benchSteadyStepping drives one simulated second of 10 ms sensor
 // periods under constant power near steady state, the hot path of every
 // experiment run.
-func benchSteadyStepping(b *testing.B, scheme Scheme) {
-	m := benchModel(b, scheme)
-	power := make([]float64, len(m.FP.Blocks))
-	power[0], power[1], power[2] = 0.5, 0.4, 0.3
+func benchSteadyStepping(b *testing.B, m *Model, power []float64) {
 	if err := m.Settle(power); err != nil {
 		b.Fatal(err)
 	}
@@ -48,14 +44,35 @@ func benchSteadyStepping(b *testing.B, scheme Scheme) {
 	b.ReportMetric(max(1, math.Ceil(10e-3/m.Net.Integrator().MaxStep(m.Net.View()))), "substeps/period")
 }
 
+// benchHighPerf steps the 3-core model on the high-performance package
+// — the worst case for the stability bound (1/6 the thermal mass).
+func benchHighPerf(b *testing.B, scheme Scheme) {
+	m := benchModel(b, floorplan.Default3Core(), HighPerformance(), scheme)
+	power := make([]float64, len(m.FP.Blocks))
+	power[0], power[1], power[2] = 0.5, 0.4, 0.3
+	benchSteadyStepping(b, m, power)
+}
+
 // BenchmarkStepEulerHighPerf measures explicit Euler on the
 // high-performance package (the seed scheme).
-func BenchmarkStepEulerHighPerf(b *testing.B) { benchSteadyStepping(b, Euler) }
+func BenchmarkStepEulerHighPerf(b *testing.B) { benchHighPerf(b, Euler) }
 
 // BenchmarkStepExpmHighPerf measures exact dense propagation: after the
 // first step builds the memoized propagator, every period is one matvec
 // pair with zero allocations.
-func BenchmarkStepExpmHighPerf(b *testing.B) { benchSteadyStepping(b, Expm) }
+func BenchmarkStepExpmHighPerf(b *testing.B) { benchHighPerf(b, Expm) }
+
+// BenchmarkStepEulerManycore256 measures explicit Euler on manycore-256
+// (n = 1539 nodes) on the mobile package, where the edge pass, not the
+// substep count, sets the cost of a period.
+func BenchmarkStepEulerManycore256(b *testing.B) {
+	m := benchModel(b, floorplan.StreamingMPSoC(256), MobileEmbedded(), Euler)
+	power := make([]float64, len(m.FP.Blocks))
+	for i := range power {
+		power[i] = 0.05 * float64(i%7)
+	}
+	benchSteadyStepping(b, m, power)
+}
 
 // benchExpmBuild measures one cold propagator build for the 10 ms
 // sensor period on the mobile package: every iteration clears the

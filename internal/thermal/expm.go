@@ -177,14 +177,14 @@ func (e *expmIntegrator) Advance(v View, temps []float64, dt float64, power []fl
 		var s0, s1, s2, s3 float64
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			s0 += ai[j] * temps[j]
-			s1 += ai[j+1] * temps[j+1]
-			s2 += ai[j+2] * temps[j+2]
-			s3 += ai[j+3] * temps[j+3]
+			s0 += float64(ai[j] * temps[j])
+			s1 += float64(ai[j+1] * temps[j+1])
+			s2 += float64(ai[j+2] * temps[j+2])
+			s3 += float64(ai[j+3] * temps[j+3])
 		}
 		s := p.c[i] + ((s0 + s1) + (s2 + s3))
 		for ; j < n; j++ {
-			s += ai[j] * temps[j]
+			s += float64(ai[j] * temps[j])
 		}
 		y[i] = s
 	}
@@ -195,7 +195,7 @@ func (e *expmIntegrator) Advance(v View, temps []float64, dt float64, power []fl
 		}
 		btj := p.bt[j*n : j*n+n]
 		for i, w := range btj {
-			y[i] += w * pj
+			y[i] += float64(w * pj)
 		}
 	}
 	copy(temps, y)
@@ -419,7 +419,7 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 		var maxAbs float64
 		for i, t := range term {
 			a[i] += t
-			phi[i] += t * f
+			phi[i] += float64(t * f)
 			if t = math.Abs(t); t > maxAbs {
 				maxAbs = t
 			}
@@ -457,7 +457,7 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 		row := phi[i*n : i*n+n]
 		var sum float64
 		for j := 0; j < n; j++ {
-			sum += row[j] * gamb[j]
+			sum += float64(row[j] * gamb[j])
 		}
 		c[i] = sum
 	}

@@ -49,7 +49,7 @@ func richardsonEuler(v View, start []float64, total, h float64, power []float64)
 		temps := append([]float64(nil), start...)
 		d := make([]float64, len(start))
 		for s := 0; s < steps; s++ {
-			v.Deriv(temps, power, d)
+			nodeDeriv(v, temps, power, d)
 			for i := range temps {
 				temps[i] += h * d[i]
 			}

@@ -81,8 +81,9 @@ type Integrator interface {
 	MaxStep(v View) float64
 	// Advance integrates temps (in place, °C) forward by dt seconds
 	// under the constant per-node power injection, substepping as
-	// needed. dt is non-negative and len(temps) == len(power) ==
-	// v.NumNodes(); the Network validates before delegating.
+	// needed. dt is finite and non-negative, and len(temps) ==
+	// len(power) == v.NumNodes(); the Network validates before
+	// delegating.
 	Advance(v View, temps []float64, dt float64, power []float64)
 }
 
@@ -95,8 +96,9 @@ func NewIntegrator(cfg Config) Integrator {
 }
 
 // View is a read-only sparse description of a Network: node count,
-// capacitances, adjacency and the cached stability data. It is the only
-// surface integrators see, so new schemes need no Network changes.
+// capacitances, adjacency and the cached stability data. Each scheme
+// evaluates C_i·dT_i/dt = P_i + Σ_j G_ij·(T_j − T_i) + AmbientG_i·(Tamb − T_i)
+// in its own form: Euler per edge (euler.go), expm as a dense H (expm.go).
 type View struct {
 	n *Network
 }
@@ -123,20 +125,3 @@ func (v View) Neighbors(i int) []Adj { return v.n.adj[i] }
 // EulerMaxStep returns the cached stable explicit-Euler step (half of
 // min C_i/ΣG_i). Stability bounds of other schemes scale from it.
 func (v View) EulerMaxStep() float64 { return v.n.maxStep }
-
-// Deriv evaluates dT/dt at the given temperatures and power injection,
-// writing the result into dst. All schemes share this evaluation so
-// their right-hand side is identical (and Euler's matches the seed
-// implementation operation for operation).
-func (v View) Deriv(temps, power, dst []float64) {
-	n := v.n
-	for i := range n.nodes {
-		q := power[i]
-		ti := temps[i]
-		for _, a := range n.adj[i] {
-			q += a.G * (temps[a.Node] - ti)
-		}
-		q += n.nodes[i].AmbientG * (n.ambient - ti)
-		dst[i] = q / n.nodes[i].Capacitance
-	}
-}

@@ -118,11 +118,12 @@ func TestViewExposesTopology(t *testing.T) {
 	if len(nb) != 1 || nb[0].Node != 1 || nb[0].G != 0.1 {
 		t.Errorf("Neighbors(0) = %+v", nb)
 	}
-	// Deriv at uniform ambient with no power is identically zero.
+	// The derivative the accessors describe is identically zero at
+	// uniform ambient with no power.
 	dst := make([]float64, 2)
-	v.Deriv([]float64{25, 25}, []float64{0, 0}, dst)
+	nodeDeriv(v, []float64{25, 25}, []float64{0, 0}, dst)
 	if dst[0] != 0 || dst[1] != 0 {
-		t.Errorf("Deriv at equilibrium = %v", dst)
+		t.Errorf("dT/dt at equilibrium = %v", dst)
 	}
 }
 

@@ -212,13 +212,15 @@ func (n *Network) Integrator() Integrator { return n.integ }
 // Step advances the network by dt seconds with the given per-node power
 // injection (watts; len(power) must equal NumNodes, missing entries are
 // an error). The integrator substeps internally to remain numerically
-// stable, so dt may be arbitrarily large.
+// stable, so dt may be arbitrarily large but must be finite and
+// non-negative: an infinite span would substep forever, and a NaN one
+// would silently not advance.
 func (n *Network) Step(dt float64, power []float64) error {
 	if len(power) != len(n.nodes) {
 		return fmt.Errorf("thermal: power vector has %d entries, want %d", len(power), len(n.nodes))
 	}
-	if dt < 0 {
-		return fmt.Errorf("thermal: negative step %g", dt)
+	if dt < 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
+		return fmt.Errorf("thermal: step %g is negative or not finite", dt)
 	}
 	n.integ.Advance(n.View(), n.temp, dt, power)
 	return nil
@@ -246,7 +248,7 @@ func (n *Network) SteadyState(power []float64) ([]float64, error) {
 			a[i][adj.Node] -= adj.G
 		}
 		a[i][i] += diag
-		a[i][nn] = power[i] + n.nodes[i].AmbientG*n.ambient
+		a[i][nn] = power[i] + float64(n.nodes[i].AmbientG*n.ambient)
 	}
 	sol, err := solveLinear(a)
 	if err != nil {
@@ -289,7 +291,7 @@ func solveLinear(a [][]float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
 		}
 	}
@@ -297,7 +299,7 @@ func solveLinear(a [][]float64) ([]float64, error) {
 	for r := n - 1; r >= 0; r-- {
 		s := a[r][n]
 		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
+			s -= float64(a[r][c] * x[c])
 		}
 		x[r] = s / a[r][r]
 	}
@@ -309,7 +311,7 @@ func solveLinear(a [][]float64) ([]float64, error) {
 func (n *Network) TotalHeatContent() float64 {
 	var e float64
 	for i, nd := range n.nodes {
-		e += nd.Capacitance * (n.temp[i] - n.ambient)
+		e += float64(nd.Capacitance * (n.temp[i] - n.ambient))
 	}
 	return e
 }
@@ -319,7 +321,7 @@ func (n *Network) TotalHeatContent() float64 {
 func (n *Network) AmbientOutflow() float64 {
 	var q float64
 	for i, nd := range n.nodes {
-		q += nd.AmbientG * (n.temp[i] - n.ambient)
+		q += float64(nd.AmbientG * (n.temp[i] - n.ambient))
 	}
 	return q
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // twoNode builds a minimal network: one heated node coupled to one node
@@ -138,16 +139,36 @@ func TestSettleToSteadyState(t *testing.T) {
 	}
 }
 
+// Step must refuse a short power vector, and a negative, NaN or
+// infinite span under every scheme, leaving the state untouched. An
+// infinite span would otherwise substep forever, so each call runs
+// under a deadline.
 func TestStepRejectsBadInputs(t *testing.T) {
 	n := twoNode(t)
 	if err := n.Step(1, []float64{0}); err == nil {
 		t.Error("short power vector accepted")
 	}
-	if err := n.Step(-1, []float64{0, 0}); err == nil {
-		t.Error("negative dt accepted")
-	}
 	if _, err := n.SteadyState([]float64{0}); err == nil {
 		t.Error("SteadyState accepted short power vector")
+	}
+	for _, scheme := range schemes {
+		n.SetIntegrator(NewIntegrator(Config{Scheme: scheme}))
+		for _, dt := range []float64{-1, math.Copysign(1e-300, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+			before := n.Temperatures(nil)
+			done := make(chan error, 1)
+			go func() { done <- n.Step(dt, []float64{0.5, 0}) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%v: Step(%g) accepted", scheme, dt)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%v: Step(%g) still running after 10 s", scheme, dt)
+			}
+			if i, ok := sameBits(n.temp, before); !ok {
+				t.Errorf("%v: refused Step(%g) changed node %d", scheme, dt, i)
+			}
+		}
 	}
 }
 
