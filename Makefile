@@ -6,9 +6,9 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-ab load-json smoke-expm smoke-spec fuzz-smoke check-386 loc clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-ab load-json smoke-expm smoke-spec fuzz-smoke check-386 fma-check loc clean
 
-check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-load fuzz-smoke check-386
+check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-load fuzz-smoke check-386 fma-check
 
 build:
 	$(GO) build ./...
@@ -210,6 +210,27 @@ check-386:
 	GOARCH=386 $(GO) test ./internal/ckpt
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
 	GOARCH=386 $(GO) test -run Oracle ./internal/thermal ./internal/floorplan
+
+# No implicit fused multiply-add in internal/thermal. Go fuses x*y + z
+# into one instruction on arm64, ppc64le, s390x and riscv64 (never on
+# amd64), and a fused result rounds once where amd64 rounds twice. Every
+# multiply-add in the package rounds its product through an explicit
+# float64(...) conversion, which forbids fusion; this cross-compiles the
+# package for each fusing arch with the compiler's assembly listing
+# (-gcflags=-S, replayed from the build cache when nothing changed) and
+# fails on any fused multiply-add instruction, printing its source line.
+# It needs only the toolchain.
+FMA_ARCHES = arm64 ppc64le s390x riscv64
+FMA_PKGS = ./internal/thermal
+
+fma-check:
+	@fail=0; for arch in $(FMA_ARCHES); do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm" | grep -v '^[[:space:]]'; exit 1; }; \
+		sites=$$(echo "$$asm" | grep -E '^[[:space:]]+0x[0-9a-f]+ [0-9]+ \(.*\)[[:space:]]+FN?M(ADD|SUB)[DS]?[[:space:]]' | sed -E 's/^.*\((.*)\)[[:space:]]+([A-Z]+).*/\1 \2/'); \
+		n=$$(printf '%s' "$$sites" | grep -c . || true); \
+		echo "fma-check: $$arch: $$n fused multiply-add instructions"; \
+		if [ "$$n" -ne 0 ]; then printf '%s\n' "$$sites" | sed 's/^/  /'; fail=1; fi; \
+	done; exit $$fail
 
 # Machine-readable ns/op for the Sweep, Manycore256, Manycore64Expm
 # (the engine-bound many-core runs), Step, ExpmBuild and

@@ -63,7 +63,7 @@ func main() {
 		opt.Scenario = sc.Name
 	}
 	if *scenarioFl != "" || *scenFile != "" {
-		fmt.Printf("scenario: %s (%s)\n\n", sc.Name, sc.Topology)
+		fmt.Printf("scenario: %s (%s)\n\n", cliutil.ScenarioName(sc), sc.Topology)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -1,8 +1,8 @@
 // Command thermsim runs thermal-management experiments on the emulated
 // streaming MPSoC: one (scenario, policy) run with a full report, a
 // side-by-side policy comparison, or the whole scenario × policy matrix.
-// Scenarios and policies are resolved by name through the registries;
-// -list prints the catalogue.
+// Scenarios and policies are resolved by name through their catalogues;
+// -list prints both.
 //
 // Usage:
 //
@@ -177,7 +177,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("scenario         %s (%s)\n", sc.Name, sc.Topology)
+	fmt.Printf("scenario         %s (%s)\n", cliutil.ScenarioName(sc), sc.Topology)
 	fmt.Printf("policy           %s\n", res.PolicyName)
 	fmt.Printf("package          %s\n", canon.Package)
 	fmt.Printf("threshold        ±%.1f °C around the mean\n", canon.Delta)
@@ -268,7 +268,7 @@ func comparePolicies(runner experiment.Runner, req request.Request) {
 		log.Fatal(err)
 	}
 	fmt.Printf("scenario %s, package %s, threshold ±%.1f °C, integrator %s\n\n",
-		sc.Name, canon.Package, canon.Delta, canon.Integrator)
+		cliutil.ScenarioName(sc), canon.Package, canon.Delta, canon.Integrator)
 	fmt.Println("policy           std[°C]  spatial  misses  rate%   migr  mig/s  energy[J]")
 	for i, pol := range policies {
 		r := results[i]

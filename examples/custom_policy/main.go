@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"thermbal/internal/core"
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
@@ -82,7 +81,7 @@ func run(pol policy.Policy) sim.Result {
 
 func main() {
 	log.SetFlags(0)
-	paper := run(core.New(core.Params{Delta: 3}))
+	paper := run(policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 	naive := run(&greedy{delta: 3})
 
 	fmt.Println("Custom policy vs the paper's thermal balancer (±3 °C, 30 s)")

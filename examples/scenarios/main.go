@@ -21,7 +21,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Println("Registered scenarios:")
-	for _, s := range scenario.All() {
+	for _, s := range scenario.Infos() {
 		fmt.Printf("  %-14s %2d cores, %2d tasks  %s\n", s.Name, s.Cores, s.Tasks, s.Topology)
 	}
 	fmt.Printf("\nRegistered policies: %v\n\n", policy.Names())

@@ -14,8 +14,8 @@ import (
 	"log"
 	"os"
 
-	"thermbal/internal/core"
 	"thermbal/internal/experiment"
+	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 )
@@ -39,7 +39,7 @@ func main() {
 	}
 	graph, plat := inst.Graph, inst.Platform
 
-	balancer := core.New(core.Params{Delta: *delta})
+	balancer := policy.NewBalancer(policy.BalancerParams{Delta: *delta})
 	engine, err := sim.New(sim.Config{
 		PolicyStartS:  experiment.DefaultWarmupS, // the paper's first execution phase
 		MeasureStartS: experiment.DefaultWarmupS,

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"thermbal/internal/core"
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
@@ -41,7 +40,7 @@ func main() {
 	results := []sim.Result{
 		run(policy.EnergyBalance{}),
 		run(policy.NewStopGo(3)),
-		run(core.New(core.Params{Delta: 3})),
+		run(policy.NewBalancer(policy.BalancerParams{Delta: 3})),
 	}
 
 	fmt.Println("Video decoder pipeline (25 fps) on the 3-core MPSoC, 30 s window")

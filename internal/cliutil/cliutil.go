@@ -9,10 +9,11 @@ package cliutil
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -63,7 +64,7 @@ func LoadSpec(path string) (scenario.Spec, error) {
 
 // ResolveScenarioArg resolves the -scenario / -scenario-file flag pair
 // every CLI shares: exactly one source wins, a file loads and compiles
-// through the spec path, a name resolves through the registry. The
+// through the spec path, a name resolves through the catalogue. The
 // returned spec is non-nil exactly when a file was given.
 func ResolveScenarioArg(name, file string) (scenario.Scenario, *scenario.Spec, error) {
 	if file == "" {
@@ -85,18 +86,18 @@ func ResolveScenarioArg(name, file string) (scenario.Scenario, *scenario.Spec, e
 }
 
 // SpecJSON renders a scenario's declarative spec as indented JSON (for
-// -dump-spec). Scenarios without a spec form report an error naming
-// the scenario.
+// -dump-spec).
 func SpecJSON(sc scenario.Scenario) ([]byte, error) {
-	if sc.Spec == nil {
-		return nil, fmt.Errorf("scenario %q has no declarative spec", sc.Name)
-	}
 	out, err := json.MarshalIndent(sc.Spec, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(out, '\n'), nil
 }
+
+// ScenarioName is the name a report header prints for a scenario: a
+// spec file that names none reads "custom-spec".
+func ScenarioName(sc scenario.Scenario) string { return cmp.Or(sc.Name, "custom-spec") }
 
 // MatrixAxis splits a -scenario or -policy flag value into one axis
 // of a request.MatrixRequest: "" or "all" is the empty axis (every
@@ -110,7 +111,9 @@ func MatrixAxis(spec string) []string {
 }
 
 // ParseDeltas parses a comma-separated -deltas flag value; empty input
-// returns nil (caller applies its default sweep).
+// returns nil (caller applies its default sweep). Every sweep figure
+// runs the threshold policies, which need a positive finite delta, so
+// any other value is refused here, before anything runs.
 func ParseDeltas(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -122,28 +125,28 @@ func ParseDeltas(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad delta %q: %w", p, err)
 		}
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("threshold delta %g is not positive and finite", v)
+		}
 		out = append(out, v)
 	}
 	return out, nil
 }
 
 // ListText renders the -list discovery output: the scenario catalogue
-// and the policy registry.
+// and the policy table.
 func ListText() string {
 	var b strings.Builder
 	b.WriteString("Registered scenarios:\n")
 	fmt.Fprintf(&b, "  %-14s %-6s %-6s %-38s %s\n", "name", "cores", "tasks", "topology", "description")
-	for _, s := range scenario.All() {
+	for _, s := range scenario.Infos() {
 		fmt.Fprintf(&b, "  %-14s %-6d %-6d %-38s %s\n", s.Name, s.Cores, s.Tasks, s.Topology, s.Description)
 	}
 	b.WriteString("\nRegistered policies:\n")
-	entries := policy.Entries()
-	for _, e := range entries {
+	for _, e := range policy.Entries() {
 		alias := ""
 		if len(e.Aliases) > 0 {
-			a := append([]string(nil), e.Aliases...)
-			sort.Strings(a)
-			alias = " (aliases: " + strings.Join(a, ", ") + ")"
+			alias = " (aliases: " + strings.Join(e.Aliases, ", ") + ")"
 		}
 		fmt.Fprintf(&b, "  %-16s %s%s\n", e.Name, e.Description, alias)
 	}

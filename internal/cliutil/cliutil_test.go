@@ -29,8 +29,20 @@ func TestParseDeltas(t *testing.T) {
 	if ds, err := ParseDeltas(""); err != nil || ds != nil {
 		t.Errorf("ParseDeltas(\"\") = %v, %v", ds, err)
 	}
-	if _, err := ParseDeltas("2,x"); err == nil {
-		t.Fatal("bad delta accepted")
+	for _, c := range []struct{ in, wantErr string }{
+		{"2,x", `bad delta "x"`},
+		{"nan", "threshold delta NaN is not positive"},
+		{"NaN", "threshold delta NaN is not positive"},
+		{"inf", "threshold delta +Inf is not positive"},
+		{"-Inf", "threshold delta -Inf is not positive"},
+		{"0", "threshold delta 0 is not positive"},
+		{"-0", "threshold delta -0 is not positive"},
+		{"3,-1", "threshold delta -1 is not positive"},
+		{"2,0,4", "threshold delta 0 is not positive"},
+	} {
+		if ds, err := ParseDeltas(c.in); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ParseDeltas(%q) = %v, %v; want an error containing %q", c.in, ds, err, c.wantErr)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"thermbal/internal/bus"
-	_ "thermbal/internal/core" // register the thermal-balance policy
 	"thermbal/internal/dvfs"
 	"thermbal/internal/migrate"
 	"thermbal/internal/policy"

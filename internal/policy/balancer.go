@@ -1,8 +1,40 @@
-// Package core implements the paper's contribution: the migration-based
-// thermal balancing policy (Section 3), a MiGra-inspired algorithm that
-// keeps every core's temperature inside a band of ±Delta around the
-// current mean chip temperature by exchanging tasks between a hot and a
-// cold core.
+package policy
+
+import (
+	"math"
+	"sort"
+)
+
+// Defaults for BalancerParams.
+const (
+	// DefaultMinInterval throttles policy-issued migrations; the master
+	// daemon evaluates the slave daemons' statistics on this period.
+	DefaultMinInterval = 0.30
+	// DefaultTopK bounds the task subset considered on each core.
+	DefaultTopK = 3
+	// DefaultMaxFreezeS is the QoS budget: migrations predicted to
+	// freeze a task longer than this are filtered out.
+	DefaultMaxFreezeS = 0.25
+)
+
+// BalancerParams configures the balancer.
+type BalancerParams struct {
+	// Delta is the half-width of the allowed temperature band around
+	// the mean (°C). The paper sweeps 2..5 and operates at 3.
+	Delta float64
+	// MinInterval is the minimum time between issued migrations (s).
+	MinInterval float64
+	// TopK is the number of highest-load tasks considered per core.
+	TopK int
+	// MaxFreezeS rejects migrations whose estimated freeze exceeds it.
+	MaxFreezeS float64
+}
+
+// Balancer is the paper's contribution: the migration-based thermal
+// balancing policy (Section 3), a MiGra-inspired algorithm that keeps
+// every core's temperature inside a band of ±Delta around the current
+// mean chip temperature by exchanging tasks between a hot and a cold
+// core.
 //
 // The algorithm has two phases (Section 3.1):
 //
@@ -26,54 +58,21 @@
 // Migration costs are estimated through the middleware (MiGra's request
 // filtering): a move whose predicted freeze time exceeds the QoS budget
 // is rejected.
-package core
-
-import (
-	"math"
-	"sort"
-
-	"thermbal/internal/policy"
-)
-
-// Defaults for Params.
-const (
-	// DefaultMinInterval throttles policy-issued migrations; the master
-	// daemon evaluates the slave daemons' statistics on this period.
-	DefaultMinInterval = 0.30
-	// DefaultTopK bounds the task subset considered on each core.
-	DefaultTopK = 3
-	// DefaultMaxFreezeS is the QoS budget: migrations predicted to
-	// freeze a task longer than this are filtered out.
-	DefaultMaxFreezeS = 0.25
-)
-
-// Params configures the balancer.
-type Params struct {
-	// Delta is the half-width of the allowed temperature band around
-	// the mean (°C). The paper sweeps 2..5 and operates at 3.
-	Delta float64
-	// MinInterval is the minimum time between issued migrations (s).
-	MinInterval float64
-	// TopK is the number of highest-load tasks considered per core.
-	TopK int
-	// MaxFreezeS rejects migrations whose estimated freeze exceeds it.
-	MaxFreezeS float64
-}
-
-// Balancer is the thermal balancing policy. It carries trigger state
-// (last issue time), so one instance drives one run.
+//
+// The balancer carries trigger state (last issue time), so one instance
+// drives one run.
 type Balancer struct {
-	p         Params
+	p         BalancerParams
 	lastIssue float64
 	// counters for introspection
 	hotTriggers, coldTriggers, filtered int
 }
 
-// New creates a balancer, applying defaults for zero fields. Delta must
-// be positive.
-func New(p Params) *Balancer {
+// NewBalancer creates a balancer, applying defaults for zero fields.
+// Delta must be positive.
+func NewBalancer(p BalancerParams) *Balancer {
 	if p.Delta <= 0 {
-		panic("core: Balancer requires a positive Delta")
+		panic("policy: Balancer requires a positive Delta")
 	}
 	if p.MinInterval <= 0 {
 		p.MinInterval = DefaultMinInterval
@@ -87,11 +86,11 @@ func New(p Params) *Balancer {
 	return &Balancer{p: p, lastIssue: math.Inf(-1)}
 }
 
-// Name implements policy.Policy.
+// Name implements Policy.
 func (b *Balancer) Name() string { return "thermal-balance" }
 
-// Decide implements policy.Policy.
-func (b *Balancer) Decide(s *policy.Snapshot) []policy.Action {
+// Decide implements Policy.
+func (b *Balancer) Decide(s *Snapshot) []Action {
 	// One exchange at a time, between exactly two processors
 	// (Section 3.1), and rate-limited by the daemon period.
 	if s.MigrationsPending > 0 {
@@ -112,13 +111,13 @@ func (b *Balancer) Decide(s *policy.Snapshot) []policy.Action {
 		return nil
 	}
 	b.lastIssue = s.Time
-	return []policy.Action{policy.Migrate{Task: best.task, Dst: best.dst}}
+	return []Action{Migrate{Task: best.task, Dst: best.dst}}
 }
 
 // trigger finds the threshold crossing. For a hot trigger it returns
 // (hotCore, -1); for a cold trigger (coldCore's partner is chosen later)
 // it returns (-1, coldCore). ok is false when every core is in band.
-func (b *Balancer) trigger(s *policy.Snapshot, mean float64) (src, dst int, ok bool) {
+func (b *Balancer) trigger(s *Snapshot, mean float64) (src, dst int, ok bool) {
 	hot, cold := -1, -1
 	for c := 0; c < s.NumCores(); c++ {
 		if !s.Powered[c] {
@@ -156,7 +155,7 @@ type move struct {
 // the Eq. 1 minimiser. When src < 0 the trigger was cold: dstFixed is
 // the cold core and the partner (source of tasks) is searched among hot
 // cores; otherwise src is the hot core and destinations are searched.
-func (b *Balancer) selectMove(s *policy.Snapshot, mean float64, src, dstFixed int) (move, bool) {
+func (b *Balancer) selectMove(s *Snapshot, mean float64, src, dstFixed int) (move, bool) {
 	best := move{cost: math.Inf(1), task: -1}
 	consider := func(from, to int) {
 		if from == to || !s.Powered[from] || !s.Powered[to] {
@@ -206,8 +205,8 @@ func (b *Balancer) selectMove(s *policy.Snapshot, mean float64, src, dstFixed in
 // among the TopK highest-load migratable tasks, the one whose move best
 // equalises the two FSE loads, subject to the power condition and the
 // freeze-cost filter.
-func (b *Balancer) pickTask(s *policy.Snapshot, from, to int) (ti int, bytes float64, ok bool) {
-	cands := make([]policy.TaskView, 0, 8)
+func (b *Balancer) pickTask(s *Snapshot, from, to int) (ti int, bytes float64, ok bool) {
+	cands := make([]TaskView, 0, 8)
 	for _, tv := range s.Tasks {
 		if tv.Core == from && !tv.Migrating {
 			cands = append(cands, tv)
@@ -271,4 +270,4 @@ func (b *Balancer) pickTask(s *policy.Snapshot, from, to int) (ti int, bytes flo
 func sq(x float64) float64 { return x * x }
 
 // Compile-time interface check.
-var _ policy.Policy = (*Balancer)(nil)
+var _ Policy = (*Balancer)(nil)

@@ -1,25 +1,23 @@
-package core
+package policy
 
 import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"thermbal/internal/policy"
 )
 
 // randomSnapshot builds a syntactically valid snapshot with randomized
 // temperatures, frequencies and placements.
-func randomSnapshot(rng *rand.Rand) *policy.Snapshot {
+func randomSnapshot(rng *rand.Rand) *Snapshot {
 	n := 2 + rng.Intn(4) // 2..5 cores
 	nt := 1 + rng.Intn(8)
 	levels := []float64{133e6, 266e6, 533e6}
-	s := &policy.Snapshot{
+	s := &Snapshot{
 		Time:    rng.Float64() * 100,
 		Temp:    make([]float64, n),
 		Freq:    make([]float64, n),
 		Powered: make([]bool, n),
-		Tasks:   make([]policy.TaskView, nt),
+		Tasks:   make([]TaskView, nt),
 		LevelFor: func(fse float64) float64 {
 			need := fse * 533e6
 			for _, f := range levels {
@@ -44,7 +42,7 @@ func randomSnapshot(rng *rand.Rand) *policy.Snapshot {
 	s.MeanTemp = sumT / float64(n)
 	s.MeanFreq = sumF / float64(n)
 	for i := 0; i < nt; i++ {
-		s.Tasks[i] = policy.TaskView{
+		s.Tasks[i] = TaskView{
 			Index:      i,
 			Name:       string(rune('A' + i)),
 			Core:       rng.Intn(n),
@@ -65,7 +63,7 @@ func TestBalancerActionsAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(20080310)) // DATE'08 week, fixed seed
 	for trial := 0; trial < 5000; trial++ {
 		s := randomSnapshot(rng)
-		b := New(Params{Delta: 1 + rng.Float64()*5})
+		b := NewBalancer(BalancerParams{Delta: 1 + rng.Float64()*5})
 		acts := b.Decide(s)
 		if len(acts) == 0 {
 			continue
@@ -76,7 +74,7 @@ func TestBalancerActionsAlwaysValid(t *testing.T) {
 		if len(acts) != 1 {
 			t.Fatalf("trial %d: %d actions, want at most 1 (two processors at a time)", trial, len(acts))
 		}
-		mg, ok := acts[0].(policy.Migrate)
+		mg, ok := acts[0].(Migrate)
 		if !ok {
 			t.Fatalf("trial %d: unexpected action type %T", trial, acts[0])
 		}
@@ -133,8 +131,8 @@ func TestBalancerPureDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		s := randomSnapshot(rng)
-		a1 := New(Params{Delta: 3}).Decide(s)
-		a2 := New(Params{Delta: 3}).Decide(s)
+		a1 := NewBalancer(BalancerParams{Delta: 3}).Decide(s)
+		a2 := NewBalancer(BalancerParams{Delta: 3}).Decide(s)
 		if len(a1) != len(a2) {
 			t.Fatalf("trial %d: decision count differs", trial)
 		}

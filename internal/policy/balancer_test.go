@@ -1,10 +1,8 @@
-package core
+package policy
 
 import (
 	"math"
 	"testing"
-
-	"thermbal/internal/policy"
 )
 
 // ladder mimics the 533/266/133 MHz governor for snapshots.
@@ -20,8 +18,8 @@ func ladder(fse float64) float64 {
 
 // table2Snapshot builds the paper's post-warmup state: core1 hot at
 // 533 MHz with BPF1+DEMOD, cores 2/3 cooler at 266 MHz.
-func table2Snapshot(now float64) *policy.Snapshot {
-	tasks := []policy.TaskView{
+func table2Snapshot(now float64) *Snapshot {
+	tasks := []TaskView{
 		{Index: 0, Name: "LPF", Core: 2, FSE: 0.094, StateBytes: 64 << 10},
 		{Index: 1, Name: "DEMOD", Core: 0, FSE: 0.283, StateBytes: 64 << 10},
 		{Index: 2, Name: "BPF1", Core: 0, FSE: 0.367, StateBytes: 64 << 10},
@@ -33,7 +31,7 @@ func table2Snapshot(now float64) *policy.Snapshot {
 	freq := []float64{533e6, 266e6, 266e6}
 	mean := (temp[0] + temp[1] + temp[2]) / 3
 	meanF := (freq[0] + freq[1] + freq[2]) / 3
-	return &policy.Snapshot{
+	return &Snapshot{
 		Time:     now,
 		Temp:     temp,
 		Freq:     freq,
@@ -46,7 +44,7 @@ func table2Snapshot(now float64) *policy.Snapshot {
 }
 
 func TestNewDefaultsAndValidation(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	p := b.p
 	if p.MinInterval != DefaultMinInterval || p.TopK != DefaultTopK || p.MaxFreezeS != DefaultMaxFreezeS {
 		t.Errorf("defaults not applied: %+v", p)
@@ -59,17 +57,17 @@ func TestNewDefaultsAndValidation(t *testing.T) {
 			t.Error("New without Delta did not panic")
 		}
 	}()
-	New(Params{})
+	NewBalancer(BalancerParams{})
 }
 
 func TestHotTriggerMigratesFromHotToColdest(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(20)
 	acts := b.Decide(s)
 	if len(acts) != 1 {
 		t.Fatalf("actions = %v, want one migration", acts)
 	}
-	mg, ok := acts[0].(policy.Migrate)
+	mg, ok := acts[0].(Migrate)
 	if !ok {
 		t.Fatalf("action type %T", acts[0])
 	}
@@ -91,7 +89,7 @@ func TestHotTriggerMigratesFromHotToColdest(t *testing.T) {
 	}
 }
 
-func taskByIndex(t *testing.T, s *policy.Snapshot, idx int) int {
+func taskByIndex(t *testing.T, s *Snapshot, idx int) int {
 	t.Helper()
 	for i, tv := range s.Tasks {
 		if tv.Index == idx {
@@ -103,14 +101,14 @@ func taskByIndex(t *testing.T, s *policy.Snapshot, idx int) int {
 }
 
 func TestNoTriggerInsideBand(t *testing.T) {
-	b := New(Params{Delta: 8}) // band wide enough to cover the spread
+	b := NewBalancer(BalancerParams{Delta: 8}) // band wide enough to cover the spread
 	if acts := b.Decide(table2Snapshot(20)); acts != nil {
 		t.Errorf("actions inside band: %v", acts)
 	}
 }
 
 func TestRateLimitBetweenMigrations(t *testing.T) {
-	b := New(Params{Delta: 3, MinInterval: 1.0})
+	b := NewBalancer(BalancerParams{Delta: 3, MinInterval: 1.0})
 	if acts := b.Decide(table2Snapshot(10)); len(acts) != 1 {
 		t.Fatal("first decision did not migrate")
 	}
@@ -123,7 +121,7 @@ func TestRateLimitBetweenMigrations(t *testing.T) {
 }
 
 func TestNoActionWhileMigrationPending(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	s.MigrationsPending = 1
 	if acts := b.Decide(s); acts != nil {
@@ -132,7 +130,7 @@ func TestNoActionWhileMigrationPending(t *testing.T) {
 }
 
 func TestFrequencyConditionBlocksEqualFrequencies(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	// All cores at the same frequency: condition 2 fails everywhere.
 	s.Freq = []float64{266e6, 266e6, 266e6}
@@ -143,7 +141,7 @@ func TestFrequencyConditionBlocksEqualFrequencies(t *testing.T) {
 }
 
 func TestThermalConditionRequiresOpposition(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	// Raise every core above the would-be mean - impossible by
 	// construction of a mean, so instead make cold cores sit exactly on
@@ -156,7 +154,7 @@ func TestThermalConditionRequiresOpposition(t *testing.T) {
 }
 
 func TestPowerConditionBlocksCostlyMove(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	// Make the cold target so loaded that any incoming task forces a
 	// frequency rise without the source dropping: power would increase.
@@ -184,14 +182,14 @@ func TestPowerConditionBlocksCostlyMove(t *testing.T) {
 	if len(acts) != 1 {
 		t.Fatalf("expected exactly the cheap move, got %v", acts)
 	}
-	mg := acts[0].(policy.Migrate)
+	mg := acts[0].(Migrate)
 	if s.Tasks[taskByIndex(t, s, mg.Task)].Name != "BPF1" {
 		t.Errorf("moved %s; DEMOD move should be power-blocked", s.Tasks[taskByIndex(t, s, mg.Task)].Name)
 	}
 }
 
 func TestColdTriggerPullsLoadFromHotCore(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	// Compress the top: cores 1/2 warm but inside the band, core 3 very
 	// cold -> cold trigger; partner must be a core above the mean.
@@ -201,7 +199,7 @@ func TestColdTriggerPullsLoadFromHotCore(t *testing.T) {
 	if len(acts) != 1 {
 		t.Fatalf("cold trigger produced %v", acts)
 	}
-	mg := acts[0].(policy.Migrate)
+	mg := acts[0].(Migrate)
 	if mg.Dst != 2 {
 		t.Errorf("cold trigger destination = %d, want the cold core 2", mg.Dst)
 	}
@@ -215,7 +213,7 @@ func TestColdTriggerPullsLoadFromHotCore(t *testing.T) {
 }
 
 func TestFreezeCostFilter(t *testing.T) {
-	b := New(Params{Delta: 3, MaxFreezeS: 0.010})
+	b := NewBalancer(BalancerParams{Delta: 3, MaxFreezeS: 0.010})
 	s := table2Snapshot(10)
 	s.EstimateFreeze = func(ti int) float64 { return 0.050 } // all too slow
 	if acts := b.Decide(s); acts != nil {
@@ -225,7 +223,7 @@ func TestFreezeCostFilter(t *testing.T) {
 		t.Error("filter counter not incremented")
 	}
 	// Cheap migrations pass.
-	b2 := New(Params{Delta: 3, MaxFreezeS: 0.10})
+	b2 := NewBalancer(BalancerParams{Delta: 3, MaxFreezeS: 0.10})
 	s2 := table2Snapshot(10)
 	s2.EstimateFreeze = func(ti int) float64 { return 0.050 }
 	if acts := b2.Decide(s2); len(acts) != 1 {
@@ -234,7 +232,7 @@ func TestFreezeCostFilter(t *testing.T) {
 }
 
 func TestMigratingTasksExcluded(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	for i := range s.Tasks {
 		if s.Tasks[i].Core == 0 {
@@ -247,7 +245,7 @@ func TestMigratingTasksExcluded(t *testing.T) {
 }
 
 func TestUnpoweredCoresIgnored(t *testing.T) {
-	b := New(Params{Delta: 3})
+	b := NewBalancer(BalancerParams{Delta: 3})
 	s := table2Snapshot(10)
 	s.Powered[0] = false // hot core is off: no trigger from it
 	s.Freq[0] = 0
@@ -261,20 +259,20 @@ func TestTopKLimitsCandidates(t *testing.T) {
 	// With TopK=1 only the highest-load task (BPF1) is considered; its
 	// move still satisfies the power condition, so it is chosen even
 	// though DEMOD would balance better.
-	b := New(Params{Delta: 3, TopK: 1})
+	b := NewBalancer(BalancerParams{Delta: 3, TopK: 1})
 	s := table2Snapshot(10)
 	acts := b.Decide(s)
 	if len(acts) != 1 {
 		t.Fatalf("actions = %v", acts)
 	}
-	mg := acts[0].(policy.Migrate)
+	mg := acts[0].(Migrate)
 	if s.Tasks[taskByIndex(t, s, mg.Task)].Name != "BPF1" {
 		t.Errorf("TopK=1 moved %s, want BPF1", s.Tasks[taskByIndex(t, s, mg.Task)].Name)
 	}
 }
 
 func TestEquation1PrefersColderTarget(t *testing.T) {
-	b := New(Params{Delta: 2})
+	b := NewBalancer(BalancerParams{Delta: 2})
 	s := table2Snapshot(10)
 	// Two valid cold targets; core2 colder than its Table 2 value.
 	s.Temp = []float64{62.3, 50.0, 52.2}
@@ -283,19 +281,19 @@ func TestEquation1PrefersColderTarget(t *testing.T) {
 	if len(acts) != 1 {
 		t.Fatalf("actions = %v", acts)
 	}
-	if mg := acts[0].(policy.Migrate); mg.Dst != 1 {
+	if mg := acts[0].(Migrate); mg.Dst != 1 {
 		t.Errorf("dst = %d, want 1 (coldest => minimal Eq.1 cost)", mg.Dst)
 	}
 }
 
 func TestDecideIsDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		b := New(Params{Delta: 3})
+		b := NewBalancer(BalancerParams{Delta: 3})
 		acts := b.Decide(table2Snapshot(10))
 		if len(acts) != 1 {
 			t.Fatal("no action")
 		}
-		mg := acts[0].(policy.Migrate)
+		mg := acts[0].(Migrate)
 		if mg.Dst != 2 {
 			t.Fatalf("iteration %d: dst %d", i, mg.Dst)
 		}
@@ -303,10 +301,10 @@ func TestDecideIsDeterministic(t *testing.T) {
 }
 
 func TestActionStrings(t *testing.T) {
-	if (policy.Migrate{Task: 1, Dst: 2}).String() == "" {
+	if (Migrate{Task: 1, Dst: 2}).String() == "" {
 		t.Error("empty Migrate string")
 	}
-	if (policy.StopCore{Core: 1}).String() == "" || (policy.StartCore{Core: 1}).String() == "" {
+	if (StopCore{Core: 1}).String() == "" || (StartCore{Core: 1}).String() == "" {
 		t.Error("empty stop/start strings")
 	}
 }

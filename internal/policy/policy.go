@@ -1,11 +1,11 @@
 // Package policy defines the run-time management policy interface of
-// the MPOS and the two baseline policies the paper compares against
-// (Section 5.2): Energy-Balancing (static mapping + DVFS, no run-time
+// the MPOS, the two baseline policies the paper compares against
+// (Section 5.2) — Energy-Balancing (static mapping + DVFS, no run-time
 // actions) and the modified Stop&Go (shut a core at the upper threshold,
-// restart at the lower one, no migration).
-//
-// The paper's own contribution — the migration-based thermal balancing
-// policy — lives in internal/core and implements the same interface.
+// restart at the lower one, no migration) — and the paper's own
+// contribution, the migration-based thermal Balancer. One static table
+// (registry.go) maps every policy's name and aliases to its
+// constructor.
 package policy
 
 import "fmt"

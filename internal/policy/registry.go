@@ -2,16 +2,13 @@ package policy
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
-// The policy registry maps names to constructors so policies are built
-// from one place instead of string switches duplicated across the CLIs.
-// Baseline policies register themselves below; the paper's thermal
-// balancer registers from internal/core (it cannot live here without an
-// import cycle), and external code — experiments, examples, future
-// policies — may register its own implementations the same way.
+// The policy table maps names to constructors so policies are built
+// from one place instead of string switches duplicated across the CLIs:
+// the two baselines, the paper's thermal balancer and the do-nothing
+// reference.
 
 // Args carries the tunables a policy constructor may consume. Policies
 // ignore fields that do not apply to them (the energy-balance baseline
@@ -30,146 +27,94 @@ type Args struct {
 	MaxFreezeS float64
 }
 
-// Factory constructs a fresh policy instance. Stateful policies must
-// return a new value on every call so concurrent runs never share
-// trigger state.
-type Factory func(Args) (Policy, error)
-
-// Entry describes one registered policy for discovery listings. It is
-// also the JSON shape the simulation service's /policies endpoint
-// serves, so the field names are wire-stable.
+// Entry describes one policy for discovery listings. It is also the
+// JSON shape the simulation service's /policies endpoint serves, so the
+// field names are wire-stable.
 type Entry struct {
-	// Name is the canonical registered name.
+	// Name is the canonical name.
 	Name string `json:"name"`
 	// Description is a one-line summary for -list output.
 	Description string `json:"description"`
-	// Aliases are accepted alternative spellings.
+	// Aliases are accepted alternative spellings, sorted.
 	Aliases []string `json:"aliases,omitempty"`
 }
 
-var reg = struct {
-	sync.RWMutex
-	factories map[string]Factory
-	entries   map[string]Entry
-	aliases   map[string]string // alias -> canonical
+// table lists every policy, sorted by name. A constructor returns a
+// fresh value on every call, so concurrent runs never share trigger
+// state.
+var table = []struct {
+	Entry
+	build func(Args) (Policy, error)
 }{
-	factories: map[string]Factory{},
-	entries:   map[string]Entry{},
-	aliases:   map[string]string{},
+	{Entry{"energy-balance", "static energy-balanced mapping + DVFS, no run-time actions", []string{"eb"}},
+		func(Args) (Policy, error) { return EnergyBalance{}, nil }},
+	{Entry{"none", "do nothing: pure DVFS on the static mapping", nil},
+		func(Args) (Policy, error) { return None{}, nil }},
+	{Entry{"stop-go", "gate a core at mean+delta, restart at the stop-time mean-delta", []string{"sg", "stop&go", "stopgo"}},
+		func(a Args) (Policy, error) {
+			if a.Delta <= 0 {
+				return nil, fmt.Errorf("policy: stop-go requires a positive delta, got %g", a.Delta)
+			}
+			return NewStopGo(a.Delta), nil
+		}},
+	{Entry{"thermal-balance", "the paper's migration-based thermal balancing (MiGra-style)", []string{"migra", "tb"}},
+		func(a Args) (Policy, error) {
+			if a.Delta <= 0 {
+				return nil, fmt.Errorf("policy: thermal-balance requires a positive delta, got %g", a.Delta)
+			}
+			return NewBalancer(BalancerParams{
+				Delta:       a.Delta,
+				MinInterval: a.MinInterval,
+				TopK:        a.TopK,
+				MaxFreezeS:  a.MaxFreezeS,
+			}), nil
+		}},
 }
 
-// Register adds a named policy constructor. It panics on an empty name
-// or a duplicate registration (both are programming errors caught at
-// init time), matching the behavior of database/sql-style registries.
-func Register(e Entry, f Factory) {
-	if e.Name == "" {
-		panic("policy: Register with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("policy: Register %q with nil factory", e.Name))
-	}
-	reg.Lock()
-	defer reg.Unlock()
-	if _, dup := reg.factories[e.Name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", e.Name))
-	}
-	if canon, taken := reg.aliases[e.Name]; taken {
-		panic(fmt.Sprintf("policy: name %q already aliased to %q", e.Name, canon))
-	}
-	for _, a := range e.Aliases {
-		if _, dup := reg.factories[a]; dup {
-			panic(fmt.Sprintf("policy: alias %q of %q collides with a registered name", a, e.Name))
-		}
-		if canon, dup := reg.aliases[a]; dup {
-			panic(fmt.Sprintf("policy: alias %q of %q already aliased to %q", a, e.Name, canon))
+// find returns the table index of a canonical name or alias.
+func find(name string) (int, bool) {
+	for i, t := range table {
+		if t.Name == name || slices.Contains(t.Aliases, name) {
+			return i, true
 		}
 	}
-	reg.factories[e.Name] = f
-	reg.entries[e.Name] = e
-	for _, a := range e.Aliases {
-		reg.aliases[a] = e.Name
-	}
+	return 0, false
 }
 
-// Canonical resolves a name or alias to the canonical registered name.
+// Canonical resolves a name or alias to the canonical name.
 func Canonical(name string) (string, bool) {
-	reg.RLock()
-	defer reg.RUnlock()
-	if _, ok := reg.factories[name]; ok {
-		return name, true
-	}
-	if canon, ok := reg.aliases[name]; ok {
-		return canon, true
-	}
-	return "", false
-}
-
-// Lookup returns the factory for a registered name or alias.
-func Lookup(name string) (Factory, bool) {
-	canon, ok := Canonical(name)
+	i, ok := find(name)
 	if !ok {
-		return nil, false
+		return "", false
 	}
-	reg.RLock()
-	defer reg.RUnlock()
-	return reg.factories[canon], true
+	return table[i].Name, true
 }
 
 // New constructs a policy by name (canonical or alias). Unknown names
 // report the registered alternatives.
 func New(name string, a Args) (Policy, error) {
-	f, ok := Lookup(name)
+	i, ok := find(name)
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
 	}
-	return f(a)
+	return table[i].build(a)
 }
 
-// Names returns the canonical registered names, sorted.
+// Names returns the canonical names, sorted.
 func Names() []string {
-	reg.RLock()
-	defer reg.RUnlock()
-	out := make([]string, 0, len(reg.factories))
-	for n := range reg.factories {
-		out = append(out, n)
+	out := make([]string, len(table))
+	for i, t := range table {
+		out[i] = t.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Entries returns the registered entries sorted by name, each with its
-// aliases sorted, so listings and JSON encodings are deterministic.
+// Entries returns every policy's entry sorted by name, so listings and
+// JSON encodings are deterministic.
 func Entries() []Entry {
-	reg.RLock()
-	defer reg.RUnlock()
-	out := make([]Entry, 0, len(reg.entries))
-	for _, e := range reg.entries {
-		e.Aliases = append([]string(nil), e.Aliases...)
-		sort.Strings(e.Aliases)
-		out = append(out, e)
+	out := make([]Entry, len(table))
+	for i, t := range table {
+		out[i] = t.Entry
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-func init() {
-	Register(Entry{
-		Name:        "none",
-		Description: "do nothing: pure DVFS on the static mapping",
-	}, func(Args) (Policy, error) { return None{}, nil })
-	Register(Entry{
-		Name:        "energy-balance",
-		Description: "static energy-balanced mapping + DVFS, no run-time actions",
-		Aliases:     []string{"eb"},
-	}, func(Args) (Policy, error) { return EnergyBalance{}, nil })
-	Register(Entry{
-		Name:        "stop-go",
-		Description: "gate a core at mean+delta, restart at the stop-time mean-delta",
-		Aliases:     []string{"stopgo", "stop&go", "sg"},
-	}, func(a Args) (Policy, error) {
-		if a.Delta <= 0 {
-			return nil, fmt.Errorf("policy: stop-go requires a positive delta, got %g", a.Delta)
-		}
-		return NewStopGo(a.Delta), nil
-	})
 }

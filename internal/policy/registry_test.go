@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,13 +56,44 @@ func TestRegistryFreshInstances(t *testing.T) {
 	}
 }
 
-func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+// TestTableInvariants checks what name resolution relies on: names and
+// aliases are unique across the whole table, the table is sorted by
+// name, and each alias list is sorted, so Entries needs no sorting.
+func TestTableInvariants(t *testing.T) {
+	owner := map[string]string{}
+	for i, e := range table {
+		if i > 0 && table[i-1].Name >= e.Name {
+			t.Errorf("table not sorted: %q before %q", table[i-1].Name, e.Name)
 		}
-	}()
-	Register(Entry{Name: "none"}, func(Args) (Policy, error) { return None{}, nil })
+		if !slices.IsSorted(e.Aliases) {
+			t.Errorf("%s: aliases %v not sorted", e.Name, e.Aliases)
+		}
+		for _, n := range append([]string{e.Name}, e.Aliases...) {
+			if prev, dup := owner[n]; dup {
+				t.Errorf("spelling %q names both %s and %s", n, prev, e.Name)
+			}
+			owner[n] = e.Name
+		}
+	}
+}
+
+func TestThermalBalanceRegistered(t *testing.T) {
+	for _, name := range []string{"thermal-balance", "tb", "migra"} {
+		p, err := New(name, Args{Delta: 3, TopK: 2})
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		b, ok := p.(*Balancer)
+		if !ok {
+			t.Fatalf("New(%q) returned %T, want *Balancer", name, p)
+		}
+		if b.p.Delta != 3 || b.p.TopK != 2 {
+			t.Errorf("params not threaded: %+v", b.p)
+		}
+	}
+	if _, err := New("thermal-balance", Args{}); err == nil {
+		t.Fatal("thermal-balance with zero delta succeeded")
+	}
 }
 
 func TestCanonical(t *testing.T) {

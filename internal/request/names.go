@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	_ "thermbal/internal/core" // register the thermal-balance policy
 	"thermbal/internal/experiment"
 	"thermbal/internal/migrate"
 	"thermbal/internal/policy"

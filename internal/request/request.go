@@ -1,6 +1,6 @@
 // Package request turns user spellings into a run identity: the wire
 // forms of a run and of a scenarios × policies sweep, their
-// canonicalization against the scenario and policy registries (every
+// canonicalization against the scenario and policy catalogues (every
 // alias resolved, every default explicit), the content-address key
 // scheme, and the schema documents a run or sweep is served and stored
 // as. The CLIs, the library facade and the HTTP service all resolve
@@ -89,7 +89,7 @@ func canonShared(delta float64, pkg, mech, integrator string, queueCap int) (rc 
 	return rc, nil
 }
 
-// Canonicalize resolves req against the registries into its canonical
+// Canonicalize resolves req against the catalogues into its canonical
 // form — aliases replaced by canonical names, every default made
 // explicit — plus the experiment configuration that executes it. The
 // canonical form is the cache identity: requests differing only in
@@ -105,9 +105,9 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		if name, ok := scenario.BuiltinNameForSpec(*req.Spec); ok {
 			// The spec IS a builtin: rewrite to the named request and
 			// recurse, so both spellings canonicalize — cache, coalesce
-			// and persist — to one content address. The spec's own
-			// defaults fill in first so its semantics survive the
-			// rewrite even when its labels differ from the builtin's.
+			// and persist — to one content address. Labels the spec
+			// carries fill in first; labels it omits take the
+			// builtin's values.
 			n, nerr := req.Spec.Normalize()
 			if nerr != nil {
 				return Request{}, experiment.RunConfig{}, nerr
@@ -131,7 +131,7 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		}
 		// FromSpec stores the normalized spec; that is the canonical
 		// inline form (defaults explicit, field order frozen).
-		c.Spec = sc.Spec
+		c.Spec = &sc.Spec
 	default:
 		sc, err = LookupScenario(req.Scenario)
 		if err != nil {
@@ -139,7 +139,9 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		}
 		c.Scenario = sc.Name
 	}
-	c.Policy, err = ResolvePolicy(cmp.Or(req.Policy, sc.DefaultPolicy))
+	// An inline spec that names no default policy or delta runs the
+	// paper's balancer at ±3 °C; every builtin names both.
+	c.Policy, err = ResolvePolicy(cmp.Or(req.Policy, sc.DefaultPolicy, "thermal-balance"))
 	if err != nil {
 		return Request{}, experiment.RunConfig{}, err
 	}
@@ -147,7 +149,7 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 	if err != nil {
 		return Request{}, experiment.RunConfig{}, err
 	}
-	c.Delta = cmp.Or(req.Delta, sc.DefaultDelta)
+	c.Delta = cmp.Or(req.Delta, sc.DefaultDelta, 3)
 	c.Package, c.QueueCap = rc.Package.String(), rc.QueueCap
 	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
 	// Phase defaulting is experiment.Run's own cascade, so the cache

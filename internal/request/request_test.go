@@ -270,3 +270,61 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestInlineSpecLabelResolution pins how an inline spec's omitted
+// labels (name, phases, default policy and delta) resolve. A builtin's
+// spec with every label stripped is still that builtin: it takes the
+// builtin's name and defaults (manycore-64: δ 2, 5 s + 10 s). The same
+// spec with one load changed is a custom workload: it takes
+// thermal-balance, δ 3 and the paper's 12.5 s + 30 s, and its spec
+// stays unlabeled in the canonical request.
+func TestInlineSpecLabelResolution(t *testing.T) {
+	sc, err := scenario.Lookup("manycore-64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := cliutil.SpecJSON(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare scenario.Spec
+	if err := json.Unmarshal(raw, &bare); err != nil {
+		t.Fatal(err)
+	}
+	bare.Name, bare.WarmupS, bare.MeasureS, bare.DefaultPolicy, bare.DefaultDelta = "", 0, 0, "", 0
+
+	named := mustCanon(t, Request{Spec: &bare})
+	want := Request{
+		Scenario: "manycore-64", Policy: "thermal-balance", Delta: 2,
+		Package: "mobile-embedded", WarmupS: 5, MeasureS: 10,
+		QueueCap: 11, Mechanism: "task-replication", Integrator: "euler",
+	}
+	if named != want {
+		t.Errorf("stripped builtin spec canonicalizes to %+v, want %+v", named, want)
+	}
+	if got, pin := named.Key(), "907b61905013c4969ec55e7bdf9d7b203ea372179c0f71669a39ff1fb50f71a6"; got != pin {
+		t.Errorf("stripped builtin spec key = %s, want %s", got, pin)
+	}
+	if byName := mustCanon(t, Request{Scenario: "manycore-64"}).Key(); named.Key() != byName {
+		t.Errorf("stripped builtin spec key %s differs from the named request's %s", named.Key(), byName)
+	}
+
+	custom := bare
+	custom.Graph.Tasks = append([]scenario.TaskSpec(nil), bare.Graph.Tasks...)
+	custom.Graph.Tasks[0].FSE += 0.01
+	canon := mustCanon(t, Request{Spec: &custom})
+	if canon.Scenario != "" || canon.Spec == nil {
+		t.Fatalf("perturbed spec resolved to scenario %q, want an inline spec", canon.Scenario)
+	}
+	if canon.Policy != "thermal-balance" || canon.Delta != 3 || canon.WarmupS != 12.5 || canon.MeasureS != 30 {
+		t.Errorf("perturbed spec: policy %q, δ %g, %g s + %g s; want thermal-balance, δ 3, 12.5 s + 30 s",
+			canon.Policy, canon.Delta, canon.WarmupS, canon.MeasureS)
+	}
+	if s := canon.Spec; s.Name != "" || s.DefaultPolicy != "" || s.DefaultDelta != 0 || s.WarmupS != 0 || s.MeasureS != 0 {
+		t.Errorf("canonical spec gained labels: name %q, policy %q, δ %g, %g s + %g s",
+			s.Name, s.DefaultPolicy, s.DefaultDelta, s.WarmupS, s.MeasureS)
+	}
+	if got, pin := canon.Key(), "26a7f9c02a9467eb1e449662824d27952557b9ca4660941339a4ee58572a00ab"; got != pin {
+		t.Errorf("perturbed spec key = %s, want %s", got, pin)
+	}
+}

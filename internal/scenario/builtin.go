@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -263,70 +264,53 @@ func Generate(seed int64) Spec {
 	return n
 }
 
-// builtin is one catalogue entry: labels plus the spec it compiles.
-type builtin struct {
-	name, desc, topology string
-	spec                 Spec
+// builtin labels a catalogue entry: its name and description, and the
+// balancing policy by default, at ±3 °C unless the spec says otherwise.
+func builtin(name, desc, topology string, sp Spec) Scenario {
+	sp.Name, sp.Description = name, desc
+	sp.DefaultPolicy = "thermal-balance"
+	sp.DefaultDelta = cmp.Or(sp.DefaultDelta, 3)
+	return Scenario{Spec: sp, Topology: topology}
 }
 
-// builtins returns the catalogue. Every entry runs under the balancing
-// policy by default, at ±3 °C unless its spec says otherwise.
-func builtins() []builtin {
+// builtins returns the catalogue's entries, not yet normalized or
+// sorted (builtinCatalogue does both).
+func builtins() []Scenario {
 	bursty := sdrSpec()
 	bursty.Modulation = &ModulationSpec{Kind: ModPhaseShift}
-	bs := []builtin{
+	bs := []Scenario{
 		// The two paper workloads, with their hand mappings.
-		{DefaultName, "the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)",
-			"pipeline with 3-way equalizer split", sdrSpec()},
-		{"video-decoder", "software video decoder pipeline, deliberately unbalanced first-fit mapping",
-			"pipeline with 2-way IDCT split", videoSpec()},
+		builtin(DefaultName, "the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)",
+			"pipeline with 3-way equalizer split", sdrSpec()),
+		builtin("video-decoder", "software video decoder pipeline, deliberately unbalanced first-fit mapping",
+			"pipeline with 2-way IDCT split", videoSpec()),
 		// The hot spot moves between task groups every few seconds, so
 		// a static mapping is wrong half the time by construction.
-		{"bursty-sdr", "SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)",
-			"SDR pipeline, FSE modulated over time", bursty},
+		builtin("bursty-sdr", "SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)",
+			"SDR pipeline, FSE modulated over time", bursty),
 	}
 	// Deep pipelines: every stage sits on the critical path, so freeze
 	// filtering decides whether migrations are affordable at all.
 	for _, depth := range []int{4, 8, 16} {
-		bs = append(bs, builtin{fmt.Sprintf("pipeline-d%d", depth),
+		bs = append(bs, builtin(fmt.Sprintf("pipeline-d%d", depth),
 			fmt.Sprintf("deep linear pipeline, %d seeded-load stages on the critical path", depth),
-			fmt.Sprintf("pipeline depth %d", depth), pipelineSpec(depth, int64(depth))})
+			fmt.Sprintf("pipeline depth %d", depth), pipelineSpec(depth, int64(depth))))
 	}
 	// Fan-out/fan-in: many same-shape workers make the pairing space
 	// large; w4 is perfectly symmetric, w8 has a seeded skew.
 	bs = append(bs,
-		builtin{"fanout-w4", "symmetric 4-way fan-out/fan-in, degenerate pairing space",
-			"split/join width 4", fanoutSpec(4, 0)},
-		builtin{"fanout-w8", "skewed 8-way fan-out/fan-in with seeded worker loads",
-			"split/join width 8", fanoutSpec(8, 88)})
+		builtin("fanout-w4", "symmetric 4-way fan-out/fan-in, degenerate pairing space",
+			"split/join width 4", fanoutSpec(4, 0)),
+		builtin("fanout-w8", "skewed 8-way fan-out/fan-in with seeded worker loads",
+			"split/join width 8", fanoutSpec(8, 88)))
 	// Many-core scaling: ~0.45 FSE budget per core on a tiled die, with
 	// shorter default windows so the full matrix stays tractable.
 	for _, n := range []int{8, 16, 32, 64, 128, 256} {
 		sp := SplitJoin(int64(n), n/2+4, 3, 0.45*float64(n), n)
 		sp.WarmupS, sp.MeasureS, sp.DefaultDelta = 5, 10, 2
-		bs = append(bs, builtin{fmt.Sprintf("manycore-%d", n),
+		bs = append(bs, builtin(fmt.Sprintf("manycore-%d", n),
 			fmt.Sprintf("seeded split/join workload on a %d-core tiled die", n),
-			fmt.Sprintf("generated split/join, %d cores", n), sp})
+			fmt.Sprintf("generated split/join, %d cores", n), sp))
 	}
 	return bs
-}
-
-// init registers every builtin through FromSpec, so a builtin enters
-// the simulator exactly like a spec file. Failing at init beats a
-// catalogue entry that only errors at run time.
-func init() {
-	for _, b := range builtins() {
-		sp := b.spec
-		sp.Name, sp.Description = b.name, b.desc
-		sp.DefaultPolicy = "thermal-balance"
-		if sp.DefaultDelta == 0 {
-			sp.DefaultDelta = 3
-		}
-		s, err := FromSpec(sp)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: builtin %q spec invalid: %v", b.name, err))
-		}
-		s.Topology = b.topology
-		Register(s)
-	}
 }

@@ -159,39 +159,19 @@ func compilePlatform(p PlatformSpec, o Options) (*mpsoc.Platform, error) {
 	return mpsoc.New(cfg)
 }
 
-// FromSpec synthesizes an unregistered Scenario from a spec: catalogue
-// fields from the spec's labels (builtin-style fallbacks for the
-// defaults a bare run needs), Build wired to Compile. It is how spec
-// files, inline service specs and generated specs enter the same code
-// paths as registered scenarios.
+// FromSpec wraps a spec as an uncatalogued Scenario: the normalized
+// spec and a topology label counted from it. It is how spec files,
+// inline service specs and generated specs enter the same code paths
+// as builtins. Labels the spec omits stay empty, so the embedded spec
+// is exactly the canonical inline form; each caller that needs a
+// fallback name, policy or delta applies its own.
 func FromSpec(sp Spec) (Scenario, error) {
 	n, err := sp.Normalize()
 	if err != nil {
 		return Scenario{}, err
 	}
-	s := Scenario{
-		Name:          n.Name,
-		Description:   n.Description,
-		Topology:      fmt.Sprintf("spec: %d tasks, %d queues, %d cores", len(n.Graph.Tasks), len(n.Graph.Queues), n.Platform.Cores),
-		Cores:         n.Platform.Cores,
-		Tasks:         len(n.Graph.Tasks),
-		WarmupS:       n.WarmupS,
-		MeasureS:      n.MeasureS,
-		DefaultPolicy: n.DefaultPolicy,
-		DefaultDelta:  n.DefaultDelta,
-		Spec:          &n,
-		Build: func(o Options) (*Instance, error) {
-			return Compile(n, o)
-		},
-	}
-	if s.Name == "" {
-		s.Name = "custom-spec"
-	}
-	if s.DefaultPolicy == "" {
-		s.DefaultPolicy = "thermal-balance"
-	}
-	if s.DefaultDelta == 0 {
-		s.DefaultDelta = 3
-	}
-	return s, nil
+	return Scenario{
+		Spec:     n,
+		Topology: fmt.Sprintf("spec: %d tasks, %d queues, %d cores", len(n.Graph.Tasks), len(n.Graph.Queues), n.Platform.Cores),
+	}, nil
 }

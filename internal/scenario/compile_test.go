@@ -10,22 +10,19 @@ import (
 // spec does not resolve at all.
 func TestBuiltinNameForSpec(t *testing.T) {
 	for _, s := range All() {
-		if s.Spec == nil {
-			t.Fatalf("%s: no spec", s.Name)
-		}
-		name, ok := BuiltinNameForSpec(*s.Spec)
+		name, ok := BuiltinNameForSpec(s.Spec)
 		if !ok || name != s.Name {
 			t.Errorf("%s: BuiltinNameForSpec = %q, %v", s.Name, name, ok)
 		}
 		// Labels are not part of the identity: renaming still matches.
-		renamed := *s.Spec
+		renamed := s.Spec
 		renamed.Name = "something-else"
 		if name, ok := BuiltinNameForSpec(renamed); !ok || name != s.Name {
 			t.Errorf("%s: renamed spec did not match: %q, %v", s.Name, name, ok)
 		}
 	}
 	sc, _ := Lookup(DefaultName)
-	perturbed := *sc.Spec
+	perturbed := sc.Spec
 	perturbed.Graph.Tasks = append([]TaskSpec(nil), perturbed.Graph.Tasks...)
 	perturbed.Graph.Tasks[0].FSE *= 1.5
 	if name, ok := BuiltinNameForSpec(perturbed); ok {
@@ -67,7 +64,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // checks the die came out heterogeneous.
 func TestCompileHeteroTiles(t *testing.T) {
 	sc, _ := Lookup(DefaultName)
-	sp := *sc.Spec
+	sp := sc.Spec
 	sp.Platform = PlatformSpec{
 		Cores: 3,
 		Tiles: []TileSpec{{Count: 1, Scale: 1.5}, {Count: 2, Scale: 1}},

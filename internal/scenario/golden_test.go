@@ -180,7 +180,7 @@ func TestBuiltinSpecsCompileBitForBit(t *testing.T) {
 			}
 			var got builtinGolden
 			got.specHash = sc.Spec.Hash()
-			got.specJSON = jsonDigest(t, *sc.Spec)
+			got.specJSON = jsonDigest(t, sc.Spec)
 			got.info = jsonDigest(t, sc.Info())
 			for _, o := range []struct {
 				opt Options

@@ -3,10 +3,11 @@
 // streaming applications and one 3-core platform; conclusions drawn on
 // one topology often invert on another with the same aggregate
 // statistics, so this package maps names to self-contained scenarios —
-// stream graph + platform + duration + default policy — and registers
-// the two paper workloads alongside synthetic families: deep pipelines,
-// fan-out/fan-in graphs, bursty phase-shifting load, and many-core
-// platforms built by tiling the MPSoC floorplan.
+// stream graph + platform + duration + default policy — in one static
+// catalogue that holds the two paper workloads alongside synthetic
+// families: deep pipelines, fan-out/fan-in graphs, bursty
+// phase-shifting load, and many-core platforms built by tiling the
+// MPSoC floorplan.
 //
 // Every builtin is a declarative Spec emitted in Go (builtin.go) and
 // compiled by Compile, the one path spec files, inline service specs
@@ -45,42 +46,19 @@ type Instance struct {
 	Modulate sim.Modulator
 }
 
-// Scenario is a named, self-contained experiment setup.
+// Scenario is a named, self-contained experiment setup: a normalized
+// Spec plus a short structural label. The spec is the one source of
+// every other catalogue fact — name, description, size, default phases,
+// policy and delta — and Instantiate compiles it.
 type Scenario struct {
-	// Name is the registry key ("sdr-radio", "pipeline-d8", ...).
-	Name string
-	// Description is a one-line summary for -list output.
-	Description string
+	Spec
 	// Topology is a short structural label ("pipeline depth 8").
 	Topology string
-	// Cores is the platform size.
-	Cores int
-	// Tasks is the task count of the built graph.
-	Tasks int
-	// WarmupS and MeasureS are scenario default phases; zero means the
-	// paper defaults (12.5 s / 30 s) chosen by the experiment layer.
-	WarmupS  float64
-	MeasureS float64
-	// DefaultPolicy names the policy a bare run uses.
-	DefaultPolicy string
-	// DefaultDelta is the threshold a bare run uses (°C).
-	DefaultDelta float64
-
-	// Spec is the declarative form of the scenario, when it has one.
-	// Every builtin does (their Build compiles it); it is what
-	// /scenarios?spec=1 exports and what BuiltinNameForSpec indexes.
-	Spec *Spec
-
-	// Build instantiates the scenario.
-	Build func(o Options) (*Instance, error)
 }
 
-// Instantiate builds the scenario with the given options.
+// Instantiate compiles the scenario with the given options.
 func (s Scenario) Instantiate(o Options) (*Instance, error) {
-	if s.Build == nil {
-		return nil, fmt.Errorf("scenario: %q has no builder", s.Name)
-	}
-	inst, err := s.Build(o)
+	inst, err := Compile(s.Spec, o)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: build %q: %w", s.Name, err)
 	}

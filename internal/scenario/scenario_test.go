@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	_ "thermbal/internal/core" // register thermal-balance
 	"thermbal/internal/policy"
 	"thermbal/internal/sim"
 )
@@ -34,22 +33,29 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+// TestCatalogueInvariants checks what the static catalogue's lookups
+// rely on: names are non-empty, unique and sorted; none contains ':', so
+// the "spec:" key prefix of inline specs cannot collide with a name; and
+// no two builtins share a canonical spec hash, so BuiltinNameForSpec
+// names exactly one builtin.
+func TestCatalogueInvariants(t *testing.T) {
+	names := Names()
+	for i, n := range names {
+		if n == "" || strings.Contains(n, ":") {
+			t.Errorf("builtin name %q is empty or contains ':'", n)
 		}
-	}()
-	Register(Scenario{Name: "sdr-radio", Build: func(Options) (*Instance, error) { return nil, nil }})
-}
-
-func TestRegisterEmptyNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty-name registration did not panic")
+		if i > 0 && names[i-1] >= n {
+			t.Errorf("names not unique and sorted: %q before %q", names[i-1], n)
 		}
-	}()
-	Register(Scenario{Build: func(Options) (*Instance, error) { return nil, nil }})
+	}
+	byHash := map[string]string{}
+	for _, s := range All() {
+		h := s.Hash()
+		if prev, dup := byHash[h]; dup {
+			t.Errorf("%s and %s share the canonical spec hash %s", prev, s.Name, h)
+		}
+		byHash[h] = s.Name
+	}
 }
 
 // TestDeterministicConstruction instantiates every scenario twice and
@@ -68,8 +74,8 @@ func TestDeterministicConstruction(t *testing.T) {
 		if a.Graph.NumTasks() != b.Graph.NumTasks() {
 			t.Fatalf("%s: task counts differ: %d vs %d", s.Name, a.Graph.NumTasks(), b.Graph.NumTasks())
 		}
-		if s.Tasks != a.Graph.NumTasks() {
-			t.Errorf("%s: catalogue says %d tasks, built %d", s.Name, s.Tasks, a.Graph.NumTasks())
+		if len(s.Graph.Tasks) != a.Graph.NumTasks() {
+			t.Errorf("%s: catalogue says %d tasks, built %d", s.Name, len(s.Graph.Tasks), a.Graph.NumTasks())
 		}
 		for i := 0; i < a.Graph.NumTasks(); i++ {
 			ta, tb := a.Graph.Task(i), b.Graph.Task(i)
@@ -78,8 +84,8 @@ func TestDeterministicConstruction(t *testing.T) {
 					s.Name, i, ta.Name, ta.FSE, ta.Core, tb.Name, tb.FSE, tb.Core)
 			}
 		}
-		if a.Platform.NumCores() != s.Cores {
-			t.Errorf("%s: platform has %d cores, catalogue says %d", s.Name, a.Platform.NumCores(), s.Cores)
+		if a.Platform.NumCores() != s.Platform.Cores {
+			t.Errorf("%s: platform has %d cores, catalogue says %d", s.Name, a.Platform.NumCores(), s.Platform.Cores)
 		}
 	}
 }
@@ -94,8 +100,8 @@ func TestAllScenariosPlacedAndRunnable(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		for _, tk := range inst.Graph.Tasks() {
-			if tk.Core < 0 || tk.Core >= s.Cores {
-				t.Errorf("%s: task %s on core %d (platform has %d)", s.Name, tk.Name, tk.Core, s.Cores)
+			if tk.Core < 0 || tk.Core >= s.Platform.Cores {
+				t.Errorf("%s: task %s on core %d (platform has %d)", s.Name, tk.Name, tk.Core, s.Platform.Cores)
 			}
 		}
 		if _, err := policy.New(s.DefaultPolicy, policy.Args{Delta: s.DefaultDelta}); err != nil {

@@ -16,9 +16,9 @@ import (
 // JSON-able Spec that fully determines a workload — task graph with
 // rates, deadlines and loads; platform and floorplan selection
 // (including asymmetric big.LITTLE-style core tiles and the ambient
-// profile); load modulation; power coefficients. Built-in scenarios are
-// registered as specs compiled by Compile, a service request may carry
-// one inline, and Generate derives one from a seed — all three enter
+// profile); load modulation; power coefficients. Every built-in
+// scenario is a spec in the static catalogue, compiled by Compile; a
+// service request may carry one inline, and Generate derives one from a seed — all three enter
 // the simulator through the same path and the same content-address
 // scheme.
 

@@ -74,7 +74,7 @@ func TestNormalizeDefaults(t *testing.T) {
 func TestNormalizeIdempotent(t *testing.T) {
 	specs := map[string]Spec{"minimal": validMinimalSpec(), "generated": Generate(7)}
 	for _, s := range All() {
-		specs["builtin/"+s.Name] = *s.Spec
+		specs["builtin/"+s.Name] = s.Spec
 	}
 	for name, sp := range specs {
 		once, err := sp.Normalize()

@@ -166,8 +166,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("spec") == "1" {
 		all := scenario.All()
 		entries := make([]scenarioSpecEntry, len(all))
-		for i, sc := range all {
-			entries[i] = scenarioSpecEntry{Info: sc.Info(), Spec: sc.Spec}
+		for i := range all {
+			entries[i] = scenarioSpecEntry{Info: all[i].Info(), Spec: &all[i].Spec}
 		}
 		writeJSON(w, http.StatusOK, scenariosSpecDoc{
 			SchemaVersion: experiment.SchemaVersion,

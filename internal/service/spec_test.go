@@ -39,10 +39,7 @@ func builtinSpec(t *testing.T, name string) scenario.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Spec == nil {
-		t.Fatalf("%s has no spec", name)
-	}
-	return *sc.Spec
+	return sc.Spec
 }
 
 // TestInlineSpecSharesBuiltinAddress is the acceptance check for the

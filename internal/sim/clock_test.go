@@ -11,7 +11,6 @@ import (
 	"math"
 	"testing"
 
-	_ "thermbal/internal/core" // registers the paper policy by name
 	"thermbal/internal/migrate"
 	"thermbal/internal/mpsoc"
 	"thermbal/internal/policy"

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"thermbal/internal/core"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
@@ -101,7 +100,7 @@ func TestWarmupGradientAndQoS(t *testing.T) {
 // balances the cores (paper: within ~1 s) without deadline misses at
 // the operating threshold of 3 °C.
 func TestThermalBalancingBalancesWithoutQoSLoss(t *testing.T) {
-	bal := core.New(core.Params{Delta: 3})
+	bal := policy.NewBalancer(policy.BalancerParams{Delta: 3})
 	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, thermal.MobileEmbedded(), bal)
 	if err := e.Run(42.5); err != nil {
 		t.Fatal(err)
@@ -134,7 +133,7 @@ func TestBalancerBeatsEnergyBalanceOnStdDev(t *testing.T) {
 	if err := eb.Run(32.5); err != nil {
 		t.Fatal(err)
 	}
-	tb := newSDREngine(t, cfg, thermal.MobileEmbedded(), core.New(core.Params{Delta: 3}))
+	tb := newSDREngine(t, cfg, thermal.MobileEmbedded(), policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 	if err := tb.Run(32.5); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestStopGoTradesQoSForTemperature(t *testing.T) {
 	if err := sg.Run(32.5); err != nil {
 		t.Fatal(err)
 	}
-	tb := newSDREngine(t, cfg, thermal.MobileEmbedded(), core.New(core.Params{Delta: 3}))
+	tb := newSDREngine(t, cfg, thermal.MobileEmbedded(), policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 	if err := tb.Run(32.5); err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +179,11 @@ func max64(a, b int64) int64 {
 // than the mobile package at equal threshold (Figure 11).
 func TestHighPerfMigratesMoreOften(t *testing.T) {
 	cfg := sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}
-	mob := newSDREngine(t, cfg, thermal.MobileEmbedded(), core.New(core.Params{Delta: 3}))
+	mob := newSDREngine(t, cfg, thermal.MobileEmbedded(), policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 	if err := mob.Run(42.5); err != nil {
 		t.Fatal(err)
 	}
-	hp := newSDREngine(t, cfg, thermal.HighPerformance(), core.New(core.Params{Delta: 3}))
+	hp := newSDREngine(t, cfg, thermal.HighPerformance(), policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 	if err := hp.Run(42.5); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestHighPerfMigratesMoreOften(t *testing.T) {
 // enabling the policy (the die-level component equalises quickly; the
 // package-level drift completes over the next couple of seconds).
 func TestBalanceReachedQuickly(t *testing.T) {
-	bal := core.New(core.Params{Delta: 3})
+	bal := policy.NewBalancer(policy.BalancerParams{Delta: 3})
 	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, RecordTrace: true}, thermal.MobileEmbedded(), bal)
 	if err := e.Run(17.0); err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 	res := make([]sim.Result, 2)
 	for i := range res {
 		e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
-			thermal.MobileEmbedded(), core.New(core.Params{Delta: 2}))
+			thermal.MobileEmbedded(), policy.NewBalancer(policy.BalancerParams{Delta: 2}))
 		if err := e.Run(22.5); err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +271,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 // threshold only transiently (the paper reports < 400 ms per episode;
 // over the whole run the total must stay bounded).
 func TestOvershootBounded(t *testing.T) {
-	bal := core.New(core.Params{Delta: 3})
+	bal := policy.NewBalancer(policy.BalancerParams{Delta: 3})
 	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5}, thermal.MobileEmbedded(), bal)
 	e.SetOvershootDelta(3)
 	if err := e.Run(20.0); err != nil {
@@ -288,7 +287,7 @@ func TestOvershootBounded(t *testing.T) {
 
 func TestTraceRecorderCapturesRun(t *testing.T) {
 	e := newSDREngine(t, sim.Config{PolicyStartS: 0.1, RecordTrace: true},
-		thermal.MobileEmbedded(), core.New(core.Params{Delta: 2}))
+		thermal.MobileEmbedded(), policy.NewBalancer(policy.BalancerParams{Delta: 2}))
 	if err := e.Run(5.0); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +319,7 @@ func TestTraceRecorderCapturesRun(t *testing.T) {
 // equals frames forwarded downstream even across migrations.
 func TestFrameConservationAcrossMigrations(t *testing.T) {
 	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
-		thermal.MobileEmbedded(), core.New(core.Params{Delta: 2}))
+		thermal.MobileEmbedded(), policy.NewBalancer(policy.BalancerParams{Delta: 2}))
 	if err := e.Run(30.0); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +409,7 @@ func TestEngineRejectsMalformedActions(t *testing.T) {
 // migrating task's FramesCompleted stays constant.
 func TestFrozenTaskDoesNotRun(t *testing.T) {
 	e := newSDREngine(t, sim.Config{PolicyStartS: 12.5}, thermal.MobileEmbedded(),
-		core.New(core.Params{Delta: 3}))
+		policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 	// Run to just past the first migration trigger.
 	if err := e.Run(12.6); err != nil {
 		t.Fatal(err)

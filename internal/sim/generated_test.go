@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"thermbal/internal/core"
 	"thermbal/internal/policy"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
@@ -29,7 +28,7 @@ func TestGeneratedWorkloadsUnderBalancing(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			inst := splitJoin(t, seed, 4, 3, 1.4, 3)
 			e, err := sim.New(sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5},
-				inst.Platform, inst.Graph, core.New(core.Params{Delta: 3}))
+				inst.Platform, inst.Graph, policy.NewBalancer(policy.BalancerParams{Delta: 3}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +85,7 @@ func TestGeneratedWorkloadFeasibility(t *testing.T) {
 func TestEightCorePlatform(t *testing.T) {
 	inst := splitJoin(t, 3, 6, 4, 2.5, 8)
 	e, err := sim.New(sim.Config{PolicyStartS: 5, MeasureStartS: 5},
-		inst.Platform, inst.Graph, core.New(core.Params{Delta: 2}))
+		inst.Platform, inst.Graph, policy.NewBalancer(policy.BalancerParams{Delta: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
