@@ -211,17 +211,17 @@ check-386:
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
 	GOARCH=386 $(GO) test -run Oracle ./internal/thermal ./internal/floorplan
 
-# No implicit fused multiply-add in internal/thermal. Go fuses x*y + z
+# No implicit fused multiply-add in FMA_PKGS. Go fuses x*y + z
 # into one instruction on arm64, ppc64le, s390x and riscv64 (never on
 # amd64), and a fused result rounds once where amd64 rounds twice. Every
-# multiply-add in the package rounds its product through an explicit
+# multiply-add in these packages rounds its product through an explicit
 # float64(...) conversion, which forbids fusion; this cross-compiles the
-# package for each fusing arch with the compiler's assembly listing
+# packages for each fusing arch with the compiler's assembly listing
 # (-gcflags=-S, replayed from the build cache when nothing changed) and
 # fails on any fused multiply-add instruction, printing its source line.
 # It needs only the toolchain.
 FMA_ARCHES = arm64 ppc64le s390x riscv64
-FMA_PKGS = ./internal/thermal
+FMA_PKGS = ./internal/thermal ./internal/task
 
 fma-check:
 	@fail=0; for arch in $(FMA_ARCHES); do \

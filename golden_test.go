@@ -11,12 +11,13 @@ import (
 )
 
 // TestExpmDocumentGolden pins the run document digest — SHA-256 of the
-// body the service serves — of two expm configurations. Under expm the
-// engine's span-exact accounting makes the bits depend on how the tick
-// loop is partitioned into macro-steps and plain ticks, so these digests
-// catch a partition drift in the event-horizon fast path. The
-// manycore-64 entry is the same configuration and digest as the bench
-// module's golden manycore-64 expm case.
+// body the service serves — of two expm configurations, so a change to
+// the dense propagator, its crossover or the engine around it shows
+// here. Task accounting is the tick loop's under both schemes, so these
+// bits do not depend on how the fast path splits the clock into
+// macro-steps and plain ticks. The manycore-64 entry is the same
+// configuration and digest as the bench module's golden manycore-64
+// expm case.
 func TestExpmDocumentGolden(t *testing.T) {
 	cases := []struct {
 		req    request.Request

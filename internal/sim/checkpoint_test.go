@@ -280,10 +280,9 @@ func TestWarmupEnd(t *testing.T) {
 // there must hold them. Runs split every 37 ticks (never on a sensor
 // boundary but every 37th period) under scriptedPolicy, which migrates
 // tasks and stops a core, and checkpointed mid-period continue
-// exactly like one RunTo and like a restored copy of themselves
-// (Profile and checkpoint bytes included), under Euler and expm; under
-// Euler, whose fast path is bit-identical to tick stepping, also like
-// tick stepping at every split.
+// exactly like one RunTo, like a restored copy of themselves (Profile
+// and checkpoint bytes included) and like tick stepping at every split,
+// under Euler and expm.
 func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
 	type namedScenario struct {
 		name string
@@ -316,10 +315,7 @@ func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
 				}
 				one := build(false)
 				runTo(t, one, end)
-				var ticked *sim.Engine // the tick-stepped reference, Euler only
-				if scheme == thermal.Euler {
-					ticked = build(true)
-				}
+				ticked := build(true)
 				cut, rest := build(false), (*sim.Engine)(nil)
 				for at := int64(split); ; at += split {
 					at = min(at, end)
@@ -327,11 +323,9 @@ func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
 					if rest != nil {
 						runTo(t, rest, at)
 					}
-					if ticked != nil {
-						runTo(t, ticked, at)
-						if fa, fb := snapshotRun(ticked), snapshotRun(cut); fa != fb {
-							t.Fatalf("tick %d: split run diverged from tick stepping:\n want: %+v\n got:  %+v", at, fa, fb)
-						}
+					runTo(t, ticked, at)
+					if fa, fb := snapshotRun(ticked), snapshotRun(cut); fa != fb {
+						t.Fatalf("tick %d: split run diverged from tick stepping:\n want: %+v\n got:  %+v", at, fa, fb)
 					}
 					if rest == nil && at >= end/2 {
 						cp := checkpoint(t, cut)
@@ -354,11 +348,7 @@ func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
 				if !bytes.Equal(checkpoint(t, cut).Data(), checkpoint(t, rest).Data()) {
 					t.Error("split and restored runs end in other checkpoint bytes")
 				}
-				refs := []*sim.Engine{one}
-				if ticked != nil {
-					refs = append(refs, ticked)
-				}
-				for _, e := range refs {
+				for _, e := range []*sim.Engine{one, ticked} {
 					if fa, fb := snapshotRun(e), snapshotRun(cut); fa != fb {
 						t.Errorf("split run diverged:\n want: %+v\n got:  %+v", fa, fb)
 					}

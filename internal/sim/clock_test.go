@@ -71,10 +71,13 @@ func snapshotRun(e *sim.Engine) fingerprint {
 // default policy with the engine knobs given.
 func buildScenarioEngine(t *testing.T, name string, cfg sim.Config) *sim.Engine {
 	t.Helper()
-	sc, err := scenario.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return buildEngine(t, lookup(t, name), cfg)
+}
+
+// buildEngine instantiates sc under its default policy with the engine
+// knobs given.
+func buildEngine(t *testing.T, sc scenario.Scenario, cfg sim.Config) *sim.Engine {
+	t.Helper()
 	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -146,28 +149,39 @@ func TestSplitRunSixtySeconds(t *testing.T) {
 }
 
 // Fast path on vs off must be bit-for-bit identical on the paper
-// scenarios (and the modulated one), including migrations and traces.
+// scenarios (and the modulated one), including migrations and traces,
+// and under both thermal schemes on a ladder whose per-tick budgets
+// are fractional cycle counts: a task's Progress then carries bits a
+// single span product would round away.
 func TestFastPathBitForBit(t *testing.T) {
+	fractional := lookup(t, "sdr-radio")
+	fractional.Platform.LadderMHz = []float64{133.33333, 266.66667, 533}
+	paper := sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5, RecordTrace: true}
+	expm := paper
+	expm.Thermal = thermal.Config{Scheme: thermal.Expm}
 	cases := []struct {
-		scenario string
-		cfg      sim.Config
-		dur      float64
+		name string
+		sc   scenario.Scenario
+		cfg  sim.Config
+		dur  float64
 	}{
-		{"sdr-radio", sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5, RecordTrace: true}, 17},
-		{"video-decoder", sim.Config{PolicyStartS: 5, MeasureStartS: 5, RecordTrace: true}, 12},
-		{"bursty-sdr", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 9},
-		{"manycore-8", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 4},
+		{"sdr-radio", lookup(t, "sdr-radio"), paper, 17},
+		{"video-decoder", lookup(t, "video-decoder"), sim.Config{PolicyStartS: 5, MeasureStartS: 5, RecordTrace: true}, 12},
+		{"bursty-sdr", lookup(t, "bursty-sdr"), sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 9},
+		{"manycore-8", lookup(t, "manycore-8"), sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 4},
 		// The calendar's quiet-core path carries most plain ticks here.
-		{"manycore-64", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
-		{"manycore-256", sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
+		{"manycore-64", lookup(t, "manycore-64"), sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
+		{"manycore-256", lookup(t, "manycore-256"), sim.Config{PolicyStartS: 1, MeasureStartS: 1, RecordTrace: true}, 3},
+		{"sdr-radio-fractional-ladder/euler", fractional, paper, 17},
+		{"sdr-radio-fractional-ladder/expm", fractional, expm, 17},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.scenario, func(t *testing.T) {
-			fast := buildScenarioEngine(t, tc.scenario, tc.cfg)
+		t.Run(tc.name, func(t *testing.T) {
+			fast := buildEngine(t, tc.sc, tc.cfg)
 			slowCfg := tc.cfg
 			slowCfg.NoFastPath = true
-			slow := buildScenarioEngine(t, tc.scenario, slowCfg)
+			slow := buildEngine(t, tc.sc, slowCfg)
 			if err := fast.Run(tc.dur); err != nil {
 				t.Fatal(err)
 			}

@@ -62,8 +62,10 @@ type Config struct {
 	Modulate Modulator
 	// NoFastPath disables the event-horizon macro-stepping fast path and
 	// forces plain tick-by-tick execution. Results are bit-for-bit
-	// identical either way; the switch exists for A/B validation and for
-	// isolating fast-path regressions.
+	// identical either way, under either thermal scheme and for every
+	// spec: owed allocations are applied by one rule, the tick loop's
+	// sequential additions (task.AddN). The switch exists for A/B
+	// validation and for isolating fast-path regressions.
 	NoFastPath bool
 }
 
@@ -114,15 +116,6 @@ type Engine struct {
 	pendTicks       []int64   // per-core un-accounted ticks
 	pendBusy        []float64 // per-core un-accounted busy cycles
 	lastSharedFlush int64     // tick of the last shared-memory flush
-
-	// spanExact enables batched span accounting in the fast path: a
-	// task receiving a identical budget allocations over an event-free
-	// span advances by the exact product a·budget instead of a rounded
-	// sequential additions. It accompanies the expm thermal scheme —
-	// exact in time, exact in accounting — and differs from the
-	// tick-by-tick replay only in the last ULPs. The default Euler
-	// configuration keeps the bit-for-bit sequential replay.
-	spanExact bool
 
 	// Memoized event-time → threshold-tick conversions for the horizon
 	// scan (see evCache in horizon.go).
@@ -198,7 +191,6 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 		dirtyList: make([]int, 0, n),
 		due:       make([]uint64, (n+63)/64),
 		passed:    n,
-		spanExact: cfg.Thermal.Scheme == thermal.Expm,
 	}
 	// Every core starts dirty; under NoFastPath none is ever rescanned,
 	// so every tick runs every core through runCore.

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+
+	"thermbal/internal/task"
 )
 
 // The event-horizon fast path and its per-core event calendar.
@@ -11,14 +13,15 @@ import (
 // every busy core hands its full tick budget to one round-robin task,
 // idle and stopped cores only accrue accounting time, and the source,
 // sink, bus and migration daemons are no-ops. horizonTicks computes how
-// many upcoming ticks are guaranteed event-free; macroStep then replays
-// exactly the arithmetic those ticks would have performed — the same
-// Execute calls in the same round-robin order with the same budgets —
-// while skipping the per-tick scheduler scans, firing checks, daemon
-// polls and power-model evaluations. Results are therefore bit-for-bit
-// identical with the fast path on or off (clock_test asserts this),
-// and every tick that contains an event is still executed by the plain
-// stepTick path.
+// many upcoming ticks are guaranteed event-free; macroStep jumps them,
+// and the allocations they would have made are applied later with
+// exactly the tick loop's arithmetic — the same additions in the same
+// round-robin order with the same budgets — while the per-tick
+// scheduler scans, firing checks, daemon polls and power-model
+// evaluations are skipped. Results are therefore bit-for-bit identical
+// with the fast path on or off, under either thermal scheme and for
+// every spec (clock_test asserts this), and every tick that contains
+// an event is still executed by the plain stepTick path.
 //
 // Events that terminate a horizon:
 //   - a source frame emission (stream.Graph.NextSourceEmissionAt)
@@ -47,22 +50,21 @@ import (
 // rescan's result, and a scan only rescans the dirty cores plus the
 // clean ones whose key does not clear the candidate horizon. The
 // horizon is therefore exactly what a full rescan of every core
-// returns, and the partition of ticks into macro-steps and plain ticks
-// — which the span-exact expm accounting depends on — is unchanged.
+// returns.
 //
 // A clean core is not visited while its record holds. A plain tick
 // steps only the due cores (dirty, or clean with an expired bound), and
-// an Euler macro-step moves only the clock and the bus; every other
-// core owes the allocations of those ticks. Its record says what they
-// are — tick j after the last applied one gives the whole budget to
-// ring position (next+j-1) mod m — and catchUp applies them, through
-// the last tick the core has been stepped on, by the same sequential
-// Execute calls grouped by task. Within a task, and in the core's
-// pending busy cycles, the sequence of additions is the tick loop's, so
-// deferral is bit-for-bit invisible. Everything that reads or writes a
-// clean core's tasks, accounting or scheduler cursor catches it up
-// first: invalidate (so markDirty), rescan, flushAccount (so every
-// sensor update), the expm macro-step before its span products, and
+// a macro-step moves only the clock and the bus; every other core owes
+// the allocations of those ticks. Its record says what they are — tick
+// j after the last applied one gives the whole budget to ring position
+// (next+j-1) mod m — and catchUp applies them, through the last tick
+// the core has been stepped on, grouped by task. This is the one
+// accounting rule: within a task, and in the core's pending busy
+// cycles, the owed allocations are a run of identical additions, which
+// task.AddN computes bit for bit as the tick loop's sequence, so
+// deferral is invisible. Everything that reads or writes a clean core's
+// tasks, accounting or scheduler cursor catches it up first: invalidate
+// (so markDirty), rescan, flushAccount (so every sensor update), and
 // the end of RunTo.
 
 // maxHorizon bounds ticksUntil results so later additions cannot
@@ -288,7 +290,7 @@ func (e *Engine) catchUp(c int) {
 		to--
 	}
 	if to > cs.done {
-		e.replay(c, to-cs.done, false)
+		e.replay(c, to-cs.done)
 	}
 }
 
@@ -454,20 +456,11 @@ func (e *Engine) ticksUntil(at float64) int64 {
 }
 
 // macroStep advances span event-free ticks in one jump (all cores are
-// clean after a positive horizon). Under Euler the cores owe the span's
-// allocations like those of a plain tick. Span-exact accounting (the
-// expm scheme) depends on the partition of ticks into macro-steps and
-// plain ticks, so there each core catches up and then takes the span in
-// products.
+// clean after a positive horizon). The cores owe the span's allocations
+// like those of a plain tick.
 func (e *Engine) macroStep(span int64) {
 	e.prof.MacroSteps++
 	e.prof.MacroTicks += span
-	if e.spanExact {
-		for c := range e.cal {
-			e.catchUp(c)
-			e.replay(c, span, true)
-		}
-	}
 	e.plat.Bus.AdvanceTicks(e.cfg.TickS, span)
 	e.ticks += span
 	e.now = float64(e.ticks) * e.cfg.TickS
@@ -477,16 +470,14 @@ func (e *Engine) macroStep(span int64) {
 // calendar ring, each tick's whole budget to the next ring task, and
 // accounts the k ticks.
 //
-// The replay batches per task rather than walking tick-by-tick: every
-// allocation deposits the same full budget, so each accumulator (a
-// task's Progress/BusyCycles, the core's pending busy cycles) receives
-// an identical sequence of identical additions no matter how the
-// per-tick interleaving is grouped — the batched result is bit-for-bit
-// the tick loop's. With exact set, one exact product replaces each
-// task's rounded additions (Task.ExecuteSpan). The ring index then
-// moves just past the final allocation, where PickNext would have left
-// the cursor.
-func (e *Engine) replay(c int, k int64, exact bool) {
+// Every allocation deposits the same whole budget, so each accumulator
+// (a task's Progress and BusyCycles, the core's pending busy cycles)
+// receives a run of identical additions however the per-tick
+// interleaving is grouped. task.AddN computes such a run exactly in
+// O(1), so replay costs one ExecuteN per ring task, and its bits are
+// the tick loop's. The ring index then moves just past the final
+// allocation, where PickNext would have left the cursor.
+func (e *Engine) replay(c int, k int64) {
 	cs := &e.cal[c]
 	cs.done += k
 	e.pendTicks[c] += k
@@ -494,33 +485,19 @@ func (e *Engine) replay(c int, k int64, exact bool) {
 	if m == 0 {
 		return
 	}
-	busy := e.pendBusy[c]
 	i := cs.next
 	for p := int64(0); p < min(m, k); p++ {
 		// Ring position p, counted from the next allocation in pick
 		// order, is allocated on ticks p+1, p+1+m, ...
-		a := (k-1-p)/m + 1
 		t := e.graph.Task(cs.ring[i])
 		if i++; i == len(cs.ring) {
 			i = 0
 		}
-		if exact {
-			consumed, done := t.ExecuteSpan(cs.budget, a)
-			if done {
-				panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
-			}
-			busy += consumed
-			continue
-		}
-		for j := int64(0); j < a; j++ {
-			consumed, done := t.Execute(cs.budget)
-			if done {
-				panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
-			}
-			busy += consumed
+		if t.ExecuteN(cs.budget, (k-1-p)/m+1) {
+			panic(fmt.Sprintf("sim: fast path mispredicted completion of %q", t.Name))
 		}
 	}
-	e.pendBusy[c] = busy
+	e.pendBusy[c] = task.AddN(e.pendBusy[c], cs.budget, k)
 	cs.next = int((int64(cs.next) + k) % m)
 	cs.moved = true
 }

@@ -11,10 +11,13 @@ import (
 )
 
 // The incremental calendar must return exactly the horizon a full
-// rescan of every core would, at every fast-path group: the partition
-// into macro-steps and plain ticks defines the expm accounting bits.
-// Checked over every builtin and eight generated specs, under both the
-// Euler and the expm scheme, through policy activation.
+// rescan of every core would, at every fast-path group: a longer one
+// would jump an event, a shorter one would plain-tick what could be
+// jumped. Checked over every builtin and eight generated specs, through
+// policy activation, under both thermal schemes: the engine does not
+// branch on the scheme, but expm's temperatures drive other DVFS
+// levels and policy actions, so its runs take the calendar through
+// other states.
 func TestCalendarHorizonMatchesFullScan(t *testing.T) {
 	type namedScenario struct {
 		name string
@@ -66,18 +69,10 @@ func checkHorizonRun(t *testing.T, sc scenario.Scenario, scheme thermal.Scheme, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Under expm what matters here is the engine's span-exact
-	// accounting, not the integrator: forcing every span onto the
-	// scheme's bit-exact Euler fallback keeps a 64-core dense
-	// propagator build (tens of seconds under -race) out of the test.
-	th := thermal.Config{Scheme: scheme}
-	if scheme == thermal.Expm {
-		th.ExpmMinSubsteps = 1 << 30
-	}
 	e, err := sim.New(sim.Config{
 		PolicyStartS: 0.3, MeasureStartS: 0.3,
 		SensorPeriodS: sensorS,
-		Thermal:       th,
+		Thermal:       thermal.Config{Scheme: scheme},
 		Modulate:      inst.Modulate,
 	}, inst.Platform, inst.Graph, pol)
 	if err != nil {

@@ -11,6 +11,8 @@ package task
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // DefaultStateBytes is the migration payload per task: the paper reports
@@ -181,31 +183,58 @@ func (t *Task) Execute(cycles float64) (consumed float64, frameDone bool) {
 	return cycles, false
 }
 
-// ExecuteSpan spends n whole allocations of budget cycles each on the
-// in-flight frame in one batch: Progress and BusyCycles advance by the
-// exact product n·budget instead of n sequential additions. The caller
-// must have bounded n so the frame cannot complete within the batch
-// (the event-horizon fast path does); frameDone reports a bound
-// violation — the frame would have finished — and leaves the task
-// untouched so the caller can fail loudly.
-//
-// The batched sum n·budget is the exact value the per-tick loop
-// approximates with n rounded additions, so results can differ from
-// tick-by-tick execution in the last ULPs. The engine therefore only
-// batches under the span-exact accounting mode that accompanies the
-// expm thermal scheme; the default Euler configuration keeps the
-// sequential path bit-for-bit.
-func (t *Task) ExecuteSpan(budget float64, n int64) (consumed float64, frameDone bool) {
+// ExecuteN spends n allocations of budget cycles each on the in-flight
+// frame, bit for bit as n sequential Execute calls would, and reports
+// whether one of them would complete the frame: exactly when the n-th
+// would, since Progress only grows. The caller bounds n so that none
+// does (the event-horizon fast path does); frameDone reports a bound
+// violation and leaves the task untouched so the caller can fail
+// loudly.
+func (t *Task) ExecuteN(budget float64, n int64) (frameDone bool) {
 	if !t.InFlight || n <= 0 || budget <= 0 {
-		return 0, false
+		return false
 	}
-	total := budget * float64(n)
-	if total >= t.CyclesPerFrame-t.Progress {
-		return 0, true
+	p := AddN(t.Progress, budget, n-1)
+	if budget >= t.CyclesPerFrame-p {
+		return true
 	}
-	t.Progress += total
-	t.BusyCycles += total
-	return total, false
+	t.Progress = p + budget
+	t.BusyCycles = AddN(t.BusyCycles, budget, n)
+	return false
+}
+
+// AddN returns x after n sequential additions x += w, bit for bit, for
+// finite x, w >= 0. The exact product, sum and partial sums are all
+// multiples of the lowest set bit of x and of w. When the sum computed
+// with one product has an ulp no coarser than that bit, they are all
+// representable, so nothing rounds and that sum is exact. Otherwise
+// AddN adds one w, as the sequence does, and tries again.
+func AddN(x, w float64, n int64) float64 {
+	for ; n > 0; n-- {
+		// The explicit conversion keeps the product from fusing into
+		// the sum on arches with a multiply-add instruction.
+		s := x + float64(w*float64(n))
+		if e := ulpExp(s); e <= lowExp(x) && e <= lowExp(w) {
+			return s
+		}
+		x += w
+	}
+	return x
+}
+
+// ulpExp returns the exponent of the unit in the last place of x.
+func ulpExp(x float64) int {
+	return max(int(math.Float64bits(x)>>52&0x7ff), 1) - 1075
+}
+
+// lowExp returns the exponent of the lowest set bit of x, and a value
+// above every ulpExp for zero, which has none.
+func lowExp(x float64) int {
+	if x == 0 {
+		return math.MaxInt
+	}
+	// Bit 52 stands for a normal number's implicit leading bit.
+	return ulpExp(x) + bits.TrailingZeros64(math.Float64bits(x)|1<<52)
 }
 
 // MigrationBytes returns the payload a migration of this task moves for

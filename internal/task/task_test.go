@@ -2,6 +2,7 @@ package task
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,113 @@ func TestExecuteChunkingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// addLoop is AddN's reference: n sequential additions.
+func addLoop(x, w float64, n int64) float64 {
+	for ; n > 0; n-- {
+		x += w
+	}
+	return x
+}
+
+// drawStart draws an accumulator value: whole, fractional, zero,
+// subnormal, just below a power of two, a power of two, or whole just
+// below 2^53 or 2^54, where whole sums start to round.
+func drawStart(r *rand.Rand) float64 {
+	switch r.Intn(7) {
+	case 0:
+		return float64(r.Int63n(1 << 40))
+	case 1:
+		return r.Float64() * math.Ldexp(1, r.Intn(60)-8)
+	case 2:
+		return 0
+	case 3:
+		return math.Float64frombits(uint64(r.Int63n(1 << 52)))
+	case 4:
+		return math.Nextafter(math.Ldexp(1, r.Intn(60)), 0)
+	case 5:
+		return math.Ldexp(1, r.Intn(1134)-1074)
+	default:
+		return float64(int64(1)<<(53+r.Intn(2)) - r.Int63n(1<<28))
+	}
+}
+
+// drawBudget draws a per-tick budget: a default ladder level's, a
+// fractional one, a whole one, a power of two, or a tiny value.
+func drawBudget(r *rand.Rand) float64 {
+	switch r.Intn(5) {
+	case 0:
+		return []float64{13300, 26600, 53300}[r.Intn(3)]
+	case 1:
+		return (1 + r.Float64()) * math.Ldexp(1, r.Intn(20))
+	case 2:
+		return float64(r.Int63n(1<<20) + 1)
+	case 3:
+		return math.Ldexp(1, r.Intn(40)-20)
+	default:
+		return math.Ldexp(1+r.Float64(), -r.Intn(1070))
+	}
+}
+
+// AddN must equal the sequential additions bit for bit, whichever path
+// it takes.
+func TestAddNMatchesSequentialAdds(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		x, w, n := drawStart(r), drawBudget(r), r.Int63n(3000)
+		if got, want := AddN(x, w, n), addLoop(x, w, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AddN(%x, %x, %d) = %x, want %x", x, w, n, got, want)
+		}
+	}
+}
+
+// ExecuteN must report completion exactly when one of n sequential
+// Execute calls would, leave the task untouched when it does, and
+// otherwise leave it bit for bit where the calls would.
+func TestExecuteNMatchesSequentialExecute(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	fired := 0
+	for i := 0; i < 20000; i++ {
+		tk := MustNew("p", 0.5)
+		tk.InFlight = true
+		tk.Progress, tk.BusyCycles = drawStart(r), drawStart(r)
+		budget, n := drawBudget(r), r.Int63n(3000)
+		// Put the completion near the n-th allocation.
+		tk.CyclesPerFrame = tk.Progress + budget*float64(n+r.Int63n(5)-2) + drawStart(r)*float64(r.Intn(2))
+		ref, got := *tk, *tk
+		var refDone bool
+		for j := int64(0); j < n && !refDone; j++ {
+			_, refDone = ref.Execute(budget)
+		}
+		if done := got.ExecuteN(budget, n); done != refDone {
+			t.Fatalf("case %d: ExecuteN(%x, %d) from progress %x of %x = %v, sequential Execute %v",
+				i, budget, n, tk.Progress, tk.CyclesPerFrame, done, refDone)
+		}
+		want := ref
+		if refDone {
+			fired++
+			want = *tk
+		}
+		if got != want {
+			t.Fatalf("case %d: ExecuteN(%x, %d) left %+v, want %+v", i, budget, n, got, want)
+		}
+	}
+	if fired == 0 || fired == 20000 {
+		t.Errorf("completion fired in %d of 20000 cases; the draw exercised one side only", fired)
+	}
+}
+
+// Whole budgets from a start with no bits below the sum's ulp take the
+// one-product path: 2^32 sequential additions would not finish here.
+func TestAddNWholeBudgetsTakeOneProduct(t *testing.T) {
+	const n = 1 << 32
+	for _, x := range []float64{0, 0.5, 12345.25} {
+		for _, w := range []float64{13300, 26600, 53300} {
+			if got, want := AddN(x, w, n), x+w*n; got != want {
+				t.Errorf("AddN(%g, %g, 2^32) = %x, want %x", x, w, got, want)
+			}
+		}
 	}
 }
