@@ -151,7 +151,8 @@ bench-golden:
 	cd bench && $(GO) test -run 'TestGolden|TestBenchmarkJSONMatchesCatalogue|TestVerdict|TestCompareFailuresMayNotRise' ./...
 
 # Integrator stepping cost on the high-performance package, Euler
-# stepping on manycore-256 (mobile package), a fresh expm integrator's
+# stepping on manycore-256 and the dense expm step on manycore-64
+# (mobile package), a fresh expm integrator's
 # first step on manycore-256, the cost of one cold
 # expm propagator build (64-core and 3-core dies), and the manycore-256
 # floorplan (validation, overlap check and adjacency).
@@ -200,16 +201,17 @@ fuzz-smoke:
 # checkpoint, restore, warm-up and RunTo tests (386 binaries run
 # natively on an amd64 host), and the oracle comparisons of the expm
 # build kernels and the floorplan sweep, which check their index math
-# (matmul's row split among it) with a 32-bit int. The checkpoint byte
-# goldens are skipped,
-# and the full suite is not run under 386 yet, because engine float
-# results still differ across arches (ROADMAP, "Make byte-identical on
-# any machine true").
+# (matmul's row split among it) with a 32-bit int. The propagator
+# goldens run there too: the portable Go kernels must produce the same
+# seven digests as amd64's AVX kernels. The checkpoint byte goldens are
+# skipped, and the full suite is not run under 386 yet, because engine
+# float results still differ across arches (ROADMAP, "Make
+# byte-identical on any machine true").
 check-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/ckpt
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
-	GOARCH=386 $(GO) test -run Oracle ./internal/thermal ./internal/floorplan
+	GOARCH=386 $(GO) test -run 'Oracle|PropagatorGolden' ./internal/thermal ./internal/floorplan
 
 # No implicit fused multiply-add in FMA_PKGS. Go fuses x*y + z
 # into one instruction on arm64, ppc64le, s390x and riscv64 (never on
@@ -219,7 +221,10 @@ check-386:
 # packages for each fusing arch with the compiler's assembly listing
 # (-gcflags=-S, replayed from the build cache when nothing changed) and
 # fails on any fused multiply-add instruction, printing its source line.
-# It needs only the toolchain.
+# The hand-written amd64 kernels (*_amd64.s in the same packages) are
+# scanned for the fused AVX mnemonics (VFMADD*, VFMSUB*, VFNMADD*,
+# VFNMSUB*, VFMADDSUB*, VFMSUBADD*) as file:line. It needs only the
+# toolchain.
 FMA_ARCHES = arm64 ppc64le s390x riscv64
 FMA_PKGS = ./internal/thermal ./internal/task
 
@@ -230,7 +235,13 @@ fma-check:
 		n=$$(printf '%s' "$$sites" | grep -c . || true); \
 		echo "fma-check: $$arch: $$n fused multiply-add instructions"; \
 		if [ "$$n" -ne 0 ]; then printf '%s\n' "$$sites" | sed 's/^/  /'; fail=1; fi; \
-	done; exit $$fail
+	done; \
+	files=$$(for p in $(FMA_PKGS); do ls $$p/*_amd64.s 2>/dev/null; done); \
+	sites=$$(if [ -n "$$files" ]; then grep -nHiE '^[[:space:]]*([[:alnum:]_]+:)?[[:space:]]*VFN?M(ADD|SUB)' $$files | sed -E 's/^([^:]+:[0-9]+):[[:space:]]*([[:alnum:]_]+:)?[[:space:]]*([[:alnum:]]+).*/\1 \3/'; fi); \
+	n=$$(printf '%s' "$$sites" | grep -c . || true); \
+	echo "fma-check: amd64 assembly ($$(echo $$files | wc -w) files): $$n fused multiply-add instructions"; \
+	if [ "$$n" -ne 0 ]; then printf '%s\n' "$$sites" | sed 's/^/  /'; fail=1; fi; \
+	exit $$fail
 
 # Machine-readable ns/op for the Sweep, Manycore256, Manycore64Expm
 # (the engine-bound many-core runs), Step, ExpmBuild and

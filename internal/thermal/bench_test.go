@@ -74,6 +74,21 @@ func BenchmarkStepEulerManycore256(b *testing.B) {
 	benchSteadyStepping(b, m, power)
 }
 
+// BenchmarkStepExpmManycore64 measures the dense steady-state step on
+// manycore-64 (n = 387 nodes) on the mobile package: one matvec pair
+// per 10 ms period, with the propagator built before the timer starts.
+func BenchmarkStepExpmManycore64(b *testing.B) {
+	m := benchModel(b, floorplan.StreamingMPSoC(64), MobileEmbedded(), Expm)
+	power := make([]float64, len(m.FP.Blocks))
+	for i := range power {
+		power[i] = 0.05 * float64(i%7)
+	}
+	benchSteadyStepping(b, m, power)
+	if _, misses, _, _, _ := ExpmStats(m.Net.Integrator()); misses == 0 {
+		b.Fatal("the 10 ms span took the Euler fallback, not the dense step")
+	}
+}
+
 // benchExpmBuild measures one cold propagator build for the 10 ms
 // sensor period on the mobile package: every iteration clears the
 // shared cache and binds a fresh integrator, so each one builds.

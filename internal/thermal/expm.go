@@ -31,8 +31,9 @@ import (
 // (O(n²·nnz/row) each); only its few doubling products are dense
 // O(n³), split by rows across up to GOMAXPROCS goroutines once n
 // reaches 128. Both kernels reproduce the plain triple loop's bits
-// exactly, so a propagator's bits depend neither on GOMAXPROCS nor on
-// how the rows are split.
+// exactly, so a propagator's bits depend neither on GOMAXPROCS, nor on
+// how the rows are split, nor on whether the host runs the portable or
+// the AVX dense kernels.
 //
 // Dense propagation costs 2n² multiply-adds per span regardless of the
 // span length, while substepping costs (substeps × sparse RHS). The
@@ -49,7 +50,7 @@ import (
 // expmCacheCap bounds the propagator cache per integrator. Two dense
 // n×n matrices per entry make unbounded growth a real memory hazard if
 // a caller sweeps span lengths; eviction is FIFO (the steady sensor
-// cadence re-primes a evicted span in one build).
+// cadence re-primes an evicted span in one build).
 const expmCacheCap = 32
 
 // expmSparsePenalty weighs one sparse RHS element (adjacency chase +
@@ -167,38 +168,7 @@ func (e *expmIntegrator) Advance(v View, temps []float64, dt float64, power []fl
 		e.fallback.Advance(v, temps, dt, power)
 		return
 	}
-	p := e.propagator(dt)
-	n := e.n
-	y := e.y
-	for i := 0; i < n; i++ {
-		ai := p.a[i*n : i*n+n]
-		// Four independent accumulator chains hide the FP add latency;
-		// the split is fixed, so results are deterministic per scheme.
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0 += float64(ai[j] * temps[j])
-			s1 += float64(ai[j+1] * temps[j+1])
-			s2 += float64(ai[j+2] * temps[j+2])
-			s3 += float64(ai[j+3] * temps[j+3])
-		}
-		s := p.c[i] + ((s0 + s1) + (s2 + s3))
-		for ; j < n; j++ {
-			s += float64(ai[j] * temps[j])
-		}
-		y[i] = s
-	}
-	// B·P by columns, visiting only the nodes that dissipate power.
-	for j, pj := range power {
-		if pj == 0 {
-			continue
-		}
-		btj := p.bt[j*n : j*n+n]
-		for i, w := range btj {
-			y[i] += float64(w * pj)
-		}
-	}
-	copy(temps, y)
+	kernels.step(e.propagator(dt), temps, power, e.y)
 }
 
 // propagator returns the memoized (A, B, b) triple for the span,
@@ -363,8 +333,9 @@ func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
 // through the register-tiled kernel, whose rows matmul splits across
 // goroutines on large networks. Both kernels keep the summation rule
 // below, so every propagator is bit-identical to one built with a
-// plain triple loop, whatever GOMAXPROCS is. H and all scratch are
-// local: only the returned propagator outlives the call.
+// plain triple loop, whatever GOMAXPROCS is and whichever dense
+// kernels run. H and all scratch are local: only the returned
+// propagator outlives the call.
 func (e *expmIntegrator) build(dt float64) *propagator {
 	v := View{n: e.net}
 	n := e.n
@@ -431,11 +402,11 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	// Doubling back to the full span; the Taylor buffers are free now.
 	prod, panel := next, make([][4]float64, matmulWorkers(n)*n)
 	for ; s > 0; s-- {
-		matmul(prod, a, phi, panel, n)
+		kernels.matmul(prod, a, phi, panel, n)
 		for i := range phi {
 			phi[i] += prod[i]
 		}
-		matmul(prod, a, a, panel, n)
+		kernels.matmul(prod, a, a, panel, n)
 		a, prod = prod, a
 	}
 	// B = Φ·C⁻¹ (scale columns); b = Φ·(C⁻¹·Gamb·Tamb) = B·(Gamb·Tamb).
@@ -464,14 +435,97 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	return &propagator{a: a, bt: bt, c: c}
 }
 
-// The two build kernels keep one summation rule, which makes their
-// output independent of how they block or split the loops: every
-// output element is the sum over k, in increasing k order, starting
-// from +0, of products each rounded on its own (the float64
+// The dense kernels: a build's doubling products and a dense step's
+// matvec pair. Each kernel keeps one summation rule, which makes its
+// output independent of how it blocks, splits or vectorizes its loops:
+// every accumulator starts from +0 and adds its terms in one fixed
+// order, each term a product rounded on its own (the float64
 // conversions forbid the compiler from fusing a multiply-add, as it
-// may on some architectures). Under round-to-nearest a sum that starts at +0 never
-// becomes −0, and adding ±0 to it changes nothing, so skipping an
-// exact-zero product or adding one leaves every bit unchanged.
+// may on some architectures). An element of a build product is one
+// accumulator over increasing k. A row of the step's A·T is four
+// chains s0..s3, chain l summing the terms j ≡ l (mod 4) up to the
+// last whole group of four, reduced as c[i] + ((s0+s1)+(s2+s3)), then
+// the remaining terms in order; B·P then adds the columns of the
+// nonzero powers in increasing column order. Under round-to-nearest a
+// sum that starts at +0 never becomes −0, and adding ±0 to it changes
+// nothing, so skipping an exact-zero product or adding one leaves
+// every bit unchanged.
+//
+// goKernels are the portable Go forms, the reference every architecture
+// runs. On amd64 hosts whose CPU and OS support AVX, init swaps in
+// vector forms (kernels_amd64.go): each scalar accumulator of a Go
+// form becomes one lane of a ymm register, and each lane performs the
+// same separate multiply and add, with the accumulator as the first
+// addend and no fused multiply-add, so both forms return the same bits.
+
+// denseKernels is one implementation of the dense loops.
+type denseKernels struct {
+	// matmulRows computes rows [lo, hi) of dst = x·y for n×n row-major
+	// matrices; panel is scratch of length n.
+	matmulRows func(dst, x, y []float64, panel [][4]float64, n, lo, hi int)
+	// matvec sets y[i] = c[i] + (a·t)[i] for the len(y) rows of the
+	// row-major a, each len(t) long.
+	matvec func(y, a, c, t []float64)
+	// axpy adds x[i]·w to y[i] for every i of x.
+	axpy func(y, x []float64, w float64)
+}
+
+// goKernels are the portable kernels.
+var goKernels = denseKernels{matmulRows: matmulRows, matvec: matvec, axpy: axpy}
+
+// kernels are the kernels this process runs: goKernels, unless init
+// chose vector kernels for the host CPU.
+var kernels = &goKernels
+
+// step advances temps over one span by the propagator p under power,
+// T ← A·T + c + B·P, with y (length n) as scratch.
+func (k *denseKernels) step(p *propagator, temps, power, y []float64) {
+	n := len(temps)
+	k.matvec(y, p.a, p.c, temps)
+	// B·P by columns, visiting only the nodes that dissipate power.
+	for j, pj := range power {
+		if pj == 0 {
+			continue
+		}
+		k.axpy(y, p.bt[j*n:j*n+n], pj)
+	}
+	copy(temps, y)
+}
+
+// matvec is the portable A·T kernel. Four independent accumulator
+// chains hide the FP add latency; the split is fixed, so the bits are.
+func matvec(y, a, c, t []float64) {
+	n := len(t)
+	for i := range y {
+		ai := a[i*n : i*n+n]
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			s0 += float64(ai[j] * t[j])
+			s1 += float64(ai[j+1] * t[j+1])
+			s2 += float64(ai[j+2] * t[j+2])
+			s3 += float64(ai[j+3] * t[j+3])
+		}
+		y[i] = finishRow(c[i], [4]float64{s0, s1, s2, s3}, ai, t, j)
+	}
+}
+
+// finishRow reduces one A·T row's four chains s onto its constant c and
+// adds the row's remaining terms ai[j]·t[j] from j on, in order.
+func finishRow(c float64, s [4]float64, ai, t []float64, j int) float64 {
+	sum := c + ((s[0] + s[1]) + (s[2] + s[3]))
+	for ; j < len(ai); j++ {
+		sum += float64(ai[j] * t[j])
+	}
+	return sum
+}
+
+// axpy is the portable B·P column kernel.
+func axpy(y, x []float64, w float64) {
+	for i, v := range x {
+		y[i] += float64(v * w)
+	}
+}
 
 // csr holds a square matrix's nonzeros in compressed sparse row form.
 type csr struct {
@@ -547,74 +601,86 @@ func matmulWorkers(n int) int {
 // Every dst element is still summed by one goroutine in the order the
 // summation rule fixes, so the product's bits do not depend on w or on
 // where the blocks split.
-func matmul(dst, x, y []float64, panel [][4]float64, n int) {
+func (k *denseKernels) matmul(dst, x, y []float64, panel [][4]float64, n int) {
 	w := len(panel) / n
 	if w == 1 {
 		// No WaitGroup: one would escape to the heap on every call.
-		matmulRows(dst, x, y, panel[:n], n, 0, n)
+		k.matmulRows(dst, x, y, panel[:n], n, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
-	for k := 1; k < w; k++ {
+	for b := 1; b < w; b++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			matmulRows(dst, x, y, panel[k*n:k*n+n], n, n*k/w, n*(k+1)/w)
+			k.matmulRows(dst, x, y, panel[b*n:b*n+n], n, n*b/w, n*(b+1)/w)
 		}()
 	}
-	matmulRows(dst, x, y, panel[:n], n, 0, n/w)
+	k.matmulRows(dst, x, y, panel[:n], n, 0, n/w)
 	wg.Wait()
 }
 
-// matmulRows computes rows [lo, hi) of dst = x·y; panel is scratch of
-// length n. After Goto and van de Geijn's "Anatomy of High-Performance
-// Matrix Multiplication": four columns of y at a time are packed
-// k-major into panel, and each pass over it keeps a 2×4 tile of dst in
-// registers while k runs innermost, so every loaded x and panel
-// element feeds several products. Columns past n in the last panel are
-// zero-padded and never stored; an odd last row takes a 1×4 tile.
+// matmulRows is the portable build kernel. After Goto and van de
+// Geijn's "Anatomy of High-Performance Matrix Multiplication": four
+// columns of y at a time are packed k-major into panel, and each pass
+// over it keeps a tile of dst in registers while k runs innermost, so
+// every loaded x and panel element feeds several products.
 func matmulRows(dst, x, y []float64, panel [][4]float64, n, lo, hi int) {
 	for j0 := 0; j0 < n; j0 += 4 {
-		w := min(4, n-j0)
-		for k := range panel {
-			pk := panel[k][:]
-			clear(pk[copy(pk, y[k*n+j0:k*n+j0+w]):])
+		w := packPanel(panel, y, n, j0)
+		matmulTiles(dst, x, panel, n, j0, w, lo, hi)
+	}
+}
+
+// packPanel copies columns [j0, j0+w) of the n×n y, w = min(4, n−j0),
+// k-major into panel, zero-padding the columns past n, and returns w.
+func packPanel(panel [][4]float64, y []float64, n, j0 int) int {
+	w := min(4, n-j0)
+	for k := range panel {
+		pk := panel[k][:]
+		clear(pk[copy(pk, y[k*n+j0:k*n+j0+w]):])
+	}
+	return w
+}
+
+// matmulTiles computes the w columns from j0 of rows [lo, hi) of
+// dst = x·y from the packed panel, in 2×4 tiles and a 1×4 tile for an
+// odd last row. The padded columns are never stored.
+func matmulTiles(dst, x []float64, panel [][4]float64, n, j0, w, lo, hi int) {
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		x0 := x[i*n : i*n+n]
+		x1 := x[i*n+n : i*n+2*n]
+		x1, pan := x1[:len(x0)], panel[:len(x0)]
+		var c00, c01, c02, c03, c10, c11, c12, c13 float64
+		for k, a0 := range x0 {
+			a1 := x1[k]
+			p := &pan[k]
+			c00 += float64(a0 * p[0])
+			c01 += float64(a0 * p[1])
+			c02 += float64(a0 * p[2])
+			c03 += float64(a0 * p[3])
+			c10 += float64(a1 * p[0])
+			c11 += float64(a1 * p[1])
+			c12 += float64(a1 * p[2])
+			c13 += float64(a1 * p[3])
 		}
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			x0 := x[i*n : i*n+n]
-			x1 := x[i*n+n : i*n+2*n]
-			x1, pan := x1[:len(x0)], panel[:len(x0)]
-			var c00, c01, c02, c03, c10, c11, c12, c13 float64
-			for k, a0 := range x0 {
-				a1 := x1[k]
-				p := &pan[k]
-				c00 += float64(a0 * p[0])
-				c01 += float64(a0 * p[1])
-				c02 += float64(a0 * p[2])
-				c03 += float64(a0 * p[3])
-				c10 += float64(a1 * p[0])
-				c11 += float64(a1 * p[1])
-				c12 += float64(a1 * p[2])
-				c13 += float64(a1 * p[3])
-			}
-			r0 := [4]float64{c00, c01, c02, c03}
-			r1 := [4]float64{c10, c11, c12, c13}
-			copy(dst[i*n+j0:i*n+j0+w], r0[:])
-			copy(dst[i*n+n+j0:i*n+n+j0+w], r1[:])
+		r0 := [4]float64{c00, c01, c02, c03}
+		r1 := [4]float64{c10, c11, c12, c13}
+		copy(dst[i*n+j0:i*n+j0+w], r0[:])
+		copy(dst[i*n+n+j0:i*n+n+j0+w], r1[:])
+	}
+	if i < hi {
+		var c0, c1, c2, c3 float64
+		for k, a := range x[i*n : i*n+n] {
+			p := &panel[k]
+			c0 += float64(a * p[0])
+			c1 += float64(a * p[1])
+			c2 += float64(a * p[2])
+			c3 += float64(a * p[3])
 		}
-		if i < hi {
-			var c0, c1, c2, c3 float64
-			for k, a := range x[i*n : i*n+n] {
-				p := &panel[k]
-				c0 += float64(a * p[0])
-				c1 += float64(a * p[1])
-				c2 += float64(a * p[2])
-				c3 += float64(a * p[3])
-			}
-			r := [4]float64{c0, c1, c2, c3}
-			copy(dst[i*n+j0:i*n+j0+w], r[:])
-		}
+		r := [4]float64{c0, c1, c2, c3}
+		copy(dst[i*n+j0:i*n+j0+w], r[:])
 	}
 }
 

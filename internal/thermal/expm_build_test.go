@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"thermbal/internal/floorplan"
@@ -125,11 +126,31 @@ func kernelTestMatrix(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
-// The register-tiled dense kernel and the sparse Taylor product must
-// match the original triple loop bit for bit on every shape, including
-// sizes that leave remainder rows (odd n) and remainder columns
-// (n mod 4 ≠ 0).
+// testKernels returns every kernel set this host runs, named: the
+// portable Go kernels and, on amd64 with AVX, the vector kernels init
+// chose. Tests call both directly, in one process.
+func testKernels(t *testing.T) map[string]*denseKernels {
+	if kernels == &goKernels {
+		t.Logf("only the Go kernels run here: %s", noAVXReason())
+		return map[string]*denseKernels{"go": &goKernels}
+	}
+	return map[string]*denseKernels{"go": &goKernels, "avx": kernels}
+}
+
+// noAVXReason says why init kept the Go kernels.
+func noAVXReason() string {
+	if runtime.GOARCH != "amd64" {
+		return "GOARCH=" + runtime.GOARCH + " has no AVX kernels"
+	}
+	return "CPUID or XGETBV reports no AVX support on this CPU and OS"
+}
+
+// The register-tiled dense kernels (Go and AVX) and the sparse Taylor
+// product must match the original triple loop bit for bit on every
+// shape, including sizes that leave remainder rows (n mod 4 ≠ 0) and
+// remainder columns.
 func TestExpmKernelsMatchOracle(t *testing.T) {
+	ks := testKernels(t)
 	rng := rand.New(rand.NewSource(14))
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 33, 390}
 	for _, n := range sizes {
@@ -140,10 +161,13 @@ func TestExpmKernelsMatchOracle(t *testing.T) {
 			got := make([]float64, n*n)
 
 			matmulOracle(want, x, y, n, 1)
-			matmul(got, x, y, make([][4]float64, n), n)
-			if i, ok := sameBits(got, want); !ok {
-				t.Fatalf("n=%d trial %d: matmul[%d] = %v (%#x), oracle %v (%#x)", n, trial,
-					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			for name, k := range ks {
+				clear(got)
+				k.matmul(got, x, y, make([][4]float64, n), n)
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("n=%d trial %d: %s matmul[%d] = %v (%#x), oracle %v (%#x)", n, trial, name,
+						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 
 			f := 0.37 / float64(trial+1)
@@ -158,7 +182,7 @@ func TestExpmKernelsMatchOracle(t *testing.T) {
 	// From n = 128 on, matmul splits the rows across workers. Each
 	// product runs under several GOMAXPROCS values: its bits must not
 	// depend on the worker count, nor on row blocks that start or end
-	// on an odd row.
+	// on a row that is not a multiple of the tile height.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{127, 128, 129, 131, 195, 387} {
 		x := kernelTestMatrix(rng, n)
@@ -167,10 +191,89 @@ func TestExpmKernelsMatchOracle(t *testing.T) {
 		matmulOracle(want, x, y, n, 1)
 		for _, procs := range []int{1, 2, 3, 8} {
 			runtime.GOMAXPROCS(procs)
-			got := make([]float64, n*n)
-			matmul(got, x, y, make([][4]float64, matmulWorkers(n)*n), n)
-			if i, ok := sameBits(got, want); !ok {
-				t.Fatalf("n=%d, %d workers: matmul[%d] = %v (%#x), oracle %v (%#x)", n, matmulWorkers(n),
+			for name, k := range ks {
+				got := make([]float64, n*n)
+				k.matmul(got, x, y, make([][4]float64, matmulWorkers(n)*n), n)
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("n=%d, %d workers: %s matmul[%d] = %v (%#x), oracle %v (%#x)", n, matmulWorkers(n), name,
+						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// edgeValue draws a float64 from the values IEEE arithmetic treats
+// specially, with either sign: ±0, subnormals, magnitudes near 1e-300
+// whose products underflow, rare magnitudes near 1e300 that swamp a
+// sum and now and then overflow it, and ordinary values.
+func edgeValue(rng *rand.Rand) float64 {
+	sign := float64(1 - 2*rng.Intn(2))
+	switch r := rng.Intn(64); {
+	case r < 8:
+		return math.Copysign(0, sign)
+	case r < 16:
+		return sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case r < 24:
+		return sign * 1e-300 * (1 + rng.Float64())
+	case r < 26:
+		return sign * 1e300 * (1 + rng.Float64())
+	default:
+		return sign * rng.Float64() * 4
+	}
+}
+
+// sameOrNaN reports whether a and b hold identical float64 bit
+// patterns or are both NaN (payloads are not compared), and the first
+// index where they differ.
+func sameOrNaN(a, b []float64) (int, bool) {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// The AVX step kernels must return the Go kernels' bits: A·T over row
+// blocks of every length mod 4 (the vector kernel runs four rows per
+// call and leaves the rest to Go), then the B·P column updates, on
+// inputs full of ±0, subnormals, ±1e±300 and mixed signs. A NaN in
+// any input must give a NaN out wherever the Go kernels give one.
+func TestExpmStepKernelsMatchGo(t *testing.T) {
+	if kernels == &goKernels {
+		t.Skip("no AVX kernels to compare: " + noAVXReason())
+	}
+	rng := rand.New(rand.NewSource(32))
+	draw := func(n int, nan bool) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = edgeValue(rng)
+		}
+		if nan {
+			v[rng.Intn(n)] = math.NaN()
+		}
+		return v
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 21, 387} {
+		for trial := 0; trial < 4; trial++ {
+			nan := trial == 3
+			p := &propagator{a: draw(n*n, nan), bt: draw(n*n, nan), c: draw(n, nan)}
+			temps, power := draw(n, nan), draw(n, nan)
+			for rows := max(1, n-3); rows <= n; rows++ {
+				want, got := make([]float64, rows), make([]float64, rows)
+				goKernels.matvec(want, p.a, p.c, temps)
+				kernels.matvec(got, p.a, p.c, temps)
+				if i, ok := sameOrNaN(got, want); !ok {
+					t.Fatalf("n=%d trial %d rows=%d: avx matvec[%d] = %v (%#x), go %v (%#x)", n, trial, rows,
+						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			want, got := slices.Clone(temps), slices.Clone(temps)
+			goKernels.step(p, want, power, make([]float64, n))
+			kernels.step(p, got, power, make([]float64, n))
+			if i, ok := sameOrNaN(got, want); !ok {
+				t.Fatalf("n=%d trial %d: avx step[%d] = %v (%#x), go %v (%#x)", n, trial,
 					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}

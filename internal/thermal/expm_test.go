@@ -216,8 +216,10 @@ func TestExpmFallbackIsEulerBitForBit(t *testing.T) {
 	}
 }
 
-// The hot loop must not allocate once the propagator is cached. Race
-// instrumentation allocates, so the assertion is skipped under -race.
+// The hot loop must not allocate once the propagator is cached, on
+// the kernels this host runs (the AVX ones where the CPU has them) and
+// on the Go kernels alike. Race instrumentation allocates, so the
+// assertion is skipped under -race.
 func TestExpmStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -235,6 +237,16 @@ func TestExpmStepZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cache-hit Step allocates %.1f objects per call, want 0", allocs)
+	}
+	e := m.Net.Integrator().(*expmIntegrator)
+	p, temps := e.propagator(0.01), make([]float64, len(power))
+	for name, k := range testKernels(t) {
+		allocs := testing.AllocsPerRun(200, func() {
+			k.step(p, temps, power, e.y)
+		})
+		if allocs != 0 {
+			t.Errorf("%s step kernels allocate %.1f objects per call, want 0", name, allocs)
+		}
 	}
 }
 
