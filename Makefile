@@ -203,13 +203,18 @@ fuzz-smoke:
 # build kernels and the floorplan sweep, which check their index math
 # (matmul's row split among it) with a 32-bit int. The propagator
 # goldens run there too: the portable Go kernels must produce the same
-# seven digests as amd64's AVX kernels. The checkpoint byte goldens are
-# skipped, and the full suite is not run under 386 yet, because engine
-# float results still differ across arches (ROADMAP, "Make
-# byte-identical on any machine true").
+# seven digests as amd64's AVX kernels. internal/request and
+# internal/cliutil run in full, and internal/scenario all but its run
+# goldens, so spec hashes, content keys and the resolution path are
+# pinned on 32-bit too. The checkpoint byte goldens and
+# TestBuiltinSpecsRunBitForBit are skipped, and the full suite is not
+# run under 386 yet, because engine float results still differ across
+# arches (math.Exp among them; ROADMAP, "Make byte-identical on any
+# machine true").
 check-386:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/ckpt
+	GOARCH=386 $(GO) test ./internal/ckpt ./internal/request ./internal/cliutil
+	GOARCH=386 $(GO) test -skip TestBuiltinSpecsRunBitForBit ./internal/scenario
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
 	GOARCH=386 $(GO) test -run 'Oracle|PropagatorGolden' ./internal/thermal ./internal/floorplan
 
@@ -244,8 +249,10 @@ fma-check:
 	exit $$fail
 
 # Machine-readable ns/op for the Sweep, Manycore256, Manycore64Expm
-# (the engine-bound many-core runs), Step, ExpmBuild and
-# FloorplanManycore256 benchmarks: five 1x samples each, recorded as
+# (the engine-bound many-core runs), Step, ExpmBuild,
+# FloorplanManycore256, CanonicalizeInlineManycore256 (resolving and
+# keying a non-builtin inline spec) and InstantiateManycore256 (one
+# compile) benchmarks: five 1x samples each, recorded as
 # their medians in a host-stamped BENCH_<date>.json. The points are a
 # record, not a baseline; `make bench-ab` judges a change. Each bench
 # run is a separate recipe line so a failure aborts the target instead
@@ -260,6 +267,8 @@ bench-json:
 	$(GO) test -bench 'BenchmarkManycore(256|64Expm)$$' -run '^$$' -benchtime 1x -count 5 -benchmem . >> .bench.tmp
 	$(GO) test -bench 'Benchmark(Step|ExpmBuild)' -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/thermal >> .bench.tmp
 	$(GO) test -bench BenchmarkFloorplanManycore256 -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/floorplan >> .bench.tmp
+	$(GO) test -bench BenchmarkCanonicalizeInlineManycore256 -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/request >> .bench.tmp
+	$(GO) test -bench BenchmarkInstantiateManycore256 -run '^$$' -benchtime 1x -count 5 -benchmem ./internal/scenario >> .bench.tmp
 	$(GO) run ./cmd/trajectory bench-json < .bench.tmp > $(BENCH_OUT)
 	@rm -f .bench.tmp
 	@echo "wrote $(BENCH_OUT)"

@@ -54,14 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc, sp, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
+	sc, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := experiment.Options{Runner: experiment.Runner{Workers: *workers}, Thermal: thermal.Config{Scheme: scheme}, Spec: sp}
-	if sp == nil {
-		opt.Scenario = sc.Name
-	}
+	opt := experiment.Options{Runner: experiment.Runner{Workers: *workers}, Thermal: thermal.Config{Scheme: scheme}, Scenario: &sc}
 	if *scenarioFl != "" || *scenFile != "" {
 		fmt.Printf("scenario: %s (%s)\n\n", cliutil.ScenarioName(sc), sc.Topology)
 	}

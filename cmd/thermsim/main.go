@@ -51,7 +51,7 @@ func main() {
 		pkgName    = flag.String("package", "mobile", "thermal package: mobile | highperf")
 		warmup     = flag.Float64("warmup", 0, "warm-up before the policy engages (s; default: the scenario's)")
 		measure    = flag.Float64("measure", 0, "measurement window (s; default: the scenario's)")
-		queueCap   = flag.Int("queue", 0, "inter-task queue capacity in frames (default 11)")
+		queueCap   = flag.Int("queue", 0, "inter-task queue capacity in frames (default: the scenario's)")
 		recreate   = flag.Bool("recreation", false, "use task-recreation instead of task-replication")
 		integrator = flag.String("integrator", "euler", "thermal integrator: "+thermal.SchemeNames())
 		workers    = flag.Int("workers", 0, "worker pool size for -policy all / -matrix (default GOMAXPROCS)")
@@ -69,7 +69,7 @@ func main() {
 	}
 
 	if *dumpSpec {
-		sc, _, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
+		sc, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -120,12 +120,15 @@ func main() {
 		QueueCap: *queueCap, Mechanism: mech, Integrator: *integrator,
 	}
 	// The flags resolve here first, not only in Canonicalize, so that a
-	// file path passed to -scenario gets the CLI's -scenario-file hint.
-	_, sp, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
+	// file path passed to -scenario gets the CLI's -scenario-file hint;
+	// the resolved scenario also heads the text reports.
+	sc, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
 	if err != nil {
 		log.Fatal(err)
 	}
-	req.Spec = sp
+	if *scenFile != "" {
+		req.Spec = &sc.Spec
+	}
 	trace := *traceOut != "" || *eventsOut != ""
 	if *policyName == "all" {
 		if *jsonOut || *noFastPath || *profile {
@@ -134,7 +137,7 @@ func main() {
 		if trace {
 			log.Fatal("-trace/-events require a single policy")
 		}
-		comparePolicies(runner, req)
+		comparePolicies(runner, sc, req)
 		return
 	}
 	canon, rc, err := request.Canonicalize(req)
@@ -168,10 +171,6 @@ func main() {
 		return
 	}
 
-	sc, err := scenarioOf(canon)
-	if err != nil {
-		log.Fatal(err)
-	}
 	res, eng, err := experiment.Run(rc)
 	if err != nil {
 		log.Fatal(err)
@@ -234,19 +233,10 @@ func main() {
 	}
 }
 
-// scenarioOf returns the scenario a canonical request runs, for the
-// report headers.
-func scenarioOf(canon request.Request) (scenario.Scenario, error) {
-	if canon.Spec != nil {
-		return scenario.FromSpec(*canon.Spec)
-	}
-	return scenario.Lookup(canon.Scenario)
-}
-
-// comparePolicies runs every registered policy on req's scenario and
-// configuration across the worker pool and prints a side-by-side
+// comparePolicies runs every registered policy on req's scenario, sc,
+// and configuration across the worker pool and prints a side-by-side
 // summary.
-func comparePolicies(runner experiment.Runner, req request.Request) {
+func comparePolicies(runner experiment.Runner, sc scenario.Scenario, req request.Request) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	policies := policy.Names()
@@ -258,10 +248,6 @@ func comparePolicies(runner experiment.Runner, req request.Request) {
 		if canon, cfgs[i], err = request.Canonicalize(req); err != nil {
 			log.Fatal(err)
 		}
-	}
-	sc, err := scenarioOf(canon)
-	if err != nil {
-		log.Fatal(err)
 	}
 	results, err := experiment.RunAll(ctx, runner, cfgs)
 	if err != nil {

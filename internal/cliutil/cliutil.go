@@ -37,52 +37,42 @@ func ResolveScenario(name string) (scenario.Scenario, error) {
 	return sc, err
 }
 
-// LoadSpec reads and strictly decodes a scenario spec file: unknown
-// fields, trailing data and validation failures are all errors, so a
-// typo'd key can never silently select a default. The returned spec is
-// normalized (defaults explicit).
-func LoadSpec(path string) (scenario.Spec, error) {
+// LoadSpec reads and strictly decodes a scenario spec file and resolves
+// it through scenario.FromSpec: unknown fields, trailing data and
+// validation failures are all errors, so a typo'd key can never
+// silently select a default.
+func LoadSpec(path string) (scenario.Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return scenario.Spec{}, fmt.Errorf("scenario spec: %w", err)
+		return scenario.Scenario{}, fmt.Errorf("scenario spec: %w", err)
 	}
 	var sp scenario.Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		return scenario.Spec{}, fmt.Errorf("scenario spec %s: %w", path, err)
+		return scenario.Scenario{}, fmt.Errorf("scenario spec %s: %w", path, err)
 	}
 	if dec.More() {
-		return scenario.Spec{}, fmt.Errorf("scenario spec %s: trailing data after JSON document", path)
-	}
-	n, err := sp.Normalize()
-	if err != nil {
-		return scenario.Spec{}, fmt.Errorf("scenario spec %s: %w", path, err)
-	}
-	return n, nil
-}
-
-// ResolveScenarioArg resolves the -scenario / -scenario-file flag pair
-// every CLI shares: exactly one source wins, a file loads and compiles
-// through the spec path, a name resolves through the catalogue. The
-// returned spec is non-nil exactly when a file was given.
-func ResolveScenarioArg(name, file string) (scenario.Scenario, *scenario.Spec, error) {
-	if file == "" {
-		sc, err := ResolveScenario(name)
-		return sc, nil, err
-	}
-	if name != "" {
-		return scenario.Scenario{}, nil, fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
-	}
-	sp, err := LoadSpec(file)
-	if err != nil {
-		return scenario.Scenario{}, nil, err
+		return scenario.Scenario{}, fmt.Errorf("scenario spec %s: trailing data after JSON document", path)
 	}
 	sc, err := scenario.FromSpec(sp)
 	if err != nil {
-		return scenario.Scenario{}, nil, err
+		return scenario.Scenario{}, fmt.Errorf("scenario spec %s: %w", path, err)
 	}
-	return sc, &sp, nil
+	return sc, nil
+}
+
+// ResolveScenarioArg resolves the -scenario / -scenario-file flag pair
+// every CLI shares: exactly one source wins, a file loads through
+// LoadSpec, a name resolves through the catalogue.
+func ResolveScenarioArg(name, file string) (scenario.Scenario, error) {
+	if file == "" {
+		return ResolveScenario(name)
+	}
+	if name != "" {
+		return scenario.Scenario{}, fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
+	}
+	return LoadSpec(file)
 }
 
 // SpecJSON renders a scenario's declarative spec as indented JSON (for

@@ -58,7 +58,7 @@ func TestLoadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name, ok := scenario.BuiltinNameForSpec(sp); !ok || name != "sdr-radio" {
+	if name, ok := scenario.BuiltinNameForSpec(mustHash(t, sp)); !ok || name != "sdr-radio" {
 		t.Errorf("loaded spec resolves to %q, %v", name, ok)
 	}
 	if sp.Graph.QueueCap != 11 {
@@ -89,28 +89,42 @@ func TestLoadSpec(t *testing.T) {
 	}
 }
 
+// mustHash is sc's content hash.
+func mustHash(t *testing.T, sc scenario.Scenario) string {
+	t.Helper()
+	h, err := sc.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestResolveScenarioArg(t *testing.T) {
-	// Name only.
-	sc, sp, err := ResolveScenarioArg("video-decoder", "")
-	if err != nil || sp != nil || sc.Name != "video-decoder" {
-		t.Errorf("name resolution: %v, spec %v, name %q", err, sp, sc.Name)
+	builtin, err := scenario.Lookup("sdr-radio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Name only: the catalogue entry.
+	sc, err := ResolveScenarioArg("video-decoder", "")
+	if err != nil || sc.Name != "video-decoder" || strings.HasPrefix(sc.Topology, "spec:") {
+		t.Errorf("name resolution: %v, name %q, topology %q", err, sc.Name, sc.Topology)
 	}
 	// Empty both: the default scenario.
-	sc, sp, err = ResolveScenarioArg("", "")
-	if err != nil || sp != nil || sc.Name != scenario.DefaultName {
-		t.Errorf("default resolution: %v, spec %v, name %q", err, sp, sc.Name)
+	sc, err = ResolveScenarioArg("", "")
+	if err != nil || sc.Name != scenario.DefaultName || sc.Topology != builtin.Topology {
+		t.Errorf("default resolution: %v, name %q, topology %q", err, sc.Name, sc.Topology)
 	}
-	// File only: loads through the spec path.
+	// File only: loads through the spec path, to the builtin's content.
 	path := writeSpecFile(t, "sdr-radio")
-	sc, sp, err = ResolveScenarioArg("", path)
-	if err != nil || sp == nil {
-		t.Fatalf("file resolution: %v, spec %v", err, sp)
+	sc, err = ResolveScenarioArg("", path)
+	if err != nil || !strings.HasPrefix(sc.Topology, "spec:") {
+		t.Fatalf("file resolution: %v, topology %q", err, sc.Topology)
 	}
-	if sc.Name != "sdr-radio" {
-		t.Errorf("file scenario name %q", sc.Name)
+	if sc.Name != "sdr-radio" || mustHash(t, sc) != mustHash(t, builtin) {
+		t.Errorf("file scenario %q, hash %s; want the builtin's", sc.Name, mustHash(t, sc))
 	}
 	// Both: mutually exclusive.
-	if _, _, err := ResolveScenarioArg("sdr-radio", path); err == nil ||
+	if _, err := ResolveScenarioArg("sdr-radio", path); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("both flags accepted: %v", err)
 	}
@@ -132,7 +146,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reload: %v", s.Name, err)
 		}
-		if sp.Hash() != s.Spec.Hash() {
+		if mustHash(t, sp) != mustHash(t, s) {
 			t.Errorf("%s: dump/load changed the spec hash", s.Name)
 		}
 	}

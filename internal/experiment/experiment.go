@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -20,7 +21,6 @@ import (
 	"thermbal/internal/power"
 	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
-	"thermbal/internal/stream"
 	"thermbal/internal/task"
 	"thermbal/internal/thermal"
 )
@@ -108,6 +108,16 @@ func Phases(sc scenario.Scenario, warmupS, measureS float64) (float64, float64, 
 	return warmupS, measureS, nil
 }
 
+// QueueCap resolves a run's queue capacity: queueCap where positive,
+// else the scenario's graph default. Like Phases, it is the one cascade
+// Run and the request canonicalization share.
+func QueueCap(sc scenario.Scenario, queueCap int) int {
+	if queueCap > 0 {
+		return queueCap
+	}
+	return sc.Graph.QueueCap
+}
+
 // finite reports whether x is neither NaN nor an infinity.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
@@ -126,7 +136,7 @@ type RunConfig struct {
 	WarmupS   float64 // default DefaultWarmupS (or the scenario's)
 	MeasureS  float64 // default DefaultMeasureS (or the scenario's)
 	Mechanism migrate.Mechanism
-	QueueCap  int // default stream.DefaultQueueCap
+	QueueCap  int // default: the scenario's graph.queue_cap
 	Trace     bool
 	// Thermal selects the RC-network integration scheme (zero value =
 	// explicit Euler).
@@ -135,9 +145,10 @@ type RunConfig struct {
 	// Scenario names a registered scenario; empty selects "sdr-radio",
 	// the paper's benchmark (preserving pre-registry behavior).
 	Scenario string
-	// Spec, when non-nil, is a declarative scenario compiled in place of
-	// a registry lookup. Mutually exclusive with Scenario.
-	Spec *scenario.Spec
+	// Resolved, when non-nil, is the scenario to run in place of a
+	// catalogue lookup: an inline spec resolved by scenario.FromSpec, or
+	// a catalogue entry. Mutually exclusive with Scenario.
+	Resolved *scenario.Scenario
 	// PolicyName constructs the policy through the policy registry. It
 	// accepts any registered name or alias ("stop-go", "tb", ...).
 	PolicyName string
@@ -151,18 +162,6 @@ type RunConfig struct {
 	// NoFastPath disables the engine's event-horizon fast path (results
 	// are bit-for-bit identical either way; used for A/B validation).
 	NoFastPath bool
-}
-
-func (rc *RunConfig) fill() {
-	if rc.WarmupS <= 0 {
-		rc.WarmupS = DefaultWarmupS
-	}
-	if rc.MeasureS <= 0 {
-		rc.MeasureS = DefaultMeasureS
-	}
-	if rc.QueueCap <= 0 {
-		rc.QueueCap = stream.DefaultQueueCap
-	}
 }
 
 // Run executes one configuration and returns its summary. The engine is
@@ -189,27 +188,11 @@ func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 	if err := CheckDelta(rc.Delta); err != nil {
 		return sim.Result{}, nil, fmt.Errorf("experiment: %w", err)
 	}
-	var sc scenario.Scenario
-	var scKey string
-	var err error
-	if rc.Spec != nil {
-		if rc.Scenario != "" {
-			return sim.Result{}, nil, fmt.Errorf("experiment: Scenario %q and Spec are mutually exclusive", rc.Scenario)
-		}
-		sc, err = scenario.FromSpec(*rc.Spec)
-		if err == nil {
-			var canon []byte
-			canon, err = sc.Spec.CanonicalBytes()
-			scKey = "spec:" + string(canon)
-		}
-	} else {
-		scName := rc.Scenario
-		if scName == "" {
-			scName = scenario.DefaultName
-		}
-		sc, err = scenario.Lookup(scName)
-		scKey = sc.Name
+	sc, err := rc.scenario()
+	if err != nil {
+		return sim.Result{}, nil, err
 	}
+	hash, err := sc.Hash()
 	if err != nil {
 		return sim.Result{}, nil, err
 	}
@@ -218,7 +201,7 @@ func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 	if rc.WarmupS, rc.MeasureS, err = Phases(sc, rc.WarmupS, rc.MeasureS); err != nil {
 		return sim.Result{}, nil, fmt.Errorf("experiment: %w", err)
 	}
-	rc.fill()
+	rc.QueueCap = QueueCap(sc, rc.QueueCap)
 	inst, err := sc.Instantiate(scenario.Options{
 		QueueCap: rc.QueueCap,
 		Package:  rc.Package.Package(),
@@ -252,7 +235,7 @@ func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 	}
 	end := e.TickAt(rc.WarmupS + rc.MeasureS)
 	key := warmupKey{
-		scenario:   scKey,
+		scenario:   hash,
 		pkg:        rc.Package,
 		queueCap:   rc.QueueCap,
 		mech:       rc.Mechanism,
@@ -267,6 +250,18 @@ func run(rc RunConfig, wc *warmupCache) (sim.Result, *sim.Engine, error) {
 		return sim.Result{}, nil, err
 	}
 	return e.Summarize(), e, nil
+}
+
+// scenario returns the scenario rc runs: Resolved, else the catalogue
+// entry Scenario names (empty: the paper's benchmark).
+func (rc RunConfig) scenario() (scenario.Scenario, error) {
+	if rc.Resolved == nil {
+		return scenario.Lookup(cmp.Or(rc.Scenario, scenario.DefaultName))
+	}
+	if rc.Scenario != "" {
+		return scenario.Scenario{}, fmt.Errorf("experiment: Scenario %q and Resolved are mutually exclusive", rc.Scenario)
+	}
+	return *rc.Resolved, nil
 }
 
 // ---------------------------------------------------------------------
@@ -490,10 +485,10 @@ func Sweep(ctx context.Context, opt Options, pkg PackageSel, deltas []float64) (
 	}
 	policies := []string{stopGo, thermalBalance}
 	cfgs := make([]RunConfig, 0, 1+len(policies)*len(deltas))
-	cfgs = append(cfgs, RunConfig{PolicyName: energyBalance, Package: pkg, Thermal: opt.Thermal, Scenario: opt.Scenario, Spec: opt.Spec})
+	cfgs = append(cfgs, RunConfig{PolicyName: energyBalance, Package: pkg, Thermal: opt.Thermal, Resolved: opt.Scenario})
 	for _, pol := range policies {
 		for _, d := range deltas {
-			cfgs = append(cfgs, RunConfig{PolicyName: pol, Delta: d, Package: pkg, Thermal: opt.Thermal, Scenario: opt.Scenario, Spec: opt.Spec})
+			cfgs = append(cfgs, RunConfig{PolicyName: pol, Delta: d, Package: pkg, Thermal: opt.Thermal, Resolved: opt.Scenario})
 		}
 	}
 	results, err := RunAll(ctx, opt.Runner, cfgs)

@@ -228,11 +228,23 @@ func TestFormatMissFigureWindow(t *testing.T) {
 	}
 }
 
+// TestRunConfigDefaults: a zero RunConfig runs the paper's benchmark
+// at the paper's phases and the scenario's queue capacity, 11; a
+// positive capacity overrides it.
 func TestRunConfigDefaults(t *testing.T) {
-	rc := RunConfig{}
-	rc.fill()
-	if rc.WarmupS != DefaultWarmupS || rc.MeasureS != DefaultMeasureS || rc.QueueCap != 11 {
-		t.Errorf("defaults = %+v", rc)
+	sc, err := RunConfig{}.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, m, err := Phases(sc, 0, 0)
+	if err != nil || w != DefaultWarmupS || m != DefaultMeasureS {
+		t.Errorf("default phases = %g s + %g s (%v)", w, m, err)
+	}
+	if q := QueueCap(sc, 0); q != 11 {
+		t.Errorf("default queue capacity = %d, want 11", q)
+	}
+	if q := QueueCap(sc, 5); q != 5 {
+		t.Errorf("queue capacity override = %d, want 5", q)
 	}
 }
 

@@ -118,14 +118,11 @@ type Options struct {
 	// Thermal selects the integration scheme for each run's RC network
 	// (zero value = explicit Euler).
 	Thermal thermal.Config
-	// Scenario names the registered scenario the sweep-style helpers
-	// (Sweep and the comparison runs built on RunAll) simulate;
-	// empty = "sdr-radio", the paper's benchmark. Paper-specific
-	// artifacts — Table2, Fig2, the ablations and the scale study —
-	// are defined on their own workloads and ignore this field.
-	Scenario string
-	// Spec, when non-nil, is the declarative scenario the sweep-style
-	// helpers compile in place of a registry lookup. Mutually exclusive
-	// with Scenario; ignored by the same paper-specific artifacts.
-	Spec *scenario.Spec
+	// Scenario is the resolved scenario (a catalogue entry or one made
+	// by scenario.FromSpec) the sweep-style helpers (Sweep and the
+	// comparison runs built on RunAll) simulate; nil = "sdr-radio", the
+	// paper's benchmark. Paper-specific artifacts — Table2, Fig2, the
+	// ablations and the scale study — are defined on their own
+	// workloads and ignore this field.
+	Scenario *scenario.Scenario
 }

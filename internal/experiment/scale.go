@@ -32,15 +32,19 @@ func Scale(ctx context.Context, opt Options, coreCounts []int, seed int64) ([]Sc
 	if len(coreCounts) == 0 {
 		coreCounts = []int{2, 4, 8}
 	}
-	specs := make([]scenario.Spec, len(coreCounts))
+	scs := make([]scenario.Scenario, len(coreCounts))
 	cfgs := make([]RunConfig, 0, 2*len(coreCounts))
 	for i, n := range coreCounts {
 		// Budget ~0.45 FSE per core so the greedy mapping is feasible
 		// at mid-ladder frequencies, leaving thermal contrast.
-		specs[i] = scenario.SplitJoin(seed, n+2, 3, 0.45*float64(n), n)
+		sc, err := scenario.FromSpec(scenario.SplitJoin(seed, n+2, 3, 0.45*float64(n), n))
+		if err != nil {
+			return nil, fmt.Errorf("experiment: scale: %w", err)
+		}
+		scs[i] = sc
 		cfgs = append(cfgs,
-			RunConfig{PolicyName: energyBalance, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal},
-			RunConfig{PolicyName: thermalBalance, Delta: 2, Spec: &specs[i], MeasureS: 20, Thermal: opt.Thermal})
+			RunConfig{PolicyName: energyBalance, Resolved: &scs[i], MeasureS: 20, Thermal: opt.Thermal},
+			RunConfig{PolicyName: thermalBalance, Delta: 2, Resolved: &scs[i], MeasureS: 20, Thermal: opt.Thermal})
 	}
 	results, err := RunAll(ctx, opt.Runner, cfgs)
 	if err != nil {
@@ -51,7 +55,7 @@ func Scale(ctx context.Context, opt Options, coreCounts []int, seed int64) ([]Sc
 		base, bal := results[2*i], results[2*i+1]
 		rows[i] = ScaleRow{
 			Cores:          n,
-			Tasks:          len(specs[i].Graph.Tasks),
+			Tasks:          len(scs[i].Graph.Tasks),
 			PooledStdDev:   bal.PooledStdDev,
 			BaselineStdDev: base.PooledStdDev,
 			DeadlineMisses: bal.DeadlineMisses,

@@ -33,8 +33,7 @@ var warmups = newWarmupCache(WarmupCacheBudget)
 // are left out: the engine consults the policy and collects metrics
 // only from PolicyStartS = MeasureStartS on, after the fork.
 type warmupKey struct {
-	// scenario is the registered name, or "spec:" and the spec's
-	// canonical encoding for an inline spec.
+	// scenario is the content hash of the scenario's spec.
 	scenario   string
 	pkg        PackageSel
 	queueCap   int

@@ -56,19 +56,26 @@ type Request struct {
 	// MeasureS is the measurement window (<= 0: the scenario's
 	// default, else the paper's 30 s).
 	MeasureS float64 `json:"measure_s"`
-	// QueueCap is the inter-task queue capacity in frames (<= 0: 11).
+	// QueueCap is the inter-task queue capacity in frames, at most
+	// 65536 (<= 0: the scenario's graph.queue_cap, 11 for every
+	// builtin). Queues whose spec sets their own cap keep it.
 	QueueCap int `json:"queue_cap"`
 	// Mechanism is "task-replication" or "task-recreation" (short
 	// forms "replication"/"recreation"; empty: task-replication).
 	Mechanism string `json:"mechanism"`
 	// Integrator is "euler" or "expm" (empty: euler).
 	Integrator string `json:"integrator"`
+
+	// specHash is the inline spec's content hash, set by Canonicalize:
+	// Key reads it instead of normalizing the spec again.
+	specHash string
 }
 
 // canonShared resolves the fields Request and MatrixRequest spell
 // alike into the run configuration they select: it rejects a negative
 // or non-finite delta, parses the package, mechanism and integrator
-// spellings, and defaults a non-positive queue capacity.
+// spellings, and refuses a queue capacity past the spec's bound; a
+// non-positive one stays 0, "the scenario's".
 func canonShared(delta float64, pkg, mech, integrator string, queueCap int) (rc experiment.RunConfig, err error) {
 	if err := experiment.CheckDelta(delta); err != nil {
 		return rc, err
@@ -82,10 +89,10 @@ func canonShared(delta float64, pkg, mech, integrator string, queueCap int) (rc 
 	if rc.Thermal.Scheme, err = thermal.ParseScheme(integrator); err != nil {
 		return rc, err
 	}
-	rc.QueueCap = queueCap
-	if rc.QueueCap <= 0 {
-		rc.QueueCap = stream.DefaultQueueCap
+	if queueCap > scenario.MaxQueueCap {
+		return rc, fmt.Errorf("queue capacity %d exceeds the limit of %d frames", queueCap, scenario.MaxQueueCap)
 	}
+	rc.QueueCap = max(queueCap, 0)
 	return rc, nil
 }
 
@@ -102,32 +109,32 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 	case req.Spec != nil && req.Scenario != "":
 		return Request{}, experiment.RunConfig{}, fmt.Errorf(`"spec" and "scenario" are mutually exclusive`)
 	case req.Spec != nil:
-		if name, ok := scenario.BuiltinNameForSpec(*req.Spec); ok {
+		// The spec's one normalization: its hash serves both the
+		// builtin collapse and Key.
+		if sc, err = scenario.FromSpec(*req.Spec); err != nil {
+			return Request{}, experiment.RunConfig{}, err
+		}
+		if c.specHash, err = sc.Hash(); err != nil {
+			return Request{}, experiment.RunConfig{}, err
+		}
+		if name, ok := scenario.BuiltinNameForSpec(c.specHash); ok {
 			// The spec IS a builtin: rewrite to the named request and
 			// recurse, so both spellings canonicalize — cache, coalesce
 			// and persist — to one content address. Labels the spec
 			// carries fill in first; labels it omits take the
 			// builtin's values.
-			n, nerr := req.Spec.Normalize()
-			if nerr != nil {
-				return Request{}, experiment.RunConfig{}, nerr
-			}
 			named := req
 			named.Spec = nil
 			named.Scenario = name
-			named.Policy = cmp.Or(named.Policy, n.DefaultPolicy)
-			named.Delta = cmp.Or(named.Delta, n.DefaultDelta)
+			named.Policy = cmp.Or(named.Policy, sc.DefaultPolicy)
+			named.Delta = cmp.Or(named.Delta, sc.DefaultDelta)
 			if named.WarmupS <= 0 {
-				named.WarmupS = n.WarmupS
+				named.WarmupS = sc.WarmupS
 			}
 			if named.MeasureS <= 0 {
-				named.MeasureS = n.MeasureS
+				named.MeasureS = sc.MeasureS
 			}
 			return Canonicalize(named)
-		}
-		sc, err = scenario.FromSpec(*req.Spec)
-		if err != nil {
-			return Request{}, experiment.RunConfig{}, err
 		}
 		// FromSpec stores the normalized spec; that is the canonical
 		// inline form (defaults explicit, field order frozen).
@@ -150,15 +157,18 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		return Request{}, experiment.RunConfig{}, err
 	}
 	c.Delta = cmp.Or(req.Delta, sc.DefaultDelta, 3)
-	c.Package, c.QueueCap = rc.Package.String(), rc.QueueCap
+	c.Package, c.QueueCap = rc.Package.String(), experiment.QueueCap(sc, rc.QueueCap)
 	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
-	// Phase defaulting is experiment.Run's own cascade, so the cache
-	// identity always matches what executes.
+	// Phase and queue-capacity defaulting are experiment.Run's own
+	// cascades, so the cache identity always matches what executes.
 	if c.WarmupS, c.MeasureS, err = experiment.Phases(sc, req.WarmupS, req.MeasureS); err != nil {
 		return Request{}, experiment.RunConfig{}, err
 	}
-	rc.Scenario, rc.Spec, rc.PolicyName, rc.Delta = c.Scenario, c.Spec, c.Policy, c.Delta
+	rc.Scenario, rc.PolicyName, rc.Delta, rc.QueueCap = c.Scenario, c.Policy, c.Delta, c.QueueCap
 	rc.WarmupS, rc.MeasureS = c.WarmupS, c.MeasureS
+	if c.Spec != nil {
+		rc.Resolved = &sc
+	}
 	return c, rc, nil
 }
 
@@ -175,7 +185,10 @@ func (c Request) keyString() string {
 		// Inline specs are identified by their canonical hash. The
 		// "spec:" prefix cannot collide with a registered name (names
 		// never contain ':'), so the v1 scheme accommodates both.
-		scenarioID = "spec:" + c.Spec.Hash()
+		if c.specHash == "" {
+			panic("request: Key of an inline spec Canonicalize did not hash")
+		}
+		scenarioID = "spec:" + c.specHash
 	}
 	return strings.Join([]string{
 		"thermbal/run/v1",
@@ -195,7 +208,8 @@ func (c Request) keyString() string {
 // of its fixed-order serialization, hex-encoded. Stable across
 // processes, platforms and restarts, so keys are valid persistent
 // identities for results. Call only on Canonicalize output — raw wire
-// requests with distinct spellings would hash apart.
+// requests with distinct spellings would hash apart, and Key panics on
+// an inline spec Canonicalize did not hash.
 func (c Request) Key() string { return hashKey(c.keyString()) }
 
 // hashKey is the hex SHA-256 of a key pre-image.
@@ -223,7 +237,8 @@ type MatrixRequest struct {
 	// 0 keeps each scenario's defaults.
 	WarmupS  float64 `json:"warmup_s"`
 	MeasureS float64 `json:"measure_s"`
-	// QueueCap overrides the queue capacity when positive (<= 0: 11).
+	// QueueCap overrides the queue capacity when positive, up to 65536
+	// (<= 0: 11, every builtin's graph.queue_cap).
 	QueueCap int `json:"queue_cap"`
 }
 
@@ -266,7 +281,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 		return MatrixRequest{}, err
 	}
 	c.Delta = req.Delta
-	c.Package, c.QueueCap = rc.Package.String(), rc.QueueCap
+	c.Package, c.QueueCap = rc.Package.String(), cmp.Or(rc.QueueCap, stream.DefaultQueueCap)
 	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
 	c.WarmupS = max(req.WarmupS, 0)
 	c.MeasureS = max(req.MeasureS, 0)

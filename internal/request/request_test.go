@@ -1,14 +1,19 @@
 package request_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"thermbal/internal/cliutil"
+	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
 	. "thermbal/internal/request"
 	"thermbal/internal/scenario"
+	"thermbal/internal/stream"
 )
 
 // goldenKey is the content address of the paper's default operating
@@ -326,5 +331,170 @@ func TestInlineSpecLabelResolution(t *testing.T) {
 	}
 	if got, pin := canon.Key(), "26a7f9c02a9467eb1e449662824d27952557b9ca4660941339a4ee58572a00ab"; got != pin {
 		t.Errorf("perturbed spec key = %s, want %s", got, pin)
+	}
+}
+
+// inlineKeyGoldens pins the content keys of inline specs at the default
+// queue capacity: Generate(1..8), then examples/scenarios/custom.json.
+// They were computed before an inline spec was resolved once, and stay
+// put: the key scheme, the canonical spec bytes and the queue-capacity
+// default an inline spec resolves to did not move.
+var inlineKeyGoldens = [9]string{
+	"cc6e4fddf4c53ccc07615305632a5ecac0836ce94e86e427ffcdfee53905aa8e",
+	"2ffc2746d80d15a93a00268c0bc38a9f18f3ac778b783c1e204e30ff6ab4fd70",
+	"4dfddfd6ad49672f8b9254473a0cb167c625040a5e846cfdb42693a4e9717ddf",
+	"60365b7975f120b81f08f7ed13c5362a89fa136b31072976b5e643e244e5faa7",
+	"ada9060f5c7f7da5cfe8c955762885012fccc22d975a221c833cf5db37c930d5",
+	"03ce7bb65b02d06a80e72d21861b35fbc7064006f8029bdfd284d15a58db1e3c",
+	"c382394bf9c8d57e1f8b6ca7f78fdf78b52a534252d860ac127387692bd636e1",
+	"4f23fb01cfbe2aa9f157447c1a7cbd058abebabee4c029c7ed6acf420508d290",
+	"c18a4bb35ba548fb46973b81c2c781ffc2e309e86a88d169e02ec82a6e3ceb9e",
+}
+
+func TestInlineSpecKeyGolden(t *testing.T) {
+	specs := make([]scenario.Spec, 0, len(inlineKeyGoldens))
+	for seed := int64(1); seed <= 8; seed++ {
+		specs = append(specs, scenario.Generate(seed))
+	}
+	custom, err := cliutil.LoadSpec("../../examples/scenarios/custom.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs = append(specs, custom.Spec)
+	for i, sp := range specs {
+		if got := mustCanon(t, Request{Spec: &sp}).Key(); got != inlineKeyGoldens[i] {
+			t.Errorf("%s: key %s, golden %s", sp.Name, got, inlineKeyGoldens[i])
+		}
+	}
+}
+
+// TestBuiltinQueueCapIsMatrixDefault: a matrix request without a queue
+// capacity keys and runs its cells at stream.DefaultQueueCap, while a
+// direct /run takes the scenario's graph.queue_cap. The two agree, and
+// a sweep cell shares its direct run's key, only while every builtin's
+// graph default is that value.
+func TestBuiltinQueueCapIsMatrixDefault(t *testing.T) {
+	canon, err := CanonicalizeMatrix(MatrixRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon.QueueCap != stream.DefaultQueueCap {
+		t.Errorf("matrix default queue_cap %d, want %d", canon.QueueCap, stream.DefaultQueueCap)
+	}
+	for _, sc := range scenario.All() {
+		if sc.Graph.QueueCap != canon.QueueCap {
+			t.Errorf("%s: graph.queue_cap %d, matrix default %d", sc.Name, sc.Graph.QueueCap, canon.QueueCap)
+		}
+		if q := mustCanon(t, Request{Scenario: sc.Name}).QueueCap; q != canon.QueueCap {
+			t.Errorf("%s: direct run's queue_cap %d, matrix default %d", sc.Name, q, canon.QueueCap)
+		}
+	}
+}
+
+// runDoc canonicalizes req, runs it and returns the canonical request
+// and the encoded run document.
+func runDoc(t *testing.T, req Request) (Request, []byte) {
+	t.Helper()
+	canon, rc, err := Canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := experiment.Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := EncodeDoc(NewRunDoc(canon, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canon, body
+}
+
+// TestInlineSpecQueueCapReachesRun: an inline spec's graph.queue_cap is
+// the run's capacity unless the request sets one. Before, a missing
+// request value became 11 and the spec's default never ran; a request
+// that says 11 explicitly still gets that run, under the same key and
+// with the same bytes.
+func TestInlineSpecQueueCapReachesRun(t *testing.T) {
+	sc, err := scenario.Lookup("sdr-radio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sc.Spec
+	sp.Graph.QueueCap = 2
+	req := Request{Spec: &sp, Policy: "tb", WarmupS: 0.5, MeasureS: 1}
+
+	own, ownBody := runDoc(t, req)
+	if own.QueueCap != 2 {
+		t.Errorf("canonical queue_cap %d, want the spec's 2", own.QueueCap)
+	}
+	req.QueueCap = 11
+	at11, body11 := runDoc(t, req)
+	if at11.QueueCap != 11 {
+		t.Errorf("canonical queue_cap %d, want the request's 11", at11.QueueCap)
+	}
+	if own.Key() == at11.Key() {
+		t.Error("queue_cap 2 and 11 share a key")
+	}
+	var a, b struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(ownBody, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body11, &b); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a.Result, b.Result) {
+		t.Error("queue_cap 2 ran the same result as queue_cap 11")
+	}
+	if got, pin := at11.Key(), "6723607b3b86c2349ac8bf94353a38743b4655c2d5ecb9d1129169c78f7a27f6"; got != pin {
+		t.Errorf("explicit queue_cap 11 key = %s, want %s", got, pin)
+	}
+	sum := sha256.Sum256(body11)
+	if got, pin := hex.EncodeToString(sum[:]), "c2372984c4549e133a1333ecc4b1bd8fcb3bfed8d79587a6d330fe4af76a1e29"; got != pin {
+		t.Errorf("explicit queue_cap 11 document digest = %s, want %s", got, pin)
+	}
+}
+
+// TestQueueCapBound: a request's queue capacity is bounded like a
+// spec's graph.queue_cap, on a run and on a sweep.
+func TestQueueCapBound(t *testing.T) {
+	if c := mustCanon(t, Request{QueueCap: scenario.MaxQueueCap}); c.QueueCap != scenario.MaxQueueCap {
+		t.Errorf("queue_cap at the bound canonicalizes to %d", c.QueueCap)
+	}
+	if _, err := CanonicalizeMatrix(MatrixRequest{QueueCap: scenario.MaxQueueCap}); err != nil {
+		t.Errorf("matrix queue_cap at the bound: %v", err)
+	}
+	past := scenario.MaxQueueCap + 1
+	if _, _, err := Canonicalize(Request{QueueCap: past}); err == nil || !strings.Contains(err.Error(), "queue capacity") {
+		t.Errorf("queue_cap %d: err %v, want a queue capacity error", past, err)
+	}
+	if _, err := CanonicalizeMatrix(MatrixRequest{QueueCap: past}); err == nil {
+		t.Errorf("matrix queue_cap %d accepted", past)
+	}
+}
+
+// BenchmarkCanonicalizeInlineManycore256 resolves a manycore-256-sized
+// inline spec that is no builtin and keys it: the per-request cost of
+// an inline /run before anything executes.
+func BenchmarkCanonicalizeInlineManycore256(b *testing.B) {
+	sc, err := scenario.Lookup("manycore-256")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := sc.Spec
+	sp.Graph.Tasks = append([]scenario.TaskSpec(nil), sp.Graph.Tasks...)
+	sp.Graph.Tasks[0].FSE *= 0.5
+	req := Request{Spec: &sp}
+	b.ReportAllocs()
+	for b.Loop() {
+		canon, _, err := Canonicalize(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if canon.Spec == nil || len(canon.Key()) != 64 {
+			b.Fatal("spec collapsed onto a builtin")
+		}
 	}
 }

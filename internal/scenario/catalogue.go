@@ -11,38 +11,37 @@ import (
 const DefaultName = "sdr-radio"
 
 // catalogue holds every builtin scenario, sorted by name. bySpec maps
-// each builtin's canonical spec hash to its name, so an inline spec
-// identical to a builtin resolves to the same content address the named
-// request would. Both are fixed at package init.
+// each builtin's content hash to its name, so an inline spec identical
+// to a builtin resolves to the same content address the named request
+// would. Both are fixed at package init.
 var catalogue, bySpec = builtinCatalogue()
 
-// builtinCatalogue normalizes every builtin, as FromSpec does a spec
-// file, indexes it by hash and sorts the catalogue by name. Failing at
-// init beats a catalogue entry that only errors at run time.
+// builtinCatalogue normalizes and hashes every builtin, as FromSpec
+// does a spec file, indexes it by hash and sorts the catalogue by name.
+// Failing at init beats a catalogue entry that only errors at run time.
 func builtinCatalogue() ([]Scenario, map[string]string) {
 	cat := builtins()
 	hashes := make(map[string]string, len(cat))
-	for i := range cat {
-		n, err := cat[i].Normalize()
-		if err != nil {
-			panic(fmt.Sprintf("scenario: builtin %q spec invalid: %v", cat[i].Name, err))
+	for i, b := range cat {
+		n, err := b.Normalize()
+		if err == nil {
+			cat[i], err = resolved(n, b.Topology)
 		}
-		cat[i].Spec = n
-		hashes[n.Hash()] = n.Name
+		if err != nil {
+			panic(fmt.Sprintf("scenario: builtin %q spec invalid: %v", b.Name, err))
+		}
+		hashes[cat[i].hash] = n.Name
 	}
 	slices.SortFunc(cat, func(a, b Scenario) int { return strings.Compare(a.Name, b.Name) })
 	return cat, hashes
 }
 
-// BuiltinNameForSpec reports the builtin scenario whose canonical spec
-// equals sp, if any. Callers use it to collapse an inline spec onto the
-// equivalent named request so both share one content address.
-func BuiltinNameForSpec(sp Spec) (string, bool) {
-	n, err := sp.Normalize()
-	if err != nil {
-		return "", false
-	}
-	name, ok := bySpec[n.Hash()]
+// BuiltinNameForSpec reports the builtin scenario whose content hash
+// (Scenario.Hash) is hash, if any. Callers use it to collapse an inline
+// spec onto the equivalent named request so both share one content
+// address.
+func BuiltinNameForSpec(hash string) (string, bool) {
+	name, ok := bySpec[hash]
 	return name, ok
 }
 

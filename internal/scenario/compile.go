@@ -13,17 +13,10 @@ import (
 	"thermbal/internal/task"
 )
 
-// Compile is the one compiler every scenario goes through — built-ins,
-// inline service specs, spec files and generated workloads alike. It
-// normalizes (and thereby validates) the spec, replays the graph in
-// declaration order, assembles the platform and attaches the modulator.
-// Equal specs compile to identical instances.
-func Compile(sp Spec, o Options) (*Instance, error) {
-	n, err := sp.Normalize()
-	if err != nil {
-		return nil, err
-	}
-
+// compile builds the instance a normalized spec describes: it replays
+// the graph in declaration order, assembles the platform and attaches
+// the modulator.
+func compile(n Spec, o Options) (*Instance, error) {
 	g := stream.NewGraph()
 	// Queue capacity resolution: an explicit per-queue cap always
 	// wins; defaultable queues take the run's override, else the
@@ -159,19 +152,17 @@ func compilePlatform(p PlatformSpec, o Options) (*mpsoc.Platform, error) {
 	return mpsoc.New(cfg)
 }
 
-// FromSpec wraps a spec as an uncatalogued Scenario: the normalized
-// spec and a topology label counted from it. It is how spec files,
-// inline service specs and generated specs enter the same code paths
-// as builtins. Labels the spec omits stay empty, so the embedded spec
-// is exactly the canonical inline form; each caller that needs a
-// fallback name, policy or delta applies its own.
+// FromSpec normalizes (and thereby validates) a spec once and wraps it
+// as an uncatalogued Scenario: the normalized spec, its content hash
+// and a topology label counted from it. It is how spec files, inline
+// service specs and generated specs enter the same code paths as
+// builtins. Labels the spec omits stay empty, so the embedded spec is
+// exactly the canonical inline form; each caller that needs a fallback
+// name, policy or delta applies its own.
 func FromSpec(sp Spec) (Scenario, error) {
 	n, err := sp.Normalize()
 	if err != nil {
 		return Scenario{}, err
 	}
-	return Scenario{
-		Spec:     n,
-		Topology: fmt.Sprintf("spec: %d tasks, %d queues, %d cores", len(n.Graph.Tasks), len(n.Graph.Queues), n.Platform.Cores),
-	}, nil
+	return resolved(n, fmt.Sprintf("spec: %d tasks, %d queues, %d cores", len(n.Graph.Tasks), len(n.Graph.Queues), n.Platform.Cores))
 }

@@ -62,14 +62,9 @@ func FuzzSpecValidate(f *testing.F) {
 		}
 
 		// Accept ⇒ canonicalization is stable...
-		c1, err := sp.CanonicalBytes()
-		if err != nil {
-			t.Fatalf("accepted spec fails CanonicalBytes: %v", err)
-		}
-		c2, err := n.CanonicalBytes()
-		if err != nil {
-			t.Fatalf("normalized spec fails CanonicalBytes: %v", err)
-		}
+		sc := mustFromSpec(t, sp)
+		c1 := canonicalOf(t, sp)
+		c2 := canonicalOf(t, n)
 		if !bytes.Equal(c1, c2) {
 			t.Fatalf("canonical bytes differ before/after normalization:\n%s\n%s", c1, c2)
 		}
@@ -84,10 +79,7 @@ func FuzzSpecValidate(f *testing.F) {
 		if err := json.Unmarshal(enc, &back); err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}
-		c3, err := back.CanonicalBytes()
-		if err != nil {
-			t.Fatalf("round-tripped spec invalid: %v", err)
-		}
+		c3 := canonicalOf(t, back)
 		if !bytes.Equal(c1, c3) {
 			t.Fatalf("round trip changed canonical bytes:\n%s\n%s", c1, c3)
 		}
@@ -97,8 +89,8 @@ func FuzzSpecValidate(f *testing.F) {
 		if n.Platform.Cores > 64 || len(n.Graph.Tasks) > 256 {
 			return
 		}
-		if _, err := Compile(n, Options{}); err != nil {
-			// Compile may reject what static validation cannot see
+		if _, err := sc.Instantiate(Options{}); err != nil {
+			// Instantiate may reject what static validation cannot see
 			// (e.g. a core index beyond the die) — but only with an
 			// error, never a panic.
 			return

@@ -9,15 +9,20 @@
 // phase-shifting load, and many-core platforms built by tiling the
 // MPSoC floorplan.
 //
-// Every builtin is a declarative Spec emitted in Go (builtin.go) and
-// compiled by Compile, the one path spec files, inline service specs
-// and generated workloads take too. Construction is deterministic:
-// instantiating the same name twice yields identical graphs (seeded
-// loads, fixed topology), so experiment results are reproducible and
-// comparable across runs.
+// Every builtin is a declarative Spec emitted in Go (builtin.go),
+// normalized and hashed once at init into a Scenario; spec files,
+// inline service specs and generated workloads become one through
+// FromSpec, and Instantiate compiles them all. Construction is
+// deterministic: instantiating the same name twice yields identical
+// graphs (seeded loads, fixed topology), so experiment results are
+// reproducible and comparable across runs.
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 
 	"thermbal/internal/mpsoc"
@@ -50,15 +55,52 @@ type Instance struct {
 // Spec plus a short structural label. The spec is the one source of
 // every other catalogue fact — name, description, size, default phases,
 // policy and delta — and Instantiate compiles it.
+// Only FromSpec and the catalogue make one, normalizing and hashing the
+// spec there; Hash and Instantiate refuse a literal, so no later layer
+// normalizes again.
 type Scenario struct {
 	Spec
 	// Topology is a short structural label ("pipeline depth 8").
 	Topology string
+	// hash is the SHA-256 hex of the spec's canonical bytes; empty
+	// marks a literal.
+	hash string
 }
 
-// Instantiate compiles the scenario with the given options.
+// errUnresolved is what Hash and Instantiate return for a literal.
+var errUnresolved = errors.New("scenario: not made by FromSpec or the catalogue")
+
+// resolved wraps a normalized spec as a Scenario and hashes its
+// canonical serialization; only FromSpec and the catalogue call it.
+func resolved(n Spec, topology string) (Scenario, error) {
+	b, err := json.Marshal(canonicalSpec{n.SpecVersion, n.Graph, n.Platform, n.Modulation})
+	if err != nil {
+		return Scenario{}, err
+	}
+	sum := sha256.Sum256(b)
+	return Scenario{Spec: n, Topology: topology, hash: hex.EncodeToString(sum[:])}, nil
+}
+
+// Hash returns the content address of the scenario's spec: the SHA-256
+// hex of its canonical serialization, shared by every spelling that
+// normalizes to the same workload. It never normalizes; the hash was
+// computed when the Scenario was made.
+func (s Scenario) Hash() (string, error) {
+	if s.hash == "" {
+		return "", errUnresolved
+	}
+	return s.hash, nil
+}
+
+// Instantiate compiles the scenario with the given options. It is the
+// one compiler every scenario goes through — builtins, inline service
+// specs, spec files and generated workloads alike. Equal specs compile
+// to identical instances.
 func (s Scenario) Instantiate(o Options) (*Instance, error) {
-	inst, err := Compile(s.Spec, o)
+	if s.hash == "" {
+		return nil, errUnresolved
+	}
+	inst, err := compile(s.Spec, o)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: build %q: %w", s.Name, err)
 	}

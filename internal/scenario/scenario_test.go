@@ -50,7 +50,10 @@ func TestCatalogueInvariants(t *testing.T) {
 	}
 	byHash := map[string]string{}
 	for _, s := range All() {
-		h := s.Hash()
+		h, err := s.Hash()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 		if prev, dup := byHash[h]; dup {
 			t.Errorf("%s and %s share the canonical spec hash %s", prev, s.Name, h)
 		}

@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -17,9 +14,10 @@ import (
 // rates, deadlines and loads; platform and floorplan selection
 // (including asymmetric big.LITTLE-style core tiles and the ambient
 // profile); load modulation; power coefficients. Every built-in
-// scenario is a spec in the static catalogue, compiled by Compile; a
-// service request may carry one inline, and Generate derives one from a seed — all three enter
-// the simulator through the same path and the same content-address
+// scenario is a spec in the static catalogue; a service request may
+// carry one inline, and Generate derives one from a seed. All three
+// become a Scenario (normalized and hashed once) and enter the
+// simulator through the same compiler and the same content-address
 // scheme.
 
 // SpecVersionV1 is the current (and only) scenario spec schema version.
@@ -204,10 +202,13 @@ const (
 	maxSpecTasks  = 4096
 	maxSpecQueues = 16384
 	maxSpecCores  = 1024
-	maxQueueCap   = 1 << 16
 	maxNameLen    = 128
 	maxTaskBytes  = 1 << 30 // 1 GiB state/code payload
 )
+
+// MaxQueueCap bounds every queue capacity: a spec's graph default and
+// per-queue caps, and a run's queue-capacity override.
+const MaxQueueCap = 1 << 16
 
 // Problem locates one invalid spec field.
 type Problem struct {
@@ -312,8 +313,8 @@ func normalizeGraph(c *specCheck, g GraphSpec) GraphSpec {
 	if g.QueueCap == 0 {
 		g.QueueCap = stream.DefaultQueueCap
 	}
-	if g.QueueCap < 1 || g.QueueCap > maxQueueCap {
-		c.addf("graph.queue_cap", "%d outside [1, %d]", g.QueueCap, maxQueueCap)
+	if g.QueueCap < 1 || g.QueueCap > MaxQueueCap {
+		c.addf("graph.queue_cap", "%d outside [1, %d]", g.QueueCap, MaxQueueCap)
 	}
 	if g.Placement == "" {
 		g.Placement = PlacementExplicit
@@ -349,8 +350,8 @@ func normalizeGraph(c *specCheck, g GraphSpec) GraphSpec {
 			continue
 		}
 		qIndex[q.Name] = i
-		if q.Cap < 0 || q.Cap > maxQueueCap {
-			c.addf(path+".cap", "%d outside [0, %d]", q.Cap, maxQueueCap)
+		if q.Cap < 0 || q.Cap > MaxQueueCap {
+			c.addf(path+".cap", "%d outside [0, %d]", q.Cap, MaxQueueCap)
 		}
 	}
 
@@ -434,8 +435,8 @@ func normalizeGraph(c *specCheck, g GraphSpec) GraphSpec {
 		g.Sink.PeriodS = g.FramePeriodS
 	}
 	c.num("graph.sink.period_s", g.Sink.PeriodS, 1e-6, 10)
-	if g.Sink.Prefill < 0 || g.Sink.Prefill > maxQueueCap {
-		c.addf("graph.sink.prefill", "%d outside [0, %d]", g.Sink.Prefill, maxQueueCap)
+	if g.Sink.Prefill < 0 || g.Sink.Prefill > MaxQueueCap {
+		c.addf("graph.sink.prefill", "%d outside [0, %d]", g.Sink.Prefill, MaxQueueCap)
 	}
 
 	for i, q := range g.Queues {
@@ -594,9 +595,10 @@ func normalizeModulation(c *specCheck, m ModulationSpec) ModulationSpec {
 }
 
 // canonicalSpec is the frozen canonical-serialization view: only the
-// semantic fields, in this exact declaration order. It feeds the
-// SHA-256 content address, so its layout must never change — additions
-// require a new spec version. Name, description, default policy/delta
+// semantic fields, in this exact declaration order, with shortest
+// round-trip numbers (encoding/json over structs is deterministic — no
+// maps are involved). It feeds the SHA-256 content address, so its
+// layout must never change — additions require a new spec version. Name, description, default policy/delta
 // and default phases are excluded: they are labels and request
 // defaults, resolved into the run key itself, so two specs that mean
 // the same workload coalesce regardless of labelling.
@@ -605,34 +607,4 @@ type canonicalSpec struct {
 	Graph       GraphSpec       `json:"graph"`
 	Platform    PlatformSpec    `json:"platform"`
 	Modulation  *ModulationSpec `json:"modulation,omitempty"`
-}
-
-// CanonicalBytes returns the frozen fixed-order canonical serialization
-// of the spec's semantic content: normalized defaults, declaration-order
-// fields, shortest round-trip numbers (encoding/json over structs is
-// deterministic — no maps are involved).
-func (sp Spec) CanonicalBytes() ([]byte, error) {
-	n, err := sp.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(canonicalSpec{
-		SpecVersion: n.SpecVersion,
-		Graph:       n.Graph,
-		Platform:    n.Platform,
-		Modulation:  n.Modulation,
-	})
-}
-
-// Hash returns the SHA-256 hex of the canonical serialization — the
-// spec's content identity, shared by every spelling that normalizes to
-// the same workload. It panics on an invalid spec; callers validate
-// (or Normalize) first.
-func (sp Spec) Hash() string {
-	b, err := sp.CanonicalBytes()
-	if err != nil {
-		panic(fmt.Sprintf("scenario: Hash of invalid spec: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }

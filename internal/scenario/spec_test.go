@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -149,7 +150,7 @@ func TestValidateRejections(t *testing.T) {
 		{"balanced with core", mut(func(s *Spec) { s.Graph.Placement = PlacementBalanced }), "graph.tasks[0].core", "balanced placement"},
 		{"explicit without core", mut(func(s *Spec) { s.Graph.Tasks[0].Core = nil }), "graph.tasks[0].core", "requires a core"},
 		{"negative core", mut(func(s *Spec) { s.Graph.Tasks[0].Core = &neg }), "graph.tasks[0].core", "negative"},
-		{"queue cap huge", mut(func(s *Spec) { s.Graph.QueueCap = maxQueueCap + 1 }), "graph.queue_cap", "outside"},
+		{"queue cap huge", mut(func(s *Spec) { s.Graph.QueueCap = MaxQueueCap + 1 }), "graph.queue_cap", "outside"},
 		{"per-queue cap negative", mut(func(s *Spec) { s.Graph.Queues[0].Cap = -3 }), "graph.queues[0].cap", "outside"},
 		{"state bytes huge", mut(func(s *Spec) { s.Graph.Tasks[0].StateBytes = 2 * maxTaskBytes }), "graph.tasks[0].state_bytes", "outside"},
 		{"cores over limit", mut(func(s *Spec) { s.Platform.Cores = maxSpecCores + 1 }), "platform.cores", "outside"},
@@ -230,10 +231,7 @@ func TestValidateCollectsAllProblems(t *testing.T) {
 // workload yields identical bytes and the same hash.
 func TestCanonicalBytesStability(t *testing.T) {
 	base := validMinimalSpec()
-	want, err := base.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := canonicalOf(t, base)
 
 	// Same workload, different labels and explicit defaults.
 	alt := validMinimalSpec()
@@ -250,24 +248,18 @@ func TestCanonicalBytesStability(t *testing.T) {
 	alt.Graph.Source.PeriodS = 0.020
 	alt.Graph.Sink.PeriodS = 0.020
 	alt.Platform.Cores = 3
-	got, err := alt.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := canonicalOf(t, alt)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("canonical bytes differ for equivalent spellings:\n%s\n%s", want, got)
 	}
-	if base.Hash() != alt.Hash() {
+	if specHash(t, base) != specHash(t, alt) {
 		t.Fatal("equivalent spellings hash apart")
 	}
 
 	// A semantic change must change the bytes.
 	sem := validMinimalSpec()
 	sem.Graph.Tasks[0].FSE = 0.51
-	semBytes, err := sem.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	semBytes := canonicalOf(t, sem)
 	if bytes.Equal(want, semBytes) {
 		t.Fatal("semantic change did not change canonical bytes")
 	}
@@ -276,18 +268,38 @@ func TestCanonicalBytesStability(t *testing.T) {
 	l1, l2 := validMinimalSpec(), validMinimalSpec()
 	l1.Platform.LadderMHz = []float64{133, 266, 533}
 	l2.Platform.LadderMHz = []float64{533, 133, 266}
-	if l1.Hash() != l2.Hash() {
+	if specHash(t, l1) != specHash(t, l2) {
 		t.Fatal("ladder order changed the hash")
 	}
 }
 
-// TestHashPanicsOnInvalid: Hash is documented to panic when handed an
-// invalid spec — callers validate first.
-func TestHashPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Hash of an invalid spec did not panic")
-		}
-	}()
-	Spec{}.Hash()
+// canonicalOf is the canonical serialization FromSpec hashes for sp.
+func canonicalOf(t testing.TB, sp Spec) []byte {
+	t.Helper()
+	n := mustFromSpec(t, sp).Spec
+	b, err := json.Marshal(canonicalSpec{n.SpecVersion, n.Graph, n.Platform, n.Modulation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestUnresolvedScenarioRefused: only FromSpec and the catalogue make a
+// Scenario. An invalid spec never becomes one, and a Scenario built as
+// a literal has no hash and does not compile.
+func TestUnresolvedScenarioRefused(t *testing.T) {
+	if _, err := FromSpec(Spec{}); err == nil {
+		t.Error("FromSpec accepted an empty spec")
+	}
+	sc, err := Lookup(DefaultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := Scenario{Spec: sc.Spec, Topology: sc.Topology}
+	if _, err := bare.Hash(); !errors.Is(err, errUnresolved) {
+		t.Errorf("Hash of a literal Scenario: err %v, want %v", err, errUnresolved)
+	}
+	if _, err := bare.Instantiate(Options{}); !errors.Is(err, errUnresolved) {
+		t.Errorf("Instantiate of a literal Scenario: err %v, want %v", err, errUnresolved)
+	}
 }

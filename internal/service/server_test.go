@@ -267,6 +267,18 @@ func TestCatalogueEndpoints(t *testing.T) {
 			}
 		}
 	}
+	// A queue capacity past the spec's bound is refused on both paths:
+	// the sink could never fill its prefill, and the run would report
+	// zero deadlines.
+	for _, c := range []struct{ path, body string }{
+		{"/run", `{"queue_cap":65537}`},
+		{"/matrix", `{"scenarios":["sdr-radio"],"policies":["eb"],"queue_cap":65537}`},
+	} {
+		resp, b = do(t, http.MethodPost, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "queue capacity") {
+			t.Errorf("%s queue_cap 65537: %d %s", c.path, resp.StatusCode, b)
+		}
+	}
 	// So must trailing data — two concatenated objects would otherwise
 	// silently run only the first.
 	resp, _ = do(t, http.MethodPost, ts.URL+"/run", `{"policy":"tb"}{"policy":"eb"}`)

@@ -176,8 +176,14 @@ func TestInlineSpecNonBuiltin(t *testing.T) {
 	if doc.Request.Spec == nil || doc.Request.Scenario != "" {
 		t.Fatalf("canonical request should carry the spec inline: %+v", doc.Request)
 	}
-	if doc.Key != doc.Request.Key() {
-		t.Errorf("doc key %s != request key %s", doc.Key, doc.Request.Key())
+	// An inline spec is keyed by the hash Canonicalize computes, so the
+	// echoed request is canonicalized again to derive its key.
+	recanon, _, err := request.Canonicalize(doc.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Key != recanon.Key() {
+		t.Errorf("doc key %s != request key %s", doc.Key, recanon.Key())
 	}
 	// The echoed spec is the normalized form: defaults explicit.
 	if doc.Request.Spec.Graph.QueueCap != 11 || doc.Request.Spec.Platform.Cores != 3 {
@@ -248,7 +254,15 @@ func TestScenariosSpecExport(t *testing.T) {
 		if e.SpecVersion != scenario.SpecVersionV1 {
 			t.Errorf("%s: spec_version %d", e.Name, e.SpecVersion)
 		}
-		name, ok := scenario.BuiltinNameForSpec(*e.Spec)
+		sc, err := scenario.FromSpec(*e.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := sc.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, ok := scenario.BuiltinNameForSpec(hash)
 		if !ok || name != e.Name {
 			t.Errorf("%s: exported spec resolves to %q, %v", e.Name, name, ok)
 		}

@@ -13,7 +13,11 @@ import (
 // on the mobile package, tasks placed by the balanced mapping.
 func splitJoin(t *testing.T, seed int64, stages, maxWidth int, totalFSE float64, cores int) *scenario.Instance {
 	t.Helper()
-	inst, err := scenario.Compile(scenario.SplitJoin(seed, stages, maxWidth, totalFSE, cores), scenario.Options{})
+	sc, err := scenario.FromSpec(scenario.SplitJoin(seed, stages, maxWidth, totalFSE, cores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

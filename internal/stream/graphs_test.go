@@ -300,15 +300,25 @@ func TestVideoSplitJoinSemantics(t *testing.T) {
 	}
 }
 
+// generated compiles the workload scenario.Generate derives from seed.
+func generated(t *testing.T, seed int64) *scenario.Instance {
+	t.Helper()
+	sc, err := scenario.FromSpec(scenario.Generate(seed))
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	inst, err := sc.Instantiate(scenario.Options{})
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return inst
+}
+
 // Graphs compiled from the same generator seed must be identical task for
 // task; a different seed must give a different workload.
 func TestGenerateDeterministic(t *testing.T) {
 	gen := func(seed int64) *stream.Graph {
-		inst, err := scenario.Compile(scenario.Generate(seed), scenario.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		return inst.Graph
+		return generated(t, seed).Graph
 	}
 	a, b := gen(42), gen(42)
 	if a.NumTasks() != b.NumTasks() {
@@ -338,11 +348,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // misses and no drops, for many seeds.
 func TestGeneratedGraphsFlow(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		inst, err := scenario.Compile(scenario.Generate(seed), scenario.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		g := inst.Graph
+		g := generated(t, seed).Graph
 		idealRun(t, g, 2.0)
 		if got := g.SinkStats().Misses; got != 0 {
 			t.Errorf("seed %d: %d misses on ideal CPU", seed, got)

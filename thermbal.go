@@ -127,8 +127,9 @@ type Config struct {
 	WarmupS float64
 	// MeasureS is the measurement window (default 30 s).
 	MeasureS float64
-	// QueueCap is the inter-task queue capacity in frames (default 11,
-	// the paper's minimum sustainable size).
+	// QueueCap is the inter-task queue capacity in frames, at most
+	// 65536 (default: the scenario's graph.queue_cap; 11, the paper's
+	// minimum sustainable size, for every builtin).
 	QueueCap int
 	// Recreation selects the task-recreation migration mechanism
 	// instead of the default task-replication.
