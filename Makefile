@@ -206,14 +206,17 @@ fuzz-smoke:
 # seven digests as amd64's AVX kernels. internal/request and
 # internal/cliutil run in full, and internal/scenario all but its run
 # goldens, so spec hashes, content keys and the resolution path are
-# pinned on 32-bit too. The checkpoint byte goldens and
-# TestBuiltinSpecsRunBitForBit are skipped, and the full suite is not
-# run under 386 yet, because engine float results still differ across
-# arches (math.Exp among them; ROADMAP, "Make byte-identical on any
-# machine true").
+# pinned on 32-bit too. The engine's component packages (stream, bus,
+# metrics, migrate, mpsoc, task, sched, dvfs, policy, trace) run in
+# full. The checkpoint byte goldens and TestBuiltinSpecsRunBitForBit
+# are skipped, and the full suite is not run under 386 yet, because
+# engine float results still differ across arches (math.Exp among
+# them; ROADMAP, "Make byte-identical on any machine true").
 check-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/ckpt ./internal/request ./internal/cliutil
+	GOARCH=386 $(GO) test ./internal/stream ./internal/bus ./internal/metrics ./internal/migrate ./internal/mpsoc \
+		./internal/task ./internal/sched ./internal/dvfs ./internal/policy ./internal/trace
 	GOARCH=386 $(GO) test -skip TestBuiltinSpecsRunBitForBit ./internal/scenario
 	GOARCH=386 $(GO) test -run 'Checkpoint|Restore|Warmup|RunTo' -skip Golden ./internal/sim ./internal/experiment
 	GOARCH=386 $(GO) test -run 'Oracle|PropagatorGolden' ./internal/thermal ./internal/floorplan

@@ -22,7 +22,6 @@ type Transfer struct {
 	id        int
 	label     string
 	remaining float64 // bytes left to move
-	total     float64
 	done      bool
 }
 
@@ -44,8 +43,6 @@ type Bus struct {
 	next    int
 	active  []*Transfer
 	busyAcc float64 // accumulated busy seconds
-	moved   float64 // total bytes moved
-	started int
 }
 
 // Params configures a Bus.
@@ -106,10 +103,8 @@ func (b *Bus) Start(label string, size float64) (*Transfer, error) {
 		id:        b.next,
 		label:     label,
 		remaining: size + b.overheadS*b.bandwidth,
-		total:     size + b.overheadS*b.bandwidth,
 	}
 	b.next++
-	b.started++
 	b.active = append(b.active, t)
 	return t, nil
 }
@@ -134,7 +129,6 @@ func (b *Bus) Advance(dt float64) {
 		}
 		for _, t := range b.active {
 			t.remaining -= share * minT
-			b.moved += share * minT
 		}
 		b.busyAcc += minT
 		// Compact the active list.
@@ -192,7 +186,6 @@ func (b *Bus) AdvanceTicks(tick float64, k int64) {
 	for ; k > 0; k-- {
 		for _, t := range b.active {
 			t.remaining -= share * tick
-			b.moved += share * tick
 		}
 		b.busyAcc += tick
 	}
@@ -203,9 +196,7 @@ func (b *Bus) AdvanceTicks(tick float64, k int64) {
 // transfer handles; InFlight finds them by ID.
 func (b *Bus) Ckpt(c *ckpt.Codec) {
 	c.Int(&b.next)
-	c.Int(&b.started)
 	c.Float(&b.busyAcc)
-	c.Float(&b.moved)
 	n := len(b.active)
 	c.Count(&n)
 	if c.Reading() {
@@ -224,7 +215,6 @@ func (t *Transfer) Ckpt(c *ckpt.Codec) {
 	c.Int(&t.id)
 	c.String(&t.label)
 	c.Float(&t.remaining)
-	c.Float(&t.total)
 	c.Bool(&t.done)
 }
 

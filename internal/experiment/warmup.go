@@ -11,8 +11,8 @@ import (
 )
 
 // WarmupCacheBudget is the byte budget of the process-wide warm-up
-// checkpoint cache. A checkpoint (Checkpoint.Bytes) is under 1 KiB on
-// the paper's 3-core die and about 34 KiB on manycore-256, so the
+// checkpoint cache. A checkpoint (Checkpoint.Bytes) is about 0.6 KiB
+// on the paper's 3-core die and 29–32 KiB on manycore-256, so the
 // budget holds every warm-up of a paper sweep, a scenario matrix or a
 // service's working set many times over. Least recently used
 // checkpoints are evicted past it; one larger than the whole budget is

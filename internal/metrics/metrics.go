@@ -15,23 +15,11 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds a sample into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
@@ -90,8 +78,6 @@ type TempCollector struct {
 	Pooled Welford
 	// MaxTemp is the hottest sample seen on any core.
 	MaxTemp float64
-
-	samples int64
 }
 
 // NewTempCollector creates a collector for n cores.
@@ -109,15 +95,12 @@ func (tc *TempCollector) Ckpt(c *ckpt.Codec) {
 		tc.PerCore[i].ckpt(c)
 	}
 	c.Float(&tc.MaxTemp)
-	c.Int64(&tc.samples)
 }
 
 func (w *Welford) ckpt(c *ckpt.Codec) {
 	c.Int64(&w.n)
 	c.Float(&w.mean)
 	c.Float(&w.m2)
-	c.Float(&w.min)
-	c.Float(&w.max)
 }
 
 // Sample folds one per-core temperature snapshot.
@@ -138,7 +121,6 @@ func (tc *TempCollector) Sample(temps []float64) {
 	if max > tc.MaxTemp {
 		tc.MaxTemp = max
 	}
-	tc.samples++
 }
 
 // MeanSpatialStdDev is the time-averaged across-core deviation.

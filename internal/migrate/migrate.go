@@ -111,15 +111,10 @@ func (m *Migration) FreezeDuration() float64 { return m.CompletedAt - m.FrozenAt
 // (paper metrics ii: average quantity of migrated data and number of
 // migrated tasks).
 type Stats struct {
-	Requested   int
-	Completed   int
-	Rejected    int
-	BytesMoved  float64
-	FreezeTime  float64 // summed task-frozen seconds
-	MaxFreeze   float64
-	WaitTime    float64 // summed request→checkpoint seconds
-	PerTask     map[string]int
-	LastTrigger float64
+	Completed  int
+	BytesMoved float64
+	FreezeTime float64 // summed task-frozen seconds
+	PerTask    map[string]int
 }
 
 // Manager is the master daemon: it owns pending migrations and drives
@@ -165,11 +160,9 @@ var ErrSamePlace = errors.New("migrate: source and destination are the same core
 // running until its next checkpoint.
 func (m *Manager) Request(t *task.Task, ti, dst int, now float64) (*Migration, error) {
 	if _, busy := m.pending[ti]; busy {
-		m.stats.Rejected++
 		return nil, ErrBusy
 	}
 	if t.Core == dst {
-		m.stats.Rejected++
 		return nil, ErrSamePlace
 	}
 	mg := &Migration{
@@ -181,8 +174,6 @@ func (m *Manager) Request(t *task.Task, ti, dst int, now float64) (*Migration, e
 		RequestedAt: now,
 	}
 	m.pending[ti] = mg
-	m.stats.Requested++
-	m.stats.LastTrigger = now
 	return mg, nil
 }
 
@@ -231,7 +222,6 @@ func (m *Manager) AtCheckpoint(ti int, now float64) (bool, error) {
 	}
 	mg.Phase = Transferring
 	mg.FrozenAt = now
-	m.stats.WaitTime += now - mg.RequestedAt
 	mg.bytes = mg.Task.MigrationBytes(m.mech == Recreation)
 	// The context copy moves the live state through shared memory.
 	tr, err := m.bus.Start("migr:"+mg.Task.Name, mg.Task.StateBytes)
@@ -293,11 +283,7 @@ func (m *Manager) complete(ti int, mg *Migration, now float64) {
 
 	m.stats.Completed++
 	m.stats.BytesMoved += mg.bytes
-	fr := mg.FreezeDuration()
-	m.stats.FreezeTime += fr
-	if fr > m.stats.MaxFreeze {
-		m.stats.MaxFreeze = fr
-	}
+	m.stats.FreezeTime += mg.FreezeDuration()
 	m.stats.PerTask[mg.Task.Name]++
 	if m.OnComplete != nil {
 		m.OnComplete(mg)
@@ -367,14 +353,9 @@ func (m *Manager) Ckpt(c *ckpt.Codec, tasks []*task.Task) {
 		m.pending[mg.TaskIdx] = mg
 	}
 	st := &m.stats
-	c.Int(&st.Requested)
 	c.Int(&st.Completed)
-	c.Int(&st.Rejected)
 	c.Float(&st.BytesMoved)
 	c.Float(&st.FreezeTime)
-	c.Float(&st.MaxFreeze)
-	c.Float(&st.WaitTime)
-	c.Float(&st.LastTrigger)
 	names := slices.Sorted(maps.Keys(st.PerTask))
 	n = len(names)
 	c.Count(&n)

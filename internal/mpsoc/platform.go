@@ -33,18 +33,11 @@ type Platform struct {
 	energyWin []float64
 	// Total energy since construction (J).
 	TotalEnergyJ float64
-	// Per-core busy cycles over the current sensor window.
-	busyWin []float64
-	// Per-core capacity cycles (freq integrated) over the window.
-	capWin []float64
 	// lastBusBusy snapshots bus busy-seconds to derive per-tick activity.
 	lastBusBusy float64
 
 	// powerBuf is the per-block power vector handed to the thermal model.
 	powerBuf []float64
-	// utilBuf backs FlushWindow's returned utilization vector (reused
-	// across windows so the steady-state loop stays allocation-free).
-	utilBuf []float64
 }
 
 // Config selects the platform components.
@@ -92,8 +85,6 @@ func New(cfg Config) (*Platform, error) {
 		dcacheBlk: make([]int, n),
 		memBlk:    -1,
 		energyWin: make([]float64, len(cfg.Floorplan.Blocks)),
-		busyWin:   make([]float64, n),
-		capWin:    make([]float64, n),
 		powerBuf:  make([]float64, len(cfg.Floorplan.Blocks)),
 	}
 	for i := range p.coreBlk {
@@ -179,8 +170,6 @@ func (p *Platform) AccountSpan(c int, dt, busyCycles float64) {
 			util = 1
 		}
 	}
-	p.busyWin[c] += busyCycles
-	p.capWin[c] += capCycles
 
 	tempC := p.CoreTemp(c)
 	pw := p.Power.Core(f, util, tempC, p.powered[c])
@@ -216,30 +205,14 @@ func (p *Platform) AccountShared(dt float64) {
 
 // FlushWindow converts the accumulated window energy into the average
 // power vector, advances the thermal model by windowS, and resets the
-// accumulators. It returns the per-core utilization over the window;
-// the returned slice is owned by the platform and overwritten by the
-// next call.
-func (p *Platform) FlushWindow(windowS float64) ([]float64, error) {
+// accumulators.
+func (p *Platform) FlushWindow(windowS float64) error {
 	for i, e := range p.energyWin {
 		p.powerBuf[i] = e / windowS
 		p.TotalEnergyJ += e
 		p.energyWin[i] = 0
 	}
-	if p.utilBuf == nil {
-		p.utilBuf = make([]float64, p.NumCores())
-	}
-	util := p.utilBuf
-	for c := range util {
-		if p.capWin[c] > 0 {
-			util[c] = p.busyWin[c] / p.capWin[c]
-		}
-		p.busyWin[c] = 0
-		p.capWin[c] = 0
-	}
-	if err := p.Thermal.Step(windowS, p.powerBuf); err != nil {
-		return nil, err
-	}
-	return util, nil
+	return p.Thermal.Step(windowS, p.powerBuf)
 }
 
 // Ckpt writes or reads the platform's mutable state: node
@@ -256,8 +229,6 @@ func (p *Platform) Ckpt(c *ckpt.Codec) {
 	}
 	c.Bools(p.powered)
 	c.Floats(p.energyWin)
-	c.Floats(p.busyWin)
-	c.Floats(p.capWin)
 	c.Float(&p.TotalEnergyJ)
 	c.Float(&p.lastBusBusy)
 	p.Gov.Ckpt(c)

@@ -78,26 +78,23 @@ func TestAccountAndFlushWindow(t *testing.T) {
 		}
 		p.AccountShared(tick)
 	}
-	util, err := p.FlushWindow(window)
-	if err != nil {
+	if err := p.FlushWindow(window); err != nil {
 		t.Fatal(err)
-	}
-	if math.Abs(util[0]-0.65) > 1e-9 {
-		t.Errorf("core0 window utilization = %g, want 0.65", util[0])
-	}
-	if util[1] != 0 {
-		t.Errorf("core1 utilization = %g, want 0", util[1])
 	}
 	if p.TotalEnergyJ <= 0 {
 		t.Error("no energy accumulated")
 	}
-	// The heated core must warm above ambient after the flush.
+	// The heated core must warm above ambient, and above the idle
+	// cores, after the flush.
 	if p.CoreTemp(0) <= 25 {
 		t.Errorf("core0 temp = %g after heating window", p.CoreTemp(0))
 	}
+	if p.CoreTemp(0) <= p.CoreTemp(1) {
+		t.Errorf("busy core0 at %g °C, idle core1 at %g °C", p.CoreTemp(0), p.CoreTemp(1))
+	}
 	// Window accumulators reset: an immediate flush yields zero power.
 	e0 := p.TotalEnergyJ
-	if _, err := p.FlushWindow(window); err != nil {
+	if err := p.FlushWindow(window); err != nil {
 		t.Fatal(err)
 	}
 	if p.TotalEnergyJ != e0 {
@@ -110,11 +107,9 @@ func TestAccountSpanClampsUtilization(t *testing.T) {
 	p.Gov.Update(0, 0.65)
 	// Report more busy cycles than capacity: power must not explode.
 	p.AccountSpan(0, 100e-6, 1e12)
-	util, err := p.FlushWindow(10e-3)
-	if err != nil {
+	if err := p.FlushWindow(10e-3); err != nil {
 		t.Fatal(err)
 	}
-	_ = util
 	if p.TotalEnergyJ > 1e-3 {
 		t.Errorf("energy %g J from one clamped tick", p.TotalEnergyJ)
 	}

@@ -64,8 +64,6 @@ type BalancerParams struct {
 type Balancer struct {
 	p         BalancerParams
 	lastIssue float64
-	// counters for introspection
-	hotTriggers, coldTriggers, filtered int
 }
 
 // NewBalancer creates a balancer, applying defaults for zero fields.
@@ -133,10 +131,8 @@ func (b *Balancer) trigger(s *Snapshot, mean float64) (src, dst int, ok bool) {
 	}
 	switch {
 	case hot >= 0:
-		b.hotTriggers++
 		return hot, -1, true
 	case cold >= 0:
-		b.coldTriggers++
 		return -1, cold, true
 	default:
 		return -1, -1, false
@@ -250,7 +246,6 @@ func (b *Balancer) pickTask(s *Snapshot, from, to int) (ti int, bytes float64, o
 		}
 		// MiGra cost filter: predicted freeze within the QoS budget.
 		if s.EstimateFreeze != nil && s.EstimateFreeze(tv.Index) > b.p.MaxFreezeS {
-			b.filtered++
 			continue
 		}
 		imb := math.Abs(newFrom - newTo)

@@ -71,10 +71,14 @@ func TestHotTriggerMigratesFromHotToColdest(t *testing.T) {
 	if !ok {
 		t.Fatalf("action type %T", acts[0])
 	}
-	// Source must be the hot core 0; Eq. 1 picks the coldest target
-	// (core 2: largest (t_tgt-mean)² divisor).
-	if s.Tasks[taskByIndex(t, s, mg.Task)].Core != 0 {
-		t.Errorf("migrated task from core %d, want 0", s.Tasks[mg.Task].Core)
+	// Source must be the hot core 0, above the band; Eq. 1 picks the
+	// coldest target (core 2: largest (t_tgt-mean)² divisor).
+	src := s.Tasks[taskByIndex(t, s, mg.Task)].Core
+	if src != 0 {
+		t.Errorf("migrated task from core %d, want 0", src)
+	}
+	if s.Temp[src] <= s.MeanTemp+3 {
+		t.Errorf("hot trigger source core %d at %g °C is inside the band around %g", src, s.Temp[src], s.MeanTemp)
 	}
 	if mg.Dst != 2 {
 		t.Errorf("destination = %d, want 2 (coldest)", mg.Dst)
@@ -82,10 +86,6 @@ func TestHotTriggerMigratesFromHotToColdest(t *testing.T) {
 	// DEMOD (FSE .283) gives lower post-move imbalance than BPF1.
 	if s.Tasks[taskByIndex(t, s, mg.Task)].Name != "DEMOD" {
 		t.Errorf("moved %s, want DEMOD", s.Tasks[mg.Task].Name)
-	}
-	hot, cold := b.hotTriggers, b.coldTriggers
-	if hot != 1 || cold != 0 {
-		t.Errorf("triggers = (%d,%d)", hot, cold)
 	}
 }
 
@@ -207,20 +207,18 @@ func TestColdTriggerPullsLoadFromHotCore(t *testing.T) {
 	if s.Temp[src] <= s.MeanTemp {
 		t.Errorf("cold trigger pulled from core %d below mean", src)
 	}
-	if cold := b.coldTriggers; cold != 1 {
-		t.Errorf("cold triggers = %d", cold)
-	}
 }
 
 func TestFreezeCostFilter(t *testing.T) {
 	b := NewBalancer(BalancerParams{Delta: 3, MaxFreezeS: 0.010})
 	s := table2Snapshot(10)
-	s.EstimateFreeze = func(ti int) float64 { return 0.050 } // all too slow
+	estimates := 0
+	s.EstimateFreeze = func(ti int) float64 { estimates++; return 0.050 } // all too slow
 	if acts := b.Decide(s); acts != nil {
 		t.Errorf("cost filter did not reject: %v", acts)
 	}
-	if b.filtered == 0 {
-		t.Error("filter counter not incremented")
+	if estimates == 0 {
+		t.Error("no candidate reached the cost filter")
 	}
 	// Cheap migrations pass.
 	b2 := NewBalancer(BalancerParams{Delta: 3, MaxFreezeS: 0.10})

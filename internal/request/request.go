@@ -158,6 +158,9 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 	}
 	c.Delta = cmp.Or(req.Delta, sc.DefaultDelta, 3)
 	c.Package, c.QueueCap = rc.Package.String(), experiment.QueueCap(sc, rc.QueueCap)
+	if err := sc.CheckPrefill(c.QueueCap); err != nil {
+		return Request{}, experiment.RunConfig{}, err
+	}
 	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
 	// Phase and queue-capacity defaulting are experiment.Run's own
 	// cascades, so the cache identity always matches what executes.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -454,6 +455,43 @@ func TestInlineSpecQueueCapReachesRun(t *testing.T) {
 	sum := sha256.Sum256(body11)
 	if got, pin := hex.EncodeToString(sum[:]), "c2372984c4549e133a1333ecc4b1bd8fcb3bfed8d79587a6d330fe4af76a1e29"; got != pin {
 		t.Errorf("explicit queue_cap 11 document digest = %s, want %s", got, pin)
+	}
+}
+
+// An explicit sink prefill above the sink queue's effective capacity —
+// its own cap, else the request's queue_cap, else the spec's default —
+// could never be reached, so the sink would never play: Canonicalize
+// refuses it. A prefill the capacity holds is accepted.
+func TestCanonicalizeRefusesPrefillAboveCapacity(t *testing.T) {
+	sc, err := scenario.Lookup("sdr-radio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sc.Spec
+	sp.Graph.Queues = append([]scenario.QueueSpec(nil), sp.Graph.Queues...)
+	sink := slices.IndexFunc(sp.Graph.Queues, func(q scenario.QueueSpec) bool { return q.Name == sp.Graph.Sink.Queue })
+	if sink < 0 {
+		t.Fatal("sdr-radio's sink queue is not among its queues")
+	}
+	for _, tc := range []struct {
+		prefill, sinkCap, queueCap int
+		ok                         bool
+	}{
+		{prefill: 11, ok: true},                           // the spec default holds 11
+		{prefill: 12},                                     // above the spec default
+		{prefill: 12, queueCap: 12, ok: true},             // the request's queue_cap holds it
+		{prefill: 4, queueCap: 3},                         // above the request's queue_cap
+		{prefill: 15, sinkCap: 20, queueCap: 3, ok: true}, // the queue's own cap wins
+		{prefill: 21, sinkCap: 20, queueCap: 40},          // ... also over a larger override
+	} {
+		sp.Graph.Sink.Prefill, sp.Graph.Queues[sink].Cap = tc.prefill, tc.sinkCap
+		_, _, err := Canonicalize(Request{Spec: &sp, QueueCap: tc.queueCap})
+		if tc.ok && err != nil {
+			t.Errorf("%+v refused: %v", tc, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "graph.sink.prefill")) {
+			t.Errorf("%+v: err %v, want a graph.sink.prefill error", tc, err)
+		}
 	}
 }
 

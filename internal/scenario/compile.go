@@ -13,25 +13,43 @@ import (
 	"thermbal/internal/task"
 )
 
+// queueCap resolves queue q's capacity: an explicit per-queue cap
+// always wins; a defaultable queue takes the run's override queueCap
+// when positive, else the graph-level default.
+func (g GraphSpec) queueCap(q QueueSpec, queueCap int) int {
+	if q.Cap > 0 {
+		return q.Cap
+	}
+	if queueCap > 0 {
+		return queueCap
+	}
+	return g.QueueCap
+}
+
+// CheckPrefill refuses an explicit sink prefill above the sink queue's
+// capacity under the run's queue-capacity override queueCap (<= 0:
+// none). The queue could never reach it, so the sink would never play.
+// The derived prefill, half the capacity, always fits.
+func (s Scenario) CheckPrefill(queueCap int) error {
+	g := s.Graph
+	for _, q := range g.Queues {
+		if q.Name != g.Sink.Queue {
+			continue
+		}
+		if c := g.queueCap(q, queueCap); g.Sink.Prefill > c {
+			return fmt.Errorf("graph.sink.prefill %d exceeds the %d-frame capacity of sink queue %q", g.Sink.Prefill, c, q.Name)
+		}
+	}
+	return nil
+}
+
 // compile builds the instance a normalized spec describes: it replays
 // the graph in declaration order, assembles the platform and attaches
 // the modulator.
 func compile(n Spec, o Options) (*Instance, error) {
 	g := stream.NewGraph()
-	// Queue capacity resolution: an explicit per-queue cap always
-	// wins; defaultable queues take the run's override, else the
-	// graph-level default.
-	effCap := func(q QueueSpec) int {
-		if q.Cap > 0 {
-			return q.Cap
-		}
-		if o.QueueCap > 0 {
-			return o.QueueCap
-		}
-		return n.Graph.QueueCap
-	}
 	for _, q := range n.Graph.Queues {
-		if _, err := g.AddQueue(q.Name, effCap(q)); err != nil {
+		if _, err := g.AddQueue(q.Name, n.Graph.queueCap(q, o.QueueCap)); err != nil {
 			return nil, err
 		}
 	}

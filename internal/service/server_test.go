@@ -17,6 +17,7 @@ import (
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/request"
+	"thermbal/internal/scenario"
 	"thermbal/internal/sim"
 )
 
@@ -277,6 +278,28 @@ func TestCatalogueEndpoints(t *testing.T) {
 		resp, b = do(t, http.MethodPost, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "queue capacity") {
 			t.Errorf("%s queue_cap 65537: %d %s", c.path, resp.StatusCode, b)
+		}
+	}
+	// An inline spec whose sink prefill exceeds the sink queue's
+	// capacity could never play: refused on /run and /jobs, never run
+	// or cached.
+	sc, err := scenario.Lookup("sdr-radio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sc.Spec
+	sp.Graph.Sink.Prefill = 40
+	spec, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/run", `{"spec":` + string(spec) + `}`},
+		{"/jobs", `{"run":{"spec":` + string(spec) + `}}`},
+	} {
+		resp, b = do(t, http.MethodPost, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "graph.sink.prefill") {
+			t.Errorf("%s prefill 40 on 11-frame queues: %d %s", c.path, resp.StatusCode, b)
 		}
 	}
 	// So must trailing data — two concatenated objects would otherwise

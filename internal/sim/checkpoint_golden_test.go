@@ -94,19 +94,19 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	}{
 		{"sdr-radio/mobile", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "sdr-radio"), thermal.MobileEmbedded(), thermal.Euler, 12.5)
-		}, "887 0930f3382a5234d477c57d38dcd6cbebf5185d1e80969c4866acb79ccd945f12"},
+		}, "643 d67fe042c8b7658655bdc91c0d61ca82b4d85c4d8b4f7019850bff98a4275424"},
 		{"sdr-radio/highperf", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "sdr-radio"), thermal.HighPerformance(), thermal.Euler, 12.5)
-		}, "889 7775afa360d615475285efd92c5e0f33f4fd8d334b967a3d1e88a23837d2fb2c"},
+		}, "645 e85b20189173e644b390399cb5400fa3d9adb1681930d5fbd7010697c5917741"},
 		{"bursty-sdr", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "bursty-sdr"), thermal.MobileEmbedded(), thermal.Euler, 4.5)
-		}, "891 9ec0bbb8f03119f6efd9b8eff2051de663a2d200d2b203cfa87a37f13916cc27"},
+		}, "639 4c320d0370aa05583117aaabc0f7e99cfd94526fb1baa843c1b6cdf2f19b2ac3"},
 		{"manycore-64/expm", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "manycore-64"), thermal.MobileEmbedded(), thermal.Expm, 1)
-		}, "10082 fea1edad93d7f2e2ada81960cb5b5b55c468513f67cd3233d43669b3a2f0d2ad"},
+		}, "7932 0c94bd3fa1a739ea573515896fae83ed5c3799f220be1f16ee4da9658cd5c675"},
 		{"generated-7", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, gen, thermal.MobileEmbedded(), thermal.Euler, 0.2)
-		}, "2587 1e9f36fa833efa5b97f180f14f22383f23304856fa8145069ca2d67f687532e1"},
+		}, "2053 f53b582116fc99791ebb62d80f44c632359e6d37ae09fe25fe26bda96e4b0586"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.e(t)
@@ -119,7 +119,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	t.Run("mid-run", func(t *testing.T) {
 		e := midRun(t)
 		transferring(t, e)
-		if got, want := digest(checkpoint(t, e)), "1197 44e920de0469c5c1b88e88625d9f506df068b672aa6b55992d5001361868d1fc"; got != want {
+		if got, want := digest(checkpoint(t, e)), "819 aa463bb4d580cf60bd4c64631057003b5bb3cbf8bd335037957c0d4113d0845a"; got != want {
 			t.Errorf("checkpoint %s, want %s", got, want)
 		}
 	})

@@ -50,7 +50,7 @@ func snapshotRun(e *sim.Engine) fingerprint {
 		fp.temps += fmt.Sprintf("%x,%x;", e.Platform().CoreTemp(c), e.Platform().Frequency(c))
 	}
 	for _, t := range e.Graph().Tasks() {
-		fp.taskState += fmt.Sprintf("%s@%d:%x/%x/%d/%d;", t.Name, t.Core, t.Progress, t.BusyCycles, t.FramesCompleted, t.Migrations)
+		fp.taskState += fmt.Sprintf("%s@%d:%x/%d/%d;", t.Name, t.Core, t.Progress, t.FramesCompleted, t.Migrations)
 	}
 	st := e.Migrations().Stats()
 	fp.completed = st.Completed

@@ -578,7 +578,7 @@ func (e *Engine) sensorUpdate() error {
 		e.plat.AccountShared(float64(e.ticks-e.lastSharedFlush) * e.cfg.TickS)
 		e.lastSharedFlush = e.ticks
 	}
-	if _, err := e.plat.FlushWindow(e.cfg.SensorPeriodS); err != nil {
+	if err := e.plat.FlushWindow(e.cfg.SensorPeriodS); err != nil {
 		return err
 	}
 	for c := 0; c < e.plat.NumCores(); c++ {

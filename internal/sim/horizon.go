@@ -471,7 +471,7 @@ func (e *Engine) macroStep(span int64) {
 // accounts the k ticks.
 //
 // Every allocation deposits the same whole budget, so each accumulator
-// (a task's Progress and BusyCycles, the core's pending busy cycles)
+// (a task's Progress, the core's pending busy cycles)
 // receives a run of identical additions however the per-tick
 // interleaving is grouped. task.AddN computes such a run exactly in
 // O(1), so replay costs one ExecuteN per ring task, and its bits are

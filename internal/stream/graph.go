@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"thermbal/internal/ckpt"
 	"thermbal/internal/task"
@@ -24,10 +23,6 @@ type Graph struct {
 
 	source Source
 	sink   Sink
-
-	// pendingFrame tracks the frame identity each in-flight task
-	// carries between BeginFrame and FinishFrame. Sized by Finalize.
-	pendingFrame []Frame
 }
 
 // Source paces frames into the head queue at a fixed real-time rate
@@ -68,9 +63,6 @@ type Sink struct {
 	// empty queue.
 	Consumed int64
 	Misses   int64
-	// LatencySum accumulates (consume time - frame creation) for mean
-	// pipeline latency.
-	LatencySum float64
 }
 
 // nextDeadlineAt is the next deadline, derived from the deadline count
@@ -137,7 +129,8 @@ func (g *Graph) SetSource(qi int, period float64) error {
 
 // SetSink attaches the deadline sink to queue qi. Playback starts once
 // the queue first reaches prefill frames; after that one frame is due
-// every period.
+// every period. A prefill above the queue's capacity could never be
+// reached, so it is refused.
 func (g *Graph) SetSink(qi int, period float64, prefill int) error {
 	if qi < 0 || qi >= len(g.queues) {
 		return fmt.Errorf("stream: sink queue %d unknown", qi)
@@ -147,6 +140,9 @@ func (g *Graph) SetSink(qi int, period float64, prefill int) error {
 	}
 	if prefill < 1 {
 		return errors.New("stream: sink prefill must be >= 1")
+	}
+	if q := g.queues[qi]; prefill > q.cap {
+		return fmt.Errorf("stream: sink prefill %d exceeds queue %q capacity %d", prefill, q.name, q.cap)
 	}
 	g.sink = Sink{queue: qi, period: period, prefill: prefill}
 	return nil
@@ -205,43 +201,28 @@ func (g *Graph) BeginFrame(i int) error {
 	if !g.CanFire(i) {
 		return fmt.Errorf("stream: task %q cannot fire", g.tasks[i].Name)
 	}
-	var oldest Frame
-	first := true
 	for _, qi := range g.inputs[i] {
-		f, ok := g.queues[qi].Pop()
-		if !ok {
+		if !g.queues[qi].Pop() {
 			// CanFire guaranteed non-empty; this is a graph bug.
 			panic(fmt.Sprintf("stream: queue %q empty during BeginFrame", g.queues[qi].Name()))
 		}
-		if first || f.Created < oldest.Created {
-			oldest = f
-			first = false
-		}
 	}
-	if err := g.tasks[i].StartFrame(); err != nil {
-		return err
-	}
-	// Remember frame identity for propagation on completion.
-	g.pendingFrame[i] = oldest
-	return nil
+	return g.tasks[i].StartFrame()
 }
 
 // FinishFrame propagates task i's completed frame into every output
 // queue. The engine calls it when Task.Execute reports completion.
+// Space was checked by CanFire at begin time, but another producer
+// sharing a queue may have filled it within the tick; Push counts
+// that as an overrun.
 func (g *Graph) FinishFrame(i int) {
-	f := g.pendingFrame[i]
 	for _, qi := range g.outputs[i] {
-		if !g.queues[qi].Push(f) {
-			// Space was reserved by CanFire at begin time, but another
-			// producer sharing the queue may have raced us within the
-			// tick; count as overrun (already counted by Push).
-			continue
-		}
+		g.queues[qi].Push()
 	}
 }
 
-// Finalize validates the graph and sizes internal buffers. It must be
-// called once wiring is complete, before execution.
+// Finalize validates the graph. It must be called once wiring is
+// complete, before execution.
 func (g *Graph) Finalize() error {
 	if len(g.tasks) == 0 {
 		return errors.New("stream: no tasks")
@@ -274,7 +255,6 @@ func (g *Graph) Finalize() error {
 			return fmt.Errorf("stream: queue %q has no consumer", q.Name())
 		}
 	}
-	g.pendingFrame = make([]Frame, len(g.tasks))
 	return nil
 }
 
@@ -287,8 +267,7 @@ func (g *Graph) AdvanceSource(now float64) (pushed bool) {
 		s.base = now
 	}
 	for now >= s.nextEmissionAt()-1e-12 {
-		f := Frame{ID: s.next, Created: s.nextEmissionAt()}
-		if g.queues[s.queue].Push(f) {
+		if g.queues[s.queue].Push() {
 			s.Emitted++
 			pushed = true
 		} else {
@@ -312,9 +291,8 @@ func (g *Graph) AdvanceSink(now float64) (popped bool) {
 		return false
 	}
 	for now >= k.nextDeadlineAt()-1e-12 {
-		if f, ok := q.Pop(); ok {
+		if q.Pop() {
 			k.Consumed++
-			k.LatencySum += k.nextDeadlineAt() - f.Created
 			popped = true
 		} else {
 			k.Misses++
@@ -374,16 +352,15 @@ func (g *Graph) Inputs(i int) []int { return g.inputs[i] }
 func (g *Graph) Outputs(i int) []int { return g.outputs[i] }
 
 // Ckpt writes or reads the graph's mutable state: every task's load
-// and progress, every queue's frames and counters, the source and sink
-// schedules and the frames in flight. Task and queue handles stay
-// valid across a restore; only their contents change.
+// and progress, every queue's frame count and counters, and the source
+// and sink schedules. Task and queue handles stay valid across a
+// restore; only their contents change.
 func (g *Graph) Ckpt(c *ckpt.Codec) {
 	c.Len(len(g.tasks))
 	for _, t := range g.tasks {
 		c.Float(&t.FSE)
 		c.Float(&t.CyclesPerFrame)
 		c.Float(&t.Progress)
-		c.Float(&t.BusyCycles)
 		c.Int64(&t.FramesCompleted)
 		c.Int(&t.Core)
 		c.Int(&t.Migrations)
@@ -392,23 +369,14 @@ func (g *Graph) Ckpt(c *ckpt.Codec) {
 	}
 	c.Len(len(g.queues))
 	for _, q := range g.queues {
-		c.Int64(&q.pushes)
-		c.Int64(&q.pops)
 		c.Float(&q.occSum)
 		c.Int64(&q.occSamples)
 		c.Int(&q.maxOcc)
 		c.Int64(&q.overruns)
-		n := len(q.buf)
-		c.Count(&n)
-		if c.Reading() {
-			if n > q.cap {
-				c.Fail(fmt.Errorf("stream: restoring %d frames into queue %q of capacity %d", n, q.name, q.cap))
-				n = q.cap
-			}
-			q.buf = slices.Grow(q.buf[:0], n)[:n]
-		}
-		for i := range q.buf {
-			q.buf[i].ckpt(c)
+		c.Int(&q.n)
+		if c.Reading() && (q.n < 0 || q.n > q.cap) {
+			c.Fail(fmt.Errorf("stream: restoring %d frames into queue %q of capacity %d", q.n, q.name, q.cap))
+			q.n = 0
 		}
 	}
 	s := &g.source
@@ -423,13 +391,4 @@ func (g *Graph) Ckpt(c *ckpt.Codec) {
 	c.Int64(&k.fired)
 	c.Int64(&k.Consumed)
 	c.Int64(&k.Misses)
-	c.Float(&k.LatencySum)
-	for i := range g.pendingFrame {
-		g.pendingFrame[i].ckpt(c)
-	}
-}
-
-func (f *Frame) ckpt(c *ckpt.Codec) {
-	c.Int64(&f.ID)
-	c.Float(&f.Created)
 }

@@ -108,7 +108,7 @@ func TestSDREndToEndIdealProcessor(t *testing.T) {
 	}
 	// Every intermediate queue must have seen traffic.
 	for qi := 0; qi < g.NumQueues(); qi++ {
-		if g.Queue(qi).Stats().Pushes == 0 {
+		if g.Queue(qi).Stats().MaxLevel == 0 {
 			t.Errorf("queue %s never received a frame", g.Queue(qi).Name())
 		}
 	}
@@ -165,13 +165,13 @@ func TestSumRequiresAllThreeBPFs(t *testing.T) {
 	// Push frames into only two of the three BPF output queues.
 	q1, _ := g.QueueIndex("q:bpf1-sum")
 	q2, _ := g.QueueIndex("q:bpf2-sum")
-	g.Queue(q1).Push(stream.Frame{ID: 1})
-	g.Queue(q2).Push(stream.Frame{ID: 1})
+	g.Queue(q1).Push()
+	g.Queue(q2).Push()
 	if g.CanFire(sum) {
 		t.Error("SUM fired with only 2 of 3 inputs")
 	}
 	q3, _ := g.QueueIndex("q:bpf3-sum")
-	g.Queue(q3).Push(stream.Frame{ID: 1})
+	g.Queue(q3).Push()
 	if !g.CanFire(sum) {
 		t.Error("SUM not firable with all inputs present")
 	}
@@ -181,24 +181,6 @@ func TestSumRequiresAllThreeBPFs(t *testing.T) {
 	}
 	if g.Queue(q1).Len() != 0 || g.Queue(q2).Len() != 0 || g.Queue(q3).Len() != 0 {
 		t.Error("SUM did not consume one frame from each input")
-	}
-}
-
-func TestSinkLatencyAccounting(t *testing.T) {
-	g := instance(t, "sdr-radio")
-	idealRun(t, g, 2.0)
-	snk := g.SinkStats()
-	if snk.Consumed == 0 {
-		t.Fatal("no frames consumed")
-	}
-	mean := snk.LatencySum / float64(snk.Consumed)
-	if mean <= 0 {
-		t.Errorf("mean pipeline latency = %g, want positive", mean)
-	}
-	// With prefill 6 frames at 20 ms the latency is dominated by the
-	// prefill delay; it must stay below the full pipeline worst case.
-	if mean > 1.0 {
-		t.Errorf("mean latency %g s implausibly high", mean)
 	}
 }
 
@@ -255,8 +237,8 @@ func TestNextEventQueries(t *testing.T) {
 	if !ok {
 		t.Fatal("sink queue missing")
 	}
-	for i := 0; g.Queue(qi).Len() < stream.DefaultQueueCap/2+1; i++ {
-		g.Queue(qi).Push(stream.Frame{ID: int64(i)})
+	for g.Queue(qi).Len() < stream.DefaultQueueCap/2+1 {
+		g.Queue(qi).Push()
 	}
 	if !math.IsInf(g.NextSinkDeadlineAt(), -1) {
 		t.Error("prefilled sink not imminent")

@@ -4,6 +4,8 @@
 // when every input queue holds a frame and every output queue has room,
 // and a real-time sink drains frames on a deadline schedule — an empty
 // sink queue at a deadline is a frame miss, the paper's QoS metric.
+// Frames are interchangeable: a queue is a count of buffered frames,
+// not a FIFO of frame values.
 // Concrete graphs are declared as scenario specs and compiled onto this
 // model by package scenario.
 package stream
@@ -21,27 +23,20 @@ const DefaultFramePeriod = 0.020
 // migration without QoS impact (Section 5.2).
 const DefaultQueueCap = 11
 
-// Frame is one unit of streaming data (e.g. one audio frame).
-type Frame struct {
-	// ID is the sequence number assigned by the source.
-	ID int64
-	// Created is the simulation time the source emitted the frame.
-	Created float64
-}
-
-// Queue is a bounded FIFO message queue between two pipeline stages,
-// living in shared memory on the real platform.
+// Queue is a bounded message queue between two pipeline stages,
+// living in shared memory on the real platform. Frames carry no
+// identity the model reads, so a queue is a count of buffered frames
+// bounded by its capacity.
 type Queue struct {
 	name string
 	cap  int
-	buf  []Frame
+	n    int
 
 	// occupancy statistics
-	pushes, pops int64
-	occSum       float64 // sum of Len() sampled at each push/pop
-	occSamples   int64
-	maxOcc       int
-	overruns     int64 // pushes rejected because the queue was full
+	occSum     float64 // sum of Len() sampled at each push/pop
+	occSamples int64
+	maxOcc     int
+	overruns   int64 // pushes rejected because the queue was full
 }
 
 // NewQueue creates a queue with the given capacity (must be positive).
@@ -59,55 +54,48 @@ func (q *Queue) Name() string { return q.name }
 func (q *Queue) Cap() int { return q.cap }
 
 // Len returns the number of buffered frames.
-func (q *Queue) Len() int { return len(q.buf) }
+func (q *Queue) Len() int { return q.n }
 
 // Empty reports whether the queue holds no frames.
-func (q *Queue) Empty() bool { return len(q.buf) == 0 }
+func (q *Queue) Empty() bool { return q.n == 0 }
 
 // Full reports whether the queue is at capacity.
-func (q *Queue) Full() bool { return len(q.buf) >= q.cap }
+func (q *Queue) Full() bool { return q.n >= q.cap }
 
-// Push appends a frame; it returns false (and counts an overrun) when
-// the queue is full.
-func (q *Queue) Push(f Frame) bool {
+// Push adds a frame; it returns false (and counts an overrun) when the
+// queue is full.
+func (q *Queue) Push() bool {
 	if q.Full() {
 		q.overruns++
 		return false
 	}
-	q.buf = append(q.buf, f)
-	q.pushes++
+	q.n++
 	q.sampleOcc()
 	return true
 }
 
-// Pop removes and returns the oldest frame; ok is false when empty.
-func (q *Queue) Pop() (f Frame, ok bool) {
-	if len(q.buf) == 0 {
-		return Frame{}, false
+// Pop removes a frame; it returns false when the queue is empty.
+func (q *Queue) Pop() bool {
+	if q.n == 0 {
+		return false
 	}
-	f = q.buf[0]
-	// Shift rather than reslice to keep the backing array bounded.
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
-	q.pops++
+	q.n--
 	q.sampleOcc()
-	return f, true
+	return true
 }
 
 func (q *Queue) sampleOcc() {
-	q.occSum += float64(len(q.buf))
+	q.occSum += float64(q.n)
 	q.occSamples++
-	if len(q.buf) > q.maxOcc {
-		q.maxOcc = len(q.buf)
+	if q.n > q.maxOcc {
+		q.maxOcc = q.n
 	}
 }
 
-// Stats summarises queue behaviour over a run.
+// QueueStats summarises queue behaviour over a run.
 type QueueStats struct {
 	Name      string
 	Cap       int
-	Pushes    int64
-	Pops      int64
 	Overruns  int64
 	MeanLevel float64
 	MaxLevel  int
@@ -118,8 +106,6 @@ func (q *Queue) Stats() QueueStats {
 	s := QueueStats{
 		Name:     q.name,
 		Cap:      q.cap,
-		Pushes:   q.pushes,
-		Pops:     q.pops,
 		Overruns: q.overruns,
 		MaxLevel: q.maxOcc,
 	}

@@ -76,8 +76,6 @@ type Task struct {
 
 	// FramesCompleted counts finished frames.
 	FramesCompleted int64
-	// BusyCycles accumulates executed cycles.
-	BusyCycles float64
 	// Migrations counts completed migrations of this task.
 	Migrations int
 }
@@ -173,13 +171,11 @@ func (t *Task) Execute(cycles float64) (consumed float64, frameDone bool) {
 	need := t.CyclesPerFrame - t.Progress
 	if cycles >= need {
 		t.Progress = t.CyclesPerFrame
-		t.BusyCycles += need
 		t.InFlight = false
 		t.FramesCompleted++
 		return need, true
 	}
 	t.Progress += cycles
-	t.BusyCycles += cycles
 	return cycles, false
 }
 
@@ -199,7 +195,6 @@ func (t *Task) ExecuteN(budget float64, n int64) (frameDone bool) {
 		return true
 	}
 	t.Progress = p + budget
-	t.BusyCycles = AddN(t.BusyCycles, budget, n)
 	return false
 }
 

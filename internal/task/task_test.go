@@ -73,9 +73,6 @@ func TestFrameLifecycle(t *testing.T) {
 	if tk.FramesCompleted != 1 {
 		t.Errorf("FramesCompleted = %d", tk.FramesCompleted)
 	}
-	if tk.BusyCycles != 50 {
-		t.Errorf("BusyCycles = %g", tk.BusyCycles)
-	}
 	if tk.InFlight {
 		t.Error("still in flight after completion")
 	}
@@ -260,7 +257,7 @@ func TestExecuteNMatchesSequentialExecute(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		tk := MustNew("p", 0.5)
 		tk.InFlight = true
-		tk.Progress, tk.BusyCycles = drawStart(r), drawStart(r)
+		tk.Progress = drawStart(r)
 		budget, n := drawBudget(r), r.Int63n(3000)
 		// Put the completion near the n-th allocation.
 		tk.CyclesPerFrame = tk.Progress + budget*float64(n+r.Int63n(5)-2) + drawStart(r)*float64(r.Intn(2))

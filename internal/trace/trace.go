@@ -11,9 +11,9 @@ import (
 	"sync/atomic"
 )
 
-// Process-wide drop totals across every recorder, alive or discarded.
-// Recorders are per-engine and usually short-lived, so their own
-// Dropped counters vanish with them; these survive for /metrics.
+// Process-wide drop totals across every recorder, alive or discarded,
+// for /metrics. Recorders are per-engine and usually short-lived, so
+// they keep no drop counts of their own.
 var (
 	totalDroppedSamples atomic.Int64
 	totalDroppedEvents  atomic.Int64
@@ -47,13 +47,11 @@ type Event struct {
 // long runs — a thrashing policy can emit events far faster than the
 // sensor period, so both buffers are bounded.
 type Recorder struct {
-	cores         int
-	samples       []Sample
-	events        []Event
-	maxSamples    int
-	maxEvents     int
-	dropped       int
-	droppedEvents int
+	cores      int
+	samples    []Sample
+	events     []Event
+	maxSamples int
+	maxEvents  int
 }
 
 // DefaultMaxSamples bounds the sample buffer (at the 10 ms sensor period
@@ -78,7 +76,6 @@ func New(n, maxSamples int) *Recorder {
 // AddSample appends a timeline row (copying the slices).
 func (r *Recorder) AddSample(s Sample) {
 	if len(r.samples) >= r.maxSamples {
-		r.dropped++
 		totalDroppedSamples.Add(1)
 		return
 	}
@@ -95,7 +92,6 @@ func (r *Recorder) AddSample(s Sample) {
 // beyond MaxEvents are counted as dropped instead of buffered.
 func (r *Recorder) AddEvent(t float64, kind, format string, args ...any) {
 	if len(r.events) >= r.maxEvents {
-		r.droppedEvents++
 		totalDroppedEvents.Add(1)
 		return
 	}

@@ -48,14 +48,15 @@ func TestSampleCopySemantics(t *testing.T) {
 
 func TestSampleCap(t *testing.T) {
 	r := New(1, 3)
+	before := TotalDroppedSamples()
 	for i := 0; i < 5; i++ {
 		r.AddSample(Sample{Time: float64(i), Temp: []float64{1}, Freq: []float64{1}})
 	}
 	if len(r.Samples()) != 3 {
 		t.Errorf("samples = %d, want cap 3", len(r.Samples()))
 	}
-	if r.dropped != 2 {
-		t.Errorf("dropped = %d", r.dropped)
+	if d := TotalDroppedSamples() - before; d != 2 {
+		t.Errorf("dropped = %d", d)
 	}
 }
 
@@ -94,27 +95,29 @@ func TestShortRowsPadded(t *testing.T) {
 func TestEventCap(t *testing.T) {
 	r := New(1, 4)
 	r.maxEvents = 3
+	samples, events := TotalDroppedSamples(), TotalDroppedEvents()
 	for i := 0; i < 10; i++ {
 		r.AddEvent(float64(i), "migrate-req", "event %d", i)
 	}
 	if len(r.Events()) != 3 {
 		t.Errorf("events buffered = %d, want 3", len(r.Events()))
 	}
-	if r.droppedEvents != 7 {
-		t.Errorf("dropped events = %d, want 7", r.droppedEvents)
+	if d := TotalDroppedEvents() - events; d != 7 {
+		t.Errorf("dropped events = %d, want 7", d)
 	}
 	if r.Events()[2].Text != "event 2" {
 		t.Errorf("kept wrong events: last = %q", r.Events()[2].Text)
 	}
 	// Samples are unaffected by the event cap.
 	r.AddSample(Sample{Time: 1, Temp: []float64{40}, Freq: []float64{1}})
-	if len(r.Samples()) != 1 || r.dropped != 0 {
-		t.Errorf("samples %d dropped %d", len(r.Samples()), r.dropped)
+	if d := TotalDroppedSamples() - samples; len(r.Samples()) != 1 || d != 0 {
+		t.Errorf("samples %d dropped %d", len(r.Samples()), d)
 	}
 }
 
 func TestEventCapDefaults(t *testing.T) {
 	r := New(1, 0)
+	before := TotalDroppedEvents()
 	r.AddEvent(0, "k", "x")
 	if len(r.Events()) != 1 {
 		t.Fatal("default-capped recorder rejected first event")
@@ -125,7 +128,7 @@ func TestEventCapDefaults(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.AddEvent(float64(i), "k", "y")
 	}
-	if r.droppedEvents != 0 {
-		t.Errorf("dropped %d under default cap", r.droppedEvents)
+	if d := TotalDroppedEvents() - before; d != 0 {
+		t.Errorf("dropped %d under default cap", d)
 	}
 }

@@ -270,3 +270,18 @@ func TestRunFacadeRejectsNonFiniteInputs(t *testing.T) {
 		}
 	}
 }
+
+// A spec whose sink prefill exceeds the sink queue's capacity is an
+// error from the facade, as from the service: the sink could never
+// fill to its threshold and would report no deadlines.
+func TestRunSpecRejectsPrefillAboveCapacity(t *testing.T) {
+	sp := GenerateScenario(7)
+	sp.Graph.Sink.Prefill = 40
+	if _, err := RunSpec(sp, Config{WarmupS: 0.1, MeasureS: 0.1}); err == nil || !strings.Contains(err.Error(), "graph.sink.prefill") {
+		t.Errorf("prefill 40 on %d-frame queues: %v", sp.Graph.QueueCap, err)
+	}
+	sp.Graph.Sink.Prefill = 2
+	if _, err := RunSpec(sp, Config{WarmupS: 0.1, MeasureS: 0.1, QueueCap: 2}); err != nil {
+		t.Errorf("prefill 2 on 2-frame queues: %v", err)
+	}
+}
