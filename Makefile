@@ -6,9 +6,9 @@ GO ?= go
 BENCH_DATE := $(shell date -u +%F)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).json
 
-.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-ab load-json smoke-expm smoke-spec fuzz-smoke check-386 fma-check loc clean
+.PHONY: check build vet fmt-check lint doclint print-staticcheck-version vulncheck print-govulncheck-version test race cover cover-check serve smoke-load bench bench-smoke bench-golden bench-thermal bench-json bench-ab load-json smoke-expm fuzz-smoke check-386 fma-check loc clean
 
-check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-spec smoke-load fuzz-smoke check-386 fma-check
+check: fmt-check vet lint doclint build race bench-smoke bench-golden smoke-expm smoke-load fuzz-smoke check-386 fma-check
 
 build:
 	$(GO) build ./...
@@ -172,19 +172,6 @@ smoke-expm:
 	$(GO) run ./cmd/thermsim -scenario manycore-256 -integrator expm -warmup 0.2 -measure 0.3
 	$(GO) test -run 'ZeroAllocs|NoDenseState' ./internal/thermal
 
-# Declarative-spec round trip through the real CLI: export a builtin
-# as a spec, run it back through -scenario-file, and require the run
-# document — content address included — byte-identical to the named
-# run's. This is the end-to-end form of the coalescing guarantee: both
-# spellings of one workload share one key.
-smoke-spec:
-	$(GO) run ./cmd/thermsim -scenario sdr-radio -dump-spec > .spec.tmp.json
-	$(GO) run ./cmd/thermsim -scenario-file .spec.tmp.json -policy tb -delta 3 -warmup 0.5 -measure 1 -json > .spec-run-a.json
-	$(GO) run ./cmd/thermsim -scenario sdr-radio -policy tb -delta 3 -warmup 0.5 -measure 1 -json > .spec-run-b.json
-	cmp .spec-run-a.json .spec-run-b.json
-	@rm -f .spec.tmp.json .spec-run-a.json .spec-run-b.json
-	@echo "smoke-spec: inline-spec run is byte-identical to the named run"
-
 # Coverage-guided fuzz passes: 20 s over the spec validator (no
 # panics, stable accept/reject verdicts, byte-stable round trips), then
 # 10 s over generated workloads whose warm-up is restored from a
@@ -318,6 +305,6 @@ loc:
 # bench/coverage outputs, and stray compiled test binaries
 # (`go test -c` artifacts like thermbal.test).
 clean:
-	@rm -f .bench.tmp bench-ci.json coverage*.out .spec.tmp.json .spec-run-a.json .spec-run-b.json
+	@rm -f .bench.tmp bench-ci.json coverage*.out
 	@find . -name '*.test' -type f -delete
 	$(GO) clean ./...

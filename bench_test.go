@@ -160,7 +160,7 @@ func BenchmarkFig11MigrationRate(b *testing.B) {
 // benchSweepWorkers runs a reduced threshold sweep (both packages,
 // thermal-balance at every threshold, short windows) across the given
 // worker count — the wall-clock comparison for the parallel Runner.
-func benchSweepWorkers(b *testing.B, workers int, th thermal.Config) {
+func benchSweepWorkers(b *testing.B, workers int, th thermal.Scheme) {
 	b.Helper()
 	var cfgs []experiment.RunConfig
 	for _, pkg := range []experiment.PackageSel{experiment.Mobile, experiment.HighPerf} {
@@ -185,19 +185,19 @@ func benchSweepWorkers(b *testing.B, workers int, th thermal.Config) {
 }
 
 // BenchmarkSweepSerial is the pre-refactor behavior: one run at a time.
-func BenchmarkSweepSerial(b *testing.B) { benchSweepWorkers(b, 1, thermal.Config{}) }
+func BenchmarkSweepSerial(b *testing.B) { benchSweepWorkers(b, 1, thermal.Euler) }
 
 // BenchmarkSweepSerialExpm is the same sweep under the exact
 // matrix-exponential scheme: memoized dense propagators replace the
 // Euler substep loop and the engine batches span accounting exactly.
 func BenchmarkSweepSerialExpm(b *testing.B) {
-	benchSweepWorkers(b, 1, thermal.Config{Scheme: thermal.Expm})
+	benchSweepWorkers(b, 1, thermal.Expm)
 }
 
 // BenchmarkSweepParallel spreads the same runs over GOMAXPROCS workers;
 // the wall-clock ratio to BenchmarkSweepSerial is the Runner's speedup.
 func BenchmarkSweepParallel(b *testing.B) {
-	benchSweepWorkers(b, runtime.GOMAXPROCS(0), thermal.Config{})
+	benchSweepWorkers(b, runtime.GOMAXPROCS(0), thermal.Euler)
 }
 
 // BenchmarkEngineTick measures raw simulation throughput: simulated
@@ -205,7 +205,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 // policy), the emulation-speed figure of merit of the framework itself.
 func BenchmarkEngineTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Policy: ThermalBalance, Delta: 3, WarmupS: 1, MeasureS: 4})
+		res, err := Run(Config{Policy: "thermal-balance", Delta: 3, WarmupS: 1, MeasureS: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func BenchmarkManycore32TickStepped(b *testing.B) { benchManycore32(b, true) }
 
 // benchManycore runs a tiled many-core scenario under the balancing
 // policy for the benchmark module's manycore window (1 s + 2 s).
-func benchManycore(b *testing.B, name string, th thermal.Config) {
+func benchManycore(b *testing.B, name string, th thermal.Scheme) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, _, err := experiment.Run(experiment.RunConfig{
@@ -269,14 +269,14 @@ func benchManycore(b *testing.B, name string, th thermal.Config) {
 // per-core event calendar keeps those ticks to the few due cores; the
 // quiet cores' allocations are owed and applied in per-task batches
 // when a core is next touched, at the latest at the sensor update.
-func BenchmarkManycore256(b *testing.B) { benchManycore(b, "manycore-256", thermal.Config{}) }
+func BenchmarkManycore256(b *testing.B) { benchManycore(b, "manycore-256", thermal.Euler) }
 
 // BenchmarkManycore64Expm is the largest die on which expm propagates
 // densely (the benchmark module's other manycore configuration). Since
 // the event calendar the dense thermal side — propagation and
 // propagator builds — dominates it; the engine takes under a fifth.
 func BenchmarkManycore64Expm(b *testing.B) {
-	benchManycore(b, "manycore-64", thermal.Config{Scheme: thermal.Expm})
+	benchManycore(b, "manycore-64", thermal.Expm)
 }
 
 // BenchmarkAblations runs the design-choice ablation suite (daemon

@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := experiment.Options{Runner: experiment.Runner{Workers: *workers}, Thermal: thermal.Config{Scheme: scheme}, Scenario: &sc}
+	opt := experiment.Options{Runner: experiment.Runner{Workers: *workers}, Thermal: scheme, Scenario: &sc}
 	if *scenarioFl != "" || *scenFile != "" {
 		fmt.Printf("scenario: %s (%s)\n\n", cliutil.ScenarioName(sc), sc.Topology)
 	}

@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -119,15 +120,12 @@ func main() {
 		Package: *pkgName, WarmupS: *warmup, MeasureS: *measure,
 		QueueCap: *queueCap, Mechanism: mech, Integrator: *integrator,
 	}
-	// The flags resolve here first, not only in Canonicalize, so that a
-	// file path passed to -scenario gets the CLI's -scenario-file hint;
-	// the resolved scenario also heads the text reports.
-	sc, err := cliutil.ResolveScenarioArg(*scenarioFl, *scenFile)
-	if err != nil {
+	// A name resolves here first, not only in Canonicalize, so that a
+	// file path passed to -scenario gets the CLI's -scenario-file hint.
+	// A spec file is only decoded here: Canonicalize normalizes it, once.
+	var err error
+	if req.Spec, err = cliutil.SpecArg(*scenarioFl, *scenFile); err != nil {
 		log.Fatal(err)
-	}
-	if *scenFile != "" {
-		req.Spec = &sc.Spec
 	}
 	trace := *traceOut != "" || *eventsOut != ""
 	if *policyName == "all" {
@@ -137,29 +135,26 @@ func main() {
 		if trace {
 			log.Fatal("-trace/-events require a single policy")
 		}
-		comparePolicies(runner, sc, req)
+		comparePolicies(runner, req, *scenFile)
 		return
 	}
-	canon, rc, err := request.Canonicalize(req)
-	if err != nil {
-		log.Fatal(err)
-	}
+	canon, rc := canonicalize(req, *scenFile)
 	// Tracing and the fast-path switch are execution-only: results are
 	// bit-for-bit identical either way, so they are not part of the
 	// request identity and A/B runs emit the same document.
 	rc.Trace = trace
 	rc.NoFastPath = *noFastPath
 
+	if *jsonOut && trace {
+		log.Fatal("-json cannot be combined with -trace/-events")
+	}
+	res, eng, err := experiment.Run(rc)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *jsonOut {
 		// One encoder, two consumers: for equal configurations the
 		// emitted bytes equal the service's /run response body.
-		if trace {
-			log.Fatal("-json cannot be combined with -trace/-events")
-		}
-		res, eng, err := experiment.Run(rc)
-		if err != nil {
-			log.Fatal(err)
-		}
 		body, err := request.EncodeDoc(request.NewRunDoc(canon, res))
 		if err != nil {
 			log.Fatal(err)
@@ -171,11 +166,7 @@ func main() {
 		return
 	}
 
-	res, eng, err := experiment.Run(rc)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	sc := reportScenario(rc)
 	fmt.Printf("scenario         %s (%s)\n", cliutil.ScenarioName(sc), sc.Topology)
 	fmt.Printf("policy           %s\n", res.PolicyName)
 	fmt.Printf("package          %s\n", canon.Package)
@@ -233,28 +224,50 @@ func main() {
 	}
 }
 
-// comparePolicies runs every registered policy on req's scenario, sc,
-// and configuration across the worker pool and prints a side-by-side
-// summary.
-func comparePolicies(runner experiment.Runner, sc scenario.Scenario, req request.Request) {
+// canonicalize resolves req, exiting on an error; a spec's validation
+// failure names specFile, the file it was read from.
+func canonicalize(req request.Request, specFile string) (request.Request, experiment.RunConfig) {
+	canon, rc, err := request.Canonicalize(req)
+	if se := (*scenario.SpecError)(nil); errors.As(err, &se) {
+		log.Fatalf("scenario spec %s: %v", specFile, err)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	return canon, rc
+}
+
+// reportScenario is the scenario a report header names: a spec run's
+// own, or the catalogue entry of a named or builtin-equal request.
+func reportScenario(rc experiment.RunConfig) scenario.Scenario {
+	if rc.Resolved != nil {
+		return *rc.Resolved
+	}
+	sc, _ := scenario.Lookup(rc.Scenario) // Canonicalize found it
+	return sc
+}
+
+// comparePolicies runs every registered policy on req's scenario and
+// configuration across the worker pool and prints a side-by-side
+// summary. req is canonicalized once; each run differs from it only in
+// its policy.
+func comparePolicies(runner experiment.Runner, req request.Request, specFile string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	policies := policy.Names()
-	var canon request.Request
+	req.Policy = policies[0]
+	canon, rc := canonicalize(req, specFile)
 	cfgs := make([]experiment.RunConfig, len(policies))
 	for i, pol := range policies {
-		req.Policy = pol
-		var err error
-		if canon, cfgs[i], err = request.Canonicalize(req); err != nil {
-			log.Fatal(err)
-		}
+		cfgs[i] = rc
+		cfgs[i].PolicyName = pol
 	}
 	results, err := experiment.RunAll(ctx, runner, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scenario %s, package %s, threshold ±%.1f °C, integrator %s\n\n",
-		cliutil.ScenarioName(sc), canon.Package, canon.Delta, canon.Integrator)
+		cliutil.ScenarioName(reportScenario(rc)), canon.Package, canon.Delta, canon.Integrator)
 	fmt.Println("policy           std[°C]  spatial  misses  rate%   migr  mig/s  energy[J]")
 	for i, pol := range policies {
 		r := results[i]

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermbal/internal/policy"
 	"thermbal/internal/request"
 )
 
@@ -145,5 +146,60 @@ func TestNonFiniteInputsExit(t *testing.T) {
 		if stdout != "" {
 			t.Errorf("thermsim %v printed %q before failing", c.args, stdout)
 		}
+	}
+}
+
+// TestSpecRoundTrip: a builtin exported with -dump-spec and run back
+// through -scenario-file canonicalizes onto the builtin's name, so its
+// -json document, content address included, is byte-identical to the
+// named run's, and -policy all prints the same policy rows for both.
+func TestSpecRoundTrip(t *testing.T) {
+	spec, stderr, err := thermsim("-scenario", "sdr-radio", "-dump-spec")
+	if err != nil {
+		t.Fatalf("-dump-spec: %v\n%s", err, stderr)
+	}
+	path := filepath.Join(t.TempDir(), "sdr-radio.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		out, stderr, err := thermsim(append(args, "-warmup", "0.5", "-measure", "1")...)
+		if err != nil {
+			t.Fatalf("thermsim %v: %v\n%s", args, err, stderr)
+		}
+		return out
+	}
+	byFile := run("-scenario-file", path, "-policy", "tb", "-delta", "3", "-json")
+	byName := run("-scenario", "sdr-radio", "-policy", "tb", "-delta", "3", "-json")
+	if byFile != byName {
+		t.Errorf("-scenario-file document differs from the named run's:\n file: %s\n name: %s", byFile, byName)
+	}
+	// The policy table follows the header and a blank line.
+	table := func(out string) string {
+		_, rows, _ := strings.Cut(out, "\n\n")
+		return rows
+	}
+	fileRows := table(run("-scenario-file", path, "-policy", "all"))
+	if want := 1 + len(policy.Names()); strings.Count(fileRows, "\n") != want {
+		t.Errorf("-policy all on the file printed %d lines, want a header and %d policy rows:\n%s",
+			strings.Count(fileRows, "\n"), want-1, fileRows)
+	}
+	if nameRows := table(run("-scenario", "sdr-radio", "-policy", "all")); fileRows != nameRows {
+		t.Errorf("-policy all rows differ:\n file:\n%s\n name:\n%s", fileRows, nameRows)
+	}
+}
+
+// TestSpecFileErrorNamesFile: a spec file that decodes but fails
+// validation is refused when it is canonicalized, in every single-run
+// mode, with the file's path in the message.
+func TestSpecFileErrorNamesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(`{"graph":{"tasks":[]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-json"}, {"-policy", "all"}} {
+		_, stderr, err := thermsim(append([]string{"-scenario-file", path}, mode...)...)
+		wantExit(t, err, stderr, "scenario spec "+path+": scenario spec invalid")
 	}
 }

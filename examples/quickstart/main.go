@@ -17,8 +17,8 @@ func main() {
 	log.SetFlags(0)
 
 	baseline, err := thermbal.Run(thermbal.Config{
-		Policy:   thermbal.EnergyBalance,
-		Package:  thermbal.MobileEmbedded,
+		Policy:   "energy-balance",
+		Package:  "mobile-embedded",
 		MeasureS: 20,
 	})
 	if err != nil {
@@ -26,9 +26,9 @@ func main() {
 	}
 
 	balanced, err := thermbal.Run(thermbal.Config{
-		Policy:   thermbal.ThermalBalance,
+		Policy:   "thermal-balance",
 		Delta:    3, // the paper's operating threshold
-		Package:  thermbal.MobileEmbedded,
+		Package:  "mobile-embedded",
 		MeasureS: 20,
 	})
 	if err != nil {

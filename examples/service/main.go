@@ -23,33 +23,16 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"thermbal"
 )
 
-// The wire shapes, mirroring the server's versioned schema (see
-// internal/service and the README's "Serving simulations" section).
-type runRequest struct {
-	Scenario string  `json:"scenario,omitempty"`
-	Policy   string  `json:"policy,omitempty"`
-	Delta    float64 `json:"delta,omitempty"`
-	WarmupS  float64 `json:"warmup_s,omitempty"`
-	MeasureS float64 `json:"measure_s,omitempty"`
-}
-
+// runDoc is the part of a /run response document this client reads.
+// The request body is a thermbal.Config and the result a
+// thermbal.Summary: the library's types are the server's wire schema.
 type runDoc struct {
-	SchemaVersion int    `json:"schema_version"`
-	Key           string `json:"key"`
-	Result        struct {
-		Policy      string `json:"policy"`
-		Temperature struct {
-			PooledStdDevC float64 `json:"pooled_stddev_c"`
-		} `json:"temperature"`
-		QoS struct {
-			DeadlineMisses int64 `json:"deadline_misses"`
-		} `json:"qos"`
-		Migration struct {
-			PerSec float64 `json:"per_sec"`
-		} `json:"migration"`
-	} `json:"result"`
+	Key    string           `json:"key"`
+	Result thermbal.Summary `json:"result"`
 }
 
 func main() {
@@ -85,7 +68,7 @@ func run(base string, w io.Writer) error {
 
 	// A cold run, then the same request again: the second response
 	// comes from the content-addressed cache, byte-identical.
-	req, _ := json.Marshal(runRequest{Policy: "tb", Delta: 3, WarmupS: 2, MeasureS: 5})
+	req, _ := json.Marshal(thermbal.Config{Policy: "tb", Delta: 3, WarmupS: 2, MeasureS: 5})
 	cold, state1, err := post(base+"/run", req)
 	if err != nil {
 		return err
@@ -105,7 +88,7 @@ func run(base string, w io.Writer) error {
 		state1, state2, bytes.Equal(cold, cached), doc.Key[:12])
 
 	// Concurrent identical requests coalesce onto one execution.
-	other, _ := json.Marshal(runRequest{Policy: "stop-go", Delta: 4, WarmupS: 2, MeasureS: 5})
+	other, _ := json.Marshal(thermbal.Config{Policy: "stop-go", Delta: 4, WarmupS: 2, MeasureS: 5})
 	var wg sync.WaitGroup
 	states := make([]string, 8)
 	errs := make([]error, len(states))

@@ -14,24 +14,24 @@ import (
 // where the cost model keeps dense propagation out (very large tiled
 // dies) the scheme must be bit-for-bit the Euler fallback.
 
-// expmDenseMaxNodes bounds the networks we force through the dense
-// path: a propagator build is O(n³), so the largest tiled dies (771+
-// nodes, where the cost crossover keeps dense propagation out anyway)
-// are validated through the fallback property instead. 400 covers
-// manycore-64, the largest network whose auto crossover still picks
-// dense propagation at the sensor cadence.
+// expmDenseMaxNodes bounds the networks validated on the dense path: a
+// propagator build is O(n³), so the largest tiled dies (771+ nodes,
+// where the cost crossover keeps dense propagation out anyway) are
+// validated through the fallback property instead. 400 covers
+// manycore-64, the largest network whose crossover still picks dense
+// propagation at the sensor cadence.
 const expmDenseMaxNodes = 400
 
 // scenarioNet instantiates the scenario's platform and returns its
 // thermal network with the given integrator scheme installed.
-func scenarioNet(t *testing.T, sc scenario.Scenario, cfg thermal.Config) *thermal.Network {
+func scenarioNet(t *testing.T, sc scenario.Scenario, s thermal.Scheme) *thermal.Network {
 	t.Helper()
 	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := inst.Platform.Thermal.Net
-	net.SetIntegrator(thermal.NewIntegrator(cfg))
+	net.SetIntegrator(thermal.NewIntegrator(s))
 	return net
 }
 
@@ -106,14 +106,18 @@ func TestExpmValidAcrossScenarios(t *testing.T) {
 			const window, windows = 0.01, 20
 
 			if n <= expmDenseMaxNodes {
-				// Force every span through the dense propagator and
-				// compare against the extrapolated tiny-step reference.
-				net := scenarioNet(t, sc, thermal.Config{Scheme: thermal.Expm, ExpmMinSubsteps: 1})
+				// The crossover propagates a sensor window densely on
+				// every network this size; compare against the
+				// extrapolated tiny-step reference.
+				net := scenarioNet(t, sc, thermal.Expm)
 				start := net.Temperatures(nil)
 				for w := 0; w < windows; w++ {
 					if err := net.Step(window, power); err != nil {
 						t.Fatal(err)
 					}
+				}
+				if _, misses, _, _, _ := thermal.ExpmStats(net.Integrator()); misses == 0 {
+					t.Fatalf("%d nodes: no %g s span propagated densely", n, window)
 				}
 				ref := tinyStepEuler(net.View(), start, window*windows, net.View().EulerMaxStep()/200, power)
 				var worst float64
@@ -131,8 +135,8 @@ func TestExpmValidAcrossScenarios(t *testing.T) {
 
 			// Too large for an O(n³) build: the auto crossover must keep
 			// the scheme on its Euler fallback, bit-for-bit.
-			ne := scenarioNet(t, sc, thermal.Config{Scheme: thermal.Expm})
-			nr := scenarioNet(t, sc, thermal.Config{Scheme: thermal.Euler})
+			ne := scenarioNet(t, sc, thermal.Expm)
+			nr := scenarioNet(t, sc, thermal.Euler)
 			for w := 0; w < windows; w++ {
 				if err := ne.Step(window, power); err != nil {
 					t.Fatal(err)

@@ -37,25 +37,34 @@ func ResolveScenario(name string) (scenario.Scenario, error) {
 	return sc, err
 }
 
-// LoadSpec reads and strictly decodes a scenario spec file and resolves
-// it through scenario.FromSpec: unknown fields, trailing data and
-// validation failures are all errors, so a typo'd key can never
+// readSpec reads and strictly decodes a scenario spec file: unknown
+// fields and trailing data are errors, so a typo'd key can never
 // silently select a default.
-func LoadSpec(path string) (scenario.Scenario, error) {
+func readSpec(path string) (*scenario.Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return scenario.Scenario{}, fmt.Errorf("scenario spec: %w", err)
+		return nil, fmt.Errorf("scenario spec: %w", err)
 	}
 	var sp scenario.Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		return scenario.Scenario{}, fmt.Errorf("scenario spec %s: %w", path, err)
+		return nil, fmt.Errorf("scenario spec %s: %w", path, err)
 	}
 	if dec.More() {
-		return scenario.Scenario{}, fmt.Errorf("scenario spec %s: trailing data after JSON document", path)
+		return nil, fmt.Errorf("scenario spec %s: trailing data after JSON document", path)
 	}
-	sc, err := scenario.FromSpec(sp)
+	return &sp, nil
+}
+
+// LoadSpec reads a scenario spec file and resolves it through
+// scenario.FromSpec, its one normalization.
+func LoadSpec(path string) (scenario.Scenario, error) {
+	sp, err := readSpec(path)
+	if err != nil {
+		return scenario.Scenario{}, err
+	}
+	sc, err := scenario.FromSpec(*sp)
 	if err != nil {
 		return scenario.Scenario{}, fmt.Errorf("scenario spec %s: %w", path, err)
 	}
@@ -73,6 +82,19 @@ func ResolveScenarioArg(name, file string) (scenario.Scenario, error) {
 		return scenario.Scenario{}, fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
 	}
 	return LoadSpec(file)
+}
+
+// SpecArg checks the -scenario / -scenario-file flag pair every CLI
+// shares for a request. A file alone returns its decoded spec, not yet
+// normalized: the request's canonicalization does that, once. Any
+// other pair returns nil, with ResolveScenarioArg's verdict on it (a
+// name must be in the catalogue; a name and a file are refused).
+func SpecArg(name, file string) (*scenario.Spec, error) {
+	if file == "" || name != "" {
+		_, err := ResolveScenarioArg(name, file)
+		return nil, err
+	}
+	return readSpec(file)
 }
 
 // SpecJSON renders a scenario's declarative spec as indented JSON (for

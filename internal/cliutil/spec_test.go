@@ -130,6 +130,34 @@ func TestResolveScenarioArg(t *testing.T) {
 	}
 }
 
+// TestSpecArg: a request's flag pair yields the file's decoded spec
+// (normalized later, by canonicalization) or nil for a name, with the
+// same refusals ResolveScenarioArg makes.
+func TestSpecArg(t *testing.T) {
+	if sp, err := SpecArg("video-decoder", ""); sp != nil || err != nil {
+		t.Errorf("name: spec %v, err %v", sp, err)
+	}
+	path := writeSpecFile(t, "sdr-radio")
+	if _, err := SpecArg(path, ""); err == nil || !strings.Contains(err.Error(), "-scenario-file") {
+		t.Errorf("file path as a name: %v", err)
+	}
+	if _, err := SpecArg("sdr-radio", path); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("both flags accepted: %v", err)
+	}
+	// A spec that fails validation decodes: the error comes when it is
+	// normalized.
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if sp, err := SpecArg("", bad); err != nil || sp == nil {
+		t.Fatalf("file: spec %v, err %v", sp, err)
+	}
+	if _, err := SpecArg("", filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Error("missing file not an error")
+	}
+}
+
 // TestSpecJSONRoundTrip: -dump-spec output loads back to the same
 // content identity.
 func TestSpecJSONRoundTrip(t *testing.T) {

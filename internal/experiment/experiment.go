@@ -140,7 +140,7 @@ type RunConfig struct {
 	Trace     bool
 	// Thermal selects the RC-network integration scheme (zero value =
 	// explicit Euler).
-	Thermal thermal.Config
+	Thermal thermal.Scheme
 
 	// Scenario names a registered scenario; empty selects "sdr-radio",
 	// the paper's benchmark (preserving pre-registry behavior).

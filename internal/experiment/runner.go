@@ -117,7 +117,7 @@ type Options struct {
 	Runner
 	// Thermal selects the integration scheme for each run's RC network
 	// (zero value = explicit Euler).
-	Thermal thermal.Config
+	Thermal thermal.Scheme
 	// Scenario is the resolved scenario (a catalogue entry or one made
 	// by scenario.FromSpec) the sweep-style helpers (Sweep and the
 	// comparison runs built on RunAll) simulate; nil = "sdr-radio", the

@@ -171,7 +171,7 @@ func TestOptionsThermalReachesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := base
-	rc.Thermal = thermal.Config{Scheme: thermal.Expm}
+	rc.Thermal = thermal.Expm
 	expm, _, err := Run(rc)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ type warmupKey struct {
 	pkg        PackageSel
 	queueCap   int
 	mech       migrate.Mechanism
-	thermal    thermal.Config
+	thermal    thermal.Scheme
 	noFastPath bool
 	// fork is the tick the warm-up ends at: the last sensor boundary
 	// before the policy starts.

@@ -27,11 +27,11 @@ import (
 )
 
 // Request is the wire form of one simulation request (POST /run, run
-// jobs). Every field is optional: zero values select the scenario's or
-// the paper's defaults, exactly as the CLIs do. Canonicalize resolves
-// aliases and fills defaults, so two requests that mean the same run
-// hash to the same cache key regardless of spelling or which fields
-// were spelled out.
+// jobs) and the library facade's thermbal.Config. Every field is
+// optional: zero values select the scenario's or the paper's defaults,
+// exactly as the CLIs do. Canonicalize resolves aliases and fills
+// defaults, so two requests that mean the same run hash to the same
+// cache key regardless of spelling or which fields were spelled out.
 type Request struct {
 	// Scenario names a registered scenario (empty: "sdr-radio").
 	Scenario string `json:"scenario"`
@@ -86,7 +86,7 @@ func canonShared(delta float64, pkg, mech, integrator string, queueCap int) (rc 
 	if rc.Mechanism, err = ParseMechanism(mech); err != nil {
 		return rc, err
 	}
-	if rc.Thermal.Scheme, err = thermal.ParseScheme(integrator); err != nil {
+	if rc.Thermal, err = thermal.ParseScheme(integrator); err != nil {
 		return rc, err
 	}
 	if queueCap > scenario.MaxQueueCap {
@@ -161,7 +161,7 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 	if err := sc.CheckPrefill(c.QueueCap); err != nil {
 		return Request{}, experiment.RunConfig{}, err
 	}
-	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
+	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.String()
 	// Phase and queue-capacity defaulting are experiment.Run's own
 	// cascades, so the cache identity always matches what executes.
 	if c.WarmupS, c.MeasureS, err = experiment.Phases(sc, req.WarmupS, req.MeasureS); err != nil {
@@ -285,7 +285,7 @@ func CanonicalizeMatrix(req MatrixRequest) (MatrixRequest, error) {
 	}
 	c.Delta = req.Delta
 	c.Package, c.QueueCap = rc.Package.String(), cmp.Or(rc.QueueCap, stream.DefaultQueueCap)
-	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.Scheme.String()
+	c.Mechanism, c.Integrator = rc.Mechanism.String(), rc.Thermal.String()
 	c.WarmupS = max(req.WarmupS, 0)
 	c.MeasureS = max(req.MeasureS, 0)
 	return c, nil

@@ -32,7 +32,7 @@ func warmupEngine(t *testing.T, sc scenario.Scenario, pkg thermal.Package, ig th
 		t.Fatal(err)
 	}
 	e, err := sim.New(sim.Config{PolicyStartS: warmupS, MeasureStartS: warmupS,
-		Thermal: thermal.Config{Scheme: ig}, Modulate: inst.Modulate}, inst.Platform, inst.Graph, pol)
+		Thermal: ig, Modulate: inst.Modulate}, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,7 +306,7 @@ func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
 						t.Fatal(err)
 					}
 					e, err := sim.New(sim.Config{PolicyStartS: 0.1, MeasureStartS: 0.1,
-						Thermal: thermal.Config{Scheme: scheme}, Modulate: inst.Modulate, NoFastPath: noFast},
+						Thermal: scheme, Modulate: inst.Modulate, NoFastPath: noFast},
 						inst.Platform, inst.Graph, scriptedPolicy{})
 					if err != nil {
 						t.Fatal(err)

@@ -158,7 +158,7 @@ func TestFastPathBitForBit(t *testing.T) {
 	fractional.Platform.LadderMHz = []float64{133.33333, 266.66667, 533}
 	paper := sim.Config{PolicyStartS: 12.5, MeasureStartS: 12.5, RecordTrace: true}
 	expm := paper
-	expm.Thermal = thermal.Config{Scheme: thermal.Expm}
+	expm.Thermal = thermal.Expm
 	cases := []struct {
 		name string
 		sc   scenario.Scenario

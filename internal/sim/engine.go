@@ -52,7 +52,7 @@ type Config struct {
 	RecordTrace bool
 	// Thermal selects the RC-network integration scheme (zero value =
 	// explicit Euler, the seed behavior).
-	Thermal thermal.Config
+	Thermal thermal.Scheme
 	// Modulate, when non-nil, is invoked at every sensor update and may
 	// change task FSE loads in place (bursty and phase-shifting
 	// workloads). Returning true signals that loads changed: the engine

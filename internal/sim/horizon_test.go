@@ -72,7 +72,7 @@ func checkHorizonRun(t *testing.T, sc scenario.Scenario, scheme thermal.Scheme, 
 	e, err := sim.New(sim.Config{
 		PolicyStartS: 0.3, MeasureStartS: 0.3,
 		SensorPeriodS: sensorS,
-		Thermal:       thermal.Config{Scheme: scheme},
+		Thermal:       scheme,
 		Modulate:      inst.Modulate,
 	}, inst.Platform, inst.Graph, pol)
 	if err != nil {

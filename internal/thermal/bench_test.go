@@ -15,7 +15,7 @@ func benchModel(b *testing.B, fp *floorplan.Floorplan, pkg Package, scheme Schem
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.Net.SetIntegrator(NewIntegrator(Config{Scheme: scheme}))
+	m.Net.SetIntegrator(NewIntegrator(scheme))
 	return m
 }
 
@@ -100,7 +100,7 @@ func benchExpmBuild(b *testing.B, cores int) {
 	v := m.Net.View()
 	for b.Loop() {
 		resetSharedProps()
-		e := newExpm(1)
+		e := &expmIntegrator{}
 		e.bind(v)
 		e.propagator(10e-3)
 	}
@@ -129,7 +129,7 @@ func BenchmarkStepExpmFirstManycore256(b *testing.B) {
 		power[i] = 0.05 * float64(i%7)
 	}
 	for b.Loop() {
-		m.Net.SetIntegrator(NewIntegrator(Config{Scheme: Expm}))
+		m.Net.SetIntegrator(NewIntegrator(Expm))
 		if err := m.Step(10e-3, power); err != nil {
 			b.Fatal(err)
 		}

@@ -16,8 +16,6 @@ type eulerIntegrator struct {
 	q []float64 // per-node heat inflow (W) of the current substep
 }
 
-func newEuler() *eulerIntegrator { return &eulerIntegrator{} }
-
 func (e *eulerIntegrator) Name() string { return Euler.String() }
 
 func (e *eulerIntegrator) MaxStep(v View) float64 { return v.EulerMaxStep() }

@@ -55,7 +55,7 @@ var oracleSpans = []float64{10e-3, 3.7e-3, 10e-3, 0, 25e-3}
 // temperatures differ in any bit.
 func checkEulerMatchesOracle(t *testing.T, net *Network, periods int, powerAt func(period int) []float64) {
 	t.Helper()
-	net.SetIntegrator(NewIntegrator(Config{Scheme: Euler}))
+	net.SetIntegrator(NewIntegrator(Euler))
 	ref := net.Temperatures(nil)
 	for p := 0; p < periods; p++ {
 		dt := oracleSpans[p%len(oracleSpans)]

@@ -93,8 +93,7 @@ type expmIntegrator struct {
 	net *Network // bound network; a different network resets everything
 	n   int
 
-	autoMin     int // auto crossover: use expm at ≥ this many Euler substeps
-	minSubsteps int // Config override (0 = auto)
+	autoMin int // crossover: use expm at ≥ this many Euler substeps
 
 	cache map[uint64]*propagator
 	order []uint64 // insertion order for FIFO eviction
@@ -105,10 +104,6 @@ type expmIntegrator struct {
 
 	// Hot-loop scratch (length n).
 	y []float64
-}
-
-func newExpm(minSubsteps int) *expmIntegrator {
-	return &expmIntegrator{minSubsteps: minSubsteps}
 }
 
 func (e *expmIntegrator) Name() string { return Expm.String() }
@@ -151,12 +146,7 @@ func (e *expmIntegrator) bind(v View) {
 // useExpm decides dense propagation versus the substepping fallback
 // for a span of dt seconds on the bound network.
 func (e *expmIntegrator) useExpm(dt float64) bool {
-	substeps := int(math.Ceil(dt / e.net.maxStep))
-	threshold := e.minSubsteps
-	if threshold <= 0 {
-		threshold = e.autoMin
-	}
-	return substeps >= threshold
+	return int(math.Ceil(dt/e.net.maxStep)) >= e.autoMin
 }
 
 func (e *expmIntegrator) Advance(v View, temps []float64, dt float64, power []float64) {

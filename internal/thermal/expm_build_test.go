@@ -63,7 +63,7 @@ func TestExpmPropagatorGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := newExpm(1)
+			e := &expmIntegrator{}
 			e.bind(m.Net.View())
 			if got := propagatorDigest(e.build(tc.dt)); got != tc.want {
 				t.Errorf("propagator digest = %s, want %s", got, tc.want)

@@ -17,8 +17,19 @@ func expmModel(t *testing.T, pkg Package) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Net.SetIntegrator(NewIntegrator(Config{Scheme: Expm, ExpmMinSubsteps: 1}))
+	m.Net.SetIntegrator(expmWithCrossover(m.Net, 1))
 	return m
+}
+
+// expmWithCrossover returns an expm integrator bound to net whose
+// crossover is minSubsteps Euler substeps instead of the cost model's:
+// 1 forces dense propagation for every span, a huge value keeps it out
+// of reach.
+func expmWithCrossover(net *Network, minSubsteps int) *expmIntegrator {
+	e := &expmIntegrator{}
+	e.bind(net.View())
+	e.autoMin = minSubsteps
+	return e
 }
 
 // testPower returns a deterministic non-uniform power vector for n
@@ -194,7 +205,7 @@ func TestExpmFallbackIsEulerBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.Net.SetIntegrator(NewIntegrator(Config{Scheme: Expm, ExpmMinSubsteps: 1 << 30}))
+	m1.Net.SetIntegrator(expmWithCrossover(m1.Net, 1<<30))
 	m2, err := NewModel(floorplan.Default3Core(), MobileEmbedded())
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +306,7 @@ func TestExpmSharedBuildCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newExpm(1)
+		e := &expmIntegrator{}
 		e.bind(net.View())
 		return e.propagator(0.01)
 	}
@@ -346,7 +357,7 @@ func TestExpmConcurrentMissBuildsOnce(t *testing.T) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < runs; r++ {
-		e := newExpm(1)
+		e := &expmIntegrator{}
 		e.bind(m.Net.View())
 		wg.Add(1)
 		go func() {
@@ -386,7 +397,7 @@ func TestExpmNoDenseStateBelowCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx.Net.SetIntegrator(NewIntegrator(Config{Scheme: Expm}))
+	mx.Net.SetIntegrator(NewIntegrator(Expm))
 	power := make([]float64, len(fp.Blocks))
 	for i := range power {
 		power[i] = 0.05 * float64(i%7)
@@ -441,7 +452,7 @@ func TestExpmCrossoverPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newExpm(0)
+		e := &expmIntegrator{}
 		e.bind(m.Net.View())
 		autoMin, substeps, dense := e.autoMin, int(math.Ceil(10e-3/m.Net.View().EulerMaxStep())), e.useExpm(10e-3)
 		if autoMin != tc.autoMin || substeps != tc.substeps || dense != tc.dense {

@@ -54,21 +54,6 @@ func ParseScheme(name string) (Scheme, error) {
 	return Euler, fmt.Errorf("thermal: unknown integrator %q (want %s)", name, SchemeNames())
 }
 
-// Config selects and tunes the integration scheme. The zero value is the
-// default explicit Euler.
-type Config struct {
-	// Scheme selects the integrator.
-	Scheme Scheme
-	// ExpmMinSubsteps tunes the Expm scheme's crossover: spans that
-	// explicit Euler would cover in fewer substeps than this fall back
-	// to Euler substepping (dense propagation costs 2n² multiply-adds
-	// regardless of span length, so very short spans and very large
-	// networks are cheaper to substep). 0 selects an automatic
-	// cost-model threshold from the network size; 1 forces dense
-	// propagation for every span. Ignored by other schemes.
-	ExpmMinSubsteps int
-}
-
 // Integrator advances the temperature state of an RC network. An
 // integrator may keep scratch buffers and controller state between
 // calls, so one instance must not be shared across networks that step
@@ -87,12 +72,12 @@ type Integrator interface {
 	Advance(v View, temps []float64, dt float64, power []float64)
 }
 
-// NewIntegrator builds the integrator described by cfg.
-func NewIntegrator(cfg Config) Integrator {
-	if cfg.Scheme == Expm {
-		return newExpm(cfg.ExpmMinSubsteps)
+// NewIntegrator builds the integrator of scheme s.
+func NewIntegrator(s Scheme) Integrator {
+	if s == Expm {
+		return &expmIntegrator{}
 	}
-	return newEuler()
+	return &eulerIntegrator{}
 }
 
 // View is a read-only sparse description of a Network: node count,

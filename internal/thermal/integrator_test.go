@@ -59,7 +59,7 @@ func TestParseScheme(t *testing.T) {
 
 func TestNewIntegratorNames(t *testing.T) {
 	for _, s := range []Scheme{Euler, Expm} {
-		ig := NewIntegrator(Config{Scheme: s})
+		ig := NewIntegrator(s)
 		if ig.Name() != s.String() {
 			t.Errorf("NewIntegrator(%v).Name() = %q", s, ig.Name())
 		}
@@ -71,7 +71,7 @@ func TestNewIntegratorNames(t *testing.T) {
 func TestDefaultIntegratorIsEulerBitForBit(t *testing.T) {
 	n1 := singleNode(t)
 	n2 := singleNode(t)
-	n2.SetIntegrator(NewIntegrator(Config{}))
+	n2.SetIntegrator(NewIntegrator(Euler))
 	if n1.Integrator().Name() != "euler" {
 		t.Fatalf("default integrator = %q", n1.Integrator().Name())
 	}

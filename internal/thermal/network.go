@@ -143,7 +143,7 @@ func (b *Builder) Build(ambientC float64) (*Network, error) {
 		temp:    make([]float64, len(b.nodes)),
 		sumG:    make([]float64, len(b.nodes)),
 		adj:     make([][]Adj, len(b.nodes)),
-		integ:   newEuler(),
+		integ:   &eulerIntegrator{},
 	}
 	for i := range n.temp {
 		n.temp[i] = ambientC

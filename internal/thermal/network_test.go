@@ -152,7 +152,7 @@ func TestStepRejectsBadInputs(t *testing.T) {
 		t.Error("SteadyState accepted short power vector")
 	}
 	for _, scheme := range schemes {
-		n.SetIntegrator(NewIntegrator(Config{Scheme: scheme}))
+		n.SetIntegrator(NewIntegrator(scheme))
 		for _, dt := range []float64{-1, math.Copysign(1e-300, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
 			before := n.Temperatures(nil)
 			done := make(chan error, 1)

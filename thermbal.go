@@ -10,9 +10,9 @@
 // typical use:
 //
 //	res, err := thermbal.Run(thermbal.Config{
-//	    Policy:  thermbal.ThermalBalance,
+//	    Policy:  "thermal-balance",
 //	    Delta:   3,
-//	    Package: thermbal.MobileEmbedded,
+//	    Package: "mobile-embedded",
 //	})
 //	fmt.Printf("std dev %.2f °C, %d misses, %.1f migrations/s\n",
 //	    res.PooledStdDev, res.DeadlineMisses, res.MigrationsPerSec)
@@ -28,7 +28,6 @@ import (
 	"io"
 
 	"thermbal/internal/experiment"
-	"thermbal/internal/migrate"
 	"thermbal/internal/policy"
 	"thermbal/internal/request"
 	"thermbal/internal/scenario"
@@ -36,108 +35,15 @@ import (
 	"thermbal/internal/store"
 )
 
-// PolicyKind selects the run-time management policy.
-type PolicyKind int
-
-const (
-	// EnergyBalance is the static energy-balancing baseline: the
-	// Table 2 mapping plus per-core DVFS, no run-time actions.
-	EnergyBalance PolicyKind = iota
-	// StopGo is the modified Stop&Go baseline: gate the core at the
-	// upper threshold, restart at the lower one.
-	StopGo
-	// ThermalBalance is the paper's migration-based thermal balancing
-	// policy.
-	ThermalBalance
-)
-
-var policyNames = []string{EnergyBalance: "energy-balance", StopGo: "stop&go", ThermalBalance: "thermal-balance"}
-
-// String names the policy.
-func (p PolicyKind) String() string { return kindName(policyNames, "PolicyKind", int(p)) }
-
-// PackageKind selects the thermal package.
-type PackageKind int
-
-const (
-	// MobileEmbedded has seconds-scale thermal dynamics (paper [6]).
-	MobileEmbedded PackageKind = iota
-	// HighPerformance has 6x faster temperature variations.
-	HighPerformance
-)
-
-var packageNames = []string{MobileEmbedded: "mobile-embedded", HighPerformance: "high-performance"}
-
-// String names the package.
-func (p PackageKind) String() string { return kindName(packageNames, "PackageKind", int(p)) }
-
-// IntegratorKind selects the thermal integration scheme.
-type IntegratorKind int
-
-const (
-	// EulerIntegrator is explicit forward Euler (default; the stability
-	// bound forces the smallest substeps).
-	EulerIntegrator IntegratorKind = iota
-	// ExpmIntegrator is the exact matrix-exponential scheme: the RC
-	// network is linear time-invariant, so one memoized dense
-	// propagator pair replaces the whole substep loop with zero
-	// truncation error; spans below a cost crossover fall back to
-	// explicit Euler bit-for-bit.
-	ExpmIntegrator
-)
-
-var integratorNames = []string{EulerIntegrator: "euler", ExpmIntegrator: "expm"}
-
-// String names the integrator.
-func (k IntegratorKind) String() string { return kindName(integratorNames, "IntegratorKind", int(k)) }
-
-// kindName spells kind k as the wire name request.Canonicalize
-// resolves. A value outside the table gets its Go-syntax spelling,
-// which canonicalization then rejects as unknown.
-func kindName(names []string, kind string, k int) string {
-	if k >= 0 && k < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("%s(%d)", kind, k)
-}
-
-// Config describes one experiment. The default scenario is the SDR
-// benchmark on the 3-core streaming MPSoC; any registered scenario can
-// be selected by name.
-type Config struct {
-	// Scenario names a registered scenario ("sdr-radio",
-	// "video-decoder", "pipeline-d8", ...). Empty selects "sdr-radio".
-	// Scenarios returns the catalogue.
-	Scenario string
-	// PolicyName, when non-empty, selects any registered policy by name
-	// or alias and takes precedence over Policy.
-	PolicyName string
-	// Policy is the management policy (default EnergyBalance). StopGo
-	// and ThermalBalance act on Delta, so with a zero Delta they run at
-	// the scenario's default threshold.
-	Policy PolicyKind
-	// Delta is the threshold distance from the mean temperature in °C
-	// (used by StopGo and ThermalBalance; the paper sweeps 2..5). Zero
-	// takes the scenario's default.
-	Delta float64
-	// Package selects the thermal package (default MobileEmbedded).
-	Package PackageKind
-	// WarmupS is the initial phase before the policy engages
-	// (default 12.5 s, the paper's first execution phase).
-	WarmupS float64
-	// MeasureS is the measurement window (default 30 s).
-	MeasureS float64
-	// QueueCap is the inter-task queue capacity in frames, at most
-	// 65536 (default: the scenario's graph.queue_cap; 11, the paper's
-	// minimum sustainable size, for every builtin).
-	QueueCap int
-	// Recreation selects the task-recreation migration mechanism
-	// instead of the default task-replication.
-	Recreation bool
-	// Integrator selects the thermal integration scheme (default
-	// EulerIntegrator, the paper-equivalent explicit scheme).
-	Integrator IntegratorKind
-}
+// Config describes one experiment. It is the wire request the
+// simulation service's POST /run decodes and `thermsim` builds from its
+// flags, so the three share one set of spellings and defaults: every
+// field is optional, names and aliases resolve through the scenario and
+// policy catalogues, and Config{} runs the default scenario (sdr-radio)
+// under its default policy and threshold, exactly as `POST /run {}` and
+// a flagless thermsim do. Spec selects an inline declarative scenario
+// instead of a registered name.
+type Config = request.Request
 
 // Result is the outcome of a run over its measurement window.
 // It mirrors the metrics of the paper's Section 5: temperature
@@ -182,19 +88,11 @@ type ScenarioSpec = scenario.Spec
 // cache, persist and coalesce like built-ins.
 func GenerateScenario(seed int64) ScenarioSpec { return scenario.Generate(seed) }
 
-// RunSpec executes one experiment on a declarative scenario spec
-// instead of a registered name. cfg.Scenario must be empty; every
-// other Config field applies as in Run.
-func RunSpec(sp ScenarioSpec, cfg Config) (Result, error) { return run(cfg.toRequest(&sp)) }
-
-// Run executes one experiment.
-func Run(cfg Config) (Result, error) { return run(cfg.toRequest(nil)) }
-
-// run executes a request exactly as the service, RunSummary and
-// Store.RunSummary do: canonicalization resolves every spelling and
-// default, so all facade paths agree by construction.
-func run(req request.Request) (Result, error) {
-	_, rc, err := request.Canonicalize(req)
+// Run executes one experiment: the same canonicalization and engine
+// run the service's /run and thermsim perform, so equal configurations
+// run identically on every path.
+func Run(cfg Config) (Result, error) {
+	_, rc, err := request.Canonicalize(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -204,11 +102,10 @@ func run(req request.Request) (Result, error) {
 
 // Store is a durable, content-addressed cache of run results on local
 // disk: the same append-only segment-log store cmd/thermservd serves
-// from (internal/store), behind the facade's Config vocabulary. Runs
-// are keyed by the canonical request (the thermbal/run/v1 SHA-256
-// scheme), so a result computed once — by this process, an earlier
-// process, or a thermservd pointed at the same directory — is served
-// from disk byte-for-byte instead of recomputed.
+// from (internal/store). Runs are keyed by the canonical request (the
+// thermbal/run/v1 SHA-256 scheme), so a result computed once — by this
+// process, an earlier process, or a thermservd pointed at the same
+// directory — is served from disk byte-for-byte instead of recomputed.
 type Store struct {
 	st *store.Store
 }
@@ -233,28 +130,12 @@ func OpenStore(dir string) (*Store, error) {
 // Close flushes and closes the store.
 func (s *Store) Close() error { return s.st.Close() }
 
-// StoreStats summarises the store's on-disk state.
-type StoreStats struct {
-	// Segments and Records describe the log; Bytes is its on-disk size.
-	Segments int
-	Records  int
-	Bytes    int64
-	// SealedSegments counts segments sealed under a Merkle root;
-	// ChainLen and ChainHead describe the hash chain those roots form
-	// (pin ChainHead out-of-band to make truncation detectable).
-	SealedSegments int
-	ChainLen       int
-	ChainHead      string
-}
+// StoreStats summarises the store's on-disk state and its counters
+// since OpenStore.
+type StoreStats = store.Stats
 
 // Stats snapshots the store.
-func (s *Store) Stats() StoreStats {
-	st := s.st.Stats()
-	return StoreStats{
-		Segments: st.Segments, Records: st.Records, Bytes: st.Bytes,
-		SealedSegments: st.SealedSegments, ChainLen: st.ChainLen, ChainHead: st.ChainHead,
-	}
-}
+func (s *Store) Stats() StoreStats { return s.st.Stats() }
 
 // Seal rotates the active segment, sealing everything written so far
 // under a Merkle root in the provenance chain. Results are provable
@@ -271,39 +152,13 @@ func (s *Store) Verify() error {
 	return err
 }
 
-// toRequest maps a facade Config (on the spec sp, when non-nil) onto
-// the wire request, whose canonicalization defines both what executes
-// and the persistent cache identity.
-func (c Config) toRequest(sp *ScenarioSpec) request.Request {
-	polName := c.PolicyName
-	if polName == "" {
-		polName = c.Policy.String()
-	}
-	mech := ""
-	if c.Recreation {
-		mech = migrate.Recreation.String()
-	}
-	return request.Request{
-		Scenario:   c.Scenario,
-		Spec:       sp,
-		Policy:     polName,
-		Delta:      c.Delta,
-		Package:    c.Package.String(),
-		WarmupS:    c.WarmupS,
-		MeasureS:   c.MeasureS,
-		QueueCap:   c.QueueCap,
-		Mechanism:  mech,
-		Integrator: c.Integrator.String(),
-	}
-}
-
 // RunSummary executes one experiment through the store: a request
 // whose canonical form is already on disk is served from it (hit =
 // true) without running the engine; otherwise the run executes and its
 // document is persisted before returning. The summary bytes a hit
 // decodes are exactly the bytes the original run encoded.
 func (s *Store) RunSummary(cfg Config) (Summary, bool, error) {
-	canon, rc, err := request.Canonicalize(cfg.toRequest(nil))
+	canon, rc, err := request.Canonicalize(cfg)
 	if err != nil {
 		return Summary{}, false, err
 	}

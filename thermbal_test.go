@@ -1,22 +1,25 @@
 package thermbal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
-	"thermbal/internal/experiment"
 	"thermbal/internal/request"
+	"thermbal/internal/service"
 )
 
 func TestRunFacade(t *testing.T) {
 	res, err := Run(Config{
-		Policy:   ThermalBalance,
+		Policy:   "thermal-balance",
 		Delta:    3,
-		Package:  MobileEmbedded,
+		Package:  "mobile-embedded",
 		WarmupS:  12.5,
 		MeasureS: 10,
 	})
@@ -36,11 +39,11 @@ func TestRunFacade(t *testing.T) {
 
 func TestRunFacadeRecreation(t *testing.T) {
 	res, err := Run(Config{
-		Policy:     ThermalBalance,
-		Delta:      2,
-		Recreation: true,
-		WarmupS:    12.5,
-		MeasureS:   6,
+		Policy:    "thermal-balance",
+		Delta:     2,
+		Mechanism: "recreation",
+		WarmupS:   12.5,
+		MeasureS:  6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,28 +51,6 @@ func TestRunFacadeRecreation(t *testing.T) {
 	// Recreation moves state+code per migration.
 	if res.Migrations > 0 && res.MigratedBytes <= float64(res.Migrations)*64*1024 {
 		t.Errorf("recreation moved only %g bytes over %d migrations", res.MigratedBytes, res.Migrations)
-	}
-}
-
-func TestKindStrings(t *testing.T) {
-	if EnergyBalance.String() != "energy-balance" ||
-		StopGo.String() != "stop&go" ||
-		ThermalBalance.String() != "thermal-balance" {
-		t.Error("policy kind names wrong")
-	}
-	if MobileEmbedded.String() != "mobile-embedded" ||
-		HighPerformance.String() != "high-performance" {
-		t.Error("package kind names wrong")
-	}
-	if EulerIntegrator.String() != "euler" || ExpmIntegrator.String() != "expm" {
-		t.Error("integrator kind names wrong")
-	}
-	// A kind outside its table has no wire name, so runs reject it.
-	if got := PolicyKind(9).String(); got != "PolicyKind(9)" {
-		t.Errorf("PolicyKind(9).String() = %q", got)
-	}
-	if _, err := Run(Config{Policy: PolicyKind(9), WarmupS: 0.1, MeasureS: 0.1}); err == nil {
-		t.Error("Run accepted an out-of-range PolicyKind")
 	}
 }
 
@@ -109,7 +90,7 @@ func TestFigure2Renders(t *testing.T) {
 
 func TestRunSummarySchema(t *testing.T) {
 	sum, err := RunSummary(Config{
-		Policy:   ThermalBalance,
+		Policy:   "thermal-balance",
 		Delta:    3,
 		WarmupS:  0.5,
 		MeasureS: 1,
@@ -124,7 +105,7 @@ func TestRunSummarySchema(t *testing.T) {
 		t.Error("no pooled deviation in summary")
 	}
 	// The summary is a pure view: it must agree with Run's raw result.
-	res, err := Run(Config{Policy: ThermalBalance, Delta: 3, WarmupS: 0.5, MeasureS: 1})
+	res, err := Run(Config{Policy: "thermal-balance", Delta: 3, WarmupS: 0.5, MeasureS: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +132,7 @@ func TestStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Policy: ThermalBalance, Delta: 3, WarmupS: 0.5, MeasureS: 1}
+	cfg := Config{Policy: "thermal-balance", Delta: 3, WarmupS: 0.5, MeasureS: 1}
 	cold, hit, err := st.RunSummary(cfg)
 	if err != nil || hit {
 		t.Fatalf("cold RunSummary: hit=%v err=%v", hit, err)
@@ -172,14 +153,13 @@ func TestStoreFacade(t *testing.T) {
 
 	// A new process (store handle) over the same directory serves the
 	// persisted result without re-running, and spelling the same run
-	// through different vocabulary (policy alias via PolicyName) hits
-	// the same record.
+	// differently (a policy alias) hits the same record.
 	st2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	again, hit, err := st2.RunSummary(Config{PolicyName: "tb", Delta: 3, WarmupS: 0.5, MeasureS: 1})
+	again, hit, err := st2.RunSummary(Config{Policy: "tb", Delta: 3, WarmupS: 0.5, MeasureS: 1})
 	if err != nil || !hit {
 		t.Fatalf("reopened RunSummary: hit=%v err=%v", hit, err)
 	}
@@ -188,16 +168,21 @@ func TestStoreFacade(t *testing.T) {
 	}
 }
 
-// TestFacadePathsAgree: Run, RunSummary and Store.RunSummary resolve a
-// Config through the one canonicalization the service uses, so they
-// agree on every config. A zero Delta takes the scenario's default
-// threshold on every path; it must neither run unthresholded nor panic.
+// TestFacadePathsAgree: a Config is the service's /run body, so Run,
+// RunSummary, Store.RunSummary and a POST /run of the same Config all
+// resolve it through one canonicalization and agree on every config. A
+// zero Config runs the scenario's default policy and threshold on
+// every path; it must neither run unthresholded nor panic.
 func TestFacadePathsAgree(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	srv := service.New(service.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 	run := func(f func() (Result, error)) (res Result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -206,11 +191,13 @@ func TestFacadePathsAgree(t *testing.T) {
 		}()
 		return f()
 	}
+	sp := GenerateScenario(7)
 	for _, cfg := range []Config{
 		{},
-		{Policy: StopGo},
-		{Policy: ThermalBalance},
+		{Policy: "stop&go"},
+		{Policy: "thermal-balance"},
 		{Scenario: "video-decoder"},
+		{Spec: &sp},
 	} {
 		cfg.WarmupS, cfg.MeasureS = 1, 2
 		res, err := run(func() (Result, error) { return Run(cfg) })
@@ -226,29 +213,32 @@ func TestFacadePathsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Store.RunSummary(%+v): %v", cfg, err)
 		}
-		if got := Summarize(res); !reflect.DeepEqual(got, direct) || !reflect.DeepEqual(got, stored) {
-			t.Errorf("%+v: paths disagree:\n Run:          %+v\n RunSummary:   %+v\n Store:        %+v", cfg, got, direct, stored)
+		served := postRun(t, ts.URL, cfg)
+		if got := Summarize(res); !reflect.DeepEqual(got, direct) || !reflect.DeepEqual(got, stored) || !reflect.DeepEqual(got, served) {
+			t.Errorf("%+v: paths disagree:\n Run:          %+v\n RunSummary:   %+v\n Store:        %+v\n POST /run:    %+v",
+				cfg, got, direct, stored, served)
 		}
 	}
+}
 
-	// A spec run agrees with the service's /run of the same spec.
-	sp := GenerateScenario(7)
-	cfg := Config{WarmupS: 1, MeasureS: 2}
-	res, err := run(func() (Result, error) { return RunSpec(sp, cfg) })
-	if err != nil {
-		t.Fatalf("RunSpec: %v", err)
-	}
-	_, rc, err := request.Canonicalize(request.Request{Spec: &sp, Policy: "energy-balance", WarmupS: 1, MeasureS: 2})
+// postRun posts cfg to the service's /run and returns the document's
+// result.
+func postRun(t *testing.T, url string, cfg Config) Summary {
+	t.Helper()
+	body, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := experiment.Run(rc)
+	resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(Summarize(res), experiment.Summarize(want)) {
-		t.Errorf("RunSpec disagrees with the service path:\n RunSpec: %+v\n service: %+v", Summarize(res), experiment.Summarize(want))
+	defer resp.Body.Close()
+	var doc request.RunDoc
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /run %s: status %d, %v", body, resp.StatusCode, err)
 	}
+	return doc.Result
 }
 
 // TestRunFacadeRejectsNonFiniteInputs: the facade canonicalizes like
@@ -256,11 +246,11 @@ func TestFacadePathsAgree(t *testing.T) {
 // int64 tick range, is an error rather than a run over garbage.
 func TestRunFacadeRejectsNonFiniteInputs(t *testing.T) {
 	for _, cfg := range []Config{
-		{Policy: ThermalBalance, Delta: math.NaN()},
-		{Policy: StopGo, Delta: math.Inf(1)},
-		{Policy: ThermalBalance, Delta: 3, WarmupS: math.NaN()},
-		{Policy: ThermalBalance, Delta: 3, MeasureS: math.Inf(1)},
-		{Policy: ThermalBalance, Delta: 3, MeasureS: 1e300},
+		{Policy: "thermal-balance", Delta: math.NaN()},
+		{Policy: "stop-go", Delta: math.Inf(1)},
+		{Policy: "thermal-balance", Delta: 3, WarmupS: math.NaN()},
+		{Policy: "thermal-balance", Delta: 3, MeasureS: math.Inf(1)},
+		{Policy: "thermal-balance", Delta: 3, MeasureS: 1e300},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("Run(delta %g, warm-up %g, measure %g) accepted", cfg.Delta, cfg.WarmupS, cfg.MeasureS)
@@ -277,11 +267,11 @@ func TestRunFacadeRejectsNonFiniteInputs(t *testing.T) {
 func TestRunSpecRejectsPrefillAboveCapacity(t *testing.T) {
 	sp := GenerateScenario(7)
 	sp.Graph.Sink.Prefill = 40
-	if _, err := RunSpec(sp, Config{WarmupS: 0.1, MeasureS: 0.1}); err == nil || !strings.Contains(err.Error(), "graph.sink.prefill") {
+	if _, err := Run(Config{Spec: &sp, WarmupS: 0.1, MeasureS: 0.1}); err == nil || !strings.Contains(err.Error(), "graph.sink.prefill") {
 		t.Errorf("prefill 40 on %d-frame queues: %v", sp.Graph.QueueCap, err)
 	}
 	sp.Graph.Sink.Prefill = 2
-	if _, err := RunSpec(sp, Config{WarmupS: 0.1, MeasureS: 0.1, QueueCap: 2}); err != nil {
+	if _, err := Run(Config{Spec: &sp, WarmupS: 0.1, MeasureS: 0.1, QueueCap: 2}); err != nil {
 		t.Errorf("prefill 2 on 2-frame queues: %v", err)
 	}
 }
