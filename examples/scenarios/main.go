@@ -9,7 +9,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
@@ -19,12 +21,19 @@ import (
 
 func main() {
 	log.SetFlags(0)
-
-	fmt.Println("Registered scenarios:")
-	for _, s := range scenario.Infos() {
-		fmt.Printf("  %-14s %2d cores, %2d tasks  %s\n", s.Name, s.Cores, s.Tasks, s.Topology)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("\nRegistered policies: %v\n\n", policy.Names())
+}
+
+// run lists the catalogue and policies and prints a 2×2 scenario ×
+// policy matrix to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Registered scenarios:")
+	for _, s := range scenario.Infos() {
+		fmt.Fprintf(w, "  %-14s %2d cores, %2d tasks  %s\n", s.Name, s.Cores, s.Tasks, s.Topology)
+	}
+	fmt.Fprintf(w, "\nRegistered policies: %v\n\n", policy.Names())
 
 	// Head-to-head on a deep pipeline: every stage sits on the critical
 	// path, so migration freezes are maximally visible.
@@ -36,7 +45,8 @@ func main() {
 			MeasureS:  15,
 		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(experiment.FormatMatrix(cells))
+	_, err = fmt.Fprint(w, experiment.FormatMatrix(cells))
+	return err
 }

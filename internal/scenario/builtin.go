@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -223,16 +222,18 @@ func loadShares(n int, budget float64, seed int64) []float64 {
 }
 
 // shares draws n random proportions of budget from rng, each task
-// getting at least 2 % and at most one core at fmax.
+// getting at least 2 % and at most one core at fmax. Explicit float64(…)
+// conversions here and in Generate keep each product (rng.Float64 is
+// one) from fusing into an add, so every arch draws the same loads.
 func shares(rng *rand.Rand, n int, budget float64) []float64 {
 	weights := make([]float64, n)
 	var wsum float64
 	for i := range weights {
-		weights[i] = 0.05 + rng.Float64()
+		weights[i] = 0.05 + float64(rng.Float64())
 		wsum += weights[i]
 	}
 	const floor = 0.02
-	avail := budget - floor*float64(n)
+	avail := budget - float64(floor*float64(n))
 	out := make([]float64, n)
 	for i, w := range weights {
 		out[i] = min(floor+avail*w/wsum, 1)
@@ -250,7 +251,7 @@ func Generate(seed int64) Spec {
 	cores := 4 << rng.Intn(3) // 4, 8 or 16
 	stages := cores/2 + 2 + rng.Intn(3)
 	maxWidth := 2 + rng.Intn(2)
-	totalFSE := (0.30 + 0.25*rng.Float64()) * float64(cores)
+	totalFSE := (0.30 + float64(0.25*rng.Float64())) * float64(cores)
 	sp := SplitJoin(seed, stages, maxWidth, totalFSE, cores)
 	sp.Name = fmt.Sprintf("gen-%d", seed)
 	sp.Description = fmt.Sprintf("seeded split/join workload (seed %d) on a %d-core tiled die", seed, cores)
@@ -264,53 +265,59 @@ func Generate(seed int64) Spec {
 	return n
 }
 
-// builtin labels a catalogue entry: its name and description, and the
-// balancing policy by default, at ±3 °C unless the spec says otherwise.
-func builtin(name, desc, topology string, sp Spec) Scenario {
-	sp.Name, sp.Description = name, desc
-	sp.DefaultPolicy = "thermal-balance"
-	sp.DefaultDelta = cmp.Or(sp.DefaultDelta, 3)
-	return Scenario{Spec: sp, Topology: topology}
-}
-
-// builtins returns the catalogue's entries, not yet normalized or
-// sorted (builtinCatalogue does both).
-func builtins() []Scenario {
-	bursty := sdrSpec()
-	bursty.Modulation = &ModulationSpec{Kind: ModPhaseShift}
-	bs := []Scenario{
-		// The two paper workloads, with their hand mappings.
-		builtin(DefaultName, "the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)",
-			"pipeline with 3-way equalizer split", sdrSpec()),
-		builtin("video-decoder", "software video decoder pipeline, deliberately unbalanced first-fit mapping",
-			"pipeline with 2-way IDCT split", videoSpec()),
-		// The hot spot moves between task groups every few seconds, so
-		// a static mapping is wrong half the time by construction.
-		builtin("bursty-sdr", "SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)",
-			"SDR pipeline, FSE modulated over time", bursty),
-	}
-	// Deep pipelines: every stage sits on the critical path, so freeze
-	// filtering decides whether migrations are affordable at all.
-	for _, depth := range []int{4, 8, 16} {
-		bs = append(bs, builtin(fmt.Sprintf("pipeline-d%d", depth),
-			fmt.Sprintf("deep linear pipeline, %d seeded-load stages on the critical path", depth),
-			fmt.Sprintf("pipeline depth %d", depth), pipelineSpec(depth, int64(depth))))
-	}
+// catalogue is every builtin, sorted by name: its labels and the
+// constructor of its spec. Nothing here runs at package init; resolvers
+// normalizes and hashes an entry on first use.
+var catalogue = [...]entry{
+	// The hot spot moves between task groups every few seconds, so a
+	// static mapping is wrong half the time by construction.
+	{"bursty-sdr", "SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)",
+		"SDR pipeline, FSE modulated over time", burstySpec},
 	// Fan-out/fan-in: many same-shape workers make the pairing space
 	// large; w4 is perfectly symmetric, w8 has a seeded skew.
-	bs = append(bs,
-		builtin("fanout-w4", "symmetric 4-way fan-out/fan-in, degenerate pairing space",
-			"split/join width 4", fanoutSpec(4, 0)),
-		builtin("fanout-w8", "skewed 8-way fan-out/fan-in with seeded worker loads",
-			"split/join width 8", fanoutSpec(8, 88)))
-	// Many-core scaling: ~0.45 FSE budget per core on a tiled die, with
-	// shorter default windows so the full matrix stays tractable.
-	for _, n := range []int{8, 16, 32, 64, 128, 256} {
-		sp := SplitJoin(int64(n), n/2+4, 3, 0.45*float64(n), n)
-		sp.WarmupS, sp.MeasureS, sp.DefaultDelta = 5, 10, 2
-		bs = append(bs, builtin(fmt.Sprintf("manycore-%d", n),
-			fmt.Sprintf("seeded split/join workload on a %d-core tiled die", n),
-			fmt.Sprintf("generated split/join, %d cores", n), sp))
-	}
-	return bs
+	{"fanout-w4", "symmetric 4-way fan-out/fan-in, degenerate pairing space",
+		"split/join width 4", func() Spec { return fanoutSpec(4, 0) }},
+	{"fanout-w8", "skewed 8-way fan-out/fan-in with seeded worker loads",
+		"split/join width 8", func() Spec { return fanoutSpec(8, 88) }},
+	{"manycore-128", "seeded split/join workload on a 128-core tiled die",
+		"generated split/join, 128 cores", func() Spec { return manycoreSpec(128) }},
+	{"manycore-16", "seeded split/join workload on a 16-core tiled die",
+		"generated split/join, 16 cores", func() Spec { return manycoreSpec(16) }},
+	{"manycore-256", "seeded split/join workload on a 256-core tiled die",
+		"generated split/join, 256 cores", func() Spec { return manycoreSpec(256) }},
+	{"manycore-32", "seeded split/join workload on a 32-core tiled die",
+		"generated split/join, 32 cores", func() Spec { return manycoreSpec(32) }},
+	{"manycore-64", "seeded split/join workload on a 64-core tiled die",
+		"generated split/join, 64 cores", func() Spec { return manycoreSpec(64) }},
+	{"manycore-8", "seeded split/join workload on a 8-core tiled die",
+		"generated split/join, 8 cores", func() Spec { return manycoreSpec(8) }},
+	// Deep pipelines: every stage sits on the critical path, so freeze
+	// filtering decides whether migrations are affordable at all.
+	{"pipeline-d16", "deep linear pipeline, 16 seeded-load stages on the critical path",
+		"pipeline depth 16", func() Spec { return pipelineSpec(16, 16) }},
+	{"pipeline-d4", "deep linear pipeline, 4 seeded-load stages on the critical path",
+		"pipeline depth 4", func() Spec { return pipelineSpec(4, 4) }},
+	{"pipeline-d8", "deep linear pipeline, 8 seeded-load stages on the critical path",
+		"pipeline depth 8", func() Spec { return pipelineSpec(8, 8) }},
+	// The two paper workloads, with their hand mappings.
+	{DefaultName, "the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)",
+		"pipeline with 3-way equalizer split", sdrSpec},
+	{"video-decoder", "software video decoder pipeline, deliberately unbalanced first-fit mapping",
+		"pipeline with 2-way IDCT split", videoSpec},
+}
+
+// burstySpec is the SDR graph with phase-shifting load.
+func burstySpec() Spec {
+	sp := sdrSpec()
+	sp.Modulation = &ModulationSpec{Kind: ModPhaseShift}
+	return sp
+}
+
+// manycoreSpec is the n-core scaling family: ~0.45 FSE budget per core
+// on a tiled die, with shorter default windows so the full matrix stays
+// tractable.
+func manycoreSpec(n int) Spec {
+	sp := SplitJoin(int64(n), n/2+4, 3, 0.45*float64(n), n)
+	sp.WarmupS, sp.MeasureS, sp.DefaultDelta = 5, 10, 2
+	return sp
 }

@@ -1,66 +1,94 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // DefaultName is the scenario an empty selection resolves to: the
 // paper's benchmark.
 const DefaultName = "sdr-radio"
 
-// catalogue holds every builtin scenario, sorted by name. bySpec maps
-// each builtin's content hash to its name, so an inline spec identical
-// to a builtin resolves to the same content address the named request
-// would. Both are fixed at package init.
-var catalogue, bySpec = builtinCatalogue()
-
-// builtinCatalogue normalizes and hashes every builtin, as FromSpec
-// does a spec file, indexes it by hash and sorts the catalogue by name.
-// Failing at init beats a catalogue entry that only errors at run time.
-func builtinCatalogue() ([]Scenario, map[string]string) {
-	cat := builtins()
-	hashes := make(map[string]string, len(cat))
-	for i, b := range cat {
-		n, err := b.Normalize()
-		if err == nil {
-			cat[i], err = resolved(n, b.Topology)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("scenario: builtin %q spec invalid: %v", b.Name, err))
-		}
-		hashes[cat[i].hash] = n.Name
-	}
-	slices.SortFunc(cat, func(a, b Scenario) int { return strings.Compare(a.Name, b.Name) })
-	return cat, hashes
+// entry is one builtin: its labels and the constructor of its spec.
+type entry struct {
+	name, description, topology string
+	spec                        func() Spec
 }
+
+// resolvers[i] resolves catalogue[i] once, on first use, so a process
+// pays only for the builtins it touches; resolvedEntries counts them.
+var (
+	resolvers       [len(catalogue)]func() (Scenario, error)
+	resolvedEntries atomic.Int32
+)
+
+func init() {
+	for i := range catalogue {
+		resolvers[i] = sync.OnceValues(catalogue[i].resolve)
+	}
+}
+
+// resolve labels the entry's spec with the balancing policy by default,
+// at ±3 °C unless the spec says otherwise, and normalizes and hashes it
+// as FromSpec does a spec file.
+func (e entry) resolve() (Scenario, error) {
+	resolvedEntries.Add(1)
+	sp := e.spec()
+	sp.Name, sp.Description = e.name, e.description
+	sp.DefaultPolicy = "thermal-balance"
+	sp.DefaultDelta = cmp.Or(sp.DefaultDelta, 3)
+	n, err := sp.Normalize()
+	if err != nil {
+		return Scenario{}, fmt.Errorf("scenario: builtin %q spec invalid: %w", e.name, err)
+	}
+	return resolved(n, e.topology)
+}
+
+// all resolves every builtin once, sorted by name. A builtin that does
+// not resolve is a bug, which TestCatalogueInvariants catches.
+var all = sync.OnceValue(func() []Scenario {
+	out := make([]Scenario, len(resolvers))
+	for i, r := range resolvers {
+		s, err := r()
+		if err != nil {
+			panic(err)
+		}
+		out[i] = s
+	}
+	return out
+})
 
 // BuiltinNameForSpec reports the builtin scenario whose content hash
-// (Scenario.Hash) is hash, if any. Callers use it to collapse an inline
-// spec onto the equivalent named request so both share one content
-// address.
+// (Scenario.Hash) is hash, if any, resolving every builtin. Callers use
+// it to collapse an inline spec onto the equivalent named request so
+// both share one content address.
 func BuiltinNameForSpec(hash string) (string, bool) {
-	name, ok := bySpec[hash]
-	return name, ok
+	for _, s := range all() {
+		if s.hash == hash {
+			return s.Name, true
+		}
+	}
+	return "", false
 }
 
-// Lookup returns the named scenario. Unknown names report the
-// registered alternatives.
+// Lookup returns the named scenario, resolving only that builtin.
+// Unknown names report the registered alternatives.
 func Lookup(name string) (Scenario, error) {
-	for _, s := range catalogue {
-		if s.Name == name {
-			return s, nil
-		}
+	if i := slices.IndexFunc(catalogue[:], func(e entry) bool { return e.name == name }); i >= 0 {
+		return resolvers[i]()
 	}
 	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (registered: %v)", name, Names())
 }
 
-// Names returns the builtin scenario names, sorted.
+// Names returns the builtin scenario names, sorted, from the table
+// alone: it resolves nothing.
 func Names() []string {
 	out := make([]string, len(catalogue))
-	for i, s := range catalogue {
-		out[i] = s.Name
+	for i, e := range catalogue {
+		out[i] = e.name
 	}
 	return out
 }
@@ -103,14 +131,16 @@ func (s Scenario) Info() Info {
 }
 
 // Infos returns the catalogue entries of every builtin scenario, sorted
-// by name.
+// by name, resolving every builtin.
 func Infos() []Info {
-	out := make([]Info, len(catalogue))
-	for i, s := range catalogue {
+	cat := all()
+	out := make([]Info, len(cat))
+	for i, s := range cat {
 		out[i] = s.Info()
 	}
 	return out
 }
 
-// All returns every builtin scenario sorted by name.
-func All() []Scenario { return slices.Clone(catalogue) }
+// All returns every builtin scenario sorted by name, resolving every
+// builtin.
+func All() []Scenario { return slices.Clone(all()) }

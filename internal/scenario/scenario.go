@@ -10,7 +10,7 @@
 // MPSoC floorplan.
 //
 // Every builtin is a declarative Spec emitted in Go (builtin.go),
-// normalized and hashed once at init into a Scenario; spec files,
+// normalized and hashed into a Scenario once, on first use; spec files,
 // inline service specs and generated workloads become one through
 // FromSpec, and Instantiate compiles them all. Construction is
 // deterministic: instantiating the same name twice yields identical

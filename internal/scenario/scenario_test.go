@@ -37,7 +37,10 @@ func TestLookupUnknown(t *testing.T) {
 // rely on: names are non-empty, unique and sorted; none contains ':', so
 // the "spec:" key prefix of inline specs cannot collide with a name; and
 // no two builtins share a canonical spec hash, so BuiltinNameForSpec
-// names exactly one builtin.
+// names exactly one builtin. It resolves all builtins through All, so it
+// is also the guard against a malformed one: the catalogue resolves an
+// entry on first use, not at package init, and a builtin whose spec does
+// not normalize would otherwise fail only when first asked for.
 func TestCatalogueInvariants(t *testing.T) {
 	names := Names()
 	for i, n := range names {

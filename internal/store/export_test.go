@@ -40,7 +40,7 @@ func tamper(dir string, segID uint64, index int) (string, error) {
 				return "", fmt.Errorf("store: record %d of segment %08d has no body to tamper", index, segID)
 			}
 			data[bodyStart] ^= 0x01
-			crc := crc32.Checksum(data[off:off+size-4], crcTable)
+			crc := crc32.Checksum(data[off:off+size-4], crcTable())
 			binary.LittleEndian.PutUint32(data[off+size-4:off+size], crc)
 			key := string(data[off+recHeaderLen : off+recHeaderLen+keyLen])
 			return key, os.WriteFile(path, data, 0o644)

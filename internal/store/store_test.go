@@ -371,3 +371,60 @@ func TestKeysPrefixAndLen(t *testing.T) {
 		t.Errorf("all keys = %d, want 3", n)
 	}
 }
+
+// fillStore writes n version-stamped records of size-byte bodies in
+// one segment and closes the store.
+func fillStore(tb testing.TB, dir string, n, size int) Options {
+	tb.Helper()
+	opts := Options{NoSync: true, Version: "engine-v1"}
+	s, err := Open(dir, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Put(key(i), body(i, size)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return opts
+}
+
+// TestOpenAllocsPerRecord bounds replay's allocations: one key string
+// per record plus the index and leaf growth. A payload buffer or a
+// version string allocated per record would double the count.
+func TestOpenAllocsPerRecord(t *testing.T) {
+	const n = 1000
+	dir := t.TempDir()
+	opts := fillStore(t, dir, n, 200)
+	allocs := testing.AllocsPerRun(5, func() {
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.Keys("")); got != n {
+			t.Fatalf("reopened store has %d records, want %d", got, n)
+		}
+		s.Close()
+	})
+	if allocs > 1.5*n {
+		t.Errorf("Open of %d records: %.0f allocations, want at most %d", n, allocs, int(1.5*n))
+	}
+}
+
+// BenchmarkStoreOpen replays 4,096 records of ~1 KiB, the shape of a
+// prefilled serving store.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	opts := fillStore(b, dir, 4096, 1000)
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := Open(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}

@@ -118,15 +118,8 @@ func VerifyDir(dir string) (VerifyReport, error) {
 			leaves []provenance.Leaf
 			offs   []int64
 		)
-		valid, scanErr := scanSegment(bufio.NewReaderSize(f, 1<<20), func(rec scanned) {
-			l := provenance.Leaf{Key: rec.key}
-			if rec.kind == recKindDel {
-				l.Deleted = true
-			} else {
-				l.BodyHash = rec.bodyHash
-				l.Version = rec.ver
-			}
-			leaves = append(leaves, l)
+		valid, scanErr := scanSegment(bufio.NewReaderSize(f, scanBufSize), func(rec scanned) {
+			leaves = append(leaves, rec.Leaf)
 			offs = append(offs, rec.off)
 		})
 		fi, statErr := f.Stat()
