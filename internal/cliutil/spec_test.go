@@ -58,7 +58,7 @@ func TestLoadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name, ok := scenario.BuiltinNameForSpec(mustHash(t, sp)); !ok || name != "sdr-radio" {
+	if name, ok := scenario.BuiltinNameForSpec(sp); !ok || name != "sdr-radio" {
 		t.Errorf("loaded spec resolves to %q, %v", name, ok)
 	}
 	if sp.Graph.QueueCap != 11 {

@@ -117,7 +117,7 @@ func Canonicalize(req Request) (Request, experiment.RunConfig, error) {
 		if c.specHash, err = sc.Hash(); err != nil {
 			return Request{}, experiment.RunConfig{}, err
 		}
-		if name, ok := scenario.BuiltinNameForSpec(c.specHash); ok {
+		if name, ok := scenario.BuiltinNameForSpec(sc); ok {
 			// The spec IS a builtin: rewrite to the named request and
 			// recurse, so both spellings canonicalize — cache, coalesce
 			// and persist — to one content address. Labels the spec

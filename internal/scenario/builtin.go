@@ -272,38 +272,38 @@ var catalogue = [...]entry{
 	// The hot spot moves between task groups every few seconds, so a
 	// static mapping is wrong half the time by construction.
 	{"bursty-sdr", "SDR graph with phase-shifting load (hot/cold task groups swap every 4 s)",
-		"SDR pipeline, FSE modulated over time", burstySpec},
+		"SDR pipeline, FSE modulated over time", 3, burstySpec},
 	// Fan-out/fan-in: many same-shape workers make the pairing space
 	// large; w4 is perfectly symmetric, w8 has a seeded skew.
 	{"fanout-w4", "symmetric 4-way fan-out/fan-in, degenerate pairing space",
-		"split/join width 4", func() Spec { return fanoutSpec(4, 0) }},
+		"split/join width 4", 3, func() Spec { return fanoutSpec(4, 0) }},
 	{"fanout-w8", "skewed 8-way fan-out/fan-in with seeded worker loads",
-		"split/join width 8", func() Spec { return fanoutSpec(8, 88) }},
+		"split/join width 8", 3, func() Spec { return fanoutSpec(8, 88) }},
 	{"manycore-128", "seeded split/join workload on a 128-core tiled die",
-		"generated split/join, 128 cores", func() Spec { return manycoreSpec(128) }},
+		"generated split/join, 128 cores", 128, func() Spec { return manycoreSpec(128) }},
 	{"manycore-16", "seeded split/join workload on a 16-core tiled die",
-		"generated split/join, 16 cores", func() Spec { return manycoreSpec(16) }},
+		"generated split/join, 16 cores", 16, func() Spec { return manycoreSpec(16) }},
 	{"manycore-256", "seeded split/join workload on a 256-core tiled die",
-		"generated split/join, 256 cores", func() Spec { return manycoreSpec(256) }},
+		"generated split/join, 256 cores", 256, func() Spec { return manycoreSpec(256) }},
 	{"manycore-32", "seeded split/join workload on a 32-core tiled die",
-		"generated split/join, 32 cores", func() Spec { return manycoreSpec(32) }},
+		"generated split/join, 32 cores", 32, func() Spec { return manycoreSpec(32) }},
 	{"manycore-64", "seeded split/join workload on a 64-core tiled die",
-		"generated split/join, 64 cores", func() Spec { return manycoreSpec(64) }},
+		"generated split/join, 64 cores", 64, func() Spec { return manycoreSpec(64) }},
 	{"manycore-8", "seeded split/join workload on a 8-core tiled die",
-		"generated split/join, 8 cores", func() Spec { return manycoreSpec(8) }},
+		"generated split/join, 8 cores", 8, func() Spec { return manycoreSpec(8) }},
 	// Deep pipelines: every stage sits on the critical path, so freeze
 	// filtering decides whether migrations are affordable at all.
 	{"pipeline-d16", "deep linear pipeline, 16 seeded-load stages on the critical path",
-		"pipeline depth 16", func() Spec { return pipelineSpec(16, 16) }},
+		"pipeline depth 16", 3, func() Spec { return pipelineSpec(16, 16) }},
 	{"pipeline-d4", "deep linear pipeline, 4 seeded-load stages on the critical path",
-		"pipeline depth 4", func() Spec { return pipelineSpec(4, 4) }},
+		"pipeline depth 4", 3, func() Spec { return pipelineSpec(4, 4) }},
 	{"pipeline-d8", "deep linear pipeline, 8 seeded-load stages on the critical path",
-		"pipeline depth 8", func() Spec { return pipelineSpec(8, 8) }},
+		"pipeline depth 8", 3, func() Spec { return pipelineSpec(8, 8) }},
 	// The two paper workloads, with their hand mappings.
 	{DefaultName, "the paper's Software Defined FM Radio (Figure 6, Table 2 mapping)",
-		"pipeline with 3-way equalizer split", sdrSpec},
+		"pipeline with 3-way equalizer split", 3, sdrSpec},
 	{"video-decoder", "software video decoder pipeline, deliberately unbalanced first-fit mapping",
-		"pipeline with 2-way IDCT split", videoSpec},
+		"pipeline with 2-way IDCT split", 3, videoSpec},
 }
 
 // burstySpec is the SDR graph with phase-shifting load.

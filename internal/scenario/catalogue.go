@@ -15,7 +15,10 @@ const DefaultName = "sdr-radio"
 // entry is one builtin: its labels and the constructor of its spec.
 type entry struct {
 	name, description, topology string
-	spec                        func() Spec
+	// cores is the normalized spec's core count, so BuiltinNameForSpec
+	// resolves only the builtins a spec can equal.
+	cores int
+	spec  func() Spec
 }
 
 // resolvers[i] resolves catalogue[i] once, on first use, so a process
@@ -47,28 +50,34 @@ func (e entry) resolve() (Scenario, error) {
 	return resolved(n, e.topology)
 }
 
-// all resolves every builtin once, sorted by name. A builtin that does
-// not resolve is a bug, which TestCatalogueInvariants catches.
+// builtin resolves catalogue[i]. A builtin that does not resolve is a
+// bug, which TestCatalogueInvariants catches.
+func builtin(i int) Scenario {
+	s, err := resolvers[i]()
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// all resolves every builtin once, sorted by name.
 var all = sync.OnceValue(func() []Scenario {
 	out := make([]Scenario, len(resolvers))
-	for i, r := range resolvers {
-		s, err := r()
-		if err != nil {
-			panic(err)
-		}
-		out[i] = s
+	for i := range resolvers {
+		out[i] = builtin(i)
 	}
 	return out
 })
 
 // BuiltinNameForSpec reports the builtin scenario whose content hash
-// (Scenario.Hash) is hash, if any, resolving every builtin. Callers use
-// it to collapse an inline spec onto the equivalent named request so
-// both share one content address.
-func BuiltinNameForSpec(hash string) (string, bool) {
-	for _, s := range all() {
-		if s.hash == hash {
-			return s.Name, true
+// equals sc's, if any, resolving only the builtins with sc's core
+// count: the hash covers the platform, so no other builtin can match.
+// Callers use it to collapse an inline spec onto the equivalent named
+// request so both share one content address.
+func BuiltinNameForSpec(sc Scenario) (string, bool) {
+	for i, e := range catalogue {
+		if e.cores == sc.Platform.Cores && builtin(i).hash == sc.hash {
+			return e.name, true
 		}
 	}
 	return "", false

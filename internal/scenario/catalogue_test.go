@@ -57,6 +57,45 @@ func TestFirstUseResolution(t *testing.T) {
 	}
 }
 
+// TestSpecMatchResolvesOnlyCandidates checks that matching an inline
+// spec against the catalogue resolves only the builtins with its core
+// count: the manycore-64 spec resolves one entry, the SDR spec the
+// 3-core ones up to its own in name order, and each still finds its
+// builtin.
+func TestSpecMatchResolvesOnlyCandidates(t *testing.T) {
+	if !inFreshProcess(t) {
+		return
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want int32 // entries resolved so far
+	}{
+		{"manycore-64", manycoreSpec(64), 1},
+		{DefaultName, sdrSpec(), 1 + 7},
+	} {
+		sc, err := FromSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name, ok := BuiltinNameForSpec(sc); !ok || name != tc.name {
+			t.Errorf("%s spec matched (%q, %v), want (%q, true)", tc.name, name, ok, tc.name)
+		}
+		if got := resolvedEntries.Load(); got != tc.want {
+			t.Errorf("after the %s spec: %d entries resolved, want %d of %d", tc.name, got, tc.want, len(catalogue))
+		}
+	}
+	other := manycoreSpec(64)
+	other.Platform.Cores = 65
+	sc, err := FromSpec(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name, ok := BuiltinNameForSpec(sc); ok {
+		t.Errorf("a 65-core spec matched builtin %q", name)
+	}
+}
+
 // TestConcurrentFirstUse races goroutines through the first Lookup of
 // every builtin, each name asked for by several goroutines at once, and
 // requires every answer to equal the resolved catalogue: same Scenario,

@@ -26,19 +26,19 @@ func specHash(t testing.TB, sp Spec) string {
 	return h
 }
 
-// TestBuiltinNameForSpec checks the spec-hash index both ways: every
+// TestBuiltinNameForSpec checks the spec-hash match both ways: every
 // builtin's exported spec resolves to its own name, and a perturbed
 // spec does not resolve at all.
 func TestBuiltinNameForSpec(t *testing.T) {
 	for _, s := range All() {
-		name, ok := BuiltinNameForSpec(specHash(t, s.Spec))
+		name, ok := BuiltinNameForSpec(mustFromSpec(t, s.Spec))
 		if !ok || name != s.Name {
 			t.Errorf("%s: BuiltinNameForSpec = %q, %v", s.Name, name, ok)
 		}
 		// Labels are not part of the identity: renaming still matches.
 		renamed := s.Spec
 		renamed.Name = "something-else"
-		if name, ok := BuiltinNameForSpec(specHash(t, renamed)); !ok || name != s.Name {
+		if name, ok := BuiltinNameForSpec(mustFromSpec(t, renamed)); !ok || name != s.Name {
 			t.Errorf("%s: renamed spec did not match: %q, %v", s.Name, name, ok)
 		}
 	}
@@ -46,7 +46,7 @@ func TestBuiltinNameForSpec(t *testing.T) {
 	perturbed := sc.Spec
 	perturbed.Graph.Tasks = append([]TaskSpec(nil), perturbed.Graph.Tasks...)
 	perturbed.Graph.Tasks[0].FSE *= 1.5
-	if name, ok := BuiltinNameForSpec(specHash(t, perturbed)); ok {
+	if name, ok := BuiltinNameForSpec(mustFromSpec(t, perturbed)); ok {
 		t.Errorf("perturbed spec matched %q", name)
 	}
 }
@@ -97,7 +97,7 @@ func TestCompileHeteroTiles(t *testing.T) {
 	}
 	// The scaled tile must differ thermally from the homogeneous die —
 	// identical hashes would mean the tiles were ignored.
-	if h, ok := BuiltinNameForSpec(hetero.hash); ok {
+	if h, ok := BuiltinNameForSpec(hetero); ok {
 		t.Fatalf("hetero spec unexpectedly matched builtin %q", h)
 	}
 }

@@ -52,7 +52,10 @@ func TestCatalogueInvariants(t *testing.T) {
 		}
 	}
 	byHash := map[string]string{}
-	for _, s := range All() {
+	for i, s := range All() {
+		if c := catalogue[i].cores; c != s.Platform.Cores {
+			t.Errorf("%s: catalogue labels %d cores, its spec has %d", s.Name, c, s.Platform.Cores)
+		}
 		h, err := s.Hash()
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)

@@ -258,11 +258,7 @@ func TestScenariosSpecExport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hash, err := sc.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		name, ok := scenario.BuiltinNameForSpec(hash)
+		name, ok := scenario.BuiltinNameForSpec(sc)
 		if !ok || name != e.Name {
 			t.Errorf("%s: exported spec resolves to %q, %v", e.Name, name, ok)
 		}

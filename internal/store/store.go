@@ -355,7 +355,7 @@ func (s *Store) replay(id uint64, f *os.File) (int64, error) {
 	sp := s.prov[id]
 	// Buffered: replay touches every record, and two raw syscalls per
 	// record would make reopening a full store needlessly slow.
-	return scanSegment(bufio.NewReaderSize(f, scanBufSize), func(rec scanned) {
+	valid, err := scanSegment(bufio.NewReaderSize(f, scanBufSize), func(rec scanned) {
 		if prev, ok := s.index[rec.Key]; ok {
 			s.live -= prev.size
 		}
@@ -371,6 +371,10 @@ func (s *Store) replay(id uint64, f *os.File) (int64, error) {
 		sp.leaves = append(sp.leaves, rec.Leaf)
 		s.nextSeq++
 	})
+	if err != nil {
+		return valid, fmt.Errorf("store: segment %08d: %w", id, err)
+	}
+	return valid, nil
 }
 
 // scanned is one intact record decoded by scanSegment: its Merkle leaf
@@ -388,11 +392,13 @@ const scanBufSize = 64 << 10
 
 // scanSegment reads CRC-framed records from r until EOF or the first
 // invalid frame, calling fn for each intact record, and returns the
-// offset just past the last intact one. It is the single decoder
-// shared by replay and offline verification, so both agree on what a
-// valid record is. One payload buffer, grown to the largest record
-// seen, serves every record: a scanned record holds only string copies
-// and a hash, so nothing points into it.
+// offset just past the last intact one. A read that ends early (a torn
+// tail) is such an end; any other read error is returned, located, so
+// a failing disk never passes for a torn tail that Open would cut. It
+// is the single decoder shared by replay and offline verification, so
+// both agree on what a valid record is. One payload buffer, grown to
+// the largest record seen, serves every record: a scanned record holds
+// only string copies and a hash, so nothing points into it.
 func scanSegment(r io.Reader, fn func(rec scanned)) (int64, error) {
 	var off int64
 	header := make([]byte, recHeaderLen)
@@ -403,7 +409,7 @@ func scanSegment(r io.Reader, fn func(rec scanned)) (int64, error) {
 	)
 	for {
 		if _, err := io.ReadFull(r, header); err != nil {
-			return off, nil
+			return off, readErr(off, err)
 		}
 		keyLen := binary.LittleEndian.Uint32(header[0:4])
 		valLen := binary.LittleEndian.Uint32(header[4:8])
@@ -415,7 +421,7 @@ func scanSegment(r io.Reader, fn func(rec scanned)) (int64, error) {
 		n := int(keyLen) + int(valLen) + 4
 		payload = slices.Grow(payload[:0], n)[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil
+			return off, readErr(off, err)
 		}
 		crc := crc32.Update(crc32.Checksum(header, tab), tab, payload[:n-4])
 		if crc != binary.LittleEndian.Uint32(payload[n-4:]) {
@@ -446,6 +452,16 @@ func scanSegment(r io.Reader, fn func(rec scanned)) (int64, error) {
 		fn(rec)
 		off += rec.size
 	}
+}
+
+// readErr is scanSegment's verdict on a read error at offset off: nil
+// when the segment simply ends there, whole or torn, and the error with
+// its offset otherwise.
+func readErr(off int64, err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	}
+	return fmt.Errorf("read at offset %d: %w", off, err)
 }
 
 func (s *Store) segPath(id uint64) string {

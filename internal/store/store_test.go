@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -390,6 +393,58 @@ func fillStore(tb testing.TB, dir string, n, size int) Options {
 		tb.Fatal(err)
 	}
 	return opts
+}
+
+// failingReader returns data up to n bytes, then err.
+type failingReader struct {
+	data []byte
+	n    int
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, r.err
+	}
+	k := copy(p[:min(len(p), r.n)], r.data)
+	r.data, r.n = r.data[k:], r.n-k
+	return k, nil
+}
+
+// TestScanSegmentReadErrors tells a torn tail from a failing read: a
+// segment that ends mid-record scans to its last whole record without
+// error, whatever the cut, while a read that fails (EIO) mid-record is
+// an error, so Open never truncates the durable records after it.
+func TestScanSegmentReadErrors(t *testing.T) {
+	var seg []byte
+	var ends []int64
+	for i := range 3 {
+		seg = append(seg, frame(recKindPutV, key(i), "v1", body(i, 40))...)
+		ends = append(ends, int64(len(seg)))
+	}
+	for _, cut := range []int{0, 1, recHeaderLen, int(ends[0]), int(ends[1]) - 3, len(seg) - 1, len(seg)} {
+		valid, err := scanSegment(bytes.NewReader(seg[:cut]), func(scanned) {})
+		want := int64(0)
+		for _, e := range ends {
+			if e <= int64(cut) {
+				want = e
+			}
+		}
+		if err != nil || valid != want {
+			t.Errorf("torn at %d: scan = (%d, %v), want (%d, nil)", cut, valid, err, want)
+		}
+	}
+	for _, at := range []int{int(ends[0]) + 2, int(ends[1]) + recHeaderLen + 5} {
+		r := &failingReader{data: seg, n: at, err: syscall.EIO}
+		valid, err := scanSegment(r, func(scanned) {})
+		if !errors.Is(err, syscall.EIO) {
+			t.Errorf("EIO at byte %d: scan = (%d, %v), want an EIO error", at, valid, err)
+		}
+	}
+	// The reader's own end of data is no failure either.
+	if valid, err := scanSegment(&failingReader{data: seg, n: len(seg), err: io.EOF}, func(scanned) {}); err != nil || valid != ends[2] {
+		t.Errorf("whole segment: scan = (%d, %v), want (%d, nil)", valid, err, ends[2])
+	}
 }
 
 // TestOpenAllocsPerRecord bounds replay's allocations: one key string

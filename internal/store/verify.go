@@ -125,7 +125,7 @@ func VerifyDir(dir string) (VerifyReport, error) {
 		fi, statErr := f.Stat()
 		f.Close()
 		if scanErr != nil {
-			return rep, scanErr
+			return rep, fmt.Errorf("store: segment %08d: %w", id, scanErr)
 		}
 		if statErr != nil {
 			return rep, fmt.Errorf("store: %w", statErr)

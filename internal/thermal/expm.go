@@ -28,12 +28,13 @@ import (
 // state: H and every other n×n matrix exist only inside a build and in
 // the propagators in use, so a network that never propagates densely
 // never allocates one. A build's Taylor products exploit H's sparsity
-// (O(n²·nnz/row) each); only its few doubling products are dense
-// O(n³), split by rows across up to GOMAXPROCS goroutines once n
-// reaches 128. Both kernels reproduce the plain triple loop's bits
-// exactly, so a propagator's bits depend neither on GOMAXPROCS, nor on
-// how the rows are split, nor on whether the host runs the portable or
-// the AVX dense kernels.
+// (O(n²·nnz/column) each, gathered by H's columns); only its few
+// doubling products are dense O(n³). Both phases split their rows
+// across up to GOMAXPROCS goroutines once n reaches 128, and both
+// reproduce the plain triple loop's bits exactly, so a propagator's
+// bits depend neither on GOMAXPROCS, nor on how the rows are split,
+// nor on whether the host runs the portable, the AVX or the AVX-512
+// dense kernels.
 //
 // Dense propagation costs 2n² multiply-adds per span regardless of the
 // span length, while substepping costs (substeps × sparse RHS). The
@@ -318,10 +319,11 @@ func (e *expmIntegrator) sharedOrBuild(dt float64) *propagator {
 //	A(2h) = A(h)·A(h),   Φ(2h) = Φ(h) + A(h)·Φ(h)
 //
 // back to the full span. Φ·C⁻¹ and the ambient forcing are folded in
-// at the end. The Taylor products right-multiply by the sparse H
-// (O(n²·nnz/row) each); only the doubling products are dense O(n³),
-// through the register-tiled kernel, whose rows matmul splits across
-// goroutines on large networks. Both kernels keep the summation rule
+// at the end. The Taylor products right-multiply by the sparse H, each
+// element gathered down one column of H (taylorRows); only the
+// doubling products are dense O(n³), through the register-tiled
+// kernel (a 4×8 zmm tile on AVX-512 hosts). Both phases split their
+// rows across goroutines on large networks and keep the summation rule
 // below, so every propagator is bit-identical to one built with a
 // plain triple loop, whatever GOMAXPROCS is and whichever dense
 // kernels run. H and all scratch are local: only the returned
@@ -330,31 +332,14 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	v := View{n: e.net}
 	n := e.n
 	nn := n * n
-	// Assemble H = C⁻¹·(-G) densely, then keep its nonzeros and norm.
-	hd := make([]float64, nn)
+	hs := newCSC(v)
 	invC := make([]float64, n)
 	gamb := make([]float64, n) // AmbientG_i · Tamb
 	for i := 0; i < n; i++ {
-		ci := v.Capacitance(i)
-		invC[i] = 1 / ci
+		invC[i] = 1 / v.Capacitance(i)
 		gamb[i] = v.AmbientG(i) * v.Ambient()
-		row := hd[i*n : (i+1)*n]
-		for _, a := range v.Neighbors(i) {
-			row[a.Node] = a.G / ci
-		}
-		row[i] = -v.SumG(i) / ci
 	}
-	hs := newCSR(hd, n)
-	var normH float64 // ‖H‖∞
-	for i := 0; i < n; i++ {
-		var s float64
-		for _, x := range hd[i*n : (i+1)*n] {
-			s += math.Abs(x)
-		}
-		if s > normH {
-			normH = s
-		}
-	}
+	normH := hs.normInf()
 	// Scaling: h = dt/2^s with ‖H‖·h ≤ expmTheta.
 	s := 0
 	for normH*math.Ldexp(dt, -s) > expmTheta && s < 200 {
@@ -363,34 +348,10 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 	h := math.Ldexp(dt, -s)
 
 	a := make([]float64, nn)   // accumulates e^{H·h}; escapes into the propagator
-	phi := make([]float64, nn) // accumulates ∫₀^h e^{Hs} ds; folded into bt below
-	term := hd                 // X^k/k! with X = H·h; reuses H's storage
-	next := make([]float64, nn)
-	clear(term)
-	for i := 0; i < n; i++ {
-		a[i*n+i] = 1
-		phi[i*n+i] = h
-		term[i*n+i] = 1
-	}
-	for k := 1; k <= expmMaxTerms; k++ {
-		// term ← term·X/k = term·(H·h)/k.
-		hs.mulScaled(next, term, h/float64(k))
-		term, next = next, term
-		f := h / float64(k+1)
-		var maxAbs float64
-		for i, t := range term {
-			a[i] += t
-			phi[i] += float64(t * f)
-			if t = math.Abs(t); t > maxAbs {
-				maxAbs = t
-			}
-		}
-		if maxAbs < 1e-18 {
-			break
-		}
-	}
+	phi := make([]float64, nn) // accumulates ∫₀^h e^{Hs} ds; becomes bt below
+	prod := hs.taylor(a, phi, h)
 	// Doubling back to the full span; the Taylor buffers are free now.
-	prod, panel := next, make([][4]float64, matmulWorkers(n)*n)
+	panel := matmulPanels(n)
 	for ; s > 0; s-- {
 		kernels.matmul(prod, a, phi, panel, n)
 		for i := range phi {
@@ -400,29 +361,187 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 		a, prod = prod, a
 	}
 	// B = Φ·C⁻¹ (scale columns); b = Φ·(C⁻¹·Gamb·Tamb) = B·(Gamb·Tamb).
-	// B is stored transposed for the column-walk in Advance.
-	for i := 0; i < n; i++ {
-		row := phi[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			row[j] *= invC[j]
-		}
-	}
-	bt := make([]float64, nn)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			bt[j*n+i] = phi[i*n+j]
-		}
-	}
 	c := make([]float64, n)
 	for i := 0; i < n; i++ {
 		row := phi[i*n : i*n+n]
 		var sum float64
-		for j := 0; j < n; j++ {
+		for j := range row {
+			row[j] *= invC[j]
 			sum += float64(row[j] * gamb[j])
 		}
 		c[i] = sum
 	}
-	return &propagator{a: a, bt: bt, c: c}
+	// B is stored transposed, in Φ's own storage, for the column walk
+	// of step.
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			phi[i*n+j], phi[j*n+i] = phi[j*n+i], phi[i*n+j]
+		}
+	}
+	return &propagator{a: a, bt: phi, c: c}
+}
+
+// csc holds H = C⁻¹·(−G) in compressed sparse column form, rows
+// ascending within each column.
+type csc struct {
+	colPtr []int // column j's entries are row/val[colPtr[j]:colPtr[j+1]]
+	row    []int
+	val    []float64
+}
+
+// newCSC builds H of the network behind v by columns, straight from
+// its adjacency: row i holds G_ij/C_i in column j for each neighbor j
+// and −SumG_i/C_i on its diagonal. A neighbor listed twice (two
+// parallel conductances) gives two entries, so their terms both enter
+// every product, as both enter SumG and the Euler scheme's fluxes.
+func newCSC(v View) csc {
+	n := v.NumNodes()
+	colPtr := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		for _, a := range v.Neighbors(i) {
+			colPtr[a.Node+1]++
+		}
+		colPtr[i+1]++
+	}
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	h := csc{colPtr: colPtr, row: make([]int, colPtr[n]), val: make([]float64, colPtr[n])}
+	next := slices.Clone(colPtr[:n]) // each column's next free slot
+	put := func(i, j int, x float64) {
+		h.row[next[j]], h.val[next[j]] = i, x
+		next[j]++
+	}
+	// Rows in ascending order fill every column in ascending row order.
+	for i := 0; i < n; i++ {
+		ci := v.Capacitance(i)
+		for _, a := range v.Neighbors(i) {
+			put(i, a.Node, a.G/ci)
+		}
+		put(i, i, -v.SumG(i)/ci)
+	}
+	return h
+}
+
+// normInf returns ‖H‖∞, each row's magnitudes summed in ascending
+// column order.
+func (h *csc) normInf() float64 {
+	rowSum := make([]float64, len(h.colPtr)-1)
+	for p, i := range h.row {
+		rowSum[i] += math.Abs(h.val[p])
+	}
+	var norm float64
+	for _, s := range rowSum {
+		if s > norm {
+			norm = s
+		}
+	}
+	return norm
+}
+
+// taylor sums the Taylor series of the pair (e^{X}, ∫₀^step e^{Hs} ds),
+// X = H·step, into a and phi, which must be zero on entry: term_k =
+// X^k/k! = term_{k−1}·X/k, added to a and, times step/(k+1), to phi,
+// until a term's largest magnitude falls below 1e−18. It returns an
+// n×n scratch matrix the caller may reuse. Rows are independent
+// through the series, so they are split across matmulWorkers(n)
+// goroutines per term.
+func (h *csc) taylor(a, phi []float64, step float64) []float64 {
+	n := len(h.colPtr) - 1
+	term, next := make([]float64, n*n), make([]float64, n*n)
+	w := matmulWorkers(n)
+	// Each worker sets its own rows' diagonals, so the first touches of
+	// the fresh matrices, a page fault each, are split as the rows are.
+	forRowBlocks(n, w, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a[i*n+i] = 1
+			phi[i*n+i] = step
+			term[i*n+i] = 1
+		}
+	})
+	maxAbs := make([]float64, w) // each worker's largest |term|
+	for k := 1; k <= expmMaxTerms; k++ {
+		g, f := step/float64(k), step/float64(k+1)
+		forRowBlocks(n, w, func(b, lo, hi int) {
+			maxAbs[b] = h.taylorRows(next, term, a, phi, g, f, lo, hi)
+		})
+		term, next = next, term
+		var m float64
+		for _, x := range maxAbs {
+			m = max(m, x)
+		}
+		if m < 1e-18 {
+			break
+		}
+	}
+	return next
+}
+
+// taylorRows computes rows [lo, hi) of next = (term·H)·g, adds each new
+// element t to a and float64(t·f) to phi, and returns the rows' largest
+// |t|. It gathers every element down one column of H, k ascending from
+// +0; four rows at a time share each column's index and value loads,
+// in four independent chains. The terms with term[i][k] = 0, which a
+// scatter over term's nonzeros would skip, add ±0 to a sum that is
+// never −0, so they change no bit.
+func (h *csc) taylorRows(next, term, a, phi []float64, g, f float64, lo, hi int) float64 {
+	n := len(h.colPtr) - 1
+	var m float64
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		t0 := term[i*n : i*n+n]
+		t1 := term[i*n+n : i*n+2*n]
+		t2 := term[i*n+2*n : i*n+3*n]
+		t3 := term[i*n+3*n : i*n+4*n]
+		for j := 0; j < n; j++ {
+			rows, vals := h.column(j)
+			var s0, s1, s2, s3 float64
+			for p, r := range rows {
+				x := vals[p]
+				s0 += float64(t0[r] * x)
+				s1 += float64(t1[r] * x)
+				s2 += float64(t2[r] * x)
+				s3 += float64(t3[r] * x)
+			}
+			m = taylorFold(next, a, phi, i*n+j, s0, g, f, m)
+			m = taylorFold(next, a, phi, i*n+n+j, s1, g, f, m)
+			m = taylorFold(next, a, phi, i*n+2*n+j, s2, g, f, m)
+			m = taylorFold(next, a, phi, i*n+3*n+j, s3, g, f, m)
+		}
+	}
+	for ; i < hi; i++ {
+		ti := term[i*n : i*n+n]
+		for j := 0; j < n; j++ {
+			rows, vals := h.column(j)
+			var s float64
+			for p, r := range rows {
+				s += float64(ti[r] * vals[p])
+			}
+			m = taylorFold(next, a, phi, i*n+j, s, g, f, m)
+		}
+	}
+	return m
+}
+
+// column returns column j's row indices and values.
+func (h *csc) column(j int) ([]int, []float64) {
+	rows := h.row[h.colPtr[j]:h.colPtr[j+1]]
+	return rows, h.val[h.colPtr[j]:][:len(rows)]
+}
+
+// taylorFold stores t = s·g, rounded, as next[i], adds it to a[i] and
+// float64(t·f) to phi[i], and returns the larger of m and |t|. The
+// conversion rounds s·g before the adds: Go may fuse a product into an
+// add even across statements.
+func taylorFold(next, a, phi []float64, i int, s, g, f, m float64) float64 {
+	t := float64(s * g)
+	next[i] = t
+	a[i] += t
+	phi[i] += float64(t * f)
+	if t = math.Abs(t); t > m {
+		return t
+	}
+	return m
 }
 
 // The dense kernels: a build's doubling products and a dense step's
@@ -447,11 +566,14 @@ func (e *expmIntegrator) build(dt float64) *propagator {
 // form becomes one lane of a ymm register, and each lane performs the
 // same separate multiply and add, with the accumulator as the first
 // addend and no fused multiply-add, so both forms return the same bits.
+// Where the host also has AVX-512F, the build's tile is 4×8 with zmm
+// accumulators over 8-column panels; the dense step, bound by memory
+// rather than by its arithmetic, keeps the AVX forms.
 
 // denseKernels is one implementation of the dense loops.
 type denseKernels struct {
 	// matmulRows computes rows [lo, hi) of dst = x·y for n×n row-major
-	// matrices; panel is scratch of length n.
+	// matrices; panel is scratch of length 2n.
 	matmulRows func(dst, x, y []float64, panel [][4]float64, n, lo, hi int)
 	// matvec sets y[i] = c[i] + (a·t)[i] for the len(y) rows of the
 	// row-major a, each len(t) long.
@@ -517,60 +639,6 @@ func axpy(y, x []float64, w float64) {
 	}
 }
 
-// csr holds a square matrix's nonzeros in compressed sparse row form.
-type csr struct {
-	rowPtr []int // row k's entries are col/val[rowPtr[k]:rowPtr[k+1]]
-	col    []int
-	val    []float64
-}
-
-// newCSR compresses the n×n row-major matrix m, columns ascending.
-func newCSR(m []float64, n int) csr {
-	nnz := 0
-	for _, v := range m[:n*n] {
-		if v != 0 {
-			nnz++
-		}
-	}
-	s := csr{rowPtr: make([]int, n+1), col: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
-	for k := 0; k < n; k++ {
-		for j, v := range m[k*n : k*n+n] {
-			if v != 0 {
-				s.col = append(s.col, j)
-				s.val = append(s.val, v)
-			}
-		}
-		s.rowPtr[k+1] = len(s.col)
-	}
-	return s
-}
-
-// mulScaled computes dst = (x·H)·f for the n×n row-major x, where H is
-// the receiver. dst must not alias x. Row i of the product walks the
-// nonzero entries x[i][k], k ascending, and scatters each into the
-// columns where row k of H is nonzero: n²·(nonzeros per row) terms
-// rather than n³.
-func (h csr) mulScaled(dst, x []float64, f float64) {
-	n := len(h.rowPtr) - 1
-	for i := 0; i < n; i++ {
-		di := dst[i*n : i*n+n]
-		clear(di)
-		for k, v := range x[i*n : i*n+n] {
-			if v == 0 {
-				continue
-			}
-			lo, hi := h.rowPtr[k], h.rowPtr[k+1]
-			vals := h.val[lo:hi]
-			for p, j := range h.col[lo:hi] {
-				di[j] += float64(v * vals[p])
-			}
-		}
-		for j := range di {
-			di[j] *= f
-		}
-	}
-}
-
 // matmulRowsPerWorker is the least number of dst rows worth a worker
 // of its own in matmul: a worker repacks every panel of y, O(n²), so
 // it needs a share of the O(n³) products well above that to pay off.
@@ -583,19 +651,33 @@ func matmulWorkers(n int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), n/matmulRowsPerWorker))
 }
 
+// matmulPanels returns the panel scratch matmul needs for an n×n
+// product: room for one n-row panel of eight columns per worker.
+func matmulPanels(n int) [][4]float64 {
+	return make([][4]float64, 2*n*matmulWorkers(n))
+}
+
 // matmul computes dst = x·y for n×n row-major matrices; panel is
-// scratch of length w·n for w workers, at least one (build sizes it
-// with matmulWorkers). dst must not alias x or y. The rows of dst are
-// split into w contiguous blocks, one per goroutine (the first on the
-// caller's), and each worker packs its own n-long slice of panel.
-// Every dst element is still summed by one goroutine in the order the
-// summation rule fixes, so the product's bits do not depend on w or on
-// where the blocks split.
+// scratch of length 2n per worker, for at least one worker (build sizes
+// it with matmulPanels). dst must not alias x or y. The rows of dst are
+// split into w contiguous blocks, one per goroutine, and each worker
+// packs its own 2n-long slice of panel. Every dst element is still
+// summed by one goroutine in the order the summation rule fixes, so the
+// product's bits do not depend on w or on where the blocks split.
 func (k *denseKernels) matmul(dst, x, y []float64, panel [][4]float64, n int) {
-	w := len(panel) / n
+	forRowBlocks(n, len(panel)/(2*n), func(b, lo, hi int) {
+		k.matmulRows(dst, x, y, panel[2*b*n:2*(b+1)*n], n, lo, hi)
+	})
+}
+
+// forRowBlocks splits the rows [0, n) into w contiguous blocks and calls
+// fn(b, lo, hi) for each block b, the first on the calling goroutine
+// and the others on goroutines of their own, and returns once all are
+// done.
+func forRowBlocks(n, w int, fn func(b, lo, hi int)) {
 	if w == 1 {
 		// No WaitGroup: one would escape to the heap on every call.
-		k.matmulRows(dst, x, y, panel[:n], n, 0, n)
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -603,10 +685,10 @@ func (k *denseKernels) matmul(dst, x, y []float64, panel [][4]float64, n int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			k.matmulRows(dst, x, y, panel[b*n:b*n+n], n, n*b/w, n*(b+1)/w)
+			fn(b, n*b/w, n*(b+1)/w)
 		}()
 	}
-	k.matmulRows(dst, x, y, panel[:n], n, 0, n/w)
+	fn(0, 0, n/w)
 	wg.Wait()
 }
 
@@ -616,6 +698,7 @@ func (k *denseKernels) matmul(dst, x, y []float64, panel [][4]float64, n int) {
 // over it keeps a tile of dst in registers while k runs innermost, so
 // every loaded x and panel element feeds several products.
 func matmulRows(dst, x, y []float64, panel [][4]float64, n, lo, hi int) {
+	panel = panel[:n]
 	for j0 := 0; j0 < n; j0 += 4 {
 		w := packPanel(panel, y, n, j0)
 		matmulTiles(dst, x, panel, n, j0, w, lo, hi)

@@ -127,32 +127,29 @@ func kernelTestMatrix(rng *rand.Rand, n int) []float64 {
 }
 
 // testKernels returns every kernel set this host runs, named: the
-// portable Go kernels and, on amd64 with AVX, the vector kernels init
-// chose. Tests call both directly, in one process.
+// portable Go kernels and each vector set the CPU supports, AVX
+// included on AVX-512 hosts, where init does not select it. Tests call
+// them all directly, in one process, and log why any set is missing.
 func testKernels(t *testing.T) map[string]*denseKernels {
-	if kernels == &goKernels {
-		t.Logf("only the Go kernels run here: %s", noAVXReason())
-		return map[string]*denseKernels{"go": &goKernels}
+	sets, missing := vectorKernels()
+	for _, why := range missing {
+		t.Log(why)
 	}
-	return map[string]*denseKernels{"go": &goKernels, "avx": kernels}
+	out := map[string]*denseKernels{"go": &goKernels}
+	for name, k := range sets {
+		out[name] = k
+	}
+	return out
 }
 
-// noAVXReason says why init kept the Go kernels.
-func noAVXReason() string {
-	if runtime.GOARCH != "amd64" {
-		return "GOARCH=" + runtime.GOARCH + " has no AVX kernels"
-	}
-	return "CPUID or XGETBV reports no AVX support on this CPU and OS"
-}
-
-// The register-tiled dense kernels (Go and AVX) and the sparse Taylor
-// product must match the original triple loop bit for bit on every
-// shape, including sizes that leave remainder rows (n mod 4 ≠ 0) and
-// remainder columns.
+// The register-tiled dense kernels (Go, AVX, AVX-512) must match the
+// original triple loop bit for bit on every shape: sizes of every
+// residue mod 8, so both tile widths leave remainder columns, and row
+// blocks of every length, so they leave remainder rows.
 func TestExpmKernelsMatchOracle(t *testing.T) {
 	ks := testKernels(t)
 	rng := rand.New(rand.NewSource(14))
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 33, 390}
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33, 387, 390}
 	for _, n := range sizes {
 		for trial := 0; trial < 3; trial++ {
 			x := kernelTestMatrix(rng, n)
@@ -163,19 +160,23 @@ func TestExpmKernelsMatchOracle(t *testing.T) {
 			matmulOracle(want, x, y, n, 1)
 			for name, k := range ks {
 				clear(got)
-				k.matmul(got, x, y, make([][4]float64, n), n)
+				k.matmul(got, x, y, matmulPanels(n), n)
 				if i, ok := sameBits(got, want); !ok {
 					t.Fatalf("n=%d trial %d: %s matmul[%d] = %v (%#x), oracle %v (%#x)", n, trial, name,
 						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 				}
-			}
-
-			f := 0.37 / float64(trial+1)
-			matmulOracle(want, x, y, n, f)
-			newCSR(y, n).mulScaled(got, x, f)
-			if i, ok := sameBits(got, want); !ok {
-				t.Fatalf("n=%d trial %d: csr.mulScaled[%d] = %v (%#x), oracle %v (%#x)", n, trial,
-					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				// The rows again in blocks of 1 to 9 rows, as a
+				// worker's share may start or end anywhere.
+				clear(got)
+				for lo := 0; lo < n; {
+					hi := min(n, lo+1+rng.Intn(9))
+					k.matmulRows(got, x, y, matmulPanels(n), n, lo, hi)
+					lo = hi
+				}
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("n=%d trial %d: %s matmulRows in short blocks [%d] = %v (%#x), oracle %v (%#x)", n, trial, name,
+						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
 			}
 		}
 	}
@@ -193,10 +194,160 @@ func TestExpmKernelsMatchOracle(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for name, k := range ks {
 				got := make([]float64, n*n)
-				k.matmul(got, x, y, make([][4]float64, matmulWorkers(n)*n), n)
+				k.matmul(got, x, y, matmulPanels(n), n)
 				if i, ok := sameBits(got, want); !ok {
 					t.Fatalf("n=%d, %d workers: %s matmul[%d] = %v (%#x), oracle %v (%#x)", n, matmulWorkers(n), name,
 						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// csr holds a square matrix's nonzeros in compressed sparse row form,
+// columns ascending: the form the build's Taylor phase used before it
+// gathered by columns, kept for taylorOracle.
+type csr struct {
+	rowPtr []int // row k's entries are col/val[rowPtr[k]:rowPtr[k+1]]
+	col    []int
+	val    []float64
+}
+
+// newCSR compresses the n×n row-major matrix m, dropping its zeros.
+func newCSR(m []float64, n int) csr {
+	s := csr{rowPtr: make([]int, n+1)}
+	for k := 0; k < n; k++ {
+		for j, v := range m[k*n : k*n+n] {
+			if v != 0 {
+				s.col = append(s.col, j)
+				s.val = append(s.val, v)
+			}
+		}
+		s.rowPtr[k+1] = len(s.col)
+	}
+	return s
+}
+
+// mulScaled computes dst = (x·H)·f for the n×n row-major x, where H is
+// the receiver, in scatter form: row i of the product walks the
+// nonzero entries x[i][k], k ascending, and scatters each into the
+// columns where row k of H is nonzero.
+func (h csr) mulScaled(dst, x []float64, f float64) {
+	n := len(h.rowPtr) - 1
+	for i := 0; i < n; i++ {
+		di := dst[i*n : i*n+n]
+		clear(di)
+		for k, v := range x[i*n : i*n+n] {
+			if v == 0 {
+				continue
+			}
+			lo, hi := h.rowPtr[k], h.rowPtr[k+1]
+			vals := h.val[lo:hi]
+			for p, j := range h.col[lo:hi] {
+				di[j] += float64(v * vals[p])
+			}
+		}
+		for j := range di {
+			di[j] *= f
+		}
+	}
+}
+
+// taylorOracle is the build's original Taylor phase, the reference the
+// gathered, row-split csc.taylor must match bit for bit: it sums the
+// series of (e^{H·h}, ∫₀^h e^{Hs} ds) for the dense n×n H on one
+// goroutine, each term scattered by csr.mulScaled.
+func taylorOracle(hd []float64, n int, h float64) (a, phi []float64) {
+	hs := newCSR(hd, n)
+	a, phi = make([]float64, n*n), make([]float64, n*n)
+	term, next := make([]float64, n*n), make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		a[i*n+i] = 1
+		phi[i*n+i] = h
+		term[i*n+i] = 1
+	}
+	for k := 1; k <= expmMaxTerms; k++ {
+		hs.mulScaled(next, term, h/float64(k))
+		term, next = next, term
+		f := h / float64(k+1)
+		var maxAbs float64
+		for i, t := range term {
+			a[i] += t
+			phi[i] += float64(t * f)
+			maxAbs = max(maxAbs, math.Abs(t))
+		}
+		if maxAbs < 1e-18 {
+			break
+		}
+	}
+	return a, phi
+}
+
+// taylorTestMatrix returns a seeded sparse n×n H as a csc and densely:
+// whole empty rows and columns, stored entries of ±0 (which the dense
+// form's CSR drops and the csc keeps), subnormals, and mixed signs.
+func taylorTestMatrix(rng *rand.Rand, n int) (csc, []float64) {
+	emptyRow := make([]bool, n)
+	for i := range emptyRow {
+		emptyRow[i] = n > 1 && rng.Intn(6) == 0
+	}
+	h := csc{colPtr: make([]int, n+1)}
+	hd := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		if n > 1 && rng.Intn(6) == 0 {
+			h.colPtr[j+1] = len(h.row)
+			continue // empty column
+		}
+		for i := 0; i < n; i++ {
+			if emptyRow[i] || (i != j && rng.Intn(n) >= 6) {
+				continue
+			}
+			var v float64
+			switch r := rng.Intn(10); {
+			case r < 2:
+				v = math.Copysign(0, float64(1-2*rng.Intn(2)))
+			case r < 3:
+				v = float64(1-2*rng.Intn(2)) * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+			default:
+				v = rng.NormFloat64()
+			}
+			h.row = append(h.row, i)
+			h.val = append(h.val, v)
+			hd[i*n+j] = v
+		}
+		h.colPtr[j+1] = len(h.row)
+	}
+	return h, hd
+}
+
+// The gathered Taylor phase must match the scatter-form oracle bit for
+// bit on sparse matrices with empty rows and columns, stored ±0,
+// subnormal and mixed-sign entries, whatever GOMAXPROCS is: at
+// n = 387 its rows are split across one to three workers.
+func TestExpmTaylorMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 21, 99, 387} {
+		for trial := 0; trial < 2; trial++ {
+			hs, hd := taylorTestMatrix(rng, n)
+			// A step with ‖H‖·h near expmTheta, as the build scales it.
+			h := 1.0
+			if norm := hs.normInf(); norm > 0 {
+				h = expmTheta / norm
+			}
+			wantA, wantPhi := taylorOracle(hd, n, h)
+			for _, procs := range []int{1, 2, 3} {
+				runtime.GOMAXPROCS(procs)
+				a, phi := make([]float64, n*n), make([]float64, n*n)
+				hs.taylor(a, phi, h)
+				for _, c := range []struct {
+					name      string
+					got, want []float64
+				}{{"a", a, wantA}, {"phi", phi, wantPhi}} {
+					if i, ok := sameBits(c.got, c.want); !ok {
+						t.Fatalf("n=%d trial %d, %d workers: %s[%d] = %v (%#x), oracle %v (%#x)", n, trial, matmulWorkers(n),
+							c.name, i, c.got[i], math.Float64bits(c.got[i]), c.want[i], math.Float64bits(c.want[i]))
+					}
 				}
 			}
 		}
@@ -235,15 +386,22 @@ func sameOrNaN(a, b []float64) (int, bool) {
 	return 0, true
 }
 
-// The AVX step kernels must return the Go kernels' bits: A·T over row
-// blocks of every length mod 4 (the vector kernel runs four rows per
-// call and leaves the rest to Go), then the B·P column updates, on
+// The vector step kernels must return the Go kernels' bits: A·T over
+// row blocks of every length mod 4 (the vector kernel runs four rows
+// per call and leaves the rest to Go), then the B·P column updates, on
 // inputs full of ±0, subnormals, ±1e±300 and mixed signs. A NaN in
 // any input must give a NaN out wherever the Go kernels give one.
 func TestExpmStepKernelsMatchGo(t *testing.T) {
-	if kernels == &goKernels {
-		t.Skip("no AVX kernels to compare: " + noAVXReason())
+	sets, missing := vectorKernels()
+	if len(sets) == 0 {
+		t.Skip("no vector kernels to compare: ", missing)
 	}
+	for name, k := range sets {
+		t.Run(name, func(t *testing.T) { testStepKernels(t, k) })
+	}
+}
+
+func testStepKernels(t *testing.T, kernels *denseKernels) {
 	rng := rand.New(rand.NewSource(32))
 	draw := func(n int, nan bool) []float64 {
 		v := make([]float64, n)
@@ -265,7 +423,7 @@ func TestExpmStepKernelsMatchGo(t *testing.T) {
 				goKernels.matvec(want, p.a, p.c, temps)
 				kernels.matvec(got, p.a, p.c, temps)
 				if i, ok := sameOrNaN(got, want); !ok {
-					t.Fatalf("n=%d trial %d rows=%d: avx matvec[%d] = %v (%#x), go %v (%#x)", n, trial, rows,
+					t.Fatalf("n=%d trial %d rows=%d: matvec[%d] = %v (%#x), go %v (%#x)", n, trial, rows,
 						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 				}
 			}
@@ -273,7 +431,7 @@ func TestExpmStepKernelsMatchGo(t *testing.T) {
 			goKernels.step(p, want, power, make([]float64, n))
 			kernels.step(p, got, power, make([]float64, n))
 			if i, ok := sameOrNaN(got, want); !ok {
-				t.Fatalf("n=%d trial %d: avx step[%d] = %v (%#x), go %v (%#x)", n, trial,
+				t.Fatalf("n=%d trial %d: step[%d] = %v (%#x), go %v (%#x)", n, trial,
 					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}

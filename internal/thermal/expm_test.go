@@ -116,6 +116,38 @@ func TestExpmMatchesTinyStepEuler(t *testing.T) {
 	}
 }
 
+// Two conductances between one pair of nodes both enter H, as both
+// enter SumG and the Euler fluxes: dense propagation of a network with
+// a parallel pair must match the tiny-step Euler reference too.
+func TestExpmParallelConductances(t *testing.T) {
+	b := NewBuilder()
+	hot := b.AddNode("hot", 0.02, 0)
+	mid := b.AddNode("mid", 0.05, 0)
+	sink := b.AddNode("sink", 0.4, 0.8)
+	b.Connect(hot, mid, 0.6)
+	b.Connect(hot, mid, 0.9)
+	b.Connect(mid, sink, 1.2)
+	net, err := b.Build(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetIntegrator(expmWithCrossover(net, 1))
+	power := []float64{2, 0.5, 0}
+	start := net.Temperatures(nil)
+	const window, windows = 0.01, 50
+	for w := 0; w < windows; w++ {
+		if err := net.Step(window, power); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := richardsonEuler(net.View(), start, window*windows, net.View().EulerMaxStep()/200, power)
+	for i, want := range ref {
+		if d := math.Abs(net.Temperature(i) - want); d > 1e-6 {
+			t.Errorf("node %d: |expm - tiny-step Euler| = %.3g °C, want <= 1e-6", i, d)
+		}
+	}
+}
+
 // The t→∞ limit: propagating one enormous exact span must land on the
 // linear solver's steady state.
 func TestExpmReachesSteadyState(t *testing.T) {

@@ -1,15 +1,30 @@
 package thermal
 
-// The AVX forms of the dense kernels (see the kernel notes in expm.go).
-// The assembly in kernels_amd64.s computes only whole groups of four:
-// a 4×4 tile of a build product, the four lane chains of four A·T
-// rows, and four columns of B·P. These wrappers bound the slices the
-// assembly reads and leave every remainder, and A·T's reduction and
-// tail, to the portable Go code, so the two forms share those lines.
+// The AVX and AVX-512 forms of the dense kernels (see the kernel notes
+// in expm.go). The assembly in kernels_amd64.s computes only whole
+// tiles and lane groups: a 4×4 (AVX) or 4×8 (AVX-512) tile of a build
+// product, the four lane chains of four A·T rows, and four columns of
+// B·P. These wrappers bound the slices the assembly reads and leave
+// every remainder, and A·T's reduction and tail, to the portable Go
+// code, so the forms share those lines.
+
+var (
+	// avxKernels run on hosts with AVX: ymm build tiles and step.
+	avxKernels = denseKernels{matmulRows: matmulRowsAVX, matvec: matvecAVX, axpy: axpyAVX}
+	// avx512Kernels run on hosts with AVX-512F: zmm build tiles and the
+	// AVX step, which is bound by memory, not by its arithmetic.
+	avx512Kernels = denseKernels{matmulRows: matmulRowsAVX512, matvec: matvecAVX, axpy: axpyAVX}
+
+	hasAVX    = cpuHasAVX()
+	hasAVX512 = hasAVX && cpuHasAVX512()
+)
 
 func init() {
-	if cpuHasAVX() {
-		kernels = &denseKernels{matmulRows: matmulRowsAVX, matvec: matvecAVX, axpy: axpyAVX}
+	switch {
+	case hasAVX512:
+		kernels = &avx512Kernels
+	case hasAVX:
+		kernels = &avxKernels
 	}
 }
 
@@ -17,11 +32,23 @@ func init() {
 // registers (CPUID's AVX and OSXSAVE bits, XCR0's XMM and YMM bits).
 func cpuHasAVX() bool
 
+// cpuHasAVX512 reports, on a host where cpuHasAVX holds, whether the
+// CPU has AVX-512F (CPUID leaf 7, EBX bit 16) and the OS saves the
+// opmask and zmm registers (XCR0 bits 1, 2, 5, 6 and 7).
+func cpuHasAVX512() bool
+
 // matmulTile4 sets t[r][j] to the sum over k of x[r·n+k]·panel[k][j],
 // for the four rows from x and the four panel columns.
 //
 //go:noescape
 func matmulTile4(t *[4][4]float64, x *float64, panel *[4]float64, n int)
+
+// matmulTile4x8 sets t[r][j] to the sum over k of x[r·n+k]·y[k][j],
+// for the four rows from x and the eight columns of the panel, which
+// holds row k's columns in panel[2k] and panel[2k+1].
+//
+//go:noescape
+func matmulTile4x8(t *[4][8]float64, x *float64, panel *[4]float64, n int)
 
 // matvecLanes4 sets s[r][l] to the sum over the j < m with j ≡ l
 // (mod 4) of a[r·n+j]·t[j], for the four rows from a; m is a positive
@@ -50,6 +77,36 @@ func matmulRowsAVX(dst, x, y []float64, panel [][4]float64, n, lo, hi int) {
 			}
 		}
 		matmulTiles(dst, x, panel, n, j0, w, i, hi)
+	}
+}
+
+// matmulRowsAVX512 is matmulRows with 4×8 tiles over 8-column panels.
+// A last row group or panel that would run short instead overlaps the
+// one before it: each element it recomputes gets the same bits, so
+// storing it twice changes nothing, and no tile is partial. Blocks of
+// fewer than four rows and products narrower than eight columns take
+// the AVX kernel.
+func matmulRowsAVX512(dst, x, y []float64, panel [][4]float64, n, lo, hi int) {
+	if n < 8 || hi-lo < 4 {
+		matmulRowsAVX(dst, x, y, panel, n, lo, hi)
+		return
+	}
+	x, panel = x[:hi*n], panel[:2*n]
+	for jb := 0; jb < n; jb += 8 {
+		j0 := min(jb, n-8)
+		for k := 0; k < n; k++ {
+			yk := y[k*n+j0 : k*n+j0+8]
+			copy(panel[2*k][:], yk[:4])
+			copy(panel[2*k+1][:], yk[4:])
+		}
+		for ib := lo; ib < hi; ib += 4 {
+			i := min(ib, hi-4)
+			var t [4][8]float64
+			matmulTile4x8(&t, &x[i*n], &panel[0], n)
+			for r := range t {
+				copy(dst[(i+r)*n+j0:(i+r)*n+j0+8], t[r][:])
+			}
+		}
 	}
 }
 

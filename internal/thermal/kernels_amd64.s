@@ -1,10 +1,10 @@
 #include "textflag.h"
 
-// The AVX dense kernels (kernels_amd64.go). Each accumulator lane
-// performs exactly the scalar Go kernel's operations: a VMULPD with
-// the Go code's first factor first, then a VADDPD with the accumulator
-// as the first addend, both rounded to binary64. No fused multiply-add
-// and no AVX-512: `make fma-check` rejects a fused mnemonic here.
+// The AVX and AVX-512 dense kernels (kernels_amd64.go). Each
+// accumulator lane performs exactly the scalar Go kernel's operations:
+// a VMULPD with the Go code's first factor first, then a VADDPD with
+// the accumulator as the first addend, both rounded to binary64. No
+// fused multiply-add: `make fma-check` rejects a fused mnemonic here.
 
 // func cpuHasAVX() bool
 TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
@@ -66,6 +66,72 @@ tile:
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
 	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX512() bool
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID                // EAX: the highest basic leaf
+	CMPL AX, $7
+	JB   none512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x10000, BX   // AVX512F (bit 16)
+	JZ   none512
+	XORL CX, CX
+	XGETBV               // XCR0: xmm (1), ymm (2), opmask (5), zmm0-15 (6), zmm16-31 (7)
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  none512
+	MOVB $1, ret+0(FP)
+	RET
+
+none512:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func matmulTile4x8(t *[4][8]float64, x *float64, panel *[4]float64, n int)
+TEXT ·matmulTile4x8(SB), NOSPLIT, $0-32
+	MOVQ t+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ panel+16(FP), DX
+	MOVQ n+24(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8             // row stride in bytes
+	LEAQ (SI)(R8*1), R9     // x row 1
+	LEAQ (SI)(R8*2), R10    // x row 2
+	LEAQ (R9)(R8*2), R11    // x row 3
+	VPXORQ Z0, Z0, Z0       // row r of the tile accumulates in Zr, from +0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	XORQ AX, AX             // k in bytes
+
+tile8:
+	VMOVUPD      (DX), Z4   // row k of the panel: panel[2k], panel[2k+1]
+	VBROADCASTSD (SI)(AX*1), Z5
+	VBROADCASTSD (R9)(AX*1), Z6
+	VBROADCASTSD (R10)(AX*1), Z7
+	VBROADCASTSD (R11)(AX*1), Z8
+	VMULPD       Z4, Z5, Z5 // x[r][k]·panel row k
+	VMULPD       Z4, Z6, Z6
+	VMULPD       Z4, Z7, Z7
+	VMULPD       Z4, Z8, Z8
+	VADDPD       Z5, Z0, Z0 // acc + product
+	VADDPD       Z6, Z1, Z1
+	VADDPD       Z7, Z2, Z2
+	VADDPD       Z8, Z3, Z3
+	ADDQ         $64, DX
+	ADDQ         $8, AX
+	DECQ         CX
+	JNZ          tile8
+
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
 	VZEROUPPER
 	RET
 
