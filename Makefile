@@ -221,7 +221,8 @@ check-386:
 # VFNMSUB*, VFMADDSUB*, VFMSUBADD*) as file:line. It needs only the
 # toolchain.
 FMA_ARCHES = arm64 ppc64le s390x riscv64
-FMA_PKGS = ./internal/thermal ./internal/task ./internal/scenario
+FMA_PKGS = ./internal/thermal ./internal/task ./internal/scenario ./internal/metrics \
+	./internal/stream ./internal/policy ./internal/dvfs
 
 fma-check:
 	@fail=0; for arch in $(FMA_ARCHES); do \

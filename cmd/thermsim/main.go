@@ -207,7 +207,9 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace written    %s (%d samples)\n", *traceOut, len(eng.Recorder().Samples()))
+		dropped, _ := eng.Recorder().Dropped()
+		fmt.Printf("trace written    %s (%d samples%s)\n", *traceOut, len(eng.Recorder().Samples()),
+			droppedNote(dropped, "samples"))
 	}
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
@@ -220,8 +222,20 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("events written   %s (%d events)\n", *eventsOut, len(eng.Recorder().Events()))
+		_, dropped := eng.Recorder().Dropped()
+		fmt.Printf("events written   %s (%d events%s)\n", *eventsOut, len(eng.Recorder().Events()),
+			droppedNote(dropped, "events"))
 	}
+}
+
+// droppedNote says how many later samples or events the recorder's cap
+// discarded, so a truncated file is not mistaken for the whole run; it
+// is empty when none were.
+func droppedNote(n int, what string) string {
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf("; %d later %s dropped at the recorder's cap, so the file stops early", n, what)
 }
 
 // canonicalize resolves req, exiting on an error; a spec's validation

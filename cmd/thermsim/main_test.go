@@ -203,3 +203,25 @@ func TestSpecFileErrorNamesFile(t *testing.T) {
 		wantExit(t, err, stderr, "scenario spec "+path+": scenario spec invalid")
 	}
 }
+
+// TestTraceWrittenLines: a run under the recorder's caps reports each
+// file's length alone, and a capped one adds how much was dropped.
+func TestTraceWrittenLines(t *testing.T) {
+	dir := t.TempDir()
+	tr, ev := filepath.Join(dir, "t.csv"), filepath.Join(dir, "e.csv")
+	stdout, stderr, err := thermsim("-policy", "tb", "-warmup", "0.5", "-measure", "0.5", "-trace", tr, "-events", ev)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	for _, want := range []string{"trace written    " + tr + " (100 samples)\n", "events written   " + ev + " ("} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	if strings.Contains(stdout, "dropped") {
+		t.Errorf("an uncapped run reports drops:\n%s", stdout)
+	}
+	if got, want := droppedNote(7, "events"), "; 7 later events dropped at the recorder's cap, so the file stops early"; got != want {
+		t.Errorf("droppedNote = %q, want %q", got, want)
+	}
+}

@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
@@ -60,48 +62,58 @@ func (g *greedy) Decide(s *policy.Snapshot) []policy.Action {
 	return []policy.Action{policy.Migrate{Task: best, Dst: cold}}
 }
 
-func run(pol policy.Policy) sim.Result {
+// simulate runs the SDR radio under pol for the default warm-up and
+// measurement windows.
+func simulate(pol policy.Policy) (sim.Result, error) {
 	sc, err := scenario.Lookup("sdr-radio")
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 	engine, err := sim.New(sim.Config{PolicyStartS: experiment.DefaultWarmupS, MeasureStartS: experiment.DefaultWarmupS}, inst.Platform, inst.Graph, pol)
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 	if err := engine.Run(experiment.DefaultWarmupS + experiment.DefaultMeasureS); err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
-	return engine.Summarize()
+	return engine.Summarize(), nil
 }
 
 func main() {
 	log.SetFlags(0)
-	paper := run(policy.NewBalancer(policy.BalancerParams{Delta: 3}))
-	naive := run(&greedy{delta: 3})
-
-	fmt.Println("Custom policy vs the paper's thermal balancer (±3 °C, 30 s)")
-	fmt.Println()
-	fmt.Printf("%-24s %12s %12s\n", "", "paper", "greedy")
-	fmt.Printf("%-24s %12.3f %12.3f\n", "temp std dev [°C]", paper.PooledStdDev, naive.PooledStdDev)
-	fmt.Printf("%-24s %12d %12d\n", "deadline misses", paper.DeadlineMisses, naive.DeadlineMisses)
-	fmt.Printf("%-24s %12d %12d\n", "migrations", paper.Migrations, naive.Migrations)
-	fmt.Printf("%-24s %12.1f %12.1f\n", "migrated KB/s", paper.BytesPerSec/1024, naive.BytesPerSec/1024)
-	fmt.Println()
-	if naive.Migrations > paper.Migrations {
-		fmt.Printf("The greedy policy needed %.1fx the migrations (and bus traffic) of the\n",
-			float64(naive.Migrations)/float64(max(paper.Migrations, 1)))
-		fmt.Println("paper's policy — the candidate conditions and Eq. 1 cost bound pay off.")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// run compares the greedy policy with the paper's and prints the
+// table to w.
+func run(w io.Writer) error {
+	paper, err := simulate(policy.NewBalancer(policy.BalancerParams{Delta: 3}))
+	if err != nil {
+		return err
 	}
-	return b
+	naive, err := simulate(&greedy{delta: 3})
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintln(w, "Custom policy vs the paper's thermal balancer (±3 °C, 30 s)")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-24s %12s %12s\n", "", "paper", "greedy")
+	fmt.Fprintf(w, "%-24s %12.3f %12.3f\n", "temp std dev [°C]", paper.PooledStdDev, naive.PooledStdDev)
+	fmt.Fprintf(w, "%-24s %12d %12d\n", "deadline misses", paper.DeadlineMisses, naive.DeadlineMisses)
+	fmt.Fprintf(w, "%-24s %12d %12d\n", "migrations", paper.Migrations, naive.Migrations)
+	fmt.Fprintf(w, "%-24s %12.1f %12.1f\n", "migrated KB/s", paper.BytesPerSec/1024, naive.BytesPerSec/1024)
+	fmt.Fprintln(w)
+	if naive.Migrations > paper.Migrations {
+		fmt.Fprintf(w, "The greedy policy needed %.1fx the migrations (and bus traffic) of the\n",
+			float64(naive.Migrations)/float64(max(paper.Migrations, 1)))
+		fmt.Fprintln(w, "paper's policy — the candidate conditions and Eq. 1 cost bound pay off.")
+	}
+	return nil
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -20,22 +21,32 @@ import (
 	"thermbal/internal/sim"
 )
 
+var (
+	csvPath = flag.String("csv", "", "write the temperature/frequency timeline to this CSV file")
+	delta   = flag.Float64("delta", 3, "balancing threshold (°C)")
+)
+
 func main() {
 	log.SetFlags(0)
-	csvPath := flag.String("csv", "", "write the temperature/frequency timeline to this CSV file")
-	delta := flag.Float64("delta", 3, "balancing threshold (°C)")
 	flag.Parse()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run simulates the balanced SDR radio at the -delta threshold and
+// prints the report to w, writing the timeline to -csv when set.
+func run(w io.Writer) error {
 	// The SDR pipeline of the paper's Figure 6 with Table 2 loads
 	// (LPF -> DEMOD -> {BPF1, BPF2, BPF3} -> SUM, 50 frames/s) on the
 	// 3-core MPSoC with the mobile-embedded thermal package.
 	sc, err := scenario.Lookup("sdr-radio")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	graph, plat := inst.Graph, inst.Platform
 
@@ -46,53 +57,57 @@ func main() {
 		RecordTrace:   true,
 	}, plat, graph, balancer)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	engine.SetOvershootDelta(*delta)
 
 	if err := engine.Run(experiment.DefaultWarmupS + experiment.DefaultMeasureS); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res := engine.Summarize()
 
-	fmt.Printf("SDR radio, thermal balancing at ±%.0f °C (%.0f s measured)\n\n", *delta, res.MeasuredS)
-	fmt.Printf("temperature: pooled std %.3f °C, gradient %.2f °C, max %.2f °C\n",
+	fmt.Fprintf(w, "SDR radio, thermal balancing at ±%.0f °C (%.0f s measured)\n\n", *delta, res.MeasuredS)
+	fmt.Fprintf(w, "temperature: pooled std %.3f °C, gradient %.2f °C, max %.2f °C\n",
 		res.PooledStdDev, res.MeanGradient, res.MaxTemp)
-	fmt.Printf("QoS: %d misses over %d deadlines (%.2f%%)\n",
+	fmt.Fprintf(w, "QoS: %d misses over %d deadlines (%.2f%%)\n",
 		res.DeadlineMisses, res.DeadlineMisses+res.FramesConsumed, res.MissRatePct)
-	fmt.Printf("migrations: %d (%.2f/s), %.0f KB moved, mean freeze %.0f ms\n\n",
+	fmt.Fprintf(w, "migrations: %d (%.2f/s), %.0f KB moved, mean freeze %.0f ms\n\n",
 		res.Migrations, res.MigrationsPerSec, res.MigratedBytes/1024, res.MeanFreezeS*1e3)
 
-	fmt.Println("per-task statistics:")
+	fmt.Fprintln(w, "per-task statistics:")
 	for _, t := range graph.Tasks() {
-		fmt.Printf("  %-6s core%d  %6d frames  %2d migrations\n",
+		fmt.Fprintf(w, "  %-6s core%d  %6d frames  %2d migrations\n",
 			t.Name, t.Core+1, t.FramesCompleted, t.Migrations)
 	}
 
-	fmt.Println("\nper-queue statistics:")
+	fmt.Fprintln(w, "\nper-queue statistics:")
 	for qi := 0; qi < graph.NumQueues(); qi++ {
 		s := graph.Queue(qi).Stats()
-		fmt.Printf("  %-14s cap %2d  mean level %5.2f  max %2d  overruns %d\n",
+		fmt.Fprintf(w, "  %-14s cap %2d  mean level %5.2f  max %2d  overruns %d\n",
 			s.Name, s.Cap, s.MeanLevel, s.MaxLevel, s.Overruns)
 	}
 
-	migr := engine.Migrations().Stats()
-	fmt.Println("\nmigration breakdown:")
+	fmt.Fprintln(w, "\nmigration breakdown:")
 	for _, t := range graph.Tasks() {
-		if n := migr.PerTask[t.Name]; n > 0 {
-			fmt.Printf("  %-6s moved %d times\n", t.Name, n)
+		if t.Migrations > 0 {
+			fmt.Fprintf(w, "  %-6s moved %d times\n", t.Name, t.Migrations)
 		}
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := engine.Recorder().WriteCSV(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ntimeline written to %s (%d samples)\n", *csvPath, len(engine.Recorder().Samples()))
+	if *csvPath == "" {
+		return nil
 	}
+	f, err := os.Create(*csvPath)
+	if err != nil {
+		return err
+	}
+	if err := engine.Recorder().WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "\ntimeline written to %s (%d samples)\n", *csvPath, len(engine.Recorder().Samples()))
+	return err
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"thermbal/internal/floorplan"
 	"thermbal/internal/thermal"
@@ -17,15 +19,22 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run solves the steady state, steps the transient and compares the
+// packages, printing each to w.
+func run(w io.Writer) error {
 	// A 4-core variant of the streaming MPSoC floorplan.
 	fp := floorplan.StreamingMPSoC(4)
-	fmt.Printf("floorplan: %d blocks, %d adjacencies, die %.1f x %.1f mm\n",
+	fmt.Fprintf(w, "floorplan: %d blocks, %d adjacencies, die %.1f x %.1f mm\n",
 		len(fp.Blocks), len(fp.Adjacencies), dieMM(fp, true), dieMM(fp, false))
 
 	model, err := thermal.NewModel(fp, thermal.MobileEmbedded())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Unbalanced power: core 1 hot, the rest nearly idle.
@@ -36,46 +45,42 @@ func main() {
 	}
 
 	if err := model.Settle(power); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nsteady state with core1 hot:")
-	printCores(model, 4)
+	fmt.Fprintln(w, "\nsteady state with core1 hot:")
+	printCores(w, model, 4)
 
 	// Move the hot spot to core 4 and watch the transient.
 	setCorePower(fp, power, 0, 0.06)
 	setCorePower(fp, power, 3, 0.40)
-	fmt.Println("\ntransient after moving the load to core4 (mobile package):")
+	fmt.Fprintln(w, "\ntransient after moving the load to core4 (mobile package):")
+	var elapsed float64
 	for _, dt := range []float64{0.1, 0.5, 1, 2, 4, 8} {
 		if err := model.Step(dt, power); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  t+%4.1fs:", cum(dt))
+		elapsed += dt
+		fmt.Fprintf(w, "  t+%4.1fs:", elapsed)
 		for c := 0; c < 4; c++ {
-			fmt.Printf("  core%d %6.2f", c+1, model.CoreTemp(c))
+			fmt.Fprintf(w, "  core%d %6.2f", c+1, model.CoreTemp(c))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	// The high-performance package reaches the same steady state 6x
 	// faster.
 	hp, err := thermal.NewModel(fp, thermal.HighPerformance())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := hp.Step(2.0, power); err != nil { // 2 s ≈ 12 s of mobile time
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nhigh-performance package after only 2 s from ambient:")
-	printCores(hp, 4)
-	fmt.Printf("\nspeed ratio between packages: %.1fx\n",
+	fmt.Fprintln(w, "\nhigh-performance package after only 2 s from ambient:")
+	printCores(w, hp, 4)
+	_, err = fmt.Fprintf(w, "\nspeed ratio between packages: %.1fx\n",
 		thermal.HighPerformance().SpeedupVs(thermal.MobileEmbedded()))
-}
-
-var elapsed float64
-
-func cum(dt float64) float64 {
-	elapsed += dt
-	return elapsed
+	return err
 }
 
 func setCorePower(fp *floorplan.Floorplan, p []float64, coreID int, watts float64) {
@@ -91,9 +96,9 @@ func setCorePower(fp *floorplan.Floorplan, p []float64, coreID int, watts float6
 	}
 }
 
-func printCores(m *thermal.Model, n int) {
+func printCores(w io.Writer, m *thermal.Model, n int) {
 	for c := 0; c < n; c++ {
-		fmt.Printf("  core%d: %6.2f °C\n", c+1, m.CoreTemp(c))
+		fmt.Fprintf(w, "  core%d: %6.2f °C\n", c+1, m.CoreTemp(c))
 	}
 }
 

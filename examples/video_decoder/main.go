@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"thermbal/internal/experiment"
 	"thermbal/internal/policy"
@@ -16,41 +18,59 @@ import (
 	"thermbal/internal/sim"
 )
 
-func run(pol policy.Policy) sim.Result {
+func main() {
+	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// simulate runs the video decoder under pol for the default warm-up
+// and measurement windows.
+func simulate(pol policy.Policy) (sim.Result, error) {
 	sc, err := scenario.Lookup("video-decoder")
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 	inst, err := sc.Instantiate(scenario.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 	e, err := sim.New(sim.Config{PolicyStartS: experiment.DefaultWarmupS, MeasureStartS: experiment.DefaultWarmupS}, inst.Platform, inst.Graph, pol)
 	if err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
 	if err := e.Run(experiment.DefaultWarmupS + experiment.DefaultMeasureS); err != nil {
-		log.Fatal(err)
+		return sim.Result{}, err
 	}
-	return e.Summarize()
+	return e.Summarize(), nil
 }
 
-func main() {
-	log.SetFlags(0)
-	results := []sim.Result{
-		run(policy.EnergyBalance{}),
-		run(policy.NewStopGo(3)),
-		run(policy.NewBalancer(policy.BalancerParams{Delta: 3})),
+// run compares the three policies on the video decoder and prints the
+// table to w.
+func run(w io.Writer) error {
+	var results []sim.Result
+	for _, pol := range []policy.Policy{
+		policy.EnergyBalance{},
+		policy.NewStopGo(3),
+		policy.NewBalancer(policy.BalancerParams{Delta: 3}),
+	} {
+		r, err := simulate(pol)
+		if err != nil {
+			return err
+		}
+		results = append(results, r)
 	}
 
-	fmt.Println("Video decoder pipeline (25 fps) on the 3-core MPSoC, 30 s window")
-	fmt.Println()
-	fmt.Printf("%-18s %10s %10s %10s %8s\n", "policy", "std[°C]", "grad[°C]", "misses", "migr")
+	fmt.Fprintln(w, "Video decoder pipeline (25 fps) on the 3-core MPSoC, 30 s window")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-18s %10s %10s %10s %8s\n", "policy", "std[°C]", "grad[°C]", "misses", "migr")
 	for _, r := range results {
-		fmt.Printf("%-18s %10.3f %10.2f %10d %8d\n",
+		fmt.Fprintf(w, "%-18s %10.3f %10.2f %10d %8d\n",
 			r.PolicyName, r.PooledStdDev, r.MeanGradient, r.DeadlineMisses, r.Migrations)
 	}
-	fmt.Println()
-	fmt.Println("The balancing policy carries over: lower deviation than the static")
-	fmt.Println("mapping with bounded migration cost, on a workload the paper never ran.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "The balancing policy carries over: lower deviation than the static")
+	_, err := fmt.Fprintln(w, "mapping with bounded migration cost, on a workload the paper never ran.")
+	return err
 }

@@ -73,7 +73,7 @@ func (l *Ladder) LevelFor(fseTotal float64) float64 {
 	if fseTotal <= 0 {
 		return l.Min()
 	}
-	need := fseTotal * l.Max()
+	need := float64(fseTotal * l.Max())
 	for _, f := range l.levels {
 		if f >= need-1e-9 {
 			return f

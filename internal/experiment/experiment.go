@@ -404,7 +404,7 @@ func measureMigrationCost(mech migrate.Mechanism, sizeKB int) (float64, error) {
 	t.StateBytes = float64(sizeKB << 10)
 	t.CodeBytes = float64(sizeKB << 10) // image scales with task size
 	t.Core = 0
-	mg, err := m.Request(t, 0, 1, 0)
+	mg, err := m.Request(t, 0, 1)
 	if err != nil {
 		return 0, err
 	}

@@ -22,7 +22,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // Mean returns the running mean (0 with no samples).
@@ -54,7 +54,7 @@ func SpatialStdDev(values []float64) float64 {
 	var ss float64
 	for _, v := range values {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(values)))
 }

@@ -91,8 +91,9 @@ type Migration struct {
 	Src, Dst int
 	Phase    Phase
 
-	RequestedAt float64
-	FrozenAt    float64
+	FrozenAt float64
+	// CompletedAt is set as the migration finishes, when it leaves the
+	// pending set, so no checkpoint holds it.
 	CompletedAt float64
 
 	transfer   *bus.Transfer
@@ -114,7 +115,6 @@ type Stats struct {
 	Completed  int
 	BytesMoved float64
 	FreezeTime float64 // summed task-frozen seconds
-	PerTask    map[string]int
 }
 
 // Manager is the master daemon: it owns pending migrations and drives
@@ -146,7 +146,6 @@ func NewManager(b *bus.Bus, mech Mechanism) *Manager {
 		mech:             mech,
 		RestoreOverheadS: DefaultRestoreOverheadS,
 		pending:          map[int]*Migration{},
-		stats:            Stats{PerTask: map[string]int{}},
 	}
 }
 
@@ -158,7 +157,7 @@ var ErrSamePlace = errors.New("migrate: source and destination are the same core
 
 // Request asks the master daemon to move task ti to dst. The task keeps
 // running until its next checkpoint.
-func (m *Manager) Request(t *task.Task, ti, dst int, now float64) (*Migration, error) {
+func (m *Manager) Request(t *task.Task, ti, dst int) (*Migration, error) {
 	if _, busy := m.pending[ti]; busy {
 		return nil, ErrBusy
 	}
@@ -166,12 +165,11 @@ func (m *Manager) Request(t *task.Task, ti, dst int, now float64) (*Migration, e
 		return nil, ErrSamePlace
 	}
 	mg := &Migration{
-		Task:        t,
-		TaskIdx:     ti,
-		Src:         t.Core,
-		Dst:         dst,
-		Phase:       WaitCheckpoint,
-		RequestedAt: now,
+		Task:    t,
+		TaskIdx: ti,
+		Src:     t.Core,
+		Dst:     dst,
+		Phase:   WaitCheckpoint,
 	}
 	m.pending[ti] = mg
 	return mg, nil
@@ -284,21 +282,14 @@ func (m *Manager) complete(ti int, mg *Migration, now float64) {
 	m.stats.Completed++
 	m.stats.BytesMoved += mg.bytes
 	m.stats.FreezeTime += mg.FreezeDuration()
-	m.stats.PerTask[mg.Task.Name]++
 	if m.OnComplete != nil {
 		m.OnComplete(mg)
 	}
 }
 
-// Stats returns a copy of the aggregate statistics.
-func (m *Manager) Stats() Stats {
-	s := m.stats
-	s.PerTask = make(map[string]int, len(m.stats.PerTask))
-	for k, v := range m.stats.PerTask {
-		s.PerTask[k] = v
-	}
-	return s
-}
+// Stats returns the aggregate statistics. Per-task counts are each
+// task's own Migrations.
+func (m *Manager) Stats() Stats { return m.stats }
 
 // EstimateFreezeS predicts the freeze time of migrating t with the
 // current mechanism, assuming `competitors` concurrent bus transfers.
@@ -334,9 +325,7 @@ func (m *Manager) Ckpt(c *ckpt.Codec, tasks []*task.Task) {
 		c.Int(&mg.Src)
 		c.Int(&mg.Dst)
 		c.Int((*int)(&mg.Phase))
-		c.Float(&mg.RequestedAt)
 		c.Float(&mg.FrozenAt)
-		c.Float(&mg.CompletedAt)
 		c.Float(&mg.restoreEnd)
 		c.Float(&mg.bytes)
 		for _, tr := range []**bus.Transfer{&mg.transfer, &mg.reload} {
@@ -356,21 +345,6 @@ func (m *Manager) Ckpt(c *ckpt.Codec, tasks []*task.Task) {
 	c.Int(&st.Completed)
 	c.Float(&st.BytesMoved)
 	c.Float(&st.FreezeTime)
-	names := slices.Sorted(maps.Keys(st.PerTask))
-	n = len(names)
-	c.Count(&n)
-	if c.Reading() {
-		st.PerTask = make(map[string]int, n)
-		names = make([]string, n)
-	}
-	for i := range names {
-		k := st.PerTask[names[i]]
-		c.String(&names[i])
-		c.Int(&k)
-		if c.Reading() {
-			st.PerTask[names[i]] = k
-		}
-	}
 }
 
 // ckptTransfer writes or reads a migration's transfer *tr, if any. A

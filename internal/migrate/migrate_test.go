@@ -33,13 +33,13 @@ func drive(b *bus.Bus, m *Manager, mg *Migration, start float64) float64 {
 
 func TestRequestValidation(t *testing.T) {
 	_, m, tk := newEnv(Replication)
-	if _, err := m.Request(tk, 0, 0, 1.0); !errors.Is(err, ErrSamePlace) {
+	if _, err := m.Request(tk, 0, 0); !errors.Is(err, ErrSamePlace) {
 		t.Errorf("same-core request err = %v", err)
 	}
-	if _, err := m.Request(tk, 0, 1, 1.0); err != nil {
+	if _, err := m.Request(tk, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Request(tk, 0, 2, 1.0); !errors.Is(err, ErrBusy) {
+	if _, err := m.Request(tk, 0, 2); !errors.Is(err, ErrBusy) {
 		t.Errorf("double request err = %v", err)
 	}
 	if m.NumPending() != 1 {
@@ -49,7 +49,7 @@ func TestRequestValidation(t *testing.T) {
 
 func TestReplicationLifecycle(t *testing.T) {
 	b, m, tk := newEnv(Replication)
-	mg, err := m.Request(tk, 0, 2, 1.0)
+	mg, err := m.Request(tk, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,8 @@ func TestReplicationLifecycle(t *testing.T) {
 	if s.Completed != 1 || s.BytesMoved != task.DefaultStateBytes {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.PerTask["BPF1"] != 1 {
-		t.Errorf("per-task count = %v", s.PerTask)
-	}
-	if wait := mg.FrozenAt - mg.RequestedAt; wait != 0.5 {
-		t.Errorf("wait time = %g, want 0.5", wait)
+	if mg.FrozenAt != 1.5 {
+		t.Errorf("frozen at %g, want the checkpoint's 1.5", mg.FrozenAt)
 	}
 	if m.NumPending() != 0 {
 		t.Error("pending not cleared")
@@ -108,11 +105,11 @@ func TestRecreationSlowerThanReplication(t *testing.T) {
 	bR, mR, tkR := newEnv(Replication)
 	bC, mC, tkC := newEnv(Recreation)
 
-	mgR, _ := mR.Request(tkR, 0, 1, 0)
+	mgR, _ := mR.Request(tkR, 0, 1)
 	mR.AtCheckpoint(0, 0)
 	dR := drive(bR, mR, mgR, 0)
 
-	mgC, _ := mC.Request(tkC, 0, 1, 0)
+	mgC, _ := mC.Request(tkC, 0, 1)
 	mC.AtCheckpoint(0, 0)
 	dC := drive(bC, mC, mgC, 0)
 
@@ -140,7 +137,7 @@ func TestCheckpointWithoutPendingIsNoop(t *testing.T) {
 
 func TestCheckpointMidFrameRejected(t *testing.T) {
 	_, m, tk := newEnv(Replication)
-	m.Request(tk, 0, 1, 0)
+	m.Request(tk, 0, 1)
 	tk.StartFrame() // task mid-frame: freeze must fail
 	if _, err := m.AtCheckpoint(0, 0.1); err == nil {
 		t.Error("mid-frame freeze accepted")
@@ -149,7 +146,7 @@ func TestCheckpointMidFrameRejected(t *testing.T) {
 
 func TestSecondCheckpointWhileTransferring(t *testing.T) {
 	_, m, tk := newEnv(Replication)
-	mg, _ := m.Request(tk, 0, 1, 0)
+	mg, _ := m.Request(tk, 0, 1)
 	m.AtCheckpoint(0, 0)
 	froze, err := m.AtCheckpoint(0, 0.01)
 	if err != nil || froze {
@@ -163,7 +160,7 @@ func TestSecondCheckpointWhileTransferring(t *testing.T) {
 func TestEstimateMatchesActualFreeze(t *testing.T) {
 	b, m, tk := newEnv(Replication)
 	est := m.EstimateFreezeS(tk, 1)
-	mg, _ := m.Request(tk, 0, 1, 0)
+	mg, _ := m.Request(tk, 0, 1)
 	m.AtCheckpoint(0, 0)
 	actual := drive(b, m, mg, 0)
 	if diff := actual - est; diff < -0.005 || diff > 0.005 {
@@ -176,7 +173,7 @@ func TestFreezeStatsAccumulate(t *testing.T) {
 	var sum float64
 	for i := 0; i < 3; i++ {
 		dst := (tk.Core + 1) % 3
-		mg, err := m.Request(tk, 0, dst, 0)
+		mg, err := m.Request(tk, 0, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +222,7 @@ func TestPendingLookup(t *testing.T) {
 	if _, ok := m.Pending(0); ok {
 		t.Error("phantom pending")
 	}
-	mg, _ := m.Request(tk, 0, 1, 0)
+	mg, _ := m.Request(tk, 0, 1)
 	got, ok := m.Pending(0)
 	if !ok || got != mg {
 		t.Error("Pending lookup failed")
@@ -237,7 +234,7 @@ func TestTransitQueries(t *testing.T) {
 	if !math.IsInf(m.NextPhaseTransitionAt(), 1) {
 		t.Fatal("phase transition scheduled before any request")
 	}
-	mg, err := m.Request(tk, 0, 1, 1.0)
+	mg, err := m.Request(tk, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func (b *Balancer) pickTask(s *Snapshot, from, to int) (ti int, bytes float64, o
 
 	loadFrom := s.FSEOn(from)
 	loadTo := s.FSEOn(to)
-	fBefore := sq(s.Freq[from]) + sq(s.Freq[to])
+	fBefore := float64(sq(s.Freq[from])) + float64(sq(s.Freq[to]))
 
 	// Note on selection: with DVFS a hot→cold move usually *swaps* the
 	// load imbalance rather than shrinking it (the paper's Figure 1:
@@ -240,7 +240,7 @@ func (b *Balancer) pickTask(s *Snapshot, from, to int) (ti int, bytes float64, o
 		newTo := loadTo + tv.FSE
 		// Condition 3: total switching power must not increase
 		// (f² is the DVFS power proxy; V scales with f).
-		fAfter := sq(s.LevelFor(newFrom)) + sq(s.LevelFor(newTo))
+		fAfter := float64(sq(s.LevelFor(newFrom))) + float64(sq(s.LevelFor(newTo)))
 		if fAfter > fBefore+1e-6 {
 			continue
 		}

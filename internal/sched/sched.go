@@ -21,8 +21,6 @@ type Scheduler struct {
 	queues [][]int
 	// cursor[c] is the RR position for core c.
 	cursor []int
-	// coreOf maps a task index to its core (-1 when unmapped).
-	coreOf map[int]int
 }
 
 // New creates a scheduler for n cores.
@@ -33,42 +31,43 @@ func New(n int) *Scheduler {
 	return &Scheduler{
 		queues: make([][]int, n),
 		cursor: make([]int, n),
-		coreOf: make(map[int]int),
 	}
 }
 
-// Assign places task ti on core c, removing it from any previous core.
+// Assign places task ti, mapped to no core yet, on core c.
 func (s *Scheduler) Assign(ti, c int) error {
 	if c < 0 || c >= len(s.queues) {
 		return fmt.Errorf("sched: core %d out of range", c)
 	}
-	if prev, ok := s.coreOf[ti]; ok {
-		if prev == c {
-			return nil
-		}
-		s.removeFrom(ti, prev)
-	}
 	s.queues[c] = append(s.queues[c], ti)
-	s.coreOf[ti] = c
 	return nil
 }
 
-func (s *Scheduler) removeFrom(ti, c int) {
-	q := s.queues[c]
-	for i, v := range q {
-		if v == ti {
-			s.queues[c] = append(q[:i], q[i+1:]...)
-			if s.cursor[c] > i {
-				s.cursor[c]--
-			}
-			if len(s.queues[c]) > 0 {
-				s.cursor[c] %= len(s.queues[c])
-			} else {
-				s.cursor[c] = 0
-			}
-			return
-		}
+// Move moves task ti from core src's run queue to the end of core
+// dst's. Moving a task onto its own core does nothing.
+func (s *Scheduler) Move(ti, src, dst int) error {
+	if min(src, dst) < 0 || max(src, dst) >= len(s.queues) {
+		return fmt.Errorf("sched: move from core %d to %d out of range", src, dst)
 	}
+	if src == dst {
+		return nil
+	}
+	q := s.queues[src]
+	i := slices.Index(q, ti)
+	if i < 0 {
+		return fmt.Errorf("sched: task %d is not on core %d", ti, src)
+	}
+	s.queues[src] = append(q[:i], q[i+1:]...)
+	if s.cursor[src] > i {
+		s.cursor[src]--
+	}
+	if len(s.queues[src]) > 0 {
+		s.cursor[src] %= len(s.queues[src])
+	} else {
+		s.cursor[src] = 0
+	}
+	s.queues[dst] = append(s.queues[dst], ti)
+	return nil
 }
 
 // TasksOn returns the task indices mapped to core c, in a stable sorted
@@ -130,12 +129,9 @@ func (s *Scheduler) AdvancePast(c, ti int) {
 }
 
 // Ckpt writes or reads the scheduler's run queues and round-robin
-// cursors. A restore derives the task→core map from the queues.
+// cursors.
 func (s *Scheduler) Ckpt(c *ckpt.Codec) {
 	c.Len(len(s.queues))
-	if c.Reading() {
-		clear(s.coreOf)
-	}
 	for core, q := range s.queues {
 		n := len(q)
 		c.Count(&n)
@@ -145,9 +141,6 @@ func (s *Scheduler) Ckpt(c *ckpt.Codec) {
 		}
 		for i := range q {
 			c.Int(&q[i])
-			if c.Reading() {
-				s.coreOf[q[i]] = core
-			}
 		}
 	}
 	c.Ints(s.cursor)

@@ -31,45 +31,46 @@ func TestAssignAndLookup(t *testing.T) {
 	if err := s.Assign(10, 5); err == nil {
 		t.Error("out-of-range core accepted")
 	}
-	if s.coreOf[10] != 0 || s.coreOf[12] != 1 {
-		t.Error("coreOf wrong")
-	}
-	if _, ok := s.coreOf[99]; ok {
-		t.Error("unmapped task in coreOf")
-	}
 	if got := s.TasksOn(0); len(got) != 2 || got[0] != 10 || got[1] != 11 {
 		t.Errorf("TasksOn(0) = %v", got)
 	}
-	if len(s.queues[1]) != 1 {
-		t.Errorf("queue 1 length = %d", len(s.queues[1]))
+	if got := s.TasksOn(1); len(got) != 1 || got[0] != 12 {
+		t.Errorf("TasksOn(1) = %v", got)
 	}
 }
 
 func TestReassignMoves(t *testing.T) {
 	s := New(2)
 	s.Assign(1, 0)
-	s.Assign(1, 1)
-	if s.coreOf[1] != 1 {
-		t.Error("reassign did not move task")
+	if err := s.Move(1, 0, 1); err != nil {
+		t.Fatal(err)
 	}
-	if len(s.queues[0]) != 0 {
-		t.Error("task left on old core")
+	if len(s.queues[0]) != 0 || len(s.queues[1]) != 1 {
+		t.Errorf("queues after move = %v", s.queues)
 	}
-	// Redundant reassign is a no-op.
-	s.Assign(1, 1)
-	if len(s.queues[1]) != 1 {
-		t.Error("redundant assign duplicated task")
+	// Moving onto the task's own core is a no-op.
+	if err := s.Move(1, 1, 1); err != nil || len(s.queues[1]) != 1 {
+		t.Errorf("redundant move: %v, queues %v", err, s.queues)
+	}
+	if err := s.Move(1, 0, 1); err == nil {
+		t.Error("move of a task not on its named source accepted")
+	}
+	if err := s.Move(1, 1, 5); err == nil {
+		t.Error("out-of-range destination accepted")
+	}
+	if err := s.Move(1, -1, 0); err == nil {
+		t.Error("out-of-range source accepted")
 	}
 }
 
-// Reassigning a task removes it from its old run queue and leaves the
-// other tasks there in order.
+// Moving a task removes it from its old run queue and leaves the other
+// tasks there in order.
 func TestRemove(t *testing.T) {
 	s := New(2)
 	s.Assign(1, 0)
 	s.Assign(2, 0)
 	s.Assign(3, 0)
-	s.Assign(2, 1)
+	s.Move(2, 0, 1)
 	if got := s.queues[0]; len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("old queue = %v, want [1 3]", got)
 	}
@@ -124,7 +125,7 @@ func TestCursorStableAcrossRemoval(t *testing.T) {
 	s.Assign(3, 0)
 	all := func(int) bool { return true }
 	s.PickNext(0, all) // returns 1, cursor now at 2
-	s.Assign(1, 1)     // moves 1 off core 0
+	s.Move(1, 0, 1)    // moves 1 off core 0
 	// Next pick must be 2 (cursor adjusted), not skip to 3.
 	if got := s.PickNext(0, all); got != 2 {
 		t.Errorf("after removal PickNext = %d, want 2", got)
@@ -144,9 +145,8 @@ func TestMappingCopy(t *testing.T) {
 	}
 }
 
-// Property: under arbitrary assign sequences, every mapped task appears
-// in exactly one run queue and the task→core map agrees with queue
-// membership.
+// Property: under arbitrary placements and moves, every mapped task
+// appears in exactly one run queue, the one it was last placed on.
 func TestMappingConsistencyProperty(t *testing.T) {
 	type op struct {
 		Task uint8
@@ -154,8 +154,17 @@ func TestMappingConsistencyProperty(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		s := New(3)
+		coreOf := map[int]int{}
 		for _, o := range ops {
-			s.Assign(int(o.Task%12), int(o.Core%3))
+			ti, c := int(o.Task%12), int(o.Core%3)
+			if src, ok := coreOf[ti]; ok {
+				if s.Move(ti, src, c) != nil {
+					return false
+				}
+			} else if s.Assign(ti, c) != nil {
+				return false
+			}
+			coreOf[ti] = c
 		}
 		seen := map[int]int{}
 		for c := 0; c < 3; c++ {
@@ -164,12 +173,12 @@ func TestMappingConsistencyProperty(t *testing.T) {
 					return false // task in two queues
 				}
 				seen[ti] = c
-				if s.coreOf[ti] != c {
+				if coreOf[ti] != c {
 					return false
 				}
 			}
 		}
-		return len(seen) == len(s.coreOf)
+		return len(seen) == len(coreOf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -6,7 +6,6 @@ import (
 	"thermbal/internal/experiment"
 	"thermbal/internal/obs"
 	"thermbal/internal/store"
-	"thermbal/internal/trace"
 )
 
 // Cache outcomes, indexed for allocation-free lookup on the hot path.
@@ -246,17 +245,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		m.proofErrors = r.NewCounter("thermbal_proof_errors_total",
 			"/proof requests the store refused (unknown key, unsealed tail, tainted segment).")
 	}
-	// Recorder drops are engine-side truncation: a capped trace means a
-	// run's CSV timeline is incomplete, which an operator should see
-	// without grepping logs.
-	r.NewCounterFunc("thermbal_trace_dropped_total",
-		"Trace samples discarded at recorder buffer caps, process-wide.",
-		func() float64 { return float64(trace.TotalDroppedSamples()) },
-		obs.L("kind", "samples"))
-	r.NewCounterFunc("thermbal_trace_dropped_total",
-		"Trace events discarded at recorder buffer caps, process-wide.",
-		func() float64 { return float64(trace.TotalDroppedEvents()) },
-		obs.L("kind", "events"))
 	// Warm-up checkpoints are process-wide too: every run this server
 	// executes restores or simulates its warm-up through one cache.
 	r.NewCounterFunc("thermbal_warmup_checkpoint_hits_total",

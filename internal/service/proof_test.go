@@ -230,9 +230,9 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
-// TestDropCountersInMetrics: the always-on trace-drop families render
-// on every server, and a failed timing log surfaces as the failed
-// gauge plus a dropped-records counter instead of failing requests.
+// TestDropCountersInMetrics: a failed timing log surfaces as the
+// failed gauge plus a dropped-records counter instead of failing
+// requests.
 func TestDropCountersInMetrics(t *testing.T) {
 	log := obs.NewCSVLogger(failWriter{}, true) // header write trips the sticky error
 	_, ts := newTestServer(t, Config{TimingLog: log})
@@ -241,14 +241,6 @@ func TestDropCountersInMetrics(t *testing.T) {
 
 	_, body := do(t, http.MethodGet, ts.URL+"/metrics", "")
 	text := string(body)
-	// Process-wide totals: other tests in the package may have dropped
-	// trace samples, so presence and non-negativity are the contract.
-	if v := promValue(t, text, `thermbal_trace_dropped_total{kind="samples"}`); v < 0 {
-		t.Errorf("trace samples dropped = %g", v)
-	}
-	if v := promValue(t, text, `thermbal_trace_dropped_total{kind="events"}`); v < 0 {
-		t.Errorf("trace events dropped = %g", v)
-	}
 	if v := promValue(t, text, "thermbal_timing_log_failed"); v != 1 {
 		t.Errorf("timing_log_failed = %g, want 1", v)
 	}

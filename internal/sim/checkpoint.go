@@ -98,9 +98,7 @@ func (e *Engine) ckpt(c *ckpt.Codec) {
 	c.Int64(&e.measureStartConsumed)
 	c.Int(&e.measureStartMigr)
 	c.Float(&e.measureStartBytes)
-	c.Bool(&e.measureStarted)
 	c.Float(&e.measureStartTime)
-	c.Bool(&e.policyActive)
 	c.Float(&e.overThresholdS)
 	e.temps.Ckpt(c)
 	e.plat.Ckpt(c)

@@ -94,19 +94,19 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	}{
 		{"sdr-radio/mobile", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "sdr-radio"), thermal.MobileEmbedded(), thermal.Euler, 12.5)
-		}, "643 d67fe042c8b7658655bdc91c0d61ca82b4d85c4d8b4f7019850bff98a4275424"},
+		}, "640 6d3c7de14a7c4e2398d8aed58850e060245590ce0fb1d70a7c7bb7957179174b"},
 		{"sdr-radio/highperf", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "sdr-radio"), thermal.HighPerformance(), thermal.Euler, 12.5)
-		}, "645 e85b20189173e644b390399cb5400fa3d9adb1681930d5fbd7010697c5917741"},
+		}, "642 9e46b01a3c9c0ac9b26c55d8c3992eb8d4e9a073dbe3969f722d0f86d31aa349"},
 		{"bursty-sdr", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "bursty-sdr"), thermal.MobileEmbedded(), thermal.Euler, 4.5)
-		}, "639 4c320d0370aa05583117aaabc0f7e99cfd94526fb1baa843c1b6cdf2f19b2ac3"},
+		}, "636 2972784bd594a09c1822093377922b47ba0b3e6c185102b7a9958f34566c4ee8"},
 		{"manycore-64/expm", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "manycore-64"), thermal.MobileEmbedded(), thermal.Expm, 1)
-		}, "7932 0c94bd3fa1a739ea573515896fae83ed5c3799f220be1f16ee4da9658cd5c675"},
+		}, "7929 a1b4bd7014e6ef634075b32f349998aebd32085f3adb87cfb844216e84f5e036"},
 		{"generated-7", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, gen, thermal.MobileEmbedded(), thermal.Euler, 0.2)
-		}, "2053 f53b582116fc99791ebb62d80f44c632359e6d37ae09fe25fe26bda96e4b0586"},
+		}, "2050 bd1aee692e55309388eacb0b75a68882f50bfed5fca238561c1a4d8dcca99037"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.e(t)
@@ -119,7 +119,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	t.Run("mid-run", func(t *testing.T) {
 		e := midRun(t)
 		transferring(t, e)
-		if got, want := digest(checkpoint(t, e)), "819 aa463bb4d580cf60bd4c64631057003b5bb3cbf8bd335037957c0d4113d0845a"; got != want {
+		if got, want := digest(checkpoint(t, e)), "812 dc2aa3152b2f69c18187eee1c9ef6c75dc3ccd98c785fef57b06925fd0960d80"; got != want {
 			t.Errorf("checkpoint %s, want %s", got, want)
 		}
 	})

@@ -366,3 +366,58 @@ func TestRunToSplitMidPeriodCatchUp(t *testing.T) {
 		}
 	}
 }
+
+// The first measuring and the first policy update are derived from the
+// clock, not stored: each is the first sensor update at or after its
+// start, whether the start falls on a boundary, between two, before
+// the first or at 0, and whether the run is split between updates or
+// restored from a checkpoint taken before either start.
+func TestFirstUpdateAtOrAfterStart(t *testing.T) {
+	const tick, every = 100e-6, 100 // the default tick and sensor period
+	firstTick := func(start float64) int64 {
+		k := int64(every)
+		for float64(k)*tick < start {
+			k += every
+		}
+		return k
+	}
+	for _, start := range []float64{0, 0.005, 0.3, 1.00003} {
+		for _, restored := range []bool{false, true} {
+			cfg := sim.Config{PolicyStartS: start, MeasureStartS: start + 0.25}
+			e := buildScripted(t, "sdr-radio", cfg)
+			if restored {
+				src := buildScripted(t, "sdr-radio", cfg)
+				runTo(t, src, src.WarmupEnd())
+				if err := e.Restore(checkpoint(t, src)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.RecordTrace = true
+			traced := buildScripted(t, "sdr-radio", cfg)
+			const end = 20_000
+			for tk := int64(37); tk < end; tk += 37 {
+				runTo(t, e, tk)
+				runTo(t, traced, tk)
+			}
+			runTo(t, e, end)
+			runTo(t, traced, end)
+
+			var on []float64
+			for _, ev := range traced.Recorder().Events() {
+				if ev.Kind == "policy-on" {
+					on = append(on, ev.Time)
+				}
+			}
+			if want := float64(firstTick(start)) * tick; len(on) != 1 || on[0] != want {
+				t.Errorf("start %g: policy-on at %v, want once at %g", start, on, want)
+			}
+			want := float64(end)*tick - float64(firstTick(start+0.25))*tick
+			if got := e.Summarize().MeasuredS; got != want {
+				t.Errorf("start %g (restored %v): measured %g s, want %g", start, restored, got, want)
+			}
+			if got := traced.Summarize(); got != e.Summarize() {
+				t.Errorf("start %g (restored %v): traced and untraced summaries differ", start, restored)
+			}
+		}
+	}
+}

@@ -149,15 +149,13 @@ type Engine struct {
 	rec      *trace.Recorder
 	snapshot policy.Snapshot // reused across sensor periods
 
-	// measuring window bookkeeping for rate metrics
+	// measuring window bookkeeping for rate metrics, taken at the
+	// first measuring update (see firstAtOrAfter)
 	measureStartMisses   int64
 	measureStartConsumed int64
 	measureStartMigr     int
 	measureStartBytes    float64
-	measureStarted       bool
 	measureStartTime     float64
-
-	policyActive bool
 
 	// workRatio[i] = CyclesPerFrame/FSE of task i at construction, so
 	// modulated loads rebind to consistent per-frame work.
@@ -221,7 +219,7 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 		e.sensorEvery = 1
 	}
 	if cfg.RecordTrace {
-		e.rec = trace.New(n, 0)
+		e.rec = trace.New(n)
 	}
 	plat.Thermal.Net.SetIntegrator(thermal.NewIntegrator(cfg.Thermal))
 	e.workRatio = make([]float64, g.NumTasks())
@@ -266,9 +264,6 @@ func (e *Engine) SetOvershootDelta(delta float64) { e.deltaForOver = delta }
 
 // Platform exposes the platform (read-mostly; tests adjust state).
 func (e *Engine) Platform() *mpsoc.Platform { return e.plat }
-
-// Migrations exposes the middleware manager.
-func (e *Engine) Migrations() *migrate.Manager { return e.migr }
 
 // Ticks returns the integer tick count advanced since construction.
 func (e *Engine) Ticks() int64 { return e.ticks }
@@ -338,7 +333,7 @@ func (e *Engine) onMigrationComplete(mg *migrate.Migration) {
 	// round-robin cursors) before the rebind.
 	e.markDirty(mg.Src)
 	e.markDirty(mg.Dst)
-	if err := e.sch.Assign(mg.TaskIdx, mg.Dst); err != nil {
+	if err := e.sch.Move(mg.TaskIdx, mg.Src, mg.Dst); err != nil {
 		panic(fmt.Sprintf("sim: migration completion rebind: %v", err))
 	}
 	e.updateDVFS(mg.Src)
@@ -411,6 +406,14 @@ func (e *Engine) prevSensorTime() float64 {
 		return math.Inf(-1)
 	}
 	return float64(e.ticks-e.sensorEvery) * e.cfg.TickS
+}
+
+// firstAtOrAfter reports whether the current sensor update is the first
+// at or after start seconds: its now is not below start and the
+// previous update's was. Both times derive from the integer clock, so
+// the first measuring and the first policy update need no flag.
+func (e *Engine) firstAtOrAfter(start float64) bool {
+	return e.now >= start && e.prevSensorTime() < start
 }
 
 // WarmupEnd returns the last sensor boundary strictly before both
@@ -625,8 +628,7 @@ func (e *Engine) sensorUpdate() error {
 
 	// Metrics.
 	if e.now >= e.cfg.MeasureStartS {
-		if !e.measureStarted {
-			e.measureStarted = true
+		if e.firstAtOrAfter(e.cfg.MeasureStartS) {
 			e.measureStartTime = e.now
 			e.measureStartMisses = e.graph.SinkStats().Misses
 			e.measureStartConsumed = e.graph.SinkStats().Consumed
@@ -650,11 +652,8 @@ func (e *Engine) sensorUpdate() error {
 
 	// Policy.
 	if e.now >= e.cfg.PolicyStartS {
-		if !e.policyActive {
-			e.policyActive = true
-			if e.rec != nil {
-				e.rec.AddEvent(e.now, "policy-on", "policy %s active", e.pol.Name())
-			}
+		if e.rec != nil && e.firstAtOrAfter(e.cfg.PolicyStartS) {
+			e.rec.AddEvent(e.now, "policy-on", "policy %s active", e.pol.Name())
 		}
 		for _, act := range e.pol.Decide(s) {
 			if err := e.apply(act); err != nil {
@@ -676,7 +675,7 @@ func (e *Engine) apply(act policy.Action) error {
 			return fmt.Errorf("sim: policy migrated task %d to unknown core %d", a.Task, a.Dst)
 		}
 		t := e.graph.Task(a.Task)
-		if _, err := e.migr.Request(t, a.Task, a.Dst, e.now); err != nil {
+		if _, err := e.migr.Request(t, a.Task, a.Dst); err != nil {
 			// Racing requests are filtered by the policy contract, so
 			// surface real protocol errors.
 			return fmt.Errorf("sim: %w", err)

@@ -3,11 +3,15 @@ package sim
 import (
 	"testing"
 
+	"thermbal/internal/migrate"
 	"thermbal/internal/stream"
 )
 
 // Graph exposes the streaming application.
 func (e *Engine) Graph() *stream.Graph { return e.graph }
+
+// Migrations exposes the middleware manager.
+func (e *Engine) Migrations() *migrate.Manager { return e.migr }
 
 // Now returns the current simulation time: exactly Ticks()*TickS.
 func (e *Engine) Now() float64 { return e.now }

@@ -30,21 +30,8 @@ func (s *Store) sealLocked(id uint64) error {
 	if sp == nil || sp.sealed || sp.corrupt || len(sp.leaves) == 0 {
 		return nil
 	}
-	root := provenance.RootOf(sp.leaves)
-	entry := provenance.SealedRoot{
-		ChainPos:  s.chainLen,
-		Segment:   id,
-		Leaves:    len(sp.leaves),
-		Root:      provenance.EncodeHash(root),
-		PrevChain: provenance.EncodeHash(s.chainTail),
-		Chain:     provenance.EncodeHash(provenance.ChainHash(s.chainTail, root)),
-		Version:   s.opts.Version,
-	}
-	sc := provenance.Sidecar{Segment: id, Root: entry.Root}
-	for _, l := range sp.leaves {
-		sc.Leaves = append(sc.Leaves, provenance.WireLeaf(l))
-	}
-	if err := provenance.WriteSidecar(s.dir, sc, !s.opts.NoSync); err != nil {
+	entry, root, err := s.writeSeal(id, sp.leaves, s.chainTail, s.chainLen)
+	if err != nil {
 		return err
 	}
 	if err := provenance.AppendRoot(provenance.ManifestPath(s.dir), entry, !s.opts.NoSync); err != nil {
@@ -56,6 +43,28 @@ func (s *Store) sealLocked(id uint64) error {
 	s.chainLen = entry.ChainPos + 1
 	s.stats.Seals++
 	return nil
+}
+
+// writeSeal computes the root of segment id's leaves, builds its
+// manifest entry as chain link pos after prev, and writes the
+// segment's sidecar. The caller records the entry in the manifest and
+// marks the segment sealed.
+func (s *Store) writeSeal(id uint64, leaves []provenance.Leaf, prev [provenance.HashSize]byte, pos int) (provenance.SealedRoot, [provenance.HashSize]byte, error) {
+	root := provenance.RootOf(leaves)
+	entry := provenance.SealedRoot{
+		ChainPos:  pos,
+		Segment:   id,
+		Leaves:    len(leaves),
+		Root:      provenance.EncodeHash(root),
+		PrevChain: provenance.EncodeHash(prev),
+		Chain:     provenance.EncodeHash(provenance.ChainHash(prev, root)),
+		Version:   s.opts.Version,
+	}
+	sc := provenance.Sidecar{Segment: id, Root: entry.Root}
+	for _, l := range leaves {
+		sc.Leaves = append(sc.Leaves, provenance.WireLeaf(l))
+	}
+	return entry, root, provenance.WriteSidecar(s.dir, sc, !s.opts.NoSync)
 }
 
 // loadProvenance reconciles the manifest against the replayed

@@ -749,21 +749,8 @@ func (s *Store) compactLocked() error {
 		if len(sp.leaves) == 0 {
 			continue
 		}
-		root := provenance.RootOf(sp.leaves)
-		entry := provenance.SealedRoot{
-			ChainPos:  chainLen,
-			Segment:   id,
-			Leaves:    len(sp.leaves),
-			Root:      provenance.EncodeHash(root),
-			PrevChain: provenance.EncodeHash(chainTail),
-			Chain:     provenance.EncodeHash(provenance.ChainHash(chainTail, root)),
-			Version:   s.opts.Version,
-		}
-		sc := provenance.Sidecar{Segment: id, Root: entry.Root}
-		for _, l := range sp.leaves {
-			sc.Leaves = append(sc.Leaves, provenance.WireLeaf(l))
-		}
-		if err := provenance.WriteSidecar(s.dir, sc, !s.opts.NoSync); err != nil {
+		entry, root, err := s.writeSeal(id, sp.leaves, chainTail, chainLen)
+		if err != nil {
 			return fail(err)
 		}
 		sp.sealed, sp.root, sp.entry = true, root, entry

@@ -44,7 +44,7 @@ type Source struct {
 
 // nextEmissionAt is the scheduled time of the next emission attempt.
 func (s *Source) nextEmissionAt() float64 {
-	return s.base + float64(s.next)*s.period
+	return s.base + float64(float64(s.next)*s.period)
 }
 
 // Sink drains the tail queue on a deadline schedule: one frame must be
@@ -68,7 +68,7 @@ type Sink struct {
 // nextDeadlineAt is the next deadline, derived from the deadline count
 // so the schedule carries no floating-point drift.
 func (k *Sink) nextDeadlineAt() float64 {
-	return k.base + float64(k.fired+1)*k.period
+	return k.base + float64(float64(k.fired+1)*k.period)
 }
 
 // NewGraph returns an empty graph.

@@ -21,13 +21,14 @@ import (
 //
 // so one dense matvec pair replaces the whole Euler substep loop
 // with zero truncation error. The propagator triple (A, B, b) is built
-// per distinct span length by scaling-and-squaring and memoized in a
-// small cache keyed by the span's float64 bits — the engine steps the
-// thermal model at a fixed sensor period, so the hit rate is near-total
-// after the first window. The integrator itself holds only O(n + nnz)
-// state: H and every other n×n matrix exist only inside a build and in
-// the propagators in use, so a network that never propagates densely
-// never allocates one. A build's Taylor products exploit H's sparsity
+// per distinct span length by scaling-and-squaring into a process-wide
+// table, and each integrator holds the last one it used with its span
+// length — the engine steps the thermal model at a fixed sensor
+// period, so after the first window every span finds the held
+// propagator. The integrator itself holds only O(n + nnz) state: H and
+// every other n×n matrix exist only inside a build and in the
+// propagators in use, so a network that never propagates densely never
+// allocates one. A build's Taylor products exploit H's sparsity
 // (O(n²·nnz/column) each, gathered by H's columns); only its few
 // doubling products are dense O(n³). Both phases split their rows
 // across up to GOMAXPROCS goroutines once n reaches 128, and both
@@ -48,12 +49,6 @@ import (
 // and moving it changes documents under unchanged keys
 // (TestExpmCrossoverPinned).
 
-// expmCacheCap bounds the propagator cache per integrator. Two dense
-// n×n matrices per entry make unbounded growth a real memory hazard if
-// a caller sweeps span lengths; eviction is FIFO (the steady sensor
-// cadence re-primes an evicted span in one build).
-const expmCacheCap = 32
-
 // expmSparsePenalty weighs one sparse RHS element (adjacency chase +
 // capacitance divide) against one dense propagator multiply-add in the
 // automatic crossover. It was chosen from a cost estimate, but it is
@@ -71,8 +66,8 @@ const expmTheta = 0.25
 // ‖X‖ ≤ expmTheta needs ~14 terms for 1e-18; the cap is a backstop).
 const expmMaxTerms = 32
 
-// propagator is the memoized exact-step triple for one span length. It
-// is immutable once built, so one instance may be shared between
+// propagator is the exact-step triple for one span length. It is
+// immutable once built, so one instance may be shared between
 // integrators (and goroutines) via the process-wide build cache.
 type propagator struct {
 	a []float64 // e^{H·dt}, n×n row-major
@@ -85,21 +80,22 @@ type propagator struct {
 	c  []float64 // constant ambient forcing, length n
 }
 
-// expmIntegrator advances the network by exact dense propagation with
-// memoized per-span propagators, falling back to explicit Euler below
-// the crossover. Its own state is O(n): the steady-state path (cache
-// hit) performs no allocations, and n×n matrices live only in the
-// cached propagators and, transiently, in build.
+// expmIntegrator advances the network by exact dense propagation,
+// falling back to explicit Euler below the crossover. It holds the
+// propagator of the last dense span: a span of the same length (a hit)
+// performs no allocations and no lookup, and a span of another length
+// (a miss) replaces it from the shared table. Its own state is O(n);
+// n×n matrices live only in the held propagator, the shared table and,
+// transiently, in build.
 type expmIntegrator struct {
 	net *Network // bound network; a different network resets everything
 	n   int
 
 	autoMin int // crossover: use expm at ≥ this many Euler substeps
 
-	cache map[uint64]*propagator
-	order []uint64 // insertion order for FIFO eviction
-	hits, misses,
-	evictions int
+	heldDT       float64
+	held         *propagator // nil until the first dense span
+	hits, misses int
 
 	fallback eulerIntegrator
 
@@ -118,7 +114,7 @@ func (e *expmIntegrator) MaxStep(v View) float64 { return math.Inf(1) }
 // bind resets the integrator for the network behind v and computes the
 // crossover from its sparse structure, in O(n + nnz). Subsequent
 // Advance calls on the same network are allocation-free on the
-// cache-hit path.
+// held-propagator path.
 func (e *expmIntegrator) bind(v View) {
 	if e.net == v.n {
 		return
@@ -127,9 +123,8 @@ func (e *expmIntegrator) bind(v View) {
 	e.net = v.n
 	e.n = n
 	e.y = make([]float64, n)
-	e.cache = make(map[uint64]*propagator)
-	e.order = e.order[:0]
-	e.hits, e.misses, e.evictions = 0, 0, 0
+	e.held = nil
+	e.hits, e.misses = 0, 0
 
 	sparseElems := n
 	for i := 0; i < n; i++ {
@@ -162,25 +157,17 @@ func (e *expmIntegrator) Advance(v View, temps []float64, dt float64, power []fl
 	kernels.step(e.propagator(dt), temps, power, e.y)
 }
 
-// propagator returns the memoized (A, B, b) triple for the span,
-// building and caching it on first use. Identical span lengths share
-// one cached triple, so repeated spans recompute nothing.
+// propagator returns the (A, B, b) triple for the span: the held one
+// when the span has its length, else the shared table's, which then
+// becomes the held one. Every call counts one hit or one miss.
 func (e *expmIntegrator) propagator(dt float64) *propagator {
-	key := math.Float64bits(dt)
-	if p, ok := e.cache[key]; ok {
+	if e.held != nil && e.heldDT == dt {
 		e.hits++
-		return p
+		return e.held
 	}
 	e.misses++
-	p := e.sharedOrBuild(dt)
-	if len(e.order) >= expmCacheCap {
-		delete(e.cache, e.order[0])
-		e.order = e.order[:copy(e.order, e.order[1:])]
-		e.evictions++
-	}
-	e.cache[key] = p
-	e.order = append(e.order, key)
-	return p
+	e.heldDT, e.held = dt, e.sharedOrBuild(dt)
+	return e.held
 }
 
 // The process-wide build cache. Experiment sweeps construct a fresh
@@ -757,16 +744,23 @@ func matmulTiles(dst, x []float64, panel [][4]float64, n, j0, w, lo, hi int) {
 	}
 }
 
-// ExpmStats reports the propagator-cache counters of an Expm
-// integrator: cache hits, misses (= propagator builds), entries and
-// evictions. ok is false when ig is not the expm scheme. Tests use it
-// to assert the memo cache is exact (a repeated span length never
-// rebuilds); callers can use it to confirm span lengths are repetitive
-// enough for the scheme to pay off.
+// ExpmStats reports the held-propagator counters of an Expm
+// integrator: hits (a dense span of the held propagator's length),
+// misses (a dense span of another length, served by the shared table),
+// entries (1 once a propagator is held, else 0) and evictions (held
+// propagators replaced by another length's). Each dense span counts
+// one hit or one miss; an Euler-fallback span counts neither. ok is
+// false when ig is not the expm scheme. Tests use it to assert a
+// repeated span length never looks a propagator up again; callers can
+// use it to confirm span lengths are repetitive enough for the scheme
+// to pay off.
 func ExpmStats(ig Integrator) (hits, misses, entries, evictions int, ok bool) {
 	e, isExpm := ig.(*expmIntegrator)
 	if !isExpm {
 		return 0, 0, 0, 0, false
 	}
-	return e.hits, e.misses, len(e.cache), e.evictions, true
+	if e.held != nil {
+		entries = 1
+	}
+	return e.hits, e.misses, entries, e.misses - entries, true
 }

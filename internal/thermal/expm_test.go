@@ -209,22 +209,33 @@ func TestExpmMemoCacheExact(t *testing.T) {
 	}
 }
 
-// The FIFO eviction bound: sweeping more distinct span lengths than
-// the cache holds must evict rather than grow.
+// An integrator holds one propagator: each change of span length
+// misses and replaces it, while the shared table builds each length
+// once, so alternating two lengths misses every span but builds
+// nothing after the first two.
 func TestExpmCacheEviction(t *testing.T) {
 	m := expmModel(t, HighPerformance())
 	power := testPower(m.Net.NumNodes())
-	for i := 0; i < expmCacheCap+8; i++ {
-		if err := m.Net.Step(0.01+0.001*float64(i), power); err != nil {
+	resetSharedProps()
+	sharedPropMu.Lock()
+	before := sharedPropBuilds
+	sharedPropMu.Unlock()
+	const spans = 10
+	for i := 0; i < spans; i++ {
+		if err := m.Net.Step(0.01+0.001*float64(i%2), power); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, misses, entries, evictions, _ := ExpmStats(m.Net.Integrator())
-	if entries > expmCacheCap {
-		t.Errorf("cache grew to %d entries, cap %d", entries, expmCacheCap)
+	hits, misses, entries, evictions, _ := ExpmStats(m.Net.Integrator())
+	if hits != 0 || misses != spans || entries != 1 || evictions != spans-1 {
+		t.Errorf("stats = %d hits, %d misses, %d entries, %d evictions; want 0/%d/1/%d",
+			hits, misses, entries, evictions, spans, spans-1)
 	}
-	if evictions != 8 || misses != expmCacheCap+8 {
-		t.Errorf("misses=%d evictions=%d, want %d/8", misses, evictions, expmCacheCap+8)
+	sharedPropMu.Lock()
+	builds := sharedPropBuilds - before
+	sharedPropMu.Unlock()
+	if builds != 2 {
+		t.Errorf("%d builds for two span lengths, want 2", builds)
 	}
 }
 

@@ -15,7 +15,7 @@ const (
 	Euler Scheme = iota
 	// Expm is exact dense propagation: T' = A·T + B·P + b with
 	// A = e^{H·dt} precomputed per distinct span length by
-	// scaling-and-squaring and memoized, so one matvec pair replaces
+	// scaling-and-squaring and shared, so one matvec pair replaces
 	// the whole substep loop with zero truncation error. Spans below a
 	// fixed crossover substep via the Euler fallback (see expm.go).
 	Expm

@@ -8,31 +8,13 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
-
-// Process-wide drop totals across every recorder, alive or discarded,
-// for /metrics. Recorders are per-engine and usually short-lived, so
-// they keep no drop counts of their own.
-var (
-	totalDroppedSamples atomic.Int64
-	totalDroppedEvents  atomic.Int64
-)
-
-// TotalDroppedSamples returns the process-wide count of samples
-// discarded at recorder caps.
-func TotalDroppedSamples() int64 { return totalDroppedSamples.Load() }
-
-// TotalDroppedEvents returns the process-wide count of events
-// discarded at recorder caps.
-func TotalDroppedEvents() int64 { return totalDroppedEvents.Load() }
 
 // Sample is one row of the periodic timeline.
 type Sample struct {
-	Time  float64
-	Temp  []float64 // per-core °C
-	Freq  []float64 // per-core Hz
-	Power []float64 // per-core W (optional; may be nil)
+	Time float64
+	Temp []float64 // per-core °C
+	Freq []float64 // per-core Hz
 }
 
 // Event is a discrete occurrence (migration, stop, start, miss burst).
@@ -43,15 +25,18 @@ type Event struct {
 }
 
 // Recorder buffers samples and events. The zero value records nothing;
-// construct with New. MaxSamples and MaxEvents caps guard memory on
-// long runs — a thrashing policy can emit events far faster than the
-// sensor period, so both buffers are bounded.
+// construct with New. The DefaultMaxSamples and DefaultMaxEvents caps
+// guard memory on long runs — a thrashing policy can emit events far
+// faster than the sensor period, so both buffers are bounded — and
+// what a cap discards is counted, so a truncated timeline says so.
 type Recorder struct {
 	cores      int
 	samples    []Sample
 	events     []Event
 	maxSamples int
 	maxEvents  int
+
+	droppedSamples, droppedEvents int
 }
 
 // DefaultMaxSamples bounds the sample buffer (at the 10 ms sensor period
@@ -64,35 +49,30 @@ const DefaultMaxSamples = 1 << 18
 // thrashes hits the cap instead of exhausting memory.
 const DefaultMaxEvents = 1 << 16
 
-// New creates a recorder for n cores. maxSamples <= 0 takes the
-// default; the event cap is DefaultMaxEvents.
-func New(n, maxSamples int) *Recorder {
-	if maxSamples <= 0 {
-		maxSamples = DefaultMaxSamples
-	}
-	return &Recorder{cores: n, maxSamples: maxSamples, maxEvents: DefaultMaxEvents}
+// New creates a recorder for n cores with the default caps.
+func New(n int) *Recorder {
+	return &Recorder{cores: n, maxSamples: DefaultMaxSamples, maxEvents: DefaultMaxEvents}
 }
 
-// AddSample appends a timeline row (copying the slices).
+// AddSample appends a timeline row (copying the slices), or counts it
+// as dropped once the sample cap is reached.
 func (r *Recorder) AddSample(s Sample) {
 	if len(r.samples) >= r.maxSamples {
-		totalDroppedSamples.Add(1)
+		r.droppedSamples++
 		return
 	}
-	cp := Sample{Time: s.Time}
-	cp.Temp = append([]float64(nil), s.Temp...)
-	cp.Freq = append([]float64(nil), s.Freq...)
-	if s.Power != nil {
-		cp.Power = append([]float64(nil), s.Power...)
-	}
-	r.samples = append(r.samples, cp)
+	r.samples = append(r.samples, Sample{
+		Time: s.Time,
+		Temp: append([]float64(nil), s.Temp...),
+		Freq: append([]float64(nil), s.Freq...),
+	})
 }
 
 // AddEvent appends a discrete event, mirroring AddSample's cap: events
-// beyond MaxEvents are counted as dropped instead of buffered.
+// beyond the event cap are counted as dropped instead of buffered.
 func (r *Recorder) AddEvent(t float64, kind, format string, args ...any) {
 	if len(r.events) >= r.maxEvents {
-		totalDroppedEvents.Add(1)
+		r.droppedEvents++
 		return
 	}
 	r.events = append(r.events, Event{Time: t, Kind: kind, Text: fmt.Sprintf(format, args...)})
@@ -105,8 +85,12 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 // Events returns the recorded events (shared slice; treat as read-only).
 func (r *Recorder) Events() []Event { return r.events }
 
-// WriteCSV renders the timeline: time, temp per core, freq (MHz) per
-// core, and power per core when recorded.
+// Dropped returns how many samples and events the caps discarded: a
+// nonzero count means the timeline or the event log stops early.
+func (r *Recorder) Dropped() (samples, events int) { return r.droppedSamples, r.droppedEvents }
+
+// WriteCSV renders the timeline: time, temp per core and freq (MHz)
+// per core.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("time_s")
@@ -115,12 +99,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	for c := 0; c < r.cores; c++ {
 		fmt.Fprintf(&b, ",freq%d_mhz", c+1)
-	}
-	hasPower := len(r.samples) > 0 && r.samples[0].Power != nil
-	if hasPower {
-		for c := 0; c < r.cores; c++ {
-			fmt.Fprintf(&b, ",power%d_w", c+1)
-		}
 	}
 	b.WriteByte('\n')
 	if _, err := io.WriteString(w, b.String()); err != nil {
@@ -136,12 +114,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		for c := 0; c < r.cores; c++ {
 			b.WriteByte(',')
 			b.WriteString(strconv.FormatFloat(at(s.Freq, c)/1e6, 'f', 0, 64))
-		}
-		if hasPower {
-			for c := 0; c < r.cores; c++ {
-				b.WriteByte(',')
-				b.WriteString(strconv.FormatFloat(at(s.Power, c), 'f', 4, 64))
-			}
 		}
 		b.WriteByte('\n')
 		if _, err := io.WriteString(w, b.String()); err != nil {
