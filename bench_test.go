@@ -29,7 +29,7 @@ func BenchmarkTable1PowerModel(b *testing.B) {
 // BenchmarkTable2Mapping regenerates the static energy-balanced mapping.
 func BenchmarkTable2Mapping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table2(context.Background(), experiment.Options{})
+		rows, err := experiment.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}

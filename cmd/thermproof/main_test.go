@@ -17,7 +17,7 @@ import (
 func buildSealedStore(t *testing.T) (dir, proofPath, bodyPath, chainHead string) {
 	t.Helper()
 	dir = t.TempDir()
-	st, err := store.Open(dir, store.Options{NoSync: true, Version: "test-engine/1"})
+	st, err := store.Open(dir, store.Options{Version: "test-engine/1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,19 +45,6 @@ type Bus struct {
 	busyAcc float64 // accumulated busy seconds
 }
 
-// Params configures a Bus.
-type Params struct {
-	// BandwidthBytesPerSec is the aggregate bus bandwidth. The default
-	// models a 32-bit bus at 133 MHz with protocol efficiency ~0.6:
-	// ~320 MB/s... but the paper's platform moves 64 KB in tens of
-	// milliseconds through the migration middleware (sync + copy via
-	// shared memory), so the *effective* default here is 4 MB/s.
-	BandwidthBytesPerSec float64
-	// PerTransferOverheadS is the fixed latency charged to each
-	// transfer before data moves (arbitration, daemon synchronisation).
-	PerTransferOverheadS float64
-}
-
 // DefaultBandwidth is the effective middleware copy bandwidth used by
 // the experiments (bytes/second). Migration copies are daemon-mediated
 // (suspend, PCB bookkeeping, copy through the shared memory buffer,
@@ -72,21 +59,9 @@ const DefaultBandwidth = 550 << 10
 // plus arbitration) in seconds.
 const DefaultOverhead = 2e-3
 
-// New creates a bus. Zero params take defaults.
-func New(p Params) *Bus {
-	b := &Bus{
-		bandwidth: p.BandwidthBytesPerSec,
-		overheadS: p.PerTransferOverheadS,
-	}
-	if b.bandwidth <= 0 {
-		b.bandwidth = DefaultBandwidth
-	}
-	if b.overheadS < 0 {
-		b.overheadS = 0
-	} else if b.overheadS == 0 {
-		b.overheadS = DefaultOverhead
-	}
-	return b
+// New creates an idle bus at DefaultBandwidth and DefaultOverhead.
+func New() *Bus {
+	return &Bus{bandwidth: DefaultBandwidth, overheadS: DefaultOverhead}
 }
 
 // ErrBadSize is returned for non-positive transfer sizes.

@@ -7,8 +7,9 @@ import (
 	"testing/quick"
 )
 
+// newTest returns a bus with round numbers: 1000 B/s, 10 ms overhead.
 func newTest() *Bus {
-	return New(Params{BandwidthBytesPerSec: 1000, PerTransferOverheadS: 0.01})
+	return &Bus{bandwidth: 1000, overheadS: 0.01}
 }
 
 func TestStartRejectsBadSize(t *testing.T) {
@@ -142,14 +143,13 @@ func TestProgressAndAccessors(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	b := New(Params{})
-	if b.bandwidth != DefaultBandwidth {
-		t.Errorf("default bandwidth = %g", b.bandwidth)
+	b := New()
+	if b.bandwidth != DefaultBandwidth || b.overheadS != DefaultOverhead {
+		t.Errorf("bus = %g B/s, %g s overhead", b.bandwidth, b.overheadS)
 	}
-	// Negative overhead clamps to zero.
-	b2 := New(Params{PerTransferOverheadS: -1})
-	if got := b2.LatencyEstimate(0.0001, 1); got > 1e-6 {
-		t.Errorf("negative overhead not clamped: latency %g", got)
+	// One second of data plus the fixed overhead.
+	if got, want := b.LatencyEstimate(DefaultBandwidth, 1), 1+DefaultOverhead; got != want {
+		t.Errorf("latency %g, want %g", got, want)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestLatencyEstimateMonotoneProperty(t *testing.T) {
 func TestAdvanceTicksMatchesSequentialAdvance(t *testing.T) {
 	const tick = 100e-6
 	mk := func() (*Bus, *Transfer, *Transfer) {
-		b := New(Params{})
+		b := New()
 		t1, err := b.Start("a", 64<<10)
 		if err != nil {
 			t.Fatal(err)
@@ -253,7 +253,7 @@ func TestAdvanceTicksMatchesSequentialAdvance(t *testing.T) {
 }
 
 func TestSafeTicksIdleAndEdge(t *testing.T) {
-	b := New(Params{})
+	b := New()
 	if b.SafeTicks(100e-6) < 1<<30 {
 		t.Error("idle bus reported a near horizon")
 	}

@@ -51,8 +51,8 @@ func sweepFigure(fig string, pkg PackageSel, format func(string, PackageSel, []S
 // order.
 var artifacts = []artifact{
 	{"table1", func(context.Context, *artifactRun) (string, error) { return FormatTable1(), nil }},
-	{"table2", func(ctx context.Context, r *artifactRun) (string, error) {
-		rows, err := Table2(ctx, r.opt)
+	{"table2", func(context.Context, *artifactRun) (string, error) {
+		rows, err := Table2()
 		if err != nil {
 			return "", err
 		}

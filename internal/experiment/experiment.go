@@ -102,8 +102,8 @@ func Phases(sc scenario.Scenario, warmupS, measureS float64) (float64, float64, 
 	}
 	// sim.Engine.TickAt rounds t/TickS to the nearest tick; float64
 	// MaxInt64 is 2^63, the first value past the int64 range.
-	if (warmupS+measureS)/sim.DefaultTickS+0.5 >= math.MaxInt64 {
-		return 0, 0, fmt.Errorf("window of %g s + %g s overflows the %g s tick counter", warmupS, measureS, sim.DefaultTickS)
+	if (warmupS+measureS)/sim.TickS+0.5 >= math.MaxInt64 {
+		return 0, 0, fmt.Errorf("window of %g s + %g s overflows the %g s tick counter", warmupS, measureS, sim.TickS)
 	}
 	return warmupS, measureS, nil
 }
@@ -308,9 +308,8 @@ type Table2Row struct {
 
 // Table2 derives the static energy-balanced mapping: task placement
 // from the compiled sdr-radio scenario, frequencies from the DVFS
-// ladder, with the per-core derivations spread across opt's worker
-// pool.
-func Table2(ctx context.Context, opt Options) ([]Table2Row, error) {
+// ladder.
+func Table2() ([]Table2Row, error) {
 	sc, err := scenario.Lookup(scenario.DefaultName)
 	if err != nil {
 		return nil, err
@@ -322,17 +321,9 @@ func Table2(ctx context.Context, opt Options) ([]Table2Row, error) {
 	g := inst.Graph
 	ladder := dvfs.Default()
 	// Per-core FSE sums -> frequency.
-	const nCores = 3
-	freqByCore := make([]float64, nCores)
-	if err := opt.ForEach(ctx, nCores, func(_ context.Context, c int) error {
-		freqByCore[c] = ladder.LevelFor(task.TotalFSE(task.OnCore(g.Tasks(), c)))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	freq := map[int]float64{}
-	for c, f := range freqByCore {
-		freq[c] = f
+	freq := make([]float64, inst.Platform.NumCores())
+	for c := range freq {
+		freq[c] = ladder.LevelFor(task.TotalFSE(task.OnCore(g.Tasks(), c)))
 	}
 	var rows []Table2Row
 	// Paper order: core 1 (BPF1, DEMOD), core 2 (BPF2, SUM),
@@ -356,7 +347,7 @@ func Table2(ctx context.Context, opt Options) ([]Table2Row, error) {
 
 // FormatTable2 renders the mapping like the paper's Table 2.
 func FormatTable2() (string, error) {
-	rows, err := Table2(context.Background(), Options{})
+	rows, err := Table2()
 	if err != nil {
 		return "", err
 	}
@@ -398,7 +389,7 @@ var Fig2Sizes = []int{16, 32, 64, 128, 256, 384, 512}
 // private bus and returns its freeze duration in processor cycles.
 func measureMigrationCost(mech migrate.Mechanism, sizeKB int) (float64, error) {
 	const fHz = power.DefaultFMaxHz
-	b := bus.New(bus.Params{})
+	b := bus.New()
 	m := migrate.NewManager(b, mech)
 	t := task.MustNew("probe", 0.3)
 	t.StateBytes = float64(sizeKB << 10)

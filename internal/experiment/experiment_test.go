@@ -33,7 +33,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	rows, err := Table2(context.Background(), Options{})
+	rows, err := Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestPhasesTickBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Phases(1, 9e14): %v", err)
 	}
-	if end := (w + m) / sim.DefaultTickS; end >= math.MaxInt64 || int64(end) <= 0 {
+	if end := (w + m) / sim.TickS; end >= math.MaxInt64 || int64(end) <= 0 {
 		t.Errorf("accepted window ends at tick %g, outside int64", end)
 	}
 	if _, _, err := Phases(sc, 1, 1e15); err == nil {

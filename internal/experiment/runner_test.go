@@ -126,20 +126,6 @@ func TestRunAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestTable2DeterministicAcrossWorkerCounts(t *testing.T) {
-	one, err := Table2(context.Background(), Options{Runner: Runner{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := Table2(context.Background(), Options{Runner: Runner{Workers: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one, many) {
-		t.Fatalf("Table2 differs across worker counts:\n%v\n%v", one, many)
-	}
-}
-
 func TestFig2DeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration simulation")

@@ -123,10 +123,6 @@ type Manager struct {
 	bus  *bus.Bus
 	mech Mechanism
 
-	// RestoreOverheadS is the fixed fork/exec+allocation time charged
-	// by the recreation mechanism after the transfer completes.
-	RestoreOverheadS float64
-
 	pending map[int]*Migration // task index -> active migration
 	stats   Stats
 
@@ -136,16 +132,16 @@ type Manager struct {
 }
 
 // DefaultRestoreOverheadS models the fork/exec + dynamic-loading cost of
-// task recreation (the Figure 2 curve offset).
+// task recreation (the Figure 2 curve offset), charged after its
+// transfer completes.
 const DefaultRestoreOverheadS = 15e-3
 
 // NewManager creates a migration manager over the given bus.
 func NewManager(b *bus.Bus, mech Mechanism) *Manager {
 	return &Manager{
-		bus:              b,
-		mech:             mech,
-		RestoreOverheadS: DefaultRestoreOverheadS,
-		pending:          map[int]*Migration{},
+		bus:     b,
+		mech:    mech,
+		pending: map[int]*Migration{},
 	}
 }
 
@@ -260,7 +256,7 @@ func (m *Manager) Advance(now float64) {
 			if mg.transfer.Done() && (mg.reload == nil || mg.reload.Done()) {
 				if m.mech == Recreation {
 					mg.Phase = Restoring
-					mg.restoreEnd = now + m.RestoreOverheadS
+					mg.restoreEnd = now + DefaultRestoreOverheadS
 				} else {
 					m.complete(ti, mg, now)
 				}
@@ -298,7 +294,7 @@ func (m *Manager) EstimateFreezeS(t *task.Task, competitors int) float64 {
 	bytes := t.MigrationBytes(m.mech == Recreation)
 	lat := m.bus.LatencyEstimate(bytes, competitors)
 	if m.mech == Recreation {
-		lat += m.RestoreOverheadS
+		lat += DefaultRestoreOverheadS
 	}
 	return lat
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func newEnv(mech Mechanism) (*bus.Bus, *Manager, *task.Task) {
-	b := bus.New(bus.Params{BandwidthBytesPerSec: 1 << 20, PerTransferOverheadS: 0.002})
+	b := bus.New()
 	m := NewManager(b, mech)
 	t := task.MustNew("BPF1", 0.367)
 	t.BindWork(533e6, 0.02)
@@ -85,9 +85,9 @@ func TestReplicationLifecycle(t *testing.T) {
 	if tk.Migrations != 1 {
 		t.Errorf("task migration count = %d", tk.Migrations)
 	}
-	// 64 KB at 1 MB/s ≈ 64 ms (+2 ms overhead).
-	if elapsed < 0.05 || elapsed > 0.09 {
-		t.Errorf("replication freeze = %g s, want ≈0.066", elapsed)
+	// 64 KiB at 550 KiB/s ≈ 116 ms (+2 ms overhead).
+	if elapsed < 0.11 || elapsed > 0.13 {
+		t.Errorf("replication freeze = %g s, want ≈0.118", elapsed)
 	}
 	s := m.Stats()
 	if s.Completed != 1 || s.BytesMoved != task.DefaultStateBytes {
@@ -117,8 +117,8 @@ func TestRecreationSlowerThanReplication(t *testing.T) {
 		t.Errorf("recreation (%g s) not slower than replication (%g s)", dC, dR)
 	}
 	// The gap must include at least the restore overhead.
-	if dC-dR < mC.RestoreOverheadS*0.9 {
-		t.Errorf("recreation gap %g below restore overhead %g", dC-dR, mC.RestoreOverheadS)
+	if dC-dR < DefaultRestoreOverheadS*0.9 {
+		t.Errorf("recreation gap %g below restore overhead %g", dC-dR, DefaultRestoreOverheadS)
 	}
 	// Stats count state+code bytes for recreation.
 	if got := mC.Stats().BytesMoved; got != task.DefaultStateBytes+task.DefaultCodeBytes {
@@ -261,8 +261,8 @@ func TestTransitQueries(t *testing.T) {
 		t.Fatalf("phase = %v after transfer", mg.Phase)
 	}
 	at := m.NextPhaseTransitionAt()
-	if math.IsInf(at, 1) || at < now || at > now+2*m.RestoreOverheadS {
-		t.Errorf("NextPhaseTransitionAt = %v, want within (%v, %v]", at, now, now+m.RestoreOverheadS)
+	if math.IsInf(at, 1) || at < now || at > now+2*DefaultRestoreOverheadS {
+		t.Errorf("NextPhaseTransitionAt = %v, want within (%v, %v]", at, now, now+DefaultRestoreOverheadS)
 	}
 	m.Advance(at)
 	if mg.Phase != Done {

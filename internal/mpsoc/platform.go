@@ -48,8 +48,6 @@ type Config struct {
 	Package thermal.Package
 	// PowerParams defaults to the Conf1 streaming core model.
 	PowerParams power.Params
-	// BusParams defaults to the middleware-effective 4 MB/s bus.
-	BusParams bus.Params
 	// Ladder defaults to 533/266/133 MHz.
 	Ladder *dvfs.Ladder
 }
@@ -77,7 +75,7 @@ func New(cfg Config) (*Platform, error) {
 		FP:        cfg.Floorplan,
 		Thermal:   tm,
 		Power:     power.NewModel(cfg.PowerParams),
-		Bus:       bus.New(cfg.BusParams),
+		Bus:       bus.New(),
 		Gov:       dvfs.NewGovernor(cfg.Ladder, n),
 		powered:   make([]bool, n),
 		coreBlk:   make([]int, n),

@@ -92,10 +92,10 @@ func VerifyChain(roots []SealedRoot) int {
 	return -1
 }
 
-// AppendRoot appends one entry to the manifest, fsyncing when sync is
-// set. Appends are a single small write, so a torn append leaves at
-// worst one partial trailing line, which LoadManifest drops.
-func AppendRoot(path string, e SealedRoot, sync bool) error {
+// AppendRoot appends one entry to the manifest and fsyncs it. Appends
+// are a single small write, so a torn append leaves at worst one
+// partial trailing line, which LoadManifest drops.
+func AppendRoot(path string, e SealedRoot) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("provenance: %w", err)
@@ -108,17 +108,15 @@ func AppendRoot(path string, e SealedRoot, sync bool) error {
 	if _, err := f.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("provenance: append %s: %w", path, err)
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("provenance: sync %s: %w", path, err)
-		}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("provenance: sync %s: %w", path, err)
 	}
 	return nil
 }
 
-// WriteManifest atomically replaces the manifest (temp file + rename),
-// used when compaction rebuilds the sealed set wholesale.
-func WriteManifest(path string, roots []SealedRoot, sync bool) error {
+// WriteManifest atomically replaces the manifest (fsynced temp file +
+// rename), used when compaction rebuilds the sealed set wholesale.
+func WriteManifest(path string, roots []SealedRoot) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -140,12 +138,10 @@ func WriteManifest(path string, roots []SealedRoot, sync bool) error {
 		os.Remove(tmp)
 		return fmt.Errorf("provenance: write %s: %w", tmp, err)
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("provenance: sync %s: %w", tmp, err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("provenance: sync %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
@@ -175,7 +171,7 @@ func SidecarPath(dir string, id uint64) string {
 }
 
 // WriteSidecar atomically writes a segment's sidecar.
-func WriteSidecar(dir string, sc Sidecar, sync bool) error {
+func WriteSidecar(dir string, sc Sidecar) error {
 	path := SidecarPath(dir, sc.Segment)
 	data, err := json.Marshal(sc)
 	if err != nil {
@@ -191,12 +187,10 @@ func WriteSidecar(dir string, sc Sidecar, sync bool) error {
 		os.Remove(tmp)
 		return fmt.Errorf("provenance: write %s: %w", tmp, err)
 	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("provenance: sync %s: %w", tmp, err)
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("provenance: sync %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)

@@ -143,7 +143,7 @@ func TestManifestRoundTripAndChain(t *testing.T) {
 			Chain:     EncodeHash(chain),
 			Version:   "engine/test",
 		}
-		if err := AppendRoot(path, e, false); err != nil {
+		if err := AppendRoot(path, e); err != nil {
 			t.Fatal(err)
 		}
 		roots = append(roots, e)
@@ -165,7 +165,7 @@ func TestManifestRoundTripAndChain(t *testing.T) {
 		t.Fatalf("VerifyChain = %d, want 2", bad)
 	}
 	// Atomic rewrite round-trips.
-	if err := WriteManifest(path, roots[1:], false); err != nil {
+	if err := WriteManifest(path, roots[1:]); err != nil {
 		t.Fatal(err)
 	}
 	got, err = LoadManifest(path)
@@ -211,7 +211,7 @@ func TestSidecarRoundTrip(t *testing.T) {
 	for _, l := range leaves {
 		sc.Leaves = append(sc.Leaves, WireLeaf(l))
 	}
-	if err := WriteSidecar(dir, sc, false); err != nil {
+	if err := WriteSidecar(dir, sc); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := LoadSidecar(dir, 7)

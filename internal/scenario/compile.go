@@ -11,6 +11,7 @@ import (
 	"thermbal/internal/sim"
 	"thermbal/internal/stream"
 	"thermbal/internal/task"
+	"thermbal/internal/thermal"
 )
 
 // queueCap resolves queue q's capacity: an explicit per-queue cap
@@ -122,9 +123,8 @@ func compile(n Spec, o Options) (*Instance, error) {
 // compilePlatform assembles the MPSoC a normalized platform spec
 // selects.
 func compilePlatform(p PlatformSpec, o Options) (*mpsoc.Platform, error) {
-	cfg := mpsoc.Config{Package: o.pkg()}
-	switch {
-	case len(p.Tiles) > 0:
+	cfg := mpsoc.Config{Package: o.Package}
+	if len(p.Tiles) > 0 {
 		runs := make([]floorplan.TileRun, len(p.Tiles))
 		for i, t := range p.Tiles {
 			runs[i] = floorplan.TileRun{Count: t.Count, Scale: t.Scale}
@@ -134,12 +134,15 @@ func compilePlatform(p PlatformSpec, o Options) (*mpsoc.Platform, error) {
 			return nil, err
 		}
 		cfg.Floorplan = fp
-	case p.Cores != 3:
-		// 3-core scenarios keep the nil default (the paper's Figure 5
-		// die); larger platforms tile the same geometry.
+	} else {
 		cfg.Floorplan = floorplan.StreamingMPSoC(p.Cores)
 	}
 	if p.AmbientC != nil {
+		// The override amends a package, so an unset one is made
+		// explicit here rather than left to mpsoc.New.
+		if cfg.Package.Name == "" {
+			cfg.Package = thermal.MobileEmbedded()
+		}
 		cfg.Package.AmbientC = *p.AmbientC
 	}
 	if p.Power != nil {

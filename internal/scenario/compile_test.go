@@ -3,6 +3,8 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"thermbal/internal/thermal"
 )
 
 // mustFromSpec resolves sp through FromSpec, failing the test on an
@@ -99,6 +101,25 @@ func TestCompileHeteroTiles(t *testing.T) {
 	// identical hashes would mean the tiles were ignored.
 	if h, ok := BuiltinNameForSpec(hetero); ok {
 		t.Fatalf("hetero spec unexpectedly matched builtin %q", h)
+	}
+}
+
+// A spec's ambient override applies under the default package as well
+// as an explicit one: the die starts at the overridden ambient.
+func TestCompileAmbientOverride(t *testing.T) {
+	sc, _ := Lookup(DefaultName)
+	sp := sc.Spec
+	ambient := 40.0
+	sp.Platform.AmbientC = &ambient
+	warm := mustFromSpec(t, sp)
+	for _, o := range []Options{{}, {Package: thermal.HighPerformance()}} {
+		inst, err := warm.Instantiate(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := inst.Platform.CoreTemp(0); got != ambient {
+			t.Errorf("package %q: core starts at %g °C, want %g", o.Package.Name, got, ambient)
+		}
 	}
 }
 

@@ -106,10 +106,3 @@ func (s Scenario) Instantiate(o Options) (*Instance, error) {
 	}
 	return inst, nil
 }
-
-func (o Options) pkg() thermal.Package {
-	if o.Package.Name == "" {
-		return thermal.MobileEmbedded()
-	}
-	return o.Package
-}

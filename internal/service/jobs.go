@@ -102,7 +102,6 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	done      chan struct{} // closed when the job reaches a final state
 }
 
 // jobManager owns the job table and the bounded pending queue.
@@ -209,7 +208,7 @@ func (m *jobManager) submit(jr JobRequest, recovered bool) (*job, error) {
 			kind = "run"
 		}
 	}
-	j := &job{kind: kind, recovered: recovered, state: JobPending, submitted: time.Now(), done: make(chan struct{})}
+	j := &job{kind: kind, recovered: recovered, state: JobPending, submitted: time.Now()}
 	switch kind {
 	case "run":
 		var req request.Request
@@ -318,7 +317,6 @@ func (m *jobManager) finish(j *job, body []byte, err error) {
 		j.state = JobDone
 		j.body = body
 	}
-	close(j.done)
 	if m.releaseCost != nil {
 		m.releaseCost(j)
 	}
@@ -343,7 +341,6 @@ func (m *jobManager) cancel(id string) (*job, bool, bool) {
 	j.state = JobCancelled
 	j.errText = "cancelled before start"
 	j.finished = time.Now()
-	close(j.done)
 	if m.releaseCost != nil {
 		m.releaseCost(j)
 	}

@@ -23,7 +23,6 @@ func openProvStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{
 		Pinned:  request.JournalPinned,
-		NoSync:  true,
 		Version: experiment.EngineVersion,
 	})
 	if err != nil {

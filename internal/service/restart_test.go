@@ -20,7 +20,7 @@ import (
 // cmd/thermservd does.
 func openTestStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{Pinned: request.JournalPinned, NoSync: true})
+	st, err := store.Open(dir, store.Options{Pinned: request.JournalPinned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +238,11 @@ func TestKilledMatrixJobAutoResumesAfterRestart(t *testing.T) {
 	if len(jobs) != 1 || !jobs[0].recovered || jobs[0].kind != "matrix" {
 		t.Fatalf("recovered jobs = %d", len(jobs))
 	}
-	select {
-	case <-jobs[0].done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("recovered sweep never finished")
-	}
-	st := s2.jobs.status(jobs[0])
+	var st JobStatus
+	waitFor(t, "the recovered sweep to finish", func() bool {
+		st = s2.jobs.status(jobs[0])
+		return st.State == JobDone || st.State == JobFailed || st.State == JobCancelled
+	})
 	if st.State != JobDone || !st.Recovered {
 		t.Fatalf("recovered job = %+v", st)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"thermbal/internal/ckpt"
 )
@@ -49,9 +48,9 @@ func (cp *Checkpoint) Bytes() int { return len(cp.data) }
 // The engine must have been built like the one cp was taken from (same
 // scenario, options and engine configuration); its policy and overshoot
 // threshold are its own, and it must not be tracing. Shapes are
-// checked — tick, sensor period, core, node, task and queue counts —
-// not the configuration. After an error the engine is in an undefined
-// state and must be discarded.
+// checked — core, node, task and queue counts — not the
+// configuration. After an error the engine is in an undefined state and
+// must be discarded.
 func (e *Engine) Restore(cp *Checkpoint) error {
 	if e.rec != nil {
 		return errTraced
@@ -63,14 +62,6 @@ func (e *Engine) Restore(cp *Checkpoint) error {
 
 // ckpt writes or reads the engine's state and then every component's.
 func (e *Engine) ckpt(c *ckpt.Codec) {
-	tick, every := e.cfg.TickS, e.sensorEvery
-	c.Float(&tick)
-	c.Int64(&every)
-	if tick != e.cfg.TickS || every != e.sensorEvery {
-		c.Fail(fmt.Errorf("sim: restoring a %g s tick, %d-tick sensor period checkpoint onto a %g s, %d-tick engine",
-			tick, every, e.cfg.TickS, e.sensorEvery))
-		return
-	}
 	c.Int64(&e.ticks)
 	c.Int64s(e.pendTicks)
 	c.Floats(e.pendBusy)
@@ -80,7 +71,7 @@ func (e *Engine) ckpt(c *ckpt.Codec) {
 		c.Int64(&ev.abs)
 	}
 	if c.Reading() {
-		e.now = float64(e.ticks) * e.cfg.TickS
+		e.now = float64(e.ticks) * TickS
 		for i := range e.cal {
 			e.cal[i] = coreCal{ring: e.cal[i].ring[:0], dirty: true, slot: -1}
 		}

@@ -94,19 +94,19 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	}{
 		{"sdr-radio/mobile", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "sdr-radio"), thermal.MobileEmbedded(), thermal.Euler, 12.5)
-		}, "640 6d3c7de14a7c4e2398d8aed58850e060245590ce0fb1d70a7c7bb7957179174b"},
+		}, "629 a1430889cad4acfc658d34e7b54c6bf451d0dcd50688240f69ff7ae5c53f1196"},
 		{"sdr-radio/highperf", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "sdr-radio"), thermal.HighPerformance(), thermal.Euler, 12.5)
-		}, "642 9e46b01a3c9c0ac9b26c55d8c3992eb8d4e9a073dbe3969f722d0f86d31aa349"},
+		}, "631 9e372493040a174f05e6fa8ff4dd936ce4b8f6a75cb973b1e36d804dd659fd78"},
 		{"bursty-sdr", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "bursty-sdr"), thermal.MobileEmbedded(), thermal.Euler, 4.5)
-		}, "636 2972784bd594a09c1822093377922b47ba0b3e6c185102b7a9958f34566c4ee8"},
+		}, "625 0b82d308d17e408b623b5e8a12d58a73fca179ece0118438acec665c138d35d5"},
 		{"manycore-64/expm", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, lookup(t, "manycore-64"), thermal.MobileEmbedded(), thermal.Expm, 1)
-		}, "7929 a1b4bd7014e6ef634075b32f349998aebd32085f3adb87cfb844216e84f5e036"},
+		}, "7918 7eec699dd0d64847c9970206b9e278c1eb96c1d9664543c3ba4cefbc7ae2d5bb"},
 		{"generated-7", func(t *testing.T) *sim.Engine {
 			return warmupEngine(t, gen, thermal.MobileEmbedded(), thermal.Euler, 0.2)
-		}, "2050 bd1aee692e55309388eacb0b75a68882f50bfed5fca238561c1a4d8dcca99037"},
+		}, "2039 02655244383d49446bd25ce62a77c7db89c52b14c6feff4f5b7543d37213a715"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := tc.e(t)
@@ -119,7 +119,7 @@ func TestCheckpointBytesGolden(t *testing.T) {
 	t.Run("mid-run", func(t *testing.T) {
 		e := midRun(t)
 		transferring(t, e)
-		if got, want := digest(checkpoint(t, e)), "812 dc2aa3152b2f69c18187eee1c9ef6c75dc3ccd98c785fef57b06925fd0960d80"; got != want {
+		if got, want := digest(checkpoint(t, e)), "801 6351ee57c7730dc76ef627cacd84413b495713b956e55a5b5b135ca3b0447a6a"; got != want {
 			t.Errorf("checkpoint %s, want %s", got, want)
 		}
 	})
@@ -177,7 +177,7 @@ func TestRestoreRefusesMigrationTaskOutOfRange(t *testing.T) {
 func TestRestoreRefusesTransferNotOnBus(t *testing.T) {
 	e := midRun(t)
 	transferring(t, e)
-	e.Platform().Bus = bus.New(bus.Params{})
+	e.Platform().Bus = bus.New()
 	err := midRun(t).Restore(checkpoint(t, e))
 	if err == nil || !strings.Contains(err.Error(), "not in flight") {
 		t.Fatalf("restoring a transfer missing from the bus: %v", err)

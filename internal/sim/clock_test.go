@@ -255,7 +255,7 @@ func TestRunReentrySensorAlignment(t *testing.T) {
 // Drift regression: after >= 10^7 ticks the clock must still be exactly
 // steps*tick — the seed's accumulating float clock had drifted by then.
 func TestClockDriftFreeTenMillionTicks(t *testing.T) {
-	e := newEngine(t, sdrInstance(t, scenario.Options{}).Graph, sim.Config{SensorPeriodS: 0.1})
+	e := newEngine(t, sdrInstance(t, scenario.Options{}).Graph, sim.Config{})
 	const steps = 10_000_000
 	const tick = 100e-6
 	if err := e.Run(steps * tick); err != nil {

@@ -29,16 +29,19 @@ import (
 	"thermbal/internal/trace"
 )
 
-// DefaultTickS is the execution tick a zero Config.TickS selects.
-const DefaultTickS = 100e-6
+// The engine's clock: the 100 µs execution tick and the paper's 10 ms
+// monitoring rate, at which the thermal model, the sensors and the
+// policy are updated. Sensor updates fire at absolute tick multiples of
+// sensorEvery, so Run re-entry keeps the cadence aligned to absolute
+// time.
+const (
+	TickS         = 100e-6
+	SensorPeriodS = 10e-3
+	sensorEvery   = int64(SensorPeriodS / TickS)
+)
 
 // Config parameterises a run.
 type Config struct {
-	// TickS is the execution tick (default DefaultTickS, 100 µs).
-	TickS float64
-	// SensorPeriodS is the thermal/sensor/policy period (default 10 ms,
-	// the paper's monitoring rate).
-	SensorPeriodS float64
 	// PolicyStartS delays policy activation (the paper enables thermal
 	// balancing after a 12.5 s warm-up). Default 0 (immediately).
 	PolicyStartS float64
@@ -76,15 +79,6 @@ type Config struct {
 // a Checkpoint continues exactly like the engine it was taken from.
 type Modulator func(prev, now float64, tasks []*task.Task) bool
 
-func (c *Config) fill() {
-	if c.TickS <= 0 {
-		c.TickS = DefaultTickS
-	}
-	if c.SensorPeriodS <= 0 {
-		c.SensorPeriodS = 10e-3
-	}
-}
-
 // Engine couples platform, application and policy.
 type Engine struct {
 	cfg Config
@@ -102,10 +96,6 @@ type Engine struct {
 	// calls are bit-for-bit identical to one long run.
 	ticks int64
 	now   float64
-	// sensorEvery is the sensor/policy period in ticks; sensor updates
-	// fire at absolute tick multiples of it, so Run re-entry keeps the
-	// sensor cadence aligned to absolute time.
-	sensorEvery int64
 
 	// Power accounting is deferred into constant-state spans: within a
 	// sensor window the die temperatures are constant, and between DVFS /
@@ -170,7 +160,6 @@ type Engine struct {
 // New builds an engine. The graph must be finalized and its tasks
 // placed (Core >= 0).
 func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (*Engine, error) {
-	cfg.fill()
 	if pol == nil {
 		pol = policy.None{}
 	}
@@ -213,10 +202,6 @@ func New(cfg Config, plat *mpsoc.Platform, g *stream.Graph, pol policy.Policy) (
 			return false
 		}
 		return t.InFlight || e.graph.CanFire(ti)
-	}
-	e.sensorEvery = int64(cfg.SensorPeriodS/cfg.TickS + 0.5)
-	if e.sensorEvery < 1 {
-		e.sensorEvery = 1
 	}
 	if cfg.RecordTrace {
 		e.rec = trace.New(n)
@@ -280,7 +265,7 @@ func (e *Engine) flushAccount(c int) {
 	if e.pendTicks[c] == 0 {
 		return
 	}
-	e.plat.AccountSpan(c, float64(e.pendTicks[c])*e.cfg.TickS, e.pendBusy[c])
+	e.plat.AccountSpan(c, float64(e.pendTicks[c])*TickS, e.pendBusy[c])
 	e.pendTicks[c] = 0
 	e.pendBusy[c] = 0
 }
@@ -348,7 +333,7 @@ func (e *Engine) onMigrationComplete(mg *migrate.Migration) {
 // nearest whole tick. Each call rounds its own duration, so a run split
 // at durations that are not whole ticks can end at another tick than
 // one long run: Run(1.00003) then Run(2.00003) ends at tick 30,000 of
-// the default 100 µs tick, Run(3.00006) at tick 30,001. Split with
+// the 100 µs tick, Run(3.00006) at tick 30,001. Split with
 // RunTo, which takes absolute ticks, when the split must be exact.
 func (e *Engine) Run(duration float64) error {
 	if duration <= 0 {
@@ -358,7 +343,7 @@ func (e *Engine) Run(duration float64) error {
 }
 
 // TickAt returns the tick count nearest to t seconds of simulated time.
-func (e *Engine) TickAt(t float64) int64 { return int64(t/e.cfg.TickS + 0.5) }
+func (e *Engine) TickAt(t float64) int64 { return int64(t/TickS + 0.5) }
 
 // RunTo advances the simulation to absolute tick end (nothing when the
 // clock is already there). The tick and sensor bookkeeping live on the
@@ -371,11 +356,11 @@ func (e *Engine) RunTo(end int64) error {
 	e.settle()
 	for e.ticks < end {
 		if e.cfg.NoFastPath {
-			e.stepTick(e.cfg.TickS)
+			e.stepTick()
 		} else {
 			e.advance(end)
 		}
-		if e.ticks%e.sensorEvery == 0 {
+		if e.ticks%sensorEvery == 0 {
 			// The update flushes every core, catching each up, before
 			// anything in it can fail.
 			if err := e.sensorUpdate(); err != nil {
@@ -402,10 +387,10 @@ func (e *Engine) settle() {
 // one, negative infinity at the first. Updates fire every sensorEvery
 // ticks, so it is exactly the now the previous update saw.
 func (e *Engine) prevSensorTime() float64 {
-	if e.ticks <= e.sensorEvery {
+	if e.ticks <= sensorEvery {
 		return math.Inf(-1)
 	}
-	return float64(e.ticks-e.sensorEvery) * e.cfg.TickS
+	return float64(e.ticks-sensorEvery) * TickS
 }
 
 // firstAtOrAfter reports whether the current sensor update is the first
@@ -427,15 +412,15 @@ func (e *Engine) WarmupEnd() int64 {
 	if !(start > 0) {
 		return 0
 	}
-	k := e.TickAt(start) / e.sensorEvery * e.sensorEvery
+	k := e.TickAt(start) / sensorEvery * sensorEvery
 	if k < 0 {
 		return 0 // beyond the int64 clock
 	}
-	for k > 0 && float64(k)*e.cfg.TickS >= start {
-		k -= e.sensorEvery
+	for k > 0 && float64(k)*TickS >= start {
+		k -= sensorEvery
 	}
-	for float64(k+e.sensorEvery)*e.cfg.TickS < start {
-		k += e.sensorEvery
+	for float64(k+sensorEvery)*TickS < start {
+		k += sensorEvery
 	}
 	return k
 }
@@ -445,7 +430,7 @@ func (e *Engine) WarmupEnd() int64 {
 // the next event, so the horizon scan is amortized over the whole
 // group. It never crosses a sensor boundary or the run end.
 func (e *Engine) advance(end int64) {
-	max := e.sensorEvery - e.ticks%e.sensorEvery // ticks to the boundary
+	max := sensorEvery - e.ticks%sensorEvery // ticks to the boundary
 	if remain := end - e.ticks; remain < max {
 		max = remain
 	}
@@ -454,14 +439,14 @@ func (e *Engine) advance(end int64) {
 		checkHorizon(e, max, span)
 	}
 	if span <= 0 {
-		e.stepTick(e.cfg.TickS)
+		e.stepTick()
 		return
 	}
 	e.macroStep(span)
 	if span < max {
 		// The tick after an event-free horizon holds the next event;
 		// execute it plainly before rescanning.
-		e.stepTick(e.cfg.TickS)
+		e.stepTick()
 	}
 }
 
@@ -472,10 +457,10 @@ func (e *Engine) advance(end int64) {
 // proves the tick event-free: its next ring task receives the whole
 // budget and continues its frame, exactly what runCore's PickNext would
 // do. That allocation is owed and applied by the core's next catch-up.
-func (e *Engine) stepTick(tick float64) {
+func (e *Engine) stepTick() {
 	e.prof.PlainTicks++
 	e.ticks++
-	e.now = float64(e.ticks) * tick
+	e.now = float64(e.ticks) * TickS
 	e.passed = 0
 	if e.graph.AdvanceSource(e.now) {
 		e.queueChanged(e.srcQueue)
@@ -494,14 +479,14 @@ func (e *Engine) stepTick(tick float64) {
 			e.passed = c
 			e.markDirty(c) // re-adds c to the due set when it was clean
 			e.due[w] &^= 1 << (c & 63)
-			e.runCore(c, tick)
+			e.runCore(c)
 			stepped++
 		}
 	}
 	e.passed = len(e.cal)
 	e.prof.QuietCores += int64(len(e.cal) - stepped)
 
-	e.plat.Bus.Advance(tick)
+	e.plat.Bus.Advance(TickS)
 	e.migr.Advance(e.now)
 
 	if e.graph.AdvanceSink(e.now) {
@@ -510,14 +495,14 @@ func (e *Engine) stepTick(tick float64) {
 }
 
 // runCore executes up to one tick of work on core c.
-func (e *Engine) runCore(c int, tick float64) {
+func (e *Engine) runCore(c int) {
 	e.prof.FullCores++
 	f := e.plat.Frequency(c)
 	if f <= 0 {
 		e.pendTicks[c]++
 		return
 	}
-	budget := f * tick
+	budget := f * TickS
 	var busy float64
 	for budget > 1e-6 {
 		ti := e.sch.PickNext(c, e.runnableFn)
@@ -578,10 +563,10 @@ func (e *Engine) sensorUpdate() error {
 		e.flushAccount(c)
 	}
 	if e.ticks > e.lastSharedFlush {
-		e.plat.AccountShared(float64(e.ticks-e.lastSharedFlush) * e.cfg.TickS)
+		e.plat.AccountShared(float64(e.ticks-e.lastSharedFlush) * TickS)
 		e.lastSharedFlush = e.ticks
 	}
-	if err := e.plat.FlushWindow(e.cfg.SensorPeriodS); err != nil {
+	if err := e.plat.FlushWindow(SensorPeriodS); err != nil {
 		return err
 	}
 	for c := 0; c < e.plat.NumCores(); c++ {
@@ -640,7 +625,7 @@ func (e *Engine) sensorUpdate() error {
 		if e.deltaForOver > 0 {
 			for c := 0; c < e.plat.NumCores(); c++ {
 				if s.Temp[c] > s.MeanTemp+e.deltaForOver {
-					e.overThresholdS += e.cfg.SensorPeriodS
+					e.overThresholdS += SensorPeriodS
 					break
 				}
 			}

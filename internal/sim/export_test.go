@@ -25,7 +25,7 @@ func (e *Engine) Now() float64 { return e.now }
 func fullScanHorizon(e *Engine, maxSpan int64) int64 {
 	h := maxSpan
 	if e.plat.Bus.Active() > 0 {
-		if h = min(h, e.plat.Bus.SafeTicks(e.cfg.TickS)); h <= 0 {
+		if h = min(h, e.plat.Bus.SafeTicks(TickS)); h <= 0 {
 			return 0
 		}
 	}
@@ -38,7 +38,7 @@ func fullScanHorizon(e *Engine, maxSpan int64) int64 {
 	}
 	for c := 0; c < e.plat.NumCores(); c++ {
 		f := e.plat.Frequency(c)
-		budget := f * e.cfg.TickS
+		budget := f * TickS
 		if f <= 0 || budget <= 1e-6 {
 			continue
 		}

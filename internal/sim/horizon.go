@@ -131,7 +131,7 @@ func (e *Engine) globalHorizon(h int64) int64 {
 	// Bus transfers: advance by exact replay up to the earliest tick any
 	// of them could complete.
 	if e.plat.Bus.Active() > 0 {
-		if s := e.plat.Bus.SafeTicks(e.cfg.TickS); s < h {
+		if s := e.plat.Bus.SafeTicks(TickS); s < h {
 			h = s
 		}
 		if h <= 0 {
@@ -211,7 +211,7 @@ func (e *Engine) rescan(c int) int64 {
 	cs.next = 0
 	cs.quietTo, cs.key = never, never
 	f := e.plat.Frequency(c)
-	budget := f * e.cfg.TickS
+	budget := f * TickS
 	cs.budget = budget
 	if f <= 0 || budget <= 1e-6 {
 		return maxHorizon // the tick loop would not execute anything either
@@ -437,8 +437,7 @@ func (e *Engine) ticksUntil(at float64) int64 {
 	if math.IsInf(at, -1) {
 		return 1
 	}
-	tick := e.cfg.TickS
-	j := int64((at-1e-12)/tick) - e.ticks
+	j := int64((at-1e-12)/TickS) - e.ticks
 	if j < 1 {
 		j = 1
 	}
@@ -446,10 +445,10 @@ func (e *Engine) ticksUntil(at float64) int64 {
 		j = maxHorizon
 	}
 	// Nudge to the exact boundary of the float predicate.
-	for j > 1 && float64(e.ticks+j-1)*tick >= at-1e-12 {
+	for j > 1 && float64(e.ticks+j-1)*TickS >= at-1e-12 {
 		j--
 	}
-	for j < maxHorizon && float64(e.ticks+j)*tick < at-1e-12 {
+	for j < maxHorizon && float64(e.ticks+j)*TickS < at-1e-12 {
 		j++
 	}
 	return j
@@ -461,9 +460,9 @@ func (e *Engine) ticksUntil(at float64) int64 {
 func (e *Engine) macroStep(span int64) {
 	e.prof.MacroSteps++
 	e.prof.MacroTicks += span
-	e.plat.Bus.AdvanceTicks(e.cfg.TickS, span)
+	e.plat.Bus.AdvanceTicks(TickS, span)
 	e.ticks += span
-	e.now = float64(e.ticks) * e.cfg.TickS
+	e.now = float64(e.ticks) * TickS
 }
 
 // replay applies k ticks of clean core c's allocations from its

@@ -13,8 +13,9 @@ import (
 // The incremental calendar must return exactly the horizon a full
 // rescan of every core would, at every fast-path group: a longer one
 // would jump an event, a shorter one would plain-tick what could be
-// jumped. Checked over every builtin and eight generated specs, through
-// policy activation, under both thermal schemes: the engine does not
+// jumped. Checked over every builtin, eight generated specs and an
+// off-grid frame period, through policy activation, under both thermal
+// schemes: the engine does not
 // branch on the scheme, but expm's temperatures drive other DVFS
 // levels and policy actions, so its runs take the calendar through
 // other states.
@@ -38,28 +39,40 @@ func TestCalendarHorizonMatchesFullScan(t *testing.T) {
 		}
 		cases = append(cases, namedScenario{fmt.Sprintf("generated-%d", seed), sc})
 	}
+	// A 7 ms frame period puts source emissions and sink deadlines
+	// between the 10 ms sensor updates, which dirty every core, so a
+	// queue change there must dirty its cores itself.
+	sdr, err := scenario.Lookup(scenario.DefaultName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sdr.Spec
+	spec.Graph.FramePeriodS, spec.Graph.Source.PeriodS, spec.Graph.Sink.PeriodS = 0.007, 0.007, 0.007
+	offGrid, err := scenario.FromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, namedScenario{"sdr-radio-7ms", offGrid})
 	// The tight variant runs two-frame queues, which keep producers
-	// blocked on full outputs (so a pop's producers must be dirtied as
-	// well as a push's consumers), and a 7 ms sensor period, which moves
-	// source emissions off the sensor updates that dirty every core.
+	// blocked on full outputs, so a pop's producers must be dirtied as
+	// well as a push's consumers.
 	variants := []struct {
 		name     string
 		queueCap int
-		sensorS  float64
-	}{{"default", 0, 0}, {"tight", 2, 0.007}}
+	}{{"default", 0}, {"tight", 2}}
 	for _, c := range cases {
 		for _, scheme := range []thermal.Scheme{thermal.Euler, thermal.Expm} {
 			for _, v := range variants {
 				c, scheme, v := c, scheme, v
 				t.Run(fmt.Sprintf("%s/%s/%s", c.name, scheme, v.name), func(t *testing.T) {
-					checkHorizonRun(t, c.sc, scheme, v.queueCap, v.sensorS)
+					checkHorizonRun(t, c.sc, scheme, v.queueCap)
 				})
 			}
 		}
 	}
 }
 
-func checkHorizonRun(t *testing.T, sc scenario.Scenario, scheme thermal.Scheme, queueCap int, sensorS float64) {
+func checkHorizonRun(t *testing.T, sc scenario.Scenario, scheme thermal.Scheme, queueCap int) {
 	checked := sim.CheckHorizons(t)
 	inst, err := sc.Instantiate(scenario.Options{QueueCap: queueCap})
 	if err != nil {
@@ -71,9 +84,8 @@ func checkHorizonRun(t *testing.T, sc scenario.Scenario, scheme thermal.Scheme, 
 	}
 	e, err := sim.New(sim.Config{
 		PolicyStartS: 0.3, MeasureStartS: 0.3,
-		SensorPeriodS: sensorS,
-		Thermal:       scheme,
-		Modulate:      inst.Modulate,
+		Thermal:  scheme,
+		Modulate: inst.Modulate,
 	}, inst.Platform, inst.Graph, pol)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func (s *Store) sealLocked(id uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := provenance.AppendRoot(provenance.ManifestPath(s.dir), entry, !s.opts.NoSync); err != nil {
+	if err := provenance.AppendRoot(provenance.ManifestPath(s.dir), entry); err != nil {
 		return err
 	}
 	sp.sealed, sp.root, sp.entry = true, root, entry
@@ -64,7 +64,7 @@ func (s *Store) writeSeal(id uint64, leaves []provenance.Leaf, prev [provenance.
 	for _, l := range leaves {
 		sc.Leaves = append(sc.Leaves, provenance.WireLeaf(l))
 	}
-	return entry, root, provenance.WriteSidecar(s.dir, sc, !s.opts.NoSync)
+	return entry, root, provenance.WriteSidecar(s.dir, sc)
 }
 
 // loadProvenance reconciles the manifest against the replayed

@@ -441,7 +441,7 @@ func TestManifestTruncationBreaksChainVerification(t *testing.T) {
 	if len(man) < 2 {
 		t.Fatalf("need ≥2 sealed roots, have %d", len(man))
 	}
-	if err := provenance.WriteManifest(provenance.ManifestPath(dir), man[:len(man)-1], false); err != nil {
+	if err := provenance.WriteManifest(provenance.ManifestPath(dir), man[:len(man)-1]); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := VerifyDir(dir)

@@ -103,10 +103,6 @@ type Options struct {
 	// drop (the service pins its job journal). Pinned records are still
 	// rewritten — deduplicated — by compaction.
 	Pinned func(key string) bool
-	// NoSync skips the fsync on segment rotation and Close. Process
-	// kills are always safe either way (appends reach the page cache on
-	// write); NoSync trades machine-crash durability for test speed.
-	NoSync bool
 	// Version is stamped into every record written and carried into
 	// its Merkle leaf, so a proof attests which engine produced the
 	// body, not just that the bytes are intact. At most 255 bytes.
@@ -614,17 +610,15 @@ func (s *Store) append(kind byte, key string, body []byte) error {
 	return nil
 }
 
-// rotateLocked seals the active segment — fsync (unless NoSync), then
+// rotateLocked seals the active segment — fsync, then
 // Merkle root + chain link into the manifest — and starts the next
 // one. A seal that fails to become durable is counted and retried at
 // the next Open (retro-seal); it never blocks the append that
 // triggered the rotation.
 func (s *Store) rotateLocked() error {
 	seg := s.active()
-	if !s.opts.NoSync {
-		if err := seg.f.Sync(); err != nil {
-			return fmt.Errorf("store: sync %s: %w", s.segPath(seg.id), err)
-		}
+	if err := seg.f.Sync(); err != nil {
+		return fmt.Errorf("store: sync %s: %w", s.segPath(seg.id), err)
 	}
 	if err := s.sealLocked(seg.id); err != nil {
 		s.stats.SealErrors++
@@ -703,7 +697,7 @@ func (s *Store) compactLocked() error {
 			return fail(fmt.Errorf("store: compact read: %w", err))
 		}
 		if seg == nil || (seg.size > 0 && seg.size+int64(len(buf)) > s.opts.SegmentBytes) {
-			if seg != nil && !s.opts.NoSync {
+			if seg != nil {
 				if err := seg.f.Sync(); err != nil {
 					return fail(fmt.Errorf("store: compact sync: %w", err))
 				}
@@ -728,7 +722,7 @@ func (s *Store) compactLocked() error {
 		seg.size += int64(len(buf))
 		newTotal += int64(len(buf))
 	}
-	if seg != nil && !s.opts.NoSync {
+	if seg != nil {
 		if err := seg.f.Sync(); err != nil {
 			return fail(fmt.Errorf("store: compact sync: %w", err))
 		}
@@ -763,7 +757,7 @@ func (s *Store) compactLocked() error {
 	if _, err := openNew(); err != nil {
 		return fail(err)
 	}
-	if err := provenance.WriteManifest(provenance.ManifestPath(s.dir), entries, !s.opts.NoSync); err != nil {
+	if err := provenance.WriteManifest(provenance.ManifestPath(s.dir), entries); err != nil {
 		return fail(err)
 	}
 
@@ -843,18 +837,15 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close syncs the active segment (unless NoSync) and closes every
-// segment file. The store is unusable afterwards.
+// Close syncs the active segment and closes every segment file. The
+// store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	var err error
-	if !s.opts.NoSync {
-		err = s.active().f.Sync()
-	}
+	err := s.active().f.Sync()
 	s.closeLocked()
 	return err
 }

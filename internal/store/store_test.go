@@ -12,9 +12,9 @@ import (
 )
 
 // testOpts keeps segments tiny so rotation and compaction trigger with
-// a handful of records, and skips fsync for speed.
+// a handful of records.
 func testOpts() Options {
-	return Options{SegmentBytes: 1 << 10, MaxBytes: 1 << 20, NoSync: true}
+	return Options{SegmentBytes: 1 << 10, MaxBytes: 1 << 20}
 }
 
 func key(i int) string { return fmt.Sprintf("%064d", i) }
@@ -146,7 +146,7 @@ func activeSegment(t *testing.T, dir string) string {
 // final frame and expects recovery to drop exactly that record.
 func TestTruncatedFinalRecordRecovers(t *testing.T) {
 	// Sizes chosen so all records land in one segment.
-	opts := Options{SegmentBytes: 1 << 20, MaxBytes: 1 << 24, NoSync: true}
+	opts := Options{SegmentBytes: 1 << 20, MaxBytes: 1 << 24}
 	build := func(t *testing.T, dir string) (map[string][]byte, int64) {
 		s, err := Open(dir, opts)
 		if err != nil {
@@ -221,7 +221,7 @@ func TestTruncatedFinalRecordRecovers(t *testing.T) {
 func TestCorruptedCRCMidSegment(t *testing.T) {
 	dir := t.TempDir()
 	// Big bodies + small segment bound: each segment holds ~3 records.
-	opts := Options{SegmentBytes: 1 << 10, MaxBytes: 1 << 24, NoSync: true}
+	opts := Options{SegmentBytes: 1 << 10, MaxBytes: 1 << 24}
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,6 @@ func TestCompactionDropsSupersededAndEvictsOldest(t *testing.T) {
 	opts := Options{
 		SegmentBytes: 2 << 10,
 		MaxBytes:     8 << 10,
-		NoSync:       true,
 		Pinned:       func(k string) bool { return k == "pin" },
 	}
 	s, err := Open(dir, opts)
@@ -379,7 +378,7 @@ func TestKeysPrefixAndLen(t *testing.T) {
 // one segment and closes the store.
 func fillStore(tb testing.TB, dir string, n, size int) Options {
 	tb.Helper()
-	opts := Options{NoSync: true, Version: "engine-v1"}
+	opts := Options{Version: "engine-v1"}
 	s, err := Open(dir, opts)
 	if err != nil {
 		tb.Fatal(err)
